@@ -23,8 +23,8 @@ exception Abort
 type cell = {
   addr : int; (* index in the word space *)
   mutable value : int;
-  lock : Util.Spin_lock.t;
-  mutable version : int;
+  owner : int Atomic.t; (* tid holding the write lock, -1 = free *)
+  version : int Atomic.t; (* bumped after each committed write of [value] *)
 }
 
 type tx = {
@@ -57,7 +57,7 @@ let create ?(words = 1 lsl 18) ?(log_capacity = 1 lsl 18) ?(threads = 8) region 
     pm;
     cells =
       Array.init words (fun addr ->
-          { addr; value = 0; lock = Util.Spin_lock.create (); version = 0 });
+          { addr; value = 0; owner = Atomic.make (-1); version = Atomic.make 0 });
     cell_base;
     log_base = Array.init threads (fun i -> cell_base + (8 * words) + (i * log_capacity));
     log_capacity;
@@ -67,14 +67,20 @@ let create ?(words = 1 lsl 18) ?(log_capacity = 1 lsl 18) ?(threads = 8) region 
 let tx_begin ~tid = { tid; reads = []; writes = []; locked = []; data_ranges = [] }
 
 (* Instrumented read with a small per-access charge, as TinySTM's
-   lock-table lookup costs on real hardware. *)
+   lock-table lookup costs on real hardware.  Version-validated: a
+   commit writes [value] and then bumps [version] under the cell's
+   lock, so a value read between two equal versions of an unlocked
+   cell belongs to that version; anything else aborts. *)
 let tx_read t tx addr =
   let c = t.cells.(addr) in
   match List.assq_opt c tx.writes with
   | Some v -> v
   | None ->
+      let ver = Atomic.get c.version in
+      if Atomic.get c.owner >= 0 then raise Abort;
       let v = c.value in
-      tx.reads <- (c, c.version) :: tx.reads;
+      if Atomic.get c.version <> ver || Atomic.get c.owner >= 0 then raise Abort;
+      tx.reads <- (c, ver) :: tx.reads;
       (* per-access instrumentation: TinySTM's lock-table lookup and
          timestamp validation on every transactional load *)
       Util.Spin_wait.ns 40;
@@ -84,7 +90,7 @@ let tx_read t tx addr =
 let tx_write t tx addr value =
   let c = t.cells.(addr) in
   if not (List.memq c tx.locked) then begin
-    if not (Util.Spin_lock.try_acquire c.lock) then raise Abort;
+    if not (Atomic.compare_and_set c.owner (-1) tx.tid) then raise Abort;
     tx.locked <- c :: tx.locked
   end;
   tx.writes <- (c, value) :: List.remove_assq c tx.writes
@@ -94,7 +100,7 @@ let tx_write t tx addr value =
    logging of bulk data through its persistent heap. *)
 let tx_track_data tx ~off ~len = tx.data_ranges <- (off, len) :: tx.data_ranges
 
-let release_locks tx = List.iter (fun c -> Util.Spin_lock.release c.lock) tx.locked
+let release_locks tx = List.iter (fun c -> Atomic.set c.owner (-1)) tx.locked
 
 let tx_abort tx = release_locks tx
 
@@ -109,7 +115,7 @@ let tx_commit t tx =
      our own lock never invalidates our own read). *)
   List.iter
     (fun (c, ver) ->
-      if c.version <> ver then begin
+      if Atomic.get c.version <> ver then begin
         release_locks tx;
         raise Abort
       end)
@@ -150,7 +156,7 @@ let tx_commit t tx =
     List.iter
       (fun (c, v) ->
         c.value <- v;
-        c.version <- c.version + 1;
+        Atomic.incr c.version;
         Nvm.Region.set_i64 region ~off:(t.cell_base + (8 * c.addr)) v;
         Pmem.writeback t.pm ~tid:tx.tid ~off:(t.cell_base + (8 * c.addr)) ~len:8)
       tx.writes;

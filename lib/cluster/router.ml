@@ -1,10 +1,15 @@
-(* The cluster router: one event-loop domain bridging memcached-text
-   clients to N shard upstreams through a consistent-hash ring.
+(* The cluster router: one domain bridging memcached-text clients to N
+   shard upstreams through a consistent-hash ring.
 
-   Shape of the data path: a client request is parsed just enough to
-   learn its verb, key(s) and data-block length, then the raw bytes
-   are forwarded to the owning shard's pipelined upstream connection.
-   Reply bookkeeping is two nested FIFOs:
+   Clients and shard upstreams are connections of one
+   {!Netserve.Conn_core} loop.  A client's bytes are split into requests
+   by {!Kvstore.Protocol.frames} — the framer every shard executes
+   with — so the router and its shards agree on request boundaries,
+   malformed input and which requests expect a reply.  Requests the
+   framer settles itself (malformed, oversized, unknown) are answered
+   here with the shard's exact reply; the rest are forwarded verbatim
+   (the raw frame bytes) to the owning shard.  Reply bookkeeping is two
+   nested FIFOs:
 
    - per client, a queue of reply slots, one per request that expects
      a reply, released strictly in request order;
@@ -16,7 +21,8 @@
    request, one; for a split multi-get or a stats/flush_all
    broadcast, one per shard involved).  Slots completing out of order
    just wait at their queue position, so per-client ordering is
-   preserved no matter how shards interleave.
+   preserved no matter how shards interleave.  A shard's own error
+   unit passes through to the client.
 
    Down/rejoin: any connect or I/O failure closes the upstream, fails
    its in-flight parts, and marks the shard Down — its keyspace
@@ -27,7 +33,9 @@
    success implies recovery is complete and the shard is marked Up. *)
 
 module Poller = Netserve.Poller
-module C = Kvstore.Protocol.Client
+module Core = Netserve.Conn_core
+module P = Kvstore.Protocol
+module C = P.Client
 
 type shard_addr = { sid : int; shost : string; sport : int }
 
@@ -71,9 +79,6 @@ let shard_down_reply = "SERVER_ERROR shard down\r\n"
 (* ---- shared counters (router domain writes; readers poll) ---- *)
 
 type counters = {
-  accepted : int Atomic.t;
-  c_bytes_in : int Atomic.t;
-  c_bytes_out : int Atomic.t;
   c_requests : int Atomic.t;
   c_down_errors : int Atomic.t;
   c_downs : int Atomic.t;
@@ -99,6 +104,7 @@ type t = {
   lfd : Unix.file_descr;
   actual_port : int;
   stopping : bool Atomic.t;
+  io : Core.counters;  (* client connections and bytes, kept by the loop *)
   ctr : counters;
   mutable domain : unit Domain.t option
       [@montage.guarded_by "control thread (start/stop caller)"];
@@ -112,9 +118,9 @@ let shard_states t =
 
 let stats t =
   {
-    clients_accepted = Atomic.get t.ctr.accepted;
-    bytes_in = Atomic.get t.ctr.c_bytes_in;
-    bytes_out = Atomic.get t.ctr.c_bytes_out;
+    clients_accepted = t.io.accepted;
+    bytes_in = t.io.bytes_in;
+    bytes_out = t.io.bytes_out;
     requests = Atomic.get t.ctr.c_requests;
     shard_down_errors = Atomic.get t.ctr.c_down_errors;
     downs = Atomic.get t.ctr.c_downs;
@@ -129,7 +135,8 @@ let wait_up ?n t ~timeout_s =
     if up () >= want then true
     else if Poller.mono_s () > deadline then false
     else begin
-      Unix.sleepf 0.01;
+      (Unix.sleepf 0.01
+      [@montage.allow "R5: control-thread wait for the fleet to join; not on the router loop"]);
       go ()
     end
   in
@@ -139,174 +146,63 @@ let wait_up ?n t ~timeout_s =
 
 type slot_kind = Verbatim | Multiget | Stats_merge | Flushall
 
-type client = {
-  cfd : Unix.file_descr;
-  mutable ibuf : Bytes.t;
-  mutable cipos : int;  (* consumed frontier *)
-  mutable cilen : int;
-  mutable ciscan : int;  (* newline-scan frontier, never behind cipos *)
-  mutable need : int;  (* >0: storage request, total bytes awaited from cipos *)
-  mutable discard : int;  (* oversized data block bytes left to drop *)
-  mutable discard_reply : string option;
-  pending : slot Queue.t;
-  mutable obuf : Bytes.t;
-  mutable copos : int;
-  mutable colen : int;
-  mutable last_active : float;
-  mutable want_r : bool;
-  mutable want_w : bool;
-  mutable cdirty : bool;
-  mutable calive : bool;
-  mutable closing : bool;  (* saw quit: answer what's pending, then close *)
-}
+type client = { fr : P.framer; pending : slot Queue.t (* reply slots, request order *) }
 
 and slot = {
+  s_conn : peer Core.conn;
   s_client : client;
   s_kind : slot_kind;
   s_parts : string array;
   mutable s_left : int;
-  mutable s_failed : bool;
+  mutable s_failed : bool;  (* a part's shard is Down *)
+  mutable s_error : string option;  (* the first error unit a shard answered *)
 }
 
-type up_state = Down | Connecting | Probing | Up
+and peer = Client of client | Shard of upstream
 
-type pending_reply = Part of slot * int | Probe
-
-type upstream = {
+and upstream = {
   u_idx : int;  (* ring-order index *)
   u_id : int;
   u_sockaddr : Unix.sockaddr;
   mutable u_state : up_state;
-  mutable u_fd : Unix.file_descr option;
+  mutable u_conn : peer Core.conn option;
   mutable u_started : float;  (* connect/probe deadline base *)
   mutable u_last_attempt : float;
   u_dec : C.decoder;
-  mutable u_ibuf : Bytes.t;
-  mutable u_ipos : int;  (* start of the unit being decoded *)
-  mutable u_ilen : int;
   u_inflight : pending_reply Queue.t;
-  mutable u_obuf : Bytes.t;
-  mutable u_opos : int;
-  mutable u_olen : int;
-  mutable u_want_r : bool;
-  mutable u_want_w : bool;
-  mutable u_dirty : bool;
 }
 
-type entry = Cl of client | Sh of upstream
+and up_state = Down | Connecting | Probing | Up
+and pending_reply = Part of slot * int | Probe
 
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+let resolve host =
+  try Unix.inet_addr_of_string host
+  with Failure _ -> (
+    try (Unix.gethostbyname host).Unix.h_addr_list.(0) with Not_found -> Unix.inet_addr_loopback)
 
-(* growable [pos, len) output staging, netserve's idiom *)
-let buf_room buf pos len n =
-  if len + n <= Bytes.length buf then (buf, pos, len)
-  else begin
-    let live = len - pos in
-    if live + n <= Bytes.length buf then begin
-      Bytes.blit buf pos buf 0 live;
-      (buf, 0, live)
-    end
-    else begin
-      let cap = ref (max 1024 (Bytes.length buf)) in
-      while live + n > !cap do
-        cap := !cap * 2
-      done;
-      let nb = Bytes.create !cap in
-      Bytes.blit buf pos nb 0 live;
-      (nb, 0, live)
-    end
-  end
-
-(* ---- the router event loop ---- *)
+(* ---- the router loop ---- *)
 
 let run t =
   let cfg = t.cfg in
-  let poller = Poller.create ~hint:(min cfg.max_conns 65536) t.pkind in
-  let fds : (Unix.file_descr, entry) Hashtbl.t = Hashtbl.create 256 in
-  let rbuf = Bytes.create cfg.read_chunk in
-  let dirty_cl = ref [] in
-  let dirty_up = ref [] in
-  let lfd_armed = ref false in
-  let lfd_deaf = ref false in
-  let nclients = ref 0 in
   let ups =
     Array.mapi
       (fun i a ->
-        let addr =
-          let ip =
-            try Unix.inet_addr_of_string a.shost
-            with Failure _ -> (
-              try (Unix.gethostbyname a.shost).Unix.h_addr_list.(0)
-              with Not_found -> Unix.inet_addr_loopback)
-          in
-          Unix.ADDR_INET (ip, a.sport)
-        in
         {
           u_idx = i;
           u_id = a.sid;
-          u_sockaddr = addr;
+          u_sockaddr = Unix.ADDR_INET (resolve a.shost, a.sport);
           u_state = Down;
-          u_fd = None;
+          u_conn = None;
           u_started = 0.0;
           u_last_attempt = neg_infinity;
           u_dec = C.decoder ();
-          u_ibuf = Bytes.create 4096;
-          u_ipos = 0;
-          u_ilen = 0;
           u_inflight = Queue.create ();
-          u_obuf = Bytes.create 4096;
-          u_opos = 0;
-          u_olen = 0;
-          u_want_r = false;
-          u_want_w = false;
-          u_dirty = false;
         })
       t.addrs
   in
   let up_by_id = Hashtbl.create 8 in
   Array.iter (fun u -> Hashtbl.replace up_by_id u.u_id u) ups;
-  let up_count () =
-    Array.fold_left (fun n u -> if u.u_state = Up then n + 1 else n) 0 ups
-  in
-
-  (* -- client output -- *)
-  let cl_out_pending cl = cl.colen - cl.copos in
-  let cl_out_add cl s =
-    let n = String.length s in
-    let buf, pos, len = buf_room cl.obuf cl.copos cl.colen n in
-    cl.obuf <- buf;
-    cl.copos <- pos;
-    cl.colen <- len;
-    Bytes.blit_string s 0 cl.obuf cl.colen n;
-    cl.colen <- cl.colen + n
-  in
-  let mark_dirty_cl cl =
-    if not cl.cdirty then begin
-      cl.cdirty <- true;
-      dirty_cl := cl :: !dirty_cl
-    end
-  in
-  let update_interest_cl cl =
-    let r =
-      cl_out_pending cl <= cfg.out_hwm && (not cl.closing) && cl.discard_reply = None
-    in
-    let r = r || cl.discard > 0 in
-    let w = cl_out_pending cl > 0 in
-    if r <> cl.want_r || w <> cl.want_w then begin
-      cl.want_r <- r;
-      cl.want_w <- w;
-      Poller.set poller cl.cfd ~read:r ~write:w
-    end
-  in
-  let close_client cl =
-    if cl.calive then begin
-      cl.calive <- false;
-      Hashtbl.remove fds cl.cfd;
-      Poller.remove poller cl.cfd;
-      decr nclients;
-      close_quietly cl.cfd
-    end
-  in
+  let up_count () = Array.fold_left (fun n u -> if u.u_state = Up then n + 1 else n) 0 ups in
 
   (* -- slot assembly and release -- *)
   let merge_stats parts =
@@ -343,15 +239,12 @@ let run t =
     let b = Buffer.create 1024 in
     Buffer.add_string b (Printf.sprintf "STAT cluster_shards %d\r\n" (Array.length ups));
     Buffer.add_string b (Printf.sprintf "STAT cluster_up %d\r\n" (up_count ()));
-    Buffer.add_string b
-      (Printf.sprintf "STAT cluster_downs %d\r\n" (Atomic.get t.ctr.c_downs));
-    Buffer.add_string b
-      (Printf.sprintf "STAT cluster_rejoins %d\r\n" (Atomic.get t.ctr.c_rejoins));
+    Buffer.add_string b (Printf.sprintf "STAT cluster_downs %d\r\n" (Atomic.get t.ctr.c_downs));
+    Buffer.add_string b (Printf.sprintf "STAT cluster_rejoins %d\r\n" (Atomic.get t.ctr.c_rejoins));
     Array.iter
       (fun u ->
         Buffer.add_string b
-          (Printf.sprintf "STAT shard%d_state %s\r\n" u.u_id
-             (if u.u_state = Up then "up" else "down")))
+          (Printf.sprintf "STAT shard%d_state %s\r\n" u.u_id (if u.u_state = Up then "up" else "down")))
       ups;
     List.iter
       (fun k -> Buffer.add_string b (Printf.sprintf "STAT %s %s\r\n" k (Hashtbl.find tbl k)))
@@ -360,167 +253,78 @@ let run t =
     Buffer.contents b
   in
   let assemble s =
-    match s.s_kind with
-    | Verbatim ->
-        if s.s_failed then begin
-          Atomic.incr t.ctr.c_down_errors;
-          shard_down_reply
-        end
-        else s.s_parts.(0)
-    | Multiget ->
-        if s.s_failed then begin
-          Atomic.incr t.ctr.c_down_errors;
-          shard_down_reply
-        end
-        else begin
+    if s.s_failed then begin
+      Atomic.incr t.ctr.c_down_errors;
+      shard_down_reply
+    end
+    else
+      match (s.s_kind, s.s_error) with
+      | Verbatim, _ -> s.s_parts.(0)
+      | _, Some e -> e (* a shard's own error unit passes through *)
+      | Multiget, None ->
+          (* each part is a complete get reply; drop its END line *)
           let b = Buffer.create 256 in
-          Array.iter
-            (fun p ->
-              (* each part is a complete get reply; drop its END line *)
-              let n = String.length p in
-              if n >= 5 then Buffer.add_substring b p 0 (n - 5))
-            s.s_parts;
+          Array.iter (fun p -> Buffer.add_substring b p 0 (String.length p - 5)) s.s_parts;
           Buffer.add_string b "END\r\n";
           Buffer.contents b
-        end
-    | Stats_merge -> merge_stats s.s_parts
-    | Flushall ->
-        if s.s_failed then begin
-          Atomic.incr t.ctr.c_down_errors;
-          shard_down_reply
-        end
-        else "OK\r\n"
+      | Stats_merge, None -> merge_stats s.s_parts
+      | Flushall, None -> "OK\r\n"
   in
-  let release_ready cl =
-    let progress = ref true in
-    while !progress do
-      progress := false;
+  let release_ready c cl =
+    let rec go () =
       match Queue.peek_opt cl.pending with
       | Some s when s.s_left = 0 ->
           ignore (Queue.pop cl.pending);
-          cl_out_add cl (assemble s);
-          mark_dirty_cl cl;
-          progress := true
+          Core.send c (assemble s);
+          go ()
       | _ -> ()
-    done
+    in
+    go ()
+  in
+  let new_slot c cl kind parts =
+    let s =
+      {
+        s_conn = c;
+        s_client = cl;
+        s_kind = kind;
+        s_parts = parts;
+        s_left = Array.length parts;
+        s_failed = false;
+        s_error = None;
+      }
+    in
+    Queue.push s cl.pending;
+    s
   in
   let part_done s =
     s.s_left <- s.s_left - 1;
-    if s.s_left = 0 then release_ready s.s_client
+    if s.s_left = 0 then release_ready s.s_conn s.s_client
   in
-  let fail_part s idx =
+  let fail_part s =
     s.s_failed <- true;
-    s.s_parts.(idx) <- "";
     part_done s
   in
-  let local_reply cl reply =
-    let s =
-      { s_client = cl; s_kind = Verbatim; s_parts = [| reply |]; s_left = 0; s_failed = false }
-    in
-    Queue.push s cl.pending;
-    release_ready cl
+  let local_reply c cl reply =
+    let s = new_slot c cl Verbatim [| reply |] in
+    s.s_left <- 0;
+    release_ready c cl
   in
 
-  (* -- upstream output / state -- *)
-  let up_out_pending u = u.u_olen - u.u_opos in
-  let up_out_add u s =
-    let n = String.length s in
-    let buf, pos, len = buf_room u.u_obuf u.u_opos u.u_olen n in
-    u.u_obuf <- buf;
-    u.u_opos <- pos;
-    u.u_olen <- len;
-    Bytes.blit_string s 0 u.u_obuf u.u_olen n;
-    u.u_olen <- u.u_olen + n
-  in
-  let mark_dirty_up u =
-    if not u.u_dirty then begin
-      u.u_dirty <- true;
-      dirty_up := u :: !dirty_up
-    end
-  in
-  let update_interest_up u =
-    match u.u_fd with
-    | None -> ()
-    | Some fd ->
-        let r, w =
-          match u.u_state with
-          | Connecting -> (false, true)
-          | Up | Probing -> (true, up_out_pending u > 0)
-          | Down -> (false, false)
-        in
-        if r <> u.u_want_r || w <> u.u_want_w then begin
-          u.u_want_r <- r;
-          u.u_want_w <- w;
-          Poller.set poller fd ~read:r ~write:w
-        end
-  in
+  (* -- upstream state -- *)
+  (* the upstream's connection is already closed: fail what it owed *)
   let mark_down u reason =
     let was_up = u.u_state = Up in
-    (match u.u_fd with
-    | Some fd ->
-        Hashtbl.remove fds fd;
-        Poller.remove poller fd;
-        close_quietly fd
-    | None -> ());
-    u.u_fd <- None;
+    u.u_conn <- None;
     u.u_state <- Down;
     u.u_last_attempt <- Poller.mono_s ();
-    u.u_want_r <- false;
-    u.u_want_w <- false;
-    u.u_opos <- 0;
-    u.u_olen <- 0;
-    u.u_ipos <- 0;
-    u.u_ilen <- 0;
     C.reset u.u_dec;
     Atomic.set t.up_flags.(u.u_idx) false;
     if was_up then begin
       Atomic.incr t.ctr.c_downs;
       Printf.eprintf "[cluster] shard %d down (%s)\n%!" u.u_id reason
     end;
-    (* every reply still owed by this shard fails now *)
-    Queue.iter
-      (function Part (s, idx) -> fail_part s idx | Probe -> ())
-      u.u_inflight;
+    Queue.iter (function Part (s, _) -> fail_part s | Probe -> ()) u.u_inflight;
     Queue.clear u.u_inflight
-  in
-  let probe_send u fd =
-    u.u_state <- Probing;
-    let b = Buffer.create 16 in
-    C.encode_version b;
-    up_out_add u (Buffer.contents b);
-    Queue.push Probe u.u_inflight;
-    (match Poller.set poller fd ~read:true ~write:true with
-    | () ->
-        u.u_want_r <- true;
-        u.u_want_w <- true
-    | exception Unix.Unix_error (Unix.EINVAL, _, _) -> mark_down u "poller cannot track fd")
-  in
-  let start_connect u =
-    u.u_last_attempt <- Poller.mono_s ();
-    u.u_started <- u.u_last_attempt;
-    match Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 with
-    | exception Unix.Unix_error _ -> ()
-    | fd -> (
-        Unix.set_nonblock fd;
-        (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-        u.u_fd <- Some fd;
-        u.u_want_r <- false;
-        u.u_want_w <- false;
-        Hashtbl.replace fds fd (Sh u);
-        match Unix.connect fd u.u_sockaddr with
-        | () -> probe_send u fd
-        | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK), _, _) -> (
-            u.u_state <- Connecting;
-            match Poller.set poller fd ~read:false ~write:true with
-            | () -> u.u_want_w <- true
-            | exception Unix.Unix_error (Unix.EINVAL, _, _) ->
-                mark_down u "poller cannot track fd")
-        | exception Unix.Unix_error _ -> mark_down u "connect refused")
-  in
-  let finish_connect u fd =
-    match Unix.getsockopt_error fd with
-    | None -> probe_send u fd
-    | Some _ -> mark_down u "connect failed"
   in
   let mark_up u =
     u.u_state <- Up;
@@ -528,124 +332,48 @@ let run t =
     Atomic.incr t.ctr.c_rejoins;
     Printf.eprintf "[cluster] shard %d up\n%!" u.u_id
   in
-
-  (* -- upstream reply decoding -- *)
-  let on_unit u unit_bytes (r : C.unit_result) =
+  (* connected: a [version] round trip proves the shard serves *)
+  let probe c u =
+    u.u_state <- Probing;
+    Core.send c "version\r\n";
+    Queue.push Probe u.u_inflight
+  in
+  let on_unit c u unit_bytes (r : C.unit_result) =
     match Queue.take_opt u.u_inflight with
-    | None -> mark_down u "unsolicited reply"
+    | None -> Core.close c "unsolicited reply"
     | Some Probe -> if u.u_state = Probing then mark_up u
-    | Some (Part (s, idx)) -> (
-        match s.s_kind with
-        | Verbatim ->
-            (* the shard's own reply — errors included — passes through *)
-            s.s_parts.(idx) <- unit_bytes;
-            part_done s
-        | Multiget ->
-            if r.C.cls = C.U_ok then begin
-              s.s_parts.(idx) <- unit_bytes;
-              part_done s
-            end
-            else fail_part s idx
-        | Stats_merge | Flushall ->
-            if r.C.cls = C.U_ok then begin
-              s.s_parts.(idx) <- unit_bytes;
-              part_done s
-            end
-            else fail_part s idx)
+    | Some (Part (s, idx)) ->
+        s.s_parts.(idx) <- unit_bytes;
+        if C.is_err r && s.s_error = None then s.s_error <- Some unit_bytes;
+        part_done s
   in
-  let decode_up u =
-    let progress = ref true in
-    while !progress && u.u_fd <> None do
-      match C.next_unit u.u_dec u.u_ibuf ~pos:u.u_ipos ~len:(u.u_ilen - u.u_ipos) with
+  let upstream_input c u =
+    let inb = Core.inbuf c in
+    let continue = ref true in
+    while !continue && Core.alive c do
+      match C.next_unit u.u_dec inb.bytes ~pos:inb.pos ~len:(Core.pending inb) with
       | Some (endp, r) ->
-          let unit_bytes = Bytes.sub_string u.u_ibuf u.u_ipos (endp - u.u_ipos) in
-          u.u_ipos <- endp;
-          on_unit u unit_bytes r
-      | None -> progress := false
-    done;
-    if u.u_ipos = u.u_ilen then begin
-      u.u_ipos <- 0;
-      u.u_ilen <- 0
-    end
-  in
-  let read_up u fd =
-    let keep = ref true and again = ref true in
-    while !again do
-      match Unix.read fd rbuf 0 cfg.read_chunk with
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-          again := false
-      | exception Unix.Unix_error _ ->
-          keep := false;
-          again := false
-      | 0 ->
-          keep := false;
-          again := false
-      | n ->
-          (* append, compacting/growing around the in-progress unit:
-             the decoder's offsets are relative to u_ipos, so sliding
-             the unit to the buffer head is safe mid-unit *)
-          if u.u_ilen + n > Bytes.length u.u_ibuf then begin
-            let live = u.u_ilen - u.u_ipos in
-            if u.u_ipos > 0 then Bytes.blit u.u_ibuf u.u_ipos u.u_ibuf 0 live;
-            u.u_ipos <- 0;
-            u.u_ilen <- live;
-            if live + n > Bytes.length u.u_ibuf then begin
-              let cap = ref (Bytes.length u.u_ibuf) in
-              while live + n > !cap do
-                cap := !cap * 2
-              done;
-              let nb = Bytes.create !cap in
-              Bytes.blit u.u_ibuf 0 nb 0 live;
-              u.u_ibuf <- nb
-            end
-          end;
-          Bytes.blit rbuf 0 u.u_ibuf u.u_ilen n;
-          u.u_ilen <- u.u_ilen + n;
-          decode_up u
-    done;
-    !keep
-  in
-  let flush_up u fd =
-    if up_out_pending u > 0 then begin
-      match Unix.write fd u.u_obuf u.u_opos (up_out_pending u) with
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> true
-      | exception Unix.Unix_error _ -> false
-      | n ->
-          u.u_opos <- u.u_opos + n;
-          if up_out_pending u = 0 then begin
-            u.u_opos <- 0;
-            u.u_olen <- 0
-          end;
-          true
-    end
-    else true
+          let unit_bytes = Bytes.sub_string inb.bytes inb.pos (endp - inb.pos) in
+          Core.consume inb (endp - inb.pos);
+          on_unit c u unit_bytes r
+      | None -> continue := false
+    done
   in
 
-  (* -- request dispatch -- *)
-  let send_part u raw expect =
-    match u.u_state with
-    | Up ->
-        up_out_add u raw;
-        (match expect with
-        | Some (s, idx) -> Queue.push (Part (s, idx)) u.u_inflight
-        | None -> ());
-        mark_dirty_up u
-    | Down | Connecting | Probing -> (
-        match expect with Some (s, idx) -> fail_part s idx | None -> ())
+  (* -- request dispatch: the frames come from the shards' own framer -- *)
+  let send_part u buf off len expect =
+    match (u.u_state, u.u_conn) with
+    | Up, Some c ->
+        Core.send_sub c buf off len;
+        Option.iter (fun (s, idx) -> Queue.push (Part (s, idx)) u.u_inflight) expect
+    | _ -> Option.iter (fun (s, _) -> fail_part s) expect
   in
   let owner key = Hashtbl.find up_by_id (Ring.lookup t.ring key) in
-  let route_single cl key raw ~noreply =
-    let u = owner key in
-    if noreply then send_part u raw None
-    else begin
-      let s =
-        { s_client = cl; s_kind = Verbatim; s_parts = [| "" |]; s_left = 1; s_failed = false }
-      in
-      Queue.push s cl.pending;
-      send_part u raw (Some (s, 0))
-    end
+  let forward c cl key buf (f : P.frame) ~noreply =
+    let expect = if noreply then None else Some (new_slot c cl Verbatim [| "" |], 0) in
+    send_part (owner key) buf f.off f.len expect
   in
-  let route_get cl verb keys =
+  let route_get c cl buf (f : P.frame) ~cas keys =
     (* group keys by owning shard, preserving first-appearance order *)
     let groups = ref [] in
     List.iter
@@ -655,389 +383,94 @@ let run t =
         | Some l -> l := k :: !l
         | None -> groups := (u, ref [ k ]) :: !groups)
       keys;
-    let groups = List.rev_map (fun (u, l) -> (u, List.rev !l)) !groups in
-    match groups with
-    | [] -> local_reply cl "END\r\n"
-    | [ (u, _) ] ->
-        (* single owner: forward whole request, reply passes verbatim *)
-        let b = Buffer.create 64 in
-        (if verb = "gets" then C.encode_gets else C.encode_get) b keys;
-        let s =
-          { s_client = cl; s_kind = Verbatim; s_parts = [| "" |]; s_left = 1; s_failed = false }
-        in
-        Queue.push s cl.pending;
-        send_part u (Buffer.contents b) (Some (s, 0))
-    | _ ->
-        let n = List.length groups in
-        let s =
-          {
-            s_client = cl;
-            s_kind = Multiget;
-            s_parts = Array.make n "";
-            s_left = n;
-            s_failed = false;
-          }
-        in
-        Queue.push s cl.pending;
+    match List.rev_map (fun (u, l) -> (u, List.rev !l)) !groups with
+    | [ _ ] -> forward c cl (List.hd keys) buf f ~noreply:false
+    | groups ->
+        let s = new_slot c cl Multiget (Array.make (List.length groups) "") in
         List.iteri
           (fun i (u, ks) ->
             let b = Buffer.create 64 in
-            (if verb = "gets" then C.encode_gets else C.encode_get) b ks;
-            send_part u (Buffer.contents b) (Some (s, i)))
+            (if cas then C.encode_gets else C.encode_get) b ks;
+            send_part u (Buffer.to_bytes b) 0 (Buffer.length b) (Some (s, i)))
           groups
   in
-  let route_broadcast cl raw kind ~noreply =
-    let targets = Array.to_list ups |> List.filter (fun u -> u.u_state = Up) in
-    if noreply then List.iter (fun u -> send_part u raw None) targets
+  let broadcast c cl buf (f : P.frame) kind ~noreply =
+    let targets = List.filter (fun u -> u.u_state = Up) (Array.to_list ups) in
+    if noreply then List.iter (fun u -> send_part u buf f.off f.len None) targets
     else begin
-      let n = List.length targets in
-      let s =
-        { s_client = cl; s_kind = kind; s_parts = Array.make n ""; s_left = n; s_failed = false }
-      in
-      Queue.push s cl.pending;
-      if n = 0 then release_ready cl
-      else List.iteri (fun i u -> send_part u raw (Some (s, i))) targets
+      let s = new_slot c cl kind (Array.make (List.length targets) "") in
+      if targets = [] then release_ready c cl
+      else List.iteri (fun i u -> send_part u buf f.off f.len (Some (s, i))) targets
     end
   in
-  let is_noreply tokens =
-    match List.rev tokens with last :: _ -> last = "noreply" | [] -> false
-  in
-  let dispatch_line cl line raw =
+  let dispatch c cl buf (f : P.frame) =
     Atomic.incr t.ctr.c_requests;
-    let tokens = String.split_on_char ' ' line |> List.filter (fun s -> s <> "") in
-    match tokens with
-    | [] -> local_reply cl "ERROR\r\n"
-    | verb :: rest -> (
-        let noreply = is_noreply tokens in
-        match verb with
-        | "get" | "gets" ->
-            if rest = [] then local_reply cl "ERROR\r\n" else route_get cl verb rest
-        | "delete" | "incr" | "decr" | "touch" -> (
-            match rest with
-            | key :: _ -> route_single cl key raw ~noreply
-            | [] -> local_reply cl "ERROR\r\n")
-        | "stats" -> route_broadcast cl raw Stats_merge ~noreply:false
-        | "flush_all" -> route_broadcast cl raw Flushall ~noreply
-        | "version" -> local_reply cl "VERSION montage-cluster\r\n"
-        | "verbosity" -> if not noreply then local_reply cl "OK\r\n"
-        | "quit" -> cl.closing <- true
-        | _ -> local_reply cl "ERROR\r\n")
+    match f.cmd with
+    | P.Answer None -> ()
+    | P.Answer (Some r) -> local_reply c cl (r ^ "\r\n")
+    | P.Get { cas; keys } -> route_get c cl buf f ~cas keys
+    | P.Store p -> forward c cl p.key buf f ~noreply:p.noreply
+    | P.Delete { key; noreply } -> forward c cl key buf f ~noreply
+    | P.Arith { key; _ } | P.Touch { key; _ } -> forward c cl key buf f ~noreply:false
+    | P.Flush_all { noreply; _ } -> broadcast c cl buf f Flushall ~noreply
+    | P.Stats -> broadcast c cl buf f Stats_merge ~noreply:false
+    | P.Version -> local_reply c cl "VERSION montage-cluster\r\n"
+    | P.Verbosity { noreply } -> if not noreply then local_reply c cl "OK\r\n"
+    | P.Quit -> () (* the framer is closed: answer what is pending, then close *)
   in
-  let dispatch_storage cl raw =
-    Atomic.incr t.ctr.c_requests;
-    let line_end = match String.index_opt raw '\n' with Some i -> i | None -> 0 in
-    let line =
-      if line_end > 0 && raw.[line_end - 1] = '\r' then String.sub raw 0 (line_end - 1)
-      else String.sub raw 0 line_end
-    in
-    let tokens = String.split_on_char ' ' line |> List.filter (fun s -> s <> "") in
-    match tokens with
-    | _ :: key :: _ -> route_single cl key raw ~noreply:(is_noreply tokens)
-    | _ -> local_reply cl "ERROR\r\n"
+  let client_input c cl =
+    let inb = Core.inbuf c in
+    Core.consume inb
+      (P.frames cl.fr inb.bytes ~pos:inb.pos ~len:(Core.pending inb) (dispatch c cl inb.bytes))
   in
-  let storage_verbs = [ "set"; "add"; "replace"; "append"; "prepend"; "cas" ] in
-  let data_bytes_of tokens =
-    (* set/add/replace/append/prepend: <verb> <key> <flags> <exptime> <bytes>
-       cas: ... <bytes> <casunique>; bytes is index 4 in both *)
-    match tokens with
-    | _ :: _ :: _ :: _ :: b :: _ -> int_of_string_opt b
-    | _ -> None
+  let core =
+    Core.create ~name:"cluster" ~hint:(min cfg.max_conns 65536) ~read_chunk:cfg.read_chunk
+      ~idle_timeout_s:cfg.idle_timeout_s ~counters:t.io t.pkind
+      {
+        input = (fun c -> match Core.data c with Client cl -> client_input c cl | Shard u -> upstream_input c u);
+        paused =
+          (fun c ->
+            match Core.data c with
+            | Client cl -> P.closed cl.fr || Core.out_pending c > cfg.out_hwm
+            | Shard _ -> false);
+        finished =
+          (fun c ->
+            match Core.data c with
+            | Client cl -> P.closed cl.fr && Queue.is_empty cl.pending
+            | Shard _ -> false);
+        connected = (fun c -> match Core.data c with Shard u -> probe c u | Client _ -> ());
+        closed = (fun c why -> match Core.data c with Shard u -> mark_down u why | Client _ -> ());
+      }
   in
-  let process_input cl =
-    let progress = ref true in
-    while !progress && cl.calive && not cl.closing do
-      progress := false;
-      if cl.discard > 0 then begin
-        let avail = cl.cilen - cl.cipos in
-        let take = min cl.discard avail in
-        cl.cipos <- cl.cipos + take;
-        cl.ciscan <- max cl.ciscan cl.cipos;
-        cl.discard <- cl.discard - take;
-        if cl.discard = 0 then begin
-          (match cl.discard_reply with Some r -> local_reply cl r | None -> ());
-          cl.discard_reply <- None;
-          progress := true
-        end
-      end
-      else if cl.need > 0 then begin
-        if cl.cilen - cl.cipos >= cl.need then begin
-          let raw = Bytes.sub_string cl.ibuf cl.cipos cl.need in
-          cl.cipos <- cl.cipos + cl.need;
-          cl.ciscan <- cl.cipos;
-          cl.need <- 0;
-          dispatch_storage cl raw;
-          progress := true
-        end
-      end
-      else begin
-        if cl.ciscan < cl.cipos then cl.ciscan <- cl.cipos;
-        let i = ref cl.ciscan in
-        while !i < cl.cilen && Bytes.get cl.ibuf !i <> '\n' do
-          incr i
-        done;
-        if !i >= cl.cilen then begin
-          cl.ciscan <- !i;
-          if cl.cilen - cl.cipos > cfg.max_line then begin
-            (* oversized command line: answer and hang up rather than
-               buffer without bound *)
-            cl.cipos <- cl.cilen;
-            cl.ciscan <- cl.cilen;
-            local_reply cl "CLIENT_ERROR line too long\r\n";
-            cl.closing <- true
-          end
-        end
-        else begin
-          let nl = !i in
-          let raw_line_len = nl + 1 - cl.cipos in
-          let line_len =
-            let l = nl - cl.cipos in
-            if l > 0 && Bytes.get cl.ibuf (nl - 1) = '\r' then l - 1 else l
-          in
-          let line = Bytes.sub_string cl.ibuf cl.cipos line_len in
-          let tokens = String.split_on_char ' ' line |> List.filter (fun s -> s <> "") in
-          let verb = match tokens with v :: _ -> v | [] -> "" in
-          if List.mem verb storage_verbs then begin
-            match data_bytes_of tokens with
-            | Some b when b >= 0 && b <= cfg.max_value ->
-                cl.need <- raw_line_len + b + 2;
-                cl.ciscan <- nl + 1;
-                progress := true
-            | Some b when b > cfg.max_value ->
-                (* consume the line now, swallow the block, then error *)
-                cl.cipos <- nl + 1;
-                cl.ciscan <- cl.cipos;
-                cl.discard <- b + 2;
-                cl.discard_reply <-
-                  (if is_noreply tokens then None
-                   else Some "SERVER_ERROR object too large for cache\r\n");
-                progress := true
-            | _ ->
-                cl.cipos <- nl + 1;
-                cl.ciscan <- cl.cipos;
-                local_reply cl "CLIENT_ERROR bad command line format\r\n";
-                progress := true
-          end
-          else begin
-            cl.cipos <- nl + 1;
-            cl.ciscan <- cl.cipos;
-            dispatch_line cl line (Bytes.sub_string cl.ibuf (nl + 1 - raw_line_len) raw_line_len);
-            progress := true
-          end
-        end
-      end
-    done;
-    if cl.cipos = cl.cilen && cl.need = 0 then begin
-      cl.cipos <- 0;
-      cl.cilen <- 0;
-      cl.ciscan <- 0
-    end
-  in
-
-  (* -- client I/O -- *)
-  let read_client cl now =
-    let keep = ref true and again = ref true in
-    while !again do
-      match Unix.read cl.cfd rbuf 0 cfg.read_chunk with
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-          again := false
-      | exception Unix.Unix_error _ ->
-          keep := false;
-          again := false
-      | 0 ->
-          keep := false;
-          again := false
-      | n ->
-          Atomic.fetch_and_add t.ctr.c_bytes_in n |> ignore;
-          cl.last_active <- now;
-          if cl.cilen + n > Bytes.length cl.ibuf then begin
-            let live = cl.cilen - cl.cipos in
-            if cl.cipos > 0 then begin
-              Bytes.blit cl.ibuf cl.cipos cl.ibuf 0 live;
-              cl.ciscan <- cl.ciscan - cl.cipos;
-              cl.cipos <- 0;
-              cl.cilen <- live
-            end;
-            if cl.cilen + n > Bytes.length cl.ibuf then begin
-              let cap = ref (Bytes.length cl.ibuf) in
-              while cl.cilen + n > !cap do
-                cap := !cap * 2
-              done;
-              let nb = Bytes.create !cap in
-              Bytes.blit cl.ibuf 0 nb 0 cl.cilen;
-              cl.ibuf <- nb
-            end
-          end;
-          Bytes.blit rbuf 0 cl.ibuf cl.cilen n;
-          cl.cilen <- cl.cilen + n;
-          process_input cl;
-          if cl_out_pending cl > cfg.out_hwm then again := false
-    done;
-    !keep
-  in
-  let flush_client cl now =
-    if cl_out_pending cl > 0 then begin
-      match Unix.write cl.cfd cl.obuf cl.copos (cl_out_pending cl) with
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> true
-      | exception Unix.Unix_error _ -> false
-      | n ->
-          Atomic.fetch_and_add t.ctr.c_bytes_out n |> ignore;
-          cl.copos <- cl.copos + n;
-          cl.last_active <- now;
-          if cl_out_pending cl = 0 then begin
-            cl.copos <- 0;
-            cl.colen <- 0
-          end;
-          true
-    end
-    else true
-  in
-  let settle_client cl now =
-    if not (flush_client cl now) then close_client cl
-    else if cl.closing && Queue.is_empty cl.pending && cl_out_pending cl = 0 then close_client cl
-    else update_interest_cl cl
-  in
-  let accept_new () =
-    let again = ref true in
-    while !again && !nclients < cfg.max_conns do
-      match Unix.accept ~cloexec:true t.lfd with
-      | exception
-          Unix.Unix_error
-            ( ( Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED | Unix.EINTR | Unix.EMFILE
-              | Unix.ENFILE ),
-              _, _ ) ->
-          again := false
-      | fd, _ -> (
-          Unix.set_nonblock fd;
-          (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-          match Poller.set poller fd ~read:true ~write:false with
-          | exception Unix.Unix_error (Unix.EINVAL, _, _) -> close_quietly fd
-          | () ->
-              Atomic.incr t.ctr.accepted;
-              incr nclients;
-              Hashtbl.replace fds fd
-                (Cl
-                   {
-                     cfd = fd;
-                     ibuf = Bytes.create 4096;
-                     cipos = 0;
-                     cilen = 0;
-                     ciscan = 0;
-                     need = 0;
-                     discard = 0;
-                     discard_reply = None;
-                     pending = Queue.create ();
-                     obuf = Bytes.create 1024;
-                     copos = 0;
-                     colen = 0;
-                     last_active = Poller.mono_s ();
-                     want_r = true;
-                     want_w = false;
-                     cdirty = false;
-                     calive = true;
-                     closing = false;
-                   }))
-    done
-  in
+  Core.listen core t.lfd ~max_conns:cfg.max_conns (fun _ ->
+      Client { fr = P.framer ~max_line:cfg.max_line ~max_value:cfg.max_value (); pending = Queue.create () });
 
   (* -- probe timer -- *)
+  let start_connect u now =
+    u.u_last_attempt <- now;
+    u.u_started <- now;
+    match Core.connect core u.u_sockaddr (Shard u) with
+    | Ok c ->
+        u.u_conn <- Some c;
+        u.u_state <- Connecting
+    | Error _ -> ()
+  in
   let tick_probes now =
     Array.iter
       (fun u ->
         match u.u_state with
-        | Down -> if now -. u.u_last_attempt >= cfg.probe_interval_s then start_connect u
+        | Down -> if now -. u.u_last_attempt >= cfg.probe_interval_s then start_connect u now
         | Connecting | Probing ->
-            if now -. u.u_started > cfg.connect_timeout_s then mark_down u "probe timeout"
+            if now -. u.u_started > cfg.connect_timeout_s then
+              Option.iter (fun c -> Core.close c "probe timeout") u.u_conn
         | Up -> ())
       ups
   in
-
-  (* -- main loop -- *)
-  let sweep_period =
-    if cfg.idle_timeout_s > 0.0 then Float.min 1.0 (cfg.idle_timeout_s /. 4.0) else 1.0
-  in
-  let next_sweep = ref (Poller.mono_s () +. sweep_period) in
   while not (Atomic.get t.stopping) do
-    let want_accept = (not !lfd_deaf) && !nclients < cfg.max_conns in
-    if want_accept <> !lfd_armed then begin
-      match Poller.set poller t.lfd ~read:want_accept ~write:false with
-      | () -> lfd_armed := want_accept
-      | exception Unix.Unix_error (Unix.EINVAL, _, _) ->
-          lfd_deaf := true;
-          Printf.eprintf "[cluster] listener fd beyond poller reach; not accepting\n%!"
-    end;
-    ignore
-      (Poller.wait poller ~timeout_s:cfg.tick_s (fun fd ~readable ~writable ->
-           if fd = t.lfd then begin
-             if readable then accept_new ()
-           end
-           else
-             match Hashtbl.find_opt fds fd with
-             | None -> ()
-             | Some (Cl cl) ->
-                 let now = Poller.mono_s () in
-                 let ok =
-                   ((not writable) || flush_client cl now)
-                   && ((not readable) || read_client cl now)
-                 in
-                 if not ok then close_client cl else settle_client cl now
-             | Some (Sh u) ->
-                 if u.u_state = Connecting then begin
-                   if writable || readable then finish_connect u fd;
-                   update_interest_up u
-                 end
-                 else begin
-                   let ok =
-                     ((not writable) || flush_up u fd) && ((not readable) || read_up u fd)
-                   in
-                   if not ok then mark_down u "io error" else update_interest_up u
-                 end));
-    (* upstream sends first (unblocks shard replies), then client flushes *)
-    if !dirty_up <> [] then begin
-      List.iter
-        (fun u ->
-          u.u_dirty <- false;
-          match u.u_fd with
-          | Some fd when u.u_state = Up || u.u_state = Probing ->
-              if not (flush_up u fd) then mark_down u "io error" else update_interest_up u
-          | _ -> ())
-        !dirty_up;
-      dirty_up := []
-    end;
-    if !dirty_cl <> [] then begin
-      let now = Poller.mono_s () in
-      List.iter
-        (fun cl ->
-          cl.cdirty <- false;
-          if cl.calive then settle_client cl now)
-        !dirty_cl;
-      dirty_cl := []
-    end;
-    let now = Poller.mono_s () in
-    tick_probes now;
-    if now >= !next_sweep then begin
-      next_sweep := now +. sweep_period;
-      let reap = ref [] in
-      Hashtbl.iter
-        (fun _ e ->
-          match e with
-          | Cl cl ->
-              if cl.closing && Queue.is_empty cl.pending && cl_out_pending cl = 0 then
-                reap := cl :: !reap
-              else if cfg.idle_timeout_s > 0.0 && now -. cl.last_active > cfg.idle_timeout_s
-              then reap := cl :: !reap
-          | Sh _ -> ())
-        fds;
-      List.iter close_client !reap
-    end
+    Core.step core ~timeout_s:cfg.tick_s;
+    tick_probes (Poller.mono_s ())
   done;
-  (* teardown: close everything this loop owns *)
-  Hashtbl.iter
-    (fun fd _ ->
-      Poller.remove poller fd;
-      close_quietly fd)
-    fds;
-  Hashtbl.reset fds;
-  Poller.close poller
+  ignore (Core.shutdown core)
 
 (* ---- control surface ---- *)
 
@@ -1070,11 +503,9 @@ let start ?(config = default_config) shard_addrs =
       lfd;
       actual_port;
       stopping = Atomic.make false;
+      io = Core.counters ();
       ctr =
         {
-          accepted = Atomic.make 0;
-          c_bytes_in = Atomic.make 0;
-          c_bytes_out = Atomic.make 0;
           c_requests = Atomic.make 0;
           c_down_errors = Atomic.make 0;
           c_downs = Atomic.make 0;
@@ -1085,6 +516,8 @@ let start ?(config = default_config) shard_addrs =
   in
   t.domain <- Some (Domain.spawn (fun () -> run t));
   t
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let stop t =
   if not (Atomic.get t.stopping) then begin

@@ -2,17 +2,21 @@
     fronting N independent shard processes, each an unmodified
     {!Netserve} instance over its own Montage region.
 
-    The router is a single event-loop domain multiplexed through
-    {!Netserve.Poller} (epoll/select): client connections on one side,
-    one pipelined upstream connection per shard on the other.  Each
-    request is parsed just enough to learn the verb and key(s), then
+    The router is a single domain running one {!Netserve.Conn_core}
+    loop (epoll/select): client connections on one side, one
+    pipelined upstream connection per shard on the other.  Requests
+    are split by {!Kvstore.Protocol.frames}, the framer the shards
+    execute with: requests it settles itself (malformed, oversized,
+    unknown) get the shard's exact reply from the router, the rest are
     forwarded verbatim to the owning shard ({!Ring.lookup}); replies
     are matched FIFO per upstream and released to each client in
     request order, so pipelining works end to end.  Multi-key [get]s
     are split by owning shard and reassembled under a single [END];
     [stats] is fanned to every Up shard and merged (numeric values
     summed) with the router's own [cluster_*] lines; [flush_all] is
-    broadcast.
+    broadcast; a shard's own error reply passes through.  Apart from
+    [version], [stats] and [SERVER_ERROR shard down], a 1-shard router
+    answers byte for byte like its shard.
 
     {b Availability}: a connect or I/O failure marks the shard Down.
     Its keyspace answers [SERVER_ERROR shard down] — ownership never
@@ -35,8 +39,8 @@ type config = {
   max_conns : int;
   read_chunk : int;
   out_hwm : int;  (** pause a client's reads above this much pending output *)
-  max_line : int;
-  max_value : int;  (** data-block cap, enforced before forwarding *)
+  max_line : int;  (** command-line cap; must not exceed the shards' *)
+  max_value : int;  (** data-block cap, enforced before forwarding; must not exceed the shards' *)
   idle_timeout_s : float;  (** 0. = never *)
   tick_s : float;
   vnodes : int;  (** ring points per shard *)

@@ -1,22 +1,33 @@
-(* memcached text-protocol codec and connection state machine.
+(* memcached text-protocol codec: one framer, two consumers.
 
    The paper's memcached variant dispenses with sockets (clients link
    the store directly), but a store that speaks the wire protocol is
-   what makes the library adoptable: [feed] consumes raw bytes from any
-   transport and produces protocol replies, handling pipelining,
-   [noreply], and binary-safe data blocks (which may contain \r\n).
+   what makes the library adoptable.  This module frames and parses the
+   text protocol — pipelining, [noreply], binary-safe data blocks
+   (which may contain \r\n) — and executes the parsed requests against
+   a {!Store}.
 
    Supported commands: get/gets, set/add/replace/append/prepend/cas,
    delete, incr/decr, touch, flush_all, stats, version, verbosity,
    quit.
 
-   Framing is amortized O(1) per byte: unconsumed input lives in a
-   compacting ring ([ibuf], [ipos], [ilen]) and the command-line
-   scanner remembers how far it has already looked for \r\n
-   ([scanned]), so a data block or long line arriving in many small
-   feeds is never re-scanned.  Command lines are capped at [max_line]
-   bytes and data blocks at [max_value]; oversized input is answered
-   with a CLIENT_ERROR and drained without ever being buffered. *)
+   The framer ([frames]) is the only request parser in the tree.  It
+   runs over any caller-owned [pos, len) byte range and reports each
+   complete request as a typed {!frame} plus its raw byte span; it never
+   touches a store.  Execution ([serve], [feed]) is the framer plus
+   [execute]; the cluster router runs the framer alone, so the router
+   and the shards behind it agree byte for byte on where requests end,
+   which of them are malformed, and which expect a reply.
+
+   Framing is amortized O(1) per byte: the framer remembers how far it
+   has already looked for \r\n ([scanned], relative to the first
+   unconsumed byte so callers may compact their buffers), so a data
+   block or long line arriving in many small pieces is never
+   re-scanned.  Command lines are capped at [max_line] bytes and data
+   blocks at [max_value]; oversized input is answered with a
+   CLIENT_ERROR and drained without ever being buffered. *)
+
+type storage_op = Set | Add | Replace | Append | Prepend | Cas of int
 
 type pending = {
   op : storage_op;
@@ -27,58 +38,253 @@ type pending = {
   noreply : bool;
 }
 
-and storage_op = Set | Add | Replace | Append | Prepend | Cas of int
+type command =
+  | Get of { cas : bool; keys : string list }
+  | Store of pending
+  | Delete of { key : string; noreply : bool }
+  | Arith of { key : string; delta : int }
+  | Touch of { key : string; exptime : int }
+  | Flush_all of { delay : int option; noreply : bool }
+  | Stats
+  | Version
+  | Verbosity of { noreply : bool }
+  | Quit
+  | Answer of string option
+
+type frame = { verb : string; cmd : command; off : int; len : int }
 
 type state =
   | Idle
-  | Awaiting of pending  (* command parsed, data block incomplete *)
+  | Awaiting of { verb : string; p : pending; need : int }
+      (* storage line parsed; the frame is the line plus its block,
+         [need] bytes from the first unconsumed byte *)
   | Discarding of int  (* oversized data block: bytes left to drop *)
   | Skipping_line  (* oversized command line: drop until \r\n *)
+  | Closed  (* saw quit *)
+
+type framer = {
+  mutable state : state;
+  mutable scanned : int; (* no \r\n starts in the first [scanned] unconsumed bytes *)
+  max_line : int;
+  max_value : int;
+}
+
+let framer ?(max_line = 8192) ?(max_value = 1 lsl 20) () =
+  { state = Idle; scanned = 0; max_line; max_value }
+
+let closed fr = fr.state = Closed
+
+let crlf = "\r\n"
+let line_too_long = "CLIENT_ERROR line too long"
+let bad_format = "CLIENT_ERROR bad command line format"
+
+(* ---- line parsing (no store access) ---- *)
+
+let split_words line = String.split_on_char ' ' line |> List.filter (( <> ) "")
+let int_arg s = int_of_string_opt s
+
+(* <key> <flags> <exptime> <bytes> [cas] [noreply] *)
+let parse_storage verb args =
+  match args with
+  | key :: flags :: exptime :: bytes :: rest -> (
+      match (int_arg flags, int_arg exptime, int_arg bytes) with
+      | Some flags, Some exptime, Some bytes when bytes >= 0 -> (
+          let op, rest =
+            match (verb, rest) with
+            | "cas", cas :: tail -> (Option.map (fun c -> Cas c) (int_arg cas), tail)
+            | "cas", [] -> (None, [])
+            | "set", _ -> (Some Set, rest)
+            | "add", _ -> (Some Add, rest)
+            | "replace", _ -> (Some Replace, rest)
+            | "append", _ -> (Some Append, rest)
+            | _ -> (Some Prepend, rest)
+          in
+          let noreply = rest = [ "noreply" ] in
+          match op with
+          | Some op when rest = [] || noreply -> Some { op; key; flags; exptime; bytes; noreply }
+          | _ -> None)
+      | _ -> None)
+  | _ -> None
+
+type parsed =
+  | Complete of string * command
+  | Needs_block of string * pending
+  | Drop_block of string * string option * int
+
+let parse fr line =
+  match split_words line with
+  | [] -> Complete ("", Answer (Some "ERROR"))
+  | verb :: args -> (
+      let verb = String.lowercase_ascii verb in
+      let complete cmd = Complete (verb, cmd) in
+      let answer r = complete (Answer (Some r)) in
+      match (verb, args) with
+      | "get", (_ :: _ as keys) -> complete (Get { cas = false; keys })
+      | "gets", (_ :: _ as keys) -> complete (Get { cas = true; keys })
+      | ("set" | "add" | "replace" | "append" | "prepend" | "cas"), _ -> (
+          match parse_storage verb args with
+          | Some p when p.bytes > fr.max_value ->
+              (* drain the announced block without buffering it *)
+              Drop_block
+                ( verb,
+                  (if p.noreply then None else Some "CLIENT_ERROR object too large for cache"),
+                  p.bytes + 2 )
+          | Some p -> Needs_block (verb, p)
+          | None -> answer bad_format)
+      | "delete", [ key ] -> complete (Delete { key; noreply = false })
+      | "delete", [ key; "noreply" ] -> complete (Delete { key; noreply = true })
+      | ("incr" | "decr"), [ key; amount ] -> (
+          match int_arg amount with
+          | None -> answer "CLIENT_ERROR invalid numeric delta argument"
+          | Some d -> complete (Arith { key; delta = (if verb = "decr" then -d else d) }))
+      | "touch", [ key; exptime ] -> (
+          match int_arg exptime with
+          | None -> answer "CLIENT_ERROR invalid exptime argument"
+          | Some exptime -> complete (Touch { key; exptime }))
+      | "flush_all", args -> (
+          let args, noreply =
+            match List.rev args with
+            | "noreply" :: rest -> (List.rev rest, true)
+            | _ -> (args, false)
+          in
+          match args with
+          | [] -> complete (Flush_all { delay = None; noreply })
+          | [ d ] -> (
+              match int_arg d with
+              | Some d when d >= 0 -> complete (Flush_all { delay = Some d; noreply })
+              | _ -> answer "CLIENT_ERROR invalid delay argument")
+          | _ -> answer bad_format)
+      | "stats", [] -> complete Stats
+      | "version", [] -> complete Version
+      | "verbosity", args ->
+          complete (Verbosity { noreply = (match List.rev args with "noreply" :: _ -> true | _ -> false) })
+      | "quit", [] -> complete Quit
+      | _ -> answer "ERROR")
+
+(* ---- the framer ---- *)
+
+(* First "\r\n" in [buf.[start + fr.scanned, stop)]; remembers the scan
+   frontier so a line split across calls is scanned once. *)
+let find_crlf fr buf start stop =
+  let i = ref (start + fr.scanned) in
+  let found = ref (-1) in
+  while !found < 0 && !i < stop - 1 do
+    if Bytes.unsafe_get buf !i = '\r' && Bytes.unsafe_get buf (!i + 1) = '\n' then found := !i
+    else incr i
+  done;
+  if !found < 0 then begin
+    (* everything up to the last byte (a possible lone \r) is clean *)
+    fr.scanned <- max 0 (stop - 1 - start);
+    None
+  end
+  else Some !found
+
+let frames fr buf ~pos ~len f =
+  let start = ref pos and stop = pos + len in
+  let consume_to e =
+    start := e;
+    fr.scanned <- 0
+  in
+  let progressing = ref true in
+  while !progressing do
+    match fr.state with
+    | Closed -> progressing := false
+    | Idle -> (
+        match find_crlf fr buf !start stop with
+        | None ->
+            (* a line of L <= max_line bytes occupies at most
+               max_line + 1 bytes without its final \n, so anything
+               longer is already oversized *)
+            if stop - !start >= fr.max_line + 2 then begin
+              f { verb = ""; cmd = Answer (Some line_too_long); off = !start; len = 0 };
+              fr.state <- Skipping_line
+            end
+            else progressing := false
+        | Some eol -> (
+            let off = !start and flen = eol + 2 - !start in
+            if eol - off > fr.max_line then begin
+              consume_to (eol + 2);
+              f { verb = ""; cmd = Answer (Some line_too_long); off; len = flen }
+            end
+            else
+              match parse fr (Bytes.sub_string buf off (eol - off)) with
+              | Complete (verb, cmd) ->
+                  consume_to (eol + 2);
+                  (match cmd with Quit -> fr.state <- Closed | _ -> ());
+                  f { verb; cmd; off; len = flen }
+              | Needs_block (verb, p) -> fr.state <- Awaiting { verb; p; need = flen + p.bytes + 2 }
+              | Drop_block (verb, reply, n) ->
+                  consume_to (eol + 2);
+                  fr.state <- Discarding n;
+                  f { verb; cmd = Answer reply; off; len = flen }))
+    | Awaiting { verb; p; need } ->
+        if stop - !start >= need then begin
+          let off = !start in
+          let e = off + need in
+          let cmd =
+            if Bytes.get buf (e - 2) = '\r' && Bytes.get buf (e - 1) = '\n' then Store p
+            else Answer (Some "CLIENT_ERROR bad data chunk")
+          in
+          consume_to e;
+          fr.state <- Idle;
+          f { verb; cmd; off; len = need }
+        end
+        else progressing := false
+    | Discarding remaining ->
+        let take = min (stop - !start) remaining in
+        consume_to (!start + take);
+        if take = remaining then fr.state <- Idle
+        else begin
+          fr.state <- Discarding (remaining - take);
+          progressing := false
+        end
+    | Skipping_line -> (
+        (* the error was already answered; drop bytes until \r\n *)
+        match find_crlf fr buf !start stop with
+        | Some eol ->
+            consume_to (eol + 2);
+            fr.state <- Idle
+        | None ->
+            consume_to (max !start (stop - 1));
+            progressing := false)
+  done;
+  !start - pos
+
+(* ---- execution ---- *)
 
 type conn = {
   store : Store.t;
   tid : int;
-  mutable ibuf : Bytes.t; (* unconsumed input lives in [ipos, ilen) *)
+  fr : framer;
+  mutable ibuf : Bytes.t; (* [feed]'s unconsumed input lives in [ipos, ilen) *)
   mutable ipos : int;
   mutable ilen : int;
-  mutable scanned : int; (* no \r\n starts in [ipos, scanned) *)
-  mutable state : state;
-  mutable closed : bool;
-  max_line : int;
-  max_value : int;
   on_command : string -> unit;
   extra_stats : unit -> (string * string) list;
 }
 
-let create ?(max_line = 8192) ?(max_value = 1 lsl 20) ?(extra_stats = fun () -> [])
-    ?(on_command = fun _ -> ()) store ~tid =
+let create ?max_line ?max_value ?(extra_stats = fun () -> []) ?(on_command = fun _ -> ()) store
+    ~tid =
   {
     store;
     tid;
-    ibuf = Bytes.create 256;
+    fr = framer ?max_line ?max_value ();
+    ibuf = Bytes.empty;
     ipos = 0;
     ilen = 0;
-    scanned = 0;
-    state = Idle;
-    closed = false;
-    max_line;
-    max_value;
     extra_stats;
     on_command;
   }
 
-let is_closed c = c.closed
+let is_closed c = closed c.fr
 
-let crlf = "\r\n"
-
-(* ---- command execution ---- *)
-
-let exec_storage c op key flags exptime data =
+let exec_storage c p data =
+  let flags = p.flags and key = p.key in
   let ttl_s =
     (* memcached: 0 = never; <= 30 days is relative seconds *)
-    if exptime = 0 then 0.0 else float_of_int exptime
+    if p.exptime = 0 then 0.0 else float_of_int p.exptime
   in
-  match op with
+  match p.op with
   | Set ->
       Store.set c.store ~tid:c.tid ~flags ~ttl_s key data;
       "STORED"
@@ -137,241 +343,69 @@ let exec_stats c =
   let extra = List.map (fun (k, v) -> Printf.sprintf "STAT %s %s" k v) (c.extra_stats ()) in
   String.concat crlf (base @ extra @ [ "END" ])
 
-(* ---- line parsing ---- *)
+let unless noreply r = if noreply then None else Some r
 
-let split_words line = String.split_on_char ' ' line |> List.filter (( <> ) "")
+(* Run one frame against the store; the reply (without its final
+   \r\n), or [None] when the request asked for none. *)
+let execute c buf fr =
+  if fr.verb <> "" then c.on_command fr.verb;
+  match fr.cmd with
+  | Answer r -> r
+  | Get { cas; keys } -> Some (exec_get c ~with_cas:cas keys)
+  | Store p ->
+      (* the block sits just before the frame's final \r\n *)
+      let data = Bytes.sub_string buf (fr.off + fr.len - 2 - p.bytes) p.bytes in
+      unless p.noreply (exec_storage c p data)
+  | Delete { key; noreply } ->
+      unless noreply (if Store.delete c.store ~tid:c.tid key then "DELETED" else "NOT_FOUND")
+  | Arith { key; delta } -> (
+      match Store.incr c.store ~tid:c.tid key delta with
+      | Some v -> Some (string_of_int v)
+      | None -> Some "NOT_FOUND")
+  | Touch { key; exptime } -> (
+      match Store.get_full c.store ~tid:c.tid key with
+      | Some (data, flags, _) ->
+          Store.set c.store ~tid:c.tid ~flags ~ttl_s:(float_of_int exptime) key data;
+          Some "TOUCHED"
+      | None -> Some "NOT_FOUND")
+  | Flush_all { delay; noreply } ->
+      Store.flush_all c.store ?delay_s:(Option.map float_of_int delay) ();
+      unless noreply "OK"
+  | Stats -> Some (exec_stats c)
+  | Version -> Some "VERSION montage-ocaml 1.0"
+  | Verbosity { noreply } -> unless noreply "OK"
+  | Quit -> None
 
-(* A storage command consumes a following data block of [bytes] +\r\n. *)
-type step =
-  | Reply of string option (* None = noreply *)
-  | Need_data of pending
-  | Swallow of int * string option (* drop a data block, then reply *)
-  | Close of string option
+let serve c buf ~pos ~len emit =
+  frames c.fr buf ~pos ~len (fun fr -> Option.iter emit (execute c buf fr))
 
-let int_arg s = int_of_string_opt s
-
-let parse_storage op args =
-  (* <key> <flags> <exptime> <bytes> [cas] [noreply] *)
-  match args with
-  | key :: flags :: exptime :: bytes :: rest -> (
-      match (int_arg flags, int_arg exptime, int_arg bytes) with
-      | Some flags, Some exptime, Some bytes when bytes >= 0 ->
-          let op, rest =
-            match (op, rest) with
-            | `Cas, cas :: tail -> (
-                match int_arg cas with
-                | Some c -> (Some (Cas c), tail)
-                | None -> (None, rest))
-            | `Cas, [] -> (None, [])
-            | `Set, _ -> (Some Set, rest)
-            | `Add, _ -> (Some Add, rest)
-            | `Replace, _ -> (Some Replace, rest)
-            | `Append, _ -> (Some Append, rest)
-            | `Prepend, _ -> (Some Prepend, rest)
-          in
-          let noreply = rest = [ "noreply" ] in
-          (match op with
-          | Some op when rest = [] || noreply -> Some { op; key; flags; exptime; bytes; noreply }
-          | _ -> None)
-      | _ -> None)
-  | _ -> None
-
-let run_command c line =
-  match split_words line with
-  | [] -> Reply (Some "ERROR")
-  | cmd :: args -> (
-      let cmd = String.lowercase_ascii cmd in
-      c.on_command cmd;
-      match (cmd, args) with
-      | "get", (_ :: _ as keys) -> Reply (Some (exec_get c ~with_cas:false keys))
-      | "gets", (_ :: _ as keys) -> Reply (Some (exec_get c ~with_cas:true keys))
-      | "set", _ | "add", _ | "replace", _ | "append", _ | "prepend", _ | "cas", _ -> (
-          let tag =
-            match cmd with
-            | "set" -> `Set
-            | "add" -> `Add
-            | "replace" -> `Replace
-            | "append" -> `Append
-            | "prepend" -> `Prepend
-            | _ -> `Cas
-          in
-          match parse_storage tag args with
-          | Some pending when pending.bytes > c.max_value ->
-              (* drain the announced block without buffering it *)
-              Swallow
-                ( pending.bytes + 2,
-                  if pending.noreply then None else Some "CLIENT_ERROR object too large for cache" )
-          | Some pending -> Need_data pending
-          | None -> Reply (Some "CLIENT_ERROR bad command line format"))
-      | "delete", [ key ] ->
-          Reply (Some (if Store.delete c.store ~tid:c.tid key then "DELETED" else "NOT_FOUND"))
-      | "delete", [ key; "noreply" ] ->
-          ignore (Store.delete c.store ~tid:c.tid key);
-          Reply None
-      | "incr", [ key; amount ] | "decr", [ key; amount ] -> (
-          match int_arg amount with
-          | None -> Reply (Some "CLIENT_ERROR invalid numeric delta argument")
-          | Some delta ->
-              let delta = if cmd = "decr" then -delta else delta in
-              (match Store.incr c.store ~tid:c.tid key delta with
-              | Some v -> Reply (Some (string_of_int v))
-              | None -> Reply (Some "NOT_FOUND")))
-      | "touch", [ key; exptime ] -> (
-          match int_arg exptime with
-          | None -> Reply (Some "CLIENT_ERROR invalid exptime argument")
-          | Some e -> (
-              match Store.get_full c.store ~tid:c.tid key with
-              | Some (data, flags, _) ->
-                  Store.set c.store ~tid:c.tid ~flags ~ttl_s:(float_of_int e) key data;
-                  Reply (Some "TOUCHED")
-              | None -> Reply (Some "NOT_FOUND")))
-      | "flush_all", args -> (
-          let args, noreply =
-            match List.rev args with
-            | "noreply" :: rest -> (List.rev rest, true)
-            | _ -> (args, false)
-          in
-          match args with
-          | [] ->
-              Store.flush_all c.store ();
-              Reply (if noreply then None else Some "OK")
-          | [ delay ] -> (
-              match int_arg delay with
-              | Some d when d >= 0 ->
-                  Store.flush_all c.store ~delay_s:(float_of_int d) ();
-                  Reply (if noreply then None else Some "OK")
-              | _ -> Reply (Some "CLIENT_ERROR invalid delay argument"))
-          | _ -> Reply (Some "CLIENT_ERROR bad command line format"))
-      | "stats", [] -> Reply (Some (exec_stats c))
-      | "version", [] -> Reply (Some "VERSION montage-ocaml 1.0")
-      | "verbosity", _ -> Reply (Some "OK")
-      | "quit", [] -> Close None
-      | _ -> Reply (Some "ERROR"))
-
-(* ---- streaming state machine ---- *)
-
-let line_too_long = "CLIENT_ERROR line too long"
-
-(* Make room for [n] more bytes: compact in place when the dead prefix
-   suffices, otherwise reallocate.  Keeps [scanned] aligned. *)
+(* Make room for [n] more bytes of [feed] input: compact in place when
+   the dead prefix suffices, otherwise reallocate. *)
 let ensure_room c n =
   if c.ilen + n > Bytes.length c.ibuf then begin
     let live = c.ilen - c.ipos in
     if live + n <= Bytes.length c.ibuf then Bytes.blit c.ibuf c.ipos c.ibuf 0 live
     else begin
-      let cap = ref (max 256 (Bytes.length c.ibuf)) in
-      while live + n > !cap do
-        cap := !cap * 2
-      done;
-      let nb = Bytes.create !cap in
+      let nb = Bytes.create (max 256 (max (live + n) (2 * Bytes.length c.ibuf))) in
       Bytes.blit c.ibuf c.ipos nb 0 live;
       c.ibuf <- nb
     end;
-    c.scanned <- c.scanned - c.ipos;
     c.ilen <- live;
     c.ipos <- 0
   end
 
-(* Find the first "\r\n" starting at or after [scanned]; remembers the
-   scan frontier so a line split across feeds is scanned once. *)
-let find_crlf c =
-  let i = ref (max c.ipos c.scanned) in
-  let stop = c.ilen - 1 in
-  let found = ref (-1) in
-  while !found < 0 && !i < stop do
-    if Bytes.get c.ibuf !i = '\r' && Bytes.get c.ibuf (!i + 1) = '\n' then found := !i
-    else incr i
-  done;
-  if !found < 0 then begin
-    (* everything up to the last byte (a possible lone \r) is clean *)
-    c.scanned <- max c.ipos (c.ilen - 1);
-    None
-  end
-  else Some !found
-
-(* Feed raw bytes; returns the protocol replies generated (in order).
-   Incomplete commands/data blocks stay buffered for the next feed. *)
 let feed c input =
-  if c.closed then []
+  if is_closed c then []
   else begin
     let n = String.length input in
     ensure_room c n;
     Bytes.blit_string input 0 c.ibuf c.ilen n;
     c.ilen <- c.ilen + n;
     let replies = ref [] in
-    let emit = function Some r -> replies := r :: !replies | None -> () in
-    let consume_to pos =
-      c.ipos <- pos;
-      c.scanned <- pos
-    in
-    let progressing = ref true in
-    while !progressing && not c.closed do
-      match c.state with
-      | Idle -> (
-          match find_crlf c with
-          | None ->
-              (* cap unbounded buffering: a line of L <= max_line bytes
-                 occupies at most max_line + 1 bytes without its final
-                 \n, so anything longer is already oversized *)
-              if c.ilen - c.ipos >= c.max_line + 2 then begin
-                emit (Some line_too_long);
-                c.state <- Skipping_line
-              end
-              else progressing := false
-          | Some eol ->
-              let line = Bytes.sub_string c.ibuf c.ipos (eol - c.ipos) in
-              let too_long = String.length line > c.max_line in
-              consume_to (eol + 2);
-              if too_long then emit (Some line_too_long)
-              else begin
-                match run_command c line with
-                | Reply r -> emit r
-                | Need_data pending -> c.state <- Awaiting pending
-                | Swallow (bytes, r) ->
-                    emit r;
-                    c.state <- Discarding bytes
-                | Close r ->
-                    emit r;
-                    c.closed <- true
-              end)
-      | Awaiting pending ->
-          if c.ilen - c.ipos >= pending.bytes + 2 then begin
-            let block = Bytes.sub_string c.ibuf c.ipos pending.bytes in
-            let terminated =
-              Bytes.get c.ibuf (c.ipos + pending.bytes) = '\r'
-              && Bytes.get c.ibuf (c.ipos + pending.bytes + 1) = '\n'
-            in
-            consume_to (c.ipos + pending.bytes + 2);
-            c.state <- Idle;
-            if terminated then begin
-              let r = exec_storage c pending.op pending.key pending.flags pending.exptime block in
-              if not pending.noreply then emit (Some r)
-            end
-            else emit (Some "CLIENT_ERROR bad data chunk")
-          end
-          else progressing := false
-      | Discarding remaining ->
-          let take = min (c.ilen - c.ipos) remaining in
-          consume_to (c.ipos + take);
-          if take = remaining then c.state <- Idle
-          else begin
-            c.state <- Discarding (remaining - take);
-            progressing := false
-          end
-      | Skipping_line -> (
-          (* the error was already sent; drop bytes until \r\n *)
-          match find_crlf c with
-          | Some eol ->
-              consume_to (eol + 2);
-              c.state <- Idle
-          | None ->
-              consume_to (max c.ipos (c.ilen - 1));
-              progressing := false)
-    done;
+    c.ipos <- c.ipos + serve c c.ibuf ~pos:c.ipos ~len:(c.ilen - c.ipos) (fun r -> replies := r :: !replies);
     if c.ipos = c.ilen then begin
       c.ipos <- 0;
-      c.ilen <- 0;
-      c.scanned <- 0
+      c.ilen <- 0
     end;
     List.rev_map (fun r -> r ^ crlf) !replies
   end
@@ -379,12 +413,11 @@ let feed c input =
 (* ---- client side: request encoders + reply-unit decoder ----
 
    The other half of the wire: what a *client* of this protocol needs.
-   Every in-tree client (the loadgen's closed and open loops, the
-   cluster router's shard upstreams) used to hand-roll its own reply
-   parser; this is the one shared implementation.
+   Every in-tree client (the load generator, the cluster router's
+   shard upstreams) frames replies with this one decoder.
 
    A reply "unit" is the complete answer to one command: a single
-   terminal line (STORED, DELETED, OK, a decimal, VERSION ..., any
+   \r\n-terminated line (STORED, DELETED, OK, a decimal, VERSION ..., any
    ERROR flavor), or a get/stats reply — any number of VALUE blocks
    (header line + <bytes>+2 of binary-safe data) or STAT lines,
    terminated by END.  Counting units against commands issued keeps a
@@ -443,9 +476,14 @@ module Client = struct
         if d.skip > 0 then continue := false else d.line_start <- d.parsed
       end
       else begin
-        (* scan for the next newline from the parse frontier *)
+        (* scan for the next \r\n from the parse frontier: a bare \n
+           is line content, as it is to the server's framer *)
         let i = ref (pos + d.parsed) in
-        while !i < limit && Bytes.get buf !i <> '\n' do
+        let line_start = pos + d.line_start in
+        while
+          !i < limit
+          && not (Bytes.get buf !i = '\n' && !i > line_start && Bytes.get buf (!i - 1) = '\r')
+        do
           incr i
         done;
         if !i >= limit then begin
@@ -453,11 +491,7 @@ module Client = struct
           continue := false
         end
         else begin
-          let line_len = !i - (pos + d.line_start) in
-          let line_len =
-            if line_len > 0 && Bytes.get buf (!i - 1) = '\r' then line_len - 1 else line_len
-          in
-          let line = Bytes.sub_string buf (pos + d.line_start) line_len in
+          let line = Bytes.sub_string buf line_start (!i - 1 - line_start) in
           d.parsed <- !i - pos + 1;
           d.line_start <- d.parsed;
           if has_prefix "VALUE " line then begin

@@ -1,29 +1,80 @@
-(** memcached text-protocol codec and connection state machine.
+(** memcached text-protocol codec: one request framer shared by the
+    server and the cluster router, an executor over {!Store}, and the
+    client half (request encoders, reply-unit decoder).
 
-    [feed] consumes raw bytes from any transport and produces protocol
-    replies, handling pipelining, [noreply], and binary-safe data
-    blocks.  Commands: get/gets, set/add/replace/append/prepend/cas,
-    delete, incr/decr, touch, flush_all, stats, version, verbosity,
-    quit.
+    Commands: get/gets, set/add/replace/append/prepend/cas, delete,
+    incr/decr, touch, flush_all, stats, version, verbosity, quit.
+    Verbs are case-insensitive; lines end at [\r\n] (a bare [\n] is
+    line content); data blocks are binary-safe.
 
-    Framing is amortized O(1) per byte: the codec keeps a scan offset
-    so input split across many [feed] calls is never re-scanned, and
-    both command lines and data blocks are size-capped — oversized
-    input is answered with a [CLIENT_ERROR] and drained without being
+    Framing is amortized O(1) per byte: the framer keeps a scan offset
+    so input split across many calls is never re-scanned, and both
+    command lines and data blocks are size-capped — oversized input is
+    answered with a [CLIENT_ERROR] and drained without being
     buffered. *)
+
+(** {1 Frame-only mode} *)
+
+type storage_op = Set | Add | Replace | Append | Prepend | Cas of int
+
+(** A parsed storage command line; its data block follows. *)
+type pending = {
+  op : storage_op;
+  key : string;
+  flags : int;
+  exptime : int;
+  bytes : int;
+  noreply : bool;
+}
+
+(** A complete request.  [Answer r] is one the framer settles itself
+    — a malformed, oversized or unknown request — with the exact reply
+    a server sends ([None]: none, for an oversized [noreply] block). *)
+type command =
+  | Get of { cas : bool; keys : string list }
+  | Store of pending  (** the block is the last [bytes + 2] bytes of the frame *)
+  | Delete of { key : string; noreply : bool }
+  | Arith of { key : string; delta : int }  (** incr; decr has a negated delta *)
+  | Touch of { key : string; exptime : int }
+  | Flush_all of { delay : int option; noreply : bool }
+  | Stats
+  | Version
+  | Verbosity of { noreply : bool }
+  | Quit
+  | Answer of string option  (** reply without its final [\r\n] *)
+
+(** One request: its lowercased verb ([""] for an empty or oversized
+    line) and its raw bytes, [buf.[off, off + len)] of the buffer the
+    framer ran over. *)
+type frame = { verb : string; cmd : command; off : int; len : int }
+
+(** Framing state of one connection. *)
+type framer
+
+(** [max_line] caps the command line (default 8192 bytes) and
+    [max_value] the data block (default 1 MiB). *)
+val framer : ?max_line:int -> ?max_value:int -> unit -> framer
+
+(** [frames fr buf ~pos ~len f] calls [f] on every complete request in
+    [buf.[pos, pos + len)], in order, and returns how many bytes from
+    [pos] are consumed.  The rest (an incomplete request) must be
+    presented again, followed by more input, on the next call; the
+    caller may move it in between.  Stops after [quit]. *)
+val frames : framer -> Bytes.t -> pos:int -> len:int -> (frame -> unit) -> int
+
+(** [true] once the framer saw [quit]; it consumes nothing after. *)
+val closed : framer -> bool
+
+(** {1 Execution} *)
 
 type conn
 
 (** One connection against a store.  [tid] is the worker thread this
-    connection's operations run as.
-
-    [max_line] caps the command line (default 8192 bytes) and
-    [max_value] the data block (default 1 MiB); both are enforced with
-    a [CLIENT_ERROR] reply rather than unbounded buffering.
-    [extra_stats] contributes additional [STAT key value] lines to the
-    [stats] reply (the transport's per-worker metrics); [on_command]
-    observes every dispatched verb, lowercased (the transport's
-    ops-by-verb counters). *)
+    connection's operations run as.  [max_line]/[max_value] as for
+    {!framer}.  [extra_stats] contributes additional
+    [STAT key value] lines to the [stats] reply (the transport's
+    per-worker metrics); [on_command] observes every dispatched verb,
+    lowercased (the transport's ops-by-verb counters). *)
 val create :
   ?max_line:int ->
   ?max_value:int ->
@@ -41,12 +92,18 @@ val is_closed : conn -> bool
     buffered for the next feed. *)
 val feed : conn -> string -> string list
 
+(** [serve c buf ~pos ~len emit] is {!feed} over a caller-owned
+    buffer, with {!frames}' consumption contract: every complete
+    request in [buf.[pos, pos + len)] runs, [emit] receives each reply
+    without its final [\r\n], and the result is the bytes consumed. *)
+val serve : conn -> Bytes.t -> pos:int -> len:int -> (string -> unit) -> int
+
 (** Client half of the protocol: request encoders and an incremental
     reply-unit decoder, shared by the load generator and the cluster
     router's upstream shard connections.
 
     A reply {e unit} is the complete answer to one pipelined command:
-    either a single terminal line ([STORED], [DELETED], [OK], a
+    either a single [\r\n]-terminated line ([STORED], [DELETED], [OK], a
     decimal, [VERSION ...], any error line) or a get/stats reply — any
     number of [VALUE] blocks (binary-safe) or [STAT] lines terminated
     by [END].  Counting completed units against commands issued keeps

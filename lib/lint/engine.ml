@@ -57,14 +57,11 @@ let default_scope file =
     r2 = sched;
     r3 = file <> "lib/core/epoch_sys.ml";
     r4 = has_prefix "lib/";
-    (* the server event loops and their readiness backend ARE the
-       blocking point by design — netserve's worker loops, the poller,
-       and the cluster router's single multiplexed domain; everything
-       else must justify one *)
-    r5 =
-      file <> "lib/netserve/netserve.ml"
-      && file <> "lib/netserve/poller.ml"
-      && file <> "lib/cluster/router.ml";
+    (* the connection core and its readiness backend ARE the blocking
+       point by design — every event loop (netserve workers, the
+       cluster router, the load generator) waits in [Conn_core.step];
+       everything else must justify one *)
+    r5 = file <> "lib/netserve/conn_core.ml" && file <> "lib/netserve/poller.ml";
   }
 
 (* ---- attribute helpers ---- *)

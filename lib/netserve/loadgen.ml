@@ -1,29 +1,31 @@
-(* Memcached-protocol load generator: closed-loop and open-loop.
+(* Memcached-protocol load generator: closed-loop and open-loop, one
+   driver.
 
-   Closed loop ([run]): each of [domains] generator domains owns
-   [conns / domains] blocking TCP connections and drives them
-   round-robin: write a pipeline of [pipeline] commands (mixed get/set
-   per [get_frac]), read all the replies, record the batch round-trip
-   once per command into a per-domain log-scale histogram.  A
-   connection never has more than one batch in flight, so reported
-   latency is honest service time including the server's batched-flush
-   cycle — but the offered load collapses whenever the server slows
-   down, which hides overload.
+   Each of [domains] generator domains owns [conns / domains]
+   nonblocking connections on a {!Conn_core} loop and paces requests
+   (mixed get/set per [get_frac]) in one of two ways:
 
-   Open loop ([run_open]): commands arrive on a fixed schedule (Poisson
-   or uniform interarrivals at [rate] ops/s) regardless of how fast the
-   server answers, over nonblocking connections driven by a {!Poller}.
-   Latency is measured from the {e scheduled} arrival time, not the
-   moment the socket write happened, so queueing delay the server
-   imposes on a backed-up connection is charged to the request — the
-   standard fix for coordinated omission.  Under overload the inflight
-   population grows and the tail explodes, which is exactly the signal
-   a closed loop cannot produce.
+   - closed loop ([run]): arrival on completion.  Each connection keeps
+     one batch of [pipeline] requests in flight and sends the next the
+     moment the last reply of the previous one arrives; every request
+     of a batch is charged the batch round trip divided by [pipeline].
+     Latency is honest service time including the server's
+     batched-flush cycle — but the offered load collapses whenever the
+     server slows down, which hides overload.
+   - open loop ([run_open]): requests arrive on a fixed schedule
+     (Poisson or uniform interarrivals at [rate] ops/s) regardless of
+     how fast the server answers.  Latency is measured from the
+     {e scheduled} arrival time, not the moment the socket write
+     happened, so queueing delay the server imposes on a backed-up
+     connection is charged to the request — the standard fix for
+     coordinated omission.  Under overload the inflight population
+     grows and the tail explodes, which is exactly the signal a closed
+     loop cannot produce.
 
-   Reply framing (both modes) is {!Kvstore.Protocol.Client}'s
-   reply-unit decoder — the same framer the cluster router's upstream
-   connections use.  Counting units against commands issued keeps the
-   reader in lockstep without parsing every verb's reply shape.
+   Reply framing is {!Kvstore.Protocol.Client}'s reply-unit decoder —
+   the same framer the cluster router's upstream connections use.
+   Counting units against requests issued keeps the driver in lockstep
+   without parsing every verb's reply shape.
 
    Endpoints: [endpoints] spreads connections round-robin over a list
    of addresses (one router, several routers, or raw shards), with
@@ -95,86 +97,25 @@ type report = {
 
 exception Connection_lost of string
 
-(* ---------- wire helpers (blocking sockets) ---------- *)
+type arrival = Poisson | Uniform
 
-let write_all fd buf len =
-  let off = ref 0 in
-  while !off < len do
-    let n =
-      try Unix.write fd buf !off (len - !off)
-      with Unix.Unix_error (e, _, _) ->
-        raise (Connection_lost (Unix.error_message e))
-    in
-    if n = 0 then raise (Connection_lost "short write");
-    off := !off + n
-  done
-
-(* Buffered reader over the shared {!Kvstore.Protocol.Client} decoder.
-   The reader is owned by the one generator domain driving its
-   connection; the in-progress reply unit stays contiguous at [upos]
-   (the decoder's offsets are unit-relative, so compaction mid-unit is
-   fine). *)
-type reader = {
-  fd : Unix.file_descr;
-  mutable buf : Bytes.t [@montage.thread_local];
-  mutable upos : int [@montage.thread_local];  (* current unit's start *)
-  mutable len : int [@montage.thread_local];
-  dec : C.decoder;
+type open_report = {
+  offered_rate : float;
+  achieved_rate : float;  (** completions / scheduling window *)
+  sent : int;
+  completed : int;
+  abandoned : int;  (** sent but unanswered when the grace period expired *)
+  o_errors : int;
+  o_shard_down_errors : int;
+  o_hits : int;
+  o_seconds : float;  (** wall time including the drain grace period *)
+  o_mean_us : float;
+  o_p50_us : float;
+  o_p95_us : float;
+  o_p99_us : float;
+  o_disconnects : string list;
+  o_by_endpoint : endpoint_stats list;
 }
-
-let reader fd = { fd; buf = Bytes.create 65536; upos = 0; len = 0; dec = C.decoder () }
-
-let refill r =
-  if r.len = Bytes.length r.buf then
-    if r.upos > 0 then begin
-      let live = r.len - r.upos in
-      Bytes.blit r.buf r.upos r.buf 0 live;
-      r.upos <- 0;
-      r.len <- live
-    end
-    else begin
-      let nb = Bytes.create (2 * Bytes.length r.buf) in
-      Bytes.blit r.buf 0 nb 0 r.len;
-      r.buf <- nb
-    end;
-  let n =
-    try Unix.read r.fd r.buf r.len (Bytes.length r.buf - r.len)
-    with Unix.Unix_error (e, _, _) -> raise (Connection_lost (Unix.error_message e))
-  in
-  if n = 0 then raise (Connection_lost "server closed connection");
-  r.len <- r.len + n
-
-(* does [buf[pos, stop)] contain "shard down"?  (router's Down marker;
-   cheap because it only runs on SERVER_ERROR units) *)
-let unit_is_shard_down buf pos stop =
-  let needle = "shard down" in
-  let nn = String.length needle in
-  let rec scan i =
-    if i + nn > stop then false
-    else if Bytes.sub_string buf i nn = needle then true
-    else scan (i + 1)
-  in
-  scan pos
-
-(* Read one reply unit; returns (result, was_shard_down). *)
-let read_unit r =
-  let rec go () =
-    match C.next_unit r.dec r.buf ~pos:r.upos ~len:(r.len - r.upos) with
-    | Some (endp, res) ->
-        let sd =
-          res.C.cls = C.U_server_error && unit_is_shard_down r.buf r.upos endp
-        in
-        r.upos <- endp;
-        if r.upos = r.len then begin
-          r.upos <- 0;
-          r.len <- 0
-        end;
-        (res, sd)
-    | None ->
-        refill r;
-        go ()
-  in
-  go ()
 
 (* ---------- connecting (shared by both modes) ---------- *)
 
@@ -213,207 +154,296 @@ let connect ?(retries = 60) (host, port) =
   in
   go 0 0.005
 
-(* ---------- closed loop: per-domain generator ---------- *)
+(* ---------- the driver ---------- *)
 
-type domain_result = {
-  d_ops : int;
-  d_errors : int;
-  d_shard_down : int;
-  d_hits : int;
-  d_hist : Util.Histogram.t;
-  d_disconnect : string option;
-  (* per-endpoint, indexed like [resolved_endpoints cfg] *)
-  d_ep_ops : int array;
-  d_ep_errors : int array;
-  d_ep_shard_down : int array;
-  d_ep_disconnects : int array;
+(* does [buf[pos, stop)] contain "shard down"?  (router's Down marker;
+   cheap because it only runs on SERVER_ERROR units) *)
+let unit_is_shard_down buf pos stop =
+  let needle = "shard down" in
+  let nn = String.length needle in
+  let rec scan i = i + nn <= stop && (Bytes.sub_string buf i nn = needle || scan (i + 1)) in
+  scan pos
+
+(* [Batch n]: the closed loop, a new batch of up to [n] requests the
+   moment a connection's previous batch completes.  [Schedule gap]:
+   the open loop, the next arrival [gap ()] seconds after the last. *)
+type pacing = Batch of int | Schedule of (unit -> float)
+
+(* One connection's request FIFO: scheduled arrival times. *)
+type lconn = {
+  ep : int;  (* index into the resolved endpoint list *)
+  dec : C.decoder;
+  inflight : float Queue.t;
+  mutable batch : int; [@montage.thread_local]  (* requests in the current closed-loop batch *)
 }
 
-let run_domain cfg did stop =
-  let eps = Array.of_list (resolved_endpoints cfg) in
-  let neps = Array.length eps in
-  let nconns = max 1 (cfg.conns / max 1 cfg.domains) in
-  (* global round-robin so each endpoint gets its share even when a
-     domain owns fewer connections than there are endpoints *)
-  let ep_of = Array.init nconns (fun i -> ((did * nconns) + i) mod neps) in
-  let fds = Array.init nconns (fun i -> connect eps.(ep_of.(i))) in
-  let readers = Array.map reader fds in
-  let rng = Util.Xoshiro.create (cfg.seed + (did * 7919) + 1) in
-  let value = String.make cfg.value_size 'v' in
-  let hist = Util.Histogram.create () in
-  let out = Buffer.create 4096 in
-  let ops = ref 0 and errors = ref 0 and shard_down = ref 0 and hits = ref 0 in
-  let ep_ops = Array.make neps 0
-  and ep_errors = Array.make neps 0
-  and ep_shard_down = Array.make neps 0
-  and ep_disconnects = Array.make neps 0 in
-  let key () = Printf.sprintf "%s%06d" cfg.key_prefix (Util.Xoshiro.int rng cfg.keyspace) in
-  let disconnect = ref None in
-  let cur_ep = ref 0 in
-  (try
-     while not (Atomic.get stop) do
-       Array.iteri
-         (fun i fd ->
-           cur_ep := ep_of.(i);
-           Buffer.clear out;
-           for _ = 1 to cfg.pipeline do
-             if Util.Xoshiro.float rng < cfg.get_frac then
-               Buffer.add_string out (Printf.sprintf "get %s\r\n" (key ()))
-             else
-               Buffer.add_string out
-                 (Printf.sprintf "set %s 0 0 %d\r\n%s\r\n" (key ()) cfg.value_size value)
-           done;
-           let t0 = Poller.mono_s () in
-           write_all fd (Buffer.to_bytes out) (Buffer.length out);
-           for _ = 1 to cfg.pipeline do
-             let res, sd = read_unit readers.(i) in
-             if sd then begin
-               incr shard_down;
-               ep_shard_down.(!cur_ep) <- ep_shard_down.(!cur_ep) + 1
-             end
-             else if C.is_err res then begin
-               incr errors;
-               ep_errors.(!cur_ep) <- ep_errors.(!cur_ep) + 1
-             end;
-             hits := !hits + res.C.hits
-           done;
-           let per_op_ns =
-             (Poller.mono_s () -. t0) *. 1e9 /. float_of_int cfg.pipeline
-           in
-           for _ = 1 to cfg.pipeline do
-             Util.Histogram.record hist (int_of_float per_op_ns)
-           done;
-           ops := !ops + cfg.pipeline;
-           ep_ops.(!cur_ep) <- ep_ops.(!cur_ep) + cfg.pipeline)
-         fds
-     done
-   with Connection_lost why ->
-     disconnect := Some why;
-     ep_disconnects.(!cur_ep) <- ep_disconnects.(!cur_ep) + 1);
-  Array.iter
-    (fun fd ->
-      (try write_all fd (Bytes.of_string "quit\r\n") 6 with Connection_lost _ -> ());
-      try Unix.close fd with Unix.Unix_error _ -> ())
-    fds;
-  {
-    d_ops = !ops;
-    d_errors = !errors;
-    d_shard_down = !shard_down;
-    d_hits = !hits;
-    d_hist = hist;
-    d_disconnect = !disconnect;
-    d_ep_ops = ep_ops;
-    d_ep_errors = ep_errors;
-    d_ep_shard_down = ep_shard_down;
-    d_ep_disconnects = ep_disconnects;
-  }
+(* One driver's totals; per-endpoint arrays are indexed like the
+   resolved endpoint list. *)
+type tally = {
+  mutable sent : int; [@montage.thread_local]
+  mutable completed : int; [@montage.thread_local]
+  mutable errors : int; [@montage.thread_local]
+  mutable shard_down : int; [@montage.thread_local]
+  mutable hits : int; [@montage.thread_local]
+  mutable lost : string list; [@montage.thread_local]  (* newest first, one per lost connection *)
+  hist : Util.Histogram.t;
+  ep_ops : int array;
+  ep_errors : int array;
+  ep_shard_down : int array;
+  ep_abandoned : int array;
+  ep_disconnects : int array;
+}
 
-(* ---------- closed-loop driver ---------- *)
+let bump a i n = a.(i) <- a.(i) + n
+
+(* Drive connections to [eps.(conn_eps.(i))] with requests from [next]
+   ([None]: the source is exhausted) for [duration_s], then wait up to
+   [grace_s] for the replies still owed. *)
+let drive ~eps ~conn_eps ~pacing ~next ~duration_s ~grace_s =
+  let neps = Array.length eps in
+  let zeros () = Array.make neps 0 in
+  let tl =
+    {
+      sent = 0;
+      completed = 0;
+      errors = 0;
+      shard_down = 0;
+      hits = 0;
+      lost = [];
+      hist = Util.Histogram.create ();
+      ep_ops = zeros ();
+      ep_errors = zeros ();
+      ep_shard_down = zeros ();
+      ep_abandoned = zeros ();
+      ep_disconnects = zeros ();
+    }
+  in
+  let t_end = ref infinity and exhausted = ref false in
+  let send_one c t_sched =
+    match next () with
+    | None ->
+        exhausted := true;
+        false
+    | Some cmd ->
+        Conn_core.send c cmd;
+        Queue.push t_sched (Conn_core.data c).inflight;
+        tl.sent <- tl.sent + 1;
+        true
+  in
+  let send_batch c n now =
+    let l = Conn_core.data c in
+    l.batch <- 0;
+    while l.batch < n && send_one c now do
+      l.batch <- l.batch + 1
+    done
+  in
+  let settle c (r : C.unit_result) ~shard_down now =
+    let l = Conn_core.data c in
+    (match Queue.take_opt l.inflight with
+    | None -> ()
+    | Some t_sched -> (
+        tl.completed <- tl.completed + 1;
+        bump tl.ep_ops l.ep 1;
+        match pacing with
+        | Schedule _ ->
+            (* from the scheduled arrival, not the socket write:
+               queueing delay is part of the request's experience *)
+            Util.Histogram.record tl.hist (int_of_float ((now -. t_sched) *. 1e9))
+        | Batch n ->
+            if Queue.is_empty l.inflight then begin
+              let per_op_ns = int_of_float ((now -. t_sched) *. 1e9 /. float_of_int l.batch) in
+              for _ = 1 to l.batch do
+                Util.Histogram.record tl.hist per_op_ns
+              done;
+              if now < !t_end && not !exhausted then send_batch c n now
+            end));
+    if shard_down then begin
+      tl.shard_down <- tl.shard_down + 1;
+      bump tl.ep_shard_down l.ep 1
+    end
+    else if C.is_err r then begin
+      tl.errors <- tl.errors + 1;
+      bump tl.ep_errors l.ep 1
+    end;
+    tl.hits <- tl.hits + r.C.hits
+  in
+  let input c =
+    let l = Conn_core.data c and inb = Conn_core.inbuf c in
+    let now = Poller.mono_s () in
+    let continue = ref true in
+    while !continue do
+      match C.next_unit l.dec inb.bytes ~pos:inb.pos ~len:(Conn_core.pending inb) with
+      | Some (endp, r) ->
+          let sd = r.C.cls = C.U_server_error && unit_is_shard_down inb.bytes inb.pos endp in
+          Conn_core.consume inb (endp - inb.pos);
+          settle c r ~shard_down:sd now
+      | None -> continue := false
+    done
+  in
+  let closed c why =
+    (* whatever was still awaiting an answer is lost with the socket *)
+    let l = Conn_core.data c in
+    bump tl.ep_abandoned l.ep (Queue.length l.inflight);
+    Queue.clear l.inflight;
+    bump tl.ep_disconnects l.ep 1;
+    tl.lost <- why :: tl.lost
+  in
+  let core =
+    Conn_core.create ~name:"loadgen" ~hint:(Array.length conn_eps) (Poller.kind_of_env ())
+      { input; paused = (fun _ -> false); finished = (fun _ -> false); connected = ignore; closed }
+  in
+  let conns =
+    Array.map
+      (fun ep ->
+        let l = { ep; dec = C.decoder (); inflight = Queue.create (); batch = 0 } in
+        match Conn_core.add core (connect eps.(ep)) l with
+        | Ok c -> c
+        | Error why -> raise (Connection_lost why))
+      conn_eps
+  in
+  let t0 = Poller.mono_s () in
+  t_end := t0 +. duration_s;
+  let next_arrival = ref t0 and rr = ref 0 in
+  (match pacing with
+  | Batch n -> Array.iter (fun c -> send_batch c n t0) conns
+  | Schedule gap -> next_arrival := t0 +. gap ());
+  let drain_at = ref infinity and running = ref true in
+  while !running do
+    let now = Poller.mono_s () in
+    let timeout_s =
+      match pacing with
+      | Schedule gap when now < !t_end ->
+          (* every due arrival goes out, even when behind: an open loop
+             does not slow down because the server did *)
+          while !next_arrival <= now do
+            let c = conns.(!rr mod Array.length conns) in
+            incr rr;
+            if Conn_core.alive c then ignore (send_one c !next_arrival);
+            next_arrival := !next_arrival +. gap ()
+          done;
+          Float.max 0.0 (Float.min 0.05 (Float.min !next_arrival !t_end -. now))
+      | _ -> 0.05
+    in
+    Conn_core.step core ~timeout_s;
+    let now = Poller.mono_s () in
+    let idle c = (not (Conn_core.alive c)) || Queue.is_empty (Conn_core.data c).inflight in
+    if now >= !t_end || !exhausted then begin
+      if !drain_at = infinity then drain_at := now +. grace_s;
+      if Array.for_all idle conns || now >= !drain_at then running := false
+    end
+    else if not (Array.exists Conn_core.alive conns) then running := false
+  done;
+  (* the drain grace expired with these still unanswered *)
+  Array.iter
+    (fun c ->
+      if Conn_core.alive c then
+        let l = Conn_core.data c in
+        bump tl.ep_abandoned l.ep (Queue.length l.inflight))
+    conns;
+  ignore (Conn_core.shutdown core);
+  tl
+
+(* Run [domains] drivers over [conns] connections of mixed get/set
+   traffic and collect their tallies. *)
+let drive_domains cfg ~pacing ~grace_s =
+  let eps = Array.of_list (resolved_endpoints cfg) in
+  let ndomains = max 1 cfg.domains in
+  let nconns = max 1 (cfg.conns / ndomains) in
+  let value = String.make cfg.value_size 'v' in
+  let doms =
+    Array.init ndomains (fun did ->
+        Domain.spawn (fun () ->
+            let rng = Util.Xoshiro.create (cfg.seed + (did * 7919) + 1) in
+            let key () = Printf.sprintf "%s%06d" cfg.key_prefix (Util.Xoshiro.int rng cfg.keyspace) in
+            let next () =
+              Some
+                (if Util.Xoshiro.float rng < cfg.get_frac then Printf.sprintf "get %s\r\n" (key ())
+                 else Printf.sprintf "set %s 0 0 %d\r\n%s\r\n" (key ()) cfg.value_size value)
+            in
+            (* global round-robin so each endpoint gets its share even
+               when a domain owns fewer connections than there are
+               endpoints *)
+            let conn_eps = Array.init nconns (fun i -> ((did * nconns) + i) mod Array.length eps) in
+            drive ~eps ~conn_eps ~pacing:(pacing rng ndomains) ~next ~duration_s:cfg.duration_s
+              ~grace_s))
+  in
+  Array.map Domain.join doms
 
 let us hist q = float_of_int (Util.Histogram.quantile_ns hist q) /. 1e3
 
-(* Sum per-domain per-endpoint arrays and zip with the address list. *)
-let endpoint_rollup eps ~results ~ops ~errors ~shard_down ~abandoned ~disconnects =
-  let neps = List.length eps in
-  let sum_arr f =
-    let acc = Array.make neps 0 in
-    Array.iter (fun r -> Array.iteri (fun i v -> acc.(i) <- acc.(i) + v) (f r)) results;
-    acc
-  in
-  let a_ops = sum_arr ops
-  and a_err = sum_arr errors
-  and a_sd = sum_arr shard_down
-  and a_ab = sum_arr abandoned
-  and a_dc = sum_arr disconnects in
+let merged_hist results =
+  let hist = Util.Histogram.create () in
+  Array.iter (fun r -> Util.Histogram.merge_into ~dst:hist r.hist) results;
+  hist
+
+let sum results f = Array.fold_left (fun a r -> a + f r) 0 results
+
+(* Sum the per-driver per-endpoint arrays and zip with the addresses. *)
+let by_endpoint cfg results =
+  let col f i = sum results (fun r -> (f r).(i)) in
   List.mapi
     (fun i (h, p) ->
       {
         ep_host = h;
         ep_port = p;
-        ep_ops = a_ops.(i);
-        ep_errors = a_err.(i);
-        ep_shard_down = a_sd.(i);
-        ep_abandoned = a_ab.(i);
-        ep_disconnects = a_dc.(i);
+        ep_ops = col (fun r -> r.ep_ops) i;
+        ep_errors = col (fun r -> r.ep_errors) i;
+        ep_shard_down = col (fun r -> r.ep_shard_down) i;
+        ep_abandoned = col (fun r -> r.ep_abandoned) i;
+        ep_disconnects = col (fun r -> r.ep_disconnects) i;
       })
-    eps
+    (resolved_endpoints cfg)
+
+(* ---------- closed loop ---------- *)
 
 let run ?(config = default_config) () =
   let cfg = config in
-  let stop = Atomic.make false in
   let t0 = Poller.mono_s () in
-  let doms =
-    Array.init (max 1 cfg.domains) (fun did ->
-        Domain.spawn (fun () -> run_domain cfg did stop))
-  in
-  (Unix.sleepf cfg.duration_s
-  [@montage.allow
-    "R5: the loadgen driver thread sleeps to pace the measurement \
-     window; it is client tooling, not server or structure code"]);
-  Atomic.set stop true;
-  let results = Array.map Domain.join doms in
+  let results = drive_domains cfg ~pacing:(fun _ _ -> Batch (max 1 cfg.pipeline)) ~grace_s:1.0 in
   let seconds = Poller.mono_s () -. t0 in
-  let hist = Util.Histogram.create () in
-  Array.iter (fun r -> Util.Histogram.merge_into ~dst:hist r.d_hist) results;
-  let ops = Array.fold_left (fun a r -> a + r.d_ops) 0 results in
-  let errors = Array.fold_left (fun a r -> a + r.d_errors) 0 results in
-  let shard_down_errors = Array.fold_left (fun a r -> a + r.d_shard_down) 0 results in
-  let hits = Array.fold_left (fun a r -> a + r.d_hits) 0 results in
-  let disconnects =
-    Array.to_list results |> List.filter_map (fun r -> r.d_disconnect)
-  in
-  let neps = List.length (resolved_endpoints cfg) in
-  let zeros _ = Array.make neps 0 in
-  let by_endpoint =
-    endpoint_rollup (resolved_endpoints cfg) ~results ~ops:(fun r -> r.d_ep_ops)
-      ~errors:(fun r -> r.d_ep_errors)
-      ~shard_down:(fun r -> r.d_ep_shard_down)
-      ~abandoned:zeros
-      ~disconnects:(fun r -> r.d_ep_disconnects)
-  in
+  let hist = merged_hist results in
+  let ops = sum results (fun r -> r.completed) in
   {
     ops;
-    errors;
-    shard_down_errors;
-    hits;
+    errors = sum results (fun r -> r.errors);
+    shard_down_errors = sum results (fun r -> r.shard_down);
+    hits = sum results (fun r -> r.hits);
     seconds;
     ops_per_sec = float_of_int ops /. seconds;
     mean_us = Util.Histogram.mean_ns hist /. 1e3;
     p50_us = us hist 0.5;
     p95_us = us hist 0.95;
     p99_us = us hist 0.99;
-    disconnects;
-    by_endpoint;
+    (* one entry per domain: its first lost connection *)
+    disconnects =
+      Array.to_list results
+      |> List.filter_map (fun r -> match List.rev r.lost with why :: _ -> Some why | [] -> None);
+    by_endpoint = by_endpoint cfg results;
   }
 
 (* Pre-populate the keyspace so a read-heavy run measures hits, not
-   misses.  One blocking connection, pipelined in chunks. *)
+   misses: one connection, pipelined in batches of 256. *)
 let preload ?(config = default_config) () =
   let cfg = config in
+  let value = String.make cfg.value_size 'v' in
+  let k = ref 0 in
+  let next () =
+    if !k >= cfg.keyspace then None
+    else begin
+      incr k;
+      Some (Printf.sprintf "set %s%06d 0 0 %d\r\n%s\r\n" cfg.key_prefix (!k - 1) cfg.value_size value)
+    end
+  in
   (* first endpoint is enough: a router fans the keys out by ownership,
      and a single server IS the first endpoint *)
-  let fd = connect (List.hd (resolved_endpoints cfg)) in
-  let r = reader fd in
-  let value = String.make cfg.value_size 'v' in
-  let chunk = 256 in
-  let out = Buffer.create (chunk * (cfg.value_size + 48)) in
-  let k = ref 0 in
-  while !k < cfg.keyspace do
-    Buffer.clear out;
-    let n = min chunk (cfg.keyspace - !k) in
-    for i = 0 to n - 1 do
-      Buffer.add_string out
-        (Printf.sprintf "set %s%06d 0 0 %d\r\n%s\r\n" cfg.key_prefix (!k + i) cfg.value_size
-           value)
-    done;
-    write_all fd (Buffer.to_bytes out) (Buffer.length out);
-    for _ = 1 to n do
-      ignore (read_unit r)
-    done;
-    k := !k + n
-  done;
-  (try write_all fd (Bytes.of_string "quit\r\n") 6 with _ -> ());
-  (try Unix.close fd with _ -> ())
+  let r =
+    drive
+      ~eps:[| List.hd (resolved_endpoints cfg) |]
+      ~conn_eps:[| 0 |] ~pacing:(Batch 256) ~next ~duration_s:infinity ~grace_s:30.0
+  in
+  match r.lost with
+  | why :: _ -> raise (Connection_lost why)
+  | [] -> if r.completed < r.sent then raise (Connection_lost "preload replies timed out")
 
 let print_endpoint_stats by_endpoint =
   if List.length by_endpoint > 1 then
@@ -463,365 +493,38 @@ let print_report ~label r =
 
 (* ---------- open loop ---------- *)
 
-type arrival = Poisson | Uniform
-
-type open_report = {
-  offered_rate : float;
-  achieved_rate : float;  (** completions / scheduling window *)
-  sent : int;
-  completed : int;
-  abandoned : int;  (** sent but unanswered when the grace period expired *)
-  o_errors : int;
-  o_shard_down_errors : int;
-  o_hits : int;
-  o_seconds : float;  (** wall time including the drain grace period *)
-  o_mean_us : float;
-  o_p50_us : float;
-  o_p95_us : float;
-  o_p99_us : float;
-  o_disconnects : string list;
-  o_by_endpoint : endpoint_stats list;
-}
-
-(* One nonblocking open-loop connection.  Owned by the one generator
-   domain driving it; the reply framer is incremental because replies
-   arrive whenever the poller says so, not in lockstep with sends. *)
-type oconn = {
-  ofd : Unix.file_descr;
-  ep : int;  (* index into the resolved endpoint list *)
-  inflight : float Queue.t;  (* scheduled arrival times, FIFO per conn *)
-  dec : C.decoder;
-  mutable ib : Bytes.t [@montage.thread_local];  (* replies; current unit at [iupos, ilen) *)
-  mutable iupos : int [@montage.thread_local];
-  mutable ilen : int [@montage.thread_local];
-  mutable ob : Bytes.t [@montage.thread_local];  (* unsent commands in [opos, olen) *)
-  mutable opos : int [@montage.thread_local];
-  mutable olen : int [@montage.thread_local];
-  mutable want_w : bool [@montage.thread_local];
-  mutable oalive : bool [@montage.thread_local];
-}
-
-let oconn_pending c = c.olen - c.opos
-
-let oconn_add c s =
-  let n = String.length s in
-  if c.olen + n > Bytes.length c.ob then begin
-    let live = oconn_pending c in
-    if live + n <= Bytes.length c.ob then Bytes.blit c.ob c.opos c.ob 0 live
-    else begin
-      let cap = ref (max 4096 (Bytes.length c.ob)) in
-      while live + n > !cap do
-        cap := !cap * 2
-      done;
-      let nb = Bytes.create !cap in
-      Bytes.blit c.ob c.opos nb 0 live;
-      c.ob <- nb
-    end;
-    c.olen <- live;
-    c.opos <- 0
-  end;
-  Bytes.blit_string s 0 c.ob c.olen n;
-  c.olen <- c.olen + n
-
-(* Drain every complete reply unit buffered on [c].  [on_unit] fires
-   once per unit with its class and hit count; consumed units are
-   compacted away, a partial unit stays in place for the next read
-   (the decoder's offsets are unit-relative, so that is safe). *)
-let oconn_drain c ~on_unit =
-  let continue = ref true in
-  while !continue do
-    match C.next_unit c.dec c.ib ~pos:c.iupos ~len:(c.ilen - c.iupos) with
-    | Some (endp, res) ->
-        let sd =
-          res.C.cls = C.U_server_error && unit_is_shard_down c.ib c.iupos endp
-        in
-        c.iupos <- endp;
-        if c.iupos = c.ilen then begin
-          c.iupos <- 0;
-          c.ilen <- 0
-        end;
-        on_unit res ~shard_down:sd
-    | None -> continue := false
-  done
-
-type open_domain_result = {
-  od_sent : int;
-  od_completed : int;
-  od_errors : int;
-  od_shard_down : int;
-  od_hits : int;
-  od_hist : Util.Histogram.t;
-  od_disconnects : string list;
-  od_ep_ops : int array;
-  od_ep_errors : int array;
-  od_ep_shard_down : int array;
-  od_ep_abandoned : int array;
-  od_ep_disconnects : int array;
-}
-
-let run_open_domain cfg ~rate_d ~arrival ~grace_s did =
-  let eps = Array.of_list (resolved_endpoints cfg) in
-  let neps = Array.length eps in
-  let nconns = max 1 (cfg.conns / max 1 cfg.domains) in
-  let conns =
-    Array.init nconns (fun i ->
-        let ep = ((did * nconns) + i) mod neps in
-        let fd = connect eps.(ep) in
-        Unix.set_nonblock fd;
-        {
-          ofd = fd;
-          ep;
-          inflight = Queue.create ();
-          dec = C.decoder ();
-          ib = Bytes.create 65536;
-          iupos = 0;
-          ilen = 0;
-          ob = Bytes.create 4096;
-          opos = 0;
-          olen = 0;
-          want_w = false;
-          oalive = true;
-        })
-  in
-  let poller = Poller.create ~hint:nconns (Poller.kind_of_env ()) in
-  Array.iter (fun c -> Poller.set poller c.ofd ~read:true ~write:false) conns;
-  let by_fd = Hashtbl.create nconns in
-  Array.iter (fun c -> Hashtbl.replace by_fd c.ofd c) conns;
-  let rng = Util.Xoshiro.create (cfg.seed + (did * 7919) + 1) in
-  let value = String.make cfg.value_size 'v' in
-  let hist = Util.Histogram.create () in
-  let sent = ref 0 and completed = ref 0 and errors = ref 0 and hits = ref 0 in
-  let shard_down = ref 0 in
-  let ep_ops = Array.make neps 0
-  and ep_errors = Array.make neps 0
-  and ep_shard_down = Array.make neps 0
-  and ep_abandoned = Array.make neps 0
-  and ep_disconnects = Array.make neps 0 in
-  let disconnects = ref [] in
-  let key () = Printf.sprintf "%s%06d" cfg.key_prefix (Util.Xoshiro.int rng cfg.keyspace) in
-  let interarrival () =
-    match arrival with
-    | Uniform -> 1.0 /. rate_d
-    | Poisson -> -.Float.log (1.0 -. Util.Xoshiro.float rng) /. rate_d
-  in
-  let close_conn c why =
-    if c.oalive then begin
-      c.oalive <- false;
-      Poller.remove poller c.ofd;
-      Hashtbl.remove by_fd c.ofd;
-      (try Unix.close c.ofd with Unix.Unix_error _ -> ());
-      (* whatever was still awaiting an answer is lost with the socket *)
-      ep_abandoned.(c.ep) <- ep_abandoned.(c.ep) + Queue.length c.inflight;
-      Queue.clear c.inflight;
-      ep_disconnects.(c.ep) <- ep_disconnects.(c.ep) + 1;
-      disconnects := why :: !disconnects
-    end
-  in
-  let update_interest c =
-    if c.oalive then Poller.set poller c.ofd ~read:true ~write:c.want_w
-  in
-  (* Drain pending output; EAGAIN arms write interest so the poller
-     wakes us when the socket has room again. *)
-  let try_flush c =
-    let again = ref true and ok = ref true in
-    while !again && oconn_pending c > 0 do
-      match Unix.write c.ofd c.ob c.opos (oconn_pending c) with
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-          c.want_w <- true;
-          again := false
-      | exception Unix.Unix_error (e, _, _) ->
-          ok := false;
-          again := false;
-          close_conn c (Unix.error_message e)
-      | 0 ->
-          ok := false;
-          again := false;
-          close_conn c "short write"
-      | n ->
-          c.opos <- c.opos + n;
-          if oconn_pending c = 0 then begin
-            c.opos <- 0;
-            c.olen <- 0
-          end
-    done;
-    if !ok && oconn_pending c = 0 then c.want_w <- false;
-    if !ok then update_interest c;
-    !ok
-  in
-  let settle c now res ~shard_down:sd =
-    (* latency from the scheduled arrival, not the socket write:
-       queueing delay is part of the request's experience *)
-    (match Queue.take_opt c.inflight with
-    | Some t_sched ->
-        incr completed;
-        ep_ops.(c.ep) <- ep_ops.(c.ep) + 1;
-        Util.Histogram.record hist (int_of_float ((now -. t_sched) *. 1e9))
-    | None -> ());
-    if sd then begin
-      incr shard_down;
-      ep_shard_down.(c.ep) <- ep_shard_down.(c.ep) + 1
-    end
-    else if C.is_err res then begin
-      incr errors;
-      ep_errors.(c.ep) <- ep_errors.(c.ep) + 1
-    end;
-    hits := !hits + res.C.hits
-  in
-  (* make room to read: compact consumed units first, double only when
-     a single reply unit outgrows the buffer *)
-  let ib_room c =
-    if c.ilen = Bytes.length c.ib then
-      if c.iupos > 0 then begin
-        let live = c.ilen - c.iupos in
-        Bytes.blit c.ib c.iupos c.ib 0 live;
-        c.iupos <- 0;
-        c.ilen <- live
-      end
-      else begin
-        let nb = Bytes.create (2 * Bytes.length c.ib) in
-        Bytes.blit c.ib 0 nb 0 c.ilen;
-        c.ib <- nb
-      end
-  in
-  let read_conn c =
-    let again = ref true in
-    while !again && c.oalive do
-      ib_room c;
-      match Unix.read c.ofd c.ib c.ilen (Bytes.length c.ib - c.ilen) with
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-          again := false
-      | exception Unix.Unix_error (e, _, _) ->
-          again := false;
-          close_conn c (Unix.error_message e)
-      | 0 ->
-          again := false;
-          close_conn c "server closed connection"
-      | n ->
-          c.ilen <- c.ilen + n;
-          let now = Poller.mono_s () in
-          oconn_drain c ~on_unit:(settle c now)
-    done
-  in
-  let t_start = Poller.mono_s () in
-  let t_end = t_start +. cfg.duration_s in
-  let next = ref (t_start +. interarrival ()) in
-  let drain_at = ref infinity in
-  let rr = ref 0 in
-  let running = ref true in
-  while !running do
-    let now = Poller.mono_s () in
-    (* schedule every arrival that is due, even if we are behind: an
-       open loop does not slow down because the server did *)
-    if now < t_end then
-      while !next <= now do
-        let c = conns.(!rr mod nconns) in
-        incr rr;
-        if c.oalive then begin
-          let cmd =
-            if Util.Xoshiro.float rng < cfg.get_frac then
-              Printf.sprintf "get %s\r\n" (key ())
-            else Printf.sprintf "set %s 0 0 %d\r\n%s\r\n" (key ()) cfg.value_size value
-          in
-          oconn_add c cmd;
-          Queue.push !next c.inflight;
-          incr sent;
-          ignore (try_flush c)
-        end;
-        next := !next +. interarrival ()
-      done
-    else if !drain_at = infinity then drain_at := now +. grace_s;
-    let tnext = if now < t_end then Float.min !next t_end else !drain_at in
-    let timeout = Float.max 0.0 (Float.min 0.05 (tnext -. now)) in
-    ignore
-      ((Poller.wait poller ~timeout_s:timeout (fun fd ~readable ~writable ->
-            match Hashtbl.find_opt by_fd fd with
-            | None -> ()
-            | Some c ->
-                if writable then begin
-                  c.want_w <- false;
-                  ignore (try_flush c)
-                end;
-                if readable && c.oalive then read_conn c))
-      [@montage.allow
-        "R5: open-loop generator readiness wait in client tooling; \
-         paced by the arrival schedule, not a server thread"]);
-    let now = Poller.mono_s () in
-    if now >= t_end then begin
-      if !drain_at = infinity then drain_at := now +. grace_s;
-      let quiesced =
-        Array.for_all
-          (fun c -> (not c.oalive) || (Queue.is_empty c.inflight && oconn_pending c = 0))
-          conns
-      in
-      if quiesced || now >= !drain_at then running := false
-    end
-  done;
-  Array.iter
-    (fun c ->
-      if c.oalive then begin
-        Poller.remove poller c.ofd;
-        (try Unix.close c.ofd with Unix.Unix_error _ -> ());
-        (* drain grace expired with these still unanswered *)
-        ep_abandoned.(c.ep) <- ep_abandoned.(c.ep) + Queue.length c.inflight
-      end)
-    conns;
-  Poller.close poller;
-  {
-    od_sent = !sent;
-    od_completed = !completed;
-    od_errors = !errors;
-    od_shard_down = !shard_down;
-    od_hits = !hits;
-    od_hist = hist;
-    od_disconnects = !disconnects;
-    od_ep_ops = ep_ops;
-    od_ep_errors = ep_errors;
-    od_ep_shard_down = ep_shard_down;
-    od_ep_abandoned = ep_abandoned;
-    od_ep_disconnects = ep_disconnects;
-  }
-
 let run_open ?(config = default_config) ?(arrival = Poisson) ?(grace_s = 1.0) ~rate () =
   let cfg = config in
   if rate <= 0.0 then invalid_arg "Loadgen.run_open: rate must be positive";
-  let ndomains = max 1 cfg.domains in
-  let rate_d = rate /. float_of_int ndomains in
+  let pacing rng ndomains =
+    let rate_d = rate /. float_of_int ndomains in
+    Schedule
+      (match arrival with
+      | Uniform -> fun () -> 1.0 /. rate_d
+      | Poisson -> fun () -> -.Float.log (1.0 -. Util.Xoshiro.float rng) /. rate_d)
+  in
   let t0 = Poller.mono_s () in
-  let doms =
-    Array.init ndomains (fun did ->
-        Domain.spawn (fun () -> run_open_domain cfg ~rate_d ~arrival ~grace_s did))
-  in
-  let results = Array.map Domain.join doms in
+  let results = drive_domains cfg ~pacing ~grace_s in
   let seconds = Poller.mono_s () -. t0 in
-  let hist = Util.Histogram.create () in
-  Array.iter (fun r -> Util.Histogram.merge_into ~dst:hist r.od_hist) results;
-  let sum f = Array.fold_left (fun a r -> a + f r) 0 results in
-  let sent = sum (fun r -> r.od_sent) in
-  let completed = sum (fun r -> r.od_completed) in
-  let o_by_endpoint =
-    endpoint_rollup (resolved_endpoints cfg) ~results
-      ~ops:(fun r -> r.od_ep_ops)
-      ~errors:(fun r -> r.od_ep_errors)
-      ~shard_down:(fun r -> r.od_ep_shard_down)
-      ~abandoned:(fun r -> r.od_ep_abandoned)
-      ~disconnects:(fun r -> r.od_ep_disconnects)
-  in
+  let hist = merged_hist results in
+  let sent = sum results (fun r -> r.sent) in
+  let completed = sum results (fun r -> r.completed) in
   {
     offered_rate = rate;
     achieved_rate = float_of_int completed /. cfg.duration_s;
     sent;
     completed;
     abandoned = sent - completed;
-    o_errors = sum (fun r -> r.od_errors);
-    o_shard_down_errors = sum (fun r -> r.od_shard_down);
-    o_hits = sum (fun r -> r.od_hits);
+    o_errors = sum results (fun r -> r.errors);
+    o_shard_down_errors = sum results (fun r -> r.shard_down);
+    o_hits = sum results (fun r -> r.hits);
     o_seconds = seconds;
     o_mean_us = Util.Histogram.mean_ns hist /. 1e3;
     o_p50_us = us hist 0.5;
     o_p95_us = us hist 0.95;
     o_p99_us = us hist 0.99;
-    o_disconnects = List.concat_map (fun r -> r.od_disconnects) (Array.to_list results);
-    o_by_endpoint;
+    o_disconnects = List.concat_map (fun r -> List.rev r.lost) (Array.to_list results);
+    o_by_endpoint = by_endpoint cfg results;
   }
 
 let arrival_name = function Poisson -> "poisson" | Uniform -> "uniform"

@@ -1,21 +1,24 @@
 (** Memcached-protocol load generator for {!Netserve}: closed-loop and
-    open-loop.
+    open-loop, one driver.
 
-    Closed loop ({!run}): [domains] generator domains each own
-    [conns / domains] blocking connections and drive them round-robin:
-    write a [pipeline]-deep batch of commands (get with probability
-    [get_frac], else a [value_size]-byte set over [keyspace] keys),
-    read every reply, record per-command latency into a log-scale
-    histogram.  One batch in flight per connection — latency includes
-    the server's batched-flush cycle honestly, but offered load
-    collapses when the server slows, hiding overload.
+    [domains] generator domains each own [conns / domains]
+    nonblocking connections on a {!Conn_core} loop and send commands
+    (get with probability [get_frac], else a [value_size]-byte set
+    over [keyspace] keys).
+
+    Closed loop ({!run}): arrival on completion — each connection
+    keeps one [pipeline]-deep batch in flight and sends the next when
+    the last reply of the previous one arrives; each command is
+    charged the batch round trip divided by [pipeline], recorded into
+    a log-scale histogram.  Latency includes the server's
+    batched-flush cycle honestly, but offered load collapses when the
+    server slows, hiding overload.
 
     Open loop ({!run_open}): commands arrive on a fixed schedule
     ([rate] ops/s, {!Poisson} or {!Uniform} interarrivals) regardless
-    of server speed, over nonblocking connections driven by a
-    {!Poller}.  Latency is charged from the {e scheduled} arrival
-    time, so server-imposed queueing delay lands in the tail — the
-    coordinated-omission fix a closed loop cannot provide.
+    of server speed.  Latency is charged from the {e scheduled}
+    arrival time, so server-imposed queueing delay lands in the tail —
+    the coordinated-omission fix a closed loop cannot provide.
 
     Both modes frame replies with {!Kvstore.Protocol.Client} — the same
     reply-unit decoder the cluster router uses on its upstream
@@ -45,11 +48,11 @@ type config = {
     10k keys, 90% gets. *)
 val default_config : config
 
-(** The server side of a connection went away mid-run (closed socket,
-    reset, short write).  {!run} catches it per generator domain and
-    reports it in {!report.disconnects} rather than silently dropping
-    the domain's remaining work; {!preload} lets it propagate, since a
-    preload cannot meaningfully continue without the connection.
+(** The server side of a connection went away (closed socket, reset),
+    or a connection could not be set up.  {!run} records a lost
+    connection in {!report.disconnects} and keeps driving the domain's
+    others; {!preload} raises it, since a preload cannot meaningfully
+    continue without the connection.
     Initial connects are retried with bounded backoff on
     [ECONNREFUSED]/[EAGAIN]/[ETIMEDOUT] before giving up, so a listen
     backlog overflow during a connection ramp does not kill the run. *)

@@ -4,16 +4,16 @@
     [workers] event-loop domains share one nonblocking listening
     socket (kernel-balanced accept sharding); worker [w] owns Montage
     thread id [w], so epoch hooks and per-thread persist buffers stay
-    thread-local.  Each worker multiplexes its connections through a
-    pluggable readiness backend ({!Poller}: Linux epoll by default,
-    [Unix.select] as the portable fallback) and only touches ready
-    connections: reads feed the protocol codec, the replies of a
-    readiness cycle flush with one batched write per dirty connection
-    (O(active), not O(connections)), pending-output high-water marks
-    pause reads (backpressure), and idle/slow clients are reaped by a
-    periodic monotonic-clock sweep.  Poller interest changes only on
-    state transitions, so idle connections cost nothing per tick on
-    epoll.
+    thread-local.  Each worker runs its connections on the shared
+    connection core ({!Conn_core}, over a pluggable readiness backend
+    {!Poller}: Linux epoll by default, [Unix.select] as the portable
+    fallback): reads are framed and executed in place by
+    {!Kvstore.Protocol.serve}, the replies of a readiness cycle flush
+    with one batched write per dirty connection (O(active), not
+    O(connections)), pending-output high-water marks pause reads
+    (backpressure), and idle/slow clients are reaped by a periodic
+    monotonic-clock sweep.  Poller interest changes only on state
+    transitions, so idle connections cost nothing per tick on epoll.
 
     {!shutdown} drains gracefully — stop accepting, serve until the
     clients disconnect or [drain_timeout_s] passes, join the workers —
@@ -82,6 +82,10 @@ val totals : t -> int * int * int * int
 
 (** The readiness backend abstraction (select / epoll). *)
 module Poller = Poller
+
+(** The connection core the workers, the cluster router and the load
+    generator run on. *)
+module Conn_core = Conn_core
 
 (** The companion load generator (closed-loop and open-loop). *)
 module Loadgen = Loadgen

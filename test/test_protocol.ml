@@ -112,7 +112,9 @@ let test_noreply () =
   let c = make_conn () in
   Alcotest.(check (list string)) "silent set" [] (P.feed c "set k 0 0 1 noreply\r\nv\r\n");
   Alcotest.(check string) "it landed" "VALUE k 0 1\r\nv\r\nEND\r\n" (feed_all c "get k\r\n");
-  Alcotest.(check (list string)) "silent delete" [] (P.feed c "delete k noreply\r\n")
+  Alcotest.(check (list string)) "silent delete" [] (P.feed c "delete k noreply\r\n");
+  Alcotest.(check (list string)) "silent verbosity" [] (P.feed c "verbosity 1 noreply\r\n");
+  Alcotest.(check string) "verbosity" "OK\r\n" (feed_all c "verbosity 1\r\n")
 
 let test_errors () =
   let c = make_conn () in
