@@ -720,6 +720,16 @@ let fresh_uid t = Atomic.fetch_and_add t.uid_counter 1
   "R2: uid allocation commutes with everything; no interleaving of the \
    fetch-and-add is observable beyond the uid value itself"]
 
+(* Declare to the checker that [tid] is about to store [off, off+len)
+   and hand the range to [record_persist] right after: the push forgives
+   a store racing another thread's queued write-back of the same line,
+   and the declaration closes the window between the store and the push
+   (see [Pcheck.on_rewrite]). *)
+let rewrite_begin t ~tid ~off ~len =
+  match t.chk with
+  | Some c when t.cfg.Config.persist -> Nvm.Pcheck.on_rewrite c ~tid ~off ~len
+  | _ -> ()
+
 let write_payload t ~off ~hdr ~content =
   Payload_hdr.write t.region ~off hdr;
   Nvm.Region.write t.region ~off:(Payload_hdr.content_off off) ~src:content ~src_off:0
@@ -732,6 +742,7 @@ let pnew t ~tid content =
   let size = Bytes.length content in
   let uid = fresh_uid t in
   let off = Ralloc.alloc t.alloc ~tid ~size:(Payload_hdr.header_size + size) in
+  rewrite_begin t ~tid ~off ~len:(Payload_hdr.header_size + size);
   write_payload t ~off
     ~hdr:{ Payload_hdr.ptype = Alloc; epoch = pt.op_epoch; uid; size }
     ~content;
@@ -874,6 +885,7 @@ let pset t ~tid p content =
        read, whose fill the generation check rejects if it raced this
        store ([mirror_drop] and [mirror_refresh] each bump it). *)
     mirror_drop t p;
+    rewrite_begin t ~tid ~off:p.off ~len:(Payload_hdr.header_size + len);
     Nvm.Region.set_i32 t.region ~off:(p.off + 24) len;
     Nvm.Region.write t.region ~off:(Payload_hdr.content_off p.off) ~src:content ~src_off:0 ~len;
     p.size <- len;
@@ -887,6 +899,7 @@ let pset t ~tid p content =
     (* copying update: new block, same uid, current epoch; the old
        version is reclaimable two epochs from now *)
     let off = Ralloc.alloc t.alloc ~tid ~size:(Payload_hdr.header_size + len) in
+    rewrite_begin t ~tid ~off ~len:(Payload_hdr.header_size + len);
     write_payload t ~off
       ~hdr:{ Payload_hdr.ptype = Update; epoch = pt.op_epoch; uid = p.uid; size = len }
       ~content;
@@ -921,6 +934,7 @@ let pdelete t ~tid p =
         (* Created this epoch: it was never visible to recovery.  Scrub
            (the scrub line rides the persist buffer in case the create
            was incrementally written back) and free immediately. *)
+        rewrite_begin t ~tid ~off:p.off ~len:8;
         Payload_hdr.scrub t.region ~off:p.off;
         record_persist t ~tid ~off:p.off ~len:8;
         Ralloc.free t.alloc ~tid p.off
@@ -929,6 +943,7 @@ let pdelete t ~tid p =
            anti-payload in place; it is reclaimed at op_epoch + 3 like
            any anti-payload.  (The superseded older version is already
            in to_free from the copying update.) *)
+        rewrite_begin t ~tid ~off:p.off ~len:8;
         Payload_hdr.set_type t.region ~off:p.off Delete;
         record_persist t ~tid ~off:p.off ~len:8;
         defer_free ~anti:true t ~tid ~epoch:(pt.op_epoch + 1) p.off
@@ -944,6 +959,7 @@ let pdelete t ~tid p =
        them, recovery sees the original without the anti and keeps it —
        exactly the buffered-durability contract. *)
     let anti = Ralloc.alloc t.alloc ~tid ~size:Payload_hdr.header_size in
+    rewrite_begin t ~tid ~off:anti ~len:Payload_hdr.header_size;
     Payload_hdr.write t.region ~off:anti
       { Payload_hdr.ptype = Delete; epoch = pt.op_epoch; uid = p.uid; size = 0 };
     record_persist t ~tid ~off:anti ~len:Payload_hdr.header_size;

@@ -146,6 +146,10 @@ type t = {
   (* per-thread pending ranges (mirrors the region write-pending queues) *)
   pending : (int * int) list ref array; (* (first_line, lines) *)
   pending_count : int array;
+  (* per-thread open rewrite declarations ({!on_rewrite}): lines
+     [rewrite_first, rewrite_last]; max_int/-1 = none open *)
+  rewrite_first : int array;
+  rewrite_last : int array;
   (* persist-buffer obligations: ranges that must persist before their
      epoch retires by two *)
   mutable obligations : obligation list;
@@ -186,6 +190,8 @@ let create ?(mode = Record) ?(log_events = false) ?(max_log = 1 lsl 16) ~capacit
     stamp = Atomic.make 1;
     pending = Array.init max_threads (fun _ -> ref []);
     pending_count = Array.make max_threads 0;
+    rewrite_first = Array.make max_threads max_int;
+    rewrite_last = Array.make max_threads (-1);
     obligations = [];
     clock = Atomic.make 0;
     recovery_scan = Atomic.make false;
@@ -275,13 +281,34 @@ let lines_of ~off ~len = (off lsr line_shift, (off + len - 1) lsr line_shift)
 
 (* ---- hooks (called by Region / Epoch_sys) ---- *)
 
+(* Some thread has declared it is about to re-register [line] with a
+   persist buffer or its own write-back ({!on_rewrite}).  Read racily:
+   a stale view can only miss or keep a declaration for an instant. *)
+let in_rewrite t line =
+  let open_ = ref false in
+  for i = 0 to Array.length t.rewrite_first - 1 do
+    if t.rewrite_first.(i) <= line && line <= t.rewrite_last.(i) then open_ := true
+  done;
+  !open_
+
+let close_rewrite t ~tid = t.rewrite_first.(tid) <- max_int
+
+let on_rewrite t ~tid ~off ~len =
+  if len > 0 then begin
+    let first, last = lines_of ~off ~len in
+    t.rewrite_last.(tid) <- last;
+    t.rewrite_first.(tid) <- first
+  end
+
 let on_store t ~off ~len ~work =
   if len > 0 then begin
     let first, last = lines_of ~off ~len in
     for line = first to last do
       (* provisionally racy: cleared if the line is written back again
-         before the owning queue drains *)
-      if t.pending_by.(line) <> 0 then Bytes.unsafe_set t.stored_after_wb line '\001';
+         before the owning queue drains; a store under an open rewrite
+         declaration is re-registered before anyone could rely on it *)
+      if t.pending_by.(line) <> 0 && not (in_rewrite t line) then
+        Bytes.unsafe_set t.stored_after_wb line '\001';
       Bytes.unsafe_set t.dirty line '\001';
       Bytes.unsafe_set t.unfenced_media line '\000'
     done;
@@ -308,6 +335,7 @@ let on_writeback t ~tid ~off ~len =
       (* the fresh CLWB covers any store since the previous one *)
       Bytes.unsafe_set t.stored_after_wb line '\000'
     done;
+    close_rewrite t ~tid;
     if !clean then lint t Clean_writeback;
     if !dup then lint t Duplicate_flush;
     t.pending.(tid) := (first, last - first + 1) :: !(t.pending.(tid));
@@ -350,6 +378,7 @@ let on_crash t ~injected =
   Array.fill t.pending_by 0 t.line_count 0;
   Array.iter (fun cell -> cell := []) t.pending;
   Array.fill t.pending_count 0 (Array.length t.pending_count) 0;
+  Array.fill t.rewrite_first 0 (Array.length t.rewrite_first) max_int;
   (* outstanding obligations belong to epochs recovery will discard *)
   t.obligations <- [];
   (* clear the monotonicity watermark: a recovery (or a re-used checker
@@ -371,6 +400,7 @@ let on_buffer_push t ~tid ~epoch ~off ~len =
     for line = first to last do
       Bytes.unsafe_set t.stored_after_wb line '\000'
     done;
+    close_rewrite t ~tid;
     let ob =
       { ob_tid = tid; ob_epoch = epoch; ob_first = first; ob_lines = last - first + 1;
         ob_stamp = Atomic.get t.stamp }

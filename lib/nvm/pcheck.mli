@@ -24,7 +24,9 @@ type violation =
           the fence restores coverage and is clean, as does
           re-registering the line with a persist buffer
           ({!on_buffer_push}) — that re-opens the flush contract for
-          the new content, enforced by {!Epoch_retired_unflushed}. *)
+          the new content, enforced by {!Epoch_retired_unflushed};
+          a store made while a thread's {!on_rewrite} declaration
+          covers the line never makes it racy. *)
   | Epoch_retired_unflushed of { tid : int; epoch : int; off : int; len : int; clock : int }
       (** a persist-buffer range missed its two-epoch durability
           deadline *)
@@ -77,6 +79,15 @@ val on_drain : t -> tid:int -> unit
 val on_fence : t -> tid:int -> pending:int -> unit
 val on_crash : t -> injected:int list -> unit
 val on_buffer_push : t -> tid:int -> epoch:int -> off:int -> len:int -> unit
+
+(** [tid] is about to store into [\[off, off+len)] and then re-register
+    the range with a persist buffer ({!on_buffer_push}) or its own
+    write-back ({!on_writeback}), either of which closes the
+    declaration.  Stores into the declared lines do not make another
+    thread's queued write-back of them racy: without the declaration a
+    drain landing between the store and the push would flag a race the
+    push is about to forgive. *)
+val on_rewrite : t -> tid:int -> off:int -> len:int -> unit
 val on_epoch_advance : t -> epoch:int -> unit
 val on_linearize : t -> epoch:int -> clock:int -> success:bool -> unit
 

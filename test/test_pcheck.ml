@@ -106,6 +106,25 @@ let test_buffer_push_transfers_to_retirement_rule () =
   Alcotest.(check bool) "unflushed re-registration caught at retirement" true
     (count_violations c (function P.Epoch_retired_unflushed _ -> true | _ -> false) > 0)
 
+(* The push forgives only stores that precede it, so a drain landing
+   between a worker's store and its push would flag.  The worker's
+   rewrite declaration, opened before the store, covers that window;
+   the push closes it and the next racing store counts again. *)
+let test_rewrite_declaration_covers_store_to_push () =
+  let r, c = checked () in
+  R.write_string r ~off:0 "v1";
+  R.writeback r ~tid:0 ~off:0 ~len:2;
+  P.on_rewrite c ~tid:1 ~off:0 ~len:2;
+  R.write_string r ~off:0 "v2";
+  R.sfence r ~tid:0;
+  Alcotest.(check int) "declared store is clean" 0 (List.length (P.violations c));
+  P.on_buffer_push c ~tid:1 ~epoch:5 ~off:0 ~len:2;
+  R.writeback r ~tid:0 ~off:0 ~len:2;
+  R.write_string r ~off:0 "v3";
+  R.sfence r ~tid:0;
+  Alcotest.(check bool) "the push closed the declaration" true
+    (count_violations c (function P.Store_flush_race _ -> true | _ -> false) > 0)
+
 let test_store_after_fence_is_clean () =
   let r, c = checked () in
   R.write_string r ~off:0 "v1";
@@ -351,6 +370,8 @@ let () =
             test_buffer_push_transfers_to_retirement_rule;
           Alcotest.test_case "fenced store clean" `Quick test_store_after_fence_is_clean;
           Alcotest.test_case "enforce raises" `Quick test_enforce_mode_raises;
+          Alcotest.test_case "rewrite declaration covers store-to-push" `Quick
+            test_rewrite_declaration_covers_store_to_push;
         ] );
       ( "epoch-obligations",
         [
