@@ -885,35 +885,27 @@ let recovery_table () =
 
 (* ---- write-back coalescing accounting ---- *)
 
-(* Fixed-op-count, single-worker, manually ticked runs: the identical
-   op sequence with the coalescer on vs off, compared by exact
-   write-back and fence counts rather than a timed race.  The hashmap
-   side leans on bursts of same-key rewrites (same-epoch in-place pset
-   updates keep dirtying the same payload lines); the queue side on the
-   enqueue-persist / dequeue-scrub overlap of a 1:1 mix.  Both must
-   issue strictly fewer lines and fences with coalescing on. *)
+(* Fixed-op-count, single-worker, manually ticked runs, measured by
+   exact write-back, fence and coalescer line counts rather than a
+   timed race.  The hashmap side leans on bursts of same-key rewrites
+   (same-epoch in-place pset updates keep dirtying the same payload
+   lines); the queue side on the enqueue-persist / dequeue-scrub
+   overlap of a 1:1 mix.  Both must dedup at least 2x at the
+   coalescer. *)
 let coalesce () =
   Benchlib.Report.heading "Write-back coalescing: lines and fences per op (fixed workload)";
   let ops = 20_000 in
   let fops = float_of_int ops in
   let value = make_value 64 in
-  let mk_cfg on =
-    {
-      Cfg.default with
-      max_threads = 1;
-      auto_advance = false;
-      coalesce_writebacks = on;
-      drain_domains = 1;
-    }
-  in
+  let cfg = { Cfg.default with max_threads = 1; auto_advance = false } in
   let finish r esys =
     E.sync esys ~tid:0;
     E.stop_background esys;
     Nvm.Region.stats r
   in
-  let map_run on () =
+  let map_run () =
     let r = Systems.region ~capacity:(1 lsl 26) ~threads:1 in
-    let esys = E.create ~config:(mk_cfg on) r in
+    let esys = E.create ~config:cfg r in
     let m = Pstructs.Mhashmap.create ~buckets:(1 lsl 10) esys in
     for i = 0 to ops - 1 do
       ignore (Pstructs.Mhashmap.put m ~tid:0 (key_of (i / 16 mod 512)) value);
@@ -921,9 +913,9 @@ let coalesce () =
     done;
     finish r esys
   in
-  let queue_run on () =
+  let queue_run () =
     let r = Systems.region ~capacity:(1 lsl 26) ~threads:1 in
-    let esys = E.create ~config:(mk_cfg on) r in
+    let esys = E.create ~config:cfg r in
     let q = Pstructs.Mqueue.create esys in
     for i = 0 to ops - 1 do
       if i land 1 = 0 then Pstructs.Mqueue.enqueue q ~tid:0 value
@@ -938,10 +930,8 @@ let coalesce () =
       Printf.eprintf "[bench] coalesce %s failed: %s\n%!" name (Printexc.to_string e);
       None
   in
-  let m_on = safe "hashmap on" (map_run true) in
-  let m_off = safe "hashmap off" (map_run false) in
-  let q_on = safe "queue on" (queue_run true) in
-  let q_off = safe "queue off" (queue_run false) in
+  let map = safe "hashmap" map_run in
+  let queue = safe "queue" queue_run in
   let row name = function
     | None -> (name, [ nan; nan; nan ])
     | Some { Nvm.Region.writebacks; fences; coalesce_lines_in; coalesce_lines_out; _ } ->
@@ -954,31 +944,17 @@ let coalesce () =
   Benchlib.Report.table
     ~fmt:(Printf.sprintf "%.3f")
     ~columns:[ "wb-lines/op"; "fences/op"; "dedup" ]
-    ~rows:
-      [
-        row "hashmap: coalesce=on" m_on;
-        row "hashmap: coalesce=off" m_off;
-        row "queue: coalesce=on" q_on;
-        row "queue: coalesce=off" q_off;
-      ]
+    ~rows:[ row "hashmap" map; row "queue" queue ]
     ~unit_label:"per op" ();
-  let strictly_lower what on off =
-    match (on, off) with
-    | ( Some { Nvm.Region.writebacks = wa; fences = fa; _ },
-        Some { Nvm.Region.writebacks = wb; fences = fb; _ } ) ->
+  let dedups_2x what = function
+    | Some { Nvm.Region.coalesce_lines_in = li; coalesce_lines_out = lo; _ } ->
         Benchlib.Report.check ~figure:"coalesce"
-          ~claim:(what ^ ": coalescing strictly reduces write-back lines and fences")
-          (wa < wb && fa < fb)
-    | _ ->
-        Benchlib.Report.check ~figure:"coalesce" ~claim:(what ^ ": both runs completed") false
+          ~claim:(what ^ " dedup at least 2x at the coalescer")
+          (lo > 0 && li >= 2 * lo)
+    | None -> Benchlib.Report.check ~figure:"coalesce" ~claim:(what ^ " run completed") false
   in
-  strictly_lower "hashmap" m_on m_off;
-  strictly_lower "queue" q_on q_off;
-  match m_on with
-  | Some { Nvm.Region.coalesce_lines_in = li; coalesce_lines_out = lo; _ } ->
-      Benchlib.Report.check ~figure:"coalesce"
-        ~claim:"hashmap rewrite bursts dedup at least 2x at the coalescer" (lo > 0 && li >= 2 * lo)
-  | None -> ()
+  dedups_2x "hashmap rewrite bursts" map;
+  dedups_2x "queue enqueue/dequeue mix" queue
 
 (* ---- Netserve: the TCP front end under closed-loop load ---- *)
 
@@ -1426,19 +1402,17 @@ let c10k () =
 
 (* Fixed-op read-mostly mix (95% GET / 5% PUT over a uniform key
    cycle) with exact media-read counters, across Montage with mirrors,
-   the same build with mirrors off, SOFT, and DRAM (T).  The headline
-   claims: warm payload reads hit DRAM at least 90% of the time, and
-   the charged NVM read lines per op drop at least 10x against the
-   mirror-off build. *)
+   the same build with mirrors off ([mirror_max_bytes = 0]), SOFT, and
+   DRAM (T).  The headline claims: warm payload reads hit DRAM at least
+   90% of the time, and the charged NVM read lines per op drop at least
+   10x against the mirror-off build. *)
 let readpath () =
   Benchlib.Report.heading "Read path: payload mirrors on a read-mostly mix (fixed workload)";
   let ops = 50_000 and keys = 1 lsl 10 in
   let fops = float_of_int ops in
   let value = make_value 64 in
-  let montage_run mirror () =
-    let cfg =
-      { Cfg.default with max_threads = 1; auto_advance = false; payload_mirror = mirror }
-    in
+  let montage_run mirror_max_bytes () =
+    let cfg = { Cfg.default with max_threads = 1; auto_advance = false; mirror_max_bytes } in
     let r = Systems.region ~capacity:(1 lsl 26) ~threads:1 in
     let esys = E.create ~config:cfg r in
     let m = Pstructs.Mhashmap.create ~buckets:(1 lsl 10) esys in
@@ -1502,8 +1476,8 @@ let readpath () =
       Printf.eprintf "[bench] readpath %s failed: %s\n%!" name (Printexc.to_string e);
       None
   in
-  let on = safe "montage mirror=on" (montage_run true) in
-  let off = safe "montage mirror=off" (montage_run false) in
+  let on = safe "montage mirror=on" (montage_run Cfg.default.mirror_max_bytes) in
+  let off = safe "montage mirror=off" (montage_run 0) in
   let soft = safe "soft" soft_run in
   let dram = safe "dram" dram_run in
   let row name = function

@@ -144,7 +144,9 @@ let wait_up ?n t ~timeout_s =
 
 (* ---- connection-local state (all owned by the router domain) ---- *)
 
-type slot_kind = Verbatim | Multiget | Stats_merge | Flushall
+(* [Multiget order]: the request's keys, each with the index of the
+   part its owning shard answers *)
+type slot_kind = Verbatim | Multiget of (string * int) list | Stats_merge | Flushall
 
 type client = { fr : P.framer; pending : slot Queue.t (* reply slots, request order *) }
 
@@ -174,6 +176,25 @@ and upstream = {
 
 and up_state = Down | Connecting | Probing | Up
 and pending_reply = Part of slot * int | Probe
+
+(* The VALUE blocks of one complete get/gets reply, in order, as
+   (key, block bytes) pairs; the trailing END is dropped.  A block is
+   its header line (up to the first CRLF: a key may hold a bare CR)
+   plus the announced byte count and CRLF, so data that itself contains
+   CRLF is skipped whole. *)
+let value_blocks reply =
+  let rec go pos acc =
+    if pos + 6 > String.length reply || String.sub reply pos 6 <> "VALUE " then List.rev acc
+    else
+      let rec crlf i = if reply.[i] = '\r' && reply.[i + 1] = '\n' then i else crlf (i + 1) in
+      let eol = crlf pos in
+      match String.split_on_char ' ' (String.sub reply pos (eol - pos)) with
+      | _ :: key :: _ :: bytes :: _ ->
+          let stop = eol + 2 + int_of_string bytes + 2 in
+          go stop ((key, String.sub reply pos (stop - pos)) :: acc)
+      | _ -> List.rev acc
+  in
+  go 0 []
 
 let resolve host =
   try Unix.inet_addr_of_string host
@@ -261,10 +282,21 @@ let run t =
       match (s.s_kind, s.s_error) with
       | Verbatim, _ -> s.s_parts.(0)
       | _, Some e -> e (* a shard's own error unit passes through *)
-      | Multiget, None ->
-          (* each part is a complete get reply; drop its END line *)
+      | Multiget order, None ->
+          (* each part answers its shard's keys in request order; walk
+             the client's keys and take each one's block from the head
+             of its part — a key whose part head names another key was
+             a miss *)
+          let blocks = Array.map value_blocks s.s_parts in
           let b = Buffer.create 256 in
-          Array.iter (fun p -> Buffer.add_substring b p 0 (String.length p - 5)) s.s_parts;
+          List.iter
+            (fun (key, i) ->
+              match blocks.(i) with
+              | (k, block) :: rest when k = key ->
+                  Buffer.add_string b block;
+                  blocks.(i) <- rest
+              | _ -> ())
+            order;
           Buffer.add_string b "END\r\n";
           Buffer.contents b
       | Stats_merge, None -> merge_stats s.s_parts
@@ -374,25 +406,25 @@ let run t =
     send_part (owner key) buf f.off f.len expect
   in
   let route_get c cl buf (f : P.frame) ~cas keys =
-    (* group keys by owning shard, preserving first-appearance order *)
-    let groups = ref [] in
-    List.iter
-      (fun k ->
-        let u = owner k in
-        match List.assq_opt u !groups with
-        | Some l -> l := k :: !l
-        | None -> groups := (u, ref [ k ]) :: !groups)
-      keys;
-    match List.rev_map (fun (u, l) -> (u, List.rev !l)) !groups with
-    | [ _ ] -> forward c cl (List.hd keys) buf f ~noreply:false
-    | groups ->
-        let s = new_slot c cl Multiget (Array.make (List.length groups) "") in
-        List.iteri
-          (fun i (u, ks) ->
-            let b = Buffer.create 64 in
-            (if cas then C.encode_gets else C.encode_get) b ks;
-            send_part u (Buffer.to_bytes b) 0 (Buffer.length b) (Some (s, i)))
-          groups
+    let owned = List.map (fun k -> (k, owner k)) keys in
+    (* owning shards in first-appearance order, one part each *)
+    let shards =
+      List.fold_left (fun acc (_, u) -> if List.memq u acc then acc else acc @ [ u ]) [] owned
+      |> Array.of_list
+    in
+    if Array.length shards = 1 then forward c cl (List.hd keys) buf f ~noreply:false
+    else begin
+      let part u = Option.get (Array.find_index (( == ) u) shards) in
+      let order = List.map (fun (k, u) -> (k, part u)) owned in
+      let s = new_slot c cl (Multiget order) (Array.make (Array.length shards) "") in
+      Array.iteri
+        (fun i u ->
+          let ks = List.filter_map (fun (k, j) -> if j = i then Some k else None) order in
+          let b = Buffer.create 64 in
+          (if cas then C.encode_gets else C.encode_get) b ks;
+          send_part u (Buffer.to_bytes b) 0 (Buffer.length b) (Some (s, i)))
+        shards
+    end
   in
   let broadcast c cl buf (f : P.frame) kind ~noreply =
     let targets = List.filter (fun u -> u.u_state = Up) (Array.to_list ups) in

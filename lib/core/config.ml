@@ -29,10 +29,7 @@ type t = {
   persist : bool; (* false = Montage (T): payloads in NVM, no persistence *)
   auto_advance : bool; (* spawn the background epoch-advancing domain *)
   pcheck : pcheck_policy; (* persistency-ordering checker (Pcheck) *)
-  coalesce_writebacks : bool; (* line-granular dedup of drained ranges *)
-  drain_domains : int; (* worker domains for the background parallel drain *)
-  payload_mirror : bool; (* DRAM read cache of payload bytes (volatile mirrors) *)
-  mirror_max_bytes : int; (* mirror-resident byte budget (clock eviction above it) *)
+  mirror_max_bytes : int; (* payload-mirror (DRAM read cache) byte budget; 0 = no mirrors *)
   nb_advance : bool; (* nonblocking (helping) epoch advance + wait-free sync *)
 }
 
@@ -45,31 +42,9 @@ let pcheck_from_env () =
   | Some ("strict" | "enforce") -> Pcheck_enforce
   | _ -> Pcheck_off
 
-(* MONTAGE_COALESCE=0|off|false|no disables write-back coalescing;
-   anything else (or unset) leaves it on.  The CI matrix uses this to
-   run the whole suite down the uncoalesced per-record path. *)
-let coalesce_from_env () =
-  match Option.map String.lowercase_ascii (Sys.getenv_opt "MONTAGE_COALESCE") with
-  | Some ("0" | "off" | "false" | "no") -> false
-  | _ -> true
-
-(* MONTAGE_DRAIN_DOMAINS=<n> caps the domains the background advancer
-   may fan a drain out over (clamped to >= 1; 1 = serial drain). *)
-let drain_domains_from_env () =
-  match Option.bind (Sys.getenv_opt "MONTAGE_DRAIN_DOMAINS") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | _ -> 2
-
-(* MONTAGE_MIRROR=0|off|false|no disables the volatile payload
-   mirrors; anything else (or unset) leaves them on.  The CI matrix
-   uses this to run the whole suite down the uncached read path. *)
-let mirror_from_env () =
-  match Option.map String.lowercase_ascii (Sys.getenv_opt "MONTAGE_MIRROR") with
-  | Some ("0" | "off" | "false" | "no") -> false
-  | _ -> true
-
 (* MONTAGE_MIRROR_BYTES=<n> bounds the DRAM resident in mirror bytes
-   (0 also disables mirroring; default 64 MB). *)
+   (0 turns the volatile payload mirrors off; default 64 MB).  The CI
+   matrix uses 0 to run the whole suite down the uncached read path. *)
 let mirror_bytes_from_env () =
   match Option.bind (Sys.getenv_opt "MONTAGE_MIRROR_BYTES") int_of_string_opt with
   | Some n when n >= 0 -> n
@@ -97,9 +72,6 @@ let default =
     persist = true;
     auto_advance = true;
     pcheck = pcheck_from_env ();
-    coalesce_writebacks = coalesce_from_env ();
-    drain_domains = drain_domains_from_env ();
-    payload_mirror = mirror_from_env ();
     mirror_max_bytes = mirror_bytes_from_env ();
     nb_advance = nb_advance_from_env ();
   }

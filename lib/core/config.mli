@@ -33,23 +33,13 @@ type t = {
   persist : bool;  (** [false] = Montage (T): payloads in NVM, no persistence *)
   auto_advance : bool;  (** spawn the background epoch-advancing domain *)
   pcheck : pcheck_policy;  (** persistency-ordering checker (Pcheck) *)
-  coalesce_writebacks : bool;
-      (** drain buffered persist records through a line-granular dedup
-          layer: sorted-merge overlapping 64 B line runs, issue batched
-          write-backs, one trailing fence per drain *)
-  drain_domains : int;
-      (** max worker domains the background advancer fans an epoch
-          drain out over (1 = serial); bounded at run time by the
-          region's spare thread slots *)
-  payload_mirror : bool;
-      (** keep a DRAM-side mirror of each live payload's content bytes
-          (and a decoded-value memo via {!Payload.Make}), so warm
-          [pget]s never touch NVM; refreshed by [pset], dropped by
-          [pdelete], cold after recovery *)
   mirror_max_bytes : int;
-      (** byte budget for resident mirrors; clock (second-chance)
-          eviction keeps the cache under it.  [0] disables mirroring
-          like [payload_mirror = false] *)
+      (** byte budget for the volatile payload mirrors: a DRAM-side
+          copy of each live payload's content bytes (and a decoded-value
+          memo via {!Payload.Make}), so warm [pget]s never touch NVM;
+          refreshed by [pset], dropped by [pdelete], cold after
+          recovery.  Clock (second-chance) eviction keeps the resident
+          bytes under the budget.  [0] turns mirrors off *)
   nb_advance : bool;
       (** nonblocking epoch advance (nbMontage): buffered records are
           published in place and stay claimable until fenced, any
@@ -65,20 +55,8 @@ type t = {
     ["strict"]/["enforce"] → [Pcheck_enforce], otherwise [Pcheck_off]. *)
 val pcheck_from_env : unit -> pcheck_policy
 
-(** The [MONTAGE_COALESCE] environment variable, decoded:
-    ["0"]/["off"]/["false"]/["no"] → [false], otherwise [true]. *)
-val coalesce_from_env : unit -> bool
-
-(** The [MONTAGE_DRAIN_DOMAINS] environment variable: a positive
-    integer, defaulting to [2]. *)
-val drain_domains_from_env : unit -> int
-
-(** The [MONTAGE_MIRROR] environment variable, decoded:
-    ["0"]/["off"]/["false"]/["no"] → [false], otherwise [true]. *)
-val mirror_from_env : unit -> bool
-
 (** The [MONTAGE_MIRROR_BYTES] environment variable: a non-negative
-    byte budget, defaulting to 64 MB. *)
+    byte budget, defaulting to 64 MB; [0] turns mirrors off. *)
 val mirror_bytes_from_env : unit -> int
 
 (** The [MONTAGE_NB_ADVANCE] environment variable, decoded:
@@ -88,8 +66,8 @@ val nb_advance_from_env : unit -> bool
 
 (** The paper's recommended configuration: 10 ms epochs, 64-entry
     write-back buffers, background reclamation.  [pcheck],
-    [coalesce_writebacks], [drain_domains] and [nb_advance] follow
-    their environment variables (see the [_from_env] decoders above). *)
+    [mirror_max_bytes] and [nb_advance] follow their environment
+    variables (see the [_from_env] decoders above). *)
 val default : t
 
 (** Montage (T): payloads placed in NVM, all persistence elided. *)

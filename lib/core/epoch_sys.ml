@@ -121,7 +121,7 @@ type t = {
   mutable bg : unit Domain.t option
       [@montage.guarded_by "control thread (start/stop_background caller)"];
   chk : Nvm.Pcheck.t option; (* persistency-ordering checker, per cfg.pcheck *)
-  mirror : mirror_cache option; (* volatile payload mirrors, per cfg.payload_mirror *)
+  mirror : mirror_cache option; (* volatile payload mirrors; None when cfg.mirror_max_bytes = 0 *)
 }
 
 let region t = t.region
@@ -180,7 +180,7 @@ let make_state region cfg =
     bg = None;
     chk;
     mirror =
-      (if cfg.Config.payload_mirror && cfg.Config.mirror_max_bytes > 0 then
+      (if cfg.Config.mirror_max_bytes > 0 then
          Some
            {
              budget = cfg.Config.mirror_max_bytes;
@@ -458,30 +458,10 @@ let test_stall_in_drain : (unit -> unit) ref = ref (fun () -> ())
 let publish_own_buffer t ~tid ~fence =
   let pt = t.threads.(tid) in
   let stop =
-    if t.cfg.Config.coalesce_writebacks then begin
-      let stop =
-        Persist_buffer.publish pt.buffer (fun off len -> Wb_coalescer.add pt.coal ~off ~len)
-      in
-      !test_stall_in_drain ();
-      flush_coalesced t ~tid ~charged:true ~fence pt.coal;
-      stop
-    end
-    else begin
-      let emitted = ref 0 in
-      let stop =
-        Persist_buffer.publish pt.buffer (fun off len ->
-            incr emitted;
-            Nvm.Region.writeback t.region ~tid ~off ~len)
-      in
-      !test_stall_in_drain ();
-      (if !emitted > 0 then
-         match fence with
-         | `Sync -> Nvm.Region.sfence t.region ~tid
-         | `Async -> Nvm.Region.sfence_async t.region ~tid
-         | `None -> ());
-      stop
-    end
+    Persist_buffer.publish pt.buffer (fun off len -> Wb_coalescer.add pt.coal ~off ~len)
   in
+  !test_stall_in_drain ();
+  flush_coalesced t ~tid ~charged:true ~fence pt.coal;
   Persist_buffer.retire_upto pt.buffer ~upto:stop;
   if Persist_buffer.is_empty pt.buffer then Mindicator.clear t.mind ~tid
 
@@ -513,11 +493,11 @@ let record_persist t ~tid ~off ~len =
         end
         else
           with_draining pt (fun () ->
-              if t.cfg.Config.coalesce_writebacks && Persist_buffer.is_full pt.buffer then begin
+              if Persist_buffer.is_full pt.buffer then begin
                 (* ring full: instead of evicting one record per push with a
-                   writeback+fence each (the per-record incremental path),
-                   snapshot-drain the whole ring through the coalescer — one
-                   batched issue, one fence, each line at most once *)
+                   writeback+fence each, snapshot-drain the whole ring
+                   through the coalescer — one batched issue, one fence,
+                   each line at most once *)
                 Persist_buffer.drain pt.buffer (fun o l -> Wb_coalescer.add pt.coal ~off:o ~len:l);
                 !test_stall_in_drain ();
                 flush_coalesced t ~tid ~charged:true ~fence:`Async pt.coal
@@ -526,11 +506,8 @@ let record_persist t ~tid ~off ~len =
                 ~flush:(fun o l -> flush_incremental t ~tid ~off:o ~len:l)
                 ~off ~len)
 
-(* Drain one thread's buffer.  With [coal] the records are collected
-   for a later batched flush; otherwise each goes straight onto the
-   caller's region queue.  When [charged] the caller pays CLWB issue
-   costs (it is a synchronous helper inside sync); otherwise it is the
-   background advancer.
+(* Drain thread [owner]'s buffer into [coal] for a later batched
+   flush.
 
    This must chase the tail ([drain_all], not the snapshot [drain]): a
    record the owner pushes mid-drain may cover a line whose write-back
@@ -539,31 +516,20 @@ let record_persist t ~tid ~off ~len =
    invariant: an epoch advance drains buffers to empty before the
    clock moves).  The snapshot drain is for the owner's own overflow
    batches, where no concurrent producer exists. *)
-let drain_buffer ?coal t ~tid ~owner ~charged =
-  (match coal with
-  | Some coal ->
-      Persist_buffer.drain_all t.threads.(owner).buffer (fun off len ->
-          Wb_coalescer.add coal ~off ~len)
-  | None ->
-      let wb =
-        if charged then Nvm.Region.writeback else Nvm.Region.writeback_uncharged
-      in
-      Persist_buffer.drain_all t.threads.(owner).buffer (fun off len -> wb t.region ~tid ~off ~len));
+let drain_buffer t ~owner coal =
+  Persist_buffer.drain_all t.threads.(owner).buffer (fun off len ->
+      Wb_coalescer.add coal ~off ~len);
   Mindicator.clear t.mind ~tid:owner
 
 (* ---- reclamation ---- *)
 
 (* Scrub a block's media header, then hand it back to the allocator.
    Scrubbing closes the block-recycling resurrection window (DESIGN.md);
-   the write-back is batched on the caller's queue and fenced by the
+   the write-back is collected in [coal] and flushed and fenced by the
    caller before the epoch clock moves. *)
-let reclaim_block ?coal t ~tid ~charged off =
+let reclaim_block t ~tid ~coal off =
   Payload_hdr.scrub t.region ~off;
-  (match coal with
-  | Some coal -> Wb_coalescer.add coal ~off ~len:8
-  | None ->
-      if charged then Nvm.Region.writeback t.region ~tid ~off ~len:8
-      else Nvm.Region.writeback_uncharged t.region ~tid ~off ~len:8);
+  Wb_coalescer.add coal ~off ~len:8;
   Ralloc.free t.alloc ~tid off
 
 (* Claim and reclaim thread [owner]'s deferred frees that are ripe at
@@ -576,8 +542,8 @@ let reclaim_block ?coal t ~tid ~charged off =
    concurrent appends.  [upto] is a fixed epoch, not a clock-relative
    slot index, so a reclaimer delayed arbitrarily long still frees only
    blocks whose two-epoch quarantine had elapsed when it was computed.
-   Returns the number of blocks reclaimed (callers skip their fence
-   when nothing happened). *)
+   The scrubs' write-backs are collected in [coal]; the caller flushes
+   and fences them. *)
 (* Test-only stall injection for the reclamation scrub window: invoked
    after the ripe plain victims' scrubs have been issued (still
    volatile) but before the fence and the anti-payload scrubs.  A
@@ -587,11 +553,11 @@ let reclaim_block ?coal t ~tid ~charged off =
    masked victim.  Never set outside tests. *)
 let test_stall_in_reclaim : (unit -> unit) ref = ref (fun () -> ())
 
-let reclaim_ripe ?coal ?(charged = false) t ~tid ~owner ~upto =
+let reclaim_ripe t ~tid ~coal ~charged ~owner ~upto =
   Util.Sched.yield "esys.reclaim";
   let cell = t.to_free.(owner) in
   match Atomic.exchange cell [] with
-  | [] -> 0
+  | [] -> ()
   | all ->
       let ripe, keep = List.partition (fun (e, _, _) -> e <= upto) all in
       (if keep <> [] then
@@ -610,17 +576,13 @@ let reclaim_ripe ?coal ?(charged = false) t ~tid ~owner ~upto =
          may complete independently per line, so without it a crash
          could persist the anti's line and drop the victim's. *)
       let antis, plains = List.partition (fun (_, _, anti) -> anti) ripe in
-      List.iter (fun (_, off, _) -> reclaim_block ?coal t ~tid ~charged off) plains;
+      List.iter (fun (_, off, _) -> reclaim_block t ~tid ~coal off) plains;
       !test_stall_in_reclaim ();
       if antis <> [] then begin
-        (if plains <> [] then
-           match coal with
-           | Some coal ->
-               flush_coalesced t ~tid ~charged ~fence:(if charged then `Sync else `Async) coal
-           | None -> Nvm.Region.sfence t.region ~tid);
-        List.iter (fun (_, off, _) -> reclaim_block ?coal t ~tid ~charged off) antis
-      end;
-      List.length ripe
+        if plains <> [] then
+          flush_coalesced t ~tid ~charged ~fence:(if charged then `Sync else `Async) coal;
+        List.iter (fun (_, off, _) -> reclaim_block t ~tid ~coal off) antis
+      end
 
 (* Worker-local reclamation (+LocalFree in Fig. 4): at begin_op, a
    thread entering epoch e reclaims its own garbage that is ripe at
@@ -631,14 +593,8 @@ let reclaim_local t ~tid =
   if pt.last_epoch > 0 && pt.op_epoch > pt.last_epoch then begin
     let upto = pt.op_epoch - 2 in
     (* worker-side reclamation dilates the critical path: charged *)
-    if t.cfg.Config.coalesce_writebacks then begin
-      ignore (reclaim_ripe ~coal:pt.coal ~charged:true t ~tid ~owner:tid ~upto);
-      flush_coalesced t ~tid ~charged:true ~fence:`Sync pt.coal
-    end
-    else begin
-      let n = reclaim_ripe ~charged:true t ~tid ~owner:tid ~upto in
-      if n > 0 then Nvm.Region.sfence t.region ~tid
-    end
+    reclaim_ripe t ~tid ~coal:pt.coal ~charged:true ~owner:tid ~upto;
+    flush_coalesced t ~tid ~charged:true ~fence:`Sync pt.coal
   end
 
 (* ---- operations ---- *)
@@ -676,17 +632,9 @@ let end_op t ~tid =
          everything at the end of each operation — fully charged, it
          waits for the drain *)
       with_draining pt (fun () ->
-          if t.cfg.Config.coalesce_writebacks then begin
-            Persist_buffer.drain_all pt.buffer (fun off len -> Wb_coalescer.add pt.coal ~off ~len);
-            Mindicator.clear t.mind ~tid;
-            !test_stall_in_drain ();
-            flush_coalesced t ~tid ~charged:true ~fence:`Sync pt.coal
-          end
-          else begin
-            drain_buffer t ~tid ~owner:tid ~charged:true;
-            !test_stall_in_drain ();
-            Nvm.Region.sfence t.region ~tid
-          end);
+          drain_buffer t ~owner:tid pt.coal;
+          !test_stall_in_drain ();
+          flush_coalesced t ~tid ~charged:true ~fence:`Sync pt.coal);
       pt.op_epoch <- 0;
       Tracker.unregister t.tracker ~tid
     end
@@ -978,41 +926,21 @@ let pdelete t ~tid p =
 
 (* ---- epoch advance ---- *)
 
-(* Blocking arm: advance the clock by one epoch under [advance_lock];
-   the caller may be the background domain, a sync helper, or a test.
-   Steps follow §3.2: quiesce e−1, reclaim ripe deferred frees, write
-   back everything buffered, fence, then bump and persist the clock.
-   Reclamation scrubs ride the same fence as the payload write-backs,
-   so nothing is reused before its supersession record is durable. *)
-(* Drain the ripe deferred frees (when background reclamation is on;
-   [reclaim_upto] is the newest ripe epoch) and the persist buffer of
-   each owner in [owners] through [coal] on thread [tid], then flush
-   the batch and fence.  One shard of an epoch drain. *)
-let drain_shard t ~tid ~reclaim_upto ~charged ~fence coal owners =
-  List.iter
-    (fun owner ->
-      (match reclaim_upto with
-      | Some upto -> ignore (reclaim_ripe ~coal ~charged t ~tid ~owner ~upto)
-      | None -> ());
-      drain_buffer ~coal t ~tid ~owner ~charged)
-    owners;
-  flush_coalesced t ~tid ~charged ~fence coal
-
 (* Advisory emptiness probe on an owner's deferred-free cell, used only
-   to decide whether it is worth visiting in a drain shard. *)
+   to decide whether it is worth visiting in an epoch drain. *)
 let has_ripe_free t ~owner ~upto =
   List.exists (fun (e, _, _) -> e <= upto) (Atomic.get t.to_free.(owner))
 [@@montage.allow
   "R2: read-only probe under the blocking arm's advance lock; the \
    claim itself goes through reclaim_ripe's esys.reclaim point"]
 
-(* The coalesced epoch drain.  Serial by default; the background
-   advancer (and only it — worker tids must not be borrowed from under
-   running threads) fans the per-owner drains out over up to
-   [cfg.drain_domains] worker domains, each with its own coalescer,
-   region queue (one of the region's spare thread slots) and trailing
-   fence, so the write-back of a large epoch completes before the
-   clock ticks rather than serializing on one domain. *)
+(* The blocking arm's epoch drain, serial on thread [tid]: for every
+   owner with work, claim its ripe deferred frees (when background
+   reclamation is on; [reclaim_upto] is the newest ripe epoch) and drain
+   its persist buffer through [tid]'s coalescer, then flush the batch
+   behind one fence.  Reclamation scrubs ride the same fence as the
+   payload write-backs, so nothing is reused before its supersession
+   record is durable. *)
 let drain_all_coalesced t ~tid ~reclaim_upto ~charged =
   let nw = t.cfg.Config.max_threads in
   let owners = ref [] in
@@ -1022,40 +950,22 @@ let drain_all_coalesced t ~tid ~reclaim_upto ~charged =
     in
     if ripe || not (Persist_buffer.is_empty t.threads.(owner).buffer) then
       owners := owner :: !owners
+    else Mindicator.clear t.mind ~tid:owner
   done;
-  let owners = !owners in
-  (* owners with nothing to drain still get their mindicator slot
-     cleared, as the unconditional per-owner drain did *)
-  for owner = 0 to nw - 1 do
-    if not (List.mem owner owners) then Mindicator.clear t.mind ~tid:owner
-  done;
-  let n = List.length owners in
-  (* spare region thread slots beyond the workers and the advancer *)
-  let spare = Nvm.Region.max_threads t.region - (nw + 1) in
-  let k =
-    if charged || tid <> advancer_tid t.cfg then 1
-    else if Util.Sched.active () then 1
-      (* the deterministic scheduler runs everything as fibers on one
-         domain; spawning helper domains would race it *)
-    else min t.cfg.Config.drain_domains (min (1 + spare) (max 1 n))
-  in
-  if k <= 1 then drain_shard t ~tid ~reclaim_upto ~charged ~fence:(if charged then `Sync else `Async)
-      t.threads.(tid).coal owners
-  else begin
-    let shards = Array.make k [] in
-    List.iteri (fun i owner -> shards.(i mod k) <- owner :: shards.(i mod k)) owners;
-    let run j =
-      (* shard 0 reuses the advancer's tid and coalescer; helpers get
-         the region's spare slots above the advancer *)
-      let stid = if j = 0 then tid else nw + 1 + (j - 1) in
-      let coal = if j = 0 then t.threads.(tid).coal else Wb_coalescer.create () in
-      drain_shard t ~tid:stid ~reclaim_upto ~charged:false ~fence:`Async coal shards.(j)
-    in
-    let helpers = Array.init (k - 1) (fun j -> Domain.spawn (fun () -> run (j + 1))) in
-    run 0;
-    Array.iter Domain.join helpers
-  end
+  let coal = t.threads.(tid).coal in
+  List.iter
+    (fun owner ->
+      (match reclaim_upto with
+      | Some upto -> reclaim_ripe t ~tid ~coal ~charged ~owner ~upto
+      | None -> ());
+      drain_buffer t ~owner coal)
+    !owners;
+  flush_coalesced t ~tid ~charged ~fence:(if charged then `Sync else `Async) coal
 
+(* Blocking arm: advance the clock by one epoch under [advance_lock];
+   the caller may be the background domain, a sync helper, or a test.
+   Steps follow §3.2: quiesce e−1, reclaim ripe deferred frees, write
+   back everything buffered, fence, then bump and persist the clock. *)
 let blocking_advance_epoch t ~tid ~charged =
   Util.Sched.yield "esys.advance";
   Util.Spin_lock.with_lock t.advance_lock (fun () ->
@@ -1068,21 +978,7 @@ let blocking_advance_epoch t ~tid ~charged =
             Some (e - 2)
           else None
         in
-        (if t.cfg.Config.coalesce_writebacks then
-           drain_all_coalesced t ~tid ~reclaim_upto ~charged
-         else begin
-           (match reclaim_upto with
-           | Some upto ->
-               for owner = 0 to t.cfg.Config.max_threads - 1 do
-                 ignore (reclaim_ripe t ~tid ~owner ~upto)
-               done
-           | None -> ());
-           for owner = 0 to t.cfg.Config.max_threads - 1 do
-             drain_buffer t ~tid ~owner ~charged
-           done;
-           if charged then Nvm.Region.sfence t.region ~tid
-           else Nvm.Region.sfence_async t.region ~tid
-         end);
+        drain_all_coalesced t ~tid ~reclaim_upto ~charged;
         (* A worker may at this instant hold records it popped from its
            own ring (overflow batch, end-of-op drain) whose write-backs
            are not yet fenced: the drains above saw its ring empty, but
@@ -1148,38 +1044,18 @@ let nb_advance_epoch t ~tid ~charged =
      already holds, so do not push it an extra tick *)
   if Atomic.get t.curr_epoch = e then begin
     let nw = t.cfg.Config.max_threads in
-    let coal =
-      if t.cfg.Config.coalesce_writebacks then Some t.threads.(tid).coal else None
-    in
+    let coal = t.threads.(tid).coal in
+    let fence = if charged then `Sync else `Async in
     if t.cfg.Config.persist then begin
       (* publication pass: emit every owner's ring without consuming *)
-      let stops = Array.make nw 0 in
-      let emitted = ref 0 in
-      for owner = 0 to nw - 1 do
-        let buf = t.threads.(owner).buffer in
-        stops.(owner) <-
-          (match coal with
-          | Some coal ->
-              Persist_buffer.publish buf (fun off len ->
-                  incr emitted;
-                  Wb_coalescer.add coal ~off ~len)
-          | None ->
-              let wb =
-                if charged then Nvm.Region.writeback else Nvm.Region.writeback_uncharged
-              in
-              Persist_buffer.publish buf (fun off len ->
-                  incr emitted;
-                  wb t.region ~tid ~off ~len))
-      done;
+      let stops =
+        Array.init nw (fun owner ->
+            Persist_buffer.publish t.threads.(owner).buffer (fun off len ->
+                Wb_coalescer.add coal ~off ~len))
+      in
       !test_stall_in_drain ();
       (* one fence covers every owner's published write-backs *)
-      (match coal with
-      | Some coal ->
-          flush_coalesced t ~tid ~charged ~fence:(if charged then `Sync else `Async) coal
-      | None ->
-          if !emitted > 0 then
-            if charged then Nvm.Region.sfence t.region ~tid
-            else Nvm.Region.sfence_async t.region ~tid);
+      flush_coalesced t ~tid ~charged ~fence coal;
       (* fenced: retire each published prefix and update the owner's
          mindicator leaf — records still in a ring (pushed after our
          snapshot) belong to epoch >= e *)
@@ -1211,17 +1087,10 @@ let nb_advance_epoch t ~tid ~charged =
         && t.cfg.Config.reclaim = Config.Background
         && not t.cfg.Config.direct_free
       then begin
-        let reclaimed = ref 0 in
         for owner = 0 to nw - 1 do
-          reclaimed := !reclaimed + reclaim_ripe ?coal ~charged t ~tid ~owner ~upto:(e - 1)
+          reclaim_ripe t ~tid ~coal ~charged ~owner ~upto:(e - 1)
         done;
-        match coal with
-        | Some coal ->
-            flush_coalesced t ~tid ~charged ~fence:(if charged then `Sync else `Async) coal
-        | None ->
-            if !reclaimed > 0 then
-              if charged then Nvm.Region.sfence t.region ~tid
-              else Nvm.Region.sfence_async t.region ~tid
+        flush_coalesced t ~tid ~charged ~fence coal
       end
     end
   end

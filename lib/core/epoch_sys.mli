@@ -120,17 +120,17 @@ val check_epoch : t -> tid:int -> unit
 (** PNEW: allocate and fill a payload labeled with the current
     operation's epoch.  Must be inside [begin_op]/[end_op].
 
-    Ownership handover: with [config.payload_mirror] the content buffer
-    is adopted {e by reference} as the new handle's DRAM mirror (shared,
-    not copied) and may later be returned verbatim by {!pget}.  Callers
-    must pass a freshly allocated buffer (e.g. an encoder result built
+    Ownership handover: with mirrors on ([config.mirror_max_bytes > 0])
+    the content buffer is adopted {e by reference} as the new handle's
+    DRAM mirror (shared, not copied) and may later be returned verbatim
+    by {!pget}.  Callers must pass a freshly allocated buffer (e.g. an encoder result built
     for this call) and never mutate it afterwards — reusing or patching
     the buffer silently corrupts mirror coherence in a way only a
     Pcheck-checked run can surface. *)
 val pnew : t -> tid:int -> bytes -> pblk
 
 (** Read a payload's content.  Performs the old-sees-new check when an
-    operation is active.  With [config.payload_mirror] a warm handle is
+    operation is active.  With mirrors on a warm handle is
     served from its DRAM mirror — no NVM load is charged and nothing is
     allocated; a cold miss pays the load and populates the mirror.  The
     returned bytes may be the mirror itself: callers must not mutate

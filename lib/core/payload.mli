@@ -7,9 +7,9 @@
     (a copying update across an epoch boundary); the caller must
     install the returned handle everywhere the old one appeared.
 
-    With [Config.payload_mirror] each instantiation also memoizes the
-    decoded value on the handle: a warm [get] returns the cached value
-    with no NVM load, no decode, and no allocation.  Use the shared
+    With mirrors on ([Config.mirror_max_bytes > 0]) each instantiation
+    also memoizes the decoded value on the handle: a warm [get] returns
+    the cached value with no NVM load, no decode, and no allocation.  Use the shared
     pre-applied instances {!Str}/{!Kv}/{!Seq} where possible — each
     application of {!Make} owns a distinct memo constructor, so two
     modules reading the same payloads through separate applications

@@ -17,8 +17,8 @@
    Sorting packed ints with the line index in the high bits orders runs
    by first line directly.
 
-   Single-owner discipline: a coalescer belongs to the draining thread
-   (or shard); no synchronization inside. *)
+   Single-owner discipline: a coalescer belongs to the draining
+   thread; no synchronization inside. *)
 
 type t = {
   mutable entries : int array [@montage.thread_local];

@@ -5,7 +5,7 @@
     and overlapping or adjacent runs merged, so each line is written
     back at most once per drain regardless of how many buffered records
     covered it.  Single-owner: a coalescer belongs to the draining
-    thread or shard; no internal synchronization. *)
+    thread; no internal synchronization. *)
 
 type t
 

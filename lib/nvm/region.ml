@@ -309,25 +309,15 @@ let enqueue_line_run t ~tid ~first ~total ~charge_ns =
   if charge_ns > 0 && total > 0 then Util.Spin_wait.ns (total * charge_ns);
   Util.Padded.add t.stat_writebacks tid total
 
-let enqueue_writeback t ~tid ~off ~len ~charge =
-  check_range t off len;
-  (match t.checker with None -> () | Some c -> Pcheck.on_writeback c ~tid ~off ~len);
-  let first = off lsr line_shift and last = (off + len - 1) lsr line_shift in
-  let total = last - first + 1 in
-  enqueue_line_run t ~tid ~first ~total
-    ~charge_ns:(if charge then t.latency.Latency.writeback_ns else 0)
-
 (* CLWB analog: queue every line covering [off, off+len) for write-back. *)
-let writeback t ~tid ~off ~len = if len > 0 then enqueue_writeback t ~tid ~off ~len ~charge:true
-
-(* Uncharged write-back: identical semantics, no latency.  For work
-   performed by a background domain that, in the paper's deployment,
-   runs on its own core — its device traffic does not consume
-   application-thread time.  On this one-core simulator charging it
-   would bill the application for bandwidth the paper explicitly moves
-   off the critical path. *)
-let writeback_uncharged t ~tid ~off ~len =
-  if len > 0 then enqueue_writeback t ~tid ~off ~len ~charge:false
+let writeback t ~tid ~off ~len =
+  if len > 0 then begin
+    check_range t off len;
+    (match t.checker with None -> () | Some c -> Pcheck.on_writeback c ~tid ~off ~len);
+    let first = off lsr line_shift and last = (off + len - 1) lsr line_shift in
+    enqueue_line_run t ~tid ~first ~total:(last - first + 1)
+      ~charge_ns:t.latency.Latency.writeback_ns
+  end
 
 (* Batched line-granular write-back (the coalesced drain path): queue
    [lines] 64 B lines starting at line [first], charging the pipelined
@@ -341,6 +331,12 @@ let writeback_lines t ~tid ~first ~lines =
     enqueue_line_run t ~tid ~first ~total:lines ~charge_ns:t.latency.Latency.writeback_batch_ns
   end
 
+(* Uncharged batched write-back: identical semantics, no latency.  For
+   work performed by a background domain that, in the paper's
+   deployment, runs on its own core — its device traffic does not
+   consume application-thread time.  On this one-core simulator
+   charging it would bill the application for bandwidth the paper
+   explicitly moves off the critical path. *)
 let writeback_lines_uncharged t ~tid ~first ~lines =
   if lines > 0 then begin
     let off = first lsl line_shift and len = lines lsl line_shift in

@@ -73,16 +73,14 @@ val transient_get_i64 : t -> off:int -> int
     write-back, charging issue cost. *)
 val writeback : t -> tid:int -> off:int -> len:int -> unit
 
-(** Identical semantics, zero charge: work performed by a background
-    domain that runs on a dedicated core in the paper's deployment. *)
-val writeback_uncharged : t -> tid:int -> off:int -> len:int -> unit
-
 (** Batched line-granular write-back (the coalesced drain path): queue
     [lines] 64 B lines starting at line index [first], charging the
     pipelined per-line batch rate ({!Latency.t.writeback_batch_ns}) —
     back-to-back CLWBs overlap in the store buffer. *)
 val writeback_lines : t -> tid:int -> first:int -> lines:int -> unit
 
+(** Identical semantics, zero charge: work performed by a background
+    domain that runs on a dedicated core in the paper's deployment. *)
 val writeback_lines_uncharged : t -> tid:int -> first:int -> lines:int -> unit
 
 (** Record one coalescing round's effectiveness: [ranges] buffered

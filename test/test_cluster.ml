@@ -363,14 +363,14 @@ let test_down_before_start () =
 
    The router frames requests with the shards' own framer, so apart
    from [version], the merged [stats] and [SERVER_ERROR shard down] a
-   client cannot tell a 1-shard router from the shard itself.  Each
+   client cannot tell a router from one shard holding every key.  Each
    script runs twice — against a shard directly and through a router in
-   front of an identical shard — and every client's reply bytes must
+   front of identical shards — and every client's reply bytes must
    match. *)
 
-(* a 1-shard router whose caps match its shard's *)
-let start_routed ?(config = fun c -> c) ?poller () =
-  let shard = start_shard_with ~config ?poller () in
+(* an [n]-shard router (1 by default) whose caps match its shards' *)
+let start_routed ?(n = 1) ?(config = fun c -> c) ?poller () =
+  let shards = List.init n (fun _ -> start_shard_with ~config ?poller ()) in
   let caps = config Netserve.default_config in
   let r =
     Router.start
@@ -381,10 +381,12 @@ let start_routed ?(config = fun c -> c) ?poller () =
           max_line = caps.Netserve.max_line;
           max_value = caps.Netserve.max_value;
         }
-      [ { Router.sid = 0; shost = "127.0.0.1"; sport = Netserve.port shard } ]
+      (List.mapi
+         (fun sid shard -> { Router.sid; shost = "127.0.0.1"; sport = Netserve.port shard })
+         shards)
   in
-  if not (Router.wait_up r ~timeout_s:10.0) then Alcotest.fail "shard did not join";
-  (shard, r)
+  if not (Router.wait_up r ~timeout_s:10.0) then Alcotest.fail "shards did not join";
+  (shards, r)
 
 (* read whatever arrives until the connection stays quiet for [quiet] s *)
 let drain_quiet ?(quiet = 0.05) fd acc =
@@ -440,13 +442,13 @@ let divergences =
     ("flush_all with a bad delay", [ (0, "flush_all abc\r\nget k\r\n") ]);
   ]
 
-let test_divergence script () =
+let test_divergence ?n script () =
   let direct = start_shard () in
-  let shard, r = start_routed () in
+  let shards, r = start_routed ?n () in
   Fun.protect
     ~finally:(fun () ->
       Router.stop r;
-      List.iter (fun t -> ignore (Netserve.shutdown t)) [ direct; shard ])
+      List.iter (fun t -> ignore (Netserve.shutdown t)) (direct :: shards))
     (fun () ->
       let want = run_script (Netserve.port direct) script in
       let got = run_script (Router.port r) script in
@@ -454,6 +456,25 @@ let test_divergence script () =
         (fun c (w, g) -> Alcotest.(check string) (Printf.sprintf "client %d replies" c) w g)
         (List.combine want got);
       Alcotest.(check int) "no shard marked down" 0 (Router.stats r).Router.downs)
+
+(* A get split over two shards: [a] and [c] live on shard 0, [b] on
+   shard 1, so the parts come back grouped per shard; the router must
+   still emit the VALUE blocks in request order, repeats and misses
+   included, exactly as one shard holding all three keys does. *)
+let split_get_script =
+  let ring = Ring.create ~vnodes:router_config.vnodes [ 0; 1 ] in
+  match (keys_on ring 0 2, keys_on ring 1 1) with
+  | [ a; c ], [ b ] ->
+      [
+        ( 0,
+          String.concat ""
+            (List.map
+               (fun k -> Printf.sprintf "set %s 0 0 %d\r\n%s\r\n" k (String.length k) k)
+               [ a; b; c ]) );
+        (0, Printf.sprintf "get %s %s %s\r\n" a b c);
+        (0, Printf.sprintf "get %s %s nokey %s %s %s %s\r\n" b a c b a b);
+      ]
+  | _ -> assert false
 
 (* Random request streams: valid, malformed, oversized, mixed-case and
    bare-LF requests, each complete as the framer sees it, delivered in
@@ -560,11 +581,11 @@ let session port (stream, cuts) =
 
 let test_differential kind () =
   let direct = start_shard_with ~config:small_caps ~poller:kind () in
-  let shard, r = start_routed ~config:small_caps ~poller:kind () in
+  let shards, r = start_routed ~config:small_caps ~poller:kind () in
   Fun.protect
     ~finally:(fun () ->
       Router.stop r;
-      List.iter (fun t -> ignore (Netserve.shutdown t)) [ direct; shard ])
+      List.iter (fun t -> ignore (Netserve.shutdown t)) (direct :: shards))
     (fun () ->
       let prop =
         QCheck.Test.make ~count:200
@@ -598,7 +619,7 @@ let () =
           Alcotest.test_case "shard down and rejoin" `Quick test_shard_down_and_rejoin;
           Alcotest.test_case "all shards down from birth" `Quick test_down_before_start;
         ] );
-      (* Router vs lone shard, byte for byte. Group names stay at most six
+      (* Router vs one shard, byte for byte. Group names stay at most six
          characters: Alcotest widens its label column to the longest one,
          which shortens every printed test name. *)
       ( "parity",
@@ -610,5 +631,9 @@ let () =
               Alcotest.test_case (name ^ ": random streams byte-identical") `Quick
                 (test_differential kind))
             ((if Netserve.Poller.epoll_available then [ (Netserve.Poller.Epoll, "epoll") ] else [])
-            @ [ (Netserve.Poller.Select, "select") ]) );
+            @ [ (Netserve.Poller.Select, "select") ])
+        @ [
+            Alcotest.test_case "get split over 2 shards keeps key order" `Quick
+              (test_divergence ~n:2 split_get_script);
+          ] );
     ]

@@ -1,14 +1,12 @@
-(* The coalescing write-back path: unit coverage of the line-dedup
-   layer, the batched Region API, on-vs-off write-back/fence/lint
-   accounting on a deterministic Montage workload, the background
-   advancer's parallel sharded drain, and a crash-recovery matrix —
+(* The coalescing write-back path — the only one: every buffered
+   write-back reaches media through a per-thread coalescer.  Unit
+   coverage of the line-dedup layer, the batched Region API, write-back,
+   fence, dedup and lint accounting on a deterministic Montage workload,
+   the background
+   advancer's drain of loaded workers, and a crash-recovery matrix —
    [Pcheck.explore] enumerating every fence-respecting crash state of
-   coalesced mqueue/mhashmap/mskiplist runs and asserting the recovery
-   predicate on each.
-
-   Every esys here pins [coalesce_writebacks] explicitly (rather than
-   inheriting MONTAGE_COALESCE) so the CI matrix legs exercise both
-   library paths without inverting these assertions. *)
+   mqueue/mhashmap/mskiplist runs and asserting the recovery predicate
+   on each. *)
 
 module W = Montage.Wb_coalescer
 module R = Nvm.Region
@@ -16,11 +14,11 @@ module P = Nvm.Pcheck
 module E = Montage.Epoch_sys
 module Cfg = Montage.Config
 
-let on_cfg = { Cfg.testing with max_threads = 2; coalesce_writebacks = true; drain_domains = 1 }
-let off_cfg = { on_cfg with coalesce_writebacks = false }
+let base_cfg = { Cfg.testing with max_threads = 2 }
 
-(* Pin the advance arm ([Config.nb_advance]) the same way: tests that
-   depend on the drain schedule run under both arms explicitly. *)
+(* Pin the advance arm ([Config.nb_advance]): tests that depend on the
+   drain schedule run under both arms explicitly rather than inheriting
+   MONTAGE_NB_ADVANCE. *)
 let arm ~nb cfg = { cfg with Cfg.nb_advance = nb }
 
 (* ---- Wb_coalescer ---- *)
@@ -128,7 +126,7 @@ let test_note_coalesced_stats () =
   Alcotest.(check int) "lines out" 6 s.R.coalesce_lines_out;
   Alcotest.(check (triple int int int)) "checker mirrors totals" (7, 11, 6) (P.coalesce_totals c)
 
-(* ---- on-vs-off accounting on a deterministic Montage workload ---- *)
+(* ---- accounting on a deterministic Montage workload ---- *)
 
 (* Same-epoch rewrites of few keys through a tiny ring: the overflow
    path fires constantly and the buffered ranges overlap heavily —
@@ -153,90 +151,102 @@ let rewrite_workload cfg =
   E.advance_epoch esys ~tid:0;
   (region, R.stats region)
 
-(* Parameterized over the advance arm.  Under the blocking arm the
-   uncoalesced overflow drain pays a fence per ring eviction, so
-   coalescing strictly reduces fences too; the nonblocking arm's
-   overflow path publishes the whole ring behind one batched fence
-   either way, so fence counts can legitimately tie there and the
-   coalescing win is write-back dedup alone. *)
+(* The per-record drain this path replaced paid one write-back per
+   buffered line and a fence per drained record; the coalesced drain is
+   measured against that cost on each advance arm.  [writebacks] also
+   counts lines queued outside the coalescer, so it must come in under
+   the records' line total even with those included. *)
 let test_coalescing_reduces_writebacks_and_fences ~nb () =
-  let _, on = rewrite_workload (arm ~nb on_cfg) in
-  let _, off = rewrite_workload (arm ~nb off_cfg) in
+  let _, st = rewrite_workload (arm ~nb base_cfg) in
   Alcotest.(check bool)
-    (Printf.sprintf "fewer write-backs (%d < %d)" on.R.writebacks off.R.writebacks)
+    (Printf.sprintf "fewer write-backs than buffered lines (%d < %d)" st.R.writebacks
+       st.R.coalesce_lines_in)
     true
-    (on.R.writebacks < off.R.writebacks);
+    (st.R.writebacks < st.R.coalesce_lines_in);
   Alcotest.(check bool)
-    (Printf.sprintf "no more fences (%d %s %d)" on.R.fences (if nb then "<=" else "<") off.R.fences)
+    (Printf.sprintf "fewer fences than drained records (%d < %d)" st.R.fences
+       st.R.coalesce_ranges)
     true
-    (if nb then on.R.fences <= off.R.fences else on.R.fences < off.R.fences);
-  Alcotest.(check bool) "dedup ratio > 1" true (on.R.coalesce_lines_in > on.R.coalesce_lines_out);
-  Alcotest.(check int) "off path never coalesces" 0 off.R.coalesce_ranges
+    (st.R.fences < st.R.coalesce_ranges)
 
 let lint_count c kind =
   List.fold_left (fun acc (k, _, n) -> if k = kind then acc + n else acc) 0 (P.lint_counts c)
 
+(* Ten same-epoch rewrites per key drain as ten buffered records over
+   the same lines.  On both advance arms the coalescer must merge them
+   (more lines in than out) and flush each line once behind its fence
+   (no [Duplicate_flush] lint). *)
 let test_coalescing_removes_duplicate_flushes () =
-  let region_on, _ = rewrite_workload on_cfg in
-  let region_off, _ = rewrite_workload off_cfg in
-  let dup r =
-    match R.checker r with Some c -> lint_count c P.Duplicate_flush | None -> Alcotest.fail "no checker"
-  in
-  (* ten same-epoch rewrites per key drain as ten buffered records over
-     the same lines: the uncoalesced epoch drain flushes each again
-     behind one fence *)
-  Alcotest.(check bool) "uncoalesced drain duplicates flushes" true (dup region_off > 0);
-  Alcotest.(check int) "coalesced drain flushes each line once" 0 (dup region_on)
+  List.iter
+    (fun nb ->
+      let name = if nb then "nb advance" else "blocking advance" in
+      let region, st = rewrite_workload (arm ~nb base_cfg) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: dedup ratio > 1 (%d lines in, %d out)" name st.R.coalesce_lines_in
+           st.R.coalesce_lines_out)
+        true
+        (st.R.coalesce_lines_in > st.R.coalesce_lines_out);
+      match R.checker region with
+      | None -> Alcotest.fail "no checker"
+      | Some c ->
+          Alcotest.(check int)
+            (name ^ ": each line flushed once")
+            0
+            (lint_count c P.Duplicate_flush))
+    [ true; false ]
 
-(* ---- parallel epoch drain ---- *)
+(* ---- the advancer's epoch drain ---- *)
 
-let test_parallel_drain_correct () =
-  (* region slots: 2 workers + advancer + 3 spare, so the advancer may
-     fan out over drain_domains = 2 shard domains *)
-  let region = R.create ~latency:Nvm.Latency.zero ~max_threads:6 ~capacity:(1 lsl 22) () in
-  let cfg = { on_cfg with Cfg.drain_domains = 2; buffer_size = 256 } in
-  let esys = E.create ~config:cfg region in
-  let m = Pstructs.Mhashmap.create ~buckets:16 esys in
-  (* both workers leave loaded buffers for the advancer to shard *)
-  let workers =
-    Array.init 2 (fun tid ->
-        Domain.spawn (fun () ->
-            for i = 0 to 49 do
-              ignore (Pstructs.Mhashmap.put m ~tid (Printf.sprintf "t%d-%d" tid i) (string_of_int i))
-            done))
-  in
-  Array.iter Domain.join workers;
-  let advancer = cfg.Cfg.max_threads in
-  E.advance_epoch esys ~tid:advancer;
-  E.advance_epoch esys ~tid:advancer;
-  R.crash region;
-  let esys2, payloads = E.recover ~config:{ cfg with Cfg.pcheck = Cfg.Pcheck_off } region in
-  let m2 = Pstructs.Mhashmap.recover ~buckets:16 esys2 payloads in
-  Alcotest.(check int) "all pairs durable after the sharded drain" 100
-    (Pstructs.Mhashmap.size m2);
-  for tid = 0 to 1 do
-    for i = 0 to 49 do
-      Alcotest.(check (option string))
-        (Printf.sprintf "t%d-%d" tid i)
-        (Some (string_of_int i))
-        (Pstructs.Mhashmap.get m2 ~tid (Printf.sprintf "t%d-%d" tid i))
-    done
-  done;
-  match R.checker region with
-  | None -> Alcotest.fail "checker missing"
-  | Some c -> Alcotest.(check int) "no violations" 0 (List.length (P.violations c))
+(* Both workers leave loaded buffers; the background advancer's tid
+   drains them in two ticks, and after a crash every pair recovers. *)
+let test_advancer_drain_correct () =
+  List.iter
+    (fun nb ->
+      let region = R.create ~latency:Nvm.Latency.zero ~max_threads:4 ~capacity:(1 lsl 22) () in
+      let cfg = arm ~nb { base_cfg with Cfg.buffer_size = 256 } in
+      let esys = E.create ~config:cfg region in
+      let m = Pstructs.Mhashmap.create ~buckets:16 esys in
+      let workers =
+        Array.init 2 (fun tid ->
+            Domain.spawn (fun () ->
+                for i = 0 to 49 do
+                  ignore
+                    (Pstructs.Mhashmap.put m ~tid (Printf.sprintf "t%d-%d" tid i) (string_of_int i))
+                done))
+      in
+      Array.iter Domain.join workers;
+      let advancer = cfg.Cfg.max_threads in
+      E.advance_epoch esys ~tid:advancer;
+      E.advance_epoch esys ~tid:advancer;
+      R.crash region;
+      let esys2, payloads = E.recover ~config:{ cfg with Cfg.pcheck = Cfg.Pcheck_off } region in
+      let m2 = Pstructs.Mhashmap.recover ~buckets:16 esys2 payloads in
+      Alcotest.(check int) "all pairs durable after the advancer's drain" 100
+        (Pstructs.Mhashmap.size m2);
+      for tid = 0 to 1 do
+        for i = 0 to 49 do
+          Alcotest.(check (option string))
+            (Printf.sprintf "t%d-%d" tid i)
+            (Some (string_of_int i))
+            (Pstructs.Mhashmap.get m2 ~tid (Printf.sprintf "t%d-%d" tid i))
+        done
+      done;
+      match R.checker region with
+      | None -> Alcotest.fail "checker missing"
+      | Some c -> Alcotest.(check int) "no violations" 0 (List.length (P.violations c)))
+    [ true; false ]
 
 (* ---- crash-recovery matrix over every fence-respecting crash state ---- *)
 
 (* Host run: checker pre-attached with an event log (E.create reuses it
-   — enable_pcheck is idempotent), coalescing on, manual epochs. *)
-let logged_esys ?(cfg = on_cfg) () =
+   — enable_pcheck is idempotent), manual epochs. *)
+let logged_esys ?(cfg = base_cfg) () =
   let region = R.create ~latency:Nvm.Latency.zero ~max_threads:4 ~capacity:(1 lsl 18) () in
   let c = R.enable_pcheck ~mode:P.Enforce ~log_events:true region in
   let esys = E.create ~config:cfg region in
   (region, c, esys)
 
-let recover_cfg = { on_cfg with Cfg.pcheck = Cfg.Pcheck_off }
+let recover_cfg = { base_cfg with Cfg.pcheck = Cfg.Pcheck_off }
 
 (* Materialize one crash state and run full recovery on it. *)
 let recovered_from image =
@@ -246,7 +256,7 @@ let recovered_from image =
 let explore_states = 400
 
 let test_crash_matrix_mqueue ~nb () =
-  let _, c, esys = logged_esys ~cfg:(arm ~nb on_cfg) () in
+  let _, c, esys = logged_esys ~cfg:(arm ~nb base_cfg) () in
   let q = Pstructs.Mqueue.create esys in
   let values = List.init 6 (fun i -> Printf.sprintf "v%d" i) in
   List.iteri
@@ -278,7 +288,7 @@ let test_crash_matrix_mqueue ~nb () =
   Alcotest.(check int) "recovery predicate holds everywhere" 0 report.P.failures
 
 let test_crash_matrix_mhashmap ~nb () =
-  let _, c, esys = logged_esys ~cfg:(arm ~nb on_cfg) () in
+  let _, c, esys = logged_esys ~cfg:(arm ~nb base_cfg) () in
   let m = Pstructs.Mhashmap.create ~buckets:8 esys in
   let written = Hashtbl.create 16 in
   for i = 0 to 5 do
@@ -310,7 +320,7 @@ let test_crash_matrix_mhashmap ~nb () =
   Alcotest.(check int) "every recovered pair was written" 0 report.P.failures
 
 let test_crash_matrix_mskiplist ~nb () =
-  let _, c, esys = logged_esys ~cfg:(arm ~nb on_cfg) () in
+  let _, c, esys = logged_esys ~cfg:(arm ~nb base_cfg) () in
   let s = Pstructs.Mskiplist.create ~seed:11 esys in
   let written = Hashtbl.create 16 in
   for i = 0 to 5 do
@@ -413,7 +423,7 @@ let test_crash_matrix_mgraph () =
 
 let test_parallel_recovery_deterministic_mhashmap () =
   let region = R.create ~latency:Nvm.Latency.zero ~max_threads:10 ~capacity:(1 lsl 18) () in
-  let esys = E.create ~config:on_cfg region in
+  let esys = E.create ~config:base_cfg region in
   let m = Pstructs.Mhashmap.create ~buckets:8 esys in
   for i = 0 to 39 do
     ignore (Pstructs.Mhashmap.put m ~tid:0 (Printf.sprintf "k%02d" (i mod 20)) (string_of_int i))
@@ -435,7 +445,7 @@ let test_parallel_recovery_deterministic_mhashmap () =
 
 let test_parallel_recovery_deterministic_mgraph () =
   let region = R.create ~latency:Nvm.Latency.zero ~max_threads:10 ~capacity:(1 lsl 18) () in
-  let esys = E.create ~config:on_cfg region in
+  let esys = E.create ~config:base_cfg region in
   let g = Pstructs.Mgraph.create ~capacity:16 esys in
   for v = 0 to 9 do
     ignore (Pstructs.Mgraph.add_vertex g ~tid:0 v (Printf.sprintf "attr%d" v))
@@ -502,8 +512,11 @@ let () =
           Alcotest.test_case "duplicate flushes eliminated" `Quick
             test_coalescing_removes_duplicate_flushes;
         ] );
-      ( "parallel-drain",
-        [ Alcotest.test_case "sharded drain is crash-correct" `Quick test_parallel_drain_correct ] );
+      ( "advancer-drain",
+        [
+          Alcotest.test_case "advancer drain of two loaded workers is crash-correct" `Quick
+            test_advancer_drain_correct;
+        ] );
       ( "crash-matrix",
         [
           Alcotest.test_case "mqueue (nb advance)" `Quick (test_crash_matrix_mqueue ~nb:true);

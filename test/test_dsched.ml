@@ -273,8 +273,8 @@ let nb_queue_impl =
     recover = Pstructs.Nb_queue.recover;
   }
 
-(* Scenario config: manual epochs, serial drain, no checker, no
-   mirrors — the minimal deterministic runtime.  Recovery under the
+(* Scenario config: manual epochs, no checker, no mirrors — the
+   minimal deterministic runtime.  Recovery under the
    same knobs.  [nb_advance] is inherited from the environment so the
    CI matrix legs (MONTAGE_NB_ADVANCE=1/0) sweep the shared scenarios
    over both advance arms; arm-specific tests pin it explicitly. *)
@@ -283,8 +283,7 @@ let sched_cfg =
     Cfg.testing with
     max_threads = 2;
     pcheck = Cfg.Pcheck_off;
-    drain_domains = 1;
-    payload_mirror = false;
+    mirror_max_bytes = 0;
     buffer_size = 16;
   }
 
@@ -540,7 +539,7 @@ let with_stall_rig f =
    writer's [draining] flag while the writer waits for [released] —
    Dsched must report the wait cycle as a deadlock. *)
 let stalled_writer_scenario rig cfg =
-  let cfg = { cfg with Cfg.max_threads = 2; buffer_size = 2; coalesce_writebacks = true } in
+  let cfg = { cfg with Cfg.max_threads = 2; buffer_size = 2 } in
   {
     D.init =
       (fun () ->
@@ -604,8 +603,7 @@ let test_blocking_advance_stalls_on_stalled_writer () =
    holding [draining], so the same schedule is a deadlock. *)
 let stalled_end_op_scenario rig cfg =
   let cfg =
-    { cfg with Cfg.max_threads = 2; buffer_size = 16; coalesce_writebacks = true;
-      drain_on_end_op = true }
+    { cfg with Cfg.max_threads = 2; buffer_size = 16; drain_on_end_op = true }
   in
   let op_epoch = ref 0 in
   {

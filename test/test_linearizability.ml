@@ -138,20 +138,11 @@ let test_mgraph_linearizable () =
   Alcotest.(check bool) "history linearizes as a graph" true (L.check L.graph_spec events)
 
 (* Background-advancer variants: the histories are recorded while the
-   auto-spawned advancer ticks asynchronously — with coalescing on and
-   a spare region slot, its epoch drain runs sharded across domains —
-   so linearizability is checked against the deployment-shaped
+   auto-spawned advancer ticks asynchronously and drains every worker's
+   buffer, so linearizability is checked against the deployment-shaped
    write-back path, not just the manual-tick one. *)
 
-let bg_cfg =
-  {
-    Cfg.testing with
-    max_threads = 8;
-    auto_advance = true;
-    epoch_length_ns = 300_000;
-    coalesce_writebacks = true;
-    drain_domains = 2;
-  }
+let bg_cfg = { Cfg.testing with max_threads = 8; auto_advance = true; epoch_length_ns = 300_000 }
 
 let make_bg_esys () =
   let region = Nvm.Region.create ~latency:Nvm.Latency.zero ~max_threads:10 ~capacity:(1 lsl 22) () in

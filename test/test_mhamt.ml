@@ -583,8 +583,7 @@ let sched_cfg =
     Cfg.testing with
     max_threads = 2;
     pcheck = Cfg.Pcheck_off;
-    drain_domains = 1;
-    payload_mirror = false;
+    mirror_max_bytes = 0;
     buffer_size = 16;
   }
 

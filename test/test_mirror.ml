@@ -7,8 +7,8 @@
    mixes against a model, and a [Pcheck.explore] crash matrix asserting
    recovery never observes pre-crash mirror contents.
 
-   Every esys here pins [payload_mirror] explicitly (rather than
-   inheriting MONTAGE_MIRROR) so the CI matrix legs exercise both
+   Every esys here pins [mirror_max_bytes] explicitly (rather than
+   inheriting MONTAGE_MIRROR_BYTES) so the CI matrix legs exercise both
    library paths without inverting these assertions. *)
 
 module E = Montage.Epoch_sys
@@ -17,10 +17,8 @@ module P = Nvm.Pcheck
 module Cfg = Montage.Config
 module Payload = Montage.Payload
 
-let on_cfg =
-  { Cfg.testing with max_threads = 4; payload_mirror = true; mirror_max_bytes = 1 lsl 20 }
-
-let off_cfg = { on_cfg with payload_mirror = false }
+let on_cfg = { Cfg.testing with max_threads = 4; mirror_max_bytes = 1 lsl 20 }
+let off_cfg = { on_cfg with mirror_max_bytes = 0 }
 
 let make_esys ?(cfg = on_cfg) () =
   let region = R.create ~latency:Nvm.Latency.zero ~max_threads:8 ~capacity:(1 lsl 22) () in
