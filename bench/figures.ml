@@ -967,8 +967,11 @@ let coalesce () =
    the widest sharding.  Each point builds a fresh server on an
    ephemeral port, preloads the keyspace, and shuts down gracefully
    (drain + epoch sync), feeding [Systems.report_netserve]. *)
-let netserve_point ~backend ~workers =
-  let value_size = 64 and keyspace = 2000 in
+(* A server over a fresh [backend] store (Montage's epoch sync is the
+   shutdown drain's durability barrier) for the length of [f]; then
+   the graceful shutdown, whose stats feed [Systems.report_netserve]. *)
+let with_netserve ~backend (config : Netserve.config) f =
+  let workers = config.workers in
   let store, esys, r =
     match backend with
     | `Montage ->
@@ -981,7 +984,6 @@ let netserve_point ~backend ~workers =
         let m = Baselines.Transient_map.create ~buckets:(1 lsl 12) Baselines.Transient_map.Dram in
         (Kvstore.Store.create (Kvstore.Store.of_transient_map m), None, None)
   in
-  let config = { Netserve.default_config with port = 0; workers; tick_s = 0.01 } in
   let t =
     match esys with
     | Some esys ->
@@ -991,22 +993,7 @@ let netserve_point ~backend ~workers =
           store
     | None -> Netserve.start ~config store
   in
-  let lg =
-    {
-      Netserve.Loadgen.default_config with
-      port = Netserve.port t;
-      conns = max 4 (2 * workers);
-      domains = 2;
-      duration_s = Env.duration_s;
-      pipeline = 8;
-      value_size;
-      keyspace;
-      get_frac = 0.9;
-      key_prefix = "ns";
-    }
-  in
-  Netserve.Loadgen.preload ~config:lg ();
-  let report = Netserve.Loadgen.run ~config:lg () in
+  let result = f t in
   let d = Netserve.shutdown t in
   Systems.note_netserve t d;
   (match (esys, r) with
@@ -1015,7 +1002,28 @@ let netserve_point ~backend ~workers =
       Systems.note_region_stats r;
       Systems.note_mirror_stats esys r
   | _ -> ());
-  report
+  result
+
+let netserve_point ~backend ~workers =
+  let value_size = 64 and keyspace = 2000 in
+  with_netserve ~backend { Netserve.default_config with port = 0; workers; tick_s = 0.01 }
+    (fun t ->
+      let lg =
+        {
+          Netserve.Loadgen.default_config with
+          port = Netserve.port t;
+          conns = max 4 (2 * workers);
+          domains = 2;
+          duration_s = Env.duration_s;
+          pipeline = 8;
+          value_size;
+          keyspace;
+          get_frac = 0.9;
+          key_prefix = "ns";
+        }
+      in
+      Netserve.Loadgen.preload ~config:lg ();
+      Netserve.Loadgen.run ~config:lg ())
 
 let netserve () =
   Benchlib.Report.heading
@@ -1096,50 +1104,12 @@ type c10k_point = {
   ck_report : Netserve.Loadgen.report option;
 }
 
-let c10k_connect port =
-  let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
-  let rec go attempt backoff =
-    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-    match Unix.connect fd addr with
-    | () -> Some fd
-    | exception
-        Unix.Unix_error
-          ( ( Unix.ECONNREFUSED | Unix.ECONNRESET | Unix.EAGAIN | Unix.EWOULDBLOCK
-            | Unix.EINTR | Unix.ETIMEDOUT ),
-            _,
-            _ )
-      when attempt < 100 ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        (Unix.sleepf backoff
-        [@montage.allow
-          "R5: bounded connect backoff in the benchmark driver; client \
-           tooling, not server code"]);
-        go (attempt + 1) (Float.min 0.2 (backoff *. 2.0))
-    | exception Unix.Unix_error _ ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        None
-  in
-  go 0 0.002
-
 let c10k_census_point ~backend ~poller ~census =
-  let workers = 2 in
-  let store, esys, r =
-    match backend with
-    | `Montage ->
-        let capacity = 1 lsl 26 in
-        let r = Systems.region ~capacity ~threads:workers in
-        let esys = E.create ~config:{ Cfg.default with max_threads = workers + 1 } r in
-        let map = Pstructs.Mhashmap.create ~buckets:(1 lsl 12) esys in
-        (Kvstore.Store.create (Kvstore.Store.of_mhashmap map), Some esys, Some r)
-    | `Transient ->
-        let m = Baselines.Transient_map.create ~buckets:(1 lsl 12) Baselines.Transient_map.Dram in
-        (Kvstore.Store.create (Kvstore.Store.of_transient_map m), None, None)
-  in
   let config =
     {
       Netserve.default_config with
       port = 0;
-      workers;
+      workers = 2;
       poller = Some poller;
       max_conns = census + 128;
       backlog = 1024;
@@ -1147,74 +1117,41 @@ let c10k_census_point ~backend ~poller ~census =
       tick_s = 0.01;
     }
   in
-  let t =
-    match esys with
-    | Some esys ->
-        Netserve.start ~config
-          ~sync:(fun ~tid -> E.sync esys ~tid)
-          ~persisted_epoch:(fun () -> E.persisted_epoch esys)
-          store
-    | None -> Netserve.start ~config store
-  in
-  let port = Netserve.port t in
-  let idle = Array.init census (fun _ -> c10k_connect port) in
-  let established = Array.fold_left (fun a -> function Some _ -> a + 1 | None -> a) 0 idle in
-  let lg =
-    {
-      Netserve.Loadgen.default_config with
-      port;
-      conns = 16;
-      domains = 2;
-      duration_s = Env.duration_s;
-      value_size = 64;
-      keyspace = 2000;
-      key_prefix = "ck";
-    }
-  in
-  let report =
-    try
-      Netserve.Loadgen.preload ~config:lg ();
-      Some (Netserve.Loadgen.run ~config:lg ())
-    with Netserve.Loadgen.Connection_lost _ | Unix.Unix_error _ -> None
-  in
-  (* every idle connection must still answer after the burst *)
-  let buf = Bytes.create 64 in
-  Array.iter
-    (function
-      | None -> ()
-      | Some fd -> (
-          try
-            Unix.setsockopt_float fd SO_RCVTIMEO 5.0;
-            ignore (Unix.write_substring fd "version\r\n" 0 9)
-          with Unix.Unix_error _ -> ()))
-    idle;
-  let answered = ref 0 in
-  Array.iter
-    (function
-      | None -> ()
-      | Some fd ->
-          let rec rd acc =
-            if String.contains acc '\n' then acc
-            else
-              match Unix.read fd buf 0 (Bytes.length buf) with
-              | 0 -> acc
-              | n -> rd (acc ^ Bytes.sub_string buf 0 n)
-              | exception Unix.Unix_error _ -> acc
-          in
-          let reply = rd "" in
-          if String.length reply >= 7 && String.sub reply 0 7 = "VERSION" then incr answered)
-    idle;
-  Array.iter
-    (function None -> () | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())) idle;
-  let d = Netserve.shutdown t in
-  Systems.note_netserve t d;
-  (match (esys, r) with
-  | Some esys, Some r ->
-      E.stop_background esys;
-      Systems.note_region_stats r;
-      Systems.note_mirror_stats esys r
-  | _ -> ());
-  { ck_requested = census; ck_established = established; ck_answered = !answered; ck_report = report }
+  with_netserve ~backend config (fun t ->
+      let port = Netserve.port t in
+      let idle =
+        List.filter_map
+          (fun _ -> try Some (Netserve.Client.connect port) with Unix.Unix_error _ -> None)
+          (List.init census Fun.id)
+      in
+      let established = List.length idle in
+      let lg =
+        {
+          Netserve.Loadgen.default_config with
+          port;
+          conns = 16;
+          domains = 2;
+          duration_s = Env.duration_s;
+          value_size = 64;
+          keyspace = 2000;
+          key_prefix = "ck";
+        }
+      in
+      let report =
+        try
+          Netserve.Loadgen.preload ~config:lg ();
+          Some (Netserve.Loadgen.run ~config:lg ())
+        with Netserve.Loadgen.Connection_lost _ | Unix.Unix_error _ -> None
+      in
+      (* every idle connection must still answer after the burst *)
+      let answered = Netserve.Client.version_sweep idle in
+      List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) idle;
+      {
+        ck_requested = census;
+        ck_established = established;
+        ck_answered = answered;
+        ck_report = report;
+      })
 
 let c10k () =
   Benchlib.Report.heading
@@ -1532,74 +1469,20 @@ let cluster_exe () =
   let exe = Filename.concat (Filename.concat root "bin") "montage_cli.exe" in
   if Sys.file_exists exe then Some exe else None
 
-let cluster_free_port () =
-  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-  Unix.setsockopt fd SO_REUSEADDR true;
-  Unix.bind fd (ADDR_INET (Unix.inet_addr_loopback, 0));
-  let port = match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> -1 in
-  Unix.close fd;
-  port
+(* 2-worker montage shards behind a fast-probing router *)
+let cluster_shard = { Cluster.Shard.default_config with workers = 2; drain_timeout_s = 0.5 }
 
-let cluster_shard_argv ~exe ~port ~heap_file =
-  [|
-    exe; "shard"; "montage";
-    "--host"; "127.0.0.1";
-    "--port"; string_of_int port;
-    "--workers"; "2";
-    "--capacity-mib"; "64";
-    "--heap-file"; heap_file;
-    "--poller"; "auto";
-    "--drain-timeout"; "0.5";
-  |]
-
-(* Spawn [shards] children and a router, wait for ring convergence
-   (ticking the supervisor so a child that dies on startup is
-   respawned), run [f], tear everything down. *)
-let with_cluster ~exe ~shards ~heap_dir f =
-  let ports = Array.init shards (fun _ -> cluster_free_port ()) in
-  let sup = Cluster.Supervisor.create () in
-  let children =
-    Array.init shards (fun i ->
-        let heap_file =
-          if heap_dir = "" then ""
-          else Filename.concat heap_dir (Printf.sprintf "shard-%d.heap" i)
-        in
-        Cluster.Supervisor.add sup
-          ~name:(Printf.sprintf "shard-%d" i)
-          ~argv:(cluster_shard_argv ~exe ~port:ports.(i) ~heap_file))
-  in
-  let addrs =
-    List.init shards (fun i ->
-        { Cluster.Router.sid = i; shost = "127.0.0.1"; sport = ports.(i) })
-  in
-  let rconfig =
-    { Cluster.Router.default_config with port = 0; tick_s = 0.01; probe_interval_s = 0.05 }
-  in
-  let r = Cluster.Router.start ~config:rconfig addrs in
-  let tick_sup () = ignore (Cluster.Supervisor.tick sup) in
-  let deadline = Netserve.Poller.mono_s () +. 30.0 in
-  let rec converge () =
-    tick_sup ();
-    if Cluster.Router.wait_up r ~timeout_s:0.25 then true
-    else if Netserve.Poller.mono_s () > deadline then false
-    else converge ()
-  in
-  let up = converge () in
-  Fun.protect
-    ~finally:(fun () ->
-      Cluster.Router.stop r;
-      Cluster.Supervisor.shutdown sup)
-    (fun () ->
-      f ~up ~router:r ~tick_sup ~children ~vnodes:rconfig.Cluster.Router.vnodes)
+let cluster_router =
+  { Cluster.Router.default_config with port = 0; tick_s = 0.01; probe_interval_s = 0.05 }
 
 let cluster_throughput_point ~exe ~shards =
-  with_cluster ~exe ~shards ~heap_dir:"" (fun ~up ~router ~tick_sup:_ ~children:_ ~vnodes:_ ->
-      if not up then None
+  Cluster.Local.with_ ~exe ~router:cluster_router ~shards cluster_shard (fun c ->
+      if not (Cluster.Local.wait_up c) then None
       else begin
         let lg =
           {
             Netserve.Loadgen.default_config with
-            port = Cluster.Router.port router;
+            port = Cluster.Router.port (Cluster.Local.router c);
             conns = max 8 (4 * shards);
             domains = 2;
             duration_s = Env.duration_s;
@@ -1621,131 +1504,80 @@ type cluster_avail = {
   ca_victim : int;
 }
 
-let cluster_contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 let cluster_availability ~exe =
   let shards = 3 and victim = 1 in
-  let tmp =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "bench-cluster-%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir tmp 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      for i = 0 to shards - 1 do
-        try Sys.remove (Filename.concat tmp (Printf.sprintf "shard-%d.heap" i))
-        with Sys_error _ -> ()
-      done;
-      try Unix.rmdir tmp with Unix.Unix_error _ -> ())
-    (fun () ->
-      with_cluster ~exe ~shards ~heap_dir:tmp
-        (fun ~up ~router ~tick_sup ~children ~vnodes ->
-          if not up then None
-          else begin
-            let rport = Cluster.Router.port router in
-            let ring = Cluster.Ring.create ~vnodes (List.init shards Fun.id) in
-            (* one probe key per shard *)
-            let probe_key sid =
-              let rec go i =
-                let k = Printf.sprintf "avail-%d" i in
-                if Cluster.Ring.lookup ring k = sid then k else go (i + 1)
-              in
-              go 0
+  Cluster.Local.with_ ~exe ~heap:Temp_dir ~router:cluster_router ~shards cluster_shard (fun c ->
+      if not (Cluster.Local.wait_up c) then None
+      else begin
+        (* one probe key per shard *)
+        let keys =
+          Array.init shards (fun sid ->
+              List.hd (Cluster.Ring.keys_on (Cluster.Local.ring c) sid ~prefix:"avail-" 1))
+        in
+        let value_reply k =
+          let v = "durable-" ^ k in
+          Printf.sprintf "VALUE %s 0 %d\r\n%s\r\nEND\r\n" k (String.length v) v
+        in
+        let fd = Netserve.Client.connect (Cluster.Router.port (Cluster.Local.router c)) in
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () ->
+            Array.iter
+              (fun k ->
+                let v = "durable-" ^ k in
+                Netserve.Client.send fd
+                  (Printf.sprintf "set %s 0 0 %d\r\n%s\r\n" k (String.length v) v);
+                ignore (Netserve.Client.recv_unit fd))
+              keys;
+            (* a get reply ends with END; a down shard's keyspace
+               answers a single SERVER_ERROR line *)
+            let probe sid =
+              Netserve.Client.send fd (Printf.sprintf "get %s\r\n" keys.(sid));
+              Netserve.Client.recv_unit fd = value_reply keys.(sid)
             in
-            let keys = Array.init shards probe_key in
-            let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-            Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, rport));
-            Unix.setsockopt_float fd SO_RCVTIMEO 10.0;
-            Fun.protect
-              ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-              (fun () ->
-                let send s = ignore (Unix.write_substring fd s 0 (String.length s)) in
-                (* a get reply ends with END; a down shard's keyspace
-                   answers a single SERVER_ERROR line *)
-                let recv_until fin =
-                  let acc = Buffer.create 256 and chunk = Bytes.create 4096 in
-                  (try
-                     while not (fin (Buffer.contents acc)) do
-                       let k = Unix.read fd chunk 0 (Bytes.length chunk) in
-                       if k = 0 then raise Exit;
-                       Buffer.add_subbytes acc chunk 0 k
-                     done
-                   with
-                  | Exit
-                  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-                  -> ());
-                  Buffer.contents acc
-                in
-                Array.iter
-                  (fun k ->
-                    let v = "durable-" ^ k in
-                    send (Printf.sprintf "set %s 0 0 %d\r\n%s\r\n" k (String.length v) v);
-                    ignore (recv_until (fun s -> cluster_contains s "\r\n")))
-                  keys;
-                let probe sid =
-                  send (Printf.sprintf "get %s\r\n" keys.(sid));
-                  let rep =
-                    recv_until (fun s ->
-                        cluster_contains s "END\r\n" || cluster_contains s "SERVER_ERROR")
-                  in
-                  cluster_contains rep ("durable-" ^ keys.(sid))
-                  && cluster_contains rep "END\r\n"
-                in
-                let ticks = Array.init shards (fun _ -> ref []) in
-                let tick_all () =
-                  for sid = 0 to shards - 1 do
-                    ticks.(sid) := probe sid :: !(ticks.(sid))
-                  done
-                in
-                let sleep_tick () =
-                  try
-                    Unix.sleepf 0.03
-                    [@montage.allow
-                      "R5: bench driver pacing availability probes over the \
-                       kill window; client tooling, not server code"]
-                  with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-                in
-                for _ = 1 to 10 do
-                  tick_all ();
-                  tick_sup ();
-                  sleep_tick ()
-                done;
-                Cluster.Supervisor.signal children.(victim);
-                (* the victim keeps serving through its shutdown drain,
-                   so first probe until it actually goes dark, then
-                   until the restarted process serves its recovered
-                   value again; both waits bounded *)
-                let last_victim () =
-                  match !(ticks.(victim)) with ok :: _ -> ok | [] -> true
-                in
-                let deadline = Netserve.Poller.mono_s () +. 30.0 in
-                while last_victim () && Netserve.Poller.mono_s () < deadline do
-                  tick_all ();
-                  tick_sup ();
-                  sleep_tick ()
-                done;
-                while (not (last_victim ())) && Netserve.Poller.mono_s () < deadline do
-                  tick_all ();
-                  tick_sup ();
-                  sleep_tick ()
-                done;
-                for _ = 1 to 5 do
-                  tick_all ();
-                  tick_sup ();
-                  sleep_tick ()
-                done;
-                Some
-                  {
-                    ca_timeline =
-                      Array.map (fun l -> Array.of_list (List.rev !l)) ticks;
-                    ca_stats = Cluster.Router.stats router;
-                    ca_restarted = Cluster.Supervisor.restarts children.(victim) >= 1;
-                    ca_victim = victim;
-                  })
-          end))
+            let ticks = Array.init shards (fun _ -> ref []) in
+            (* probe every shard, reap and restart children, pace *)
+            let step () =
+              for sid = 0 to shards - 1 do
+                ticks.(sid) := probe sid :: !(ticks.(sid))
+              done;
+              Cluster.Local.tick c;
+              try
+                Unix.sleepf 0.03
+                [@montage.allow
+                  "R5: bench driver pacing availability probes over the \
+                   kill window; client tooling, not server code"]
+              with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+            in
+            for _ = 1 to 10 do
+              step ()
+            done;
+            Cluster.Local.signal c victim;
+            (* the victim keeps serving through its shutdown drain,
+               so first probe until it actually goes dark, then
+               until the restarted process serves its recovered
+               value again; both waits bounded *)
+            let last_victim () =
+              match !(ticks.(victim)) with ok :: _ -> ok | [] -> true
+            in
+            let deadline = Netserve.Poller.mono_s () +. 30.0 in
+            while last_victim () && Netserve.Poller.mono_s () < deadline do
+              step ()
+            done;
+            while (not (last_victim ())) && Netserve.Poller.mono_s () < deadline do
+              step ()
+            done;
+            for _ = 1 to 5 do
+              step ()
+            done;
+            Some
+              {
+                ca_timeline = Array.map (fun l -> Array.of_list (List.rev !l)) ticks;
+                ca_stats = Cluster.Router.stats (Cluster.Local.router c);
+                ca_restarted = Cluster.Local.restarts c victim >= 1;
+                ca_victim = victim;
+              })
+      end)
 
 (* Resample a tick row to at most 60 columns: '#' = every probe in the
    bucket served, '.' = at least one answered shard-down. *)

@@ -27,6 +27,7 @@
 open Cmdliner
 
 module E = Montage.Epoch_sys
+module Client = Netserve.Client
 module Cfg = Montage.Config
 
 let mib = 1024 * 1024
@@ -279,6 +280,29 @@ let parse_poller = function
       | Some k -> Ok (Some k)
       | None -> Error "poller must be auto|select|epoll")
 
+(* Set by SIGINT/SIGTERM once [catch_stop] has run. *)
+let stop = Atomic.make false
+
+let catch_stop () =
+  let handler = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
+  Sys.set_signal Sys.sigint handler;
+  Sys.set_signal Sys.sigterm handler
+
+(* Call [every] about every 0.2 s until SIGINT/SIGTERM, or until
+   [seconds] pass (0 = no deadline). *)
+let until_signal ~seconds every =
+  catch_stop ();
+  let deadline = if seconds <= 0.0 then infinity else Unix.gettimeofday () +. seconds in
+  while (not (Atomic.get stop)) && Unix.gettimeofday () < deadline do
+    every ();
+    try
+      Unix.sleepf 0.2
+      [@montage.allow
+        "R5: EINTR-tolerant wait loop on the CLI driver thread pacing the \
+         run deadline and supervision ticks; not server or structure code"]
+    with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  done
+
 let serve backend host port workers seconds capacity_mib poller_s =
   match parse_poller poller_s with
   | Error e -> `Error (false, e)
@@ -293,19 +317,7 @@ let serve backend host port workers seconds capacity_mib poller_s =
         Printf.printf "netserve: %s backend, %d worker(s) on %s:%d (%s poller)\n%!" backend
           workers host (Netserve.port t)
           (Netserve.Poller.kind_name (Netserve.poller_kind t));
-        let stop = Atomic.make false in
-        let handler = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
-        Sys.set_signal Sys.sigint handler;
-        Sys.set_signal Sys.sigterm handler;
-        let deadline = if seconds <= 0.0 then infinity else Unix.gettimeofday () +. seconds in
-        while (not (Atomic.get stop)) && Unix.gettimeofday () < deadline do
-          try
-            Unix.sleepf 0.2
-            [@montage.allow
-              "R5: EINTR-tolerant wait loop on the CLI driver thread \
-               pacing the serve deadline; not server or structure code"]
-          with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        done;
+        until_signal ~seconds ignore;
         let d = Netserve.shutdown t in
         let accepted, bytes_in, bytes_out, cmds = Netserve.totals t in
         Printf.printf "shutdown: drained %d conn(s), %d forced, %.3fs drain + %.3fs sync" d.drained_conns
@@ -362,6 +374,10 @@ let loadgen host port conns domains seconds pipeline value_size keyspace get_fra
       String.concat ","
         (List.map (fun (h, p) -> Printf.sprintf "%s:%d" h p) endpoints)
   in
+  let cannot_drive e =
+    `Error
+      (false, Printf.sprintf "cannot drive server at %s:%d (%s)" host port (Printexc.to_string e))
+  in
   if rate > 0.0 then
     (* open loop: fixed arrival schedule, latency charged from it *)
     match Netserve.Loadgen.arrival_of_string arrival_s with
@@ -371,11 +387,7 @@ let loadgen host port conns domains seconds pipeline value_size keyspace get_fra
           if not no_preload then Netserve.Loadgen.preload ~config ();
           Netserve.Loadgen.run_open ~config ~arrival ~grace_s ~rate ()
         with
-        | exception ((Unix.Unix_error _ | Failure _) as e) ->
-            `Error
-              ( false,
-                Printf.sprintf "cannot drive server at %s:%d (%s)" host port
-                  (Printexc.to_string e) )
+        | exception ((Unix.Unix_error _ | Failure _) as e) -> cannot_drive e
         | r ->
             Netserve.Loadgen.print_open_report ~label r;
             if r.completed = 0 then `Error (false, "no operations completed") else `Ok ())
@@ -384,11 +396,7 @@ let loadgen host port conns domains seconds pipeline value_size keyspace get_fra
       if not no_preload then Netserve.Loadgen.preload ~config ();
       Netserve.Loadgen.run ~config ()
     with
-    | exception ((Unix.Unix_error _ | Failure _) as e) ->
-        `Error
-          ( false,
-            Printf.sprintf "cannot drive server at %s:%d (%s)" host port
-              (Printexc.to_string e) )
+    | exception ((Unix.Unix_error _ | Failure _) as e) -> cannot_drive e
     | r ->
         Netserve.Loadgen.print_report ~label r;
         if r.ops = 0 then `Error (false, "no operations completed") else `Ok ()
@@ -455,34 +463,13 @@ let c10k backend conns workers seconds active value_size capacity_mib poller_s t
                 be
             in
             let port = match t with Some t -> Netserve.port t | None -> target_port in
-            let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
-            let connect_retry () =
-              let rec go attempt backoff =
-                let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-                match Unix.connect fd addr with
-                | () -> Some fd
-                | exception
-                    Unix.Unix_error
-                      ( ( Unix.ECONNREFUSED | Unix.ECONNRESET | Unix.EAGAIN
-                        | Unix.EWOULDBLOCK | Unix.EINTR | Unix.ETIMEDOUT ),
-                        _,
-                        _ )
-                  when attempt < 100 ->
-                    (try Unix.close fd with Unix.Unix_error _ -> ());
-                    (Unix.sleepf backoff
-                    [@montage.allow
-                      "R5: bounded connect backoff in the c10k driver; \
-                       client tooling, not server code"]);
-                    go (attempt + 1) (Float.min 0.2 (backoff *. 2.0))
-                | exception Unix.Unix_error _ ->
-                    (try Unix.close fd with Unix.Unix_error _ -> ());
-                    None
-              in
-              go 0 0.002
-            in
             let t0 = Netserve.Poller.mono_s () in
-            let idle = Array.init conns (fun _ -> connect_retry ()) in
-            let established = Array.fold_left (fun a -> function Some _ -> a + 1 | None -> a) 0 idle in
+            let idle =
+              List.filter_map
+                (fun _ -> try Some (Client.connect port) with Unix.Unix_error _ -> None)
+                (List.init conns Fun.id)
+            in
+            let established = List.length idle in
             let ramp_s = Netserve.Poller.mono_s () -. t0 in
             (match t with
             | Some t ->
@@ -527,39 +514,10 @@ let c10k backend conns workers seconds active value_size capacity_mib poller_s t
                  ~label:(Printf.sprintf "%d idle + %d active" established active))
               burst;
             (* liveness sweep: every idle connection still answers *)
-            let buf = Bytes.create 64 in
-            let answered = ref 0 in
-            Array.iter
-              (function
-                | None -> ()
-                | Some fd -> (
-                    try
-                      Unix.setsockopt_float fd SO_RCVTIMEO 5.0;
-                      ignore (Unix.write_substring fd "version\r\n" 0 9)
-                    with Unix.Unix_error _ -> ()))
-              idle;
-            Array.iter
-              (function
-                | None -> ()
-                | Some fd ->
-                    let rec rd acc =
-                      if String.contains acc '\n' then acc
-                      else
-                        match Unix.read fd buf 0 (Bytes.length buf) with
-                        | 0 -> acc
-                        | n -> rd (acc ^ Bytes.sub_string buf 0 n)
-                        | exception Unix.Unix_error _ -> acc
-                    in
-                    let reply = rd "" in
-                    if String.length reply >= 7 && String.sub reply 0 7 = "VERSION" then
-                      incr answered)
-              idle;
-            Printf.printf "c10k: %d/%d idle connection(s) answered after the burst\n%!" !answered
+            let answered = Client.version_sweep idle in
+            Printf.printf "c10k: %d/%d idle connection(s) answered after the burst\n%!" answered
               established;
-            Array.iter
-              (function
-                | None -> () | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ()))
-              idle;
+            List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) idle;
             (match t with
             | Some t ->
                 let d = Netserve.shutdown t in
@@ -583,8 +541,8 @@ let c10k backend conns workers seconds active value_size capacity_mib poller_s t
               (if established < conns then
                  [ Printf.sprintf "only %d/%d connections established" established conns ]
                else [])
-              @ (if !answered < established then
-                   [ Printf.sprintf "only %d/%d idle connections answered" !answered established ]
+              @ (if answered < established then
+                   [ Printf.sprintf "only %d/%d idle connections answered" answered established ]
                  else [])
               @
               match burst with
@@ -633,57 +591,21 @@ let netsmoke () =
     (match smoke_backend with `Mhamt -> "mhamt" | `Mhashmap -> "montage")
     (Netserve.Poller.kind_name (Netserve.poller_kind t));
   let port = Netserve.port t in
-  let connect () =
-    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-    Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
-    Unix.setsockopt_float fd SO_RCVTIMEO 5.0;
-    fd
-  in
-  let send fd s = ignore (Unix.write_substring fd s 0 (String.length s)) in
-  let recv_exact fd n =
-    let buf = Bytes.create n in
-    let off = ref 0 in
-    (try
-       while !off < n do
-         let k = Unix.read fd buf !off (n - !off) in
-         if k = 0 then raise Exit;
-         off := !off + k
-       done
-     with Exit | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
-    Bytes.sub_string buf 0 !off
-  in
-  let recv_until fd suffix =
-    let acc = Buffer.create 256 in
-    let chunk = Bytes.create 4096 in
-    let ends_with () =
-      let s = Buffer.contents acc in
-      String.length s >= String.length suffix
-      && String.sub s (String.length s - String.length suffix) (String.length suffix) = suffix
-    in
-    (try
-       while not (ends_with ()) do
-         let k = Unix.read fd chunk 0 (Bytes.length chunk) in
-         if k = 0 then raise Exit;
-         Buffer.add_subbytes acc chunk 0 k
-       done
-     with Exit | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
-    Buffer.contents acc
-  in
   (* 1. byte-exact pipelined session on one connection *)
-  let fd = connect () in
-  send fd
+  let fd = Client.connect port in
+  Client.send fd
     "set a 5 0 3\r\nfoo\r\nget a\r\nset n 0 0 1\r\n7\r\nincr n 3\r\nadd a 0 0 1\r\nx\r\ndelete missing\r\nget a n\r\n";
   let expected =
     "STORED\r\nVALUE a 5 3\r\nfoo\r\nEND\r\nSTORED\r\n10\r\nNOT_STORED\r\nNOT_FOUND\r\n\
      VALUE a 5 3\r\nfoo\r\nVALUE n 0 2\r\n10\r\nEND\r\n"
   in
-  let got = recv_exact fd (String.length expected) in
+  let got = Client.recv_exact fd (String.length expected) in
   check "pipelined session byte-exact" (got = expected);
   if got <> expected then Printf.printf "    got: %S\n" got;
   (* 2. flush_all wipes, later sets survive *)
-  send fd "flush_all\r\nget a\r\nset b 0 0 2\r\nhi\r\nget b\r\n";
+  Client.send fd "flush_all\r\nget a\r\nset b 0 0 2\r\nhi\r\nget b\r\n";
   let expected2 = "OK\r\nEND\r\nSTORED\r\nVALUE b 0 2\r\nhi\r\nEND\r\n" in
-  let got2 = recv_exact fd (String.length expected2) in
+  let got2 = Client.recv_exact fd (String.length expected2) in
   check "flush_all epoch-style invalidation" (got2 = expected2);
   (* 3. seeded loadgen burst through benchlib reporting *)
   let lg =
@@ -705,27 +627,23 @@ let netsmoke () =
   check "loadgen hit path exercised" (r.hits > 0);
   check "loadgen percentiles ordered" (r.p50_us <= r.p95_us && r.p95_us <= r.p99_us);
   (* 4. stats over the wire: server section present and plausible *)
-  send fd "stats\r\n";
-  let stats = recv_until fd "END\r\n" in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  check "stats: worker threads reported" (contains stats "STAT threads 4");
-  check "stats: get counter present" (contains stats "STAT cmd_get ");
-  check "stats: connection counter present" (contains stats "STAT total_connections ");
-  check "stats: pipeline depth tracked" (contains stats "STAT max_pipeline_depth ");
+  Client.send fd "stats\r\n";
+  let stats = String.split_on_char '\n' (Client.recv_until fd "END\r\n") in
+  let stat prefix = List.exists (String.starts_with ~prefix) stats in
+  check "stats: worker threads reported" (stat "STAT threads 4");
+  check "stats: get counter present" (stat "STAT cmd_get ");
+  check "stats: connection counter present" (stat "STAT total_connections ");
+  check "stats: pipeline depth tracked" (stat "STAT max_pipeline_depth ");
   (* 5. acked STORED keys survive graceful shutdown + crash *)
   let dur = 20 in
   let buf = Buffer.create 512 in
   for i = 0 to dur - 1 do
     Buffer.add_string buf (Printf.sprintf "set dur%02d 0 0 4\r\nv%03d\r\n" i i)
   done;
-  send fd (Buffer.contents buf);
-  let acks = recv_exact fd (dur * 8) in
+  Client.send fd (Buffer.contents buf);
+  let acks = Client.recv_exact fd (dur * 8) in
   check "durability keys acked" (acks = String.concat "" (List.init dur (fun _ -> "STORED\r\n")));
-  send fd "quit\r\n";
+  Client.send fd "quit\r\n";
   Unix.close fd;
   let d = Netserve.shutdown t in
   check "graceful drain (no forced closes)" (d.forced_closes = 0);
@@ -755,11 +673,6 @@ let netsmoke () =
 
 (* ---- shard ---- *)
 
-let backend_name = function
-  | Cluster.Shard.Bk_montage -> "montage"
-  | Cluster.Shard.Bk_mhamt -> "mhamt"
-  | Cluster.Shard.Bk_transient -> "transient"
-
 let shard backend host port workers capacity_mib heap_file poller_s seconds drain_timeout_s =
   match parse_poller poller_s with
   | Error e -> `Error (false, e)
@@ -783,8 +696,8 @@ let shard backend host port workers capacity_mib heap_file poller_s seconds drai
           match
             Cluster.Shard.run
               ~on_ready:(fun ~port ->
-                Printf.printf "shard: %s backend on %s:%d (heap %s)\n%!" (backend_name backend)
-                  host port
+                Printf.printf "shard: %s backend on %s:%d (heap %s)\n%!"
+                  (Cluster.Shard.backend_name backend) host port
                   (if heap_file = "" then "none" else heap_file))
               cfg
           with
@@ -793,90 +706,56 @@ let shard backend host port workers capacity_mib heap_file poller_s seconds drai
 
 (* ---- cluster ---- *)
 
-(* Shard children are fresh execs of this binary: OCaml 5 cannot fork
-   once domains exist, and a separate process is what gives each shard
-   its own region, epoch clock and crash domain anyway. *)
-let shard_argv ~exe ~backend ~host ~port ~workers ~capacity_mib ~heap_file ~poller_s
-    ~drain_timeout_s =
-  [|
-    exe; "shard"; backend;
-    "--host"; host;
-    "--port"; string_of_int port;
-    "--workers"; string_of_int workers;
-    "--capacity-mib"; string_of_int capacity_mib;
-    "--heap-file"; heap_file;
-    "--poller"; poller_s;
-    "--drain-timeout"; string_of_float drain_timeout_s;
-  |]
-
 let status_name = function
   | Unix.WEXITED n -> Printf.sprintf "exit %d" n
   | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
   | Unix.WSTOPPED n -> Printf.sprintf "stop %d" n
 
+let report_exit prog name st =
+  Printf.printf "%s: %s exited (%s), restarting\n%!" prog name (status_name st)
+
+(* Shard children are fresh execs of this binary, running its [shard]
+   subcommand. *)
 let cluster backend host port shards shard_port_base workers capacity_mib heap_dir poller_s
     seconds =
-  match parse_poller poller_s with
-  | Error e -> `Error (false, e)
-  | Ok poller ->
+  match (parse_poller poller_s, Cluster.Shard.backend_of_string backend) with
+  | Error e, _ -> `Error (false, e)
+  | _, None -> `Error (false, "backend must be montage|mhamt|transient")
+  | Ok poller, Some backend ->
       if shards < 1 then `Error (false, "shards must be >= 1")
-      else if Cluster.Shard.backend_of_string backend = None then
-        `Error (false, "backend must be montage|mhamt|transient")
-      else begin
-        (try Unix.mkdir heap_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-        let exe = Sys.executable_name in
-        let sup = Cluster.Supervisor.create () in
-        let addrs =
-          List.init shards (fun i ->
-              let sport = shard_port_base + i in
-              let heap_file = Filename.concat heap_dir (Printf.sprintf "shard-%d.heap" i) in
-              ignore
-                (Cluster.Supervisor.add sup
-                   ~name:(Printf.sprintf "shard-%d" i)
-                   ~argv:
-                     (shard_argv ~exe ~backend ~host ~port:sport ~workers ~capacity_mib
-                        ~heap_file ~poller_s ~drain_timeout_s:1.0));
-              { Cluster.Router.sid = i; shost = host; sport })
+      else
+        let template =
+          { Cluster.Shard.default_config with backend; host; workers; capacity_mib; poller }
         in
-        let rconfig = { Cluster.Router.default_config with host; port; poller } in
-        let r = Cluster.Router.start ~config:rconfig addrs in
-        Printf.printf "cluster: router on %s:%d fronting %d shard(s) on ports %d-%d (%s poller)\n%!"
-          host (Cluster.Router.port r) shards shard_port_base
-          (shard_port_base + shards - 1)
-          (Netserve.Poller.kind_name (Cluster.Router.poller_kind r));
-        if Cluster.Router.wait_up r ~timeout_s:30.0 then
-          Printf.printf "cluster: all %d shard(s) up\n%!" shards
-        else
-          Printf.printf "cluster: WARNING: not all shards up after 30s: %s\n%!"
-            (String.concat ", "
-               (List.map
-                  (fun (sid, up) -> Printf.sprintf "%d:%s" sid (if up then "up" else "down"))
-                  (Cluster.Router.shard_states r)));
-        let stop = Atomic.make false in
-        let handler = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
-        Sys.set_signal Sys.sigint handler;
-        Sys.set_signal Sys.sigterm handler;
-        let deadline = if seconds <= 0.0 then infinity else Unix.gettimeofday () +. seconds in
-        while (not (Atomic.get stop)) && Unix.gettimeofday () < deadline do
-          ignore
-            (Cluster.Supervisor.tick sup ~on_exit:(fun name st ->
-                 Printf.printf "cluster: %s exited (%s), restarting\n%!" name (status_name st)));
-          try
-            Unix.sleepf 0.2
-            [@montage.allow
-              "R5: EINTR-tolerant wait loop on the CLI driver thread \
-               pacing supervision ticks; not server or structure code"]
-          with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        done;
-        let s = Cluster.Router.stats r in
-        Cluster.Router.stop r;
-        Cluster.Supervisor.shutdown sup;
-        Printf.printf
-          "cluster: %d client(s), %d request(s), %d shard-down error(s), %d down(s), %d \
-           rejoin(s)\n"
-          s.clients_accepted s.requests s.shard_down_errors s.downs s.rejoins;
-        `Ok ()
-      end
+        (* caught before the first spawn, so a signal during startup
+           still ends through [with_]'s teardown *)
+        catch_stop ();
+        Cluster.Local.with_ ~exe:Sys.executable_name ~port_base:shard_port_base
+          ~heap:(Dir heap_dir)
+          ~router:{ Cluster.Router.default_config with host; port; poller }
+          ~on_exit:(report_exit "cluster") ~shards template
+          (fun c ->
+            let r = Cluster.Local.router c in
+            Printf.printf
+              "cluster: router on %s:%d fronting %d shard(s) on ports %d-%d (%s poller)\n%!" host
+              (Cluster.Router.port r) shards shard_port_base
+              (shard_port_base + shards - 1)
+              (Netserve.Poller.kind_name (Cluster.Router.poller_kind r));
+            if Cluster.Local.wait_up ~stop:(fun () -> Atomic.get stop) c then
+              Printf.printf "cluster: all %d shard(s) up\n%!" shards
+            else if not (Atomic.get stop) then
+              Printf.printf "cluster: WARNING: not all shards up after 30s: %s\n%!"
+                (String.concat ", "
+                   (List.map
+                      (fun (sid, up) -> Printf.sprintf "%d:%s" sid (if up then "up" else "down"))
+                      (Cluster.Router.shard_states r)));
+            until_signal ~seconds (fun () -> Cluster.Local.tick c);
+            let s = Cluster.Router.stats r in
+            Printf.printf
+              "cluster: %d client(s), %d request(s), %d shard-down error(s), %d down(s), %d \
+               rejoin(s)\n"
+              s.clients_accepted s.requests s.shard_down_errors s.downs s.rejoins;
+            `Ok ())
 
 (* ---- clustersmoke ---- *)
 
@@ -891,46 +770,17 @@ let cluster backend host port shards shard_port_base workers capacity_mib heap_d
 let clustersmoke poller_s seconds rate =
   match parse_poller poller_s with
   | Error e -> `Error (false, e)
-  | Ok poller ->
+  | Ok poller -> (
       let failures = ref [] in
       let check name ok =
         Printf.printf "  [%s] %s\n%!" (if ok then "ok" else "FAIL") name;
         if not ok then failures := name :: !failures
       in
-      let shards = 3 in
-      let exe = Sys.executable_name in
-      let tmp =
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "clustersmoke-%d" (Unix.getpid ()))
+      let shards = 3 and victim = 1 in
+      let template =
+        { Cluster.Shard.default_config with workers = 2; poller; drain_timeout_s = 0.5 }
       in
-      (try Unix.mkdir tmp 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      let free_port () =
-        let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-        Unix.setsockopt fd SO_REUSEADDR true;
-        Unix.bind fd (ADDR_INET (Unix.inet_addr_loopback, 0));
-        let port =
-          match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> -1
-        in
-        Unix.close fd;
-        port
-      in
-      let ports = Array.init shards (fun _ -> free_port ()) in
-      let sup = Cluster.Supervisor.create () in
-      let children =
-        Array.init shards (fun i ->
-            Cluster.Supervisor.add sup
-              ~name:(Printf.sprintf "shard-%d" i)
-              ~argv:
-                (shard_argv ~exe ~backend:"montage" ~host:"127.0.0.1" ~port:ports.(i)
-                   ~workers:2 ~capacity_mib:64
-                   ~heap_file:(Filename.concat tmp (Printf.sprintf "shard-%d.heap" i))
-                   ~poller_s ~drain_timeout_s:0.5))
-      in
-      let addrs =
-        List.init shards (fun i ->
-            { Cluster.Router.sid = i; shost = "127.0.0.1"; sport = ports.(i) })
-      in
-      let rconfig =
+      let router =
         {
           Cluster.Router.default_config with
           host = "127.0.0.1";
@@ -940,179 +790,107 @@ let clustersmoke poller_s seconds rate =
           poller;
         }
       in
-      let r = Cluster.Router.start ~config:rconfig addrs in
-      let tick_sup () =
-        ignore
-          (Cluster.Supervisor.tick sup ~on_exit:(fun name st ->
-               Printf.printf "clustersmoke: %s exited (%s), restarting\n%!" name
-                 (status_name st)))
-      in
-      (* wait_up while still ticking the supervisor, so a shard that
-         dies on startup gets respawned rather than stranding the wait *)
-      let wait_up_ticking ~timeout_s =
-        let deadline = Netserve.Poller.mono_s () +. timeout_s in
-        let rec go () =
-          tick_sup ();
-          if Cluster.Router.wait_up r ~timeout_s:0.25 then true
-          else if Netserve.Poller.mono_s () > deadline then false
-          else go ()
-        in
-        go ()
-      in
-      check "initial ring convergence (3/3 up)" (wait_up_ticking ~timeout_s:30.0);
-      let rport = Cluster.Router.port r in
-      Printf.printf "clustersmoke: router on :%d, shards on %s (%s poller)\n%!" rport
-        (String.concat ", " (Array.to_list (Array.map string_of_int ports)))
-        (Netserve.Poller.kind_name (Cluster.Router.poller_kind r));
-      (* --- phase 1: ack a batch of keys owned by the victim shard --- *)
-      let ring = Cluster.Ring.create ~vnodes:rconfig.vnodes (List.init shards Fun.id) in
-      let victim = 1 in
-      let victim_keys =
-        let acc = ref [] and i = ref 0 in
-        while List.length !acc < 40 do
-          let k = Printf.sprintf "acked-%d" !i in
-          if Cluster.Ring.lookup ring k = victim then acc := k :: !acc;
-          incr i
-        done;
-        List.rev !acc
-      in
-      let connect_router () =
-        let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-        Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, rport));
-        Unix.setsockopt_float fd SO_RCVTIMEO 10.0;
-        fd
-      in
-      let send fd s = ignore (Unix.write_substring fd s 0 (String.length s)) in
-      let recv_exact fd n =
-        let buf = Bytes.create n in
-        let off = ref 0 in
-        (try
-           while !off < n do
-             let k = Unix.read fd buf !off (n - !off) in
-             if k = 0 then raise Exit;
-             off := !off + k
-           done
-         with Exit | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
-        Bytes.sub_string buf 0 !off
-      in
-      let recv_until fd suffix =
-        let acc = Buffer.create 256 in
-        let chunk = Bytes.create 4096 in
-        let ends_with () =
-          let s = Buffer.contents acc in
-          String.length s >= String.length suffix
-          && String.sub s (String.length s - String.length suffix) (String.length suffix)
-             = suffix
-        in
-        (try
-           while not (ends_with ()) do
-             let k = Unix.read fd chunk 0 (Bytes.length chunk) in
-             if k = 0 then raise Exit;
-             Buffer.add_subbytes acc chunk 0 k
-           done
-         with Exit | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
-        Buffer.contents acc
-      in
-      let contains s sub =
-        let n = String.length s and m = String.length sub in
-        let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-        go 0
-      in
-      let fd = connect_router () in
-      let out = Buffer.create 4096 in
-      List.iter
-        (fun k ->
-          let v = "durable-" ^ k in
-          Buffer.add_string out (Printf.sprintf "set %s 0 0 %d\r\n%s\r\n" k (String.length v) v))
-        victim_keys;
-      send fd (Buffer.contents out);
-      let acks = recv_exact fd (8 * List.length victim_keys) in
-      check "victim-owned keys acked before the kill"
-        (acks = String.concat "" (List.map (fun _ -> "STORED\r\n") victim_keys));
-      (* --- phase 2: open-loop load; SIGTERM the victim mid-run --- *)
-      let lg =
-        {
-          Netserve.Loadgen.default_config with
-          port = rport;
-          conns = 12;
-          domains = 2;
-          duration_s = seconds;
-          value_size = 64;
-          keyspace = 3000;
-          get_frac = 0.8;
-          key_prefix = "cs";
-        }
-      in
-      Netserve.Loadgen.preload ~config:lg ();
-      let lg_done = Atomic.make false in
-      let lg_dom =
-        Domain.spawn (fun () ->
-            let rep = Netserve.Loadgen.run_open ~config:lg ~grace_s:5.0 ~rate () in
-            Atomic.set lg_done true;
-            rep)
-      in
-      let kill_at = Netserve.Poller.mono_s () +. (seconds *. 0.25) in
-      let killed = ref false in
-      while not (Atomic.get lg_done) do
-        tick_sup ();
-        if (not !killed) && Netserve.Poller.mono_s () >= kill_at then begin
-          Printf.printf "clustersmoke: SIGTERM shard-%d (graceful drain + heap image)\n%!" victim;
-          Cluster.Supervisor.signal children.(victim);
-          killed := true
-        end;
-        (Unix.sleepf 0.02
-        [@montage.allow
-          "R5: smoke-test driver thread pacing supervision ticks around \
-           the kill; client tooling, not server or structure code"])
-      done;
-      let rep = Domain.join lg_dom in
-      Netserve.Loadgen.print_open_report ~label:"clustersmoke" rep;
-      (* the availability contract: every request answered; the only
-         errors are shard-down for the victim's keyspace *)
-      check "no request abandoned during the outage" (rep.abandoned = 0);
-      check "no loadgen disconnect (router stayed up)" (rep.o_disconnects = []);
-      check "no errors beyond SERVER_ERROR shard down" (rep.o_errors = 0);
-      check "load made progress" (rep.completed > 0);
-      check "victim was killed mid-run" !killed;
-      (* --- phase 3: restart recovers, ring reconverges, keys live --- *)
-      (* the victim's graceful exit (drain + sync + image write) may
-         outlast the load window; keep ticking until it is reaped *)
-      let restart_deadline = Netserve.Poller.mono_s () +. 30.0 in
-      while
-        Cluster.Supervisor.restarts children.(victim) < 1
-        && Netserve.Poller.mono_s () < restart_deadline
-      do
-        tick_sup ();
-        (Unix.sleepf 0.02
-        [@montage.allow
-          "R5: smoke-test driver thread pacing supervision ticks while \
-           waiting for the victim's graceful exit; client tooling"])
-      done;
-      check "supervisor restarted the victim" (Cluster.Supervisor.restarts children.(victim) >= 1);
-      check "ring reconverged (3/3 up)" (wait_up_ticking ~timeout_s:30.0);
-      let s = Cluster.Router.stats r in
-      check "router observed the down" (s.downs >= 1);
-      check "router observed the rejoin" (s.rejoins >= shards + 1);
-      let recovered =
-        List.for_all
-          (fun k ->
-            send fd (Printf.sprintf "get %s\r\n" k);
-            let reply = recv_until fd "END\r\n" in
-            contains reply (Printf.sprintf "VALUE %s 0 " k) && contains reply ("durable-" ^ k))
-          victim_keys
-      in
-      check "every acked key recovered after the restart" recovered;
-      send fd "quit\r\n";
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Cluster.Router.stop r;
-      Cluster.Supervisor.shutdown sup;
-      Array.iteri
-        (fun i _ ->
-          try Unix.unlink (Filename.concat tmp (Printf.sprintf "shard-%d.heap" i))
-          with Unix.Unix_error _ -> ())
-        ports;
-      (try Unix.rmdir tmp with Unix.Unix_error _ -> ());
-      (match !failures with
+      Cluster.Local.with_ ~exe:Sys.executable_name ~heap:Temp_dir ~router
+        ~on_exit:(report_exit "clustersmoke") ~shards template
+        (fun c ->
+          check "initial ring convergence (3/3 up)" (Cluster.Local.wait_up c);
+          let r = Cluster.Local.router c in
+          let rport = Cluster.Router.port r in
+          Printf.printf "clustersmoke: router on :%d (%s poller)\n%!" rport
+            (Netserve.Poller.kind_name (Cluster.Router.poller_kind r));
+          (* --- phase 1: ack a batch of keys owned by the victim shard --- *)
+          let victim_keys =
+            Cluster.Ring.keys_on (Cluster.Local.ring c) victim ~prefix:"acked-" 40
+          in
+          let fd = Client.connect rport in
+          let out = Buffer.create 4096 in
+          List.iter
+            (fun k ->
+              let v = "durable-" ^ k in
+              Buffer.add_string out
+                (Printf.sprintf "set %s 0 0 %d\r\n%s\r\n" k (String.length v) v))
+            victim_keys;
+          Client.send fd (Buffer.contents out);
+          let acks = Client.recv_exact fd (8 * List.length victim_keys) in
+          check "victim-owned keys acked before the kill"
+            (acks = String.concat "" (List.map (fun _ -> "STORED\r\n") victim_keys));
+          (* --- phase 2: open-loop load; SIGTERM the victim mid-run --- *)
+          let lg =
+            {
+              Netserve.Loadgen.default_config with
+              port = rport;
+              conns = 12;
+              domains = 2;
+              duration_s = seconds;
+              value_size = 64;
+              keyspace = 3000;
+              get_frac = 0.8;
+              key_prefix = "cs";
+            }
+          in
+          Netserve.Loadgen.preload ~config:lg ();
+          let lg_done = Atomic.make false in
+          let lg_dom =
+            Domain.spawn (fun () ->
+                Fun.protect
+                  ~finally:(fun () -> Atomic.set lg_done true)
+                  (fun () -> Netserve.Loadgen.run_open ~config:lg ~grace_s:5.0 ~rate ()))
+          in
+          let kill_at = Netserve.Poller.mono_s () +. (seconds *. 0.25) in
+          let killed = ref false in
+          let pace () =
+            Cluster.Local.tick c;
+            Unix.sleepf 0.02
+            [@montage.allow
+              "R5: smoke-test driver thread pacing supervision ticks around \
+               the kill and the restart; client tooling, not server or structure code"]
+          in
+          while not (Atomic.get lg_done) do
+            if (not !killed) && Netserve.Poller.mono_s () >= kill_at then begin
+              Printf.printf "clustersmoke: SIGTERM shard-%d (graceful drain + heap image)\n%!"
+                victim;
+              Cluster.Local.signal c victim;
+              killed := true
+            end;
+            pace ()
+          done;
+          let rep = Domain.join lg_dom in
+          Netserve.Loadgen.print_open_report ~label:"clustersmoke" rep;
+          (* the availability contract: every request answered; the only
+             errors are shard-down for the victim's keyspace *)
+          check "no request abandoned during the outage" (rep.abandoned = 0);
+          check "no loadgen disconnect (router stayed up)" (rep.o_disconnects = []);
+          check "no errors beyond SERVER_ERROR shard down" (rep.o_errors = 0);
+          check "load made progress" (rep.completed > 0);
+          check "victim was killed mid-run" !killed;
+          (* --- phase 3: restart recovers, ring reconverges, keys live --- *)
+          (* the victim's graceful exit (drain + sync + image write) may
+             outlast the load window; keep ticking until it is reaped *)
+          let restart_deadline = Netserve.Poller.mono_s () +. 30.0 in
+          while
+            Cluster.Local.restarts c victim < 1
+            && Netserve.Poller.mono_s () < restart_deadline
+          do
+            pace ()
+          done;
+          check "supervisor restarted the victim" (Cluster.Local.restarts c victim >= 1);
+          check "ring reconverged (3/3 up)" (Cluster.Local.wait_up c);
+          let s = Cluster.Router.stats r in
+          check "router observed the down" (s.downs >= 1);
+          check "router observed the rejoin" (s.rejoins >= shards + 1);
+          let recovered =
+            List.for_all
+              (fun k ->
+                let v = "durable-" ^ k in
+                Client.send fd (Printf.sprintf "get %s\r\n" k);
+                Client.recv_unit fd
+                = Printf.sprintf "VALUE %s 0 %d\r\n%s\r\nEND\r\n" k (String.length v) v)
+              victim_keys
+          in
+          check "every acked key recovered after the restart" recovered;
+          Client.send fd "quit\r\n";
+          try Unix.close fd with Unix.Unix_error _ -> ());
+      match !failures with
       | [] ->
           Printf.printf "clustersmoke: all checks passed\n";
           `Ok ()

@@ -68,6 +68,16 @@ let lookup t key =
   let idx = if !lo = n then 0 else !lo in
   snd t.points.(idx)
 
+let keys_on t sid ~prefix n =
+  if not (List.mem sid t.ids) then invalid_arg "Ring.keys_on: shard not on the ring";
+  let rec go acc i =
+    if List.length acc = n then List.rev acc
+    else
+      let k = prefix ^ string_of_int i in
+      go (if lookup t k = sid then k :: acc else acc) (i + 1)
+  in
+  go [] 0
+
 let remove t id =
   if not (List.mem id t.ids) then t else build t.vnodes (List.filter (fun x -> x <> id) t.ids)
 

@@ -24,6 +24,11 @@ val shards : t -> int list
     ring. *)
 val lookup : t -> string -> int
 
+(** [keys_on t sid ~prefix n]: the first [n] keys of [prefix0],
+    [prefix1], ... that shard [sid] owns — keys a driver can aim at one
+    shard.  Raises [Invalid_argument] if [sid] is not on the ring. *)
+val keys_on : t -> int -> prefix:string -> int -> string list
+
 (** Ring with shard [id] removed (no-op if absent). *)
 val remove : t -> int -> t
 

@@ -13,6 +13,11 @@ let backend_of_string = function
   | "transient" -> Some Bk_transient
   | _ -> None
 
+let backend_name = function
+  | Bk_montage -> "montage"
+  | Bk_mhamt -> "mhamt"
+  | Bk_transient -> "transient"
+
 type config = {
   backend : backend;
   host : string;
@@ -37,6 +42,19 @@ let default_config =
     seconds = 0.0;
     drain_timeout_s = 1.0;
   }
+
+let argv ~exe cfg =
+  [|
+    exe; "shard"; backend_name cfg.backend;
+    "--host"; cfg.host;
+    "--port"; string_of_int cfg.port;
+    "--workers"; string_of_int cfg.workers;
+    "--capacity-mib"; string_of_int cfg.capacity_mib;
+    "--heap-file"; cfg.heap_file;
+    "--poller"; (match cfg.poller with None -> "auto" | Some k -> Netserve.Poller.kind_name k);
+    "--seconds"; string_of_float cfg.seconds;
+    "--drain-timeout"; string_of_float cfg.drain_timeout_s;
+  |]
 
 let mib = 1024 * 1024
 

@@ -22,6 +22,7 @@
 type backend = Bk_montage | Bk_mhamt | Bk_transient
 
 val backend_of_string : string -> backend option
+val backend_name : backend -> string
 
 type config = {
   backend : backend;
@@ -40,6 +41,11 @@ type config = {
 }
 
 val default_config : config
+
+(** The command line that runs [cfg] in a child process: [exe] is the
+    montage CLI, whose [shard] subcommand calls {!run}.  A fresh exec,
+    since OCaml 5 cannot fork once domains exist. *)
+val argv : exe:string -> config -> string array
 
 (** Serve until SIGTERM/SIGINT (or [seconds]); then drain, sync, save
     the heap image and return.  [on_ready] fires once the socket is

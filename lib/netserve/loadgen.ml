@@ -117,43 +117,6 @@ type open_report = {
   o_by_endpoint : endpoint_stats list;
 }
 
-(* ---------- connecting (shared by both modes) ---------- *)
-
-(* Retry the initial connect with bounded exponential backoff: under a
-   C10K ramp the listen backlog overflows transiently, and a run that
-   dies on the first ECONNREFUSED measures nothing. *)
-let ignore_sigpipe () =
-  match Sys.os_type with
-  | "Unix" -> ( try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ())
-  | _ -> ()
-
-let connect ?(retries = 60) (host, port) =
-  ignore_sigpipe ();
-  let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
-  let rec go attempt backoff =
-    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-    (try Unix.setsockopt fd TCP_NODELAY true with _ -> ());
-    match Unix.connect fd addr with
-    | () -> fd
-    | exception
-        Unix.Unix_error
-          ( ( Unix.ECONNREFUSED | Unix.ECONNRESET | Unix.EAGAIN | Unix.EWOULDBLOCK
-            | Unix.EINTR | Unix.ETIMEDOUT ),
-            _,
-            _ )
-      when attempt < retries ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        (Unix.sleepf backoff
-        [@montage.allow
-          "R5: bounded connect backoff in client tooling; the server \
-           under test is not on this thread"]);
-        go (attempt + 1) (Float.min 0.25 (backoff *. 2.0))
-    | exception e ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        raise e
-  in
-  go 0 0.005
-
 (* ---------- the driver ---------- *)
 
 (* does [buf[pos, stop)] contain "shard down"?  (router's Down marker;
@@ -296,7 +259,7 @@ let drive ~eps ~conn_eps ~pacing ~next ~duration_s ~grace_s =
     Array.map
       (fun ep ->
         let l = { ep; dec = C.decoder (); inflight = Queue.create (); batch = 0 } in
-        match Conn_core.add core (connect eps.(ep)) l with
+        match Conn_core.add core (Client.connect ~host:(fst eps.(ep)) (snd eps.(ep))) l with
         | Ok c -> c
         | Error why -> raise (Connection_lost why))
       conn_eps

@@ -53,9 +53,9 @@ val default_config : config
     connection in {!report.disconnects} and keeps driving the domain's
     others; {!preload} raises it, since a preload cannot meaningfully
     continue without the connection.
-    Initial connects are retried with bounded backoff on
-    [ECONNREFUSED]/[EAGAIN]/[ETIMEDOUT] before giving up, so a listen
-    backlog overflow during a connection ramp does not kill the run. *)
+    Initial connects go through {!Client.connect}, which retries with
+    bounded backoff, so a listen backlog overflow during a connection
+    ramp does not kill the run. *)
 exception Connection_lost of string
 
 (** Per-endpoint accounting, in the order of {!config.endpoints} (or

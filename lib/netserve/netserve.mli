@@ -89,3 +89,7 @@ module Conn_core = Conn_core
 
 (** The companion load generator (closed-loop and open-loop). *)
 module Loadgen = Loadgen
+
+(** The blocking client the CLI drivers, the bench figures and the
+    tests share. *)
+module Client = Client

@@ -93,53 +93,10 @@ let start_shard_with ?(port = 0) ?(config = fun c -> c) ?poller () =
 
 let start_shard ?port () = start_shard_with ?port ()
 
-let connect port =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
-  fd
+(* connect, send, recv_exact, recv_until, recv_all *)
+open Netserve.Client
 
-let send fd s =
-  let off = ref 0 in
-  let n = String.length s in
-  while !off < n do
-    off := !off + Unix.write_substring fd s !off (n - !off)
-  done
-
-let recv_exact fd n =
-  let buf = Bytes.create n in
-  let off = ref 0 in
-  (try
-     while !off < n do
-       let k = Unix.read fd buf !off (n - !off) in
-       if k = 0 then raise Exit;
-       off := !off + k
-     done
-   with Exit -> ());
-  Bytes.sub_string buf 0 !off
-
-let recv_until fd suffix =
-  let acc = Buffer.create 256 in
-  let chunk = Bytes.create 4096 in
-  let ends_with () =
-    let s = Buffer.contents acc in
-    String.length s >= String.length suffix
-    && String.sub s (String.length s - String.length suffix) (String.length suffix) = suffix
-  in
-  (try
-     while not (ends_with ()) do
-       let k = Unix.read fd chunk 0 (Bytes.length chunk) in
-       if k = 0 then raise Exit;
-       Buffer.add_subbytes acc chunk 0 k
-     done
-   with Exit -> ());
-  Buffer.contents acc
-
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec scan i = i + nn <= nh && (String.sub haystack i nn = needle || scan (i + 1)) in
-  nn = 0 || scan 0
+let contains = Substring.contains
 
 let router_config =
   {
@@ -150,35 +107,40 @@ let router_config =
     connect_timeout_s = 2.0;
   }
 
+(* an [n]-shard router (1 by default) whose caps match its shards' *)
+let start_routed ?(n = 1) ?(config = fun c -> c) ?poller () =
+  let shards = List.init n (fun _ -> start_shard_with ~config ?poller ()) in
+  let caps = config Netserve.default_config in
+  let r =
+    Router.start
+      ~config:
+        {
+          router_config with
+          Router.poller;
+          max_line = caps.Netserve.max_line;
+          max_value = caps.Netserve.max_value;
+        }
+      (List.mapi
+         (fun sid shard -> { Router.sid; shost = "127.0.0.1"; sport = Netserve.port shard })
+         shards)
+  in
+  if not (Router.wait_up r ~timeout_s:10.0) then Alcotest.fail "shards did not join";
+  (shards, r)
+
 (* 3 shards + router; hand the body the router, its ring, and the shard
    handles (so tests can kill/restart them); always torn down. *)
 let with_cluster body =
-  let shards = Array.init 3 (fun _ -> start_shard ()) in
-  let addrs =
-    Array.to_list
-      (Array.mapi
-         (fun i t -> { Router.sid = i; shost = "127.0.0.1"; sport = Netserve.port t })
-         shards)
-  in
-  let r = Router.start ~config:router_config addrs in
+  let shards, r = start_routed ~n:3 () in
+  let shards = Array.of_list shards in
   let ring = Ring.create ~vnodes:router_config.vnodes [ 0; 1; 2 ] in
   Fun.protect
     ~finally:(fun () ->
       Router.stop r;
       Array.iter (fun t -> try ignore (Netserve.shutdown t) with _ -> ()) shards)
-    (fun () ->
-      Alcotest.(check bool) "all shards join" true (Router.wait_up r ~timeout_s:10.0);
-      body r ring shards)
+    (fun () -> body r ring shards)
 
 (* some keys owned by each shard, under the router's own ring *)
-let keys_on ring sid n =
-  let rec go acc i =
-    if List.length acc = n then List.rev acc
-    else
-      let k = Printf.sprintf "k-%d" i in
-      go (if Ring.lookup ring k = sid then k :: acc else acc) (i + 1)
-  in
-  go [] 0
+let keys_on ring sid n = Ring.keys_on ring sid ~prefix:"k-" n
 
 let test_route_parity () =
   with_cluster (fun r _ring _shards ->
@@ -368,39 +330,10 @@ let test_down_before_start () =
    front of identical shards — and every client's reply bytes must
    match. *)
 
-(* an [n]-shard router (1 by default) whose caps match its shards' *)
-let start_routed ?(n = 1) ?(config = fun c -> c) ?poller () =
-  let shards = List.init n (fun _ -> start_shard_with ~config ?poller ()) in
-  let caps = config Netserve.default_config in
-  let r =
-    Router.start
-      ~config:
-        {
-          router_config with
-          Router.poller;
-          max_line = caps.Netserve.max_line;
-          max_value = caps.Netserve.max_value;
-        }
-      (List.mapi
-         (fun sid shard -> { Router.sid; shost = "127.0.0.1"; sport = Netserve.port shard })
-         shards)
-  in
-  if not (Router.wait_up r ~timeout_s:10.0) then Alcotest.fail "shards did not join";
-  (shards, r)
-
 (* read whatever arrives until the connection stays quiet for [quiet] s *)
 let drain_quiet ?(quiet = 0.05) fd acc =
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO quiet;
-  let chunk = Bytes.create 65536 in
-  let rec go () =
-    match Unix.read fd chunk 0 (Bytes.length chunk) with
-    | 0 -> ()
-    | k ->
-        Buffer.add_subbytes acc chunk 0 k;
-        go ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  go ()
+  Buffer.add_string acc (recv_all fd)
 
 (* [script]: (client index, bytes) steps, sent in order with a quiet
    read after each; the result is every client's reply transcript. *)
@@ -599,6 +532,28 @@ let test_differential kind () =
       QCheck.Test.check_exn prop;
       Alcotest.(check int) "no shard marked down" 0 (Router.stats r).Router.downs)
 
+(* ---- supervisor ---- *)
+
+(* an exited child is reaped and respawned by [tick], [on_exit] hears
+   its status, and [shutdown] leaves no process behind *)
+let test_supervisor_restart () =
+  let sup = Cluster.Supervisor.create () in
+  let child = Cluster.Supervisor.add sup ~name:"exit3" ~argv:[| "/bin/sh"; "-c"; "exit 3" |] in
+  let seen = ref [] in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Cluster.Supervisor.restarts child < 1 && Unix.gettimeofday () < deadline do
+    ignore (Cluster.Supervisor.tick sup ~on_exit:(fun name st -> seen := (name, st) :: !seen));
+    Unix.sleepf 0.01
+  done;
+  Alcotest.(check bool) "restarted" true (Cluster.Supervisor.restarts child >= 1);
+  Alcotest.(check bool) "on_exit saw WEXITED 3" true (List.mem ("exit3", Unix.WEXITED 3) !seen);
+  Cluster.Supervisor.set_restart child false;
+  let last = Cluster.Supervisor.pid child in
+  Alcotest.(check bool) "respawned child has a pid" true (last > 0);
+  Cluster.Supervisor.shutdown sup;
+  Alcotest.(check bool) "last child reaped" true
+    (match Unix.kill last 0 with () -> false | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true)
+
 let () =
   Alcotest.run "cluster"
     [
@@ -619,6 +574,9 @@ let () =
           Alcotest.test_case "shard down and rejoin" `Quick test_shard_down_and_rejoin;
           Alcotest.test_case "all shards down from birth" `Quick test_down_before_start;
         ] );
+      ( "child",
+        [ Alcotest.test_case "supervisor restarts an exit, shutdown reaps" `Quick
+            test_supervisor_restart ] );
       (* Router vs one shard, byte for byte. Group names stay at most six
          characters: Alcotest widens its label column to the longest one,
          which shortens every printed test name. *)

@@ -41,57 +41,14 @@ let start_montage ?(workers = 4) ?nb ?poller ?(config_mod = fun c -> c) () =
 
 (* ---- blocking client helpers ---- *)
 
-let connect port =
-  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-  (try Unix.setsockopt fd TCP_NODELAY true with Unix.Unix_error _ -> ());
-  Unix.connect fd (ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.setsockopt_float fd SO_RCVTIMEO 10.0;
-  fd
+(* connect, send, recv_exact, recv_until, recv_all, recv_unit *)
+open Netserve.Client
 
-let send fd s =
-  let off = ref 0 in
-  let n = String.length s in
-  while !off < n do
-    off := !off + Unix.write_substring fd s !off (n - !off)
-  done
-
-let recv_exact fd n =
-  let buf = Bytes.create n in
-  let off = ref 0 in
-  (try
-     while !off < n do
-       let k = Unix.read fd buf !off (n - !off) in
-       if k = 0 then raise Exit;
-       off := !off + k
-     done
-   with Exit -> ());
-  Bytes.sub_string buf 0 !off
-
-let recv_until fd suffix =
-  let acc = Buffer.create 256 in
-  let chunk = Bytes.create 4096 in
-  let ends_with () =
-    let s = Buffer.contents acc in
-    String.length s >= String.length suffix
-    && String.sub s (String.length s - String.length suffix) (String.length suffix) = suffix
-  in
-  (try
-     while not (ends_with ()) do
-       let k = Unix.read fd chunk 0 (Bytes.length chunk) in
-       if k = 0 then raise Exit;
-       Buffer.add_subbytes acc chunk 0 k
-     done
-   with Exit -> ());
-  Buffer.contents acc
+let contains = Substring.contains
 
 let quit_close fd =
   (try send fd "quit\r\n" with _ -> ());
   try Unix.close fd with _ -> ()
-
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec scan i = i + nn <= nh && (String.sub haystack i nn = needle || scan (i + 1)) in
-  nn = 0 || scan 0
 
 (* ---- concurrent pipelined clients ---- *)
 
@@ -241,24 +198,13 @@ let parity_session kind =
   in
   String.iter (fun c -> send fd (String.make 1 c)) script;
   (* quit closes the connection after the last reply flushes: read to EOF *)
-  let acc = Buffer.create 256 in
-  let chunk = Bytes.create 1024 in
-  (try
-     let rec loop () =
-       let k = Unix.read fd chunk 0 (Bytes.length chunk) in
-       if k > 0 then begin
-         Buffer.add_subbytes acc chunk 0 k;
-         loop ()
-       end
-     in
-     loop ()
-   with Unix.Unix_error _ -> ());
+  let replies = recv_all fd in
   (try Unix.close fd with _ -> ());
   let d = Netserve.shutdown t in
   Alcotest.(check int) (Netserve.Poller.kind_name kind ^ " drained") 0 d.Netserve.forced_closes;
   E.stop_background esys;
   ignore region;
-  Buffer.contents acc
+  replies
 
 let test_backend_parity () =
   match List.map (fun (k, name) -> (name, parity_session k)) kinds with
@@ -503,6 +449,30 @@ let test_mhamt_snapshot_through_sockets () =
   ignore (Netserve.shutdown t2);
   E.stop_background esys2
 
+(* ---- reply-unit framing ---- *)
+
+(* recv_unit ends a unit where the reply decoder does, not at the first
+   END-looking bytes: a VALUE whose data is "END\r\n" is one unit with
+   its real END, a bare SERVER_ERROR line is a unit of its own, and a
+   reply longer than one read arrives whole *)
+let test_recv_unit_framing () =
+  let a, b = Unix.(socketpair PF_UNIX SOCK_STREAM 0) in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close a;
+      Unix.close b)
+    (fun () ->
+      Unix.setsockopt_float b SO_RCVTIMEO 5.0;
+      let tricky = "VALUE k 0 5\r\nEND\r\n\r\nEND\r\n" in
+      let down = "SERVER_ERROR shard down\r\n" in
+      let data = String.concat "" (List.init 2000 (fun _ -> "END\r\n")) in
+      let big = Printf.sprintf "VALUE big 0 %d\r\n%s\r\nEND\r\n" (String.length data) data in
+      send a (tricky ^ down ^ big ^ down);
+      Alcotest.(check string) "value holding END\\r\\n is one unit" tricky (recv_unit b);
+      Alcotest.(check string) "shard down is one unit" down (recv_unit b);
+      Alcotest.(check string) "a unit longer than one read" big (recv_unit b);
+      Alcotest.(check string) "next unit left in the socket" down (recv_unit b))
+
 (* ---- shutdown is idempotent and syncs once ---- *)
 
 let test_shutdown_idempotent () =
@@ -556,6 +526,8 @@ let () =
               (test_acked_keys_survive_crash ~nb:false);
             Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
           ] );
+      ( "client",
+        [ Alcotest.test_case "recv_unit frames by the reply decoder" `Quick test_recv_unit_framing ] );
       ( "mhamt backend",
         [
           Alcotest.test_case "snapshot isolation through the socket path" `Quick
