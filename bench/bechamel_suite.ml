@@ -13,6 +13,8 @@ let key_of i = Printf.sprintf "%032d" i
 let value = String.init 1024 (fun i -> Char.chr (65 + (i mod 26)))
 
 let capacity = Systems.map_capacity ~preload:4096 ~value_size:1024
+let manual c = { c with Cfg.auto_advance = false }
+let montage_map () = Systems.montage_map ~cfg_mod:manual ~capacity ~threads:1 ~buckets:4096 ()
 
 (* Each test owns its system; a counter cycles the key space. *)
 let map_op_test ~name (sys : Systems.map_inst) =
@@ -40,16 +42,15 @@ let queue_op_test ~name (sys : Systems.queue_inst) =
 let tests () =
   [
     (* Fig. 4/7a: Montage hashmap update path *)
-    map_op_test ~name:"fig4/7a montage map update"
-      (Systems.montage_map ~cfg_mod:(fun c -> { c with Cfg.auto_advance = false }) ~capacity ~threads:1 ~buckets:4096 ());
+    map_op_test ~name:"fig4/7a montage map update" (montage_map ());
     (* Fig. 5/6: Montage queue *)
     queue_op_test ~name:"fig5/6 montage queue"
-      (Systems.montage_queue ~cfg_mod:(fun c -> { c with Cfg.auto_advance = false }) ~capacity ~threads:1 ());
+      (Systems.montage_queue ~cfg_mod:manual ~capacity ~threads:1 ());
     (* Fig. 6: strict persistent queue for contrast *)
     queue_op_test ~name:"fig6 friedman queue"
       (Systems.friedman_queue ~capacity ~threads:1 ());
     (* Fig. 7b: Montage read path *)
-    (let sys = Systems.montage_map ~cfg_mod:(fun c -> { c with Cfg.auto_advance = false }) ~capacity ~threads:1 ~buckets:4096 () in
+    (let sys = montage_map () in
      for i = 0 to 4095 do
        sys.Systems.mput ~tid:0 (key_of i) value
      done;
@@ -61,30 +62,17 @@ let tests () =
     (* Fig. 8: payload-size extremes on the map *)
     map_op_test ~name:"fig8 dali map update" (Systems.dali_map ~capacity ~threads:1 ());
     (* Fig. 9: the sync operation itself *)
-    (let sys = Systems.montage_map ~cfg_mod:(fun c -> { c with Cfg.auto_advance = false }) ~capacity ~threads:1 ~buckets:4096 () in
+    (let sys = montage_map () in
      Test.make ~name:"fig9 montage sync" (Staged.stage (fun () -> sys.Systems.msync ~tid:0)));
     (* Fig. 10: memcached-style set through the store layer *)
-    (let inner = Systems.montage_map ~cfg_mod:(fun c -> { c with Cfg.auto_advance = false }) ~capacity ~threads:1 ~buckets:4096 () in
-     let backend =
-       Kvstore.Store.backend
-         ~get:(fun ~tid k -> inner.Systems.mget ~tid k)
-         ~put:(fun ~tid k v ->
-           inner.Systems.mput ~tid k v;
-           None)
-         ~remove:(fun ~tid k ->
-           inner.Systems.mrem ~tid k;
-           None)
-         ()
-     in
-     let store = Kvstore.Store.create backend in
+    (let store = Systems.store_of (montage_map ()) in
      let counter = ref 0 in
      Test.make ~name:"fig10 memcached set"
        (Staged.stage (fun () ->
             incr counter;
             Kvstore.Store.set store ~tid:0 (key_of (!counter land 4095)) value)));
     (* Fig. 11: Montage graph edge op *)
-    (let r = Systems.region ~capacity ~threads:1 in
-     let esys = Montage.Epoch_sys.create ~config:{ Cfg.default with max_threads = 2; auto_advance = false } r in
+    (let esys, _ = Systems.montage ~cfg_mod:manual ~capacity ~threads:1 () in
      let g = Pstructs.Mgraph.create ~capacity:4096 esys in
      for i = 0 to 1023 do
        ignore (Pstructs.Mgraph.add_vertex g ~tid:0 i "v")
@@ -106,14 +94,21 @@ let run () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
   in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let results = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "  %-32s %10.0f ns/op\n%!" name est
-          | _ -> Printf.printf "  %-32s (no estimate)\n%!" name)
-        results)
-    (tests ())
+  let estimates =
+    List.concat_map
+      (fun test ->
+        let results = Benchmark.all cfg instances test in
+        let results = Analyze.all ols Instance.monotonic_clock results in
+        Hashtbl.fold
+          (fun name ols_result acc ->
+            match Analyze.OLS.estimates ols_result with
+            | Some [ est ] ->
+                Printf.printf "  %-32s %10.0f ns/op\n%!" name est;
+                (name, [ est ]) :: acc
+            | _ ->
+                Printf.printf "  %-32s (no estimate)\n%!" name;
+                (name, [ nan ]) :: acc)
+          results [])
+      (tests ())
+  in
+  Benchlib.Report.record ~columns:[ "ns/op" ] ~rows:estimates ~unit_label:"OLS fit" ()

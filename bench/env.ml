@@ -4,12 +4,18 @@
    server; defaults here are scaled so the full suite finishes in a few
    minutes on a small container while preserving every comparison.
 
-     BENCH_ONLY=fig7          run a single figure (fig4..fig12,
-                              recovery, bechamel; comma-separated)
+     BENCH_ONLY=fig7a         run only these figures, comma-separated:
+                              fig4 fig5 fig6 fig7a fig7b fig8a fig8b
+                              fig9 fig10 snapshot fig11 fig12 recovery
+                              ablation coalesce readpath netserve c10k
+                              cluster bechamel (an unknown name exits 2)
      BENCH_DURATION_MS=400    per-point measurement window
      BENCH_THREADS="1 2 4"    thread counts for scaling sweeps
      BENCH_PRELOAD=20000      map preload (paper: 500,000)
      BENCH_VALUE=1024         value size in bytes (paper: 1 KB)
+     BENCH_GRAPH_CAP=20000    graph vertex capacity (paper: 1,000,000)
+     BENCH_GRAPH_DEGREE=8     graph average degree (paper: 32)
+     BENCH_RECOVERY_MB="16 64"  recovery-table data-set sizes in MB
      BENCH_FULL=1             paper-scale parameters (slow) *)
 
 let getenv_int name default =
@@ -17,7 +23,8 @@ let getenv_int name default =
 
 let full = Sys.getenv_opt "BENCH_FULL" = Some "1"
 
-let duration_s = float_of_int (getenv_int "BENCH_DURATION_MS" (if full then 5000 else 400)) /. 1000.0
+let duration_ms = getenv_int "BENCH_DURATION_MS" (if full then 5000 else 400)
+let duration_s = float_of_int duration_ms /. 1000.0
 
 let threads =
   match Sys.getenv_opt "BENCH_THREADS" with

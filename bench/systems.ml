@@ -10,7 +10,6 @@ module E = Montage.Epoch_sys
 module Cfg = Montage.Config
 
 type map_inst = {
-  mname : string;
   mget : tid:int -> string -> string option;
   mput : tid:int -> string -> string -> unit;
   mrem : tid:int -> string -> unit;
@@ -19,7 +18,6 @@ type map_inst = {
 }
 
 type queue_inst = {
-  qname : string;
   qenq : tid:int -> string -> unit;
   qdeq : tid:int -> string option;
   qsync : tid:int -> unit;
@@ -225,66 +223,73 @@ let stop_leaked () =
       f ())
     pending
 
+(* ---- Montage systems ---- *)
+
+(* An epoch system over a fresh region; [cfg_mod] edits the default
+   config, which has one worker slot per thread plus the advancer's. *)
+let montage ?(cfg_mod = Fun.id) ~capacity ~threads () =
+  let r = region ~capacity ~threads in
+  (E.create ~config:(cfg_mod { Cfg.default with max_threads = threads + 1 }) r, r)
+
+(* Stop the background advancer and harvest the write-back and mirror
+   totals; registered, so [stop_leaked] runs it if a point never did. *)
+let montage_stop esys r =
+  guarded_stop (fun () ->
+      E.stop_background esys;
+      note_mirror_stats esys r;
+      note_region_stats r)
+
 (* ---- map systems ---- *)
 
-let montage_map ?(name = "Montage") ?(cfg_mod = fun c -> c) ~capacity ~threads ~buckets () =
-  let r = region ~capacity ~threads in
-  let cfg = cfg_mod { Cfg.default with max_threads = threads + 1 } in
-  let esys = E.create ~config:cfg r in
-  let m = Pstructs.Mhashmap.create ~buckets esys in
+(* A map from a structure's get, put and remove; the baselines have no
+   durability barrier and nothing to stop unless given. *)
+let map_of ?(sync = no_sync) ?(stop = no_stop) (get, put, remove) =
   {
-    mname = name;
-    mget = (fun ~tid k -> Pstructs.Mhashmap.get m ~tid k);
-    mput = (fun ~tid k v -> ignore (Pstructs.Mhashmap.put m ~tid k v));
-    mrem = (fun ~tid k -> ignore (Pstructs.Mhashmap.remove m ~tid k));
-    msync = (fun ~tid -> E.sync esys ~tid);
-    mstop =
-      guarded_stop (fun () ->
-          E.stop_background esys;
-          note_mirror_stats esys r;
-          note_region_stats r);
+    mget = get;
+    mput = (fun ~tid k v -> ignore (put ~tid k v));
+    mrem = (fun ~tid k -> ignore (remove ~tid k));
+    msync = sync;
+    mstop = stop;
   }
 
+(* A Montage-backed map: [ops esys] builds the structure and returns
+   its get, put and remove. *)
+let montage_map_of ?cfg_mod ~capacity ~threads ops =
+  let esys, r = montage ?cfg_mod ~capacity ~threads () in
+  map_of ~sync:(fun ~tid -> E.sync esys ~tid) ~stop:(montage_stop esys r) (ops esys)
+
+let montage_map ?cfg_mod ~capacity ~threads ~buckets () =
+  montage_map_of ?cfg_mod ~capacity ~threads (fun esys ->
+      let m = Pstructs.Mhashmap.create ~buckets esys in
+      Pstructs.Mhashmap.(get m, put m, remove m))
+
+(* Persistence elided: the "(T)" rows' transient upper bound. *)
+let transient c = { c with Cfg.persist = false; auto_advance = false }
+
 let montage_t_map ~capacity ~threads ~buckets () =
-  montage_map ~name:"Montage (T)" ~cfg_mod:(fun c -> { c with persist = false; auto_advance = false })
-    ~capacity ~threads ~buckets ()
+  montage_map ~cfg_mod:transient ~capacity ~threads ~buckets ()
 
 (* MHAMT: the snapshot-capable persistent HAMT behind the same closure
    interface, so the YCSB figure can row it next to the hashmap. *)
-let mhamt_map ?(name = "MHAMT") ~capacity ~threads () =
-  let r = region ~capacity ~threads in
-  let esys = E.create ~config:{ Cfg.default with max_threads = threads + 1 } r in
-  let m = Pstructs.Mhamt.create esys in
-  {
-    mname = name;
-    mget = (fun ~tid k -> Pstructs.Mhamt.get m ~tid k);
-    mput = (fun ~tid k v -> ignore (Pstructs.Mhamt.put m ~tid k v));
-    mrem = (fun ~tid k -> ignore (Pstructs.Mhamt.remove m ~tid k));
-    msync = (fun ~tid -> E.sync esys ~tid);
-    mstop =
-      guarded_stop (fun () ->
-          E.stop_background esys;
-          note_mirror_stats esys r;
-          note_region_stats r);
-  }
+let mhamt_map ~capacity ~threads () =
+  montage_map_of ~capacity ~threads (fun esys ->
+      let m = Pstructs.Mhamt.create esys in
+      Pstructs.Mhamt.(get m, put m, remove m))
 
 (* Scan-while-writing instances: [zscan] performs one consistent full
    scan of the structure and returns the number of bindings it saw.
    MHAMT pins an O(1) snapshot and folds it; the hashmap's consistent
    listing is [to_alist], its closest equivalent. *)
 type scan_inst = {
-  zname : string;
   zput : tid:int -> string -> string -> unit;
   zscan : tid:int -> int;
   zstop : unit -> unit;
 }
 
 let mhamt_scan ~capacity ~threads () =
-  let r = region ~capacity ~threads in
-  let esys = E.create ~config:{ Cfg.default with max_threads = threads + 1 } r in
+  let esys, r = montage ~capacity ~threads () in
   let m = Pstructs.Mhamt.create esys in
   {
-    zname = "MHAMT";
     zput = (fun ~tid k v -> ignore (Pstructs.Mhamt.put m ~tid k v));
     zscan =
       (fun ~tid ->
@@ -292,135 +297,71 @@ let mhamt_scan ~capacity ~threads () =
         let n = Pstructs.Mhamt.View.fold v ~tid (fun acc _ _ -> acc + 1) 0 in
         Pstructs.Mhamt.release m v ~tid;
         n);
-    zstop =
-      guarded_stop (fun () ->
-          E.stop_background esys;
-          note_mirror_stats esys r;
-          note_region_stats r);
+    zstop = montage_stop esys r;
   }
 
 let mhashmap_scan ~capacity ~threads ~buckets () =
-  let r = region ~capacity ~threads in
-  let esys = E.create ~config:{ Cfg.default with max_threads = threads + 1 } r in
+  let esys, r = montage ~capacity ~threads () in
   let m = Pstructs.Mhashmap.create ~buckets esys in
   {
-    zname = "Mhashmap";
     zput = (fun ~tid k v -> ignore (Pstructs.Mhashmap.put m ~tid k v));
     zscan = (fun ~tid -> List.length (Pstructs.Mhashmap.to_alist m ~tid));
-    zstop =
-      guarded_stop (fun () ->
-          E.stop_background esys;
-          note_mirror_stats esys r;
-          note_region_stats r);
+    zstop = montage_stop esys r;
   }
+
+let pmem ~capacity ~threads = Baselines.Pmem.create (region ~capacity ~threads)
 
 let dram_map ~buckets () =
   let m = Baselines.Transient_map.create ~buckets Baselines.Transient_map.Dram in
-  {
-    mname = "DRAM (T)";
-    mget = (fun ~tid k -> Baselines.Transient_map.get m ~tid k);
-    mput = (fun ~tid k v -> ignore (Baselines.Transient_map.put m ~tid k v));
-    mrem = (fun ~tid k -> ignore (Baselines.Transient_map.remove m ~tid k));
-    msync = no_sync;
-    mstop = no_stop;
-  }
+  map_of Baselines.Transient_map.(get m, put m, remove m)
 
 let nvm_t_map ~capacity ~threads ~buckets () =
-  let r = region ~capacity ~threads in
-  let pm = Baselines.Pmem.create r in
-  let m = Baselines.Transient_map.create ~buckets (Baselines.Transient_map.Nvm pm) in
-  {
-    mname = "NVM (T)";
-    mget = (fun ~tid k -> Baselines.Transient_map.get m ~tid k);
-    mput = (fun ~tid k v -> ignore (Baselines.Transient_map.put m ~tid k v));
-    mrem = (fun ~tid k -> ignore (Baselines.Transient_map.remove m ~tid k));
-    msync = no_sync;
-    mstop = no_stop;
-  }
+  let m = Baselines.Transient_map.create ~buckets (Baselines.Transient_map.Nvm (pmem ~capacity ~threads)) in
+  map_of Baselines.Transient_map.(get m, put m, remove m)
 
+(* SOFT has no atomic update: benchmark semantics are insert/remove *)
 let soft_map ~capacity ~threads ~buckets () =
-  let r = region ~capacity ~threads in
-  let pm = Baselines.Pmem.create r in
-  let m = Baselines.Soft_map.create ~buckets pm in
-  {
-    mname = "SOFT";
-    mget = (fun ~tid k -> Baselines.Soft_map.get m ~tid k);
-    (* SOFT has no atomic update: benchmark semantics are insert/remove *)
-    mput = (fun ~tid k v -> ignore (Baselines.Soft_map.put m ~tid k v));
-    mrem = (fun ~tid k -> ignore (Baselines.Soft_map.remove m ~tid k));
-    msync = no_sync;
-    mstop = no_stop;
-  }
+  let m = Baselines.Soft_map.create ~buckets (pmem ~capacity ~threads) in
+  map_of Baselines.Soft_map.(get m, put m, remove m)
 
+(* Dalí's bucket heads live in the root area: capped bucket count.
+   No background persister: workers pay for the periodic flushes. *)
 let dali_map ~capacity ~threads () =
-  let r = region ~capacity ~threads in
-  ignore threads;
-  let pm = Baselines.Pmem.create r in
-  (* Dalí's bucket heads live in the root area: capped bucket count.
-     No background persister: workers pay for the periodic flushes. *)
-  let m = Baselines.Dali_map.create ~buckets:4096 pm in
-  {
-    mname = "Dali";
-    mget = (fun ~tid k -> Baselines.Dali_map.get m ~tid k);
-    mput = (fun ~tid k v -> ignore (Baselines.Dali_map.put m ~tid k v));
-    mrem = (fun ~tid k -> ignore (Baselines.Dali_map.remove m ~tid k));
-    msync = (fun ~tid -> Baselines.Dali_map.persist_all m ~tid);
-    mstop = no_stop;
-  }
+  let m = Baselines.Dali_map.create ~buckets:4096 (pmem ~capacity ~threads) in
+  map_of ~sync:(Baselines.Dali_map.persist_all m) Baselines.Dali_map.(get m, put m, remove m)
 
 let nvtraverse_map ~capacity ~threads ~buckets () =
-  let r = region ~capacity ~threads in
-  let pm = Baselines.Pmem.create r in
-  let m = Baselines.Nvtraverse_map.create ~buckets pm in
-  {
-    mname = "NVTraverse";
-    mget = (fun ~tid k -> Baselines.Nvtraverse_map.get m ~tid k);
-    mput = (fun ~tid k v -> ignore (Baselines.Nvtraverse_map.put m ~tid k v));
-    mrem = (fun ~tid k -> ignore (Baselines.Nvtraverse_map.remove m ~tid k));
-    msync = no_sync;
-    mstop = no_stop;
-  }
+  let m = Baselines.Nvtraverse_map.create ~buckets (pmem ~capacity ~threads) in
+  map_of Baselines.Nvtraverse_map.(get m, put m, remove m)
 
 let mod_map ~capacity ~threads () =
-  let r = region ~capacity ~threads in
-  let pm = Baselines.Pmem.create r in
-  let m = Baselines.Mod_structs.Map.create ~buckets:4096 pm in
-  {
-    mname = "MOD";
-    mget = (fun ~tid k -> Baselines.Mod_structs.Map.get m ~tid k);
-    mput = (fun ~tid k v -> ignore (Baselines.Mod_structs.Map.put m ~tid k v));
-    mrem = (fun ~tid k -> ignore (Baselines.Mod_structs.Map.remove m ~tid k));
-    msync = no_sync;
-    mstop = no_stop;
-  }
+  let m = Baselines.Mod_structs.Map.create ~buckets:4096 (pmem ~capacity ~threads) in
+  map_of Baselines.Mod_structs.Map.(get m, put m, remove m)
 
 let pronto_map ~mode ~capacity ~threads ~buckets () =
-  let r = region ~capacity ~threads in
-  let pm = Baselines.Pmem.create r in
-  let name = match mode with Baselines.Pronto.Sync -> "Pronto-Sync" | Full -> "Pronto-Full" in
-  let p = Baselines.Pronto.create ~buckets ~threads:(threads + 2) ~mode pm in
-  {
-    mname = name;
-    mget = (fun ~tid k -> Baselines.Pronto.get p ~tid k);
-    mput = (fun ~tid k v -> ignore (Baselines.Pronto.put p ~tid k v));
-    mrem = (fun ~tid k -> ignore (Baselines.Pronto.remove p ~tid k));
-    msync = no_sync;
-    mstop = no_stop;
-  }
+  let p = Baselines.Pronto.create ~buckets ~threads:(threads + 2) ~mode (pmem ~capacity ~threads) in
+  map_of Baselines.Pronto.(get p, put p, remove p)
 
 let mnemosyne_map ~capacity ~threads ~preload () =
-  let r = region ~capacity ~threads in
   let words = max (1 lsl 18) (preload * 8) in
-  let stm = Baselines.Mnemosyne.create ~words ~threads:(threads + 2) r in
+  let stm = Baselines.Mnemosyne.create ~words ~threads:(threads + 2) (region ~capacity ~threads) in
   let m = Baselines.Mnemosyne.Map.create ~buckets:4096 stm in
-  {
-    mname = "Mnemosyne";
-    mget = (fun ~tid k -> Baselines.Mnemosyne.Map.get m ~tid k);
-    mput = (fun ~tid k v -> ignore (Baselines.Mnemosyne.Map.put m ~tid k v));
-    mrem = (fun ~tid k -> ignore (Baselines.Mnemosyne.Map.remove m ~tid k));
-    msync = no_sync;
-    mstop = no_stop;
-  }
+  map_of Baselines.Mnemosyne.Map.(get m, put m, remove m)
+
+(* A memcached store over [sys].  The reference systems expose no
+   atomic RMW; YCSB-A is read/update only, so the get-then-put fallback
+   is safe. *)
+let store_of (sys : map_inst) =
+  Kvstore.Store.create
+    (Kvstore.Store.backend ~get:sys.mget
+       ~put:(fun ~tid k v ->
+         sys.mput ~tid k v;
+         None)
+       ~remove:(fun ~tid k ->
+         let old = sys.mget ~tid k in
+         sys.mrem ~tid k;
+         old)
+       ())
 
 (* Region sizing: enough blocks for the live set plus epoch-delayed
    reclamation churn. *)
@@ -447,110 +388,58 @@ let all_map_systems ~threads ~preload ~value_size : (string * (unit -> map_inst)
 
 (* ---- queue systems ---- *)
 
-let montage_queue ?(name = "Montage") ?(cfg_mod = fun c -> c) ~capacity ~threads () =
-  let r = region ~capacity ~threads in
-  let cfg = cfg_mod { Cfg.default with max_threads = threads + 1 } in
-  let esys = E.create ~config:cfg r in
-  let q = Pstructs.Mqueue.create esys in
-  {
-    qname = name;
-    qenq = (fun ~tid v -> Pstructs.Mqueue.enqueue q ~tid v);
-    qdeq = (fun ~tid -> Pstructs.Mqueue.dequeue q ~tid);
-    qsync = (fun ~tid -> E.sync esys ~tid);
-    qstop =
-      guarded_stop (fun () ->
-          E.stop_background esys;
-          note_mirror_stats esys r;
-          note_region_stats r);
-  }
+(* A queue (or stack) from its insert and remove. *)
+let queue_of ?(sync = no_sync) ?(stop = no_stop) (qenq, qdeq) = { qenq; qdeq; qsync = sync; qstop = stop }
 
-let montage_t_queue ~capacity ~threads () =
-  montage_queue ~name:"Montage (T)"
-    ~cfg_mod:(fun c -> { c with persist = false; auto_advance = false })
-    ~capacity ~threads ()
+(* A Montage-backed queue: [ops esys] builds the structure and returns
+   its insert and remove. *)
+let montage_queue_of ?cfg_mod ~capacity ~threads ops =
+  let esys, r = montage ?cfg_mod ~capacity ~threads () in
+  queue_of ~sync:(fun ~tid -> E.sync esys ~tid) ~stop:(montage_stop esys r) (ops esys)
+
+let montage_queue ?cfg_mod ~capacity ~threads () =
+  montage_queue_of ?cfg_mod ~capacity ~threads (fun esys ->
+      let q = Pstructs.Mqueue.create esys in
+      Pstructs.Mqueue.(enqueue q, dequeue q))
+
+let montage_t_queue ~capacity ~threads () = montage_queue ~cfg_mod:transient ~capacity ~threads ()
 
 let dram_queue () =
   let q = Baselines.Transient_queue.create Baselines.Transient_queue.Dram in
-  {
-    qname = "DRAM (T)";
-    qenq = (fun ~tid v -> Baselines.Transient_queue.enqueue q ~tid v);
-    qdeq = (fun ~tid -> Baselines.Transient_queue.dequeue q ~tid);
-    qsync = no_sync;
-    qstop = no_stop;
-  }
+  queue_of Baselines.Transient_queue.(enqueue q, dequeue q)
 
 let nvm_t_queue ~capacity ~threads () =
-  let r = region ~capacity ~threads in
-  let pm = Baselines.Pmem.create r in
-  let q = Baselines.Transient_queue.create (Baselines.Transient_queue.Nvm pm) in
-  {
-    qname = "NVM (T)";
-    qenq = (fun ~tid v -> Baselines.Transient_queue.enqueue q ~tid v);
-    qdeq = (fun ~tid -> Baselines.Transient_queue.dequeue q ~tid);
-    qsync = no_sync;
-    qstop = no_stop;
-  }
+  let q = Baselines.Transient_queue.create (Baselines.Transient_queue.Nvm (pmem ~capacity ~threads)) in
+  queue_of Baselines.Transient_queue.(enqueue q, dequeue q)
 
 let friedman_queue ~capacity ~threads () =
-  let r = region ~capacity ~threads in
-  let pm = Baselines.Pmem.create r in
-  let q = Baselines.Friedman_queue.create pm in
-  {
-    qname = "Friedman";
-    qenq = (fun ~tid v -> Baselines.Friedman_queue.enqueue q ~tid v);
-    qdeq = (fun ~tid -> Baselines.Friedman_queue.dequeue q ~tid);
-    qsync = no_sync;
-    qstop = no_stop;
-  }
+  let q = Baselines.Friedman_queue.create (pmem ~capacity ~threads) in
+  queue_of Baselines.Friedman_queue.(enqueue q, dequeue q)
 
 let mod_queue ~capacity ~threads () =
-  let r = region ~capacity ~threads in
-  let pm = Baselines.Pmem.create r in
-  let q = Baselines.Mod_structs.Queue.create pm in
-  {
-    qname = "MOD";
-    qenq = (fun ~tid v -> Baselines.Mod_structs.Queue.enqueue q ~tid v);
-    qdeq = (fun ~tid -> Baselines.Mod_structs.Queue.dequeue q ~tid);
-    qsync = no_sync;
-    qstop = no_stop;
-  }
+  let q = Baselines.Mod_structs.Queue.create (pmem ~capacity ~threads) in
+  queue_of Baselines.Mod_structs.Queue.(enqueue q, dequeue q)
 
 (* Pronto queue: a transient queue persisted through the semantic op
    log — the map hosted by the logger stays empty; only the logging
    cost (Pronto's entire critical-path overhead) is charged. *)
 let pronto_queue ~mode ~capacity ~threads () =
-  let r = region ~capacity ~threads in
-  let pm = Baselines.Pmem.create r in
-  let name = match mode with Baselines.Pronto.Sync -> "Pronto-Sync" | Full -> "Pronto-Full" in
-  let p = Baselines.Pronto.create ~buckets:64 ~threads:(threads + 2) ~mode pm in
+  let p = Baselines.Pronto.create ~buckets:64 ~threads:(threads + 2) ~mode (pmem ~capacity ~threads) in
   let q = Baselines.Transient_queue.create Baselines.Transient_queue.Dram in
-  {
-    qname = name;
-    qenq =
-      (fun ~tid v ->
+  queue_of
+    ( (fun ~tid v ->
         Baselines.Transient_queue.enqueue q ~tid v;
-        Baselines.Pronto.log_op p ~tid ~opcode:Baselines.Pronto.opcode_put ~key:"" ~value:v);
-    qdeq =
-      (fun ~tid ->
+        Baselines.Pronto.log_op p ~tid ~opcode:Baselines.Pronto.opcode_put ~key:"" ~value:v),
+      fun ~tid ->
         let r = Baselines.Transient_queue.dequeue q ~tid in
         if r <> None then
           Baselines.Pronto.log_op p ~tid ~opcode:Baselines.Pronto.opcode_remove ~key:"" ~value:"";
-        r);
-    qsync = no_sync;
-    qstop = no_stop;
-  }
+        r )
 
 let mnemosyne_queue ~capacity ~threads () =
-  let r = region ~capacity ~threads in
-  let stm = Baselines.Mnemosyne.create ~words:(1 lsl 20) ~threads:(threads + 2) r in
+  let stm = Baselines.Mnemosyne.create ~words:(1 lsl 20) ~threads:(threads + 2) (region ~capacity ~threads) in
   let q = Baselines.Mnemosyne.Queue.create stm in
-  {
-    qname = "Mnemosyne";
-    qenq = (fun ~tid v -> Baselines.Mnemosyne.Queue.enqueue q ~tid v);
-    qdeq = (fun ~tid -> Baselines.Mnemosyne.Queue.dequeue q ~tid);
-    qsync = no_sync;
-    qstop = no_stop;
-  }
+  queue_of Baselines.Mnemosyne.Queue.(enqueue q, dequeue q)
 
 let queue_capacity ~value_size = max (1 lsl 26) (value_size * 200_000)
 
@@ -567,3 +456,34 @@ let all_queue_systems ~threads ~value_size : (string * (unit -> queue_inst)) lis
     ("Pronto-Sync", fun () -> pronto_queue ~mode:Baselines.Pronto.Sync ~capacity ~threads ());
     ("Mnemosyne", fun () -> mnemosyne_queue ~capacity ~threads ());
   ]
+
+(* ---- graph systems ---- *)
+
+(* [attrs] labels every vertex and edge added. *)
+type graph_inst = {
+  g_add_edge : tid:int -> int -> int -> bool;
+  g_remove_edge : tid:int -> int -> int -> bool;
+  g_add_vertex : tid:int -> int -> bool;
+  g_remove_vertex : tid:int -> int -> bool;
+  g_stop : unit -> unit;
+}
+
+let montage_graph ~vertices ~attrs (esys, r) =
+  let g = Pstructs.Mgraph.create ~capacity:vertices esys in
+  {
+    g_add_edge = (fun ~tid u v -> Pstructs.Mgraph.add_edge g ~tid u v attrs);
+    g_remove_edge = Pstructs.Mgraph.remove_edge g;
+    g_add_vertex = (fun ~tid i -> Pstructs.Mgraph.add_vertex g ~tid i attrs);
+    g_remove_vertex = Pstructs.Mgraph.remove_vertex g;
+    g_stop = montage_stop esys r;
+  }
+
+let dram_graph ~vertices ~attrs =
+  let g = Baselines.Transient_graph.create ~capacity:vertices Baselines.Transient_graph.Dram in
+  {
+    g_add_edge = (fun ~tid u v -> Baselines.Transient_graph.add_edge g ~tid u v attrs);
+    g_remove_edge = Baselines.Transient_graph.remove_edge g;
+    g_add_vertex = (fun ~tid i -> Baselines.Transient_graph.add_vertex g ~tid i attrs);
+    g_remove_vertex = Baselines.Transient_graph.remove_vertex g;
+    g_stop = no_stop;
+  }
