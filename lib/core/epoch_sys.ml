@@ -728,6 +728,22 @@ let pget_unsafe t p =
   let stat_tid = untracked_slot t in
   match mirror_hit t ~stat_tid p with Some b -> b | None -> pget_cold t ~stat_tid p
 
+(* Bounded read of content bytes [pos, pos+len): charged for the lines
+   that range covers and nothing else.  It leaves the handle exactly as
+   it found it — no mirror install, no memo — so a recovery rebuild
+   that reads only index fields hands the structure cold handles, and
+   the first real [pget] pays the full load and fills the mirror. *)
+let pread_unsafe t p ~pos ~len =
+  check_live p;
+  if pos < 0 || len < 0 || pos + len > p.size then
+    invalid_arg
+      (Printf.sprintf "Epoch_sys.pread_unsafe: [%d, %d) outside a %d-byte payload" pos (pos + len)
+         p.size);
+  let buf = Bytes.create len in
+  if len > 0 then
+    Nvm.Region.read t.region ~off:(Payload_hdr.content_off p.off + pos) ~dst:buf ~dst_off:0 ~len;
+  buf
+
 (* ---- decoded-value memo API (the [Payload.Make] fast path) ---- *)
 
 (* [memo_get] returns the handle's memoized decoded value (as the

@@ -145,6 +145,15 @@ val pget : t -> tid:int -> pblk -> bytes
     Mirror-served like {!pget}. *)
 val pget_unsafe : t -> pblk -> bytes
 
+(** Content bytes [\[pos, pos+len)] of a payload, without the
+    old-sees-new check.  Charged only for the NVM lines those bytes
+    cover; never installs a mirror or a memo, so the handle stays as
+    cold (or warm) as it was.  For recovery rebuilds that need only an
+    index field (a key, a sequence number) of each payload.
+    @raise Invalid_argument when the range is not within [p.size].
+    @raise Errors.Use_after_free on a dead handle. *)
+val pread_unsafe : t -> pblk -> pos:int -> len:int -> bytes
+
 (** {1 Decoded-value memos (the {!Payload.Make} fast path)}
 
     Each [Payload.Make] instance declares [exception Memo of C.t] and

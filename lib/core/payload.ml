@@ -70,9 +70,6 @@ module Make (C : CONTENT) = struct
     h'
 
   let pdelete esys ~tid h = Epoch_sys.pdelete esys ~tid h
-
-  (* Decode a payload recovered after a crash. *)
-  let of_recovered esys h = (h, get_unsafe esys h)
 end
 
 (* Ready-made codecs for common content shapes. *)
@@ -132,6 +129,37 @@ module Seq_content = struct
       Bytes.sub_string b 8 (Bytes.length b - 8) )
 end
 
+(* ---- index-field reads for recovery ---- *)
+
+(* A rebuild needs only each payload's index field (a key, a sequence
+   number), and every byte it reads is a charged NVM load.  These read
+   that field with [Epoch_sys.pread_unsafe] and nothing more, leaving
+   the handle cold: no mirror and no memo until the first real [get]. *)
+
+(* Content bytes that share the payload's first NVM line. *)
+let first_line_len (p : Epoch_sys.pblk) =
+  let line = Nvm.Region.line_size in
+  min p.size (line - (Payload_hdr.content_off p.off land (line - 1)))
+
+let key_prefix_unsafe esys (p : Epoch_sys.pblk) ~klen_at ~key_at =
+  if p.size < key_at then
+    Errors.corrupt "payload uid %d: %d content bytes, shorter than its %d-byte header" p.uid
+      p.size key_at;
+  let n = max key_at (first_line_len p) in
+  let b = Epoch_sys.pread_unsafe esys p ~pos:0 ~len:n in
+  let klen = Int32.to_int (Bytes.get_int32_le b klen_at) in
+  if klen < 0 || klen > p.size - key_at then
+    Errors.corrupt "payload uid %d: key length %d does not fit its %d content bytes" p.uid klen
+      p.size;
+  let key =
+    if key_at + klen <= n then Bytes.sub_string b key_at klen
+    else
+      (* the key runs past the first line: read only the rest of it *)
+      Bytes.sub_string b key_at (n - key_at)
+      ^ Bytes.to_string (Epoch_sys.pread_unsafe esys p ~pos:n ~len:(key_at + klen - n))
+  in
+  (b, key)
+
 (* Shared pre-applied instances: one [Memo] constructor per codec for
    the whole program, so every structure reading a given payload shape
    hits the same memo. *)
@@ -184,6 +212,15 @@ module Kv = struct
         let v = Kv_content.decode_value b in
         Epoch_sys.memo_store esys h ~src:b (Memo_value v);
         v
+
+  let key_unsafe esys h = snd (key_prefix_unsafe esys h ~klen_at:0 ~key_at:4)
 end
 
-module Seq = Make (Seq_content)
+module Seq = struct
+  include Make (Seq_content)
+
+  let seq_unsafe esys (h : handle) =
+    if h.size < 8 then
+      Errors.corrupt "payload uid %d: %d content bytes, shorter than a seq" h.uid h.size;
+    Int64.to_int (Bytes.get_int64_le (Epoch_sys.pread_unsafe esys h ~pos:0 ~len:8) 0)
+end

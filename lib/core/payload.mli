@@ -34,9 +34,6 @@ module Make (C : CONTENT) : sig
   val get_unsafe : Epoch_sys.t -> handle -> C.t
   val set : Epoch_sys.t -> tid:int -> handle -> C.t -> handle
   val pdelete : Epoch_sys.t -> tid:int -> handle -> unit
-
-  (** Decode a payload recovered after a crash: [(handle, content)]. *)
-  val of_recovered : Epoch_sys.t -> handle -> handle * C.t
 end
 
 (** Raw string contents. *)
@@ -59,6 +56,24 @@ end
     abstract state is items {e and} their order (paper §3). *)
 module Seq_content : CONTENT with type t = int * string
 
+(** {1 Index-field reads for recovery}
+
+    A recovery rebuild needs only each payload's index field.  These
+    read it through {!Epoch_sys.pread_unsafe}: charged for the lines
+    they touch, and the handle stays cold (no mirror, no memo) until
+    its first real [get]. *)
+
+(** [(prefix, key)] for a payload whose content holds a 4-byte
+    little-endian key length at [klen_at] and the key at [key_at].
+    Reads from the content start to the end of its first NVM line
+    (at least [key_at] bytes), and reads again only the part of the key
+    that runs past it.  [prefix] holds at least the first [key_at]
+    content bytes, for the fixed fields in front of the key.
+    @raise Errors.Corrupt when the header or the key length does not
+    fit the payload. *)
+val key_prefix_unsafe :
+  Epoch_sys.t -> Epoch_sys.pblk -> klen_at:int -> key_at:int -> bytes * string
+
 (** {1 Shared pre-applied instances} *)
 
 module Str : sig
@@ -71,7 +86,6 @@ module Str : sig
   val get_unsafe : Epoch_sys.t -> handle -> string
   val set : Epoch_sys.t -> tid:int -> handle -> string -> handle
   val pdelete : Epoch_sys.t -> tid:int -> handle -> unit
-  val of_recovered : Epoch_sys.t -> handle -> handle * string
 end
 
 module Kv : sig
@@ -85,7 +99,6 @@ module Kv : sig
   val get_unsafe : Epoch_sys.t -> handle -> string * string
   val set : Epoch_sys.t -> tid:int -> handle -> string * string -> handle
   val pdelete : Epoch_sys.t -> tid:int -> handle -> unit
-  val of_recovered : Epoch_sys.t -> handle -> handle * (string * string)
 
   (** The value of a [(key, value)] payload without materializing the
       key (value-only memo on warm handles).  The two memo shapes share
@@ -93,6 +106,11 @@ module Kv : sig
       satisfied by either, and {!get} upgrades a value-only memo to the
       full pair in place (key-only re-decode of the warm bytes). *)
   val get_value : Epoch_sys.t -> tid:int -> handle -> string
+
+  (** The key alone, read with {!key_prefix_unsafe}: one NVM line when
+      the key fits the content's first line (YCSB's 23-byte keys do).
+      For recovery; the handle stays cold. *)
+  val key_unsafe : Epoch_sys.t -> handle -> string
 end
 
 module Seq : sig
@@ -105,5 +123,9 @@ module Seq : sig
   val get_unsafe : Epoch_sys.t -> handle -> int * string
   val set : Epoch_sys.t -> tid:int -> handle -> int * string -> handle
   val pdelete : Epoch_sys.t -> tid:int -> handle -> unit
-  val of_recovered : Epoch_sys.t -> handle -> handle * (int * string)
+
+  (** The 8-byte sequence number alone, for recovery; the handle stays
+      cold.
+      @raise Errors.Corrupt when the payload is shorter than a seq. *)
+  val seq_unsafe : Epoch_sys.t -> handle -> int
 end

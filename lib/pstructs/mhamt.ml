@@ -28,28 +28,33 @@ module Rec_content = struct
   type t = string * int * string option
 
   (* [8B seq LE | 1B kind | 4B klen LE | key | value] *)
+  let klen_at = 9
+  let key_at = 13
+
+  (* The fixed fields in front of the key; recovery reads only these
+     and the key. *)
+  let seq_of b = Int64.to_int (Bytes.get_int64_le b 0)
+  let is_live b = Bytes.get b 8 <> '\000'
+
   let encode (key, seq, value) =
     let klen = String.length key in
     let vlen = match value with None -> 0 | Some v -> String.length v in
-    let b = Bytes.create (13 + klen + vlen) in
+    let b = Bytes.create (key_at + klen + vlen) in
     Bytes.set_int64_le b 0 (Int64.of_int seq);
     Bytes.set b 8 (match value with None -> '\000' | Some _ -> '\001');
-    Bytes.set_int32_le b 9 (Int32.of_int klen);
-    Bytes.blit_string key 0 b 13 klen;
-    (match value with None -> () | Some v -> Bytes.blit_string v 0 b (13 + klen) vlen);
+    Bytes.set_int32_le b klen_at (Int32.of_int klen);
+    Bytes.blit_string key 0 b key_at klen;
+    (match value with None -> () | Some v -> Bytes.blit_string v 0 b (key_at + klen) vlen);
     b
 
   let decode b =
-    let seq = Int64.to_int (Bytes.get_int64_le b 0) in
-    let kind = Bytes.get b 8 in
-    let klen = Int32.to_int (Bytes.get_int32_le b 9) in
-    let key = Bytes.sub_string b 13 klen in
+    let klen = Int32.to_int (Bytes.get_int32_le b klen_at) in
+    let key = Bytes.sub_string b key_at klen in
     let value =
-      match kind with
-      | '\000' -> None
-      | _ -> Some (Bytes.sub_string b (13 + klen) (Bytes.length b - 13 - klen))
+      if is_live b then Some (Bytes.sub_string b (key_at + klen) (Bytes.length b - key_at - klen))
+      else None
     in
-    (key, seq, value)
+    (key, seq_of b, value)
 end
 
 module Rec = Montage.Payload.Make (Rec_content)
@@ -480,15 +485,20 @@ let to_alist t ~tid =
    key.  Losers and winning tombstones are queued at horizon version 0
    so the first post-recovery mutation (or release) reclaims them —
    recovery itself opens no epoch operation and is idempotent under
-   re-crash.  [threads > 1] decodes slices in parallel domains; the
-   winner fold and trie build stay sequential (they are cheap relative
-   to decode, and the trie is immutable). *)
+   re-crash.  Each record is read only as far as its key (seq, kind,
+   key), never its value, so the handles stay cold until their first
+   get.  [threads > 1] reads slices in parallel domains; the winner
+   fold and trie build stay sequential (they are cheap relative to the
+   reads, and the trie is immutable). *)
 let recover ?hash ?(threads = 1) esys payloads =
   let decode_slice slice =
     Array.map
       (fun p ->
-        let k, s, v = Rec.get_unsafe esys p in
-        (k, s, v, p))
+        let b, k =
+          Montage.Payload.key_prefix_unsafe esys p ~klen_at:Rec_content.klen_at
+            ~key_at:Rec_content.key_at
+        in
+        (k, Rec_content.seq_of b, Rec_content.is_live b, p))
       slice
   in
   let decoded =
@@ -498,29 +508,28 @@ let recover ?hash ?(threads = 1) esys payloads =
       let domains = Array.map (fun s -> Domain.spawn (fun () -> decode_slice s)) slices in
       Array.concat (Array.to_list (Array.map Domain.join domains))
   in
-  let best : (string, int * string option * E.pblk) Hashtbl.t =
+  let best : (string, int * bool * E.pblk) Hashtbl.t =
     Hashtbl.create (max 16 (Array.length decoded))
   in
   let superseded = ref [] in
   Array.iter
-    (fun (k, s, v, p) ->
+    (fun (k, s, live, p) ->
       match Hashtbl.find_opt best k with
       | Some (s0, _, _) when s0 >= s -> superseded := p :: !superseded
       | Some (_, _, p0) ->
           superseded := p0 :: !superseded;
-          Hashtbl.replace best k (s, v, p)
-      | None -> Hashtbl.add best k (s, v, p))
+          Hashtbl.replace best k (s, live, p)
+      | None -> Hashtbl.add best k (s, live, p))
     decoded;
   let t = create ?hash esys in
   let root, max_seq, live_count, tombs =
     Hashtbl.fold
-      (fun k (s, v, p) (root, max_seq, live_count, tombs) ->
+      (fun k (s, live, p) (root, max_seq, live_count, tombs) ->
         let max_seq = max max_seq s in
-        match v with
-        | Some _ ->
-            let root = fst (insert root (hkey t k) 0 { ekey = k; payload = p }) in
-            (root, max_seq, live_count + 1, tombs)
-        | None -> (root, max_seq, live_count, p :: tombs))
+        if live then
+          let root = fst (insert root (hkey t k) 0 { ekey = k; payload = p }) in
+          (root, max_seq, live_count + 1, tombs)
+        else (root, max_seq, live_count, p :: tombs))
       best (nil, 0, 0, [])
   in
   Atomic.set t.state (max_seq, root);

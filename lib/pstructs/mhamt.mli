@@ -103,6 +103,13 @@ end
 (** Rebuild from recovered payloads: per key the largest-[seq] record
     wins, tombstone winners erase the key, and every superseded block
     is queued for reclamation at the first post-recovery mutation.
-    [threads > 1] decodes payload slices in parallel domains. *)
+    Each record is read only up to its key (seq, kind, key), never its
+    value, so the recovered handles stay cold until their first get.
+    [threads > 1] reads payload slices in parallel domains. *)
 val recover :
   ?hash:(string -> int) -> ?threads:int -> Montage.Epoch_sys.t -> Montage.Epoch_sys.pblk array -> t
+
+(** The record payload codec, [(key, seq, value or tombstone)]:
+    [8B seq | 1B kind | 4B klen | key | value].  Exposed so tests can
+    check recovery against a full decode. *)
+module Rec_content : Montage.Payload.CONTENT with type t = string * int * string option

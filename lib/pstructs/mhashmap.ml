@@ -189,16 +189,23 @@ let to_alist t ~tid =
 
 (* Rebuild the transient index from recovered payloads.  Single slice:
    the whole map; multiple slices can be inserted by parallel domains
-   via [recover_slice] (bucket locks make it safe). *)
+   via [recover_slice] (bucket locks make it safe).  Only each key is
+   read, so the handles stay cold until their first [get].  Two live
+   payloads carrying one key is corruption: splicing both would let
+   [get] silently answer with whichever comes first. *)
 let recover_slice t payloads =
   Array.iter
     (fun p ->
-      let key, _ = Kv.get_unsafe t.esys p in
+      let key = Kv.key_unsafe t.esys p in
       let b = bucket_of t key in
       Util.Spin_lock.with_lock b.lock (fun () ->
           let rec splice prev curr =
             match curr with
             | Some n when n.key < key -> splice (Some n) n.next
+            | Some n when n.key = key ->
+                Montage.Errors.corrupt
+                  "mhashmap recovery: payloads uid %d and uid %d both carry key %S" n.payload.uid
+                  p.uid key
             | _ ->
                 let fresh = { key; payload = p; next = curr } in
                 (match prev with None -> b.head <- Some fresh | Some pr -> pr.next <- Some fresh)

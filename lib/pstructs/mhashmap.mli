@@ -43,8 +43,10 @@ val to_alist : t -> tid:int -> (string * string) list
 
 (** {1 Recovery} *)
 
-(** Rebuild from recovered payloads; [threads > 1] rebuilds slices in
-    parallel domains. *)
+(** Rebuild from recovered payloads, reading only each key, so the
+    handles stay cold until their first get; [threads > 1] rebuilds
+    slices in parallel domains.
+    @raise Montage.Errors.Corrupt when two payloads carry one key. *)
 val recover : ?buckets:int -> ?threads:int -> Montage.Epoch_sys.t -> Montage.Epoch_sys.pblk array -> t
 
 (** Insert one recovered slice into an existing map (parallel callers

@@ -58,7 +58,7 @@ let peek t ~tid =
 let recover esys payloads =
   let t = create esys in
   let entries =
-    Array.map (fun p -> (fst (Seq.get_unsafe esys p), p)) payloads
+    Array.map (fun p -> (Seq.seq_unsafe esys p, p)) payloads
   in
   Array.sort (fun (a, _) (b, _) -> compare a b) entries;
   Array.iter (fun (seq, p) -> Queue.push (seq, p) t.items) entries;

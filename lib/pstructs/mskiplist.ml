@@ -196,11 +196,12 @@ let recover ?(threads = 1) esys payloads =
   let t = create esys in
   if Array.length payloads = 0 then t
   else begin
-  (* sort recovered pairs, then bulk-insert without epoch machinery;
+  (* sort recovered keys, then bulk-insert without epoch machinery;
      parallel slices contend on the single lock, so recovery is
-     sequentialized structurally but slices can decode in parallel *)
+     sequentialized structurally but slices can read keys in parallel.
+     Only keys are read: the handles stay cold until their first get *)
   let decoded =
-    if threads <= 1 then Array.map (fun p -> (fst (Kv.get_unsafe esys p), p)) payloads
+    if threads <= 1 then Array.map (fun p -> (Kv.key_unsafe esys p, p)) payloads
     else begin
       let out = Array.make (Array.length payloads) ("", payloads.(0)) in
       let slices = E.slices payloads ~k:threads in
@@ -216,7 +217,7 @@ let recover ?(threads = 1) esys payloads =
           (fun i s ->
             Domain.spawn (fun () ->
                 Array.iteri
-                  (fun j p -> out.(offsets.(i) + j) <- (fst (Kv.get_unsafe esys p), p))
+                  (fun j p -> out.(offsets.(i) + j) <- (Kv.key_unsafe esys p, p))
                   s))
           slices
       in

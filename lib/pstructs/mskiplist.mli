@@ -26,6 +26,7 @@ val min_binding : t -> tid:int -> (string * string) option
 (** All pairs in key order (quiescent use). *)
 val to_alist : t -> tid:int -> (string * string) list
 
-(** Rebuild from recovered payloads (decode parallelizes over
-    [threads]; insertion is ordered). *)
+(** Rebuild from recovered payloads, reading only each key (key reads
+    parallelize over [threads]; insertion is ordered).  The handles
+    stay cold until their first get. *)
 val recover : ?threads:int -> Montage.Epoch_sys.t -> Montage.Epoch_sys.pblk array -> t

@@ -50,7 +50,7 @@ let top t ~tid =
 
 let recover esys payloads =
   let t = create esys in
-  let entries = Array.map (fun p -> (fst (Seq.get_unsafe esys p), p)) payloads in
+  let entries = Array.map (fun p -> (Seq.seq_unsafe esys p, p)) payloads in
   Array.sort (fun (a, _) (b, _) -> compare b a) entries;
   t.items <- Array.to_list entries;
   (match Array.length entries with

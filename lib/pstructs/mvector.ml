@@ -95,7 +95,7 @@ let recover esys payloads =
   let max_index = ref (-1) in
   Array.iter
     (fun p ->
-      let index, _ = Seq.get_unsafe esys p in
+      let index = Seq.seq_unsafe esys p in
       ensure_capacity t (index + 1);
       t.slots.(index) <- Some p;
       if index > !max_index then max_index := index)

@@ -175,7 +175,7 @@ let recover ?(buckets = 1 lsl 12) esys payloads =
   let per_bucket = Array.make buckets [] in
   Array.iter
     (fun p ->
-      let key, _ = Kv.get_unsafe esys p in
+      let key = Kv.key_unsafe esys p in
       let idx = Hashtbl.hash key land (buckets - 1) in
       per_bucket.(idx) <- (key, p) :: per_bucket.(idx))
     payloads;

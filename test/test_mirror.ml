@@ -328,6 +328,98 @@ let test_crash_matrix_recovery_is_cold () =
   Alcotest.(check bool) "states explored" true (report.P.states > 0);
   Alcotest.(check int) "recovery never observes pre-crash mirrors" 0 report.P.failures
 
+(* ---- recovery rebuilds read index fields only ---- *)
+
+(* [n] records with distinct [klen]-byte keys and 1 KiB values in a
+   default-latency region, synced, crashed and epoch-recovered.  The
+   map's own rebuild is left to the caller, so it can be measured. *)
+let crashed_kv_region ~n ~klen =
+  let region = R.create ~max_threads:8 ~capacity:(1 lsl 22) () in
+  let esys = E.create ~config:on_cfg region in
+  let m = Pstructs.Mhashmap.create ~buckets:64 esys in
+  let pairs =
+    List.init n (fun i ->
+        let tag = Printf.sprintf "%d-" i in
+        ( tag ^ String.init (klen - String.length tag) (fun j -> Char.chr (97 + ((i + j) mod 26))),
+          String.init 1024 (fun j -> Char.chr (65 + ((i * 7 + j) mod 26))) ))
+  in
+  List.iter (fun (k, v) -> ignore (Pstructs.Mhashmap.put m ~tid:0 k v)) pairs;
+  E.sync esys ~tid:0;
+  R.crash region;
+  let esys2, payloads = E.recover ~config:on_cfg region in
+  Alcotest.(check int) "every record survives" n (Array.length payloads);
+  (region, esys2, payloads, pairs)
+
+(* Rebuild the map over [payloads] and return it with the charged line
+   reads the rebuild took; then require every handle to be exactly as
+   cold as [E.recover] returned it. *)
+let rebuild_cold region esys payloads =
+  let before = (R.stats region).R.lines_read in
+  let m = Pstructs.Mhashmap.recover ~buckets:64 esys payloads in
+  let lines = (R.stats region).R.lines_read - before in
+  Alcotest.(check int) "nothing resident after the rebuild" 0 (E.mirror_stats esys).E.resident_bytes;
+  Array.iter
+    (fun (p : E.pblk) ->
+      (match p.mirror with None -> () | Some _ -> Alcotest.failf "uid %d has a mirror" p.uid);
+      match p.memo with E.No_memo -> () | _ -> Alcotest.failf "uid %d has a memo" p.uid)
+    payloads;
+  (m, lines)
+
+let check_first_gets esys m pairs =
+  let misses = (E.mirror_stats esys).E.misses in
+  List.iter
+    (fun (k, v) ->
+      Alcotest.(check (option string)) "first get returns the full value" (Some v)
+        (Pstructs.Mhashmap.get m ~tid:0 k))
+    pairs;
+  Alcotest.(check int) "every first get was a cold miss" (List.length pairs)
+    ((E.mirror_stats esys).E.misses - misses)
+
+let test_rebuild_reads_one_line_per_record () =
+  let n = 200 in
+  let region, esys, payloads, pairs = crashed_kv_region ~n ~klen:23 in
+  let m, lines = rebuild_cold region esys payloads in
+  Alcotest.(check int) "one charged line per record" n lines;
+  Alcotest.(check int) "all keys indexed" n (Pstructs.Mhashmap.size m);
+  check_first_gets esys m pairs
+
+(* 200-byte keys run past the content's first line: the first read
+   takes that line, the second only the rest of the key, so the rebuild
+   is charged exactly the lines the key covers. *)
+let test_rebuild_long_keys_two_reads () =
+  let n = 50 and klen = 200 in
+  let region, esys, payloads, pairs = crashed_kv_region ~n ~klen in
+  let m, lines = rebuild_cold region esys payloads in
+  let off = Montage.Payload_hdr.header_size in
+  let covered = ((off + 4 + klen - 1) / R.line_size) - (off / R.line_size) + 1 in
+  Alcotest.(check bool) "the key spans lines" true (covered > 1);
+  Alcotest.(check int) "charged the key's lines only" (n * covered) lines;
+  check_first_gets esys m pairs;
+  Alcotest.(check (list string)) "keys intact" (List.sort compare (List.map fst pairs))
+    (List.sort compare (List.map fst (Pstructs.Mhashmap.to_alist m ~tid:0)))
+
+let raises_invalid f = match f () with _ -> false | exception Invalid_argument _ -> true
+let raises_corrupt f = match f () with _ -> false | exception Montage.Errors.Corrupt _ -> true
+
+let test_pread_bounds_and_corrupt_fields () =
+  let region, esys = make_esys () in
+  (* a Kv payload whose key length overruns its 16 bytes *)
+  let raw = Bytes.make 16 'x' in
+  Bytes.set_int32_le raw 0 5000l;
+  let p = E.with_op esys ~tid:0 (fun () -> E.pnew esys ~tid:0 raw) in
+  let short = E.with_op esys ~tid:0 (fun () -> E.pnew esys ~tid:0 (Bytes.of_string "abc")) in
+  let before = (R.stats region).R.lines_read in
+  Alcotest.(check string) "in-range read" "xxxx" (Bytes.to_string (E.pread_unsafe esys p ~pos:4 ~len:4));
+  Alcotest.(check int) "charged its one line" 1 ((R.stats region).R.lines_read - before);
+  Alcotest.(check bool) "past the end rejected" true
+    (raises_invalid (fun () -> E.pread_unsafe esys p ~pos:10 ~len:7));
+  Alcotest.(check bool) "negative position rejected" true
+    (raises_invalid (fun () -> E.pread_unsafe esys p ~pos:(-1) ~len:2));
+  Alcotest.(check bool) "oversized klen is corruption" true
+    (raises_corrupt (fun () -> Payload.Kv.key_unsafe esys p));
+  Alcotest.(check bool) "payload shorter than a seq is corruption" true
+    (raises_corrupt (fun () -> Payload.Seq.seq_unsafe esys short))
+
 let () =
   Alcotest.run "mirror"
     [
@@ -363,4 +455,12 @@ let () =
         ] );
       ( "crash matrix",
         [ Alcotest.test_case "recovery is cold" `Quick test_crash_matrix_recovery_is_cold ] );
+      ( "index rebuild",
+        [
+          Alcotest.test_case "one line per record, handles stay cold" `Quick
+            test_rebuild_reads_one_line_per_record;
+          Alcotest.test_case "long keys take a second read" `Quick test_rebuild_long_keys_two_reads;
+          Alcotest.test_case "bounded read and corrupt fields" `Quick
+            test_pread_bounds_and_corrupt_fields;
+        ] );
     ]

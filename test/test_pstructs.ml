@@ -466,6 +466,241 @@ let qcheck_map_recovery_under_injection =
       let expected = Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [] |> List.sort compare in
       List.sort compare (Pstructs.Mhashmap.to_alist m2 ~tid:0) = expected)
 
+(* ---- index-field recovery ---- *)
+
+(* Two live payloads carrying one key cannot come from a well-formed
+   map.  Splicing both would let [get] answer with whichever comes first,
+   so the rebuild must refuse, naming both uids. *)
+let test_map_recovery_rejects_duplicate_key () =
+  let region, esys = make_esys ~capacity:(1 lsl 22) () in
+  let p1, p2 =
+    E.with_op esys ~tid:0 (fun () ->
+        let p1 = Montage.Payload.Kv.pnew esys ~tid:0 ("dup", "first") in
+        (p1, Montage.Payload.Kv.pnew esys ~tid:0 ("dup", "second")))
+  in
+  E.sync esys ~tid:0;
+  Nvm.Region.crash region;
+  let esys2, payloads = E.recover ~config:testing_cfg region in
+  Alcotest.(check int) "both payloads survive" 2 (Array.length payloads);
+  match Pstructs.Mhashmap.recover ~buckets:64 esys2 payloads with
+  | m -> Alcotest.failf "recovered a map of size %d from one key" (Pstructs.Mhashmap.size m)
+  | exception Montage.Errors.Corrupt msg ->
+      List.iter
+        (fun (p : E.pblk) ->
+          Alcotest.(check bool) (Printf.sprintf "names uid %d" p.uid) true
+            (Substring.contains msg (Printf.sprintf "uid %d" p.uid)))
+        [ p1; p2 ]
+
+(* The rebuilds read only each payload's index field (a key or a seq).
+   Each property runs a random script, syncs, crashes and recovers, then
+   requires the structure to hold exactly what a full [get_unsafe]
+   decode of the same recovered payloads says, and what the script
+   left; a map must also find every key through its rebuilt index.
+   Keys run 1–300 bytes, so many span several NVM lines. *)
+
+let rand_string rng ~lo ~hi =
+  String.init (lo + Util.Xoshiro.int rng (hi - lo + 1)) (fun _ ->
+      Char.chr (32 + Util.Xoshiro.int rng 95))
+
+let script_arb = QCheck.(pair small_nat (int_range 1 80))
+
+(* [script esys rng] runs on a fresh system and returns its model;
+   [check model esys payloads] sees the synced, crashed and recovered
+   state. *)
+let synced_crash ~seed script check =
+  let region, esys = make_esys ~capacity:(1 lsl 22) () in
+  let model = script esys (Util.Xoshiro.create seed) in
+  E.sync esys ~tid:0;
+  Nvm.Region.crash region;
+  let esys2, payloads = E.recover ~config:testing_cfg region in
+  check model esys2 payloads
+
+(* Random puts (overwrites included) and removes over a pool of keys;
+   [halfway] is called once, halfway through.  Returns the sorted model. *)
+let map_script ~put ~remove ?(halfway = ignore) ~ops rng =
+  let keys = Array.init 12 (fun _ -> rand_string rng ~lo:1 ~hi:300) in
+  let model = Hashtbl.create 16 in
+  for i = 1 to ops do
+    if i = ops / 2 then halfway ();
+    let k = keys.(Util.Xoshiro.int rng (Array.length keys)) in
+    if Util.Xoshiro.int rng 3 = 0 then begin
+      remove k;
+      Hashtbl.remove model k
+    end
+    else begin
+      let v = rand_string rng ~lo:0 ~hi:200 in
+      put k v;
+      Hashtbl.replace model k v
+    end
+  done;
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [])
+
+let map_differential ~name ~create ~recover =
+  QCheck.Test.make ~name ~count:20 script_arb (fun (seed, ops) ->
+      synced_crash ~seed
+        (fun esys rng ->
+          let put, remove = create esys in
+          map_script ~put ~remove ~ops rng)
+        (fun model esys payloads ->
+          let to_alist, get = recover esys payloads in
+          let got = List.sort compare to_alist in
+          let full =
+            List.sort compare
+              (Array.to_list (Array.map (Montage.Payload.Kv.get_unsafe esys) payloads))
+          in
+          got = full && got = model && List.for_all (fun (k, v) -> get k = Some v) model))
+
+let qcheck_mhashmap_key_only =
+  map_differential ~name:"mhashmap key-only recovery = full decode"
+    ~create:(fun esys ->
+      let m = Pstructs.Mhashmap.create ~buckets:16 esys in
+      ( (fun k v -> ignore (Pstructs.Mhashmap.put m ~tid:0 k v)),
+        fun k -> ignore (Pstructs.Mhashmap.remove m ~tid:0 k) ))
+    ~recover:(fun esys ps ->
+      let m = Pstructs.Mhashmap.recover ~buckets:16 esys ps in
+      (Pstructs.Mhashmap.to_alist m ~tid:0, Pstructs.Mhashmap.get m ~tid:0))
+
+let qcheck_nb_hashmap_key_only =
+  map_differential ~name:"nb_hashmap key-only recovery = full decode"
+    ~create:(fun esys ->
+      let m = Pstructs.Nb_hashmap.create ~buckets:16 esys in
+      ( (fun k v ->
+          ignore (Pstructs.Nb_hashmap.remove m ~tid:0 k);
+          ignore (Pstructs.Nb_hashmap.add m ~tid:0 k v)),
+        fun k -> ignore (Pstructs.Nb_hashmap.remove m ~tid:0 k) ))
+    ~recover:(fun esys ps ->
+      let m = Pstructs.Nb_hashmap.recover ~buckets:16 esys ps in
+      (Pstructs.Nb_hashmap.to_alist m ~tid:0, Pstructs.Nb_hashmap.get m ~tid:0))
+
+let qcheck_mskiplist_key_only threads =
+  map_differential
+    ~name:(Printf.sprintf "mskiplist (threads %d) key-only recovery = full decode" threads)
+    ~create:(fun esys ->
+      let m = Pstructs.Mskiplist.create esys in
+      ( (fun k v -> ignore (Pstructs.Mskiplist.put m ~tid:0 k v)),
+        fun k -> ignore (Pstructs.Mskiplist.remove m ~tid:0 k) ))
+    ~recover:(fun esys ps ->
+      let m = Pstructs.Mskiplist.recover ~threads esys ps in
+      (Pstructs.Mskiplist.to_alist m ~tid:0, Pstructs.Mskiplist.get m ~tid:0))
+
+(* A snapshot held from halfway on pins every record superseded or
+   tombstoned after it, so the crash leaves several seqs per key. *)
+let qcheck_mhamt_key_only =
+  QCheck.Test.make ~name:"mhamt key-only recovery = full decode" ~count:20 script_arb
+    (fun (seed, ops) ->
+      synced_crash ~seed
+        (fun esys rng ->
+          let m = Pstructs.Mhamt.create esys in
+          map_script ~ops rng
+            ~halfway:(fun () -> ignore (Pstructs.Mhamt.snapshot m))
+            ~put:(fun k v -> ignore (Pstructs.Mhamt.put m ~tid:0 k v))
+            ~remove:(fun k -> ignore (Pstructs.Mhamt.remove m ~tid:0 k)))
+        (fun model esys payloads ->
+          let m = Pstructs.Mhamt.recover esys payloads in
+          (* decode before the first listing, whose release reclaims the losers *)
+          let best = Hashtbl.create 16 in
+          Array.iter
+            (fun p ->
+              let k, s, v = Pstructs.Mhamt.Rec_content.decode (E.pget_unsafe esys p) in
+              match Hashtbl.find_opt best k with
+              | Some (s0, _) when s0 >= s -> ()
+              | _ -> Hashtbl.replace best k (s, v))
+            payloads;
+          let full =
+            Hashtbl.fold
+              (fun k (_, v) acc -> match v with Some v -> (k, v) :: acc | None -> acc)
+              best []
+          in
+          let got = List.sort compare (Pstructs.Mhamt.to_alist m ~tid:0) in
+          got = List.sort compare full && got = model
+          && List.for_all (fun (k, v) -> Pstructs.Mhamt.get m ~tid:0 k = Some v) model))
+
+let rec drain take = match take () with None -> [] | Some v -> v :: drain take
+
+(* Seq-indexed structures: the full decode, ordered by seq. *)
+let by_seq esys payloads =
+  List.sort compare (Array.to_list (Array.map (Montage.Payload.Seq.get_unsafe esys) payloads))
+
+let qcheck_mqueue_seq_only =
+  QCheck.Test.make ~name:"mqueue seq-only recovery = full decode" ~count:20 script_arb
+    (fun (seed, ops) ->
+      synced_crash ~seed
+        (fun esys rng ->
+          let q = Pstructs.Mqueue.create esys in
+          let model = Queue.create () in
+          for _ = 1 to ops do
+            if Util.Xoshiro.int rng 3 = 0 then begin
+              ignore (Pstructs.Mqueue.dequeue q ~tid:0);
+              ignore (Queue.take_opt model)
+            end
+            else begin
+              let v = rand_string rng ~lo:0 ~hi:200 in
+              Pstructs.Mqueue.enqueue q ~tid:0 v;
+              Queue.push v model
+            end
+          done;
+          List.of_seq (Queue.to_seq model))
+        (fun model esys payloads ->
+          let q = Pstructs.Mqueue.recover esys payloads in
+          let full = List.map snd (by_seq esys payloads) in
+          let got = drain (fun () -> Pstructs.Mqueue.dequeue q ~tid:0) in
+          got = full && got = model))
+
+let qcheck_mstack_seq_only =
+  QCheck.Test.make ~name:"mstack seq-only recovery = full decode" ~count:20 script_arb
+    (fun (seed, ops) ->
+      synced_crash ~seed
+        (fun esys rng ->
+          let s = Pstructs.Mstack.create esys in
+          let model = ref [] in
+          for _ = 1 to ops do
+            if Util.Xoshiro.int rng 3 = 0 then begin
+              ignore (Pstructs.Mstack.pop s ~tid:0);
+              model := (match !model with [] -> [] | _ :: rest -> rest)
+            end
+            else begin
+              let v = rand_string rng ~lo:0 ~hi:200 in
+              Pstructs.Mstack.push s ~tid:0 v;
+              model := v :: !model
+            end
+          done;
+          !model)
+        (fun model esys payloads ->
+          let s = Pstructs.Mstack.recover esys payloads in
+          let full = List.rev_map snd (by_seq esys payloads) in
+          let got = drain (fun () -> Pstructs.Mstack.pop s ~tid:0) in
+          got = full && got = model))
+
+let qcheck_mvector_seq_only =
+  QCheck.Test.make ~name:"mvector seq-only recovery = full decode" ~count:20 script_arb
+    (fun (seed, ops) ->
+      synced_crash ~seed
+        (fun esys rng ->
+          let vec = Pstructs.Mvector.create esys in
+          let model = ref [||] in
+          for _ = 1 to ops do
+            let v = rand_string rng ~lo:0 ~hi:200 in
+            match Util.Xoshiro.int rng 4 with
+            | 0 ->
+                ignore (Pstructs.Mvector.pop vec ~tid:0);
+                let n = Array.length !model in
+                if n > 0 then model := Array.sub !model 0 (n - 1)
+            | 1 when Array.length !model > 0 ->
+                let i = Util.Xoshiro.int rng (Array.length !model) in
+                ignore (Pstructs.Mvector.set vec ~tid:0 i v);
+                !model.(i) <- v
+            | _ ->
+                ignore (Pstructs.Mvector.push vec ~tid:0 v);
+                model := Array.append !model [| v |]
+          done;
+          Array.to_list !model)
+        (fun model esys payloads ->
+          let vec = Pstructs.Mvector.recover esys payloads in
+          let full = by_seq esys payloads in
+          let got = Pstructs.Mvector.to_list vec ~tid:0 in
+          List.map fst full = List.init (List.length full) Fun.id
+          && got = List.map snd full && got = model))
+
 (* ---- graph ---- *)
 
 let test_graph_vertices_and_edges () =
@@ -626,6 +861,19 @@ let () =
         ] );
       ( "injection",
         [ QCheck_alcotest.to_alcotest qcheck_map_recovery_under_injection ] );
+      ( "reindex",
+        [
+          Alcotest.test_case "duplicate key is corruption" `Quick
+            test_map_recovery_rejects_duplicate_key;
+          QCheck_alcotest.to_alcotest qcheck_mhashmap_key_only;
+          QCheck_alcotest.to_alcotest qcheck_nb_hashmap_key_only;
+          QCheck_alcotest.to_alcotest (qcheck_mskiplist_key_only 1);
+          QCheck_alcotest.to_alcotest (qcheck_mskiplist_key_only 2);
+          QCheck_alcotest.to_alcotest qcheck_mhamt_key_only;
+          QCheck_alcotest.to_alcotest qcheck_mqueue_seq_only;
+          QCheck_alcotest.to_alcotest qcheck_mstack_seq_only;
+          QCheck_alcotest.to_alcotest qcheck_mvector_seq_only;
+        ] );
       ( "graph",
         [
           Alcotest.test_case "vertices and edges" `Quick test_graph_vertices_and_edges;
