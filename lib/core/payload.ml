@@ -81,18 +81,32 @@ module String_content = struct
   let decode = Bytes.to_string
 end
 
+(* A value written in place: [write b off] lays out its [len] bytes at
+   [b.[off, off + len)] of the buffer that becomes the payload, so a
+   caller whose value is scattered (a header plus bytes still in an
+   input buffer) encodes it without building it first. *)
+type fill = { len : int; write : bytes -> int -> unit }
+
+let fill_string v =
+  let len = String.length v in
+  { len; write = (fun b off -> Bytes.blit_string v 0 b off len) }
+
 (* (key, value) pairs, the shape used by sets and mappings:
    [4-byte key length | key | value]. *)
 module Kv_content = struct
   type t = string * string
 
-  let encode (k, v) =
+  let value_off b = 4 + Int32.to_int (Bytes.get_int32_le b 0)
+
+  let encode_with k f =
     let klen = String.length k in
-    let b = Bytes.create (4 + klen + String.length v) in
+    let b = Bytes.create (4 + klen + f.len) in
     Bytes.set_int32_le b 0 (Int32.of_int klen);
     Bytes.blit_string k 0 b 4 klen;
-    Bytes.blit_string v 0 b (4 + klen) (String.length v);
+    f.write b (4 + klen);
     b
+
+  let encode (k, v) = encode_with k (fill_string v)
 
   let decode b =
     let klen = Int32.to_int (Bytes.get_int32_le b 0) in
@@ -102,8 +116,8 @@ module Kv_content = struct
   (* Value-only decode: mapping read paths already cache the key in
      their DRAM nodes, so materializing it again is pure waste. *)
   let decode_value b =
-    let klen = Int32.to_int (Bytes.get_int32_le b 0) in
-    Bytes.sub_string b (4 + klen) (Bytes.length b - 4 - klen)
+    let off = value_off b in
+    Bytes.sub_string b off (Bytes.length b - off)
 
   (* Key-only decode, the other half: [Kv.get] uses it to upgrade a
      value-only memo to the full pair without re-decoding the value. *)
@@ -212,6 +226,14 @@ module Kv = struct
         let v = Kv_content.decode_value b in
         Epoch_sys.memo_store esys h ~src:b (Memo_value v);
         v
+
+  (* The value in place: the content bytes [pget] returns (the mirror
+     itself when warm) and where the value starts in them.  Mirror
+     bytes are never mutated, so the view stays valid after the caller
+     drops its lock: an in-place [pset] installs a fresh buffer. *)
+  let view esys ~tid h =
+    let b = Epoch_sys.pget esys ~tid h in
+    (b, Kv_content.value_off b)
 
   let key_unsafe esys h = snd (key_prefix_unsafe esys h ~klen_at:0 ~key_at:4)
 end

@@ -39,9 +39,26 @@ end
 (** Raw string contents. *)
 module String_content : CONTENT with type t = string
 
+(** A value written in place: [write b off] lays out exactly [len]
+    bytes at [b.[off, off + len)] of the buffer that becomes the
+    payload, so a value assembled from pieces (a header and bytes still
+    in an input buffer) is encoded with one copy of each piece. *)
+type fill = { len : int; write : bytes -> int -> unit }
+
+(** The fill that copies a string. *)
+val fill_string : string -> fill
+
 (** [(key, value)] pairs — the shape of sets and mappings. *)
 module Kv_content : sig
   include CONTENT with type t = string * string
+
+  (** [encode_with key f]: the encoding of [(key, v)] where [f] writes
+      [v] straight into the buffer; [encode (k, v)] is
+      [encode_with k (fill_string v)]. *)
+  val encode_with : string -> fill -> bytes
+
+  (** Where the value starts in an encoded pair; it runs to the end. *)
+  val value_off : bytes -> int
 
   (** Decode only the value, skipping key materialization — for read
       paths whose DRAM node already caches the key. *)
@@ -106,6 +123,16 @@ module Kv : sig
       satisfied by either, and {!get} upgrades a value-only memo to the
       full pair in place (key-only re-decode of the warm bytes). *)
   val get_value : Epoch_sys.t -> tid:int -> handle -> string
+
+  (** The value in place: [(b, off)] with the value at
+      [b.[off, Bytes.length b)], where [b] is what {!Epoch_sys.pget}
+      returns — the resident mirror itself on a warm handle, else the
+      one charged cold read.  Nothing is copied or memoized.  The bytes
+      stay valid for as long as the caller holds them: mirror bytes are
+      never mutated (an in-place [pset] installs a fresh buffer), so
+      the view may outlive the lock it was taken under.  Callers must
+      not write to [b]. *)
+  val view : Epoch_sys.t -> tid:int -> handle -> bytes * int
 
   (** The key alone, read with {!key_prefix_unsafe}: one NVM line when
       the key fits the content's first line (YCSB's 23-byte keys do).

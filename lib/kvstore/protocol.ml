@@ -27,7 +27,7 @@
    blocks at [max_value]; oversized input is answered with a
    CLIENT_ERROR and drained without ever being buffered. *)
 
-type storage_op = Set | Add | Replace | Append | Prepend | Cas of int
+type storage_op = Store.mode = Set | Add | Replace | Append | Prepend | Cas of int
 
 type pending = {
   op : storage_op;
@@ -252,6 +252,10 @@ let frames fr buf ~pos ~len f =
 
 (* ---- execution ---- *)
 
+(* Replies are written straight into the connection's reply buffer,
+   [out.[0, olen)], CRLF included: a get's data is copied once, from
+   the store's item (the payload's mirror bytes) into [out], with the
+   header's numbers written as digits in place. *)
 type conn = {
   store : Store.t;
   tid : int;
@@ -259,6 +263,9 @@ type conn = {
   mutable ibuf : Bytes.t; (* [feed]'s unconsumed input lives in [ipos, ilen) *)
   mutable ipos : int;
   mutable ilen : int;
+  mutable out : Bytes.t;
+  mutable olen : int;
+  mutable replies : int; (* replies in [out] *)
   on_command : string -> unit;
   extra_stats : unit -> (string * string) list;
 }
@@ -272,62 +279,90 @@ let create ?max_line ?max_value ?(extra_stats = fun () -> []) ?(on_command = fun
     ibuf = Bytes.empty;
     ipos = 0;
     ilen = 0;
+    out = Bytes.empty;
+    olen = 0;
+    replies = 0;
     extra_stats;
     on_command;
   }
 
 let is_closed c = closed c.fr
 
-let exec_storage c p data =
-  let flags = p.flags and key = p.key in
-  let ttl_s =
-    (* memcached: 0 = never; <= 30 days is relative seconds *)
-    if p.exptime = 0 then 0.0 else float_of_int p.exptime
-  in
-  match p.op with
-  | Set ->
-      Store.set c.store ~tid:c.tid ~flags ~ttl_s key data;
-      "STORED"
-  | Add -> if Store.add c.store ~tid:c.tid ~flags ~ttl_s key data then "STORED" else "NOT_STORED"
-  | Replace ->
-      if Store.replace c.store ~tid:c.tid ~flags ~ttl_s key data then "STORED" else "NOT_STORED"
-  | Append -> (
-      match Store.get_full c.store ~tid:c.tid key with
-      | Some (old, old_flags, _) ->
-          Store.set c.store ~tid:c.tid ~flags:old_flags ~ttl_s key (old ^ data);
-          "STORED"
-      | None -> "NOT_STORED")
-  | Prepend -> (
-      match Store.get_full c.store ~tid:c.tid key with
-      | Some (old, old_flags, _) ->
-          Store.set c.store ~tid:c.tid ~flags:old_flags ~ttl_s key (data ^ old);
-          "STORED"
-      | None -> "NOT_STORED")
-  | Cas expected -> (
-      (* one atomic step through the backend's update hook *)
-      match Store.compare_and_set c.store ~tid:c.tid ~flags ~ttl_s key ~cas:expected data with
-      | Store.Stored -> "STORED"
-      | Store.Exists -> "EXISTS"
-      | Store.Not_found -> "NOT_FOUND")
+(* -- the reply buffer -- *)
 
+let reserve c n =
+  if c.olen + n > Bytes.length c.out then begin
+    let nb = Bytes.create (max 1024 (max (c.olen + n) (2 * Bytes.length c.out))) in
+    Bytes.blit c.out 0 nb 0 c.olen;
+    c.out <- nb
+  end
+
+let add_sub c src off n =
+  reserve c n;
+  Bytes.blit src off c.out c.olen n;
+  c.olen <- c.olen + n
+
+let add_string c s = add_sub c (Bytes.unsafe_of_string s) 0 (String.length s)
+
+let add_char c ch =
+  reserve c 1;
+  Bytes.unsafe_set c.out c.olen ch;
+  c.olen <- c.olen + 1
+
+(* A decimal in place, without building its string. *)
+let add_int c n =
+  if n < 0 then add_string c (string_of_int n)
+  else begin
+    let digits = ref 1 and p = ref 10 in
+    while !digits < 19 && n >= !p do
+      incr digits;
+      p := !p * 10
+    done;
+    reserve c !digits;
+    let v = ref n in
+    for i = c.olen + !digits - 1 downto c.olen do
+      Bytes.unsafe_set c.out i (Char.unsafe_chr (48 + (!v mod 10)));
+      v := !v / 10
+    done;
+    c.olen <- c.olen + !digits
+  end
+
+let reply c r =
+  add_string c r;
+  add_string c crlf
+
+let unless c noreply r = if not noreply then reply c r
+
+(* -- commands -- *)
+
+let outcome_reply = function
+  | Store.Stored -> "STORED"
+  | Store.Not_stored -> "NOT_STORED"
+  | Store.Exists -> "EXISTS"
+  | Store.Not_found -> "NOT_FOUND"
+
+(* VALUE <key> <flags> <bytes>[ <cas>]\r\n<data>\r\n per hit, then END. *)
 let exec_get c ~with_cas keys =
-  let out = Buffer.create 128 in
   List.iter
     (fun key ->
-      match Store.get_full c.store ~tid:c.tid key with
-      | Some (data, flags, cas) ->
-          if with_cas then
-            Buffer.add_string out
-              (Printf.sprintf "VALUE %s %d %d %d%s" key flags (String.length data) cas crlf)
-          else
-            Buffer.add_string out
-              (Printf.sprintf "VALUE %s %d %d%s" key flags (String.length data) crlf);
-          Buffer.add_string out data;
-          Buffer.add_string out crlf
+      match Store.find c.store ~tid:c.tid key with
+      | Some (it : Store.item) ->
+          add_string c "VALUE ";
+          add_string c key;
+          add_char c ' ';
+          add_int c it.flags;
+          add_char c ' ';
+          add_int c it.len;
+          if with_cas then begin
+            add_char c ' ';
+            add_int c it.cas
+          end;
+          add_string c crlf;
+          add_sub c it.data it.pos it.len;
+          add_string c crlf
       | None -> ())
     keys;
-  Buffer.add_string out "END";
-  Buffer.contents out
+  reply c "END"
 
 let exec_stats c =
   let hits, misses, sets, deletes, expired = Store.stats c.store in
@@ -343,41 +378,53 @@ let exec_stats c =
   let extra = List.map (fun (k, v) -> Printf.sprintf "STAT %s %s" k v) (c.extra_stats ()) in
   String.concat crlf (base @ extra @ [ "END" ])
 
-let unless noreply r = if noreply then None else Some r
-
-(* Run one frame against the store; the reply (without its final
-   \r\n), or [None] when the request asked for none. *)
+(* Run one frame against the store, appending its reply (if the
+   request asked for one) to the reply buffer. *)
 let execute c buf fr =
   if fr.verb <> "" then c.on_command fr.verb;
   match fr.cmd with
-  | Answer r -> r
-  | Get { cas; keys } -> Some (exec_get c ~with_cas:cas keys)
+  | Answer r -> Option.iter (reply c) r
+  | Get { cas; keys } -> exec_get c ~with_cas:cas keys
   | Store p ->
-      (* the block sits just before the frame's final \r\n *)
-      let data = Bytes.sub_string buf (fr.off + fr.len - 2 - p.bytes) p.bytes in
-      unless p.noreply (exec_storage c p data)
+      (* the block sits just before the frame's final \r\n; the store
+         reads it from there *)
+      let expiry = Store.expiry_of_exptime c.store p.exptime in
+      Store.store c.store ~tid:c.tid p.op ~flags:p.flags ~expiry p.key buf
+        (fr.off + fr.len - 2 - p.bytes)
+        p.bytes
+      |> outcome_reply |> unless c p.noreply
   | Delete { key; noreply } ->
-      unless noreply (if Store.delete c.store ~tid:c.tid key then "DELETED" else "NOT_FOUND")
+      unless c noreply (if Store.delete c.store ~tid:c.tid key then "DELETED" else "NOT_FOUND")
   | Arith { key; delta } -> (
       match Store.incr c.store ~tid:c.tid key delta with
-      | Some v -> Some (string_of_int v)
-      | None -> Some "NOT_FOUND")
-  | Touch { key; exptime } -> (
-      match Store.get_full c.store ~tid:c.tid key with
-      | Some (data, flags, _) ->
-          Store.set c.store ~tid:c.tid ~flags ~ttl_s:(float_of_int exptime) key data;
-          Some "TOUCHED"
-      | None -> Some "NOT_FOUND")
+      | Some v -> reply c (string_of_int v)
+      | None -> reply c "NOT_FOUND")
+  | Touch { key; exptime } ->
+      let expiry = Store.expiry_of_exptime c.store exptime in
+      reply c (if Store.touch c.store ~tid:c.tid key ~expiry then "TOUCHED" else "NOT_FOUND")
   | Flush_all { delay; noreply } ->
       Store.flush_all c.store ?delay_s:(Option.map float_of_int delay) ();
-      unless noreply "OK"
-  | Stats -> Some (exec_stats c)
-  | Version -> Some "VERSION montage-ocaml 1.0"
-  | Verbosity { noreply } -> unless noreply "OK"
-  | Quit -> None
+      unless c noreply "OK"
+  | Stats -> reply c (exec_stats c)
+  | Version -> reply c "VERSION montage-ocaml 1.0"
+  | Verbosity { noreply } -> unless c noreply "OK"
+  | Quit -> ()
 
-let serve c buf ~pos ~len emit =
-  frames c.fr buf ~pos ~len (fun fr -> Option.iter emit (execute c buf fr))
+(* Frame and execute; [k] runs after each request that replied. *)
+let run c buf ~pos ~len k =
+  frames c.fr buf ~pos ~len (fun fr ->
+      let before = c.olen in
+      execute c buf fr;
+      if c.olen > before then k ())
+
+let serve c buf ~pos ~len = run c buf ~pos ~len (fun () -> c.replies <- c.replies + 1)
+
+let flush_replies c sink =
+  let n = c.replies in
+  if c.olen > 0 then sink c.out 0 c.olen;
+  c.olen <- 0;
+  c.replies <- 0;
+  n
 
 (* Make room for [n] more bytes of [feed] input: compact in place when
    the dead prefix suffices, otherwise reallocate. *)
@@ -401,13 +448,20 @@ let feed c input =
     ensure_room c n;
     Bytes.blit_string input 0 c.ibuf c.ilen n;
     c.ilen <- c.ilen + n;
-    let replies = ref [] in
-    c.ipos <- c.ipos + serve c c.ibuf ~pos:c.ipos ~len:(c.ilen - c.ipos) (fun r -> replies := r :: !replies);
+    (* cut each reply out of the reply buffer as it lands *)
+    let start = c.olen in
+    let mark = ref start and replies = ref [] in
+    c.ipos <-
+      c.ipos
+      + run c c.ibuf ~pos:c.ipos ~len:(c.ilen - c.ipos) (fun () ->
+            replies := Bytes.sub_string c.out !mark (c.olen - !mark) :: !replies;
+            mark := c.olen);
+    c.olen <- start;
     if c.ipos = c.ilen then begin
       c.ipos <- 0;
       c.ilen <- 0
     end;
-    List.rev_map (fun r -> r ^ crlf) !replies
+    List.rev !replies
   end
 
 (* ---- client side: request encoders + reply-unit decoder ----

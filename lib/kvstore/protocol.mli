@@ -15,7 +15,7 @@
 
 (** {1 Frame-only mode} *)
 
-type storage_op = Set | Add | Replace | Append | Prepend | Cas of int
+type storage_op = Store.mode = Set | Add | Replace | Append | Prepend | Cas of int
 
 (** A parsed storage command line; its data block follows. *)
 type pending = {
@@ -89,14 +89,24 @@ val is_closed : conn -> bool
 
 (** Feed raw bytes; returns the replies generated, in order, each
     terminated with [\r\n].  Incomplete commands and data blocks stay
-    buffered for the next feed. *)
+    buffered for the next feed.  Each reply is cut as one string from
+    the connection's reply buffer. *)
 val feed : conn -> string -> string list
 
-(** [serve c buf ~pos ~len emit] is {!feed} over a caller-owned
-    buffer, with {!frames}' consumption contract: every complete
-    request in [buf.[pos, pos + len)] runs, [emit] receives each reply
-    without its final [\r\n], and the result is the bytes consumed. *)
-val serve : conn -> Bytes.t -> pos:int -> len:int -> (string -> unit) -> int
+(** [serve c buf ~pos ~len] is {!feed} over a caller-owned buffer,
+    with {!frames}' consumption contract: every complete request in
+    [buf.[pos, pos + len)] runs, and the result is the bytes consumed.
+    Each reply, [\r\n] included, is appended to the connection's
+    reply buffer; a get writes its values there straight from the
+    store's items, with no intermediate string.  Storage commands read
+    their data blocks from [buf] in place. *)
+val serve : conn -> Bytes.t -> pos:int -> len:int -> int
+
+(** [flush_replies c sink] hands the reply buffer's bytes to [sink]
+    as [(bytes, 0, len)] (not called when it is empty), empties the
+    buffer and returns how many replies it held.  [sink] must copy
+    what it keeps: the buffer is reused. *)
+val flush_replies : conn -> (Bytes.t -> int -> int -> unit) -> int
 
 (** Client half of the protocol: request encoders and an incremental
     reply-unit decoder, shared by the load generator and the cluster

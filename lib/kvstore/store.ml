@@ -8,21 +8,54 @@
    Montage hashmap for the persistent build, the transient map for the
    DRAM (T) / NVM (T) references.
 
-   Item wire format inside the backend value:
-     [4 flags | 8 expiry_unix_s (0 = never) | 8 cas id | data]. *)
+   Item format inside the backend value:
+     [4 flags | 8 expiry_unix_s (0 = never) | 8 cas id | data].
+
+   One copy per value.  A store lays its item out in place: the header
+   and the data (read straight from the caller's buffer — the request
+   framer's input on the wire path) are written once, into the buffer
+   the backend stores (for the Montage hashmap, the payload and its
+   mirror).  A read parses the item where the backend keeps it (the
+   payload's mirror bytes) and hands out an {!item} that points into
+   those bytes; the wire reply copies the data once, into the
+   connection's reply buffer. *)
+
+type fill = Montage.Payload.fill = { len : int; write : Bytes.t -> int -> unit }
 
 type backend = {
-  get : tid:int -> string -> string option;
-  put : tid:int -> string -> string -> string option;
+  get : tid:int -> string -> (Bytes.t * int) option;
+      (* the value in place: [Some (b, off)], the value being
+         [b.[off, Bytes.length b)]; [b] is never mutated afterwards *)
+  put : tid:int -> string -> fill -> unit;
   remove : tid:int -> string -> string option;
-  update : tid:int -> string -> (string option -> string option) -> string option;
+  update : tid:int -> string -> ((Bytes.t * int) option -> fill option) -> unit;
       (* atomic read-modify-write: [f] runs on the current value under
          the backend's per-key synchronization; its [Some] result is
-         stored (inserting if absent), [None] leaves the map unchanged;
-         returns the previous value.  Conditional ops (add/replace/
-         incr/decr/cas) go through this hook — composing them from
-         [get] + [put] loses updates under concurrency. *)
+         stored (inserting if absent), [None] leaves the map unchanged.
+         Conditional ops (add/replace/append/prepend/cas/incr/decr/
+         touch) go through this hook — composing them from [get] +
+         [put] loses updates under concurrency. *)
 }
+
+let string_of_fill f =
+  let b = Bytes.create f.len in
+  f.write b 0;
+  Bytes.unsafe_to_string b
+
+(* A string map's value as a view: the string's own bytes, which
+   nothing mutates. *)
+let view_of_string v = (Bytes.unsafe_of_string v, 0)
+
+let of_strings ~get ~put ~remove ~update =
+  {
+    get = (fun ~tid k -> Option.map view_of_string (get ~tid k));
+    put = (fun ~tid k f -> ignore (put ~tid k (string_of_fill f)));
+    remove;
+    update =
+      (fun ~tid k f ->
+        ignore
+          (update ~tid k (fun cur -> Option.map string_of_fill (f (Option.map view_of_string cur)))));
+  }
 
 (* Assemble a backend from bare map operations.  When the map exposes
    no atomic read-modify-write, the derived [update] is a plain
@@ -38,7 +71,7 @@ let backend ~get ~put ~remove ?update () =
           (match f old with Some v -> ignore (put ~tid key v) | None -> ());
           old
   in
-  { get; put; remove; update }
+  of_strings ~get ~put ~remove ~update
 
 (* statistic slots in the padded counter block *)
 let stat_hits = 0
@@ -62,23 +95,6 @@ type t = {
   mutable now : unit -> float;
 }
 
-let item_header = 20
-
-let encode_item ~flags ~expiry ~cas data =
-  let b = Bytes.create (item_header + String.length data) in
-  Bytes.set_int32_le b 0 (Int32.of_int flags);
-  Bytes.set_int64_le b 4 (Int64.of_float expiry);
-  Bytes.set_int64_le b 12 (Int64.of_int cas);
-  Bytes.blit_string data 0 b item_header (String.length data);
-  Bytes.unsafe_to_string b
-
-let decode_item s =
-  let b = Bytes.unsafe_of_string s in
-  let flags = Int32.to_int (Bytes.get_int32_le b 0) in
-  let expiry = Int64.to_float (Bytes.get_int64_le b 4) in
-  let cas = Int64.to_int (Bytes.get_int64_le b 12) in
-  (flags, expiry, cas, String.sub s item_header (String.length s - item_header))
-
 let create backend =
   {
     backend;
@@ -89,6 +105,57 @@ let create backend =
   }
 
 let bump t slot = Util.Padded.incr t.stats slot
+let next_cas t = Atomic.fetch_and_add t.cas_counter 1
+
+(* ---- the item, in place ---- *)
+
+let item_header = 20
+
+type item = { flags : int; expiry : float; cas : int; data : Bytes.t; pos : int; len : int }
+
+(* An item whose data is [src.[off, off + len)] followed by
+   [src'.[off', off' + len')] (append/prepend join two pieces; every
+   other store passes an empty second one), written where the backend
+   asks: the one copy of each piece. *)
+let item_fill ~flags ~expiry ~cas ?(rest = (Bytes.empty, 0, 0)) src off len =
+  let src', off', len' = rest in
+  {
+    len = item_header + len + len';
+    write =
+      (fun b at ->
+        Bytes.set_int32_le b at (Int32.of_int flags);
+        Bytes.set_int64_le b (at + 4) (Int64.of_float expiry);
+        Bytes.set_int64_le b (at + 12) (Int64.of_int cas);
+        Bytes.blit src off b (at + item_header) len;
+        Bytes.blit src' off' b (at + item_header + len) len');
+  }
+
+let parse (b, off) =
+  {
+    flags = Int32.to_int (Bytes.get_int32_le b off);
+    expiry = Int64.to_float (Bytes.get_int64_le b (off + 4));
+    cas = Int64.to_int (Bytes.get_int64_le b (off + 12));
+    data = b;
+    pos = off + item_header;
+    len = Bytes.length b - off - item_header;
+  }
+
+(* ---- expiry ---- *)
+
+(* memcached's exptime: 0 never expires, a negative value stores an
+   item that is already expired, up to 30 days it is seconds from now,
+   and above that an absolute Unix time.  Stored expiries are absolute;
+   "already expired" is a time before any clock reading. *)
+let thirty_days = 2_592_000
+let already_expired = -1.0
+
+let expiry_of_exptime t exptime =
+  if exptime = 0 then 0.0
+  else if exptime < 0 then already_expired
+  else if exptime > thirty_days then float_of_int exptime
+  else t.now () +. float_of_int exptime
+
+let expiry_of_ttl t ttl_s = if ttl_s > 0.0 then t.now () +. ttl_s else 0.0
 
 (* memcached FLUSH_ALL: retire every current item in one step.  The
    watermark is the cas counter at command time: every existing item has
@@ -113,29 +180,36 @@ let flush_all t ?(delay_s = 0.0) () =
   in
   install ()
 
-(* An item is flushed when an armed order's deadline has passed and the
-   item predates its watermark. *)
-let flushed t ~now cas =
+(* An item is dead once its expiry has passed, or when an armed flush
+   order's deadline has passed and the item predates its watermark.
+   The clock is read only when one of the two can apply. *)
+let dead t it =
   let o = Atomic.get t.flush in
-  o.mark > 0 && cas < o.mark && now >= o.at
+  let flushable = o.mark > 0 && it.cas < o.mark in
+  (it.expiry <> 0.0 || flushable)
+  &&
+  let now = t.now () in
+  (it.expiry <> 0.0 && it.expiry < now) || (flushable && now >= o.at)
 
-(* memcached SET: unconditional store. *)
-let set t ~tid ?(flags = 0) ?(ttl_s = 0.0) key data =
-  let expiry = if ttl_s > 0.0 then t.now () +. ttl_s else 0.0 in
-  let cas = Atomic.fetch_and_add t.cas_counter 1 in
-  ignore (t.backend.put ~tid key (encode_item ~flags ~expiry ~cas data));
-  bump t stat_sets
+(* The live item under a backend view, if any: a stored item whose TTL
+   has lapsed or that a flush retired counts as absent. *)
+let live t = function
+  | None -> None
+  | Some v ->
+      let it = parse v in
+      if dead t it then None else Some it
 
-(* memcached GET: returns (data, flags, cas). *)
-let get_full t ~tid key =
+(* ---- reads ---- *)
+
+(* memcached GET, in place. *)
+let find t ~tid key =
   match t.backend.get ~tid key with
   | None ->
       bump t stat_misses;
       None
-  | Some item ->
-      let flags, expiry, cas, data = decode_item item in
-      let now = t.now () in
-      if (expiry > 0.0 && expiry < now) || flushed t ~now cas then begin
+  | Some v ->
+      let it = parse v in
+      if dead t it then begin
         (* lazy expiry, as memcached does; flushed items expire the
            same way on first touch *)
         ignore (t.backend.remove ~tid key);
@@ -145,10 +219,12 @@ let get_full t ~tid key =
       end
       else begin
         bump t stat_hits;
-        Some (data, flags, cas)
+        Some it
       end
 
-let get t ~tid key = Option.map (fun (d, _, _) -> d) (get_full t ~tid key)
+let copy_data it = Bytes.sub_string it.data it.pos it.len
+let get_full t ~tid key = Option.map (fun it -> (copy_data it, it.flags, it.cas)) (find t ~tid key)
+let get t ~tid key = Option.map copy_data (find t ~tid key)
 
 let delete t ~tid key =
   match t.backend.remove ~tid key with
@@ -157,94 +233,100 @@ let delete t ~tid key =
       bump t stat_deletes;
       true
 
-(* The conditional ops below run their decision inside [backend.update]
-   so the check and the store are one atomic step; a racing writer
-   cannot slip between them.  A stored item whose TTL has lapsed counts
-   as absent (and is overwritten in place rather than removed first). *)
+(* ---- stores ---- *)
 
-let live_item t now = function
-  | None -> None
-  | Some item ->
-      let _, expiry, cas, _ = decode_item item in
-      if (expiry > 0.0 && expiry < now) || flushed t ~now cas then None else Some item
+type mode = Set | Add | Replace | Append | Prepend | Cas of int
+type outcome = Stored | Not_stored | Exists | Not_found
+
+(* Every storage command.  A SET is unconditional and never reads the
+   value it replaces.  The others decide inside [backend.update], so
+   the check and the store are one atomic step that a racing writer
+   cannot slip between. *)
+let store t ~tid mode ?(flags = 0) ~expiry key src off len =
+  let outcome =
+    match mode with
+    | Set ->
+        t.backend.put ~tid key (item_fill ~flags ~expiry ~cas:(next_cas t) src off len);
+        Stored
+    | Add | Replace | Append | Prepend | Cas _ ->
+        let fresh () = item_fill ~flags ~expiry ~cas:(next_cas t) src off len in
+        let outcome = ref Not_stored in
+        t.backend.update ~tid key (fun cur ->
+            let o, fill =
+              match (mode, live t cur) with
+              | Set, _ | Add, None | Replace, Some _ -> (Stored, Some (fresh ()))
+              | Cas id, Some it when it.cas = id -> (Stored, Some (fresh ()))
+              | Cas _, Some _ -> (Exists, None)
+              | Cas _, None -> (Not_found, None)
+              | Append, Some it ->
+                  (* the item keeps its flags *)
+                  ( Stored,
+                    Some
+                      (item_fill ~flags:it.flags ~expiry ~cas:(next_cas t) ~rest:(src, off, len)
+                         it.data it.pos it.len) )
+              | Prepend, Some it ->
+                  ( Stored,
+                    Some
+                      (item_fill ~flags:it.flags ~expiry ~cas:(next_cas t)
+                         ~rest:(it.data, it.pos, it.len) src off len) )
+              | Add, Some _ | (Replace | Append | Prepend), None -> (Not_stored, None)
+            in
+            outcome := o;
+            fill);
+        !outcome
+  in
+  if outcome = Stored then bump t stat_sets;
+  outcome
+
+let store_string t ~tid mode ?flags ~ttl_s key data =
+  store t ~tid mode ?flags ~expiry:(expiry_of_ttl t ttl_s) key (Bytes.unsafe_of_string data) 0
+    (String.length data)
+
+(* memcached SET: unconditional store. *)
+let set t ~tid ?flags ?(ttl_s = 0.0) key data = ignore (store_string t ~tid Set ?flags ~ttl_s key data)
 
 (* memcached ADD: store only if absent. *)
-let add t ~tid ?(flags = 0) ?(ttl_s = 0.0) key data =
-  let now = t.now () in
-  let expiry = if ttl_s > 0.0 then now +. ttl_s else 0.0 in
-  let stored = ref false in
-  ignore
-    (t.backend.update ~tid key (fun cur ->
-         match live_item t now cur with
-         | Some _ -> None
-         | None ->
-             stored := true;
-             let cas = Atomic.fetch_and_add t.cas_counter 1 in
-             Some (encode_item ~flags ~expiry ~cas data)));
-  if !stored then bump t stat_sets;
-  !stored
+let add t ~tid ?flags ?(ttl_s = 0.0) key data = store_string t ~tid Add ?flags ~ttl_s key data = Stored
 
 (* memcached REPLACE: store only if present. *)
-let replace t ~tid ?(flags = 0) ?(ttl_s = 0.0) key data =
-  let now = t.now () in
-  let expiry = if ttl_s > 0.0 then now +. ttl_s else 0.0 in
-  let stored = ref false in
-  ignore
-    (t.backend.update ~tid key (fun cur ->
-         match live_item t now cur with
-         | None -> None
-         | Some _ ->
-             stored := true;
-             let cas = Atomic.fetch_and_add t.cas_counter 1 in
-             Some (encode_item ~flags ~expiry ~cas data)));
-  if !stored then bump t stat_sets;
-  !stored
+let replace t ~tid ?flags ?(ttl_s = 0.0) key data =
+  store_string t ~tid Replace ?flags ~ttl_s key data = Stored
 
 (* memcached CAS: store only if the item's id matches the one the
    client last read. *)
-type cas_outcome = Stored | Exists | Not_found
+let compare_and_set t ~tid ?flags ?(ttl_s = 0.0) key ~cas data =
+  store_string t ~tid (Cas cas) ?flags ~ttl_s key data
 
-let compare_and_set t ~tid ?(flags = 0) ?(ttl_s = 0.0) key ~cas data =
-  let now = t.now () in
-  let expiry = if ttl_s > 0.0 then now +. ttl_s else 0.0 in
-  let outcome = ref Not_found in
-  ignore
-    (t.backend.update ~tid key (fun cur ->
-         match live_item t now cur with
-         | None -> None
-         | Some item ->
-             let _, _, id, _ = decode_item item in
-             if id <> cas then begin
-               outcome := Exists;
-               None
-             end
-             else begin
-               outcome := Stored;
-               let id' = Atomic.fetch_and_add t.cas_counter 1 in
-               Some (encode_item ~flags ~expiry ~cas:id' data)
-             end));
-  if !outcome = Stored then bump t stat_sets;
-  !outcome
+(* memcached TOUCH: a new expiry for a live item; its data, flags and
+   cas id stay. *)
+let touch t ~tid key ~expiry =
+  let touched = ref false in
+  t.backend.update ~tid key (fun cur ->
+      match live t cur with
+      | None -> None
+      | Some it ->
+          touched := true;
+          Some (item_fill ~flags:it.flags ~expiry ~cas:it.cas it.data it.pos it.len));
+  !touched
 
 (* memcached INCR/DECR on a decimal value; [None] if missing or NaN.
    DECR saturates at zero, as memcached specifies.  Flags and expiry
    survive the arithmetic. *)
 let incr t ~tid key delta =
-  let now = t.now () in
   let result = ref None in
-  ignore
-    (t.backend.update ~tid key (fun cur ->
-         match live_item t now cur with
-         | None -> None
-         | Some item -> (
-             let flags, expiry, _, data = decode_item item in
-             match int_of_string_opt (String.trim data) with
-             | None -> None
-             | Some v ->
-                 let v' = max 0 (v + delta) in
-                 result := Some v';
-                 let cas = Atomic.fetch_and_add t.cas_counter 1 in
-                 Some (encode_item ~flags ~expiry ~cas (string_of_int v')))));
+  t.backend.update ~tid key (fun cur ->
+      match live t cur with
+      | None -> None
+      | Some it -> (
+          match int_of_string_opt (String.trim (copy_data it)) with
+          | None -> None
+          | Some v ->
+              let v' = max 0 (v + delta) in
+              result := Some v';
+              let s = string_of_int v' in
+              Some
+                (item_fill ~flags:it.flags ~expiry:it.expiry ~cas:(next_cas t)
+                   (Bytes.unsafe_of_string s) 0 (String.length s))));
   if !result <> None then bump t stat_sets;
   !result
 
@@ -264,24 +346,16 @@ let set_clock t clock = t.now <- clock
 
 let of_mhashmap (m : Pstructs.Mhashmap.t) =
   {
-    get = (fun ~tid k -> Pstructs.Mhashmap.get m ~tid k);
-    put = (fun ~tid k v -> Pstructs.Mhashmap.put m ~tid k v);
+    get = (fun ~tid k -> Pstructs.Mhashmap.find m ~tid k);
+    put = (fun ~tid k f -> Pstructs.Mhashmap.set m ~tid k f);
     remove = (fun ~tid k -> Pstructs.Mhashmap.remove m ~tid k);
-    update = (fun ~tid k f -> Pstructs.Mhashmap.update m ~tid k f);
+    update = (fun ~tid k f -> Pstructs.Mhashmap.modify m ~tid k f);
   }
 
 let of_mhamt (m : Pstructs.Mhamt.t) =
-  {
-    get = (fun ~tid k -> Pstructs.Mhamt.get m ~tid k);
-    put = (fun ~tid k v -> Pstructs.Mhamt.put m ~tid k v);
-    remove = (fun ~tid k -> Pstructs.Mhamt.remove m ~tid k);
-    update = (fun ~tid k f -> Pstructs.Mhamt.update m ~tid k f);
-  }
+  of_strings ~get:(Pstructs.Mhamt.get m) ~put:(Pstructs.Mhamt.put m)
+    ~remove:(Pstructs.Mhamt.remove m) ~update:(Pstructs.Mhamt.update m)
 
 let of_transient_map (m : Baselines.Transient_map.t) =
-  {
-    get = (fun ~tid k -> Baselines.Transient_map.get m ~tid k);
-    put = (fun ~tid k v -> Baselines.Transient_map.put m ~tid k v);
-    remove = (fun ~tid k -> Baselines.Transient_map.remove m ~tid k);
-    update = (fun ~tid k f -> Baselines.Transient_map.update m ~tid k f);
-  }
+  of_strings ~get:(Baselines.Transient_map.get m) ~put:(Baselines.Transient_map.put m)
+    ~remove:(Baselines.Transient_map.remove m) ~update:(Baselines.Transient_map.update m)

@@ -6,24 +6,35 @@
     Items carry memcached metadata (flags, expiry, CAS id); expiry is
     lazy, as in memcached. *)
 
+(** A value written in place (see {!Montage.Payload.fill}). *)
+type fill = Montage.Payload.fill = { len : int; write : Bytes.t -> int -> unit }
+
 (** The map the store persists through: the Montage hashmap for the
-    persistent build, a transient map for the DRAM/NVM references. *)
+    persistent build, a transient map for the DRAM/NVM references.
+    Values cross it in place, so an item's bytes are copied once on
+    the way in and not at all on the way out. *)
 type backend = {
-  get : tid:int -> string -> string option;
-  put : tid:int -> string -> string -> string option;
+  get : tid:int -> string -> (Bytes.t * int) option;
+      (** The value in place: [Some (b, off)], the value being
+          [b.[off, Bytes.length b)].  [b] is the backend's own copy (for
+          the Montage hashmap, the payload's mirror bytes) and is never
+          mutated afterwards, so the store may read it after the call
+          returns; nobody may write to it. *)
+  put : tid:int -> string -> fill -> unit;
+      (** Store the value [fill] writes, without reading the old one. *)
   remove : tid:int -> string -> string option;
-  update : tid:int -> string -> (string option -> string option) -> string option;
-      (** Atomic read-modify-write: [f] runs on the current value under
-          the backend's per-key synchronization; its [Some] result is
-          stored (inserting if absent), [None] leaves the map
-          unchanged; returns the previous value.  All conditional store
-          ops (add/replace/incr/decr/cas) go through this hook. *)
+  update : tid:int -> string -> ((Bytes.t * int) option -> fill option) -> unit;
+      (** Atomic read-modify-write: [f] runs on a view of the current
+          value under the backend's per-key synchronization; its [Some]
+          result is stored (inserting if absent), [None] leaves the map
+          unchanged.  Every conditional store op (add/replace/append/
+          prepend/cas/incr/decr/touch) goes through this hook. *)
 }
 
-(** Assemble a backend from bare map operations.  Without [?update],
-    the derived read-modify-write is a plain get-then-put — fine for
-    single-writer use and reference benchmarks, {e not} linearizable
-    under racing conditional ops. *)
+(** Assemble a backend from bare string map operations.  Without
+    [?update], the derived read-modify-write is a plain get-then-put —
+    fine for single-writer use and reference benchmarks, {e not}
+    linearizable under racing conditional ops. *)
 val backend :
   get:(tid:int -> string -> string option) ->
   put:(tid:int -> string -> string -> string option) ->
@@ -36,11 +47,18 @@ type t
 
 val create : backend -> t
 
-(** Unconditional store (memcached SET).  [ttl_s <= 0] means never
-    expires. *)
-val set : t -> tid:int -> ?flags:int -> ?ttl_s:float -> string -> string -> unit
+(** A live item read in place: its data is [data.[pos, pos + len)],
+    the backend's own bytes (the payload's mirror for the Montage
+    hashmap), which are never mutated — so the item stays valid after
+    the store call returns and later writes to the key do not show
+    through it.  Callers must not write to [data].  [expiry] is an
+    absolute Unix time, [0.] for never. *)
+type item = { flags : int; expiry : float; cas : int; data : Bytes.t; pos : int; len : int }
 
-(** Returns (data, flags, cas id); [None] on miss or lazy expiry. *)
+(** memcached GET in place; [None] on miss or lazy expiry. *)
+val find : t -> tid:int -> string -> item option
+
+(** Returns (data, flags, cas id): {!find}, with the data copied out. *)
 val get_full : t -> tid:int -> string -> (string * int * int) option
 
 val get : t -> tid:int -> string -> string option
@@ -48,21 +66,52 @@ val get : t -> tid:int -> string -> string option
 (** [true] when the key existed. *)
 val delete : t -> tid:int -> string -> bool
 
+(** {1 Stores} *)
+
+type mode = Set | Add | Replace | Append | Prepend | Cas of int
+
+type outcome =
+  | Stored
+  | Not_stored  (** add over a live item; replace/append/prepend over none *)
+  | Exists  (** cas: the item changed since the client read its id *)
+  | Not_found  (** cas: no live item under the key *)
+
+(** The absolute expiry for memcached's [exptime]: [0] never expires,
+    a negative value gives an item that is already expired, up to
+    30 days (2,592,000 s) it counts seconds from now, and above that it
+    is an absolute Unix time. *)
+val expiry_of_exptime : t -> int -> float
+
+(** [store t ~tid mode ~expiry key src off len]: every memcached
+    storage command, with the data at [src.[off, off + len)].  The item
+    header and the data are written once, straight into the buffer the
+    backend keeps.  [Set] is unconditional and never reads the value it
+    replaces; the others decide atomically inside [backend.update].
+    [Append]/[Prepend] keep the item's flags and take [expiry].  A
+    lapsed or flushed item counts as absent. *)
+val store :
+  t -> tid:int -> mode -> ?flags:int -> expiry:float -> string -> Bytes.t -> int -> int -> outcome
+
+(** Unconditional store (memcached SET).  [ttl_s <= 0] means never
+    expires. *)
+val set : t -> tid:int -> ?flags:int -> ?ttl_s:float -> string -> string -> unit
+
 (** Store only if absent (memcached ADD). *)
 val add : t -> tid:int -> ?flags:int -> ?ttl_s:float -> string -> string -> bool
 
 (** Store only if present (memcached REPLACE). *)
 val replace : t -> tid:int -> ?flags:int -> ?ttl_s:float -> string -> string -> bool
 
-type cas_outcome =
-  | Stored  (** the id matched; the new value is in *)
-  | Exists  (** the item changed since the client read it *)
-  | Not_found  (** no live item under the key *)
-
 (** Store only if the item's CAS id still equals [cas] — the id a prior
-    {!get_full} returned (memcached CAS). *)
+    {!get_full} returned (memcached CAS): [Stored], [Exists] or
+    [Not_found]. *)
 val compare_and_set :
-  t -> tid:int -> ?flags:int -> ?ttl_s:float -> string -> cas:int -> string -> cas_outcome
+  t -> tid:int -> ?flags:int -> ?ttl_s:float -> string -> cas:int -> string -> outcome
+
+(** memcached TOUCH: give a live item a new absolute [expiry] in one
+    atomic step, keeping its data, flags and CAS id; [false] when there
+    is no live item. *)
+val touch : t -> tid:int -> string -> expiry:float -> bool
 
 (** Arithmetic on a decimal value; [None] if missing or non-numeric.
     DECR saturates at zero, as memcached specifies. *)

@@ -348,6 +348,20 @@ let on_writeback t ~tid ~off ~len =
 let on_drain t ~tid =
   if t.pending_count.(tid) > 0 then begin
     let s = Atomic.fetch_and_add t.stamp 1 + 1 in
+    let ranges = !(t.pending.(tid)) in
+    (* Commit stamps only move forward.  Drains on two threads can
+       commit one line at once, and the one that took the older stamp
+       may reach the line last; winding the line back to that stamp
+       would make an obligation the newer drain satisfied look
+       unflushed at retirement. *)
+    Mutex.lock t.lock;
+    List.iter
+      (fun (first, lines) ->
+        for line = first to first + lines - 1 do
+          if t.commit_stamp.(line) < s then t.commit_stamp.(line) <- s
+        done)
+      ranges;
+    Mutex.unlock t.lock;
     List.iter
       (fun (first, lines) ->
         for line = first to first + lines - 1 do
@@ -357,10 +371,9 @@ let on_drain t ~tid =
               (Store_flush_race { tid; off = line lsl line_shift; len = line_size; line })
           end;
           if t.pending_by.(line) = tid + 1 then t.pending_by.(line) <- 0;
-          Bytes.unsafe_set t.dirty line '\000';
-          t.commit_stamp.(line) <- s
+          Bytes.unsafe_set t.dirty line '\000'
         done)
-      !(t.pending.(tid));
+      ranges;
     t.pending.(tid) := [];
     t.pending_count.(tid) <- 0;
     record_event t (Drain { tid })

@@ -34,20 +34,24 @@ let size t = Atomic.get t.size
 let esys t = t.esys
 
 (* Read-only: no BEGIN_OP needed (paper §3.1); the bucket lock is the
-   transient synchronization. *)
-let get t ~tid key =
+   transient synchronization.  The value is returned in place (see
+   [Kv.view]): the handle's mirror bytes, or its one charged cold read,
+   and the value's offset in them.  Handing the view out past the lock
+   is safe because mirror bytes are never mutated — a concurrent
+   in-place [pset] installs a fresh buffer and leaves these intact. *)
+let find t ~tid key =
   Util.Sched.yield "mhashmap.get";
   let b = bucket_of t key in
   Util.Spin_lock.with_lock b.lock (fun () ->
       let rec find = function
         | None -> None
-        | Some n when String.equal n.key key ->
-            (* value-only decode: the node already caches the key, and a
-               warm handle returns its memo without touching NVM *)
-            Some (Kv.get_value t.esys ~tid n.payload)
+        | Some n when String.equal n.key key -> Some (Kv.view t.esys ~tid n.payload)
         | Some n -> find n.next
       in
       find b.head)
+
+let string_of_view (b, off) = Bytes.sub_string b off (Bytes.length b - off)
+let get t ~tid key = Option.map string_of_view (find t ~tid key)
 
 let contains t ~tid:_ key =
   Util.Sched.yield "mhashmap.contains";
@@ -60,96 +64,86 @@ let contains t ~tid:_ key =
       in
       find b.head)
 
-(* Insert, or update if the key exists; returns the previous value. *)
-let put t ~tid key value =
-  Util.Sched.yield "mhashmap.put";
+(* The one write walk under the bucket lock.  [decide] sees the key's
+   current handle ([None] if absent) and returns the whole encoded
+   payload to store, or [None] to leave the map unchanged; the payload
+   then goes in through one [pset] over the node's handle (installing
+   the handle it returns) or one [pnew] for a new node, inside an
+   operation.  Nothing is read unless [decide] reads it.  [tag] names
+   the caller's scheduling point. *)
+let write t ~tid ~tag key decide =
+  Util.Sched.yield tag;
   let b = bucket_of t key in
   Util.Spin_lock.with_lock b.lock (fun () ->
-      E.with_op t.esys ~tid (fun () ->
-          let rec walk prev curr =
-            match curr with
-            | Some n when String.equal n.key key ->
-                let old = Kv.get_value t.esys ~tid n.payload in
-                n.payload <- Kv.set t.esys ~tid n.payload (key, value);
-                Some old
-            | Some n when n.key > key ->
-                let payload = Kv.pnew t.esys ~tid (key, value) in
-                let fresh = { key; payload; next = curr } in
+      let insert prev curr =
+        match decide None with
+        | None -> ()
+        | Some content ->
+            E.with_op t.esys ~tid (fun () ->
+                let fresh = { key; payload = E.pnew t.esys ~tid content; next = curr } in
                 (match prev with None -> b.head <- Some fresh | Some p -> p.next <- Some fresh);
-                Atomic.incr t.size;
-                None
-            | Some n -> walk (Some n) n.next
-            | None ->
-                let payload = Kv.pnew t.esys ~tid (key, value) in
-                let fresh = { key; payload; next = None } in
-                (match prev with None -> b.head <- Some fresh | Some p -> p.next <- Some fresh);
-                Atomic.incr t.size;
-                None
-          in
-          walk None b.head))
-
-(* Insert only if absent; true on success. *)
-let put_if_absent t ~tid key value =
-  Util.Sched.yield "mhashmap.put_if_absent";
-  let b = bucket_of t key in
-  Util.Spin_lock.with_lock b.lock (fun () ->
-      let rec present = function
-        | None -> false
-        | Some n when String.equal n.key key -> true
-        | Some n when n.key > key -> false
-        | Some n -> present n.next
-      in
-      if present b.head then false
-      else
-        E.with_op t.esys ~tid (fun () ->
-            let payload = Kv.pnew t.esys ~tid (key, value) in
-            let rec splice prev curr =
-              match curr with
-              | Some n when n.key < key -> splice (Some n) n.next
-              | _ ->
-                  let fresh = { key; payload; next = curr } in
-                  (match prev with None -> b.head <- Some fresh | Some p -> p.next <- Some fresh)
-            in
-            splice None b.head;
-            Atomic.incr t.size;
-            true))
-
-(* Atomic read-modify-write: run [f] on the key's current value (None
-   if absent) under the bucket lock and store its [Some] result —
-   inserting if the key was absent — or leave the map unchanged on
-   [None].  Returns the previous value.  This is the primitive the
-   kvstore's add/replace/incr/decr/CAS ops build on: get-then-put
-   without the lock would lose concurrent updates. *)
-let update t ~tid key f =
-  Util.Sched.yield "mhashmap.update";
-  let b = bucket_of t key in
-  Util.Spin_lock.with_lock b.lock (fun () ->
-      let insert prev curr value =
-        E.with_op t.esys ~tid (fun () ->
-            let payload = Kv.pnew t.esys ~tid (key, value) in
-            let fresh = { key; payload; next = curr } in
-            (match prev with None -> b.head <- Some fresh | Some p -> p.next <- Some fresh);
-            Atomic.incr t.size)
+                Atomic.incr t.size)
       in
       let rec walk prev curr =
         match curr with
-        | Some n when String.equal n.key key ->
-            let old = Kv.get_value t.esys ~tid n.payload in
-            (match f (Some old) with
-            | Some value ->
-                E.with_op t.esys ~tid (fun () ->
-                    n.payload <- Kv.set t.esys ~tid n.payload (key, value))
-            | None -> ());
-            Some old
-        | Some n when n.key > key ->
-            (match f None with Some value -> insert prev curr value | None -> ());
-            None
+        | Some n when String.equal n.key key -> (
+            match decide (Some n.payload) with
+            | None -> ()
+            | Some content ->
+                E.with_op t.esys ~tid (fun () -> n.payload <- E.pset t.esys ~tid n.payload content))
+        | Some n when n.key > key -> insert prev curr
         | Some n -> walk (Some n) n.next
-        | None ->
-            (match f None with Some value -> insert prev curr value | None -> ());
-            None
+        | None -> insert prev None
       in
       walk None b.head)
+
+(* Store a value written in place ([fill]) without reading the one it
+   replaces: the key and the value are laid out once, in the buffer
+   that becomes the payload and its mirror, before the lock is taken. *)
+let set t ~tid key fill =
+  let content = Montage.Payload.Kv_content.encode_with key fill in
+  write t ~tid ~tag:"mhashmap.set" key (fun _ -> Some content)
+
+(* Insert, or update if the key exists; returns the previous value. *)
+let put t ~tid key value =
+  let content = Montage.Payload.Kv_content.encode (key, value) in
+  let old = ref None in
+  write t ~tid ~tag:"mhashmap.put" key (fun h ->
+      old := Option.map (fun h -> string_of_view (Kv.view t.esys ~tid h)) h;
+      Some content);
+  !old
+
+(* Insert only if absent; true on success. *)
+let put_if_absent t ~tid key value =
+  let content = Montage.Payload.Kv_content.encode (key, value) in
+  let stored = ref false in
+  write t ~tid ~tag:"mhashmap.put_if_absent" key (function
+    | Some _ -> None
+    | None ->
+        stored := true;
+        Some content);
+  !stored
+
+(* Atomic read-modify-write over the value in place: [f] sees the
+   key's current value as a view ([None] if absent) under the bucket
+   lock, and its [Some] fill is stored — inserting if the key was
+   absent — while [None] leaves the map unchanged.  This is the
+   primitive the kvstore's conditional ops build on: get-then-put
+   without the lock would lose concurrent updates. *)
+let modify t ~tid key f =
+  write t ~tid ~tag:"mhashmap.update" key (fun h ->
+      Option.map
+        (Montage.Payload.Kv_content.encode_with key)
+        (f (Option.map (Kv.view t.esys ~tid) h)))
+
+(* [modify] over strings; returns the previous value. *)
+let update t ~tid key f =
+  let old = ref None in
+  modify t ~tid key (fun cur ->
+      let cur = Option.map string_of_view cur in
+      old := cur;
+      Option.map Montage.Payload.fill_string (f cur));
+  !old
 
 (* Remove; returns the removed value. *)
 let remove t ~tid key =

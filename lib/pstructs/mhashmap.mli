@@ -16,11 +16,25 @@ val create : ?buckets:int -> Montage.Epoch_sys.t -> t
 val esys : t -> Montage.Epoch_sys.t
 val size : t -> int
 
-(** Read-only lookup (no epoch bracketing; the bucket lock is the
-    transient synchronization). *)
+(** Read-only lookup in place (no epoch bracketing; the bucket lock is
+    the transient synchronization): [Some (b, off)] with the value at
+    [b.[off, Bytes.length b)], as {!Montage.Payload.Kv.view} returns
+    it — the payload's mirror bytes when warm, else its one charged
+    cold read.  Nothing is copied.  The view stays valid after the call
+    returns because mirror bytes are never mutated (an in-place update
+    installs a fresh buffer); callers must not write to [b]. *)
+val find : t -> tid:int -> string -> (Bytes.t * int) option
+
+(** {!find}, copied out. *)
 val get : t -> tid:int -> string -> string option
 
 val contains : t -> tid:int -> string -> bool
+
+(** Insert, or update if present, with the value written in place:
+    the key and [fill]'s bytes are laid out once, in the buffer that
+    becomes the payload (and its mirror), stored through one
+    [pnew]/[pset].  The value it replaces is never read. *)
+val set : t -> tid:int -> string -> Montage.Payload.fill -> unit
 
 (** Insert, or update if present; returns the previous value. *)
 val put : t -> tid:int -> string -> string -> string option
@@ -28,11 +42,17 @@ val put : t -> tid:int -> string -> string -> string option
 (** Insert only if absent; [true] on success. *)
 val put_if_absent : t -> tid:int -> string -> string -> bool
 
-(** Atomic read-modify-write: [update t ~tid key f] runs [f] on the
-    key's current value ([None] if absent) under the bucket lock;
-    [Some v'] stores [v'] (inserting if absent), [None] leaves the map
-    unchanged.  Returns the previous value.  The primitive behind the
-    kvstore's add/replace/incr/decr/CAS operations. *)
+(** Atomic read-modify-write in place: [modify t ~tid key f] runs [f]
+    on a view of the key's current value (as {!find} returns it;
+    [None] if absent) under the bucket lock; [Some fill] stores the
+    value [fill] writes (inserting if absent), [None] leaves the map
+    unchanged.  The primitive behind the kvstore's conditional
+    operations. *)
+val modify :
+  t -> tid:int -> string -> ((Bytes.t * int) option -> Montage.Payload.fill option) -> unit
+
+(** {!modify} over strings: [f] sees the current value copied out,
+    [Some v'] stores [v'].  Returns the previous value. *)
 val update : t -> tid:int -> string -> (string option -> string option) -> string option
 
 (** Remove; returns the removed value. *)

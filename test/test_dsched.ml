@@ -812,6 +812,58 @@ let test_workers_scrub_window_stall () =
         (r.D.crash_branches >= r.D.max_points);
       Alcotest.(check bool) "exhausted, not truncated" false r.D.truncated)
 
+(* ---- kvstore read-modify-write commands ----
+
+   touch, append and prepend read an item and write it back.  Unless
+   that is one atomic step under the key's lock, a set from another
+   connection that lands between the read and the write is lost.  Two
+   connections (tids 0 and 1) race on one key of a Montage-hashmap
+   store; the store's clock is fixed and nothing advances epochs, so
+   the only scheduling points are the map's and the runtime's. *)
+
+let kv_rmw_scenario ~setup ~ops ~finals =
+  {
+    D.init =
+      (fun () ->
+        let region = R.create ~latency:Nvm.Latency.zero ~max_threads:4 ~capacity:(1 lsl 18) () in
+        let esys = E.create ~config:sched_cfg region in
+        let store =
+          Kvstore.Store.create (Kvstore.Store.of_mhashmap (Pstructs.Mhashmap.create ~buckets:4 esys))
+        in
+        Kvstore.Store.set_clock store (fun () -> 1000.0);
+        let conns = Array.init 2 (fun tid -> Kvstore.Protocol.create store ~tid) in
+        ignore (Kvstore.Protocol.feed conns.(0) setup);
+        conns);
+    threads = Array.mapi (fun tid req conns -> ignore (Kvstore.Protocol.feed conns.(tid) req)) ops;
+    check_crash = None;
+    check_done =
+      Some
+        (fun conns ->
+          List.mem
+            (String.concat "" (Kvstore.Protocol.feed conns.(0) "get k\r\n"))
+            (List.map (fun v -> Printf.sprintf "VALUE k 0 %d\r\n%s\r\nEND\r\n" (String.length v) v) finals));
+  }
+
+let check_kv_rmw name scenario =
+  let r = D.explore (exhaustive ~preemptions:2 ~crashes:false ()) scenario in
+  (match r.D.failure with
+  | Some f -> Alcotest.fail (name ^ ": " ^ D.failure_to_string f)
+  | None -> ());
+  Alcotest.(check bool) "exhausted, not truncated" false r.D.truncated
+
+let test_touch_races_set () =
+  (* either order leaves the set's value; a lost update leaves "a" *)
+  check_kv_rmw "touch || set"
+    (kv_rmw_scenario ~setup:"set k 0 0 1\r\na\r\n"
+       ~ops:[| "touch k 100\r\n"; "set k 0 0 1\r\nb\r\n" |]
+       ~finals:[ "b" ])
+
+let test_append_races_append () =
+  check_kv_rmw "append || append"
+    (kv_rmw_scenario ~setup:"set k 0 0 1\r\nx\r\n"
+       ~ops:[| "append k 0 0 1\r\n1\r\n"; "append k 0 0 1\r\n2\r\n" |]
+       ~finals:[ "x12"; "x21" ])
+
 (* The CI leg: MONTAGE_SCHED=random MONTAGE_SCHED_RUNS=500 runs this
    suite with a seeded PCT sweep over both queues; without the env the
    default is a modest always-on PCT pass. *)
@@ -892,5 +944,10 @@ let () =
         [
           Alcotest.test_case "scrub-window stall + crash at every point" `Quick
             test_workers_scrub_window_stall;
+        ] );
+      ( "kvstore-rmw",
+        [
+          Alcotest.test_case "touch || set loses no update" `Quick test_touch_races_set;
+          Alcotest.test_case "append || append loses no update" `Quick test_append_races_append;
         ] );
     ]

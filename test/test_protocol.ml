@@ -163,6 +163,241 @@ let test_protocol_over_montage_with_crash () =
   Alcotest.(check string) "counter durable" "41\r\n" (feed_all c2 "incr hits 0\r\n");
   Alcotest.(check string) "unsynced lost" "END\r\n" (feed_all c2 "get user:2\r\n")
 
+(* ---- every store backend ---- *)
+
+let montage_esys () =
+  let region = Nvm.Region.create ~latency:Nvm.Latency.zero ~max_threads:8 ~capacity:(1 lsl 20) () in
+  E.create ~config:testing_cfg region
+
+let backends =
+  [
+    ("transient", make_store);
+    ( "mhashmap",
+      fun () -> Store.create (Store.of_mhashmap (Pstructs.Mhashmap.create ~buckets:64 (montage_esys ()))) );
+    ("mhamt", fun () -> Store.create (Store.of_mhamt (Pstructs.Mhamt.create (montage_esys ()))));
+  ]
+
+let hit k v = Printf.sprintf "VALUE %s 0 %d\r\n%s\r\nEND\r\n" k (String.length v) v
+
+(* memcached's exptime: 0 never, negative already expired, up to 30
+   days relative seconds, above that an absolute Unix time — for every
+   command that takes one. *)
+let exptime_tests (name, mk) =
+  let case label f = Alcotest.test_case (name ^ ": " ^ label) `Quick f in
+  let t0 = 1_000_000_000.0 in
+  let session () =
+    let store = mk () in
+    let now = ref t0 in
+    Store.set_clock store (fun () -> !now);
+    (P.create store ~tid:0, now)
+  in
+  let check = Alcotest.(check string) in
+  [
+    case "exptime: negative stores an expired item" (fun () ->
+        let c, _ = session () in
+        let gone k = check (k ^ " expired") "END\r\n" (feed_all c ("get " ^ k ^ "\r\n")) in
+        check "set" "STORED\r\n" (feed_all c "set s 0 -1 1\r\nv\r\n");
+        gone "s";
+        check "add" "STORED\r\n" (feed_all c "add a 0 -1 1\r\nv\r\n");
+        gone "a";
+        ignore (feed_all c "set r 0 0 1\r\nv\r\nset p 0 0 1\r\nv\r\nset q 0 0 1\r\nv\r\n");
+        check "replace" "STORED\r\n" (feed_all c "replace r 0 -1 1\r\nw\r\n");
+        gone "r";
+        check "append" "STORED\r\n" (feed_all c "append p 0 -5 1\r\nw\r\n");
+        gone "p";
+        check "prepend" "STORED\r\n" (feed_all c "prepend q 0 -5 1\r\nw\r\n");
+        gone "q";
+        ignore (feed_all c "set k 0 0 1\r\nv\r\n");
+        let cas = Scanf.sscanf (feed_all c "gets k\r\n") "VALUE k 0 1 %d" Fun.id in
+        check "cas" "STORED\r\n" (feed_all c (Printf.sprintf "cas k 0 -1 1 %d\r\nw\r\n" cas));
+        gone "k";
+        ignore (feed_all c "set t 0 0 1\r\nv\r\n");
+        check "touch" "TOUCHED\r\n" (feed_all c "touch t -1\r\n");
+        gone "t");
+    case "exptime: up to 30 days is relative" (fun () ->
+        let c, now = session () in
+        ignore (feed_all c "set r 0 100 1\r\nv\r\nset m 0 2592000 1\r\nm\r\n");
+        now := t0 +. 99.0;
+        check "alive before" (hit "r" "v") (feed_all c "get r\r\n");
+        now := t0 +. 101.0;
+        check "dead after" "END\r\n" (feed_all c "get r\r\n");
+        now := t0 +. 2_591_999.0;
+        check "30 days is still relative" (hit "m" "m") (feed_all c "get m\r\n"));
+    case "exptime: above 30 days is absolute" (fun () ->
+        let c, now = session () in
+        let at = int_of_float t0 + 50 in
+        check "past absolute" "STORED\r\n" (feed_all c "set old 0 2592001 1\r\nv\r\n");
+        check "already expired" "END\r\n" (feed_all c "get old\r\n");
+        ignore (feed_all c (Printf.sprintf "set abs 0 %d 1\r\nv\r\n" at));
+        ignore (feed_all c "set t 0 0 1\r\nv\r\n");
+        check "touch absolute" "TOUCHED\r\n" (feed_all c (Printf.sprintf "touch t %d\r\n" at));
+        now := t0 +. 49.0;
+        check "alive before the time" (hit "abs" "v") (feed_all c "get abs\r\n");
+        check "touched alive before the time" (hit "t" "v") (feed_all c "get t\r\n");
+        now := t0 +. 51.0;
+        check "dead after the time" "END\r\n" (feed_all c "get abs\r\n");
+        check "touched dead after the time" "END\r\n" (feed_all c "get t\r\n"));
+    case "touch keeps data, flags and cas" (fun () ->
+        let c, now = session () in
+        ignore (feed_all c "set k 5 0 3\r\nabc\r\n");
+        let before = feed_all c "gets k\r\n" in
+        check "touched" "TOUCHED\r\n" (feed_all c "touch k 10\r\n");
+        check "same item" before (feed_all c "gets k\r\n");
+        check "touch missing" "NOT_FOUND\r\n" (feed_all c "touch nope 10\r\n");
+        now := t0 +. 11.0;
+        check "new expiry applies" "END\r\n" (feed_all c "get k\r\n"));
+  ]
+
+(* ---- reply bytes: differential against a Printf renderer ----
+
+   The get path writes its header digits and data straight into the
+   reply buffer; this pins its bytes, reply by reply, to a reference
+   that renders the same replies with [Printf].  Sessions of sets (nonzero flags, binary values holding
+   \r\n, noreply) and multi-key get/gets with hits and misses run on
+   every backend, fed whole and one byte at a time. *)
+
+type dcmd = Dset of string * int * string * bool | Dget of bool * string list
+
+let encode_dcmd = function
+  | Dset (k, flags, v, noreply) ->
+      Printf.sprintf "set %s %d 0 %d%s\r\n%s\r\n" k flags (String.length v)
+        (if noreply then " noreply" else "")
+        v
+  | Dget (with_cas, keys) -> Printf.sprintf "%s %s\r\n" (if with_cas then "gets" else "get") (String.concat " " keys)
+
+(* The replies a fresh store owes, one string per reply: cas ids count
+   up from 1, one per set. *)
+let reference_replies cmds =
+  let model = Hashtbl.create 8 and next_cas = ref 1 in
+  List.filter_map
+    (function
+      | Dset (k, flags, v, noreply) ->
+          Hashtbl.replace model k (flags, v, !next_cas);
+          incr next_cas;
+          if noreply then None else Some "STORED\r\n"
+      | Dget (with_cas, keys) ->
+          let b = Buffer.create 64 in
+          List.iter
+            (fun k ->
+              match Hashtbl.find_opt model k with
+              | None -> ()
+              | Some (flags, v, cas) ->
+                  if with_cas then
+                    Buffer.add_string b
+                      (Printf.sprintf "VALUE %s %d %d %d\r\n" k flags (String.length v) cas)
+                  else Buffer.add_string b (Printf.sprintf "VALUE %s %d %d\r\n" k flags (String.length v));
+                  Buffer.add_string b v;
+                  Buffer.add_string b "\r\n")
+            keys;
+          Buffer.add_string b "END\r\n";
+          Some (Buffer.contents b))
+    cmds
+
+let prop_reply_bytes (name, mk) =
+  let open QCheck in
+  let key_gen = Gen.oneofl [ "a"; "bb"; "key:3"; "user0000000000000000042" ] in
+  let value_gen =
+    Gen.(
+      frequency
+        [
+          (4, string_size ~gen:(oneofl [ '\r'; '\n'; 'E'; 'N'; 'D'; ' '; '\000'; 'x' ]) (int_range 0 24));
+          (1, string_size ~gen:printable (int_range 1000 1500));
+        ])
+  in
+  let cmd_gen =
+    Gen.(
+      frequency
+        [
+          ( 3,
+            let* k = key_gen
+            and* flags = oneofl [ 0; 1; 42; 65535; 2147483647 ]
+            and* v = value_gen
+            and* noreply = bool in
+            return (Dset (k, flags, v, noreply)) );
+          ( 2,
+            let* with_cas = bool and* keys = list_size (int_range 1 4) (oneof [ key_gen; return "miss" ]) in
+            return (Dget (with_cas, keys)) );
+        ])
+  in
+  let arb =
+    make
+      Gen.(list_size (int_range 1 10) cmd_gen)
+      ~print:(fun cmds -> String.concat "" (List.map encode_dcmd cmds))
+  in
+  QCheck.Test.make ~count:60 ~name:(name ^ ": get/set reply bytes match the Printf renderer") arb
+    (fun cmds ->
+      let input = String.concat "" (List.map encode_dcmd cmds) in
+      let want = reference_replies cmds in
+      let whole = P.feed (P.create (mk ()) ~tid:0) input in
+      let c = P.create (mk ()) ~tid:0 in
+      let dripped = List.init (String.length input) (fun i -> P.feed c (String.make 1 input.[i])) in
+      whole = want && String.concat "" (List.concat dripped) = String.concat "" want)
+
+(* The kv_local benchmark's shape as a test: one client sends YCSB-A
+   (zipfian gets and sets of 1 KiB values) through [feed] while the
+   background advancer runs; then sync, crash, recover, and every acked
+   set must be there.  On failure each bad key is printed with what
+   recovery returned (nothing, an older acked value, or a value never
+   acked), the epoch of the payload it recovered from, and the clock at
+   the sync and at the crash. *)
+let test_ycsb_durability ~nb_advance () =
+  let cfg =
+    { testing_cfg with max_threads = 2; auto_advance = true; nb_advance; epoch_length_ns = 1_000_000 }
+  in
+  let region = Nvm.Region.create ~latency:Nvm.Latency.zero ~max_threads:5 ~capacity:(1 lsl 24) () in
+  let esys = E.create ~config:cfg region in
+  let c = P.create (Store.create (Store.of_mhashmap (Pstructs.Mhashmap.create ~buckets:1024 esys))) ~tid:0 in
+  let wl = Kvstore.Ycsb.create (Kvstore.Ycsb.workload_a ~records:1000 ~value_size:1024 ()) in
+  let rng = Util.Xoshiro.create 11 in
+  let model = Hashtbl.create 1000 and acked = Hashtbl.create 4096 in
+  let failed = ref 0 in
+  let set k v =
+    if P.feed c (Printf.sprintf "set %s 0 0 %d\r\n%s\r\n" k (String.length v) v) = [ "STORED\r\n" ] then begin
+      Hashtbl.replace model k v;
+      Hashtbl.replace acked (k, Hashtbl.hash v) ()
+    end
+    else incr failed
+  in
+  Kvstore.Ycsb.load wl ~set rng;
+  let stop = Unix.gettimeofday () +. 0.75 in
+  while Unix.gettimeofday () < stop do
+    match Kvstore.Ycsb.next wl rng with
+    | Kvstore.Ycsb.Read k -> if P.feed c ("get " ^ k ^ "\r\n") <> [ hit k (Hashtbl.find model k) ] then incr failed
+    | Kvstore.Ycsb.Update (k, v) -> set k v
+    | Kvstore.Ycsb.Insert _ | Kvstore.Ycsb.Rmw _ -> ()
+  done;
+  Alcotest.(check int) "every request answered as expected" 0 !failed;
+  E.sync esys ~tid:0;
+  let at_sync = E.current_epoch esys in
+  E.stop_background esys;
+  let at_crash = E.current_epoch esys in
+  Nvm.Region.crash region;
+  let esys2, payloads = E.recover ~config:{ cfg with auto_advance = false } region in
+  let epoch_of = Hashtbl.create 1000 in
+  Array.iter (fun (p : E.pblk) -> Hashtbl.replace epoch_of (Montage.Payload.Kv.key_unsafe esys2 p) p.epoch) payloads;
+  let store2 = Store.create (Store.of_mhashmap (Pstructs.Mhashmap.recover esys2 payloads)) in
+  let bad =
+    Hashtbl.fold
+      (fun k v bad ->
+        match Store.get store2 ~tid:0 k with
+        | Some v' when v' = v -> bad
+        | got ->
+            let what =
+              match got with
+              | None -> "nothing"
+              | Some v' when Hashtbl.mem acked (k, Hashtbl.hash v') -> "an older acked value"
+              | Some _ -> "a value never acked"
+            in
+            let epoch =
+              match Hashtbl.find_opt epoch_of k with Some e -> string_of_int e | None -> "-"
+            in
+            Printf.sprintf "%s: recovered %s (payload epoch %s)" k what epoch :: bad)
+      model []
+  in
+  if bad <> [] then
+    Alcotest.failf "%d acked set(s) lost after sync (epoch at sync %d, at crash %d):\n%s"
+      (List.length bad) at_sync at_crash (String.concat "\n" bad)
+
 (* ---- flush_all ---- *)
 
 let test_flush_all_wipes () =
@@ -578,6 +813,15 @@ let () =
             test_client_encoders_roundtrip;
           QCheck_alcotest.to_alcotest prop_client_random_chunking;
         ] );
+      ("exptime", List.concat_map exptime_tests backends);
+      ("reply bytes", List.map (fun b -> QCheck_alcotest.to_alcotest (prop_reply_bytes b)) backends);
       ( "persistence",
-        [ Alcotest.test_case "session across crash" `Quick test_protocol_over_montage_with_crash ] );
+        [
+          Alcotest.test_case "session across crash" `Quick test_protocol_over_montage_with_crash;
+          Alcotest.test_case "ycsb-a loop: acked sets survive sync + crash (nb advance)" `Quick
+            (test_ycsb_durability ~nb_advance:true);
+          Alcotest.test_case "ycsb-a loop: acked sets survive sync + crash (blocking advance)"
+            `Quick
+            (test_ycsb_durability ~nb_advance:false);
+        ] );
     ]
