@@ -1211,6 +1211,85 @@ let create ?(config = Config.default) region =
 
 (* ---- recovery ---- *)
 
+(* The recovery scan's winners: an open-addressing uid -> value table
+   over two int arrays (linear probing, power-of-two capacity, at most
+   half full; uid 0 marks an empty slot since uids start at 1).  The
+   value is the winning block's offset shifted left once, with the
+   DELETE flag in the low bit.  The flag is kept here because the
+   winner's own header cannot be trusted after the sweep: a swept
+   block goes onto a free list, whose link overwrites its first 8
+   bytes — the magic and the type.  Inserting allocates nothing, so the
+   scan allocates per table growth, not per block. *)
+module Uid_table = struct
+  (* Owned by one domain at a time: its slice's scan, then the merging
+     thread after the join.  The sweep domains only read it. *)
+  type t = {
+    mutable uids : int array; [@montage.thread_local]
+    mutable vals : int array; [@montage.thread_local]
+    mutable count : int; [@montage.thread_local]
+    mutable max_uid : int; [@montage.thread_local]
+  }
+
+  let create () = { uids = Array.make 1024 0; vals = Array.make 1024 0; count = 0; max_uid = 0 }
+
+  (* Multiplicative hashing: uids are dense integers, and the bits of
+     their product with an odd constant above bit 20 spread runs of
+     them across the table. *)
+  let home uids uid = (uid * 0x9E3779B97F4A7C1) lsr 20 land (Array.length uids - 1)
+
+  (* The slot holding [uid], or the empty slot where it belongs. *)
+  let rec probe uids uid i =
+    let u = Array.unsafe_get uids i in
+    if u = uid || u = 0 then i else probe uids uid ((i + 1) land (Array.length uids - 1))
+
+  let find_slot uids uid = probe uids uid (home uids uid)
+
+  let grow t =
+    let uids = t.uids and vals = t.vals in
+    let n = 2 * Array.length uids in
+    t.uids <- Array.make n 0;
+    t.vals <- Array.make n 0;
+    Array.iteri
+      (fun i uid ->
+        if uid <> 0 then begin
+          let j = find_slot t.uids uid in
+          t.uids.(j) <- uid;
+          t.vals.(j) <- vals.(i)
+        end)
+      uids
+
+  (* Keep [value] for [uid] unless the incumbent's epoch, read from its
+     (not yet swept) header, is at least [epoch]: the first block seen
+     wins a tie. *)
+  let offer t region ~uid ~epoch value =
+    let i = find_slot t.uids uid in
+    if t.uids.(i) = 0 then begin
+      t.uids.(i) <- uid;
+      t.vals.(i) <- value;
+      t.count <- t.count + 1;
+      if 2 * t.count > Array.length t.uids then grow t
+    end
+    else if Payload_hdr.epoch_at region ~off:(t.vals.(i) lsr 1) < epoch then t.vals.(i) <- value
+
+  (* Fold [src]'s winners into [t]. *)
+  let merge t region src =
+    if src.max_uid > t.max_uid then t.max_uid <- src.max_uid;
+    Array.iteri
+      (fun i uid ->
+        if uid <> 0 then begin
+          let v = src.vals.(i) in
+          offer t region ~uid ~epoch:(Payload_hdr.epoch_at region ~off:(v lsr 1)) v
+        end)
+      src.uids
+
+  (* One probe: is the block at [off] its uid's winner, and not a
+     DELETE?  A block that holds no header reads as some uid whose
+     winner, if any, sits elsewhere. *)
+  let live t region off =
+    let uid = Payload_hdr.uid_at region ~off in
+    uid > 0 && t.vals.(find_slot t.uids uid) = off lsl 1
+end
+
 (* Rebuild an epoch system from a crashed region and return handles to
    every surviving payload.  A payload survives when it is the newest
    version of its uid with epoch ≤ crash_epoch − 2 and that version is
@@ -1220,66 +1299,53 @@ let create ?(config = Config.default) region =
    [threads] parallelizes both passes over disjoint superblock slices
    (the paper's §6.4 names recovery scalability as future work; the
    heap partitioning makes both the header scan and the sweep
-   embarrassingly parallel, with one sequential uid-table merge
-   between them). *)
+   embarrassingly parallel, with one sequential merge of the slices'
+   uid tables between them).  The per-block work reads header fields
+   in place and allocates nothing; allocation is per survivor. *)
 let recover ?(config = Config.default) ?(threads = 1) region =
   let clock = Nvm.Region.get_i64 region ~off:clock_off in
   let cutoff = clock - 2 in
   let t = make_state region config in
   Atomic.set t.curr_epoch (max clock initial_epoch);
   sync_checker_clock t;
-  (* The header scan and sweep below read every block, including ones
-     whose lines persisted without a fence (injection); the epoch
-     cutoff filters those out, so the reads are sound — tell the
-     checker this is a declared recovery scan. *)
+  (* Every header read below — scan, merge, sweep and the survivors'
+     fields — happens inside this window.  They read every block,
+     including ones whose lines persisted without a fence (injection);
+     the epoch cutoff filters those out, so the reads are sound — tell
+     the checker this is a declared recovery scan. *)
   (match t.chk with Some c -> Nvm.Pcheck.set_recovery_scan c true | None -> ());
   Ralloc.rescan t.alloc;
   let threads = max 1 (min threads (Nvm.Region.max_threads region)) in
+  let parallel f =
+    if threads = 1 then [| f 0 |]
+    else Array.init threads (fun s -> Domain.spawn (fun () -> f s)) |> Array.map Domain.join
+  in
   (* pass 1: newest qualifying version per uid, per slice *)
   let scan_slice slice =
-    let local : (int, Payload_hdr.t * int) Hashtbl.t = Hashtbl.create 4096 in
-    let max_uid = ref 0 in
+    let tbl = Uid_table.create () in
     Ralloc.iter_blocks_slice t.alloc ~slice ~slices:threads (fun ~off ~size ->
-        match Payload_hdr.read region ~off ~block_size:size with
-        | Some hdr when hdr.epoch <= cutoff ->
-            if hdr.uid > !max_uid then max_uid := hdr.uid;
-            (match Hashtbl.find_opt local hdr.uid with
-            | Some (prev, _) when prev.epoch >= hdr.epoch -> ()
-            | _ -> Hashtbl.replace local hdr.uid (hdr, off))
-        | Some hdr -> if hdr.uid > !max_uid then max_uid := hdr.uid
-        | None -> ());
-    (local, !max_uid)
+        let code = Payload_hdr.type_code region ~off ~block_size:size in
+        if code >= 0 then begin
+          let uid = Payload_hdr.uid_at region ~off in
+          if uid > tbl.max_uid then tbl.max_uid <- uid;
+          let epoch = Payload_hdr.epoch_at region ~off in
+          if epoch <= cutoff then
+            Uid_table.offer tbl region ~uid ~epoch
+              ((off lsl 1) lor Bool.to_int (code = Payload_hdr.delete_code))
+        end);
+    tbl
   in
-  let partials =
-    if threads = 1 then [| scan_slice 0 |]
-    else Array.init threads (fun s -> Domain.spawn (fun () -> scan_slice s)) |> Array.map Domain.join
-  in
-  (* sequential merge of the per-slice winners *)
-  let best : (int, Payload_hdr.t * int) Hashtbl.t = Hashtbl.create 4096 in
-  let max_uid = ref 0 in
-  Array.iter
-    (fun (local, local_max) ->
-      if local_max > !max_uid then max_uid := local_max;
-      Hashtbl.iter
-        (fun uid entry ->
-          match Hashtbl.find_opt best uid with
-          | Some (prev, _) when prev.Payload_hdr.epoch >= (fst entry).Payload_hdr.epoch -> ()
-          | _ -> Hashtbl.replace best uid entry)
-        local)
-    partials;
-  Atomic.set t.uid_counter (!max_uid + 1);
+  let tables = parallel scan_slice in
+  (* sequential merge of the per-slice winners, in slice order *)
+  let best = tables.(0) in
+  for s = 1 to threads - 1 do
+    Uid_table.merge best region tables.(s)
+  done;
+  Atomic.set t.uid_counter (best.max_uid + 1);
   (* pass 2: sweep; losers and anti-payloads are scrubbed and freed *)
-  let live_off off =
-    match Payload_hdr.read region ~off ~block_size:(Ralloc.block_size t.alloc off) with
-    | Some hdr -> (
-        match Hashtbl.find_opt best hdr.uid with
-        | Some (winner, woff) -> woff = off && winner.ptype <> Payload_hdr.Delete
-        | None -> false)
-    | None -> false
-  in
   let sweep_slice slice =
     Ralloc.sweep_slice t.alloc ~slice ~slices:threads ~live:(fun off ->
-        let live = live_off off in
+        let live = Uid_table.live best region off in
         if not live then begin
           Payload_hdr.scrub region ~off;
           Nvm.Region.writeback region ~tid:slice ~off ~len:8
@@ -1287,27 +1353,42 @@ let recover ?(config = Config.default) ?(threads = 1) region =
         live);
     Nvm.Region.sfence region ~tid:slice
   in
-  if threads = 1 then sweep_slice 0
-  else Array.init threads (fun s -> Domain.spawn (fun () -> sweep_slice s)) |> Array.iter Domain.join;
+  ignore (parallel sweep_slice);
+  (* hand surviving payloads back as first-class handles, straight from
+     the table: a DELETE winner is known by its flag, never by its
+     swept header.  Recovered handles start cold: no pre-crash mirror
+     can survive into the new run — the first decode repopulates from
+     media. *)
+  let live_winners = ref 0 in
+  Array.iteri (fun i uid -> if uid <> 0 && best.vals.(i) land 1 = 0 then incr live_winners) best.uids;
+  let slot = ref (-1) in
+  let payloads =
+    Array.init !live_winners (fun _ ->
+        incr slot;
+        while best.uids.(!slot) = 0 || best.vals.(!slot) land 1 = 1 do
+          incr slot
+        done;
+        let off = best.vals.(!slot) lsr 1 in
+        {
+          off;
+          uid = best.uids.(!slot);
+          epoch = Payload_hdr.epoch_at region ~off;
+          size = Payload_hdr.size_at region ~off;
+          live = true;
+          mirror = None;
+          memo = No_memo;
+          mref = false;
+          mslot = -1;
+          mgen = 0;
+        })
+  in
   (match t.chk with Some c -> Nvm.Pcheck.set_recovery_scan c false | None -> ());
-  (* hand surviving payloads back as first-class handles *)
-  let survivors = ref [] in
-  Hashtbl.iter
-    (fun uid (hdr, off) ->
-      if hdr.Payload_hdr.ptype <> Payload_hdr.Delete then
-        (* recovered handles start cold: no pre-crash mirror can survive
-           into the new run — the first decode repopulates from media *)
-        survivors :=
-          { off; uid; epoch = hdr.epoch; size = hdr.size; live = true; mirror = None; memo = No_memo; mref = false; mslot = -1; mgen = 0 }
-          :: !survivors)
-    best;
-  let payloads = Array.of_list !survivors in
   start_background t;
   (t, payloads)
 [@@montage.allow
   "R2: recovery initializes the clock and uid counter before the \
-   instance is shared; the parallel sweep domains are joined before \
-   return"]
+   instance is shared; the parallel scan and sweep domains are joined \
+   before return"]
 
 (* Split recovered payloads into [k] slices for parallel rebuilding, as
    the paper's recovery API offers (§5.1). *)

@@ -21,11 +21,7 @@ type ptype = Alloc | Update | Delete
 
 let ptype_to_int = function Alloc -> 0 | Update -> 1 | Delete -> 2
 
-let ptype_of_int = function
-  | 0 -> Some Alloc
-  | 1 -> Some Update
-  | 2 -> Some Delete
-  | _ -> None
+let delete_code = 2
 
 type t = { ptype : ptype; epoch : int; uid : int; size : int }
 
@@ -36,19 +32,35 @@ let write region ~off { ptype; epoch; uid; size } =
   Nvm.Region.set_i64 region ~off:(off + 16) uid;
   Nvm.Region.set_i32 region ~off:(off + 24) size
 
-(* Parse the header at [off]; [None] if the block does not hold a
-   payload (never written, scrubbed, or torn). *)
-let read region ~off ~block_size =
-  if Nvm.Region.get_i32 region ~off <> magic then None
+(* In-place field reads, for callers that have validated the header
+   with [type_code] (the recovery scan allocates nothing per block). *)
+let epoch_at region ~off = Nvm.Region.get_i64 region ~off:(off + 8)
+let uid_at region ~off = Nvm.Region.get_i64 region ~off:(off + 16)
+let size_at region ~off = Nvm.Region.get_i32 region ~off:(off + 24)
+
+(* Validate the header at [off] in place: its type code (0 ALLOC,
+   1 UPDATE, 2 DELETE), or -1 if the block does not hold a payload
+   (never written, scrubbed, or torn). *)
+let type_code region ~off ~block_size =
+  if Nvm.Region.get_i32 region ~off <> magic then -1
   else
-    match ptype_of_int (Nvm.Region.get_u8 region ~off:(off + 4)) with
-    | None -> None
-    | Some ptype ->
-        let epoch = Nvm.Region.get_i64 region ~off:(off + 8) in
-        let uid = Nvm.Region.get_i64 region ~off:(off + 16) in
-        let size = Nvm.Region.get_i32 region ~off:(off + 24) in
-        if size < 0 || header_size + size > block_size || epoch <= 0 || uid <= 0 then None
-        else Some { ptype; epoch; uid; size }
+    let code = Nvm.Region.get_u8 region ~off:(off + 4) in
+    if code > delete_code then -1
+    else
+      let size = size_at region ~off in
+      if size < 0 || header_size + size > block_size || epoch_at region ~off <= 0
+         || uid_at region ~off <= 0
+      then -1
+      else code
+
+(* Parse the header at [off]; [None] if the block does not hold a
+   payload. *)
+let read region ~off ~block_size =
+  match type_code region ~off ~block_size with
+  | -1 -> None
+  | code ->
+      let ptype = match code with 0 -> Alloc | 1 -> Update | _ -> Delete in
+      Some { ptype; epoch = epoch_at region ~off; uid = uid_at region ~off; size = size_at region ~off }
 
 (* Erase the magic so the recovery sweep cannot resurrect a reclaimed
    block's stale contents (see "Block-recycling hazard" in DESIGN.md). *)

@@ -19,6 +19,24 @@ val write : Nvm.Region.t -> off:int -> t -> unit
     payload (never written, scrubbed, or torn). *)
 val read : Nvm.Region.t -> off:int -> block_size:int -> t option
 
+(** {1 In-place access}
+
+    The recovery scan validates and reads headers without building a
+    record or an option per block. *)
+
+(** Type code of [Delete] (ALLOC is 0, UPDATE 1). *)
+val delete_code : int
+
+(** The header's type code when the block holds a valid payload header
+    (the checks of {!read}), -1 otherwise. *)
+val type_code : Nvm.Region.t -> off:int -> block_size:int -> int
+
+(** Fields of a header already validated by {!type_code}. *)
+
+val epoch_at : Nvm.Region.t -> off:int -> int
+val uid_at : Nvm.Region.t -> off:int -> int
+val size_at : Nvm.Region.t -> off:int -> int
+
 (** Erase the magic so the recovery sweep cannot resurrect a reclaimed
     block's stale contents (DESIGN.md, block-recycling hazard). *)
 val scrub : Nvm.Region.t -> off:int -> unit

@@ -61,13 +61,15 @@ type t = {
 
 let queue_capacity = 4096
 
-let create ?(latency = Latency.default) ?(max_threads = 64) ~capacity () =
-  if capacity <= 0 then invalid_arg "Region.create: capacity";
-  let capacity = (capacity + line_size - 1) land lnot (line_size - 1) in
+let round_capacity capacity = (capacity + line_size - 1) land lnot (line_size - 1)
+
+(* The one constructor: [work] and [media] are the caller's, already
+   holding the region's initial bytes over the full rounded capacity. *)
+let make ~latency ~max_threads ~capacity ~work ~media =
   {
     capacity;
-    work = Bytes.make capacity '\000';
-    media = Bytes.make capacity '\000';
+    work;
+    media;
     dirty = Bytes.make (capacity lsr line_shift) '\000';
     queues = Array.init max_threads (fun _ -> Array.make queue_capacity 0);
     queue_len = Array.make max_threads 0;
@@ -85,16 +87,30 @@ let create ?(latency = Latency.default) ?(max_threads = 64) ~capacity () =
     cas_lock = Mutex.create ();
   }
 
+let create ?(latency = Latency.default) ?(max_threads = 64) ~capacity () =
+  if capacity <= 0 then invalid_arg "Region.create: capacity";
+  let capacity = round_capacity capacity in
+  make ~latency ~max_threads ~capacity ~work:(Bytes.make capacity '\000')
+    ~media:(Bytes.make capacity '\000')
+
 (* Reconstruct a region from a raw media image (e.g. one of the crash
    states materialized by [Pcheck.explore]): both [work] and [media]
    start as the image — exactly the post-restart view after the crash
-   that produced it. *)
+   that produced it.  Each view is written once: the image bytes are
+   copied into uninitialized storage and only the tail past the image,
+   up to the rounded capacity, is zeroed (a cold restart reloads the
+   whole heap, so a zero-fill before the copy would double its cost). *)
 let of_image ?(latency = Latency.default) ?(max_threads = 64) image =
-  let t = create ~latency ~max_threads ~capacity:(Bytes.length image) () in
-  let len = min (Bytes.length image) t.capacity in
-  Bytes.blit image 0 t.work 0 len;
-  Bytes.blit image 0 t.media 0 len;
-  t
+  let len = Bytes.length image in
+  if len <= 0 then invalid_arg "Region.of_image: empty image";
+  let capacity = round_capacity len in
+  let view () =
+    let b = Bytes.create capacity in
+    Bytes.blit image 0 b 0 len;
+    Bytes.fill b len (capacity - len) '\000';
+    b
+  in
+  make ~latency ~max_threads ~capacity ~work:(view ()) ~media:(view ())
 
 (* Snapshot of the current media bytes — the crash state with no
    unfenced survivors.  Feed to [of_image] to restart from this exact

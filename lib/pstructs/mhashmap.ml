@@ -186,37 +186,52 @@ let to_alist t ~tid =
    via [recover_slice] (bucket locks make it safe).  Only each key is
    read, so the handles stay cold until their first [get].  Two live
    payloads carrying one key is corruption: splicing both would let
-   [get] silently answer with whichever comes first. *)
+   [get] silently answer with whichever comes first.  The check holds
+   across slices, since every slice splices into the same chains. *)
+
+(* The node [key] belongs after in a sorted chain: [None] for the
+   head, else the last node with a smaller key. *)
+let rec insert_after key prev curr =
+  match curr with Some n when n.key < key -> insert_after key curr n.next | _ -> prev
+
+(* Per record: one key read and one node, and no closure — the bucket
+   lock is taken and released around the splice directly, and released
+   before a duplicate raises.  The slice's count joins [size] once. *)
 let recover_slice t payloads =
-  Array.iter
-    (fun p ->
-      let key = Kv.key_unsafe t.esys p in
-      let b = bucket_of t key in
-      Util.Spin_lock.with_lock b.lock (fun () ->
-          let rec splice prev curr =
-            match curr with
-            | Some n when n.key < key -> splice (Some n) n.next
-            | Some n when n.key = key ->
-                Montage.Errors.corrupt
-                  "mhashmap recovery: payloads uid %d and uid %d both carry key %S" n.payload.uid
-                  p.uid key
-            | _ ->
-                let fresh = { key; payload = p; next = curr } in
-                (match prev with None -> b.head <- Some fresh | Some pr -> pr.next <- Some fresh)
-          in
-          splice None b.head;
-          Atomic.incr t.size))
-    payloads
+  for i = 0 to Array.length payloads - 1 do
+    let p = payloads.(i) in
+    let key = Kv.key_unsafe t.esys p in
+    let b = bucket_of t key in
+    Util.Spin_lock.acquire b.lock;
+    let prev = insert_after key None b.head in
+    let next = match prev with None -> b.head | Some pr -> pr.next in
+    let clash =
+      match next with
+      | Some n when String.equal n.key key -> n.payload.uid
+      | _ ->
+          let fresh = Some { key; payload = p; next } in
+          (match prev with None -> b.head <- fresh | Some pr -> pr.next <- fresh);
+          0
+    in
+    Util.Spin_lock.release b.lock;
+    if clash <> 0 then
+      Montage.Errors.corrupt "mhashmap recovery: payloads uid %d and uid %d both carry key %S" clash
+        p.uid key
+  done;
+  ignore (Atomic.fetch_and_add t.size (Array.length payloads))
 [@@montage.allow
-  "R2: recovery-time counter; parallel slices' incrs commute and \
+  "R2: recovery-time counter; parallel slices' adds commute and \
    recovery completes before the map is shared with any operation"]
 
+(* Every slice's domain is joined before the first failure is raised,
+   so a [Corrupt] from one slice leaves no domain running. *)
 let recover ?(buckets = 1 lsl 16) ?(threads = 1) esys payloads =
   let t = create ~buckets esys in
   if threads <= 1 then recover_slice t payloads
-  else begin
-    let slices = E.slices payloads ~k:threads in
-    let domains = Array.map (fun s -> Domain.spawn (fun () -> recover_slice t s)) slices in
-    Array.iter Domain.join domains
-  end;
+  else
+    E.slices payloads ~k:threads
+    |> Array.map (fun s ->
+           Domain.spawn (fun () -> match recover_slice t s with () -> None | exception e -> Some e))
+    |> Array.map Domain.join
+    |> Array.iter (Option.iter raise);
   t

@@ -446,6 +446,138 @@ let qcheck_prefix_consistency =
       done;
       recovered = !expected)
 
+(* ---- recovery spec: the scan's grouping against a reference ---- *)
+
+(* The recovery rule, written from the media layout alone: walk every
+   block of every bound superblock in a crash image, parse each header
+   (magic, type, epoch, uid, size at +0/+4/+8/+16/+24), and per uid
+   keep the newest version with epoch <= clock - 2; drop the uid when
+   that version is a DELETE.  Two candidates at the newest epoch would
+   leave the winner to scan order, so the reference refuses them.
+   Returns the sorted (uid, off, epoch, size) survivors and the number
+   of DELETE winners. *)
+let reference_survivors image =
+  let i32 off = Int32.to_int (Bytes.get_int32_le image off) land 0xFFFFFFFF in
+  let i64 off = Int64.to_int (Bytes.get_int64_le image off) in
+  let cutoff = i64 0 - 2 in
+  let blocks = Nvm.Region.of_image ~latency:Nvm.Latency.zero ~max_threads:8 image in
+  let heap = Ralloc.create blocks ~heap_base:Ralloc.superblock_size in
+  Ralloc.rescan heap;
+  (* uid -> (epoch, [(off, type, size)]) of the newest qualifying versions *)
+  let best = Hashtbl.create 64 in
+  Ralloc.iter_blocks heap (fun ~off ~size:block ->
+      let ty = Char.code (Bytes.get image (off + 4)) in
+      let epoch = i64 (off + 8) and uid = i64 (off + 16) and size = i32 (off + 24) in
+      if
+        i32 off = Montage.Payload_hdr.magic
+        && ty <= 2 && epoch > 0 && uid > 0
+        && Montage.Payload_hdr.header_size + size <= block
+        && epoch <= cutoff
+      then
+        match Hashtbl.find_opt best uid with
+        | Some (e, _) when e > epoch -> ()
+        | Some (e, vs) when e = epoch -> Hashtbl.replace best uid (e, (off, ty, size) :: vs)
+        | _ -> Hashtbl.replace best uid (epoch, [ (off, ty, size) ]));
+  let live, deletes =
+    Hashtbl.fold
+      (fun uid (epoch, versions) (live, deletes) ->
+        match versions with
+        | [ (_, 2, _) ] -> (live, deletes + 1)
+        | [ (off, _, size) ] -> ((uid, off, epoch, size) :: live, deletes)
+        | _ -> Alcotest.failf "uid %d: %d versions at epoch %d" uid (List.length versions) epoch)
+      best ([], 0)
+  in
+  (List.sort compare live, deletes)
+
+let show_survivors l =
+  List.map (fun (uid, off, epoch, size) -> Printf.sprintf "uid %d at %d, epoch %d, %d bytes" uid off epoch size) l
+
+let recovered_set (payloads : E.pblk array) =
+  Array.to_list payloads |> List.map (fun (p : E.pblk) -> (p.uid, p.off, p.epoch, p.size)) |> List.sort compare
+
+(* Recover one crash image at 1, 2 and 3 threads; each must return the
+   reference's survivors exactly.  Returns the DELETE winner count. *)
+let check_recovery_spec image =
+  let expected, deletes = reference_survivors image in
+  List.iter
+    (fun threads ->
+      let region = Nvm.Region.of_image ~latency:Nvm.Latency.zero ~max_threads:8 image in
+      let _, payloads = E.recover ~config:testing_cfg ~threads region in
+      Alcotest.(check (list string))
+        (Printf.sprintf "threads %d = reference" threads)
+        (show_survivors expected)
+        (show_survivors (recovered_set payloads)))
+    [ 1; 2; 3 ];
+  deletes
+
+(* A DELETE winner whose block the sweep frees: an update copied into
+   a new block and deleted in the same epoch turns that block into its
+   own anti-payload (DELETE in place), newer than the original.  The
+   sweep scrubs the winner and threads the free list through its first
+   8 bytes, so only the scan's record of its type keeps the uid dead. *)
+let test_recovery_spec_delete_winner () =
+  let region, esys = make () in
+  let doomed = insert esys "doomed" and kept = insert esys "kept" in
+  E.advance_epoch esys ~tid:0;
+  E.with_op esys ~tid:0 (fun () ->
+      let doomed' = E.pset esys ~tid:0 doomed (bytes_of "doomed, updated") in
+      E.pdelete esys ~tid:0 doomed');
+  E.sync esys ~tid:0;
+  Nvm.Region.crash region;
+  let image = Nvm.Region.media_image region in
+  Alcotest.(check int) "one DELETE winner" 1 (check_recovery_spec image);
+  let esys2, payloads = E.recover ~config:testing_cfg ~threads:2 (Nvm.Region.of_image image) in
+  Alcotest.(check (list string)) "only the kept payload" [ "kept" ]
+    (Array.to_list payloads |> List.map (fun p -> string_of (E.pget_unsafe esys2 p)));
+  Alcotest.(check bool) "doomed uid gone" true
+    (Array.for_all (fun (p : E.pblk) -> p.uid <> doomed.uid && p.uid = kept.uid) payloads)
+
+(* Random scripts over the epoch system: creates, cross-epoch updates
+   (copying), same-epoch updates (in place, or copying when the content
+   outgrows its block), deletes of older payloads (anti-payloads),
+   same-epoch update-then-delete (DELETE in place), epoch ticks and
+   syncs; then a crash that may persist unfenced write-backs and evict
+   dirty lines. *)
+let qcheck_recovery_spec =
+  QCheck.Test.make ~name:"recovery scan = reference grouping, 1-3 threads" ~count:40
+    QCheck.(pair small_int (list_of_size Gen.(int_range 1 60) (int_range 0 9)))
+    (fun (seed, script) ->
+      let region, esys = make () in
+      let rng = Util.Xoshiro.create seed in
+      let live = ref [||] in
+      let content () = Bytes.make (Util.Xoshiro.int rng 300) (Char.chr (97 + Util.Xoshiro.int rng 26)) in
+      let pick () = Util.Xoshiro.int rng (Array.length !live) in
+      let drop i = live := Array.append (Array.sub !live 0 i) (Array.sub !live (i + 1) (Array.length !live - i - 1)) in
+      List.iter
+        (fun cmd ->
+          match cmd with
+          | 0 | 1 | 2 ->
+              let p = E.with_op esys ~tid:0 (fun () -> E.pnew esys ~tid:0 (content ())) in
+              live := Array.append !live [| p |]
+          | (3 | 4) when !live <> [||] ->
+              let i = pick () in
+              !live.(i) <- E.with_op esys ~tid:0 (fun () -> E.pset esys ~tid:0 !live.(i) (content ()))
+          | 5 when !live <> [||] ->
+              let i = pick () in
+              E.with_op esys ~tid:0 (fun () -> E.pdelete esys ~tid:0 !live.(i));
+              drop i
+          | 6 when !live <> [||] ->
+              let i = pick () in
+              E.with_op esys ~tid:0 (fun () ->
+                  E.pdelete esys ~tid:0 (E.pset esys ~tid:0 !live.(i) (content ())));
+              drop i
+          | 7 | 8 -> E.advance_epoch esys ~tid:1
+          | 9 -> E.sync esys ~tid:1
+          | _ -> ())
+        script;
+      let injected = Util.Xoshiro.bool rng in
+      Nvm.Region.crash
+        ~persist_unfenced:(if injected then Util.Xoshiro.float rng else 0.0)
+        ~evict_dirty:(if injected then Util.Xoshiro.float rng else 0.0)
+        ~rng region;
+      ignore (check_recovery_spec (Nvm.Region.media_image region));
+      true)
+
 let () =
   Alcotest.run "montage"
     [
@@ -490,6 +622,8 @@ let () =
           Alcotest.test_case "parallel = sequential" `Quick test_parallel_recovery_matches_sequential;
           Alcotest.test_case "slices partition" `Quick test_slices_partition;
           QCheck_alcotest.to_alcotest qcheck_prefix_consistency;
+          Alcotest.test_case "spec: DELETE winner stays dead" `Quick test_recovery_spec_delete_winner;
+          QCheck_alcotest.to_alcotest qcheck_recovery_spec;
         ] );
       ( "configurations",
         [

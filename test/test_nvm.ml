@@ -23,6 +23,27 @@ let test_out_of_bounds_rejected () =
   Alcotest.check_raises "write past end" (Invalid_argument "Region: access [1020, 1028) outside capacity 1024")
     (fun () -> Nvm.Region.set_i64 r ~off:1020 1)
 
+(* A region rebuilt from an image whose length is not a line multiple:
+   both views start as the image, zero-padded to the rounded capacity,
+   and a crash after unflushed stores restores exactly that. *)
+let test_of_image_views () =
+  let rng = Util.Xoshiro.create 7 in
+  let len = 1000 in
+  let image = Bytes.init len (fun _ -> Char.chr (1 + Util.Xoshiro.int rng 255)) in
+  let padded = Bytes.cat image (Bytes.make (1024 - len) '\000') in
+  let r = Nvm.Region.of_image ~latency:Nvm.Latency.zero ~max_threads:4 image in
+  Alcotest.(check int) "capacity rounded to a line" 1024 (Nvm.Region.capacity r);
+  Alcotest.(check bytes) "media is the image, then zeros" padded (Nvm.Region.media_image r);
+  Alcotest.(check string) "work is the image, then zeros" (Bytes.to_string padded)
+    (Nvm.Region.read_string r ~off:0 ~len:1024);
+  Nvm.Region.write_string r ~off:990 (String.make 30 'z');
+  Nvm.Region.set_i64 r ~off:0 (-1);
+  Nvm.Region.crash r;
+  Alcotest.(check string) "crash restores the image" (Bytes.to_string padded)
+    (Nvm.Region.read_string r ~off:0 ~len:1024);
+  Alcotest.(check bytes) "media untouched" padded (Nvm.Region.media_image r);
+  Alcotest.(check bytes) "caller's image untouched" (Bytes.sub padded 0 len) image
+
 let test_unflushed_lost_on_crash () =
   let r = make_region () in
   Nvm.Region.write_string r ~off:0 "will vanish";
@@ -161,6 +182,7 @@ let () =
           Alcotest.test_case "write/read roundtrip" `Quick test_write_read_roundtrip;
           Alcotest.test_case "scalar accessors" `Quick test_scalar_accessors;
           Alcotest.test_case "bounds checked" `Quick test_out_of_bounds_rejected;
+          Alcotest.test_case "of_image views" `Quick test_of_image_views;
         ] );
       ( "persistence",
         [

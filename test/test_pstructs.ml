@@ -491,6 +491,52 @@ let test_map_recovery_rejects_duplicate_key () =
             (Substring.contains msg (Printf.sprintf "uid %d" p.uid)))
         [ p1; p2 ]
 
+(* The check spans slices: with two threads the two payloads carrying
+   "dup" are rebuilt in different domains, into the same chains.  The
+   failing slice releases its bucket lock before raising, so the main
+   domain can still use that bucket afterwards. *)
+let test_map_recovery_rejects_duplicate_key_across_slices () =
+  let region, esys = make_esys ~capacity:(1 lsl 22) () in
+  let p1, p2 =
+    E.with_op esys ~tid:0 (fun () ->
+        let p1 = Montage.Payload.Kv.pnew esys ~tid:0 ("dup", "first") in
+        (p1, Montage.Payload.Kv.pnew esys ~tid:0 ("dup", "second")))
+  in
+  E.sync esys ~tid:0;
+  Nvm.Region.crash region;
+  let esys2, payloads = E.recover ~config:testing_cfg region in
+  let slices = E.slices payloads ~k:2 in
+  Alcotest.(check (list int)) "one payload per slice" [ 1; 1 ]
+    (Array.to_list (Array.map Array.length slices));
+  let names_both what msg =
+    List.iter
+      (fun (p : E.pblk) ->
+        Alcotest.(check bool) (Printf.sprintf "%s names uid %d" what p.uid) true
+          (Substring.contains msg (Printf.sprintf "uid %d" p.uid)))
+      [ p1; p2 ]
+  in
+  (match Pstructs.Mhashmap.recover ~buckets:64 ~threads:2 esys2 payloads with
+  | m -> Alcotest.failf "recovered a map of size %d from one key" (Pstructs.Mhashmap.size m)
+  | exception Montage.Errors.Corrupt msg -> names_both "recover" msg);
+  let m = Pstructs.Mhashmap.create ~buckets:64 esys2 in
+  let outcomes =
+    Array.map
+      (fun s ->
+        Domain.spawn (fun () ->
+            match Pstructs.Mhashmap.recover_slice m s with
+            | () -> None
+            | exception Montage.Errors.Corrupt msg -> Some msg))
+      slices
+    |> Array.map Domain.join |> Array.to_list |> List.filter_map Fun.id
+  in
+  (match outcomes with
+  | [ msg ] -> names_both "recover_slice" msg
+  | l -> Alcotest.failf "%d slices raised, expected 1" (List.length l));
+  Alcotest.(check bool) "bucket usable from the main domain" true
+    (Pstructs.Mhashmap.get m ~tid:0 "dup" <> None);
+  Alcotest.(check bool) "and writable" true
+    (Pstructs.Mhashmap.put m ~tid:0 "dup" "third" <> None)
+
 (* The rebuilds read only each payload's index field (a key or a seq).
    Each property runs a random script, syncs, crashes and recovers, then
    requires the structure to hold exactly what a full [get_unsafe]
@@ -865,6 +911,8 @@ let () =
         [
           Alcotest.test_case "duplicate key is corruption" `Quick
             test_map_recovery_rejects_duplicate_key;
+          Alcotest.test_case "duplicate key across slices" `Quick
+            test_map_recovery_rejects_duplicate_key_across_slices;
           QCheck_alcotest.to_alcotest qcheck_mhashmap_key_only;
           QCheck_alcotest.to_alcotest qcheck_nb_hashmap_key_only;
           QCheck_alcotest.to_alcotest (qcheck_mskiplist_key_only 1);
