@@ -11,8 +11,8 @@
      c10k      in-process C10K scenario: idle connection census + busy
                burst, every idle connection verified live afterwards
      stallbench
-               sync latency past a worker parked in its drain window,
-               blocking vs nonblocking advance
+               sync latency past a worker parked in its flush window
+               (used by CI)
      netsmoke  in-process server smoke test (used by CI)
      shard     one cluster shard: netserve over its own region, heap
                file for durability across restarts
@@ -170,70 +170,57 @@ let torture rounds seed =
 
 (* ---- stallbench ---- *)
 
-(* Real-time ablation for the nonblocking advance: park one worker
-   inside its END_OP drain window (the [test_stall_in_drain] hook) and
-   measure how long a concurrent [sync] takes under each advance arm.
-   The blocking arm's advance waits out the stall in the draining
-   handshake; the nonblocking arm claims the parked worker's published
-   records itself and completes without it. *)
+(* Real-time check that [sync] never waits on a parked worker: park one
+   worker inside its END_OP flush window (the [test_stall_in_drain]
+   hook, between publishing its ring and fencing it) and time a
+   concurrent [sync].  The advance claims the parked worker's published
+   records itself and completes without it, so the sync must take far
+   less than the stall; exit 1 if it took at least half of it. *)
 let stallbench stall_ms warmup_ops =
   let stall_s = float_of_int stall_ms /. 1000. in
-  let run nb =
-    let cfg =
-      {
-        Cfg.default with
-        max_threads = 2;
-        auto_advance = false;
-        drain_on_end_op = true;
-        nb_advance = nb;
-      }
-    in
-    let region = Nvm.Region.create ~max_threads:4 ~capacity:(64 * mib) () in
-    let esys = E.create ~config:cfg region in
-    let armed = Atomic.make false and stalled = Atomic.make false in
-    let saved = !E.test_stall_in_drain in
-    (E.test_stall_in_drain :=
-       fun () ->
-         if Atomic.compare_and_set armed true false then begin
-           Atomic.set stalled true;
-           Unix.sleepf stall_s
-         end);
-    let go = Atomic.make false in
-    let worker =
-      Domain.spawn (fun () ->
-          for _ = 1 to warmup_ops do
-            E.with_op esys ~tid:0 (fun () -> ignore (E.pnew esys ~tid:0 (Bytes.make 64 'x')))
-          done;
-          while not (Atomic.get go) do
-            Domain.cpu_relax ()
-          done;
-          (* this op's END_OP drain parks in the armed hook *)
-          E.with_op esys ~tid:0 (fun () -> ignore (E.pnew esys ~tid:0 (Bytes.make 64 'y'))))
-    in
-    Atomic.set armed true;
-    Atomic.set go true;
-    while not (Atomic.get stalled) do
-      Domain.cpu_relax ()
-    done;
-    let t0 = Unix.gettimeofday () in
-    E.sync esys ~tid:1;
-    let dt = Unix.gettimeofday () -. t0 in
-    Domain.join worker;
-    E.test_stall_in_drain := saved;
-    E.stop_background esys;
-    (dt, E.advance_count esys)
+  let cfg = { Cfg.default with max_threads = 2; auto_advance = false; drain_on_end_op = true } in
+  let region = Nvm.Region.create ~max_threads:4 ~capacity:(64 * mib) () in
+  let esys = E.create ~config:cfg region in
+  let armed = Atomic.make false and stalled = Atomic.make false in
+  let saved = !E.test_stall_in_drain in
+  (E.test_stall_in_drain :=
+     fun () ->
+       if Atomic.compare_and_set armed true false then begin
+         Atomic.set stalled true;
+         Unix.sleepf stall_s
+       end);
+  let go = Atomic.make false in
+  let worker =
+    Domain.spawn (fun () ->
+        for _ = 1 to warmup_ops do
+          E.with_op esys ~tid:0 (fun () -> ignore (E.pnew esys ~tid:0 (Bytes.make 64 'x')))
+        done;
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done;
+        (* this op's END_OP flush parks in the armed hook *)
+        E.with_op esys ~tid:0 (fun () -> ignore (E.pnew esys ~tid:0 (Bytes.make 64 'y'))))
   in
-  let dt_b, adv_b = run false in
-  let dt_nb, adv_nb = run true in
-  Printf.printf "one worker parked %d ms inside its END_OP drain window\n" stall_ms;
-  Printf.printf "%-12s %15s %9s\n" "advance arm" "sync latency" "advances";
-  Printf.printf "%-12s %12.3f ms %9d\n" "blocking" (dt_b *. 1000.) adv_b;
-  Printf.printf "%-12s %12.3f ms %9d\n" "nonblocking" (dt_nb *. 1000.) adv_nb;
-  Printf.printf "sync speedup under the stall: %.0fx\n" (dt_b /. dt_nb);
+  Atomic.set armed true;
+  Atomic.set go true;
+  while not (Atomic.get stalled) do
+    Domain.cpu_relax ()
+  done;
+  let t0 = Unix.gettimeofday () in
+  E.sync esys ~tid:1;
+  let dt = Unix.gettimeofday () -. t0 in
+  Domain.join worker;
+  E.test_stall_in_drain := saved;
+  Printf.printf "one worker parked %d ms inside its END_OP flush window\n" stall_ms;
+  Printf.printf "sync latency %.3f ms, %d advances\n" (dt *. 1000.) (E.advance_count esys);
+  if dt >= stall_s /. 2. then begin
+    Printf.printf "FAIL: sync took at least half the stall\n";
+    exit 1
+  end;
   `Ok ()
 [@@montage.allow
   "R5: the sleep IS the benchmark — it models a worker descheduled \
-   mid-drain for a fixed wall-clock interval; the measurement needs \
+   mid-flush for a fixed wall-clock interval; the measurement needs \
    real time, not a scheduler seam"]
 
 (* ---- serve ---- *)
@@ -1010,13 +997,14 @@ let c10k_cmd =
 
 let stallbench_cmd =
   let stall_ms =
-    Arg.(value & opt int 200 & info [ "stall-ms" ] ~doc:"How long the worker parks in its drain.")
+    Arg.(value & opt int 200 & info [ "stall-ms" ] ~doc:"How long the worker parks in its flush.")
   in
   let warmup =
     Arg.(value & opt int 100 & info [ "warmup-ops" ] ~doc:"Operations before the stalled one.")
   in
   Cmd.v
-    (Cmd.info "stallbench" ~doc:"Sync latency past a stalled worker, blocking vs nonblocking.")
+    (Cmd.info "stallbench"
+       ~doc:"Sync latency past a worker parked in its flush; fails if the sync waited (CI).")
     Term.(ret (const stallbench $ stall_ms $ warmup))
 
 let netsmoke_cmd =

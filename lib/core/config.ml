@@ -30,7 +30,6 @@ type t = {
   auto_advance : bool; (* spawn the background epoch-advancing domain *)
   pcheck : pcheck_policy; (* persistency-ordering checker (Pcheck) *)
   mirror_max_bytes : int; (* payload-mirror (DRAM read cache) byte budget; 0 = no mirrors *)
-  nb_advance : bool; (* nonblocking (helping) epoch advance + wait-free sync *)
 }
 
 (* MONTAGE_PCHECK=1|record  → record; MONTAGE_PCHECK=strict|enforce →
@@ -50,16 +49,6 @@ let mirror_bytes_from_env () =
   | Some n when n >= 0 -> n
   | _ -> 1 lsl 26
 
-(* MONTAGE_NB_ADVANCE=0|off|false|no selects the original blocking
-   epoch advance (advance lock + per-thread draining handshake);
-   anything else (or unset) selects the nonblocking advance, where any
-   thread helps complete a lagging peer's buffer publication and the
-   clock is published by CAS.  The CI matrix runs both arms. *)
-let nb_advance_from_env () =
-  match Option.map String.lowercase_ascii (Sys.getenv_opt "MONTAGE_NB_ADVANCE") with
-  | Some ("0" | "off" | "false" | "no") -> false
-  | _ -> true
-
 let default =
   {
     max_threads = 16;
@@ -73,7 +62,6 @@ let default =
     auto_advance = true;
     pcheck = pcheck_from_env ();
     mirror_max_bytes = mirror_bytes_from_env ();
-    nb_advance = nb_advance_from_env ();
   }
 
 (* Montage (T): payloads placed in NVM, all persistence elided. *)

@@ -40,14 +40,6 @@ type t = {
           refreshed by [pset], dropped by [pdelete], cold after
           recovery.  Clock (second-chance) eviction keeps the resident
           bytes under the budget.  [0] turns mirrors off *)
-  nb_advance : bool;
-      (** nonblocking epoch advance (nbMontage): buffered records are
-          published in place and stay claimable until fenced, any
-          thread helps complete a lagging peer's publication, and the
-          clock is installed by CAS — no advance lock, no per-thread
-          draining handshake, and {!Epoch_sys.sync} never waits on an
-          idle or stalled peer.  [false] restores the original blocking
-          advance for ablation *)
 }
 
 (** The [MONTAGE_PCHECK] environment variable, decoded:
@@ -59,15 +51,10 @@ val pcheck_from_env : unit -> pcheck_policy
     byte budget, defaulting to 64 MB; [0] turns mirrors off. *)
 val mirror_bytes_from_env : unit -> int
 
-(** The [MONTAGE_NB_ADVANCE] environment variable, decoded:
-    ["0"]/["off"]/["false"]/["no"] → [false] (blocking advance),
-    otherwise [true] (nonblocking advance, the default). *)
-val nb_advance_from_env : unit -> bool
-
 (** The paper's recommended configuration: 10 ms epochs, 64-entry
-    write-back buffers, background reclamation.  [pcheck],
-    [mirror_max_bytes] and [nb_advance] follow their environment
-    variables (see the [_from_env] decoders above). *)
+    write-back buffers, background reclamation.  [pcheck] and
+    [mirror_max_bytes] follow their environment variables (see the
+    [_from_env] decoders above). *)
 val default : t
 
 (** Montage (T): payloads placed in NVM, all persistence elided. *)

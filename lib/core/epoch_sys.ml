@@ -85,13 +85,7 @@ type per_thread = {
   mutable op_epoch : int [@montage.thread_local]; (* 0 = no active operation *)
   mutable last_epoch : int [@montage.thread_local];
   buffer : Persist_buffer.t;
-  coal : Wb_coalescer.t; (* this thread's line-dedup scratch for drains *)
-  draining : bool Atomic.t;
-      (* blocking arm only: raised while this thread holds records it
-         popped from [buffer] whose write-backs are not yet fenced; the
-         blocking epoch advance waits for it before persisting the
-         clock.  The nonblocking arm never pops before fencing, so it
-         neither raises nor waits on this flag. *)
+  coal : Wb_coalescer.t; (* this thread's line-dedup scratch for flushes *)
 }
 
 type t = {
@@ -106,15 +100,14 @@ type t = {
      each reclaimable once the clock reaches epoch + 2.  The owner
      appends with a CAS loop; a reclaimer claims the whole cell with
      one [Atomic.exchange] — scrub and free are not idempotent, so each
-     block must be reclaimed by exactly one helper even when
-     nonblocking advances race — filters by the epoch tag, and pushes
-     unripe survivors back (see [reclaim_ripe]).  The is_anti flag
-     marks anti-payloads, whose scrub must never reach media before the
-     scrub of the victim they mask is fenced (see [reclaim_ripe]);
-     [pdelete] defers a victim and its anti at the same epoch so one
-     exchange always claims them together. *)
+     block must be reclaimed by exactly one helper even when advances
+     race — filters by the epoch tag, and pushes unripe survivors back
+     (see [reclaim_ripe]).  The is_anti flag marks anti-payloads, whose
+     scrub must never reach media before the scrub of the victim they
+     mask is fenced (see [reclaim_ripe]); [pdelete] defers a victim and
+     its anti at the same epoch so one exchange always claims them
+     together. *)
   to_free : (int * int * bool) list Atomic.t array;
-  advance_lock : Util.Spin_lock.t;
   uid_counter : int Atomic.t;
   advances : int Atomic.t; (* statistics *)
   stop_bg : bool Atomic.t;
@@ -170,10 +163,8 @@ let make_state region cfg =
             last_epoch = 0;
             buffer = Persist_buffer.create ~capacity:cfg.Config.buffer_size;
             coal = Wb_coalescer.create ();
-            draining = Atomic.make false;
           });
     to_free = Array.init slots (fun _ -> Atomic.make []);
-    advance_lock = Util.Spin_lock.create ();
     uid_counter = Atomic.make 1;
     advances = Atomic.make 0;
     stop_bg = Atomic.make false;
@@ -380,7 +371,7 @@ let memo_probe t ~stat_tid (p : pblk) =
 
    Cost discipline (see DESIGN.md "Substitutions"): an application
    thread is charged for work it would *wait* on — CLWB issue on its
-   own overflow write-backs, and the full drain when it is inside
+   own full-ring write-backs, and the full flush when it is inside
    [sync].  Deferred work executed by the background advancer is
    semantically identical but uncharged: in the paper's deployment it
    runs on a dedicated core off every application critical path, and
@@ -392,13 +383,6 @@ let memo_probe t ~stat_tid (p : pblk) =
 let flush_now t ~tid ~off ~len =
   Nvm.Region.writeback t.region ~tid ~off ~len;
   Nvm.Region.sfence t.region ~tid
-
-(* Incremental overflow write-back on a worker: the CLWB issue is
-   charged (the worker executes it); completion is asynchronous — the
-   worker never waits on a drain. *)
-let flush_incremental t ~tid ~off ~len =
-  Nvm.Region.writeback t.region ~tid ~off ~len;
-  Nvm.Region.sfence_async t.region ~tid
 
 (* Issue everything collected in [coal] as batched line write-backs on
    the caller's queue, then fence once.  The fence is skipped when the
@@ -419,42 +403,21 @@ let flush_coalesced t ~tid ~charged ~fence coal =
     | `None -> ()
   end
 
-(* Bracket [f] with [pt.draining]: between popping a record from the
-   ring and fencing its write-back the record's range is durable
-   nowhere — the ring no longer holds it and media does not yet.  An
-   epoch advance that observes the ring empty in that window must not
-   persist the clock past the record (its epoch may be the one the tick
-   retires), so the advance spins on this flag before the clock store.
-   Cleared on exception too: under Pcheck Enforce a violation raised
-   mid-flush must not leave the advancer spinning forever. *)
-let with_draining pt f =
-  Atomic.set pt.draining true;
-  match f () with
-  | () -> Atomic.set pt.draining false
-  | exception e ->
-      Atomic.set pt.draining false;
-      raise e
-[@@montage.allow
-  "R2: every caller is a Sched-instrumented drain path \
-   (esys.record_persist/end_op/advance), and the advance observes the \
-   flag through its own esys.advance.draining await point"]
-
-(* Test-only stall injection: invoked in the middle of every drain's
-   vulnerable window — after records have been collected (blocking arm)
-   or published (nonblocking arm) but before the fence that makes them
-   durable.  The Dsched wait-freedom suites and the stalled-worker
-   bench park a thread here to show that the nonblocking advance
-   completes without it while the blocking advance waits forever.
-   Never set outside tests and benches. *)
+(* Test-only stall injection: invoked in the middle of every flush's
+   vulnerable window — after records have been published but before
+   the fence that makes them durable.  The Dsched wait-freedom suites
+   and the stalled-worker bench park a thread here to show that an
+   epoch advance or a [sync] completes without it.  Never set outside
+   tests and benches. *)
 let test_stall_in_drain : (unit -> unit) ref = ref (fun () -> ())
 
-(* The nonblocking arm's owner-side full-ring flush: publish the whole
-   ring in place (records stay claimable — a concurrent advance that
-   observes them simply flushes them too; write-backs of data still in
-   the ring are idempotent), fence, and only then retire the published
-   prefix.  There is never a moment when a record is out of the ring
-   but not yet durable, which is why the nonblocking advance needs no
-   [draining] handshake. *)
+(* The owner-side flush of its own ring (full ring, Montage (dw)
+   END_OP): publish the whole ring in place (records stay claimable — a
+   concurrent advance that observes them simply flushes them too;
+   write-backs of data still in the ring are idempotent), fence, and
+   only then retire the published prefix.  There is never a moment when
+   a record is out of the ring but not yet durable, so no advance ever
+   waits on an owner's flush. *)
 let publish_own_buffer t ~tid ~fence =
   let pt = t.threads.(tid) in
   let stop =
@@ -481,45 +444,11 @@ let record_persist t ~tid ~off ~len =
         (match t.chk with
         | None -> ()
         | Some c -> Nvm.Pcheck.on_buffer_push c ~tid ~epoch:pt.op_epoch ~off ~len);
-        if t.cfg.Config.nb_advance then begin
-          if Persist_buffer.is_full pt.buffer then
-            publish_own_buffer t ~tid ~fence:`Async;
-          (* the retire above made room, so the eviction flush cannot
-             fire — it would be exactly the popped-but-unfenced window
-             the nonblocking arm bans *)
-          Persist_buffer.push pt.buffer
-            ~flush:(fun o l -> flush_incremental t ~tid ~off:o ~len:l)
-            ~off ~len
-        end
-        else
-          with_draining pt (fun () ->
-              if Persist_buffer.is_full pt.buffer then begin
-                (* ring full: instead of evicting one record per push with a
-                   writeback+fence each, snapshot-drain the whole ring
-                   through the coalescer — one batched issue, one fence,
-                   each line at most once *)
-                Persist_buffer.drain pt.buffer (fun o l -> Wb_coalescer.add pt.coal ~off:o ~len:l);
-                !test_stall_in_drain ();
-                flush_coalesced t ~tid ~charged:true ~fence:`Async pt.coal
-              end;
-              Persist_buffer.push pt.buffer
-                ~flush:(fun o l -> flush_incremental t ~tid ~off:o ~len:l)
-                ~off ~len)
-
-(* Drain thread [owner]'s buffer into [coal] for a later batched
-   flush.
-
-   This must chase the tail ([drain_all], not the snapshot [drain]): a
-   record the owner pushes mid-drain may cover a line whose write-back
-   is already queued here, and re-flushing it before our fence is what
-   keeps that fence ahead of the owner's store (the Pcheck soundness
-   invariant: an epoch advance drains buffers to empty before the
-   clock moves).  The snapshot drain is for the owner's own overflow
-   batches, where no concurrent producer exists. *)
-let drain_buffer t ~owner coal =
-  Persist_buffer.drain_all t.threads.(owner).buffer (fun off len ->
-      Wb_coalescer.add coal ~off ~len);
-  Mindicator.clear t.mind ~tid:owner
+        (* ring full: flush the whole ring through the coalescer — one
+           batched issue, one fence, each line at most once — and retire
+           it, which makes room for the push *)
+        if Persist_buffer.is_full pt.buffer then publish_own_buffer t ~tid ~fence:`Async;
+        Persist_buffer.push pt.buffer ~off ~len
 
 (* ---- reclamation ---- *)
 
@@ -537,9 +466,9 @@ let reclaim_block t ~tid ~coal off =
    guarantees the clock has reached upto + 2.  The whole cell is
    claimed with a single [Atomic.exchange] — scrub and free are not
    idempotent, so unlike payload write-backs this step must be owned by
-   exactly one thread even when nonblocking advances race — and unripe
-   survivors are pushed back with a CAS loop against the owner's
-   concurrent appends.  [upto] is a fixed epoch, not a clock-relative
+   exactly one thread even when advances race — and unripe survivors
+   are pushed back with a CAS loop against the owner's concurrent
+   appends.  [upto] is a fixed epoch, not a clock-relative
    slot index, so a reclaimer delayed arbitrarily long still frees only
    blocks whose two-epoch quarantine had elapsed when it was computed.
    The scrubs' write-backs are collected in [coal]; the caller flushes
@@ -615,33 +544,17 @@ let begin_op t ~tid =
 let end_op t ~tid =
   Util.Sched.yield "esys.end_op";
   let pt = t.threads.(tid) in
+  pt.op_epoch <- 0;
+  Tracker.unregister t.tracker ~tid;
+  (* Montage (dw): the worker writes back everything at the end of each
+     operation — fully charged, it waits for the flush.  The operation
+     completes *before* the flush: its records are in the ring, where
+     any helper can claim them, so an epoch advance (or a peer's sync)
+     racing this flush finishes it instead of waiting for us — and the
+     tracker no longer counts us, so quiescence cannot stall on a
+     thread that is merely flushing. *)
   if t.cfg.Config.drain_on_end_op && t.cfg.Config.persist then
-    if t.cfg.Config.nb_advance then begin
-      (* Montage (dw), nonblocking arm: complete the operation *before*
-         draining.  Once the records are in the ring any helper can
-         claim them, so an epoch advance (or a peer's sync) racing this
-         drain finishes it instead of waiting for us — and the tracker
-         no longer counts us, so quiescence cannot stall on a thread
-         that is merely flushing. *)
-      pt.op_epoch <- 0;
-      Tracker.unregister t.tracker ~tid;
-      publish_own_buffer t ~tid ~fence:`Sync
-    end
-    else begin
-      (* Montage (dw), blocking arm: the worker itself writes back
-         everything at the end of each operation — fully charged, it
-         waits for the drain *)
-      with_draining pt (fun () ->
-          drain_buffer t ~owner:tid pt.coal;
-          !test_stall_in_drain ();
-          flush_coalesced t ~tid ~charged:true ~fence:`Sync pt.coal);
-      pt.op_epoch <- 0;
-      Tracker.unregister t.tracker ~tid
-    end
-  else begin
-    pt.op_epoch <- 0;
-    Tracker.unregister t.tracker ~tid
-  end
+    publish_own_buffer t ~tid ~fence:`Sync
 
 let with_op t ~tid f =
   begin_op t ~tid;
@@ -929,99 +842,21 @@ let pdelete t ~tid p =
     record_persist t ~tid ~off:anti ~len:Payload_hdr.header_size;
     (* The victim is deferred at the anti's epoch, not its own: the two
        scrubs must be claimed by one [reclaim_ripe] exchange so the
-       anti-scrub barrier there can order them.  Under the nonblocking
-       advance a reclaimer can stall between its scrub stores and its
-       fence while further ticks proceed; if the victim were ripe one
-       tick earlier, a later tick could durably scrub the anti while
-       the victim's scrub is still volatile in the stalled helper —
-       after a crash, recovery would see the victim without its anti
-       and resurrect it. *)
+       anti-scrub barrier there can order them.  A reclaimer can stall
+       between its scrub stores and its fence while further ticks
+       proceed; if the victim were ripe one tick earlier, a later tick
+       could durably scrub the anti while the victim's scrub is still
+       volatile in the stalled helper — after a crash, recovery would
+       see the victim without its anti and resurrect it. *)
     defer_free ~anti:true t ~tid ~epoch:(pt.op_epoch + 1) anti;
     defer_free t ~tid ~epoch:(pt.op_epoch + 1) p.off
   end
 
 (* ---- epoch advance ---- *)
 
-(* Advisory emptiness probe on an owner's deferred-free cell, used only
-   to decide whether it is worth visiting in an epoch drain. *)
-let has_ripe_free t ~owner ~upto =
-  List.exists (fun (e, _, _) -> e <= upto) (Atomic.get t.to_free.(owner))
-[@@montage.allow
-  "R2: read-only probe under the blocking arm's advance lock; the \
-   claim itself goes through reclaim_ripe's esys.reclaim point"]
-
-(* The blocking arm's epoch drain, serial on thread [tid]: for every
-   owner with work, claim its ripe deferred frees (when background
-   reclamation is on; [reclaim_upto] is the newest ripe epoch) and drain
-   its persist buffer through [tid]'s coalescer, then flush the batch
-   behind one fence.  Reclamation scrubs ride the same fence as the
-   payload write-backs, so nothing is reused before its supersession
-   record is durable. *)
-let drain_all_coalesced t ~tid ~reclaim_upto ~charged =
-  let nw = t.cfg.Config.max_threads in
-  let owners = ref [] in
-  for owner = nw - 1 downto 0 do
-    let ripe =
-      match reclaim_upto with Some upto -> has_ripe_free t ~owner ~upto | None -> false
-    in
-    if ripe || not (Persist_buffer.is_empty t.threads.(owner).buffer) then
-      owners := owner :: !owners
-    else Mindicator.clear t.mind ~tid:owner
-  done;
-  let coal = t.threads.(tid).coal in
-  List.iter
-    (fun owner ->
-      (match reclaim_upto with
-      | Some upto -> reclaim_ripe t ~tid ~coal ~charged ~owner ~upto
-      | None -> ());
-      drain_buffer t ~owner coal)
-    !owners;
-  flush_coalesced t ~tid ~charged ~fence:(if charged then `Sync else `Async) coal
-
-(* Blocking arm: advance the clock by one epoch under [advance_lock];
-   the caller may be the background domain, a sync helper, or a test.
-   Steps follow §3.2: quiesce e−1, reclaim ripe deferred frees, write
-   back everything buffered, fence, then bump and persist the clock. *)
-let blocking_advance_epoch t ~tid ~charged =
-  Util.Sched.yield "esys.advance";
-  Util.Spin_lock.with_lock t.advance_lock (fun () ->
-      let e = Atomic.get t.curr_epoch in
-      Tracker.wait_all t.tracker ~epoch:(e - 1);
-      Util.Sched.yield "esys.advance.quiesced";
-      if t.cfg.Config.persist then begin
-        let reclaim_upto =
-          if t.cfg.Config.reclaim = Config.Background && not t.cfg.Config.direct_free then
-            Some (e - 2)
-          else None
-        in
-        drain_all_coalesced t ~tid ~reclaim_upto ~charged;
-        (* A worker may at this instant hold records it popped from its
-           own ring (overflow batch, end-of-op drain) whose write-backs
-           are not yet fenced: the drains above saw its ring empty, but
-           the data is durable nowhere, and it can belong to the epoch
-           this tick retires.  Wait for every such in-flight flush to
-           land before the clock moves — an empty ring is not "drained"
-           while its owner is mid-flush. *)
-        for w = 0 to t.cfg.Config.max_threads - 1 do
-          Util.Sched.await "esys.advance.draining" (fun () ->
-              not (Atomic.get t.threads.(w).draining))
-        done;
-        Util.Sched.yield "esys.advance.clock_store";
-        Nvm.Region.set_i64 t.region ~off:clock_off (e + 1);
-        Nvm.Region.persist t.region ~tid ~off:clock_off ~len:8
-      end;
-      Util.Sched.yield "esys.advance.clock_persisted";
-      Atomic.set t.curr_epoch (e + 1);
-      (* epoch e - 1 just retired: the checker audits that every
-         persist-buffer range of epochs <= e - 1 reached media *)
-      (match t.chk with
-      | None -> ()
-      | Some c -> Nvm.Pcheck.on_epoch_advance c ~epoch:(e + 1));
-      Atomic.incr t.advances)
-
-(* Nonblocking arm (nbMontage, Cai et al. — PAPERS.md): one helped tick
-   e → e+1.  Any number of threads may run this concurrently for the
-   same [e]; there is no advance lock and no draining handshake:
+(* One helped tick e → e+1 (nbMontage, Cai et al. — PAPERS.md).  Any
+   number of threads may run this concurrently for the same [e]; there
+   is no advance lock and no waiting on another thread's flush:
 
      quiesce e−1 → publish + fence every ring → retire the published
      records → CAS the persistent clock e → e+1 → persist it → CAS the
@@ -1044,13 +879,13 @@ let blocking_advance_epoch t ~tid ~charged =
 
    Liveness: no step waits on another thread except the initial
    quiescence on epochs ≤ e−2 (bounded by operation length, and absent
-   entirely for a peer parked *between* ops or inside a drain —
+   entirely for a peer parked *between* ops or inside a flush —
    unregistered threads are invisible to the tracker, and their ring
    records are claimable, so the helper flushes them itself).
    Publication is bounded by ring capacity, retirement by the
    published count, and each clock CAS is one attempt with no retry
    loop. *)
-let nb_advance_epoch t ~tid ~charged =
+let tick t ~tid ~charged =
   Util.Sched.yield "esys.advance";
   let e = Atomic.get t.curr_epoch in
   Tracker.wait_all t.tracker ~epoch:(e - 1);
@@ -1111,13 +946,9 @@ let nb_advance_epoch t ~tid ~charged =
     end
   end
 
-let advance_epoch_charged t ~tid ~charged =
-  if t.cfg.Config.nb_advance then nb_advance_epoch t ~tid ~charged
-  else blocking_advance_epoch t ~tid ~charged
-
 (* Background/default advance: the advancer's device traffic is not
    billed to application time (dedicated-core assumption). *)
-let advance_epoch t ~tid = advance_epoch_charged t ~tid ~charged:false
+let advance_epoch t ~tid = tick t ~tid ~charged:false
 
 (* Report a DCSS decision to the checker (called by Everify with the
    clock value the decision was computed from). *)
@@ -1132,11 +963,11 @@ let note_linearize t ~epoch ~clock ~success =
    caller helps with the write-backs and *waits* for them (paper §5.2),
    so sync is fully charged.
 
-   Under [Config.nb_advance] this is wait-free with respect to peers
-   that are between operations: each helped tick does a bounded amount
-   of the caller's own work (publish every ring, fence, one CAS each on
-   the persistent and transient clocks) and never waits on a stalled
-   peer's drain — the caller flushes the peer's claimable records
+   This is wait-free with respect to peers that are between
+   operations: each helped tick does a bounded amount of the caller's
+   own work (publish every ring, fence, one CAS each on the persistent
+   and transient clocks) and never waits on a stalled peer's flush —
+   the caller flushes the peer's claimable records
    itself.  If the first tick the caller attempts was already completed
    by a concurrent helper, the clock still ends at least two past the
    epoch of every operation completed before this call, which is the
@@ -1144,8 +975,8 @@ let note_linearize t ~epoch ~clock ~success =
    still *inside* their begin/end window from two epochs back — a
    quiescence condition no sync can soundly skip. *)
 let sync t ~tid =
-  advance_epoch_charged t ~tid ~charged:true;
-  advance_epoch_charged t ~tid ~charged:true
+  tick t ~tid ~charged:true;
+  tick t ~tid ~charged:true
 
 (* The durable frontier: recovery after a crash in epoch e restores
    exactly the payloads of epochs <= e - 2, so that is what is durable

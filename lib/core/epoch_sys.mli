@@ -207,34 +207,29 @@ val pdelete : t -> tid:int -> pblk -> unit
     ripe deferred frees.  Normally driven by the background domain;
     exposed for tests and manual pacing.
 
-    Two arms, selected by [config.nb_advance]:
-    {ul
-    {- {e nonblocking} (default, nbMontage): lock-free helping protocol
-       — concurrent callers publish every thread's persist-buffer ring
-       in place (records stay claimable until fenced, so a peer parked
-       mid-drain cannot stall the tick), race one CAS each on the
-       persistent and transient clocks, and the transient winner
-       reclaims.  A call returns as soon as the clock is past the epoch
-       it observed, even if a concurrent helper performed the tick.}
-    {- {e blocking} (the original §3.2 schedule): serialized by an
-       advance lock; waits for every worker's in-flight drain
-       ([draining] handshake) before persisting the clock.}} *)
+    Lock-free helping protocol (nbMontage): concurrent callers publish
+    every thread's persist-buffer ring in place (records stay claimable
+    until fenced, so a peer parked mid-flush cannot stall the tick),
+    race one CAS each on the persistent and transient clocks, and the
+    transient winner reclaims.  A call returns as soon as the clock is
+    past the epoch it observed, even if a concurrent helper performed
+    the tick. *)
 val advance_epoch : t -> tid:int -> unit
 
 (** Force everything that completed before this call durable (two
     charged epoch advances; the caller helps with the write-backs, as
-    in §5.2).  Under [config.nb_advance] the helping protocol makes
-    this wait-free with respect to peers between operations or parked
-    inside a drain: the caller performs a bounded amount of work
-    (publish + fence + two CAS attempts per tick) and never waits on
-    another thread's progress, except the unavoidable quiescence wait
-    on operations still open two epochs back. *)
+    in §5.2).  The helping protocol makes this wait-free with respect
+    to peers between operations or parked inside a flush: the caller
+    performs a bounded amount of work (publish + fence + two CAS
+    attempts per tick) and never waits on another thread's progress,
+    except the unavoidable quiescence wait on operations still open two
+    epochs back. *)
 val sync : t -> tid:int -> unit
 
-(** Test-only stall injection, called inside every drain path between
-    collecting/publishing records and the fence that makes them
-    durable.  The wait-freedom suites and the stalled-worker bench park
-    a thread here; production code never sets it. *)
+(** Test-only stall injection, called inside every flush path between
+    publishing records and the fence that makes them durable.  The
+    wait-freedom suites and the stalled-worker bench park a thread
+    here; production code never sets it. *)
 val test_stall_in_drain : (unit -> unit) ref
 
 (** Test-only stall injection in the reclamation scrub window: after

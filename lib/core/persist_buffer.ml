@@ -2,14 +2,19 @@
 
    Workers append (offset, length) records of payload ranges that must
    reach NVM by the end of their epoch.  The owning worker is the only
-   producer; consumers — the background epoch advancer, sync helpers,
-   and the producer itself when the ring overflows — pop entries and
-   issue the write-backs.  Pops race, so the head is advanced by CAS;
-   the tail is owner-written.  A slot is only rewritten once the head
-   has passed it, so a consumer that read a stale slot loses the CAS
-   and discards its read.  The structure is obstruction-free for
-   consumers and wait-free for the producer (overflow pops at most one
-   entry per push), preserving the runtime's lock-freedom claim.
+   producer and writes the tail.  Consumers never pop a record before
+   its write-back is fenced: [publish] *peeks* — it emits every record
+   in [head, tail-at-entry) without consuming any of them — and only
+   after the caller has fenced the emitted write-backs does
+   [retire_upto] move the head past them.  Until then the records stay
+   visible, so any helper (an epoch advance, a sync caller, the owner
+   on a full ring) can re-publish and fence them itself; write-backs
+   are idempotent, so helping never double-applies anything.  The ring
+   itself is the publication descriptor: (head, observed tail) delimits
+   the claimable records, and the monotonic CAS on head in
+   [retire_upto] is the claim-completion step that concurrent helpers
+   race benignly.  There is never a moment when a record is out of the
+   ring but not yet durable.
 
    Entries are packed as (offset << 14 | length); payloads are at most
    8 KB so 14 bits of length suffice. *)
@@ -17,7 +22,7 @@
 type t = {
   slots : int array;
   capacity : int;
-  head : int Atomic.t; (* next entry to consume *)
+  head : int Atomic.t; (* oldest record not yet retired *)
   tail : int Atomic.t; (* next free slot; owner-written *)
 }
 
@@ -40,108 +45,42 @@ let create ~capacity =
 
 let is_empty t = Atomic.get t.head >= Atomic.get t.tail
 [@@montage.allow
-  "R2: racy observer; callers that act on the answer (pop/drain) \
-   re-check under their own pbuf.* Sched points"]
+  "R2: racy observer; callers that act on the answer re-check under \
+   their own pbuf.* Sched points"]
 
-(* Owner-called: the next push would evict the oldest entry. *)
+(* Owner-called: no free slot until a publication retires some. *)
 let is_full t = Atomic.get t.tail - Atomic.get t.head >= t.capacity
 [@@montage.allow
   "R2: owner-called observer; tail is owner-private and head only \
    moves forward, so a stale read errs toward an early flush"]
 
-(* Consume one entry; [None] when empty.  Safe to call from any thread. *)
-let pop t =
-  Util.Sched.yield "pbuf.pop";
-  let rec attempt () =
-    let head = Atomic.get t.head in
-    let tail = Atomic.get t.tail in
-    if head >= tail then None
-    else
-      let entry = t.slots.(head mod t.capacity) in
-      if Atomic.compare_and_set t.head head (head + 1) then
-        Some (unpack_off entry, unpack_len entry)
-      else attempt ()
-  in
-  attempt ()
-
-(* Owner-only append.  When the ring is full the *owner* writes back the
-   oldest entry — the paper's incremental write-back on overflow — via
-   [flush], which must issue writeback+fence for the range. *)
-let push t ~flush ~off ~len =
+(* Owner-only append.  A full ring is the owner's bug: overwriting the
+   oldest slot would lose a record no consumer has made durable, so the
+   owner publishes, fences and retires first ([Epoch_sys]'s
+   [record_persist] does). *)
+let push t ~off ~len =
   Util.Sched.yield "pbuf.push";
   let tail = Atomic.get t.tail in
-  if tail - Atomic.get t.head >= t.capacity then begin
-    match pop t with
-    | Some (o, l) -> flush o l
-    | None -> () (* a concurrent consumer drained it; slot now free *)
-  end;
+  if tail - Atomic.get t.head >= t.capacity then
+    invalid_arg "Persist_buffer.push: ring full (publish and retire first)";
   t.slots.(tail mod t.capacity) <- pack ~off ~len;
   Atomic.set t.tail (tail + 1)
 
-(* Snapshot drain: consume only entries that were already appended when
-   the drain began.  A consumer racing a fast producer must not chase
-   the tail — the producer's later records belong to a later epoch and
-   will be picked up by that epoch's drain — so the bound is the tail
-   observed at entry.  [f] may push new entries (the owner's overflow
-   path does); they are left for the next drain. *)
-let drain t f =
-  let stop = Atomic.get t.tail in
-  let rec loop () =
-    if Atomic.get t.head < stop then
-      match pop t with
-      | Some (off, len) ->
-          f off len;
-          loop ()
-      | None -> ()
-  in
-  loop ()
-[@@montage.allow
-  "R2: the snapshot bound and progress check are advisory; every \
-   consumed entry goes through pop, which yields at pbuf.pop"]
-
-(* Fault injection for the Dsched harness (see DESIGN.md, "Dsched"):
-   when set, [drain_all] silently discards its first record instead of
-   handing it to [f] — modeling a miscounted drain loop that lets the
-   epoch advance believe a buffer was fully written back and persist
-   the clock past an unflushed payload.  The durable-linearizability
-   explorer must catch this (a completed operation's payload missing
-   below the recovery cutoff) and shrink the schedule that exposes it.
-   Never set outside tests. *)
-let test_drop_first_drain_record = ref false
-
-(* ---- nonblocking publication (the nb-advance drain path) ----
-
-   The blocking drain pops a record before its write-back is fenced,
-   which is why the epoch advance must wait out every consumer's
-   pop→fence window (the [draining] handshake).  The nonblocking
-   protocol never creates that window: [publish] *peeks* — it emits
-   every record in [head, tail-at-entry) without consuming any of
-   them — and only after the caller has fenced the emitted write-backs
-   does [retire_upto] move the head past them.  Until then the records
-   stay visible, so any helper (an epoch advance, a sync caller) can
-   re-publish and fence them itself; write-backs are idempotent, so
-   helping never double-applies anything.  The ring itself is the
-   publication descriptor: (head, observed tail) delimits the claimable
-   records, and the monotonic CAS on head in [retire_upto] is the
-   claim-completion step that concurrent helpers race benignly. *)
-
-(* Planted-bug twin of [test_drop_first_drain_record] for the
-   nonblocking arm: while set, every [publish] skips its first record
-   but still returns the stop index past it, so [retire_upto] retires a
-   record that was never written back — a lost publication the Dsched
-   durable-linearizability explorer must detect.  Never set outside
-   tests. *)
+(* Planted bug for the Dsched harness (see DESIGN.md, "Dsched"): while
+   set, every [publish] skips its first record but still returns the
+   stop index past it, so [retire_upto] retires a record that was never
+   written back — a lost publication the durable-linearizability
+   explorer must detect.  Never set outside tests. *)
 let test_drop_first_publish_record = ref false
 
 (* Emit every record currently in the ring, oldest first, *without*
-   consuming: the publication pass of a nonblocking drain.  Bounded by
-   the tail observed at entry (later records belong to a later epoch).
-   Returns the exclusive upper index to hand to [retire_upto] once the
-   emitted write-backs are fenced.  Safe from any thread: a slot is
-   rewritten only after the head passes it, so a racing reader sees
-   either the old record (already retired — re-emitting is an
-   idempotent write-back of durable data) or the new one (a harmless
-   early flush); int-array reads cannot tear. *)
+   consuming.  Bounded by the tail observed at entry (later records
+   belong to a later epoch).  Returns the exclusive upper index to hand
+   to [retire_upto] once the emitted write-backs are fenced.  Safe from
+   any thread: a slot is rewritten only after the head passes it, so a
+   racing reader sees either the old record (already retired —
+   re-emitting is an idempotent write-back of durable data) or the new
+   one (a harmless early flush); int-array reads cannot tear. *)
 let publish t f =
   Util.Sched.yield "pbuf.publish";
   let stop = Atomic.get t.tail in
@@ -169,16 +108,3 @@ let retire_upto t ~upto =
     end
   in
   go ()
-
-(* Drain until empty — the owner's quiescent full flush (END_OP drain,
-   shutdown), where chasing the tail is the point. *)
-let drain_all t f =
-  if !test_drop_first_drain_record then ignore (pop t);
-  let rec loop () =
-    match pop t with
-    | Some (off, len) ->
-        f off len;
-        loop ()
-    | None -> ()
-  in
-  loop ()

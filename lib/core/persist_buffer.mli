@@ -2,9 +2,13 @@
 
     Workers append (offset, length) records of payload ranges that must
     reach NVM by the end of their epoch.  The owner is the only
-    producer; consumers (the background advancer, sync helpers, and the
-    producer itself on overflow) pop concurrently via CAS on the head.
-    Wait-free for the producer, obstruction-free for consumers. *)
+    producer.  Consumers never pop: {!publish} emits the buffered
+    records in place, the caller writes them back and fences, and only
+    then does {!retire_upto} move the head past them.  A record is
+    therefore always either in the ring or durable, and any thread (an
+    epoch advance, a [sync] caller, the owner on a full ring) can help
+    flush a peer's records.  Wait-free for the producer and for
+    consumers. *)
 
 type t
 
@@ -15,47 +19,22 @@ val max_len : int
 val create : capacity:int -> t
 val is_empty : t -> bool
 
-(** Owner-called: the next {!push} would evict the oldest entry. *)
+(** Owner-called: the ring has no free slot; the owner must publish,
+    fence and retire before its next {!push}. *)
 val is_full : t -> bool
 
-(** Owner-only append.  On overflow the oldest entry is consumed and
-    handed to [flush] — the paper's incremental write-back.
-    @raise Invalid_argument when [len] exceeds {!max_len} (or is
-    negative, or [off] is negative): packing would corrupt the record. *)
-val push : t -> flush:(int -> int -> unit) -> off:int -> len:int -> unit
-
-(** Consume one entry; [None] when empty.  Safe from any thread. *)
-val pop : t -> (int * int) option
-
-(** Snapshot drain: consume entries up to the tail observed at entry,
-    invoking [f off len] per entry.  Bounded work even against a fast
-    producer — records appended during the drain belong to a later
-    epoch and are left for that epoch's drain.  [f] may push. *)
-val drain : t -> (int -> int -> unit) -> unit
-
-(** Drain until empty: the owner's quiescent full flush (END_OP drain,
-    shutdown). *)
-val drain_all : t -> (int -> int -> unit) -> unit
-
-(** Fault injection for the Dsched durable-linearizability harness:
-    while set, every {!drain_all} silently discards its first record —
-    an artificial lost write-back the schedule explorer must detect.
-    Test-only; never set in production code. *)
-val test_drop_first_drain_record : bool ref
-
-(** {1 Nonblocking publication (the nb-advance drain path)}
-
-    [publish]/[retire_upto] replace pop-based drains under
-    [Config.nb_advance]: records are emitted {e without} being
-    consumed, stay claimable by concurrent helpers until the emitter's
-    fence lands, and are only then retired by a monotonic CAS on the
-    head — there is no popped-but-unfenced window for an epoch advance
-    to wait out. *)
+(** Owner-only append.
+    @raise Invalid_argument when the ring is full (see {!is_full}), or
+    when [len] exceeds {!max_len} (or is negative, or [off] is
+    negative): packing would corrupt the record. *)
+val push : t -> off:int -> len:int -> unit
 
 (** Emit every record in [head, tail-observed-at-entry), oldest first,
     without consuming; returns the exclusive stop index for
-    {!retire_upto}.  Safe from any thread; emitting a record another
-    thread already retired re-issues an idempotent write-back. *)
+    {!retire_upto}.  Records pushed during the call (by [f] or by the
+    owner) are left for the next publication.  Safe from any thread;
+    emitting a record another thread already retired re-issues an
+    idempotent write-back. *)
 val publish : t -> (int -> int -> unit) -> int
 
 (** Advance the head to at least [upto] (monotonic; cooperating CAS
@@ -63,8 +42,8 @@ val publish : t -> (int -> int -> unit) -> int
     the write-backs of everything below [upto]. *)
 val retire_upto : t -> upto:int -> unit
 
-(** Planted-bug twin of {!test_drop_first_drain_record} for the
-    nonblocking arm: while set, {!publish} skips its first record but
-    still returns the stop index past it — a lost publication the
-    schedule explorer must detect.  Test-only. *)
+(** Fault injection for the Dsched durable-linearizability harness:
+    while set, {!publish} skips its first record but still returns the
+    stop index past it — a lost publication the schedule explorer must
+    detect.  Test-only; never set in production code. *)
 val test_drop_first_publish_record : bool ref

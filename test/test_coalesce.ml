@@ -16,11 +16,6 @@ module Cfg = Montage.Config
 
 let base_cfg = { Cfg.testing with max_threads = 2 }
 
-(* Pin the advance arm ([Config.nb_advance]): tests that depend on the
-   drain schedule run under both arms explicitly rather than inheriting
-   MONTAGE_NB_ADVANCE. *)
-let arm ~nb cfg = { cfg with Cfg.nb_advance = nb }
-
 (* ---- Wb_coalescer ---- *)
 
 let flush_runs coal =
@@ -153,11 +148,11 @@ let rewrite_workload cfg =
 
 (* The per-record drain this path replaced paid one write-back per
    buffered line and a fence per drained record; the coalesced drain is
-   measured against that cost on each advance arm.  [writebacks] also
+   measured against that cost.  [writebacks] also
    counts lines queued outside the coalescer, so it must come in under
    the records' line total even with those included. *)
-let test_coalescing_reduces_writebacks_and_fences ~nb () =
-  let _, st = rewrite_workload (arm ~nb base_cfg) in
+let test_coalescing_reduces_writebacks_and_fences () =
+  let _, st = rewrite_workload base_cfg in
   Alcotest.(check bool)
     (Printf.sprintf "fewer write-backs than buffered lines (%d < %d)" st.R.writebacks
        st.R.coalesce_lines_in)
@@ -173,68 +168,55 @@ let lint_count c kind =
   List.fold_left (fun acc (k, _, n) -> if k = kind then acc + n else acc) 0 (P.lint_counts c)
 
 (* Ten same-epoch rewrites per key drain as ten buffered records over
-   the same lines.  On both advance arms the coalescer must merge them
-   (more lines in than out) and flush each line once behind its fence
-   (no [Duplicate_flush] lint). *)
+   the same lines.  The coalescer must merge them (more lines in than
+   out) and flush each line once behind its fence (no [Duplicate_flush]
+   lint). *)
 let test_coalescing_removes_duplicate_flushes () =
-  List.iter
-    (fun nb ->
-      let name = if nb then "nb advance" else "blocking advance" in
-      let region, st = rewrite_workload (arm ~nb base_cfg) in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: dedup ratio > 1 (%d lines in, %d out)" name st.R.coalesce_lines_in
-           st.R.coalesce_lines_out)
-        true
-        (st.R.coalesce_lines_in > st.R.coalesce_lines_out);
-      match R.checker region with
-      | None -> Alcotest.fail "no checker"
-      | Some c ->
-          Alcotest.(check int)
-            (name ^ ": each line flushed once")
-            0
-            (lint_count c P.Duplicate_flush))
-    [ true; false ]
+  let region, st = rewrite_workload base_cfg in
+  Alcotest.(check bool)
+    (Printf.sprintf "dedup ratio > 1 (%d lines in, %d out)" st.R.coalesce_lines_in
+       st.R.coalesce_lines_out)
+    true
+    (st.R.coalesce_lines_in > st.R.coalesce_lines_out);
+  match R.checker region with
+  | None -> Alcotest.fail "no checker"
+  | Some c -> Alcotest.(check int) "each line flushed once" 0 (lint_count c P.Duplicate_flush)
 
 (* ---- the advancer's epoch drain ---- *)
 
 (* Both workers leave loaded buffers; the background advancer's tid
    drains them in two ticks, and after a crash every pair recovers. *)
 let test_advancer_drain_correct () =
-  List.iter
-    (fun nb ->
-      let region = R.create ~latency:Nvm.Latency.zero ~max_threads:4 ~capacity:(1 lsl 22) () in
-      let cfg = arm ~nb { base_cfg with Cfg.buffer_size = 256 } in
-      let esys = E.create ~config:cfg region in
-      let m = Pstructs.Mhashmap.create ~buckets:16 esys in
-      let workers =
-        Array.init 2 (fun tid ->
-            Domain.spawn (fun () ->
-                for i = 0 to 49 do
-                  ignore
-                    (Pstructs.Mhashmap.put m ~tid (Printf.sprintf "t%d-%d" tid i) (string_of_int i))
-                done))
-      in
-      Array.iter Domain.join workers;
-      let advancer = cfg.Cfg.max_threads in
-      E.advance_epoch esys ~tid:advancer;
-      E.advance_epoch esys ~tid:advancer;
-      R.crash region;
-      let esys2, payloads = E.recover ~config:{ cfg with Cfg.pcheck = Cfg.Pcheck_off } region in
-      let m2 = Pstructs.Mhashmap.recover ~buckets:16 esys2 payloads in
-      Alcotest.(check int) "all pairs durable after the advancer's drain" 100
-        (Pstructs.Mhashmap.size m2);
-      for tid = 0 to 1 do
-        for i = 0 to 49 do
-          Alcotest.(check (option string))
-            (Printf.sprintf "t%d-%d" tid i)
-            (Some (string_of_int i))
-            (Pstructs.Mhashmap.get m2 ~tid (Printf.sprintf "t%d-%d" tid i))
-        done
-      done;
-      match R.checker region with
-      | None -> Alcotest.fail "checker missing"
-      | Some c -> Alcotest.(check int) "no violations" 0 (List.length (P.violations c)))
-    [ true; false ]
+  let region = R.create ~latency:Nvm.Latency.zero ~max_threads:4 ~capacity:(1 lsl 22) () in
+  let cfg = { base_cfg with Cfg.buffer_size = 256 } in
+  let esys = E.create ~config:cfg region in
+  let m = Pstructs.Mhashmap.create ~buckets:16 esys in
+  let workers =
+    Array.init 2 (fun tid ->
+        Domain.spawn (fun () ->
+            for i = 0 to 49 do
+              ignore (Pstructs.Mhashmap.put m ~tid (Printf.sprintf "t%d-%d" tid i) (string_of_int i))
+            done))
+  in
+  Array.iter Domain.join workers;
+  let advancer = cfg.Cfg.max_threads in
+  E.advance_epoch esys ~tid:advancer;
+  E.advance_epoch esys ~tid:advancer;
+  R.crash region;
+  let esys2, payloads = E.recover ~config:{ cfg with Cfg.pcheck = Cfg.Pcheck_off } region in
+  let m2 = Pstructs.Mhashmap.recover ~buckets:16 esys2 payloads in
+  Alcotest.(check int) "all pairs durable after the advancer's drain" 100 (Pstructs.Mhashmap.size m2);
+  for tid = 0 to 1 do
+    for i = 0 to 49 do
+      Alcotest.(check (option string))
+        (Printf.sprintf "t%d-%d" tid i)
+        (Some (string_of_int i))
+        (Pstructs.Mhashmap.get m2 ~tid (Printf.sprintf "t%d-%d" tid i))
+    done
+  done;
+  match R.checker region with
+  | None -> Alcotest.fail "checker missing"
+  | Some c -> Alcotest.(check int) "no violations" 0 (List.length (P.violations c))
 
 (* ---- crash-recovery matrix over every fence-respecting crash state ---- *)
 
@@ -255,8 +237,8 @@ let recovered_from image =
 
 let explore_states = 400
 
-let test_crash_matrix_mqueue ~nb () =
-  let _, c, esys = logged_esys ~cfg:(arm ~nb base_cfg) () in
+let test_crash_matrix_mqueue () =
+  let _, c, esys = logged_esys () in
   let q = Pstructs.Mqueue.create esys in
   let values = List.init 6 (fun i -> Printf.sprintf "v%d" i) in
   List.iteri
@@ -287,8 +269,8 @@ let test_crash_matrix_mqueue ~nb () =
   Alcotest.(check bool) "states explored" true (report.P.states > 0);
   Alcotest.(check int) "recovery predicate holds everywhere" 0 report.P.failures
 
-let test_crash_matrix_mhashmap ~nb () =
-  let _, c, esys = logged_esys ~cfg:(arm ~nb base_cfg) () in
+let test_crash_matrix_mhashmap () =
+  let _, c, esys = logged_esys () in
   let m = Pstructs.Mhashmap.create ~buckets:8 esys in
   let written = Hashtbl.create 16 in
   for i = 0 to 5 do
@@ -319,8 +301,8 @@ let test_crash_matrix_mhashmap ~nb () =
   Alcotest.(check bool) "states explored" true (report.P.states > 0);
   Alcotest.(check int) "every recovered pair was written" 0 report.P.failures
 
-let test_crash_matrix_mskiplist ~nb () =
-  let _, c, esys = logged_esys ~cfg:(arm ~nb base_cfg) () in
+let test_crash_matrix_mskiplist () =
+  let _, c, esys = logged_esys () in
   let s = Pstructs.Mskiplist.create ~seed:11 esys in
   let written = Hashtbl.create 16 in
   for i = 0 to 5 do
@@ -506,9 +488,7 @@ let () =
       ( "accounting",
         [
           Alcotest.test_case "fewer write-backs and fences (nb advance)" `Quick
-            (test_coalescing_reduces_writebacks_and_fences ~nb:true);
-          Alcotest.test_case "fewer write-backs and fences (blocking advance)" `Quick
-            (test_coalescing_reduces_writebacks_and_fences ~nb:false);
+            test_coalescing_reduces_writebacks_and_fences;
           Alcotest.test_case "duplicate flushes eliminated" `Quick
             test_coalescing_removes_duplicate_flushes;
         ] );
@@ -519,14 +499,9 @@ let () =
         ] );
       ( "crash-matrix",
         [
-          Alcotest.test_case "mqueue (nb advance)" `Quick (test_crash_matrix_mqueue ~nb:true);
-          Alcotest.test_case "mqueue (blocking advance)" `Quick (test_crash_matrix_mqueue ~nb:false);
-          Alcotest.test_case "mhashmap (nb advance)" `Quick (test_crash_matrix_mhashmap ~nb:true);
-          Alcotest.test_case "mhashmap (blocking advance)" `Quick
-            (test_crash_matrix_mhashmap ~nb:false);
-          Alcotest.test_case "mskiplist (nb advance)" `Quick (test_crash_matrix_mskiplist ~nb:true);
-          Alcotest.test_case "mskiplist (blocking advance)" `Quick
-            (test_crash_matrix_mskiplist ~nb:false);
+          Alcotest.test_case "mqueue (nb advance)" `Quick test_crash_matrix_mqueue;
+          Alcotest.test_case "mhashmap (nb advance)" `Quick test_crash_matrix_mhashmap;
+          Alcotest.test_case "mskiplist (nb advance)" `Quick test_crash_matrix_mskiplist;
           Alcotest.test_case "mvector" `Quick test_crash_matrix_mvector;
           Alcotest.test_case "mgraph" `Quick test_crash_matrix_mgraph;
         ] );

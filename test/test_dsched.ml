@@ -9,8 +9,8 @@
      Montage runtime, bounded-exhaustively explored with a crash
      branched at every scheduling point, every recovered state checked
      against the sequential queue model — and a deliberately planted
-     drop-a-flush bug in Persist_buffer caught, shrunk, and replayed
-     from both the trace and the printed PCT seed. *)
+     lost-publication bug in Persist_buffer caught, shrunk, and
+     replayed from both the trace and the printed PCT seed. *)
 
 module D = Dsched
 module R = Nvm.Region
@@ -274,10 +274,7 @@ let nb_queue_impl =
   }
 
 (* Scenario config: manual epochs, no checker, no mirrors — the
-   minimal deterministic runtime.  Recovery under the
-   same knobs.  [nb_advance] is inherited from the environment so the
-   CI matrix legs (MONTAGE_NB_ADVANCE=1/0) sweep the shared scenarios
-   over both advance arms; arm-specific tests pin it explicitly. *)
+   minimal deterministic runtime.  Recovery under the same knobs. *)
 let sched_cfg =
   {
     Cfg.testing with
@@ -286,13 +283,6 @@ let sched_cfg =
     mirror_max_bytes = 0;
     buffer_size = 16;
   }
-
-(* Arm-pinned variants: the planted drain-record bug lives in the
-   blocking arm's [drain_all] path, the planted publish bug in the
-   nonblocking arm's [publish] path — each must be explored on the arm
-   that actually executes its code regardless of the CI leg's env. *)
-let blocking_cfg = { sched_cfg with Cfg.nb_advance = false }
-let nb_cfg = { sched_cfg with Cfg.nb_advance = true }
 
 type 'q qstate = {
   region : R.t;
@@ -310,10 +300,10 @@ let drain impl q =
    result, clock after completion) and advances the epoch once, so the
    persistence frontier moves mid-schedule and crash branches cut
    through every buffering stage.  [helpers] appends extra fibers that
-   only advance the epoch (twice each): with the nonblocking arm they
-   race the op threads' advances and each other through the helping
-   protocol, so exploration preempts a writer mid-publication with two
-   helpers live — the nbMontage racing-helper case. *)
+   only advance the epoch (twice each): they race the op threads'
+   advances and each other through the helping protocol, so
+   exploration preempts a writer mid-publication with two helpers live
+   — the nbMontage racing-helper case. *)
 let queue_scenario ?(cfg = sched_cfg) ?(helpers = 0) impl scripts =
   let n = Array.length scripts in
   let total = n + helpers in
@@ -413,21 +403,20 @@ let test_nb_queue_exhaustive_with_crashes () =
   in
   check_queue_report "nb_queue" r
 
-(* The planted bugs: the blocking arm's [Persist_buffer.drain_all]
-   discards its first record, the nonblocking arm's
-   [Persist_buffer.publish] skips its first record but still returns
-   the stop index past it (so [retire_upto] throws it away unflushed) —
-   either way one buffered payload never reaches media.
-   Durable-linearizability checking over crash branches must catch it
-   on the arm that runs the planted path, the shrunk trace must replay,
-   and under PCT the printed per-run seed must reproduce it. *)
-let with_planted_bug flag f =
+(* The planted bug: [Persist_buffer.publish] skips its first record but
+   still returns the stop index past it (so [retire_upto] throws it away
+   unflushed) — one buffered payload never reaches media.
+   Durable-linearizability checking over crash branches must catch it,
+   the shrunk trace must replay, and under PCT the printed per-run seed
+   must reproduce it. *)
+let with_planted_bug f =
+  let flag = Montage.Persist_buffer.test_drop_first_publish_record in
   flag := true;
   Fun.protect ~finally:(fun () -> flag := false) f
 
-let planted_caught_exhaustive ~flag ~cfg () =
-  with_planted_bug flag (fun () ->
-      let scenario = queue_scenario ~cfg mqueue_impl scripts in
+let test_planted_publish_bug_caught_exhaustive () =
+  with_planted_bug (fun () ->
+      let scenario = queue_scenario mqueue_impl scripts in
       match
         (D.explore (exhaustive ~preemptions:1 ~max_attempts:100_000 ()) scenario).D.failure
       with
@@ -444,9 +433,9 @@ let planted_caught_exhaustive ~flag ~cfg () =
           Alcotest.(check bool) "shrunk trace replays to the same failure" true
             (again.D.failure <> None))
 
-let planted_caught_pct_and_seed_replays ~flag ~cfg () =
-  with_planted_bug flag (fun () ->
-      let scenario = queue_scenario ~cfg mqueue_impl scripts in
+let test_planted_publish_bug_caught_pct_and_seed_replays () =
+  with_planted_bug (fun () ->
+      let scenario = queue_scenario mqueue_impl scripts in
       match (D.explore (D.Pct { runs = 100; seed = 7; change_points = 3 }) scenario).D.failure with
       | None -> Alcotest.fail "dropped flush not caught by 100 PCT runs"
       | Some f -> (
@@ -461,22 +450,7 @@ let planted_caught_pct_and_seed_replays ~flag ~cfg () =
               let replayed = D.explore (D.Replay f.D.trace) scenario in
               Alcotest.(check bool) "shrunk trace replays too" true (replayed.D.failure <> None)))
 
-let test_planted_bug_caught_exhaustive =
-  planted_caught_exhaustive ~flag:Montage.Persist_buffer.test_drop_first_drain_record
-    ~cfg:blocking_cfg
-
-let test_planted_bug_caught_pct_and_seed_replays =
-  planted_caught_pct_and_seed_replays ~flag:Montage.Persist_buffer.test_drop_first_drain_record
-    ~cfg:blocking_cfg
-
-let test_planted_publish_bug_caught_exhaustive =
-  planted_caught_exhaustive ~flag:Montage.Persist_buffer.test_drop_first_publish_record ~cfg:nb_cfg
-
-let test_planted_publish_bug_caught_pct_and_seed_replays =
-  planted_caught_pct_and_seed_replays ~flag:Montage.Persist_buffer.test_drop_first_publish_record
-    ~cfg:nb_cfg
-
-(* ---- nonblocking advance: racing helpers ---- *)
+(* ---- epoch advance: racing helpers ---- *)
 
 (* One writer through a 4-slot ring (every other enqueue overflows into
    a mid-op publication) with two helper fibers advancing concurrently:
@@ -484,7 +458,7 @@ let test_planted_publish_bug_caught_pct_and_seed_replays =
    while both helpers run the same tick's helping protocol, and a crash
    is branched at every scheduling point.  Durable linearizability must
    hold at every recovered state. *)
-let racing_cfg = { nb_cfg with Cfg.buffer_size = 4 }
+let racing_cfg = { sched_cfg with Cfg.buffer_size = 4 }
 let racing_scripts = [| [ Enq "a"; Enq "b"; Enq "c"; Deq ] |]
 
 let test_racing_helpers_exhaustive () =
@@ -530,16 +504,14 @@ let with_stall_rig f =
     ~finally:(fun () -> E.test_stall_in_drain := (fun () -> ()))
     (fun () -> f { arm = (fun () -> armed := true); stalled; released })
 
-(* Writer parked mid-drain *inside an open op* (the overflow
-   publication of its third pnew, records collected but not yet
+(* Writer parked mid-flush *inside an open op* (the full-ring
+   publication of its third pnew, records published but not yet
    fenced); the peer performs one full epoch advance and only then
-   releases the writer.  Nonblocking arm: the advance claims and
-   flushes the parked writer's records itself and completes — the
-   schedule runs to the end.  Blocking arm: the advance spins on the
-   writer's [draining] flag while the writer waits for [released] —
-   Dsched must report the wait cycle as a deadlock. *)
-let stalled_writer_scenario rig cfg =
-  let cfg = { cfg with Cfg.max_threads = 2; buffer_size = 2 } in
+   releases the writer.  The advance claims and flushes the parked
+   writer's records itself and completes — the schedule runs to the
+   end. *)
+let stalled_writer_scenario rig =
+  let cfg = { sched_cfg with Cfg.max_threads = 2; buffer_size = 2 } in
   {
     D.init =
       (fun () ->
@@ -554,7 +526,7 @@ let stalled_writer_scenario rig cfg =
           ignore (E.pnew esys ~tid:0 (Bytes.make 16 'a'));
           ignore (E.pnew esys ~tid:0 (Bytes.make 16 'b'));
           rig.arm ();
-          (* third record overflows the 2-slot ring: the drain parks
+          (* third record finds the 2-slot ring full: the flush parks
              under the hook with both records still unfenced *)
           ignore (E.pnew esys ~tid:0 (Bytes.make 16 'c'));
           E.end_op esys ~tid:0);
@@ -567,44 +539,25 @@ let stalled_writer_scenario rig cfg =
     check_done = Some (fun esys -> E.advance_count esys = 1);
   }
 
-let test_nb_advance_completes_past_stalled_writer () =
+let test_advance_completes_past_stalled_writer () =
   with_stall_rig (fun rig ->
       let r =
         D.explore
           (exhaustive ~preemptions:2 ~max_attempts:100_000 ~crashes:false ())
-          (stalled_writer_scenario rig nb_cfg)
+          (stalled_writer_scenario rig)
       in
       (match r.D.failure with
       | Some f -> Alcotest.fail ("nb advance stalled: " ^ D.failure_to_string f)
       | None -> ());
       Alcotest.(check bool) "schedules explored" true (r.D.schedules > 0))
 
-let test_blocking_advance_stalls_on_stalled_writer () =
-  with_stall_rig (fun rig ->
-      match
-        (D.explore
-           (exhaustive ~preemptions:2 ~max_attempts:100_000 ~crashes:false ())
-           (stalled_writer_scenario rig blocking_cfg))
-          .D.failure
-      with
-      | Some f ->
-          Alcotest.(check bool)
-            ("blocking arm should deadlock, got: " ^ f.D.reason)
-            true
-            (String.length f.D.reason >= 8 && String.sub f.D.reason 0 8 = "deadlock")
-      | None -> Alcotest.fail "blocking advance did not stall on the parked drain")
-
 (* Sync wait-freedom: the victim completes its op and parks inside its
-   END_OP drain (records published, not yet fenced).  Under the
-   nonblocking arm the victim has already unregistered, so a peer's
-   [sync] never waits on it — it claims the victim's records, performs
-   both ticks, and the durable frontier covers the victim's completed
-   op.  Under the blocking arm END_OP drains before unregistering while
-   holding [draining], so the same schedule is a deadlock. *)
-let stalled_end_op_scenario rig cfg =
-  let cfg =
-    { cfg with Cfg.max_threads = 2; buffer_size = 16; drain_on_end_op = true }
-  in
+   END_OP flush (records published, not yet fenced).  The victim has
+   already unregistered, so a peer's [sync] never waits on it — it
+   claims the victim's records, performs both ticks, and the durable
+   frontier covers the victim's completed op. *)
+let stalled_end_op_scenario rig =
+  let cfg = { sched_cfg with Cfg.max_threads = 2; buffer_size = 16; drain_on_end_op = true } in
   let op_epoch = ref 0 in
   {
     D.init =
@@ -636,32 +589,17 @@ let stalled_end_op_scenario rig cfg =
           E.advance_count esys = 2 && E.persisted_epoch esys >= !op_epoch);
   }
 
-let test_nb_sync_wait_free_past_stalled_end_op () =
+let test_sync_wait_free_past_stalled_end_op () =
   with_stall_rig (fun rig ->
       let r =
         D.explore
           (exhaustive ~preemptions:2 ~max_attempts:100_000 ~crashes:false ())
-          (stalled_end_op_scenario rig nb_cfg)
+          (stalled_end_op_scenario rig)
       in
       (match r.D.failure with
       | Some f -> Alcotest.fail ("nb sync stalled: " ^ D.failure_to_string f)
       | None -> ());
       Alcotest.(check bool) "schedules explored" true (r.D.schedules > 0))
-
-let test_blocking_sync_stalls_on_stalled_end_op () =
-  with_stall_rig (fun rig ->
-      match
-        (D.explore
-           (exhaustive ~preemptions:2 ~max_attempts:100_000 ~crashes:false ())
-           (stalled_end_op_scenario rig blocking_cfg))
-          .D.failure
-      with
-      | Some f ->
-          Alcotest.(check bool)
-            ("blocking arm should deadlock, got: " ^ f.D.reason)
-            true
-            (String.length f.D.reason >= 8 && String.sub f.D.reason 0 8 = "deadlock")
-      | None -> Alcotest.fail "blocking sync did not stall on the parked END_OP drain")
 
 (* ---- Workers-mode reclamation: the scrub-window stall ---- *)
 
@@ -728,7 +666,7 @@ let scrub_window_scenario ~armed ~stalled ~released () =
         {
           mregion = region;
           mesys = esys;
-          map = Pstructs.Mhashmap.create esys;
+          map = Pstructs.Mhashmap.create ~buckets:16 esys;
           mhist = ref [];
           minflight = ref None;
         });
@@ -760,10 +698,8 @@ let scrub_window_scenario ~armed ~stalled ~released () =
           match E.recover ~config:workers_cfg st.mregion with
           | exception _ -> false
           | esys2, payloads ->
-              let recovered =
-                List.sort compare
-                  (Pstructs.Mhashmap.to_alist (Pstructs.Mhashmap.recover esys2 payloads) ~tid:0)
-              in
+              let m2 = Pstructs.Mhashmap.recover ~buckets:16 esys2 payloads in
+              let recovered = List.sort compare (Pstructs.Mhashmap.to_alist m2 ~tid:0) in
               let cutoff = E.current_epoch esys2 - 2 in
               let obs =
                 [|
@@ -916,10 +852,6 @@ let () =
             test_mqueue_exhaustive_with_crashes;
           Alcotest.test_case "nb_queue exhaustive + crash at every point" `Quick
             test_nb_queue_exhaustive_with_crashes;
-          Alcotest.test_case "planted flush-drop caught (exhaustive)" `Quick
-            test_planted_bug_caught_exhaustive;
-          Alcotest.test_case "planted flush-drop caught (PCT + seed replay)" `Quick
-            test_planted_bug_caught_pct_and_seed_replays;
           Alcotest.test_case "env-selected sweep (CI leg)" `Quick test_env_mode_sweep;
         ] );
       ( "nb-advance",
@@ -932,13 +864,9 @@ let () =
           Alcotest.test_case "planted publish-drop caught (PCT + seed replay)" `Quick
             test_planted_publish_bug_caught_pct_and_seed_replays;
           Alcotest.test_case "nb advance completes past stalled writer" `Quick
-            test_nb_advance_completes_past_stalled_writer;
-          Alcotest.test_case "blocking advance stalls on stalled writer" `Quick
-            test_blocking_advance_stalls_on_stalled_writer;
+            test_advance_completes_past_stalled_writer;
           Alcotest.test_case "nb sync wait-free past stalled END_OP" `Quick
-            test_nb_sync_wait_free_past_stalled_end_op;
-          Alcotest.test_case "blocking sync stalls on stalled END_OP" `Quick
-            test_blocking_sync_stalls_on_stalled_end_op;
+            test_sync_wait_free_past_stalled_end_op;
         ] );
       ( "workers-reclaim",
         [

@@ -5,7 +5,7 @@
    ops, crash recovery (tombstones, superseded chains, pinned
    retirees, parallel decode, adversarial write-back injection), a
    Pcheck crash matrix, and Dsched exhaustive + PCT legs racing
-   writers against a snapshotter on both advance arms. *)
+   writers against a snapshotter. *)
 
 module E = Montage.Epoch_sys
 module Cfg = Montage.Config
@@ -576,7 +576,7 @@ let test_crash_matrix_unsynced_tail_consistent () =
   Alcotest.(check bool) "states explored" true (report.P.states > 0);
   Alcotest.(check int) "every crash state recovers consistently" 0 report.P.failures
 
-(* ---- Dsched: racing writers and a snapshotter, both advance arms ---- *)
+(* ---- Dsched: racing writers and a snapshotter ---- *)
 
 let sched_cfg =
   {
@@ -586,9 +586,6 @@ let sched_cfg =
     mirror_max_bytes = 0;
     buffer_size = 16;
   }
-
-let blocking_cfg = { sched_cfg with Cfg.nb_advance = false }
-let nb_cfg = { sched_cfg with Cfg.nb_advance = true }
 
 type wop = Wput of string * string | Wremove of string | Wget of string
 
@@ -613,7 +610,7 @@ let dlin_spec =
    view twice, and releases (driving reclamation through the scheduler).
    After every op each fiber records (op, result, epoch) and advances
    the epoch, so crash branches cut through every buffering stage. *)
-let mhamt_scenario ?(cfg = sched_cfg) scripts view_keys =
+let mhamt_scenario scripts view_keys =
   let n = Array.length scripts in
   let total = n + 1 in
   let op_threads =
@@ -658,7 +655,7 @@ let mhamt_scenario ?(cfg = sched_cfg) scripts view_keys =
         let region =
           R.create ~latency:Nvm.Latency.zero ~max_threads:(total + 2) ~capacity:(1 lsl 18) ()
         in
-        let esys = E.create ~config:{ cfg with Cfg.max_threads = total } region in
+        let esys = E.create ~config:{ sched_cfg with Cfg.max_threads = total } region in
         {
           region;
           esys;
@@ -671,7 +668,7 @@ let mhamt_scenario ?(cfg = sched_cfg) scripts view_keys =
       Some
         (fun st ->
           R.crash st.region;
-          match E.recover ~config:{ cfg with Cfg.max_threads = total } st.region with
+          match E.recover ~config:{ sched_cfg with Cfg.max_threads = total } st.region with
           | exception _ -> false
           | esys2, payloads ->
               let recovered = List.sort compare (M.to_alist (M.recover esys2 payloads) ~tid:0) in
@@ -716,11 +713,7 @@ let check_report name r =
 
 let test_dsched_exhaustive_nb () =
   check_report "mhamt nb arm"
-    (D.explore (exhaustive ()) (mhamt_scenario ~cfg:nb_cfg wscripts vkeys))
-
-let test_dsched_exhaustive_blocking () =
-  check_report "mhamt blocking arm"
-    (D.explore (exhaustive ()) (mhamt_scenario ~cfg:blocking_cfg wscripts vkeys))
+    (D.explore (exhaustive ()) (mhamt_scenario wscripts vkeys))
 
 (* The CI leg: MONTAGE_SCHED=random MONTAGE_SCHED_RUNS=N sweeps this
    scenario with seeded PCT; without the env a modest PCT pass runs. *)
@@ -730,12 +723,9 @@ let test_dsched_env_mode_sweep () =
     | Some m -> m
     | None -> D.Pct { runs = 50; seed = 20260809; change_points = 3 }
   in
-  List.iter
-    (fun (name, cfg) ->
-      match D.explore mode (mhamt_scenario ~cfg wscripts vkeys) with
-      | { D.failure = Some f; _ } -> Alcotest.fail (name ^ ": " ^ D.failure_to_string f)
-      | _ -> ())
-    [ ("nb", nb_cfg); ("blocking", blocking_cfg) ]
+  match D.explore mode (mhamt_scenario wscripts vkeys) with
+  | { D.failure = Some f; _ } -> Alcotest.fail (D.failure_to_string f)
+  | _ -> ()
 
 let () =
   Alcotest.run "mhamt"
@@ -781,7 +771,6 @@ let () =
       ( "dsched",
         [
           Alcotest.test_case "exhaustive, nb arm" `Slow test_dsched_exhaustive_nb;
-          Alcotest.test_case "exhaustive, blocking arm" `Slow test_dsched_exhaustive_blocking;
           Alcotest.test_case "env-mode sweep" `Quick test_dsched_env_mode_sweep;
         ] );
     ]

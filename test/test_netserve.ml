@@ -16,11 +16,8 @@ let buckets = 256
 (* A Montage-backed server on port 0 with a fast poll tick.  Returns
    the region/esys so tests can crash and recover the image.  [poller]
    pins the readiness backend; omitted, the env default rules. *)
-let start_montage ?(workers = 4) ?nb ?poller ?(config_mod = fun c -> c) () =
+let start_montage ?(workers = 4) ?poller ?(config_mod = fun c -> c) () =
   let ecfg = testing_cfg workers in
-  (* [nb] pins the epoch-advance arm; omitted, the env default rules
-     (the CI matrix covers both via MONTAGE_NB_ADVANCE) *)
-  let ecfg = match nb with None -> ecfg | Some nb -> { ecfg with Cfg.nb_advance = nb } in
   let region =
     Nvm.Region.create ~latency:Nvm.Latency.zero ~max_threads:(workers + 4)
       ~capacity:(1 lsl 25) ()
@@ -287,8 +284,8 @@ let test_drain_serves_inflight kind () =
 
 (* ---- acked STORED keys survive shutdown + crash ---- *)
 
-let test_acked_keys_survive_crash ~nb ?poller () =
-  let region, esys, t = start_montage ~nb ?poller () in
+let test_acked_keys_survive_crash ?poller () =
+  let region, esys, t = start_montage ?poller () in
   let port = Netserve.port t in
   let clients = 4 and keys_per_client = 25 in
   let run_client cid =
@@ -320,9 +317,7 @@ let test_acked_keys_survive_crash ~nb ?poller () =
   E.stop_background esys;
   (* power failure after the graceful shutdown *)
   Nvm.Region.crash region;
-  let esys2, payloads =
-    E.recover ~config:{ (testing_cfg 4) with Cfg.nb_advance = nb } region
-  in
+  let esys2, payloads = E.recover ~config:(testing_cfg 4) region in
   let map2 = Pstructs.Mhashmap.recover ~buckets esys2 payloads in
   let store2 = Kvstore.Store.create (Kvstore.Store.of_mhashmap map2) in
   let missing = ref [] in
@@ -517,13 +512,11 @@ let () =
             Alcotest.test_case
               (Printf.sprintf "acked keys survive shutdown + crash (%s poller)" name)
               `Quick
-              (test_acked_keys_survive_crash ~nb:true ~poller:k))
+              (test_acked_keys_survive_crash ~poller:k))
           kinds
         @ [
             Alcotest.test_case "acked keys survive shutdown + crash (nb advance)" `Quick
-              (test_acked_keys_survive_crash ~nb:true);
-            Alcotest.test_case "acked keys survive shutdown + crash (blocking advance)" `Quick
-              (test_acked_keys_survive_crash ~nb:false);
+              (test_acked_keys_survive_crash ?poller:None);
             Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
           ] );
       ( "client",

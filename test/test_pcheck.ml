@@ -291,13 +291,13 @@ let test_montage_map_clean_under_enforce () =
   | None -> Alcotest.fail "testing config should have attached a checker"
   | Some c -> Alcotest.(check int) "no violations" 0 (List.length (P.violations c))
 
-(* Nonblocking advance: a helper thread publishes the owner's ring.
+(* Helping advance: a helper thread publishes the owner's ring.
    The two-epoch durability obligation ([Epoch_retired_unflushed])
    tracks the line, not the thread — write-backs performed by the
    helping advancer on the owner's behalf must satisfy it, with no
    false violation and the owner's data durable after the tick. *)
 let test_helper_persists_for_owner_clean () =
-  let cfg = { testing_cfg with Cfg.nb_advance = true; drain_on_end_op = false } in
+  let cfg = { testing_cfg with Cfg.drain_on_end_op = false } in
   let region = R.create ~latency:Nvm.Latency.zero ~max_threads:8 ~capacity:(1 lsl 22) () in
   let esys = E.create ~config:cfg region in
   let m = Pstructs.Mhashmap.create ~buckets:16 esys in

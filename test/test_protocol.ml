@@ -340,10 +340,8 @@ let prop_reply_bytes (name, mk) =
    recovery returned (nothing, an older acked value, or a value never
    acked), the epoch of the payload it recovered from, and the clock at
    the sync and at the crash. *)
-let test_ycsb_durability ~nb_advance () =
-  let cfg =
-    { testing_cfg with max_threads = 2; auto_advance = true; nb_advance; epoch_length_ns = 1_000_000 }
-  in
+let test_ycsb_durability () =
+  let cfg = { testing_cfg with max_threads = 2; auto_advance = true; epoch_length_ns = 1_000_000 } in
   let region = Nvm.Region.create ~latency:Nvm.Latency.zero ~max_threads:5 ~capacity:(1 lsl 24) () in
   let esys = E.create ~config:cfg region in
   let c = P.create (Store.create (Store.of_mhashmap (Pstructs.Mhashmap.create ~buckets:1024 esys))) ~tid:0 in
@@ -819,9 +817,6 @@ let () =
         [
           Alcotest.test_case "session across crash" `Quick test_protocol_over_montage_with_crash;
           Alcotest.test_case "ycsb-a loop: acked sets survive sync + crash (nb advance)" `Quick
-            (test_ycsb_durability ~nb_advance:true);
-          Alcotest.test_case "ycsb-a loop: acked sets survive sync + crash (blocking advance)"
-            `Quick
-            (test_ycsb_durability ~nb_advance:false);
+            test_ycsb_durability;
         ] );
     ]

@@ -3,6 +3,7 @@
    header codec, and the typed payload codecs. *)
 
 module PB = Montage.Persist_buffer
+module E = Montage.Epoch_sys
 module T = Montage.Tracker
 module M = Montage.Mindicator
 module H = Montage.Payload_hdr
@@ -10,37 +11,54 @@ module P = Montage.Payload
 
 (* ---- persist buffer ---- *)
 
+(* Every record the ring holds, oldest first, with the stop index for
+   [retire_upto]. *)
+let published b =
+  let acc = ref [] in
+  let stop = PB.publish b (fun off len -> acc := (off, len) :: !acc) in
+  (List.rev !acc, stop)
+
 let test_pb_fifo () =
   let b = PB.create ~capacity:8 in
   Alcotest.(check bool) "empty" true (PB.is_empty b);
-  PB.push b ~flush:(fun _ _ -> Alcotest.fail "no overflow expected") ~off:64 ~len:10;
-  PB.push b ~flush:(fun _ _ -> Alcotest.fail "no overflow expected") ~off:128 ~len:20;
-  Alcotest.(check (option (pair int int))) "first" (Some (64, 10)) (PB.pop b);
-  Alcotest.(check (option (pair int int))) "second" (Some (128, 20)) (PB.pop b);
-  Alcotest.(check (option (pair int int))) "drained" None (PB.pop b)
+  PB.push b ~off:64 ~len:10;
+  PB.push b ~off:128 ~len:20;
+  let recs, stop = published b in
+  Alcotest.(check (list (pair int int))) "push order" [ (64, 10); (128, 20) ] recs;
+  Alcotest.(check bool) "publish consumes nothing" false (PB.is_empty b);
+  PB.retire_upto b ~upto:stop;
+  Alcotest.(check bool) "retired" true (PB.is_empty b)
 
+(* The owner flushes a full ring before its next push: with a 4-slot
+   ring the fifth pnew writes the first four payloads back and fences
+   them — on media with no epoch advance — while the fifth stays
+   buffered. *)
 let test_pb_overflow_flushes_oldest () =
-  let b = PB.create ~capacity:4 in
-  let flushed = ref [] in
-  let flush off len = flushed := (off, len) :: !flushed in
-  for i = 1 to 4 do
-    PB.push b ~flush ~off:(i * 64) ~len:i
-  done;
-  Alcotest.(check (list (pair int int))) "no overflow yet" [] !flushed;
-  PB.push b ~flush ~off:320 ~len:5;
-  Alcotest.(check (list (pair int int))) "oldest written back" [ (64, 1) ] !flushed;
-  (* remaining entries still pop in order *)
-  Alcotest.(check (option (pair int int))) "next oldest" (Some (128, 2)) (PB.pop b)
+  let region = Nvm.Region.create ~latency:Nvm.Latency.zero ~max_threads:2 ~capacity:(1 lsl 20) () in
+  let esys = E.create ~config:{ Montage.Config.testing with max_threads = 1; buffer_size = 4 } region in
+  let ps =
+    E.with_op esys ~tid:0 (fun () ->
+        List.init 5 (fun i -> E.pnew esys ~tid:0 (Bytes.make 8 (Char.chr (Char.code 'a' + i)))))
+  in
+  let media = Nvm.Region.media_image region in
+  let on_media (p : E.pblk) = Bytes.sub_string media (H.content_off p.off) 8 in
+  List.iteri
+    (fun i p ->
+      let want = if i < 4 then String.make 8 (Char.chr (Char.code 'a' + i)) else String.make 8 '\000' in
+      Alcotest.(check string) (Printf.sprintf "payload %d on media" i) want (on_media p))
+    ps;
+  Alcotest.(check int) "no epoch advance" 0 (E.advance_count esys)
 
 let test_pb_oversized_range_rejected () =
   (* lengths beyond the 14-bit packed field must raise, not silently
      truncate into a corrupt entry *)
   let b = PB.create ~capacity:8 in
-  PB.push b ~flush:(fun _ _ -> ()) ~off:64 ~len:PB.max_len;
-  Alcotest.(check (option (pair int int))) "max length packs exactly" (Some (64, PB.max_len))
-    (PB.pop b);
+  PB.push b ~off:64 ~len:PB.max_len;
+  let recs, stop = published b in
+  Alcotest.(check (list (pair int int))) "max length packs exactly" [ (64, PB.max_len) ] recs;
+  PB.retire_upto b ~upto:stop;
   let check_raises len =
-    match PB.push b ~flush:(fun _ _ -> ()) ~off:64 ~len with
+    match PB.push b ~off:64 ~len with
     | () -> Alcotest.failf "push accepted len %d" len
     | exception Invalid_argument _ -> ()
   in
@@ -51,36 +69,41 @@ let test_pb_oversized_range_rejected () =
 let test_pb_drain () =
   let b = PB.create ~capacity:16 in
   for i = 1 to 10 do
-    PB.push b ~flush:(fun _ _ -> ()) ~off:(i * 64) ~len:i
+    PB.push b ~off:(i * 64) ~len:i
   done;
-  let seen = ref 0 in
-  PB.drain b (fun _ _ -> incr seen);
-  Alcotest.(check int) "all entries" 10 !seen;
-  Alcotest.(check bool) "empty after drain" true (PB.is_empty b)
+  let recs, stop = published b in
+  Alcotest.(check int) "all entries" 10 (List.length recs);
+  PB.retire_upto b ~upto:stop;
+  Alcotest.(check bool) "empty after publish + retire" true (PB.is_empty b)
 
 let test_pb_concurrent_consumer () =
-  (* producer pushes while a consumer drains: every entry is seen
-     exactly once across consumer pops and overflow flushes *)
+  (* producer pushes while a consumer publishes and retires; the
+     producer publishes its own full ring the same way.  Every entry is
+     published by at least one of them: the head passes a record only
+     through a retire that follows a publication covering it *)
   let b = PB.create ~capacity:8 in
   let total = 20_000 in
-  let consumed = Atomic.make 0 in
-  let flushed = Atomic.make 0 in
+  let finished = Atomic.make false in
+  let mark seen off _ = seen.((off / 64) - 1) <- true in
   let consumer =
     Domain.spawn (fun () ->
-        let running = ref true in
-        while !running do
-          match PB.pop b with
-          | Some _ -> ignore (Atomic.fetch_and_add consumed 1)
-          | None -> if Atomic.get consumed + Atomic.get flushed >= total then running := false
-        done)
+        let seen = Array.make total false in
+        while not (Atomic.get finished) do
+          PB.retire_upto b ~upto:(PB.publish b (mark seen))
+        done;
+        seen)
   in
+  let own = Array.make total false in
   for i = 1 to total do
-    PB.push b ~flush:(fun _ _ -> ignore (Atomic.fetch_and_add flushed 1)) ~off:(i * 64) ~len:1
+    if PB.is_full b then PB.retire_upto b ~upto:(PB.publish b (mark own));
+    PB.push b ~off:(i * 64) ~len:1
   done;
-  (* drain the tail ourselves so the consumer can terminate *)
-  PB.drain b (fun _ _ -> ignore (Atomic.fetch_and_add consumed 1));
-  Domain.join consumer;
-  Alcotest.(check int) "exactly once" total (Atomic.get consumed + Atomic.get flushed)
+  PB.retire_upto b ~upto:(PB.publish b (mark own));
+  Atomic.set finished true;
+  let theirs = Domain.join consumer in
+  Alcotest.(check bool) "empty" true (PB.is_empty b);
+  Alcotest.(check int) "every entry published" total
+    (List.length (List.filter Fun.id (List.init total (fun i -> own.(i) || theirs.(i)))))
 
 (* ---- tracker ---- *)
 
