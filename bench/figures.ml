@@ -552,14 +552,25 @@ let ablations () =
 
 (* One recovery: its time (epoch scan + index rebuild), then the first
    Store-level get after it, and the charged NVM lines the index
-   rebuild read per record. *)
-type recovery_point = { seconds : float; first_get_us : float; lines_per_record : float }
+   rebuild read per record.  [checked] is set on the 1-thread point
+   only: whether an untimed recovery of the same image under the
+   enforcing checker gave the same map. *)
+type recovery_point = {
+  seconds : float;
+  first_get_us : float;
+  lines_per_record : float;
+  checked : bool option;
+}
 
 let recovery_table () =
   R.heading "§6.4: hashmap recovery time vs data-set size";
   let value_size = 1024 in
   let value = make_value value_size in
-  let config = { Cfg.testing with max_threads = 6 } in
+  (* the image is built, and checked once per size, under the enforcing
+     checker; the timed points run as recover_cold does, with none *)
+  let checked_config = { Cfg.testing with max_threads = 6 } in
+  let config = { checked_config with pcheck = Cfg.Pcheck_off } in
+  let buckets = 1 lsl 15 in
   let items mb = mb * 1024 * 1024 / value_size in
   (* YCSB's 23-byte keys: each key fits its payload's first NVM line *)
   let key = Kvstore.Ycsb.key_of_record in
@@ -574,13 +585,12 @@ let recovery_table () =
     | _ ->
         image := None;
         let esys, r =
-          Systems.montage ~cfg_mod:(fun _ -> config)
+          Systems.montage ~cfg_mod:(fun _ -> checked_config)
             ~capacity:(Systems.map_capacity ~preload:(items mb) ~value_size)
             ~threads:4 ()
         in
         let store =
-          Kvstore.Store.create
-            (Kvstore.Store.of_mhashmap (Pstructs.Mhashmap.create ~buckets:(1 lsl 15) esys))
+          Kvstore.Store.create (Kvstore.Store.of_mhashmap (Pstructs.Mhashmap.create ~buckets esys))
         in
         for i = 0 to items mb - 1 do
           Kvstore.Store.set store ~tid:0 (key i) value
@@ -590,15 +600,23 @@ let recovery_table () =
         let img = Nvm.Region.media_image r
         and latency = Nvm.Region.latency r
         and max_threads = Nvm.Region.max_threads r in
-        let fresh () =
-          let r = Nvm.Region.of_image ~latency ~max_threads img in
-          (* the checker [config] asks [E.recover] for, attached here so
-             building its per-line tables is not timed *)
-          ignore (Nvm.Region.enable_pcheck ~mode:Nvm.Pcheck.Enforce r);
-          r
-        in
+        let fresh () = Nvm.Region.of_image ~latency ~max_threads img in
         image := Some (mb, fresh);
         fresh
+  in
+  (* untimed: [E.recover] attaches the enforcing checker, so a
+     persistency violation in the scan raises; the rebuilt map must
+     hold what the timed one holds on 64 evenly spaced keys *)
+  let checked_agrees mb timed =
+    let esys, payloads = E.recover ~config:checked_config (crash_image mb ()) in
+    let map = Pstructs.Mhashmap.recover ~buckets esys payloads in
+    Pstructs.Mhashmap.size map = Pstructs.Mhashmap.size timed
+    && List.for_all
+         (fun j ->
+           let k = key (j * items mb / 64) in
+           let v = Pstructs.Mhashmap.get timed ~tid:0 k in
+           v <> None && Pstructs.Mhashmap.get map ~tid:0 k = v)
+         (List.init 64 Fun.id)
   in
   let rows = List.map (fun mb -> (Printf.sprintf "%d MB (%d items)" mb (items mb), mb)) Env.recovery_sizes_mb in
   let columns = List.map (fun t -> (Printf.sprintf "%dthr" t, t)) [ 1; min 4 Env.max_threads ] in
@@ -610,7 +628,7 @@ let recovery_table () =
           Benchlib.Runner.time (fun () ->
               let esys2, payloads = E.recover ~config ~threads r in
               let before = lines_read () in
-              let map = Pstructs.Mhashmap.recover ~buckets:(1 lsl 15) ~threads esys2 payloads in
+              let map = Pstructs.Mhashmap.recover ~buckets ~threads esys2 payloads in
               (map, lines_read () - before))
         in
         let store = Kvstore.Store.create (Kvstore.Store.of_mhashmap map) in
@@ -622,6 +640,7 @@ let recovery_table () =
           seconds;
           first_get_us = first_get *. 1e6;
           lines_per_record = float_of_int lines /. float_of_int (items mb);
+          checked = (if threads = 1 then Some (checked_agrees mb map) else None);
         })
   in
   (* a row: the recovery time per thread count, then the first get and
@@ -643,7 +662,9 @@ let recovery_table () =
       List.for_all
         (fun (row, _) ->
           List.for_all (fun i -> (R.at pts row i).lines_per_record = 1.0) [ 0; 1 ])
-        rows)
+        rows);
+  R.check ~claim:"recovery under the enforcing checker agrees with the timed recovery" (fun () ->
+      List.for_all (fun (row, _) -> (R.at pts row 0).checked = Some true) rows)
 
 (* ---- write-back coalescing accounting ---- *)
 

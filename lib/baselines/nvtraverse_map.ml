@@ -20,25 +20,31 @@
 
 type node = { key : string; block : int; vlen : int; mutable next : node option }
 
-type bucket = { lock : Util.Spin_lock.t; mutable head : node option }
-
-type t = { pm : Pmem.t; buckets : bucket array; size : int Atomic.t }
+(* Mhashmap's bucket shape: chain [i] is [heads.(i)], guarded by one
+   of [Transient_map.stripes] striped locks. *)
+type t = {
+  pm : Pmem.t;
+  heads : node option array;
+  locks : Util.Spin_lock.table;
+  size : int Atomic.t;
+}
 
 let create ?(buckets = 1 lsl 16) pm =
   {
     pm;
-    buckets = Array.init buckets (fun _ -> { lock = Util.Spin_lock.create (); head = None });
+    heads = Array.make buckets None;
+    locks = Util.Spin_lock.table ~stripes:Transient_map.stripes ~slots:buckets;
     size = Atomic.make 0;
   }
 
-let bucket_of t key = t.buckets.(Hashtbl.hash key land (Array.length t.buckets - 1))
+let index t key = Hashtbl.hash key land (Array.length t.heads - 1)
 let size t = Atomic.get t.size
 
 let node_block_len n = 4 + String.length n.key + n.vlen
 
 let get t ~tid key =
-  let b = bucket_of t key in
-  Util.Spin_lock.with_lock b.lock (fun () ->
+  let i = index t key in
+  Util.Spin_lock.with_lock (Util.Spin_lock.stripe t.locks i) (fun () ->
       let rec find = function
         | None -> None
         | Some n when String.equal n.key key ->
@@ -50,11 +56,11 @@ let get t ~tid key =
             Some (Pmem.read_block t.pm ~off:n.block)
         | Some n -> find n.next
       in
-      find b.head)
+      find t.heads.(i))
 
 let put t ~tid key value =
-  let b = bucket_of t key in
-  Util.Spin_lock.with_lock b.lock (fun () ->
+  let i = index t key in
+  Util.Spin_lock.with_lock (Util.Spin_lock.stripe t.locks i) (fun () ->
       let rec walk prev curr =
         match curr with
         | Some n when String.equal n.key key ->
@@ -67,7 +73,7 @@ let put t ~tid key value =
             Pmem.expect_fenced t.pm ~what:"nvtraverse_map.put: updated value durable before link"
               ~off:block ~len:(4 + String.length value);
             let fresh = { key; block; vlen = String.length value; next = n.next } in
-            (match prev with None -> b.head <- Some fresh | Some p -> p.next <- Some fresh);
+            (match prev with None -> t.heads.(i) <- Some fresh | Some p -> p.next <- Some fresh);
             Some old
         | Some n when n.key > key -> insert prev curr
         | Some n -> walk (Some n) n.next
@@ -82,15 +88,15 @@ let put t ~tid key value =
         Pmem.expect_fenced t.pm ~what:"nvtraverse_map.put: new node durable before link"
           ~off:block ~len:(4 + String.length value);
         let fresh = { key; block; vlen = String.length value; next = curr } in
-        (match prev with None -> b.head <- Some fresh | Some p -> p.next <- Some fresh);
+        (match prev with None -> t.heads.(i) <- Some fresh | Some p -> p.next <- Some fresh);
         Atomic.incr t.size;
         None
       in
-      walk None b.head)
+      walk None t.heads.(i))
 
 let remove t ~tid key =
-  let b = bucket_of t key in
-  Util.Spin_lock.with_lock b.lock (fun () ->
+  let i = index t key in
+  Util.Spin_lock.with_lock (Util.Spin_lock.stripe t.locks i) (fun () ->
       let rec walk prev curr =
         match curr with
         | Some n when String.equal n.key key ->
@@ -102,11 +108,11 @@ let remove t ~tid key =
             Pmem.expect_fenced t.pm ~what:"nvtraverse_map.remove: victim durable before unlink"
               ~off:n.block ~len:(node_block_len n);
             Pmem.free t.pm ~tid n.block;
-            (match prev with None -> b.head <- n.next | Some p -> p.next <- n.next);
+            (match prev with None -> t.heads.(i) <- n.next | Some p -> p.next <- n.next);
             Atomic.decr t.size;
             Some old
         | Some n when n.key > key -> None
         | Some n -> walk (Some n) n.next
         | None -> None
       in
-      walk None b.head)
+      walk None t.heads.(i))

@@ -78,21 +78,12 @@ let checkpoint t ~tid =
   Util.Spin_lock.with_lock t.ckpt_lock (fun () ->
       let region = Pmem.region t.pm in
       let buf = Buffer.create 4096 in
-      Array.iter
-        (fun b ->
-          Util.Spin_lock.with_lock b.Transient_map.lock (fun () ->
-              let rec chain = function
-                | None -> ()
-                | Some n ->
-                    let v = n.Transient_map.value in
-                    Buffer.add_int32_le buf (Int32.of_int (String.length n.Transient_map.key));
-                    Buffer.add_string buf n.Transient_map.key;
-                    Buffer.add_int32_le buf (Int32.of_int (String.length v));
-                    Buffer.add_string buf v;
-                    chain n.Transient_map.next
-              in
-              chain b.Transient_map.head))
-        (Transient_map.buckets_of t.map);
+      Transient_map.iter t.map (fun n ->
+          let v = n.Transient_map.value in
+          Buffer.add_int32_le buf (Int32.of_int (String.length n.Transient_map.key));
+          Buffer.add_string buf n.Transient_map.key;
+          Buffer.add_int32_le buf (Int32.of_int (String.length v));
+          Buffer.add_string buf v);
       let data = Buffer.contents buf in
       if 16 + String.length data > t.ckpt_capacity then
         (failwith "Pronto: checkpoint area full" [@montage.allow "R4: simulated-capacity limit of the baseline; intentionally fatal so a benchmark misconfiguration cannot masquerade as a result"]);

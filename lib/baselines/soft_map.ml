@@ -21,18 +21,24 @@ type node = {
   mutable next : node option;
 }
 
-type bucket = { lock : Util.Spin_lock.t; mutable head : node option }
-
-type t = { pm : Pmem.t; buckets : bucket array; size : int Atomic.t }
+(* Mhashmap's bucket shape: chain [i] is [heads.(i)], guarded by one
+   of [Transient_map.stripes] striped locks. *)
+type t = {
+  pm : Pmem.t;
+  heads : node option array;
+  locks : Util.Spin_lock.table;
+  size : int Atomic.t;
+}
 
 let create ?(buckets = 1 lsl 16) pm =
   {
     pm;
-    buckets = Array.init buckets (fun _ -> { lock = Util.Spin_lock.create (); head = None });
+    heads = Array.make buckets None;
+    locks = Util.Spin_lock.table ~stripes:Transient_map.stripes ~slots:buckets;
     size = Atomic.make 0;
   }
 
-let bucket_of t key = t.buckets.(Hashtbl.hash key land (Array.length t.buckets - 1))
+let index t key = Hashtbl.hash key land (Array.length t.heads - 1)
 let size t = Atomic.get t.size
 
 let write_pnode t ~tid ~key ~value =
@@ -50,35 +56,35 @@ let write_pnode t ~tid ~key ~value =
 
 (* Reads are pure DRAM. *)
 let get t ~tid:_ key =
-  let b = bucket_of t key in
-  Util.Spin_lock.with_lock b.lock (fun () ->
+  let i = index t key in
+  Util.Spin_lock.with_lock (Util.Spin_lock.stripe t.locks i) (fun () ->
       let rec find = function
         | None -> None
         | Some n when String.equal n.key key -> Some n.value
         | Some n -> find n.next
       in
-      find b.head)
+      find t.heads.(i))
 
 (* Insert-if-absent; [false] when the key exists (no atomic update). *)
 let put t ~tid key value =
-  let b = bucket_of t key in
-  Util.Spin_lock.with_lock b.lock (fun () ->
+  let i = index t key in
+  Util.Spin_lock.with_lock (Util.Spin_lock.stripe t.locks i) (fun () ->
       let rec present = function
         | None -> false
         | Some n when String.equal n.key key -> true
         | Some n -> present n.next
       in
-      if present b.head then false
+      if present t.heads.(i) then false
       else begin
         let pnode = write_pnode t ~tid ~key ~value in
-        b.head <- Some { key; value; pnode; next = b.head };
+        t.heads.(i) <- Some { key; value; pnode; next = t.heads.(i) };
         Atomic.incr t.size;
         true
       end)
 
 let remove t ~tid key =
-  let b = bucket_of t key in
-  Util.Spin_lock.with_lock b.lock (fun () ->
+  let i = index t key in
+  Util.Spin_lock.with_lock (Util.Spin_lock.stripe t.locks i) (fun () ->
       let region = Pmem.region t.pm in
       let rec walk prev curr =
         match curr with
@@ -88,9 +94,9 @@ let remove t ~tid key =
             Nvm.Region.set_u8 region ~off:n.pnode 0;
             Pmem.persist t.pm ~tid ~off:n.pnode ~len:1;
             Pmem.free t.pm ~tid n.pnode;
-            (match prev with None -> b.head <- n.next | Some p -> p.next <- n.next);
+            (match prev with None -> t.heads.(i) <- n.next | Some p -> p.next <- n.next);
             Atomic.decr t.size;
             Some n.value
         | Some n -> walk (Some n) n.next
       in
-      walk None b.head)
+      walk None t.heads.(i))

@@ -1,7 +1,8 @@
 (* Transient reference hashmaps (paper's DRAM (T) and NVM (T)).
 
-   Same shape as the Montage hashmap — lock-per-bucket sorted chains,
-   transient index on the OCaml heap — but with no persistence support.
+   Same shape as the Montage hashmap — sorted chains under striped
+   bucket locks, transient index on the OCaml heap — but with no
+   persistence support.
    DRAM (T) keeps values as OCaml strings; NVM (T) stores each value in
    a region block (paying the simulated media costs on reads/writes)
    without any write-back or fencing, which is the paper's performance
@@ -16,23 +17,42 @@ type node = {
   mutable next : node option;
 }
 
-type bucket = { lock : Util.Spin_lock.t; mutable head : node option }
+(* Mhashmap's lock table: chain [i] is [heads.(i)], guarded by
+   [Util.Spin_lock.stripe locks i]; the reference maps share the size
+   of its stripe table so their lock costs stay comparable. *)
+let stripes = 256
 
-type t = { placement : placement; buckets : bucket array; size : int Atomic.t }
+type t = {
+  placement : placement;
+  heads : node option array;
+  locks : Util.Spin_lock.table;
+  size : int Atomic.t;
+}
 
 let create ?(buckets = 1 lsl 16) placement =
   {
     placement;
-    buckets = Array.init buckets (fun _ -> { lock = Util.Spin_lock.create (); head = None });
+    heads = Array.make buckets None;
+    locks = Util.Spin_lock.table ~stripes ~slots:buckets;
     size = Atomic.make 0;
   }
 
-let bucket_of t key = t.buckets.(Hashtbl.hash key land (Array.length t.buckets - 1))
+let index t key = Hashtbl.hash key land (Array.length t.heads - 1)
 let size t = Atomic.get t.size
 
-(* Expose the bucket array for clients that must iterate the whole map
-   under their own locking discipline (Pronto's checkpointer). *)
-let buckets_of t = t.buckets
+(* Every node, each chain under its bucket's lock: whole-map iteration
+   for Pronto's checkpointer. *)
+let iter t f =
+  for i = 0 to Array.length t.heads - 1 do
+    Util.Spin_lock.with_lock (Util.Spin_lock.stripe t.locks i) (fun () ->
+        let rec chain = function
+          | None -> ()
+          | Some n ->
+              f n;
+              chain n.next
+        in
+        chain t.heads.(i))
+  done
 
 let node_value t n =
   match t.placement with Dram -> n.value | Nvm pm -> Pmem.read_block pm ~off:n.block
@@ -58,18 +78,18 @@ let set_node_value t ~tid n value =
 let free_node t ~tid n = match t.placement with Dram -> () | Nvm pm -> Pmem.free pm ~tid n.block
 
 let get t ~tid:_ key =
-  let b = bucket_of t key in
-  Util.Spin_lock.with_lock b.lock (fun () ->
+  let i = index t key in
+  Util.Spin_lock.with_lock (Util.Spin_lock.stripe t.locks i) (fun () ->
       let rec find = function
         | None -> None
         | Some n when String.equal n.key key -> Some (node_value t n)
         | Some n -> find n.next
       in
-      find b.head)
+      find t.heads.(i))
 
 let put t ~tid key value =
-  let b = bucket_of t key in
-  Util.Spin_lock.with_lock b.lock (fun () ->
+  let i = index t key in
+  Util.Spin_lock.with_lock (Util.Spin_lock.stripe t.locks i) (fun () ->
       let rec walk prev curr =
         match curr with
         | Some n when String.equal n.key key ->
@@ -78,17 +98,17 @@ let put t ~tid key value =
             Some old
         | Some n when n.key > key ->
             let fresh = make_node t ~tid key value curr in
-            (match prev with None -> b.head <- Some fresh | Some p -> p.next <- Some fresh);
+            (match prev with None -> t.heads.(i) <- Some fresh | Some p -> p.next <- Some fresh);
             Atomic.incr t.size;
             None
         | Some n -> walk (Some n) n.next
         | None ->
             let fresh = make_node t ~tid key value None in
-            (match prev with None -> b.head <- Some fresh | Some p -> p.next <- Some fresh);
+            (match prev with None -> t.heads.(i) <- Some fresh | Some p -> p.next <- Some fresh);
             Atomic.incr t.size;
             None
       in
-      walk None b.head)
+      walk None t.heads.(i))
 
 (* Atomic read-modify-write under the bucket lock, mirroring
    [Mhashmap.update]: [f]'s [Some] result is stored (inserting if the
@@ -96,11 +116,11 @@ let put t ~tid key value =
    previous value.  Keeps the transient references honest when the
    kvstore benchmarks race add/replace/incr against each other. *)
 let update t ~tid key f =
-  let b = bucket_of t key in
-  Util.Spin_lock.with_lock b.lock (fun () ->
+  let i = index t key in
+  Util.Spin_lock.with_lock (Util.Spin_lock.stripe t.locks i) (fun () ->
       let insert prev curr value =
         let fresh = make_node t ~tid key value curr in
-        (match prev with None -> b.head <- Some fresh | Some p -> p.next <- Some fresh);
+        (match prev with None -> t.heads.(i) <- Some fresh | Some p -> p.next <- Some fresh);
         Atomic.incr t.size
       in
       let rec walk prev curr =
@@ -119,21 +139,21 @@ let update t ~tid key f =
             (match f None with Some value -> insert prev curr value | None -> ());
             None
       in
-      walk None b.head)
+      walk None t.heads.(i))
 
 let remove t ~tid key =
-  let b = bucket_of t key in
-  Util.Spin_lock.with_lock b.lock (fun () ->
+  let i = index t key in
+  Util.Spin_lock.with_lock (Util.Spin_lock.stripe t.locks i) (fun () ->
       let rec walk prev curr =
         match curr with
         | Some n when String.equal n.key key ->
             let old = node_value t n in
             free_node t ~tid n;
-            (match prev with None -> b.head <- n.next | Some p -> p.next <- n.next);
+            (match prev with None -> t.heads.(i) <- n.next | Some p -> p.next <- n.next);
             Atomic.decr t.size;
             Some old
         | Some n when n.key > key -> None
         | Some n -> walk (Some n) n.next
         | None -> None
       in
-      walk None b.head)
+      walk None t.heads.(i))

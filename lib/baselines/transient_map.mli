@@ -3,8 +3,8 @@
     pays the per-operation value memcpy a C structure pays; NVM (T)
     stores values in unflushed region blocks.
 
-    The node/bucket representation is exposed because Pronto's
-    checkpointer iterates the whole map under its own locking. *)
+    The node representation is exposed because Pronto's checkpointer
+    serializes the whole map through {!iter}. *)
 
 type placement = Dram | Nvm of Pmem.t
 
@@ -15,15 +15,19 @@ type node = {
   mutable next : node option;
 }
 
-type bucket = { lock : Util.Spin_lock.t; mutable head : node option }
-
 type t
+
+(** Mhashmap's stripe count: chain [i] is guarded by lock
+    [i land (min buckets stripes - 1)].  {!Soft_map} and
+    {!Nvtraverse_map} use it too. *)
+val stripes : int
 
 val create : ?buckets:int -> placement -> t
 val size : t -> int
 
-(** For whole-map iteration under the caller's locking discipline. *)
-val buckets_of : t -> bucket array
+(** [iter t f] applies [f] to every node, each chain under its
+    bucket's lock; [f] must not call into [t]. *)
+val iter : t -> (node -> unit) -> unit
 
 val get : t -> tid:int -> string -> string option
 val put : t -> tid:int -> string -> string -> string option

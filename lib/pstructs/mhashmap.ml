@@ -1,7 +1,7 @@
-(* Montage hashmap (paper Fig. 2): a lock-per-bucket chained map whose
-   *abstract* state — the bag of key/value pairs — lives in NVM
-   payloads, while the entire lookup structure (bucket array, chain
-   nodes, cached keys) is transient OCaml-heap data rebuilt on
+(* Montage hashmap (paper Fig. 2): a chained map under striped bucket
+   locks whose *abstract* state — the bag of key/value pairs — lives in
+   NVM payloads, while the entire lookup structure (chain heads, chain
+   nodes, cached keys, locks) is transient OCaml-heap data rebuilt on
    recovery.
 
    Each chain node caches its key in DRAM so traversal touches NVM only
@@ -15,18 +15,31 @@ module Kv = Montage.Payload.Kv
 
 type node = { key : string; mutable payload : E.pblk; mutable next : node option }
 
-type bucket = { lock : Util.Spin_lock.t; mutable head : node option }
+(* Bucket [i]'s chain is [heads.(i)], guarded by [Util.Spin_lock.stripe
+   locks i]: one fixed table of at most [stripes] locks, so building a
+   map — every recovery builds one — allocates nothing per bucket and
+   makes at most [stripes] mutexes.  Each bucket maps to exactly one
+   lock; maps of at most [stripes] buckets keep a lock per bucket. *)
+let stripes = 256
 
-type t = { esys : E.t; buckets : bucket array; size : int Atomic.t }
+type t = {
+  esys : E.t;
+  heads : node option array;
+  locks : Util.Spin_lock.table;
+  size : int Atomic.t;
+}
 
 let create ?(buckets = 1 lsl 16) esys =
+  if buckets <= 0 || buckets land (buckets - 1) <> 0 then
+    invalid_arg (Printf.sprintf "Mhashmap: buckets = %d is not a positive power of two" buckets);
   {
     esys;
-    buckets = Array.init buckets (fun _ -> { lock = Util.Spin_lock.create (); head = None });
+    heads = Array.make buckets None;
+    locks = Util.Spin_lock.table ~stripes ~slots:buckets;
     size = Atomic.make 0;
   }
 
-let bucket_of t key = t.buckets.(Hashtbl.hash key land (Array.length t.buckets - 1))
+let index t key = Hashtbl.hash key land (Array.length t.heads - 1)
 
 let size t = Atomic.get t.size
 [@@montage.allow "R2: read-only statistics observer"]
@@ -41,28 +54,28 @@ let esys t = t.esys
    in-place [pset] installs a fresh buffer and leaves these intact. *)
 let find t ~tid key =
   Util.Sched.yield "mhashmap.get";
-  let b = bucket_of t key in
-  Util.Spin_lock.with_lock b.lock (fun () ->
+  let i = index t key in
+  Util.Spin_lock.with_lock (Util.Spin_lock.stripe t.locks i) (fun () ->
       let rec find = function
         | None -> None
         | Some n when String.equal n.key key -> Some (Kv.view t.esys ~tid n.payload)
         | Some n -> find n.next
       in
-      find b.head)
+      find t.heads.(i))
 
 let string_of_view (b, off) = Bytes.sub_string b off (Bytes.length b - off)
 let get t ~tid key = Option.map string_of_view (find t ~tid key)
 
 let contains t ~tid:_ key =
   Util.Sched.yield "mhashmap.contains";
-  let b = bucket_of t key in
-  Util.Spin_lock.with_lock b.lock (fun () ->
+  let i = index t key in
+  Util.Spin_lock.with_lock (Util.Spin_lock.stripe t.locks i) (fun () ->
       let rec find = function
         | None -> false
         | Some n when String.equal n.key key -> true
         | Some n -> find n.next
       in
-      find b.head)
+      find t.heads.(i))
 
 (* The one write walk under the bucket lock.  [decide] sees the key's
    current handle ([None] if absent) and returns the whole encoded
@@ -73,15 +86,15 @@ let contains t ~tid:_ key =
    the caller's scheduling point. *)
 let write t ~tid ~tag key decide =
   Util.Sched.yield tag;
-  let b = bucket_of t key in
-  Util.Spin_lock.with_lock b.lock (fun () ->
+  let i = index t key in
+  Util.Spin_lock.with_lock (Util.Spin_lock.stripe t.locks i) (fun () ->
       let insert prev curr =
         match decide None with
         | None -> ()
         | Some content ->
             E.with_op t.esys ~tid (fun () ->
                 let fresh = { key; payload = E.pnew t.esys ~tid content; next = curr } in
-                (match prev with None -> b.head <- Some fresh | Some p -> p.next <- Some fresh);
+                (match prev with None -> t.heads.(i) <- Some fresh | Some p -> p.next <- Some fresh);
                 Atomic.incr t.size)
       in
       let rec walk prev curr =
@@ -95,7 +108,7 @@ let write t ~tid ~tag key decide =
         | Some n -> walk (Some n) n.next
         | None -> insert prev None
       in
-      walk None b.head)
+      walk None t.heads.(i))
 
 (* Store a value written in place ([fill]) without reading the one it
    replaces: the key and the value are laid out once, in the buffer
@@ -148,36 +161,34 @@ let update t ~tid key f =
 (* Remove; returns the removed value. *)
 let remove t ~tid key =
   Util.Sched.yield "mhashmap.remove";
-  let b = bucket_of t key in
-  Util.Spin_lock.with_lock b.lock (fun () ->
+  let i = index t key in
+  Util.Spin_lock.with_lock (Util.Spin_lock.stripe t.locks i) (fun () ->
       let rec walk prev curr =
         match curr with
         | Some n when String.equal n.key key ->
             E.with_op t.esys ~tid (fun () ->
                 let old = Kv.get_value t.esys ~tid n.payload in
                 E.pdelete t.esys ~tid n.payload;
-                (match prev with None -> b.head <- n.next | Some p -> p.next <- n.next);
+                (match prev with None -> t.heads.(i) <- n.next | Some p -> p.next <- n.next);
                 Atomic.decr t.size;
                 Some old)
         | Some n when n.key > key -> None
         | Some n -> walk (Some n) n.next
         | None -> None
       in
-      walk None b.head)
+      walk None t.heads.(i))
 
 (* Snapshot of all pairs (quiescent use only: tests, recovery checks). *)
 let to_alist t ~tid =
-  Array.fold_left
-    (fun acc b ->
-      Util.Spin_lock.with_lock b.lock (fun () ->
-          let rec collect acc = function
-            | None -> acc
-            | Some n ->
-                let k, v = Kv.get t.esys ~tid n.payload in
-                collect ((k, v) :: acc) n.next
-          in
-          collect acc b.head))
-    [] t.buckets
+  let rec collect acc = function
+    | None -> acc
+    | Some n -> collect (Kv.get t.esys ~tid n.payload :: acc) n.next
+  in
+  let acc = ref [] in
+  for i = 0 to Array.length t.heads - 1 do
+    acc := Util.Spin_lock.with_lock (Util.Spin_lock.stripe t.locks i) (fun () -> collect !acc t.heads.(i))
+  done;
+  !acc
 
 (* ---- recovery ---- *)
 
@@ -198,22 +209,24 @@ let rec insert_after key prev curr =
    lock is taken and released around the splice directly, and released
    before a duplicate raises.  The slice's count joins [size] once. *)
 let recover_slice t payloads =
-  for i = 0 to Array.length payloads - 1 do
-    let p = payloads.(i) in
+  for j = 0 to Array.length payloads - 1 do
+    let p = payloads.(j) in
     let key = Kv.key_unsafe t.esys p in
-    let b = bucket_of t key in
-    Util.Spin_lock.acquire b.lock;
-    let prev = insert_after key None b.head in
-    let next = match prev with None -> b.head | Some pr -> pr.next in
+    let i = index t key in
+    let lock = Util.Spin_lock.stripe t.locks i in
+    Util.Spin_lock.acquire lock;
+    let head = t.heads.(i) in
+    let prev = insert_after key None head in
+    let next = match prev with None -> head | Some pr -> pr.next in
     let clash =
       match next with
       | Some n when String.equal n.key key -> n.payload.uid
       | _ ->
           let fresh = Some { key; payload = p; next } in
-          (match prev with None -> b.head <- fresh | Some pr -> pr.next <- fresh);
+          (match prev with None -> t.heads.(i) <- fresh | Some pr -> pr.next <- fresh);
           0
     in
-    Util.Spin_lock.release b.lock;
+    Util.Spin_lock.release lock;
     if clash <> 0 then
       Montage.Errors.corrupt "mhashmap recovery: payloads uid %d and uid %d both carry key %S" clash
         p.uid key

@@ -1,5 +1,5 @@
-(** Montage hashmap (paper Fig. 2): lock-per-bucket chained map whose
-    abstract state — the bag of key/value pairs — lives in NVM
+(** Montage hashmap (paper Fig. 2): a chained map under striped bucket
+    locks whose abstract state — the bag of key/value pairs — lives in NVM
     payloads, while the entire lookup structure is transient OCaml-heap
     data rebuilt on recovery.
 
@@ -10,7 +10,13 @@
 
 type t
 
-(** [buckets] must be a power of two. *)
+(** The size of the map's lock table: bucket [i] is guarded by lock
+    [i land (min buckets stripes - 1)], so a map of at most [stripes]
+    buckets has a lock per bucket. *)
+val stripes : int
+
+(** @raise Invalid_argument unless [buckets] (default 65,536) is a
+    positive power of two. *)
 val create : ?buckets:int -> Montage.Epoch_sys.t -> t
 
 val esys : t -> Montage.Epoch_sys.t
@@ -47,7 +53,8 @@ val put_if_absent : t -> tid:int -> string -> string -> bool
     [None] if absent) under the bucket lock; [Some fill] stores the
     value [fill] writes (inserting if absent), [None] leaves the map
     unchanged.  The primitive behind the kvstore's conditional
-    operations. *)
+    operations.  [f] must not call into the same map: the lock it runs
+    under also guards every other bucket of its stripe. *)
 val modify :
   t -> tid:int -> string -> ((Bytes.t * int) option -> Montage.Payload.fill option) -> unit
 
@@ -66,7 +73,8 @@ val to_alist : t -> tid:int -> (string * string) list
 (** Rebuild from recovered payloads, reading only each key, so the
     handles stay cold until their first get; [threads > 1] rebuilds
     slices in parallel domains.
-    @raise Montage.Errors.Corrupt when two payloads carry one key. *)
+    @raise Montage.Errors.Corrupt when two payloads carry one key.
+    @raise Invalid_argument as {!create} does. *)
 val recover : ?buckets:int -> ?threads:int -> Montage.Epoch_sys.t -> Montage.Epoch_sys.pblk array -> t
 
 (** Insert one recovered slice into an existing map (parallel callers

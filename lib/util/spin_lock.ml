@@ -59,3 +59,18 @@ let with_lock t f =
   | exception e ->
       release t;
       raise e
+
+(* Lock striping: one lock per slot costs a [Mutex.create] per slot,
+   which dominates building a large transient index (a recovered
+   hashmap's 4,096 buckets).  A table capped at [stripes] locks keeps
+   that cost fixed; the mask keeps each slot under one lock. *)
+type table = t array
+
+let is_pow2 n = n > 0 && n land (n - 1) = 0
+
+let table ~stripes ~slots =
+  if not (is_pow2 stripes && is_pow2 slots) then
+    invalid_arg "Spin_lock.table: stripes and slots must be positive powers of two";
+  Array.init (min slots stripes) (fun _ -> create ())
+
+let stripe tbl i = tbl.(i land (Array.length tbl - 1))

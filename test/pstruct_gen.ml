@@ -16,6 +16,24 @@ let v i = Printf.sprintf "v%d" i
 (* per-thread disjoint keyspace *)
 let tid_key tid i = Printf.sprintf "t%d-%d" tid i
 
+(* [n] keys that hash to distinct buckets of one lock stripe of an
+   [Mhashmap] with [buckets] buckets *)
+let stripe_aliased_keys ~buckets n =
+  let bucket k = Hashtbl.hash k land (buckets - 1) in
+  let stripe k = bucket k land (Pstructs.Mhashmap.stripes - 1) in
+  let rec pick acc i =
+    if List.length acc = n then List.rev acc
+    else
+      let k = Printf.sprintf "alias%d" i in
+      let fits =
+        match acc with
+        | [] -> true
+        | k0 :: _ -> stripe k = stripe k0 && List.for_all (fun k' -> bucket k <> bucket k') acc
+      in
+      pick (if fits then k :: acc else acc) (i + 1)
+  in
+  pick [] 0
+
 (* small-domain key for model scripts: collisions on purpose *)
 let num_key i = "key" ^ string_of_int i
 

@@ -22,7 +22,10 @@ let test_transient_map_dram () =
   Alcotest.(check (option string)) "get" (Some "1") (Baselines.Transient_map.get m ~tid:0 "a");
   Alcotest.(check (option string)) "update" (Some "1") (Baselines.Transient_map.put m ~tid:0 "a" "2");
   Alcotest.(check (option string)) "remove" (Some "2") (Baselines.Transient_map.remove m ~tid:0 "a");
-  Alcotest.(check int) "size" 0 (Baselines.Transient_map.size m)
+  Alcotest.(check int) "size" 0 (Baselines.Transient_map.size m);
+  (* DRAM (T) stays comparable with the Montage map: the same lock table *)
+  Alcotest.(check int) "Mhashmap's stripe count" Pstructs.Mhashmap.stripes
+    Baselines.Transient_map.stripes
 
 let test_transient_map_nvm_no_persistence_ops () =
   let region, pm = make_pm () in

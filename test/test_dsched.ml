@@ -800,6 +800,138 @@ let test_append_races_append () =
        ~ops:[| "append k 0 0 1\r\n1\r\n"; "append k 0 0 1\r\n2\r\n" |]
        ~finals:[ "x12"; "x21" ])
 
+(* ---- striped bucket locks: two buckets under one lock ----
+
+   A map of 4 x [Mhashmap.stripes] buckets puts four buckets under each
+   lock.  Thread 0 sets one key while thread 1 sets and then appends to
+   another; the keys hash to different buckets of one stripe, so each
+   op's walk waits on the other's lock although their chains are
+   disjoint.  Every op is followed by an epoch advance, as in
+   [queue_scenario], and a crash is branched at every scheduling point:
+   each recovered store must be a durable linearization of the two
+   histories, rebuilt into a map of the same shape. *)
+
+type sop = Sset of string * string | Sappend of string * string
+
+let sspec =
+  {
+    Dlin.initial = [];
+    apply =
+      (fun st op ->
+        match op with
+        | Sset (k, v) -> (true, List.sort compare ((k, v) :: List.remove_assoc k st))
+        | Sappend (k, s) -> (
+            match List.assoc_opt k st with
+            | None -> (false, st)
+            | Some v -> (true, List.sort compare ((k, v ^ s) :: List.remove_assoc k st))));
+  }
+
+let stripe_buckets = 4 * Pstructs.Mhashmap.stripes
+
+type sstate = {
+  sregion : R.t;
+  sesys : E.t;
+  store : Kvstore.Store.t;
+  shist : (sop * bool * int) list ref array;
+  sinflight : sop option array;
+}
+
+let stripe_store esys =
+  let store =
+    Kvstore.Store.create
+      (Kvstore.Store.of_mhashmap (Pstructs.Mhashmap.create ~buckets:stripe_buckets esys))
+  in
+  Kvstore.Store.set_clock store (fun () -> 1000.0);
+  store
+
+let stripe_scenario () =
+  let keys = Pstruct_gen.stripe_aliased_keys ~buckets:stripe_buckets 2 in
+  let k1, k2 = (List.nth keys 0, List.nth keys 1) in
+  let contents store ~tid =
+    List.sort compare
+      (List.filter_map
+         (fun k -> Option.map (fun v -> (k, v)) (Kvstore.Store.get store ~tid k))
+         keys)
+  in
+  let script tid ops st =
+    List.iter
+      (fun op ->
+        st.sinflight.(tid) <- Some op;
+        let res =
+          match op with
+          | Sset (k, v) ->
+              Kvstore.Store.set st.store ~tid k v;
+              true
+          | Sappend (k, s) ->
+              Kvstore.Store.store st.store ~tid Kvstore.Store.Append ~expiry:0.0 k
+                (Bytes.of_string s) 0 (String.length s)
+              = Kvstore.Store.Stored
+        in
+        st.shist.(tid) := (op, res, E.current_epoch st.sesys) :: !(st.shist.(tid));
+        st.sinflight.(tid) <- None;
+        E.advance_epoch st.sesys ~tid)
+      ops
+  in
+  {
+    D.init =
+      (fun () ->
+        let region = R.create ~latency:Nvm.Latency.zero ~max_threads:4 ~capacity:(1 lsl 18) () in
+        let esys = E.create ~config:sched_cfg region in
+        {
+          sregion = region;
+          sesys = esys;
+          store = stripe_store esys;
+          shist = [| ref []; ref [] |];
+          sinflight = [| None; None |];
+        });
+    threads = [| script 0 [ Sset (k1, "x") ]; script 1 [ Sset (k2, "a"); Sappend (k2, "b") ] |];
+    check_crash =
+      Some
+        (fun st ->
+          R.crash st.sregion;
+          match E.recover ~config:sched_cfg st.sregion with
+          | exception _ -> false
+          | esys2, payloads ->
+              let recovered =
+                contents
+                  (Kvstore.Store.create
+                     (Kvstore.Store.of_mhashmap
+                        (Pstructs.Mhashmap.recover ~buckets:stripe_buckets esys2 payloads)))
+                  ~tid:0
+              in
+              let cutoff = E.current_epoch esys2 - 2 in
+              let obs =
+                Array.mapi
+                  (fun i h ->
+                    {
+                      Dlin.completed = List.rev_map (fun (op, res, e) -> (op, res, e <= cutoff)) !h;
+                      in_flight = st.sinflight.(i);
+                    })
+                  st.shist
+              in
+              Dlin.durably_linearizable sspec obs ~accept:(fun m -> m = recovered));
+    check_done =
+      Some
+        (fun st ->
+          let final = contents st.store ~tid:0 in
+          let hists =
+            Array.map (fun h -> List.rev_map (fun (op, res, _) -> (op, res)) !h) st.shist
+          in
+          final = List.sort compare [ (k1, "x"); (k2, "ab") ]
+          && Dlin.linearizable sspec hists ~accept:(fun m -> m = final));
+  }
+
+let test_stripe_set_append () =
+  let r = D.explore (exhaustive ~preemptions:1 ~max_attempts:200_000 ()) (stripe_scenario ()) in
+  (match r.D.failure with
+  | Some f -> Alcotest.fail ("stripe set || append: " ^ D.failure_to_string f)
+  | None -> ());
+  Printf.eprintf "stripe set || append: schedules=%d crash_branches=%d max_points=%d\n%!"
+    r.D.schedules r.D.crash_branches r.D.max_points;
+  Alcotest.(check bool) "schedules explored" true (r.D.schedules > 1);
+  Alcotest.(check bool) "crash injected at every point" true (r.D.crash_branches >= r.D.max_points);
+  Alcotest.(check bool) "exhausted, not truncated" false r.D.truncated
+
 (* The CI leg: MONTAGE_SCHED=random MONTAGE_SCHED_RUNS=500 runs this
    suite with a seeded PCT sweep over both queues; without the env the
    default is a modest always-on PCT pass. *)
@@ -877,5 +1009,9 @@ let () =
         [
           Alcotest.test_case "touch || set loses no update" `Quick test_touch_races_set;
           Alcotest.test_case "append || append loses no update" `Quick test_append_races_append;
+        ] );
+      ( "stripe-aliasing",
+        [
+          Alcotest.test_case "set || append + crash at every point" `Quick test_stripe_set_append;
         ] );
     ]

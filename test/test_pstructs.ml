@@ -108,6 +108,78 @@ let test_map_parallel_recovery_matches () =
   let expected = List.init 200 (fun i -> (Pstruct_gen.k3 i, string_of_int (i * i))) in
   Alcotest.(check bool) "contents identical" true (sorted = expected)
 
+(* [buckets] is a mask width: anything but a positive power of two is
+   refused when the map is built, not at its first operation. *)
+let test_map_buckets_power_of_two () =
+  let region, esys = make_esys ~capacity:(1 lsl 20) () in
+  List.iter
+    (fun buckets ->
+      Alcotest.check_raises (Printf.sprintf "create ~buckets:%d" buckets)
+        (Invalid_argument
+           (Printf.sprintf "Mhashmap: buckets = %d is not a positive power of two" buckets))
+        (fun () -> ignore (Pstructs.Mhashmap.create ~buckets esys)))
+    [ 0; -4; 3; 100; 1000 ];
+  ignore (Pstructs.Mhashmap.put (Pstructs.Mhashmap.create ~buckets:1 esys) ~tid:0 "k" "v");
+  E.sync esys ~tid:0;
+  Nvm.Region.crash region;
+  let esys2, payloads = E.recover ~config:testing_cfg region in
+  Alcotest.check_raises "recover ~buckets:48"
+    (Invalid_argument "Mhashmap: buckets = 48 is not a positive power of two") (fun () ->
+      ignore (Pstructs.Mhashmap.recover ~buckets:48 esys2 payloads))
+
+(* four buckets per lock *)
+let alias_buckets = 4 * Pstructs.Mhashmap.stripes
+
+let test_map_stripe_aliasing_modify () =
+  let _, esys = make_esys () in
+  let m = Pstructs.Mhashmap.create ~buckets:alias_buckets esys in
+  let keys = Pstruct_gen.stripe_aliased_keys ~buckets:alias_buckets 4 in
+  let rounds = 300 in
+  let incr cur =
+    let n =
+      match cur with
+      | None -> 0
+      | Some (b, off) -> int_of_string (Bytes.sub_string b off (Bytes.length b - off))
+    in
+    Some (Montage.Payload.fill_string (string_of_int (n + 1)))
+  in
+  let domains =
+    Array.init 2 (fun tid ->
+        Domain.spawn (fun () ->
+            for _ = 1 to rounds do
+              List.iter (fun k -> Pstructs.Mhashmap.modify m ~tid k incr) keys
+            done))
+  in
+  Array.iter Domain.join domains;
+  List.iter
+    (fun k ->
+      Alcotest.(check (option string))
+        k
+        (Some (string_of_int (2 * rounds)))
+        (Pstructs.Mhashmap.get m ~tid:0 k))
+    keys
+
+(* The parallel rebuild splices two slices' records into chains that
+   share locks; the result must be the sequential rebuild, in the same
+   chain order. *)
+let test_map_stripe_aliasing_recovery () =
+  let region, esys = make_esys () in
+  let m = Pstructs.Mhashmap.create ~buckets:alias_buckets esys in
+  let n = 3000 in
+  for i = 0 to n - 1 do
+    ignore (Pstructs.Mhashmap.put m ~tid:0 (Pstruct_gen.k3 i) (string_of_int i))
+  done;
+  E.sync esys ~tid:0;
+  Nvm.Region.crash region;
+  let esys2, payloads = E.recover ~config:testing_cfg region in
+  let rebuild threads =
+    let m2 = Pstructs.Mhashmap.recover ~buckets:alias_buckets ~threads esys2 payloads in
+    Pstructs.Mhashmap.to_alist m2 ~tid:0
+  in
+  let seq = rebuild 1 in
+  Alcotest.(check int) "all pairs" n (List.length seq);
+  Alcotest.(check bool) "threads:2 = threads:1" true (rebuild 2 = seq)
+
 (* model-based property: the map behaves like a sequential assoc map *)
 let qcheck_map_vs_model =
   QCheck.Test.make ~name:"hashmap matches model under random ops" ~count:30
@@ -872,6 +944,9 @@ let () =
           Alcotest.test_case "concurrent same key" `Quick test_map_concurrent_same_key_last_writer;
           Alcotest.test_case "crash recovery" `Quick test_map_crash_recovery_preserves_synced;
           Alcotest.test_case "parallel recovery" `Quick test_map_parallel_recovery_matches;
+          Alcotest.test_case "buckets power of two" `Quick test_map_buckets_power_of_two;
+          Alcotest.test_case "stripe aliasing modify" `Quick test_map_stripe_aliasing_modify;
+          Alcotest.test_case "stripe aliasing recovery" `Quick test_map_stripe_aliasing_recovery;
           QCheck_alcotest.to_alcotest qcheck_map_vs_model;
         ] );
       ( "queue",
