@@ -58,25 +58,14 @@ let argv ~exe cfg =
 
 let mib = 1024 * 1024
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      let b = Bytes.create n in
-      really_input ic b 0 n;
-      b)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* tmp + rename: the heap file is either the old image or the new one,
    never a torn mix — the file-system analog of a failure-atomic
    checkpoint *)
-let write_file_atomic path bytes =
+let write_file_atomic path image =
   let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_bytes oc bytes);
+  Out_channel.with_open_bin tmp (fun oc -> output_string oc image);
   Sys.rename tmp path
 
 let run ?(on_ready = fun ~port:_ -> ()) cfg =

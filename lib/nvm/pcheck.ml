@@ -586,7 +586,9 @@ let explore ?(max_states = 4096) ?(max_pending_bits = 10) t predicate =
       incr states;
       let m = Bytes.copy media in
       List.iter (commit_range m) subset;
-      if not (predicate m) then begin
+      (* [m] is this state's own copy and is never written again, so it
+         can be handed out as the immutable image [Region.of_image] takes *)
+      if not (predicate (Bytes.unsafe_to_string m)) then begin
         incr failures;
         if !first_failure = None then
           first_failure :=

@@ -152,4 +152,4 @@ type explore_report = {
     truncated).
     @raise Invalid_argument if the checker was created without
     [~log_events:true]. *)
-val explore : ?max_states:int -> ?max_pending_bits:int -> t -> (Bytes.t -> bool) -> explore_report
+val explore : ?max_states:int -> ?max_pending_bits:int -> t -> (string -> bool) -> explore_report

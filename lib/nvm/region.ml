@@ -1,16 +1,29 @@
 (* Simulated byte-addressable persistent memory.
 
-   The region keeps two copies of its contents:
+   The region keeps one full copy of its contents, [work]: what loads
+   and stores observe (the union of CPU caches and the device, as
+   running code sees it).  What survives a crash — the media — is kept
+   implicitly, line by line:
 
-   - [work]  — what loads and stores observe (the union of CPU caches
-               and the device, as running code sees it);
-   - [media] — what survives a crash.
+   - [base]      — an immutable image the region started from (the
+                   caller's, never copied; [""] for a fresh region);
+                   bytes past its end are zeros;
+   - [media]     — uninitialized storage holding only lines committed
+                   since the region was built;
+   - [committed] — one byte per line saying where [media] is valid.
+
+   A line's durable content is [media] where committed, [base]
+   otherwise.  Every path that changes durable content writes [media]
+   and sets the map in the same step, so the two readers of durable
+   content ([crash] and [media_image]) see exactly what a second full
+   media copy would hold, and never read a [media] byte that was not
+   written.
 
    Stores mutate [work] and mark the covered 64 B lines dirty.  A
    [writeback] (CLWB analog) enqueues lines on the *issuing thread's*
-   write-pending queue; [sfence] drains that queue into [media].  This
+   write-pending queue; [sfence] drains that queue into media.  This
    mirrors x86 semantics, where SFENCE orders only the issuing CPU's
-   stores.  [crash] discards [work] (reloading it from [media]) so that
+   stores.  [crash] discards [work] (reloading it from media) so that
    only fenced data survives; optional injection parameters let tests
    model lines that persisted despite a missing fence (completed CLWBs)
    or spontaneous cache evictions of dirty lines, both of which real
@@ -27,7 +40,9 @@ let line_shift = 6
 type t = {
   capacity : int;
   work : Bytes.t;
-  media : Bytes.t;
+  base : string; (* at most [capacity] bytes; zeros past its end *)
+  media : Bytes.t; (* valid only on committed lines *)
+  committed : Bytes.t; (* one byte per line; 0 = durable content in [base] *)
   dirty : Bytes.t; (* one byte per line; 0 = clean *)
   (* per-thread write-pending queues of packed (line_off << 15 | lines)
      ranges: payload flushes are contiguous, so committing a range with
@@ -63,14 +78,19 @@ let queue_capacity = 4096
 
 let round_capacity capacity = (capacity + line_size - 1) land lnot (line_size - 1)
 
-(* The one constructor: [work] and [media] are the caller's, already
-   holding the region's initial bytes over the full rounded capacity. *)
-let make ~latency ~max_threads ~capacity ~work ~media =
+(* The one constructor: [work] is the caller's, already holding the
+   region's initial bytes over the full rounded capacity, and [base]
+   the durable image it was loaded from.  Nothing is committed yet, so
+   [media] is never read before it is written and needs no fill. *)
+let make ~latency ~max_threads ~capacity ~work ~base =
+  let lines = capacity lsr line_shift in
   {
     capacity;
     work;
-    media;
-    dirty = Bytes.make (capacity lsr line_shift) '\000';
+    base;
+    media = Bytes.create capacity;
+    committed = Bytes.make lines '\000';
+    dirty = Bytes.make lines '\000';
     queues = Array.init max_threads (fun _ -> Array.make queue_capacity 0);
     queue_len = Array.make max_threads 0;
     queue_lines = Array.make max_threads 0;
@@ -90,33 +110,53 @@ let make ~latency ~max_threads ~capacity ~work ~media =
 let create ?(latency = Latency.default) ?(max_threads = 64) ~capacity () =
   if capacity <= 0 then invalid_arg "Region.create: capacity";
   let capacity = round_capacity capacity in
-  make ~latency ~max_threads ~capacity ~work:(Bytes.make capacity '\000')
-    ~media:(Bytes.make capacity '\000')
+  make ~latency ~max_threads ~capacity ~work:(Bytes.make capacity '\000') ~base:""
 
 (* Reconstruct a region from a raw media image (e.g. one of the crash
-   states materialized by [Pcheck.explore]): both [work] and [media]
-   start as the image — exactly the post-restart view after the crash
-   that produced it.  Each view is written once: the image bytes are
-   copied into uninitialized storage and only the tail past the image,
-   up to the rounded capacity, is zeroed (a cold restart reloads the
-   whole heap, so a zero-fill before the copy would double its cost). *)
+   states materialized by [Pcheck.explore]): [work] and the durable
+   state both start as the image — exactly the post-restart view after
+   the crash that produced it.  The image becomes [base] as it is, so a
+   restart writes the heap once: the copy into [work], plus zeros only
+   for the tail past the image up to the rounded capacity. *)
 let of_image ?(latency = Latency.default) ?(max_threads = 64) image =
-  let len = Bytes.length image in
+  let len = String.length image in
   if len <= 0 then invalid_arg "Region.of_image: empty image";
   let capacity = round_capacity len in
-  let view () =
-    let b = Bytes.create capacity in
-    Bytes.blit image 0 b 0 len;
-    Bytes.fill b len (capacity - len) '\000';
-    b
-  in
-  make ~latency ~max_threads ~capacity ~work:(view ()) ~media:(view ())
+  let work = Bytes.create capacity in
+  Bytes.blit_string image 0 work 0 len;
+  Bytes.fill work len (capacity - len) '\000';
+  make ~latency ~max_threads ~capacity ~work ~base:image
 
-(* Snapshot of the current media bytes — the crash state with no
-   unfenced survivors.  Feed to [of_image] to restart from this exact
-   durable state any number of times (e.g. to compare recoveries at
-   different parallelism on one crash image). *)
-let media_image t = Bytes.copy t.media
+(* Write every line's durable content into [dst] at its own offset,
+   one blit per run of equal map bytes: committed runs from [media],
+   the rest from [base], zeros past its end. *)
+let blit_durable t dst =
+  let n = Bytes.length t.committed in
+  let first = ref 0 in
+  while !first < n do
+    let c = Bytes.unsafe_get t.committed !first in
+    let last = ref (!first + 1) in
+    while !last < n && Bytes.unsafe_get t.committed !last = c do
+      incr last
+    done;
+    let off = !first lsl line_shift and len = (!last - !first) lsl line_shift in
+    if c <> '\000' then Bytes.blit t.media off dst off len
+    else begin
+      let from_base = max 0 (min len (String.length t.base - off)) in
+      if from_base > 0 then Bytes.blit_string t.base off dst off from_base;
+      Bytes.fill dst (off + from_base) (len - from_base) '\000'
+    end;
+    first := !last
+  done
+
+(* Snapshot of the durable bytes — the crash state with no unfenced
+   survivors.  Feed to [of_image] to restart from this exact durable
+   state any number of times (e.g. to compare recoveries at different
+   parallelism on one crash image). *)
+let media_image t =
+  let b = Bytes.create t.capacity in
+  blit_durable t b;
+  Bytes.unsafe_to_string b
 
 let capacity t = t.capacity
 let latency t = t.latency
@@ -283,6 +323,7 @@ let commit_entry t entry =
   let first = entry lsr count_bits and lines = entry land count_mask in
   let off = first lsl line_shift in
   Bytes.blit t.work off t.media off (lines lsl line_shift);
+  Bytes.fill t.committed first lines '\001';
   Bytes.fill t.dirty first lines '\000'
 
 let drain_queue t ~tid =
@@ -410,6 +451,12 @@ let persist t ~tid ~off ~len =
 
 (* ---- crash and recovery ---- *)
 
+(* One line reaches media outside a fence drain (an injection). *)
+let commit_line t line =
+  let off = line lsl line_shift in
+  Bytes.blit t.work off t.media off line_size;
+  Bytes.unsafe_set t.committed line '\001'
+
 (* Simulate power failure.  Requires quiescence.  With probability
    [persist_unfenced], each queued-but-unfenced line reaches media (its
    CLWB had completed); with probability [evict_dirty], a dirty line is
@@ -428,8 +475,7 @@ let crash ?(persist_unfenced = 0.0) ?(evict_dirty = 0.0) ?rng t =
         let first = q.(i) lsr count_bits and lines = q.(i) land count_mask in
         for line = first to first + lines - 1 do
           if Util.Xoshiro.float rng < persist_unfenced then begin
-            let off = line lsl line_shift in
-            Bytes.blit t.work off t.media off line_size;
+            commit_line t line;
             note_injected line
           end
         done
@@ -439,13 +485,12 @@ let crash ?(persist_unfenced = 0.0) ?(evict_dirty = 0.0) ?rng t =
     for line = 0 to (t.capacity lsr line_shift) - 1 do
       if Bytes.unsafe_get t.dirty line <> '\000' && Util.Xoshiro.float rng < evict_dirty
       then begin
-        let off = line lsl line_shift in
-        Bytes.blit t.work off t.media off line_size;
+        commit_line t line;
         note_injected line
       end
     done;
   (* Power is lost: caches vanish.  The post-restart view is media. *)
-  Bytes.blit t.media 0 t.work 0 t.capacity;
+  blit_durable t t.work;
   Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
   Array.fill t.queue_len 0 t.max_threads 0;
   Array.fill t.queue_lines 0 t.max_threads 0;

@@ -1,13 +1,14 @@
 (** Simulated byte-addressable persistent memory.
 
-    The region keeps two copies of its contents: [work] — what loads
-    and stores observe — and [media] — what survives a crash.  Stores
-    mutate work and mark the covered 64 B lines dirty; {!writeback}
-    (CLWB analog) queues ranges on the issuing thread's write-pending
-    queue; {!sfence} drains that queue into media.  {!crash} discards
-    work, so only fenced data survives; injection parameters model
-    lines that persisted despite a missing fence or via spontaneous
-    eviction, both of which real hardware permits.
+    The region keeps one full copy of its contents, [work] — what loads
+    and stores observe.  What survives a crash (the media) is the image
+    the region was built from, overlaid by every line committed since.
+    Stores mutate work and mark the covered 64 B lines dirty;
+    {!writeback} (CLWB analog) queues ranges on the issuing thread's
+    write-pending queue; {!sfence} drains that queue into media.
+    {!crash} discards work, so only fenced data survives; injection
+    parameters model lines that persisted despite a missing fence or
+    via spontaneous eviction, both of which real hardware permits.
 
     Thread-safety discipline: distinct threads may concurrently access
     disjoint line ranges (the data-structure layer guarantees
@@ -24,13 +25,15 @@ val create : ?latency:Latency.t -> ?max_threads:int -> capacity:int -> unit -> t
 
 (** Reconstruct a region from a raw media image (e.g. a crash state
     materialized by {!Pcheck.explore}): both work and media start as
-    the image, exactly the post-restart view after that crash. *)
-val of_image : ?latency:Latency.t -> ?max_threads:int -> Bytes.t -> t
+    the image, zero-padded to a line multiple, exactly the post-restart
+    view after that crash.  The region keeps the image itself as the
+    base of its media (no copy); it never writes it. *)
+val of_image : ?latency:Latency.t -> ?max_threads:int -> string -> t
 
-(** Copy of the current media bytes: the crash state in which no
-    unfenced line survived.  Round-trips through {!of_image}, so one
-    image can seed any number of independent recoveries. *)
-val media_image : t -> Bytes.t
+(** The current media bytes, as a fresh string: the crash state in
+    which no unfenced line survived.  Round-trips through {!of_image},
+    so one image can seed any number of independent recoveries. *)
+val media_image : t -> string
 
 val capacity : t -> int
 val latency : t -> Latency.t

@@ -457,8 +457,8 @@ let qcheck_prefix_consistency =
    Returns the sorted (uid, off, epoch, size) survivors and the number
    of DELETE winners. *)
 let reference_survivors image =
-  let i32 off = Int32.to_int (Bytes.get_int32_le image off) land 0xFFFFFFFF in
-  let i64 off = Int64.to_int (Bytes.get_int64_le image off) in
+  let i32 off = Int32.to_int (String.get_int32_le image off) land 0xFFFFFFFF in
+  let i64 off = Int64.to_int (String.get_int64_le image off) in
   let cutoff = i64 0 - 2 in
   let blocks = Nvm.Region.of_image ~latency:Nvm.Latency.zero ~max_threads:8 image in
   let heap = Ralloc.create blocks ~heap_base:Ralloc.superblock_size in
@@ -466,7 +466,7 @@ let reference_survivors image =
   (* uid -> (epoch, [(off, type, size)]) of the newest qualifying versions *)
   let best = Hashtbl.create 64 in
   Ralloc.iter_blocks heap (fun ~off ~size:block ->
-      let ty = Char.code (Bytes.get image (off + 4)) in
+      let ty = Char.code image.[off + 4] in
       let epoch = i64 (off + 8) and uid = i64 (off + 16) and size = i32 (off + 24) in
       if
         i32 off = Montage.Payload_hdr.magic

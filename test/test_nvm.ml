@@ -23,26 +23,29 @@ let test_out_of_bounds_rejected () =
   Alcotest.check_raises "write past end" (Invalid_argument "Region: access [1020, 1028) outside capacity 1024")
     (fun () -> Nvm.Region.set_i64 r ~off:1020 1)
 
+let random_image rng len = String.init len (fun _ -> Char.chr (1 + Util.Xoshiro.int rng 255))
+
 (* A region rebuilt from an image whose length is not a line multiple:
    both views start as the image, zero-padded to the rounded capacity,
    and a crash after unflushed stores restores exactly that. *)
 let test_of_image_views () =
   let rng = Util.Xoshiro.create 7 in
   let len = 1000 in
-  let image = Bytes.init len (fun _ -> Char.chr (1 + Util.Xoshiro.int rng 255)) in
-  let padded = Bytes.cat image (Bytes.make (1024 - len) '\000') in
+  let image = random_image rng len in
+  let saved = Bytes.of_string image in
+  let padded = image ^ String.make (1024 - len) '\000' in
   let r = Nvm.Region.of_image ~latency:Nvm.Latency.zero ~max_threads:4 image in
   Alcotest.(check int) "capacity rounded to a line" 1024 (Nvm.Region.capacity r);
-  Alcotest.(check bytes) "media is the image, then zeros" padded (Nvm.Region.media_image r);
-  Alcotest.(check string) "work is the image, then zeros" (Bytes.to_string padded)
+  Alcotest.(check string) "media is the image, then zeros" padded (Nvm.Region.media_image r);
+  Alcotest.(check string) "work is the image, then zeros" padded
     (Nvm.Region.read_string r ~off:0 ~len:1024);
   Nvm.Region.write_string r ~off:990 (String.make 30 'z');
   Nvm.Region.set_i64 r ~off:0 (-1);
   Nvm.Region.crash r;
-  Alcotest.(check string) "crash restores the image" (Bytes.to_string padded)
+  Alcotest.(check string) "crash restores the image" padded
     (Nvm.Region.read_string r ~off:0 ~len:1024);
-  Alcotest.(check bytes) "media untouched" padded (Nvm.Region.media_image r);
-  Alcotest.(check bytes) "caller's image untouched" (Bytes.sub padded 0 len) image
+  Alcotest.(check string) "media untouched" padded (Nvm.Region.media_image r);
+  Alcotest.(check string) "caller's image untouched" (Bytes.to_string saved) image
 
 let test_unflushed_lost_on_crash () =
   let r = make_region () in
@@ -99,23 +102,6 @@ let test_crash_resets_queues () =
   Nvm.Region.crash r;
   Alcotest.(check string) "pre-crash queue dropped" (String.make 4 '\000')
     (Nvm.Region.read_string r ~off:0 ~len:4)
-
-let test_persist_unfenced_injection () =
-  (* with persist_unfenced = 1.0, flushed-but-unfenced lines survive *)
-  let r = make_region () in
-  Nvm.Region.write_string r ~off:0 "clwbdone";
-  Nvm.Region.writeback r ~tid:0 ~off:0 ~len:8;
-  Nvm.Region.crash ~persist_unfenced:1.0 r;
-  Alcotest.(check string) "completed clwb persisted" "clwbdone"
-    (Nvm.Region.read_string r ~off:0 ~len:8)
-
-let test_evict_dirty_injection () =
-  (* with evict_dirty = 1.0, even never-flushed lines survive *)
-  let r = make_region () in
-  Nvm.Region.write_string r ~off:0 "evicted!";
-  Nvm.Region.crash ~evict_dirty:1.0 r;
-  Alcotest.(check string) "evicted line persisted" "evicted!"
-    (Nvm.Region.read_string r ~off:0 ~len:8)
 
 let test_transient_access_not_persisted () =
   let r = make_region () in
@@ -174,6 +160,156 @@ let qcheck_crash_keeps_persisted_prefix =
       Nvm.Region.crash ~persist_unfenced:0.5 ~evict_dirty:0.3 ~rng r;
       Hashtbl.fold (fun slot v acc -> acc && Nvm.Region.get_u8 r ~off:(slot * 64) = v) fenced true)
 
+(* ---- media: committed lines over the base image ---- *)
+
+(* The two-view reference the region must agree with: full copies of
+   the store view and the media, and per-thread queues of the line
+   ranges written back but not yet fenced. *)
+type model = { m_work : Bytes.t; m_media : Bytes.t; m_queued : (int * int) list array }
+
+let model_of image capacity =
+  let b = Bytes.make capacity '\000' in
+  Bytes.blit_string image 0 b 0 (String.length image);
+  { m_work = Bytes.copy b; m_media = b; m_queued = Array.make 4 [] }
+
+(* Random stores, write-backs, fences, crashes and media snapshots on
+   [r] and the model side by side; the store view is compared after
+   every step and the media at every snapshot and at the end. *)
+let run_differential ~seed ~steps r m =
+  let rng = Util.Xoshiro.create seed in
+  let cap = Nvm.Region.capacity r in
+  let media_agrees what =
+    Alcotest.(check string) what (Bytes.to_string m.m_media) (Nvm.Region.media_image r)
+  in
+  let range () =
+    let off = Util.Xoshiro.int rng cap in
+    (off, Util.Xoshiro.int rng (min 200 (cap - off) + 1))
+  in
+  for step = 1 to steps do
+    (match Util.Xoshiro.int rng 6 with
+    | 0 ->
+        let off, len = range () in
+        let src = Bytes.init len (fun _ -> Char.chr (Util.Xoshiro.int rng 256)) in
+        Nvm.Region.write r ~off ~src ~src_off:0 ~len;
+        Bytes.blit src 0 m.m_work off len
+    | 1 ->
+        let off = Util.Xoshiro.int rng (cap - 7) and v = Util.Xoshiro.int rng 1_000_000 - 500_000 in
+        Nvm.Region.set_i64 r ~off v;
+        Bytes.set_int64_le m.m_work off (Int64.of_int v)
+    | 2 ->
+        let tid = Util.Xoshiro.int rng 4 and off, len = range () in
+        Nvm.Region.writeback r ~tid ~off ~len;
+        if len > 0 then m.m_queued.(tid) <- (off / 64, (off + len - 1) / 64) :: m.m_queued.(tid)
+    | 3 ->
+        let tid = Util.Xoshiro.int rng 4 in
+        Nvm.Region.sfence r ~tid;
+        List.iter
+          (fun (first, last) ->
+            let off = first * 64 in
+            Bytes.blit m.m_work off m.m_media off ((last - first + 1) * 64))
+          (List.rev m.m_queued.(tid));
+        m.m_queued.(tid) <- []
+    | 4 ->
+        Nvm.Region.crash r;
+        Bytes.blit m.m_media 0 m.m_work 0 cap;
+        Array.fill m.m_queued 0 4 []
+    | _ -> media_agrees (Printf.sprintf "media at step %d" step));
+    Alcotest.(check string)
+      (Printf.sprintf "store view at step %d" step)
+      (Bytes.to_string m.m_work)
+      (Nvm.Region.read_string r ~off:0 ~len:cap)
+  done;
+  media_agrees "media at the end"
+
+let test_differential_create () =
+  for seed = 1 to 20 do
+    let r = make_region ~capacity:4096 () in
+    run_differential ~seed ~steps:300 r (model_of "" 4096)
+  done
+
+let test_differential_of_image () =
+  for seed = 1 to 20 do
+    let image = random_image (Util.Xoshiro.create (1000 + seed)) 3001 in
+    let r = Nvm.Region.of_image ~latency:Nvm.Latency.zero ~max_threads:4 image in
+    run_differential ~seed ~steps:300 r (model_of image (Nvm.Region.capacity r))
+  done
+
+(* Three lines over an image: [queued] written back on two threads but
+   never fenced, [dirty] stored only, [fenced] persisted; every other
+   line is untouched.  Returns the region and the image. *)
+let injection_setup () =
+  let image = random_image (Util.Xoshiro.create 11) 1000 in
+  let r = Nvm.Region.of_image ~latency:Nvm.Latency.zero ~max_threads:4 image in
+  Nvm.Region.write_string r ~off:64 (String.make 64 'q');
+  Nvm.Region.write_string r ~off:200 (String.make 10 'Q');
+  Nvm.Region.writeback r ~tid:0 ~off:64 ~len:64;
+  Nvm.Region.writeback r ~tid:1 ~off:200 ~len:10;
+  Nvm.Region.write_string r ~off:512 (String.make 8 'd');
+  Nvm.Region.write_string r ~off:900 (String.make 8 'f');
+  Nvm.Region.persist r ~tid:2 ~off:900 ~len:8;
+  (r, image)
+
+(* [image] padded to the region, with [patches] (offset, string) applied *)
+let expected_image r image patches =
+  let b = Bytes.make (Nvm.Region.capacity r) '\000' in
+  Bytes.blit_string image 0 b 0 (String.length image);
+  List.iter (fun (off, s) -> Bytes.blit_string s 0 b off (String.length s)) patches;
+  Bytes.to_string b
+
+let check_durable r want =
+  Alcotest.(check string) "store view after crash" want
+    (Nvm.Region.read_string r ~off:0 ~len:(Nvm.Region.capacity r));
+  Alcotest.(check string) "media image" want (Nvm.Region.media_image r)
+
+(* with persist_unfenced = 1.0, every flushed-but-unfenced line survives;
+   a line stored but never written back does not *)
+let test_persist_unfenced_injection () =
+  let r, image = injection_setup () in
+  Nvm.Region.crash ~persist_unfenced:1.0 r;
+  check_durable r
+    (expected_image r image
+       [ (64, String.make 64 'q'); (200, String.make 10 'Q'); (900, String.make 8 'f') ])
+
+(* with evict_dirty = 1.0, every dirty line survives, flushed or not *)
+let test_evict_dirty_injection () =
+  let r, image = injection_setup () in
+  Nvm.Region.crash ~evict_dirty:1.0 r;
+  check_durable r
+    (expected_image r image
+       [
+         (64, String.make 64 'q');
+         (200, String.make 10 'Q');
+         (512, String.make 8 'd');
+         (900, String.make 8 'f');
+       ])
+
+let test_no_commit_media_zero () =
+  let r = make_region ~capacity:4096 () in
+  Nvm.Region.write_string r ~off:0 (String.make 4096 'x');
+  Nvm.Region.writeback r ~tid:0 ~off:0 ~len:4096;
+  let zeros = String.make 4096 '\000' in
+  Alcotest.(check string) "media before the crash" zeros (Nvm.Region.media_image r);
+  Nvm.Region.crash r;
+  Alcotest.(check string) "media after the crash" zeros (Nvm.Region.media_image r);
+  Alcotest.(check string) "store view after the crash" zeros (Nvm.Region.read_string r ~off:0 ~len:4096)
+
+(* Every line of the region committed, by fence and by both injections,
+   across crashes: the string the region was built from stays as it was. *)
+let test_image_never_written () =
+  let image = random_image (Util.Xoshiro.create 5) 2001 in
+  let saved = Bytes.of_string image in
+  let r = Nvm.Region.of_image ~latency:Nvm.Latency.zero ~max_threads:4 image in
+  let cap = Nvm.Region.capacity r in
+  Nvm.Region.write_string r ~off:0 (String.make cap 'a');
+  Nvm.Region.persist r ~tid:0 ~off:0 ~len:(cap / 2);
+  Nvm.Region.writeback r ~tid:1 ~off:(cap / 2) ~len:(cap / 4);
+  Nvm.Region.crash ~persist_unfenced:1.0 ~evict_dirty:1.0 r;
+  Nvm.Region.write_string r ~off:0 (String.make cap 'b');
+  Nvm.Region.persist r ~tid:0 ~off:0 ~len:cap;
+  Nvm.Region.crash r;
+  Alcotest.(check string) "every line committed" (String.make cap 'b') (Nvm.Region.media_image r);
+  Alcotest.(check string) "caller's image unchanged" (Bytes.to_string saved) image
+
 let () =
   Alcotest.run "nvm"
     [
@@ -202,4 +338,11 @@ let () =
           Alcotest.test_case "transient bypass" `Quick test_transient_access_not_persisted;
         ] );
       ("stats", [ Alcotest.test_case "counting" `Quick test_stats_counting ]);
+      ( "media",
+        [
+          Alcotest.test_case "create = two-view model" `Quick test_differential_create;
+          Alcotest.test_case "of_image = two-view model" `Quick test_differential_of_image;
+          Alcotest.test_case "no commits: media all zero" `Quick test_no_commit_media_zero;
+          Alcotest.test_case "caller's image never written" `Quick test_image_never_written;
+        ] );
     ]

@@ -236,7 +236,7 @@ let test_lints_counted () =
 (* ---- bounded crash-state enumeration ---- *)
 
 (* valid-flag protocol on two lines: flag at 64 must imply data at 0 *)
-let flag_predicate m = Bytes.get m 64 = '\000' || Bytes.get m 0 = 'D'
+let flag_predicate m = m.[64] = '\000' || m.[0] = 'D'
 
 let test_explore_finds_missing_fence () =
   let r, c = checked ~log_events:true () in

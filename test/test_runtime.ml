@@ -41,7 +41,7 @@ let test_pb_overflow_flushes_oldest () =
         List.init 5 (fun i -> E.pnew esys ~tid:0 (Bytes.make 8 (Char.chr (Char.code 'a' + i)))))
   in
   let media = Nvm.Region.media_image region in
-  let on_media (p : E.pblk) = Bytes.sub_string media (H.content_off p.off) 8 in
+  let on_media (p : E.pblk) = String.sub media (H.content_off p.off) 8 in
   List.iteri
     (fun i p ->
       let want = if i < 4 then String.make 8 (Char.chr (Char.code 'a' + i)) else String.make 8 '\000' in
