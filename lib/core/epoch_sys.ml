@@ -1121,6 +1121,21 @@ module Uid_table = struct
     uid > 0 && t.vals.(find_slot t.uids uid) = off lsl 1
 end
 
+(* Filler for the survivor array in [recover]; never handed out. *)
+let no_pblk =
+  {
+    off = -1;
+    uid = 0;
+    epoch = 0;
+    size = 0;
+    live = false;
+    mirror = None;
+    memo = No_memo;
+    mref = false;
+    mslot = -1;
+    mgen = 0;
+  }
+
 (* Rebuild an epoch system from a crashed region and return handles to
    every surviving payload.  A payload survives when it is the newest
    version of its uid with epoch ≤ crash_epoch − 2 and that version is
@@ -1192,17 +1207,19 @@ let recover ?(config = Config.default) ?(threads = 1) region =
      media. *)
   let live_winners = ref 0 in
   Array.iteri (fun i uid -> if uid <> 0 && best.vals.(i) land 1 = 0 then incr live_winners) best.uids;
-  let slot = ref (-1) in
-  let payloads =
-    Array.init !live_winners (fun _ ->
-        incr slot;
-        while best.uids.(!slot) = 0 || best.vals.(!slot) land 1 = 1 do
-          incr slot
-        done;
-        let off = best.vals.(!slot) lsr 1 in
+  (* [caml_make_vect] forces a minor collection when a large array's
+     initial value is young, as [Array.init]'s first handle always is;
+     [no_pblk] is old once any minor collection has run since start-up *)
+  let payloads = Array.make !live_winners no_pblk in
+  let next = ref 0 in
+  for i = 0 to Array.length best.uids - 1 do
+    let uid = best.uids.(i) in
+    if uid <> 0 && best.vals.(i) land 1 = 0 then begin
+      let off = best.vals.(i) lsr 1 in
+      payloads.(!next) <-
         {
           off;
-          uid = best.uids.(!slot);
+          uid;
           epoch = Payload_hdr.epoch_at region ~off;
           size = Payload_hdr.size_at region ~off;
           live = true;
@@ -1211,8 +1228,10 @@ let recover ?(config = Config.default) ?(threads = 1) region =
           mref = false;
           mslot = -1;
           mgen = 0;
-        })
-  in
+        };
+      incr next
+    end
+  done;
   (match t.chk with Some c -> Nvm.Pcheck.set_recovery_scan c false | None -> ());
   start_background t;
   (t, payloads)

@@ -14,16 +14,27 @@
 
    A line's durable content is [media] where committed, [base]
    otherwise.  Every path that changes durable content writes [media]
-   and sets the map in the same step, so the two readers of durable
-   content ([crash] and [media_image]) see exactly what a second full
-   media copy would hold, and never read a [media] byte that was not
-   written.
+   and sets the map in the same step, so the one reader of durable
+   content ([blit_durable]) sees exactly what a second full media copy
+   would hold, and never reads a [media] byte that was not written.
+
+   [work] itself is loaded lazily, line by line, as a DAX mapping reads
+   the heap in place: a line of [state] is clean, dirty or unloaded.
+   An unloaded line's [work] bytes are garbage and its current content
+   is its durable content.  A fresh region starts with every line
+   loaded (and zero); [of_image] and [crash] leave every line unloaded
+   and copy nothing.  Every accessor loads the unloaded lines it
+   touches ([touch]) before it reads or stores them.  Loads are not
+   charged: a mapped heap copies nothing on first touch, the touch is
+   the device read, and the latency model already charges device reads
+   where it always has (payload reads; scalar metadata stays
+   uncharged).
 
    Stores mutate [work] and mark the covered 64 B lines dirty.  A
    [writeback] (CLWB analog) enqueues lines on the *issuing thread's*
    write-pending queue; [sfence] drains that queue into media.  This
    mirrors x86 semantics, where SFENCE orders only the issuing CPU's
-   stores.  [crash] discards [work] (reloading it from media) so that
+   stores.  [crash] discards [work] (every line unloaded again) so that
    only fenced data survives; optional injection parameters let tests
    model lines that persisted despite a missing fence (completed CLWBs)
    or spontaneous cache evictions of dirty lines, both of which real
@@ -31,7 +42,9 @@
 
    Thread-safety discipline: distinct threads may concurrently access
    *disjoint* line ranges (the data-structure layer guarantees
-   ownership, exactly as it must on real hardware).  [crash] and
+   ownership, exactly as it must on real hardware).  First touches are
+   the exception: cold readers and 8-byte writers may share a line, so
+   loading is safe under any race (see [load_lines]).  [crash] and
    [recover_*] require quiescence. *)
 
 let line_size = 64
@@ -43,7 +56,10 @@ type t = {
   base : string; (* at most [capacity] bytes; zeros past its end *)
   media : Bytes.t; (* valid only on committed lines *)
   committed : Bytes.t; (* one byte per line; 0 = durable content in [base] *)
-  dirty : Bytes.t; (* one byte per line; 0 = clean *)
+  state : Bytes.t; (* one byte per line: [clean], [dirty] or [unloaded] *)
+  (* how many lines are [unloaded]; at 0, [touch_lines] skips [state] *)
+  mutable unloaded_lines : int
+      [@montage.guarded_by "load_lock (crash and construction run alone; see load_lines)"];
   (* per-thread write-pending queues of packed (line_off << 15 | lines)
      ranges: payload flushes are contiguous, so committing a range with
      one blit beats per-line bookkeeping *)
@@ -72,17 +88,24 @@ type t = {
       [@montage.guarded_by "set-up-before-sharing (enable_pcheck precedes domain spawn)"];
   (* serializes [cas_i64]'s read-check-write; see its comment *)
   cas_lock : Mutex.t;
+  (* serializes first touches; see [load_lines] *)
+  load_lock : Mutex.t;
 }
+
+let clean = '\000'
+let dirty = '\001'
+let unloaded = '\002'
 
 let queue_capacity = 4096
 
 let round_capacity capacity = (capacity + line_size - 1) land lnot (line_size - 1)
 
-(* The one constructor: [work] is the caller's, already holding the
-   region's initial bytes over the full rounded capacity, and [base]
-   the durable image it was loaded from.  Nothing is committed yet, so
+(* The one constructor: [work] is the caller's, over the full rounded
+   capacity, with every line in [state] — [clean] when [work] already
+   holds the region's initial bytes, [unloaded] when they are still
+   only in [base], the durable image.  Nothing is committed yet, so
    [media] is never read before it is written and needs no fill. *)
-let make ~latency ~max_threads ~capacity ~work ~base =
+let make ~latency ~max_threads ~capacity ~work ~state ~base =
   let lines = capacity lsr line_shift in
   {
     capacity;
@@ -90,7 +113,8 @@ let make ~latency ~max_threads ~capacity ~work ~base =
     base;
     media = Bytes.create capacity;
     committed = Bytes.make lines '\000';
-    dirty = Bytes.make lines '\000';
+    state = Bytes.make lines state;
+    unloaded_lines = (if state = unloaded then lines else 0);
     queues = Array.init max_threads (fun _ -> Array.make queue_capacity 0);
     queue_len = Array.make max_threads 0;
     queue_lines = Array.make max_threads 0;
@@ -105,48 +129,45 @@ let make ~latency ~max_threads ~capacity ~work ~base =
     stat_lines_read = Atomic.make 0;
     checker = None;
     cas_lock = Mutex.create ();
+    load_lock = Mutex.create ();
   }
 
 let create ?(latency = Latency.default) ?(max_threads = 64) ~capacity () =
   if capacity <= 0 then invalid_arg "Region.create: capacity";
   let capacity = round_capacity capacity in
-  make ~latency ~max_threads ~capacity ~work:(Bytes.make capacity '\000') ~base:""
+  make ~latency ~max_threads ~capacity ~work:(Bytes.make capacity '\000') ~state:clean ~base:""
 
 (* Reconstruct a region from a raw media image (e.g. one of the crash
-   states materialized by [Pcheck.explore]): [work] and the durable
-   state both start as the image — exactly the post-restart view after
-   the crash that produced it.  The image becomes [base] as it is, so a
-   restart writes the heap once: the copy into [work], plus zeros only
-   for the tail past the image up to the rounded capacity. *)
+   states materialized by [Pcheck.explore]): the store view and the
+   durable state both start as the image — exactly the post-restart
+   view after the crash that produced it.  The image becomes [base] as
+   it is and every line of [work] starts unloaded, so a restart copies
+   nothing: each line is loaded when it is first touched. *)
 let of_image ?(latency = Latency.default) ?(max_threads = 64) image =
   let len = String.length image in
   if len <= 0 then invalid_arg "Region.of_image: empty image";
   let capacity = round_capacity len in
-  let work = Bytes.create capacity in
-  Bytes.blit_string image 0 work 0 len;
-  Bytes.fill work len (capacity - len) '\000';
-  make ~latency ~max_threads ~capacity ~work ~base:image
+  make ~latency ~max_threads ~capacity ~work:(Bytes.create capacity) ~state:unloaded ~base:image
 
-(* Write every line's durable content into [dst] at its own offset,
-   one blit per run of equal map bytes: committed runs from [media],
-   the rest from [base], zeros past its end. *)
-let blit_durable t dst =
-  let n = Bytes.length t.committed in
-  let first = ref 0 in
-  while !first < n do
-    let c = Bytes.unsafe_get t.committed !first in
-    let last = ref (!first + 1) in
-    while !last < n && Bytes.unsafe_get t.committed !last = c do
-      incr last
+(* Write the durable content of lines [first, last) into [dst] at their
+   own offsets, one blit per run of equal map bytes: committed runs
+   from [media], the rest from [base], zeros past its end. *)
+let blit_durable t dst ~first ~last =
+  let run = ref first in
+  while !run < last do
+    let c = Bytes.unsafe_get t.committed !run in
+    let stop = ref (!run + 1) in
+    while !stop < last && Bytes.unsafe_get t.committed !stop = c do
+      incr stop
     done;
-    let off = !first lsl line_shift and len = (!last - !first) lsl line_shift in
+    let off = !run lsl line_shift and len = (!stop - !run) lsl line_shift in
     if c <> '\000' then Bytes.blit t.media off dst off len
     else begin
       let from_base = max 0 (min len (String.length t.base - off)) in
       if from_base > 0 then Bytes.blit_string t.base off dst off from_base;
       Bytes.fill dst (off + from_base) (len - from_base) '\000'
     end;
-    first := !last
+    run := !stop
   done
 
 (* Snapshot of the durable bytes — the crash state with no unfenced
@@ -155,8 +176,62 @@ let blit_durable t dst =
    parallelism on one crash image). *)
 let media_image t =
   let b = Bytes.create t.capacity in
-  blit_durable t b;
+  blit_durable t b ~first:0 ~last:(Bytes.length t.committed);
   Bytes.unsafe_to_string b
+
+(* ---- first touch ---- *)
+
+(* Load every unloaded line of [first, last] into [work] from its
+   durable content, one blit per run, and mark it clean.
+
+   First touches race: two cold readers of one line after a restart,
+   or a reader and an 8-byte writer sharing it.  A line therefore
+   leaves [unloaded] only here, under [load_lock] and after a recheck,
+   so it is loaded exactly once, and a store claims every unloaded line
+   it covers this way before it writes.  The fast path in [touch_lines]
+   reads [unloaded_lines] and the state byte without the lock.  That is
+   sound on x86-TSO: the state store follows the blit's stores, and the
+   count's decrement follows both, so an accessor that reads a count of
+   0, or [clean] or [dirty], also sees the loaded bytes, and its own
+   later store cannot be overtaken by them; one that reads [unloaded]
+   takes the lock.  Like [cas_lock], the lock is held for a bounded
+   blit with no scheduling point or user code inside. *)
+let load_lines t first last =
+  Mutex.lock t.load_lock;
+  let line = ref first in
+  while !line <= last do
+    if Bytes.unsafe_get t.state !line <> unloaded then incr line
+    else begin
+      let stop = ref (!line + 1) in
+      while !stop <= last && Bytes.unsafe_get t.state !stop = unloaded do
+        incr stop
+      done;
+      blit_durable t t.work ~first:!line ~last:!stop;
+      Bytes.fill t.state !line (!stop - !line) clean;
+      t.unloaded_lines <- t.unloaded_lines - (!stop - !line);
+      line := !stop
+    end
+  done;
+  Mutex.unlock t.load_lock
+[@@montage.allow
+  "R5: models a page fault on a mapped heap — the lock is held for one \
+   bounded blit with no scheduling point or user code inside, like \
+   [cas_lock]"]
+
+let rec all_loaded state line last =
+  line > last || (Bytes.unsafe_get state line <> unloaded && all_loaded state (line + 1) last)
+
+(* Make lines [first, last] loaded before an access.  No allocation;
+   one compare on a region with every line loaded (one never restarted,
+   as a running server's), one byte compare more for a single line. *)
+let touch_lines t first last =
+  if
+    t.unloaded_lines > 0
+    && (Bytes.unsafe_get t.state first = unloaded || (last > first && not (all_loaded t.state (first + 1) last)))
+  then load_lines t first last
+
+(* [len] > 0 *)
+let touch t ~off ~len = touch_lines t (off lsr line_shift) ((off + len - 1) lsr line_shift)
 
 let capacity t = t.capacity
 let latency t = t.latency
@@ -189,7 +264,7 @@ let check_range t off len =
 let mark_dirty t off len =
   let first = off lsr line_shift and last = (off + len - 1) lsr line_shift in
   for line = first to last do
-    Bytes.unsafe_set t.dirty line '\001'
+    Bytes.unsafe_set t.state line dirty
   done
 
 (* ---- data access (stores go to [work]) ---- *)
@@ -202,6 +277,7 @@ let note_read t ~off ~len =
 
 let write t ~off ~src ~src_off ~len =
   check_range t off len;
+  if len > 0 then touch t ~off ~len;
   Bytes.blit src src_off t.work off len;
   if len > 0 then begin
     mark_dirty t off len;
@@ -211,6 +287,7 @@ let write t ~off ~src ~src_off ~len =
 let write_string t ~off s =
   let len = String.length s in
   check_range t off len;
+  if len > 0 then touch t ~off ~len;
   Bytes.blit_string s 0 t.work off len;
   if len > 0 then begin
     mark_dirty t off len;
@@ -226,6 +303,7 @@ let charge_read t ~off ~len =
 
 let read t ~off ~dst ~dst_off ~len =
   check_range t off len;
+  if len > 0 then touch t ~off ~len;
   charge_read t ~off ~len;
   note_read t ~off ~len;
   Bytes.blit t.work off dst dst_off len
@@ -233,6 +311,7 @@ let read t ~off ~dst ~dst_off ~len =
 let read_string t ~off ~len =
   check_range t off len;
   if len > 0 then begin
+    touch t ~off ~len;
     charge_read t ~off ~len;
     note_read t ~off ~len
   end;
@@ -240,23 +319,27 @@ let read_string t ~off ~len =
 
 let set_u8 t ~off v =
   check_range t off 1;
+  touch t ~off ~len:1;
   Bytes.unsafe_set t.work off (Char.chr (v land 0xFF));
   mark_dirty t off 1;
   note_store t ~off ~len:1
 
 let get_u8 t ~off =
   check_range t off 1;
+  touch t ~off ~len:1;
   note_read t ~off ~len:1;
   Char.code (Bytes.unsafe_get t.work off)
 
 let set_i64 t ~off v =
   check_range t off 8;
+  touch t ~off ~len:8;
   Bytes.set_int64_le t.work off (Int64.of_int v);
   mark_dirty t off 8;
   note_store t ~off ~len:8
 
 let get_i64 t ~off =
   check_range t off 8;
+  touch t ~off ~len:8;
   note_read t ~off ~len:8;
   Int64.to_int (Bytes.get_int64_le t.work off)
 
@@ -271,6 +354,7 @@ let get_i64 t ~off =
    [on_store]); the caller still owns write-back and fence. *)
 let cas_i64 t ~off ~expected ~desired =
   check_range t off 8;
+  touch t ~off ~len:8;
   Mutex.lock t.cas_lock;
   let cur = Int64.to_int (Bytes.get_int64_le t.work off) in
   let won = cur = expected in
@@ -288,12 +372,14 @@ let cas_i64 t ~off ~expected ~desired =
 
 let set_i32 t ~off v =
   check_range t off 4;
+  touch t ~off ~len:4;
   Bytes.set_int32_le t.work off (Int32.of_int v);
   mark_dirty t off 4;
   note_store t ~off ~len:4
 
 let get_i32 t ~off =
   check_range t off 4;
+  touch t ~off ~len:4;
   note_read t ~off ~len:4;
   (* values are sizes/offsets, always < 2^31: zero-extend *)
   Int32.to_int (Bytes.get_int32_le t.work off) land 0xFFFFFFFF
@@ -305,10 +391,12 @@ let get_i32 t ~off =
 
 let transient_set_i64 t ~off v =
   check_range t off 8;
+  touch t ~off ~len:8;
   Bytes.set_int64_le t.work off (Int64.of_int v)
 
 let transient_get_i64 t ~off =
   check_range t off 8;
+  touch t ~off ~len:8;
   Int64.to_int (Bytes.get_int64_le t.work off)
 
 (* ---- persistence primitives ---- *)
@@ -322,9 +410,10 @@ let max_entry_lines = count_mask
 let commit_entry t entry =
   let first = entry lsr count_bits and lines = entry land count_mask in
   let off = first lsl line_shift in
+  touch_lines t first (first + lines - 1);
   Bytes.blit t.work off t.media off (lines lsl line_shift);
   Bytes.fill t.committed first lines '\001';
-  Bytes.fill t.dirty first lines '\000'
+  Bytes.fill t.state first lines clean
 
 let drain_queue t ~tid =
   let q = t.queues.(tid) in
@@ -422,6 +511,7 @@ let note_mirror_read t ~off ~len ~data =
   | None -> ()
   | Some c ->
       check_range t off len;
+      if len > 0 then touch t ~off ~len;
       Pcheck.on_mirror_read c ~off ~len ~data ~work:t.work
 
 let note_fence t ~tid =
@@ -454,6 +544,7 @@ let persist t ~tid ~off ~len =
 (* One line reaches media outside a fence drain (an injection). *)
 let commit_line t line =
   let off = line lsl line_shift in
+  touch_lines t line line;
   Bytes.blit t.work off t.media off line_size;
   Bytes.unsafe_set t.committed line '\001'
 
@@ -483,15 +574,16 @@ let crash ?(persist_unfenced = 0.0) ?(evict_dirty = 0.0) ?rng t =
     done;
   if evict_dirty > 0.0 then
     for line = 0 to (t.capacity lsr line_shift) - 1 do
-      if Bytes.unsafe_get t.dirty line <> '\000' && Util.Xoshiro.float rng < evict_dirty
+      if Bytes.unsafe_get t.state line = dirty && Util.Xoshiro.float rng < evict_dirty
       then begin
         commit_line t line;
         note_injected line
       end
     done;
-  (* Power is lost: caches vanish.  The post-restart view is media. *)
-  blit_durable t t.work;
-  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
+  (* Power is lost: caches vanish.  The post-restart view is media,
+     loaded line by line on first touch. *)
+  Bytes.fill t.state 0 (Bytes.length t.state) unloaded;
+  t.unloaded_lines <- Bytes.length t.state;
   Array.fill t.queue_len 0 t.max_threads 0;
   Array.fill t.queue_lines 0 t.max_threads 0;
   match t.checker with None -> () | Some c -> Pcheck.on_crash c ~injected:!injected

@@ -3,6 +3,9 @@
     The region keeps one full copy of its contents, [work] — what loads
     and stores observe.  What survives a crash (the media) is the image
     the region was built from, overlaid by every line committed since.
+    After a restart ({!of_image}, {!crash}) [work] is loaded line by
+    line from the media on first touch, as a mapped heap is read in
+    place; loads are not charged and are invisible to callers.
     Stores mutate work and mark the covered 64 B lines dirty;
     {!writeback} (CLWB analog) queues ranges on the issuing thread's
     write-pending queue; {!sfence} drains that queue into media.
@@ -12,7 +15,8 @@
 
     Thread-safety discipline: distinct threads may concurrently access
     disjoint line ranges (the data-structure layer guarantees
-    ownership, exactly as on real hardware).  [crash] requires
+    ownership, exactly as on real hardware); first touches of one line
+    may race and are loaded exactly once.  [crash] requires
     quiescence. *)
 
 val line_size : int
@@ -27,7 +31,8 @@ val create : ?latency:Latency.t -> ?max_threads:int -> capacity:int -> unit -> t
     materialized by {!Pcheck.explore}): both work and media start as
     the image, zero-padded to a line multiple, exactly the post-restart
     view after that crash.  The region keeps the image itself as the
-    base of its media (no copy); it never writes it. *)
+    base of its media and copies none of it up front: each line of work
+    is loaded when first touched.  It never writes the image. *)
 val of_image : ?latency:Latency.t -> ?max_threads:int -> string -> t
 
 (** The current media bytes, as a fresh string: the crash state in
@@ -111,8 +116,9 @@ val persist : t -> tid:int -> off:int -> len:int -> unit
 
 (** {1 Crash} *)
 
-(** Simulate power failure (requires quiescence): work is reloaded from
-    media, queues and dirty state cleared.  With probability
+(** Simulate power failure (requires quiescence): work is discarded —
+    each line is reloaded from media on its next touch — and queues and
+    dirty state are cleared.  With probability
     [persist_unfenced], each queued-but-unfenced line reaches media;
     with probability [evict_dirty], a dirty line persists despite never
     being flushed. *)

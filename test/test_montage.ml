@@ -394,7 +394,7 @@ let qcheck_prefix_consistency =
       let live : (string, E.pblk) Hashtbl.t = Hashtbl.create 16 in
       let snapshots = Hashtbl.create 16 in
       let snapshot () = Hashtbl.fold (fun k _ acc -> k :: acc) live [] |> List.sort compare in
-      Hashtbl.replace snapshots (E.current_epoch esys) (snapshot ());
+      let epoch = ref (E.current_epoch esys) in
       let counter = ref 0 in
       List.iter
         (fun cmd ->
@@ -430,9 +430,16 @@ let qcheck_prefix_consistency =
           | _ ->
               (* epoch tick *)
               E.advance_epoch esys ~tid:1);
-          (* record the model state as of each epoch boundary *)
-          Hashtbl.replace snapshots (E.current_epoch esys) (snapshot ()))
+          (* record the model state once per epoch boundary, as the
+             epoch is left: only the tick moves the clock, and it leaves
+             the set as the epoch's last command did *)
+          let e = E.current_epoch esys in
+          if e <> !epoch then begin
+            Hashtbl.replace snapshots !epoch (snapshot ());
+            epoch := e
+          end)
         script;
+      Hashtbl.replace snapshots !epoch (snapshot ());
       let crash_epoch = E.current_epoch esys in
       Nvm.Region.crash region;
       let esys2, payloads = E.recover ~config:testing_cfg region in

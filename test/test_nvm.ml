@@ -163,76 +163,250 @@ let qcheck_crash_keeps_persisted_prefix =
 (* ---- media: committed lines over the base image ---- *)
 
 (* The two-view reference the region must agree with: full copies of
-   the store view and the media, and per-thread queues of the line
-   ranges written back but not yet fenced. *)
-type model = { m_work : Bytes.t; m_media : Bytes.t; m_queued : (int * int) list array }
+   the store view and the media, the lines stored since their last
+   fence (what [evict_dirty] may persist), and per-thread queues of the
+   line ranges written back but not yet fenced. *)
+type model = {
+  m_work : Bytes.t;
+  m_media : Bytes.t;
+  m_dirty : bool array;
+  m_queued : (int * int) list array;
+}
 
 let model_of image capacity =
   let b = Bytes.make capacity '\000' in
   Bytes.blit_string image 0 b 0 (String.length image);
-  { m_work = Bytes.copy b; m_media = b; m_queued = Array.make 4 [] }
+  { m_work = Bytes.copy b; m_media = b; m_dirty = Array.make (capacity / 64) false; m_queued = Array.make 4 [] }
 
-(* Random stores, write-backs, fences, crashes and media snapshots on
-   [r] and the model side by side; the store view is compared after
-   every step and the media at every snapshot and at the end. *)
-let run_differential ~seed ~steps r m =
-  let rng = Util.Xoshiro.create seed in
-  let cap = Nvm.Region.capacity r in
-  let media_agrees what =
-    Alcotest.(check string) what (Bytes.to_string m.m_media) (Nvm.Region.media_image r)
-  in
+type op =
+  | Write of int * string
+  | Set of int * int * int (* width 1, 4 or 8; offset; value *)
+  | Cas of int * bool * int (* offset; expect the current value; desired *)
+  | Transient_set of int * int
+  | Read of int * int
+  | Get of int * int (* width; offset *)
+  | Transient_get of int
+  | Writeback of int * int * int (* tid; offset; length *)
+  | Writeback_lines of int * int * int (* tid; first line; lines *)
+  | Fence of int
+  | Crash of bool (* with every unfenced and dirty line persisting *)
+
+(* A random script over a region of [cap] bytes.  Ranges start anywhere
+   and run up to four lines, so they straddle loaded and unloaded
+   lines; scalars may straddle two lines; crashes come singly or in
+   pairs with nothing touched between them. *)
+let random_script rng ~cap ~steps =
+  let int n = Util.Xoshiro.int rng n in
   let range () =
-    let off = Util.Xoshiro.int rng cap in
-    (off, Util.Xoshiro.int rng (min 200 (cap - off) + 1))
+    let off = int cap in
+    (off, int (min 200 (cap - off) + 1))
   in
-  for step = 1 to steps do
-    (match Util.Xoshiro.int rng 6 with
-    | 0 ->
-        let off, len = range () in
-        let src = Bytes.init len (fun _ -> Char.chr (Util.Xoshiro.int rng 256)) in
-        Nvm.Region.write r ~off ~src ~src_off:0 ~len;
-        Bytes.blit src 0 m.m_work off len
-    | 1 ->
-        let off = Util.Xoshiro.int rng (cap - 7) and v = Util.Xoshiro.int rng 1_000_000 - 500_000 in
-        Nvm.Region.set_i64 r ~off v;
-        Bytes.set_int64_le m.m_work off (Int64.of_int v)
-    | 2 ->
-        let tid = Util.Xoshiro.int rng 4 and off, len = range () in
-        Nvm.Region.writeback r ~tid ~off ~len;
-        if len > 0 then m.m_queued.(tid) <- (off / 64, (off + len - 1) / 64) :: m.m_queued.(tid)
-    | 3 ->
-        let tid = Util.Xoshiro.int rng 4 in
-        Nvm.Region.sfence r ~tid;
-        List.iter
-          (fun (first, last) ->
-            let off = first * 64 in
-            Bytes.blit m.m_work off m.m_media off ((last - first + 1) * 64))
-          (List.rev m.m_queued.(tid));
-        m.m_queued.(tid) <- []
-    | 4 ->
-        Nvm.Region.crash r;
-        Bytes.blit m.m_media 0 m.m_work 0 cap;
-        Array.fill m.m_queued 0 4 []
-    | _ -> media_agrees (Printf.sprintf "media at step %d" step));
+  let width () = [| 1; 4; 8 |].(int 3) in
+  let value w = if w = 8 then int 1_000_000 - 500_000 else int (1 lsl (8 * w)) in
+  List.concat
+    (List.init steps (fun _ ->
+         match int 12 with
+         | 0 ->
+             let off, len = range () in
+             [ Write (off, String.init len (fun _ -> Char.chr (int 256))) ]
+         | 1 ->
+             let w = width () in
+             [ Set (w, int (cap - w + 1), value w) ]
+         | 2 -> [ Cas (int (cap - 7), int 2 = 0, value 8) ]
+         | 3 -> [ Transient_set (int (cap - 7), value 8) ]
+         | 4 ->
+             let off, len = range () in
+             [ Read (off, len) ]
+         | 5 ->
+             let w = width () in
+             [ Get (w, int (cap - w + 1)) ]
+         | 6 -> [ Transient_get (int (cap - 7)) ]
+         | 7 ->
+             let off, len = range () in
+             [ Writeback (int 4, off, len) ]
+         | 8 ->
+             let first = int (cap / 64) in
+             [ Writeback_lines (int 4, first, int (min 4 ((cap / 64) - first) + 1)) ]
+         | 9 -> [ Fence (int 4) ]
+         | 10 -> [ Crash (int 2 = 0) ]
+         | _ -> [ Crash (int 2 = 0); Crash (int 2 = 0) ]))
+
+let model_store m off len =
+  for line = off / 64 to (off + len - 1) / 64 do
+    m.m_dirty.(line) <- true
+  done
+
+let model_commit m line = Bytes.blit m.m_work (line * 64) m.m_media (line * 64) 64
+
+(* Apply [op] to the region and the model; reads are checked here. *)
+let apply r m op =
+  let get w off =
+    match w with
+    | 1 -> (Nvm.Region.get_u8 r ~off, Bytes.get_uint8 m.m_work off)
+    | 4 -> (Nvm.Region.get_i32 r ~off, Int32.to_int (Bytes.get_int32_le m.m_work off) land 0xFFFFFFFF)
+    | _ -> (Nvm.Region.get_i64 r ~off, Int64.to_int (Bytes.get_int64_le m.m_work off))
+  in
+  match op with
+  | Write (off, s) ->
+      Nvm.Region.write r ~off ~src:(Bytes.of_string s) ~src_off:0 ~len:(String.length s);
+      Bytes.blit_string s 0 m.m_work off (String.length s);
+      if s <> "" then model_store m off (String.length s)
+  | Set (w, off, v) ->
+      (match w with
+      | 1 ->
+          Nvm.Region.set_u8 r ~off v;
+          Bytes.set_uint8 m.m_work off v
+      | 4 ->
+          Nvm.Region.set_i32 r ~off v;
+          Bytes.set_int32_le m.m_work off (Int32.of_int v)
+      | _ ->
+          Nvm.Region.set_i64 r ~off v;
+          Bytes.set_int64_le m.m_work off (Int64.of_int v));
+      model_store m off w
+  | Cas (off, current, desired) ->
+      let cur = Int64.to_int (Bytes.get_int64_le m.m_work off) in
+      let expected = if current then cur else cur + 1 in
+      Alcotest.(check bool) "cas outcome" current (Nvm.Region.cas_i64 r ~off ~expected ~desired);
+      if current then begin
+        Bytes.set_int64_le m.m_work off (Int64.of_int desired);
+        model_store m off 8
+      end
+  | Transient_set (off, v) ->
+      Nvm.Region.transient_set_i64 r ~off v;
+      Bytes.set_int64_le m.m_work off (Int64.of_int v)
+  | Read (off, len) ->
+      let dst = Bytes.make (len + 2) '?' in
+      Nvm.Region.read r ~off ~dst ~dst_off:1 ~len;
+      Alcotest.(check string) "read" (Bytes.sub_string m.m_work off len) (Bytes.sub_string dst 1 len);
+      Alcotest.(check string) "read_string" (Bytes.sub_string m.m_work off len)
+        (Nvm.Region.read_string r ~off ~len)
+  | Get (w, off) ->
+      let got, want = get w off in
+      Alcotest.(check int) (Printf.sprintf "get%d at %d" (8 * w) off) want got
+  | Transient_get off ->
+      Alcotest.(check int) "transient get"
+        (Int64.to_int (Bytes.get_int64_le m.m_work off))
+        (Nvm.Region.transient_get_i64 r ~off)
+  | Writeback (tid, off, len) ->
+      Nvm.Region.writeback r ~tid ~off ~len;
+      if len > 0 then m.m_queued.(tid) <- (off / 64, (off + len - 1) / 64) :: m.m_queued.(tid)
+  | Writeback_lines (tid, first, lines) ->
+      Nvm.Region.writeback_lines r ~tid ~first ~lines;
+      if lines > 0 then m.m_queued.(tid) <- (first, first + lines - 1) :: m.m_queued.(tid)
+  | Fence tid ->
+      Nvm.Region.sfence r ~tid;
+      List.iter
+        (fun (first, last) ->
+          for line = first to last do
+            model_commit m line;
+            m.m_dirty.(line) <- false
+          done)
+        (List.rev m.m_queued.(tid));
+      m.m_queued.(tid) <- []
+  | Crash injected ->
+      if injected then begin
+        Nvm.Region.crash ~persist_unfenced:1.0 ~evict_dirty:1.0 r;
+        Array.iter (List.iter (fun (first, last) -> for line = first to last do model_commit m line done)) m.m_queued;
+        Array.iteri (fun line d -> if d then model_commit m line) m.m_dirty
+      end
+      else Nvm.Region.crash r;
+      Bytes.blit m.m_media 0 m.m_work 0 (Bytes.length m.m_work);
+      Array.fill m.m_dirty 0 (Array.length m.m_dirty) false;
+      Array.fill m.m_queued 0 4 []
+
+(* Random scripts on a region and the model side by side.  Reading the
+   whole store view back loads every line, so each prefix of a script
+   runs on a region of its own: after step k, the media and a full
+   read-back are compared on a region that steps 1..k alone have
+   touched — write-backs, fences and crashes of never-loaded lines
+   included. *)
+let run_differential ~seed ~steps make =
+  let script = Array.of_list (random_script (Util.Xoshiro.create seed) ~cap:(Nvm.Region.capacity (fst (make ()))) ~steps) in
+  for k = 1 to Array.length script do
+    let r, m = make () in
+    for i = 0 to k - 1 do
+      apply r m script.(i)
+    done;
+    let cap = Nvm.Region.capacity r in
     Alcotest.(check string)
-      (Printf.sprintf "store view at step %d" step)
+      (Printf.sprintf "seed %d: media after step %d" seed k)
+      (Bytes.to_string m.m_media) (Nvm.Region.media_image r);
+    Alcotest.(check string)
+      (Printf.sprintf "seed %d: store view after step %d" seed k)
       (Bytes.to_string m.m_work)
       (Nvm.Region.read_string r ~off:0 ~len:cap)
-  done;
-  media_agrees "media at the end"
+  done
 
 let test_differential_create () =
   for seed = 1 to 20 do
-    let r = make_region ~capacity:4096 () in
-    run_differential ~seed ~steps:300 r (model_of "" 4096)
+    run_differential ~seed ~steps:60 (fun () -> (make_region ~capacity:4096 (), model_of "" 4096))
   done
 
+(* Odd image lengths: a short last line, zero-padded past the image. *)
 let test_differential_of_image () =
-  for seed = 1 to 20 do
-    let image = random_image (Util.Xoshiro.create (1000 + seed)) 3001 in
-    let r = Nvm.Region.of_image ~latency:Nvm.Latency.zero ~max_threads:4 image in
-    run_differential ~seed ~steps:300 r (model_of image (Nvm.Region.capacity r))
+  let lengths = [| 3001; 1; 63; 65; 1000; 130 |] in
+  for seed = 1 to 30 do
+    let image = random_image (Util.Xoshiro.create (1000 + seed)) lengths.(seed mod Array.length lengths) in
+    run_differential ~seed ~steps:60 (fun () ->
+        let r = Nvm.Region.of_image ~latency:Nvm.Latency.zero ~max_threads:4 image in
+        (r, model_of image (Nvm.Region.capacity r)))
   done
+
+(* First touches racing on fresh [of_image] regions: in each round two
+   domains load the same never-touched payload lines (17 lines, as a
+   1 KiB payload spans) while the main domain stores 8-byte words into
+   the first half of one of them.  The readers stay up across rounds,
+   so all three touch the lines at once.  A load that overwrote a line
+   the store had already claimed would lose a word.  In even rounds the
+   first store lands before the readers start: a store that did not
+   claim its line would leave the line's second half unloaded
+   garbage. *)
+let test_racing_first_touches () =
+  let rounds = 100 and lines = 17 in
+  let current = Atomic.make (0, None) and finished = Atomic.make 0 in
+  let reader () =
+    for round = 1 to rounds do
+      let rec await () =
+        match Atomic.get current with
+        | k, Some r when k = round -> r
+        | _ ->
+            Domain.cpu_relax ();
+            await ()
+      in
+      let r = await () in
+      ignore (Nvm.Region.read_string r ~off:0 ~len:(lines * 64));
+      Atomic.incr finished
+    done
+  in
+  let readers = [ Domain.spawn reader; Domain.spawn reader ] in
+  for round = 1 to rounds do
+    (* a fresh image per round: an unloaded line's garbage, recycled
+       from an earlier round's region, must not pass for its content *)
+    let image = random_image (Util.Xoshiro.create round) (lines * 64) in
+    let r = Nvm.Region.of_image ~latency:Nvm.Latency.zero ~max_threads:4 image in
+    let target = round mod lines in
+    let word i = (round * 4) + i + 1 in
+    let store i = Nvm.Region.set_i64 r ~off:((target * 64) + (i * 8)) (word i) in
+    let early = if round mod 2 = 0 then 1 else 0 in
+    if early = 1 then store 0;
+    Atomic.set current (round, Some r);
+    for i = early to 3 do
+      store i
+    done;
+    while Atomic.get finished < 2 * round do
+      Domain.cpu_relax ()
+    done;
+    let want = Bytes.of_string image in
+    for i = 0 to 3 do
+      Bytes.set_int64_le want ((target * 64) + (i * 8)) (Int64.of_int (word i))
+    done;
+    Alcotest.(check string)
+      (Printf.sprintf "round %d: every store kept" round)
+      (Bytes.to_string want)
+      (Nvm.Region.read_string r ~off:0 ~len:(lines * 64));
+    Alcotest.(check string) "media untouched" image (Nvm.Region.media_image r)
+  done;
+  List.iter Domain.join readers
 
 (* Three lines over an image: [queued] written back on two threads but
    never fenced, [dirty] stored only, [fenced] persisted; every other
@@ -344,5 +518,6 @@ let () =
           Alcotest.test_case "of_image = two-view model" `Quick test_differential_of_image;
           Alcotest.test_case "no commits: media all zero" `Quick test_no_commit_media_zero;
           Alcotest.test_case "caller's image never written" `Quick test_image_never_written;
+          Alcotest.test_case "racing first touches keep every store" `Quick test_racing_first_touches;
         ] );
     ]
