@@ -87,8 +87,8 @@ let note_region_stats r =
   wb_totals.lines_in <- wb_totals.lines_in + s.Nvm.Region.coalesce_lines_in;
   wb_totals.lines_out <- wb_totals.lines_out + s.Nvm.Region.coalesce_lines_out
 
-(* Payload-mirror accounting, same lifecycle as [wb_totals]: DRAM-hit /
-   NVM-miss counters and charged media read lines are harvested when a
+(* Warm-set accounting, same lifecycle as [wb_totals]: warm-hit /
+   cold-miss counters and charged media read lines are harvested when a
    Montage system stops. *)
 type mirror_totals = {
   mutable m_systems : int;
@@ -116,7 +116,7 @@ let report_mirror () =
     let rate = if reads = 0 then 0.0 else 100.0 *. float_of_int t.m_hits /. float_of_int reads in
     Printf.printf
       "\n\
-       === payload mirrors: %d Montage systems, %d DRAM hits / %d NVM misses (%.1f%% hit rate), \
+       === warm payloads: %d Montage systems, %d DRAM hits / %d NVM misses (%.1f%% hit rate), \
        %d evictions, %d media lines read ===\n\
        %!"
       t.m_systems t.m_hits t.m_misses rate t.m_evictions t.m_lines_read

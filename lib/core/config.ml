@@ -29,7 +29,7 @@ type t = {
   persist : bool; (* false = Montage (T): payloads in NVM, no persistence *)
   auto_advance : bool; (* spawn the background epoch-advancing domain *)
   pcheck : pcheck_policy; (* persistency-ordering checker (Pcheck) *)
-  mirror_max_bytes : int; (* payload-mirror (DRAM read cache) byte budget; 0 = no mirrors *)
+  mirror_max_bytes : int; (* warm-set (DRAM read cache) byte budget; 0 = every read charged cold *)
 }
 
 (* MONTAGE_PCHECK=1|record  → record; MONTAGE_PCHECK=strict|enforce →
@@ -41,9 +41,9 @@ let pcheck_from_env () =
   | Some ("strict" | "enforce") -> Pcheck_enforce
   | _ -> Pcheck_off
 
-(* MONTAGE_MIRROR_BYTES=<n> bounds the DRAM resident in mirror bytes
-   (0 turns the volatile payload mirrors off; default 64 MB).  The CI
-   matrix uses 0 to run the whole suite down the uncached read path. *)
+(* MONTAGE_MIRROR_BYTES=<n> bounds the content bytes of warm payloads
+   (0 charges every read cold; default 64 MB).  The CI matrix uses 0 to
+   run the whole suite down the charged read path. *)
 let mirror_bytes_from_env () =
   match Option.bind (Sys.getenv_opt "MONTAGE_MIRROR_BYTES") int_of_string_opt with
   | Some n when n >= 0 -> n

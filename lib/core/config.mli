@@ -34,12 +34,14 @@ type t = {
   auto_advance : bool;  (** spawn the background epoch-advancing domain *)
   pcheck : pcheck_policy;  (** persistency-ordering checker (Pcheck) *)
   mirror_max_bytes : int;
-      (** byte budget for the volatile payload mirrors: a DRAM-side
-          copy of each live payload's content bytes (and a decoded-value
-          memo via {!Payload.Make}), so warm [pget]s never touch NVM;
-          refreshed by [pset], dropped by [pdelete], cold after
-          recovery.  Clock (second-chance) eviction keeps the resident
-          bytes under the budget.  [0] turns mirrors off *)
+      (** byte budget of the warm set: the content bytes of the
+          payloads modelled as resident in DRAM (plus a decoded-value
+          memo each via {!Payload.Make}), whose reads are uncharged
+          copies out of the region; warmed by [pnew], [pset] and the
+          first (charged) read, cooled by [pdelete], all cold after
+          recovery.  Clock (second-chance) eviction keeps the warm
+          bytes under the budget.  [0] means every read is charged
+          cold *)
 }
 
 (** The [MONTAGE_PCHECK] environment variable, decoded:
@@ -48,7 +50,8 @@ type t = {
 val pcheck_from_env : unit -> pcheck_policy
 
 (** The [MONTAGE_MIRROR_BYTES] environment variable: a non-negative
-    byte budget, defaulting to 64 MB; [0] turns mirrors off. *)
+    warm-set byte budget, defaulting to 64 MB; [0] charges every
+    read cold. *)
 val mirror_bytes_from_env : unit -> int
 
 (** The paper's recommended configuration: 10 ms epochs, 64-entry

@@ -22,13 +22,17 @@ let initial_epoch = 3 (* ≥ 3 so that epoch − 2 never collides with 0 = "idle
    is the empty slot. *)
 exception No_memo
 
-(* Ownership of the non-mirror mutable fields follows the paper's §4
+(* A payload's content written in place: [write b off] lays out [len]
+   bytes at [b.[off, off + len)].  [pnew_fill]/[pset_fill] hand it the
+   region's store view, so content goes to NVM with no staging copy. *)
+type fill = { len : int; write : Bytes.t -> int -> unit }
+
+(* Ownership of the non-cache mutable fields follows the paper's §4
    well-formedness contract: a payload is mutated only by the single
    operation that currently owns it (the data structure serializes
    per-payload access), so those writes need no further lock. *)
 type pblk = {
-  mutable off : int [@montage.guarded_by "owning operation (per-payload exclusion, §4)"];
-      (* block offset in the region *)
+  off : int; (* block offset in the region *)
   uid : int;
   mutable epoch : int [@montage.guarded_by "owning operation (per-payload exclusion, §4)"];
       (* mirror of the persistent header *)
@@ -36,46 +40,63 @@ type pblk = {
       (* content bytes *)
   mutable live : bool [@montage.guarded_by "owning operation (per-payload exclusion, §4)"];
       (* debugging aid: detect use-after-free *)
-  (* --- volatile payload mirror (DRAM read cache) ---
-     [mirror] holds the content bytes exactly as stored in NVM; a warm
-     [pget] returns them without touching the region.  [memo] caches
-     the decoded value on top.  Invariants: the memo is only trusted
-     while [mirror] is [Some], and it was decoded from exactly the
-     resident buffer ([memo_store] requires physical identity with the
-     mirror, under the cache lock); eviction and every content mutation
-     clear both together.  [mgen] counts mirror transitions (every
-     install/release bumps it, under the cache lock): a cold fill
-     captures it before reading the region and is rejected if it raced
-     a mutation, so a stale read can never be installed over a fresh
-     refresh.  Mirror/memo *mutations* go through the cache lock; the
-     unchecked hit path only reads [mirror] and sets [mref]. *)
-  mutable mirror : Bytes.t option [@montage.guarded_by "mirror_cache.mc_lock"];
-  mutable memo : exn [@montage.guarded_by "mirror_cache.mc_lock"];
+  (* --- warm handles (the DRAM read-cache model) ---
+     A payload's bytes live only in the region.  A handle is warm while
+     it holds a slot in the warm ring ([mslot >= 0]): its reads copy
+     straight out of the region's volatile [work] bytes and are not
+     charged, as reads of a payload resident in DRAM.  [memo] caches
+     the decoded value on top; it is trusted only while the handle is
+     warm, was stored at the current generation ([memo_store]), and is
+     cleared by every in-place store and by eviction.  Warmth and memo
+     change under the cache lock; the hit path only reads them and
+     sets [mref].
+
+     [gen] is a seqlock over the content: an in-place [pset] makes it
+     odd before its first store and even again after its last, so a
+     reader that copies without the structure's lock retries until it
+     saw one even generation on both sides of its copy. *)
+  mutable memo : exn [@montage.guarded_by "warm_cache.mc_lock"];
   mutable mref : bool
       [@montage.guarded_by "none: lock-free clock ref bit, benign race by design"];
       (* clock (second-chance) reference bit *)
-  mutable mslot : int [@montage.guarded_by "mirror_cache.mc_lock"];
-      (* index in the cache ring; -1 = not resident *)
-  mutable mgen : int [@montage.guarded_by "mirror_cache.mc_lock"];
-      (* mirror generation; bumped under the cache lock *)
+  mutable mslot : int [@montage.guarded_by "warm_cache.mc_lock"];
+      (* index in the warm ring; -1 = cold *)
+  gen : int Atomic.t;
 }
 
-(* The mirror cache: a clock (second-chance) ring of resident handles
-   under a byte budget.  Population, refresh, drop and eviction are
-   serialized by [mc_lock] (they already sit next to an NVM read or
+(* The vacant ring slot, and the survivor array's filler in [recover];
+   never handed out. *)
+let no_pblk =
+  {
+    off = -1;
+    uid = 0;
+    epoch = 0;
+    size = 0;
+    live = false;
+    memo = No_memo;
+    mref = false;
+    mslot = -1;
+    gen = Atomic.make 0;
+  }
+
+(* The warm set: a clock (second-chance) ring of warm handles under a
+   byte budget on their content sizes.  Warming, cooling and eviction
+   are serialized by [mc_lock] (they already sit next to an NVM read or
    write charge, so the spin lock is noise); hits are lock-free — they
-   read [pblk.mirror] and set the ref bit.  The budget counts mirror
-   bytes only; decoded memos are dropped with their mirror, so their
-   lifetime is bounded by the same clock. *)
-type mirror_cache = {
+   read [pblk.mslot] and set the ref bit.  Decoded memos are dropped
+   when their handle cools, so their lifetime is bounded by the same
+   clock. *)
+type warm_cache = {
   budget : int;
   mc_lock : Util.Spin_lock.t;
-  mutable ring : pblk option array [@montage.guarded_by "mc_lock"];
-      (* grows on demand; [free] lists vacancies *)
-  mutable free : int list [@montage.guarded_by "mc_lock"];
+  mutable ring : pblk array [@montage.guarded_by "mc_lock"];
+      (* grows on demand; [no_pblk] marks a vacancy *)
+  mutable free : int array [@montage.guarded_by "mc_lock"];
+      (* stack of vacant slots, [free.(0 .. nfree - 1)] *)
+  mutable nfree : int [@montage.guarded_by "mc_lock"];
   mutable hand : int [@montage.guarded_by "mc_lock"];
   mutable used : int [@montage.guarded_by "mc_lock"];
-      (* resident mirror bytes; under [mc_lock] *)
+      (* content bytes of the warm handles *)
   hits : Util.Padded.counters; (* per tid; the extra slot serves pget_unsafe *)
   misses : Util.Padded.counters;
   evictions : int Atomic.t;
@@ -114,7 +135,7 @@ type t = {
   mutable bg : unit Domain.t option
       [@montage.guarded_by "control thread (start/stop_background caller)"];
   chk : Nvm.Pcheck.t option; (* persistency-ordering checker, per cfg.pcheck *)
-  mirror : mirror_cache option; (* volatile payload mirrors; None when cfg.mirror_max_bytes = 0 *)
+  warm : warm_cache option; (* the warm set; None when cfg.mirror_max_bytes = 0 *)
 }
 
 let region t = t.region
@@ -170,14 +191,15 @@ let make_state region cfg =
     stop_bg = Atomic.make false;
     bg = None;
     chk;
-    mirror =
+    warm =
       (if cfg.Config.mirror_max_bytes > 0 then
          Some
            {
              budget = cfg.Config.mirror_max_bytes;
              mc_lock = Util.Spin_lock.create ();
-             ring = Array.make 1024 None;
-             free = List.init 1024 Fun.id;
+             ring = Array.make 1024 no_pblk;
+             free = Array.init 1024 (fun i -> 1023 - i);
+             nfree = 1024;
              hand = 0;
              used = 0;
              (* one counter slot per worker + advancer, plus a shared
@@ -191,27 +213,22 @@ let make_state region cfg =
 
 let checker t = t.chk
 
-(* ---- volatile payload mirrors ---- *)
+(* ---- warm handles ---- *)
 
 (* Statistics slot for readers without a tid (recovery decodes,
    read-only probes): the counter array's last cell.  Padded counters
    are atomic, so sharing it across domains is safe. *)
 let untracked_slot t = t.cfg.Config.max_threads + 1
 
-(* Drop a handle's mirror and memo and release its ring slot.  Caller
-   holds [mc_lock].  Bumps the handle's generation so any in-flight
-   cold fill that started before this release is rejected. *)
+(* Cool a handle: drop its memo and give back its ring slot.  Caller
+   holds [mc_lock]. *)
 let mc_release mc (p : pblk) =
-  (match p.mirror with
-  | Some b ->
-      mc.used <- mc.used - Bytes.length b;
-      p.mirror <- None
-  | None -> ());
   p.memo <- No_memo;
-  p.mgen <- p.mgen + 1;
   if p.mslot >= 0 then begin
-    mc.ring.(p.mslot) <- None;
-    mc.free <- p.mslot :: mc.free;
+    mc.used <- mc.used - p.size;
+    mc.ring.(p.mslot) <- no_pblk;
+    mc.free.(mc.nfree) <- p.mslot;
+    mc.nfree <- mc.nfree + 1;
     p.mslot <- -1
   end
 
@@ -224,108 +241,146 @@ let mc_evict_to_budget mc =
   let steps = ref (2 * n) in
   while mc.used > mc.budget && !steps > 0 do
     decr steps;
-    (match mc.ring.(mc.hand) with
-    | Some p when p.mref -> p.mref <- false
-    | Some p ->
+    let p = mc.ring.(mc.hand) in
+    if p != no_pblk then
+      if p.mref then p.mref <- false
+      else begin
         Atomic.incr mc.evictions;
         mc_release mc p
-    | None -> ());
+      end;
     mc.hand <- (mc.hand + 1) mod n
   done
 [@@montage.allow
   "R2: the eviction counter is telemetry; the sweep itself runs under \
    mc_lock, whose acquire is the Sched-visible point"]
 
-(* Install [b] as [p]'s mirror (replacing any previous one), charging
-   the budget and evicting above it.  [b] is shared, not copied: every
-   caller hands over a freshly allocated buffer (an [encode] result or
-   a fresh region read) and mirror readers must not mutate what [pget]
-   returns.  Payloads larger than the whole budget stay uncached.
+(* Charge [p]'s content against the budget, evicting above it.  Caller
+   holds [mc_lock]; [p] is live and cold.  Payloads larger than the
+   whole budget stay cold. *)
+let mc_install mc (p : pblk) =
+  if p.size <= mc.budget then begin
+    if mc.nfree = 0 then begin
+      let n = Array.length mc.ring in
+      let ring = Array.make (2 * n) no_pblk in
+      Array.blit mc.ring 0 ring 0 n;
+      mc.ring <- ring;
+      mc.free <- Array.init (2 * n) (fun i -> (2 * n) - 1 - i);
+      mc.nfree <- n
+    end;
+    mc.nfree <- mc.nfree - 1;
+    p.mslot <- mc.free.(mc.nfree);
+    mc.ring.(p.mslot) <- p;
+    p.mref <- true;
+    mc.used <- mc.used + p.size;
+    if mc.used > mc.budget then mc_evict_to_budget mc
+  end
 
-   [gen] (the cold-fill path) makes the install conditional: the fill
-   captured [p.mgen] before its region read, and if the handle mutated
-   since ([pset]/[pdelete]/eviction each bump the generation under this
-   lock), installing the bytes it read would publish a stale — possibly
-   torn — mirror over the mutation's refresh.  The fill is then simply
-   dropped; the reader keeps its private buffer.  Mutators ([pnew]/
-   [pset] refresh) install unconditionally. *)
-let mc_install ?gen mc (p : pblk) b =
-  let len = Bytes.length b in
-  Util.Spin_lock.with_lock mc.mc_lock (fun () ->
-      match gen with
-      | Some g when p.mgen <> g -> ()
-      | _ ->
-          mc_release mc p;
-          if len <= mc.budget then begin
-            (match mc.free with
-            | s :: rest ->
-                mc.free <- rest;
-                p.mslot <- s
-            | [] ->
-                let n = Array.length mc.ring in
-                let bigger = Array.make (2 * n) None in
-                Array.blit mc.ring 0 bigger 0 n;
-                mc.ring <- bigger;
-                mc.free <- List.init (n - 1) (fun i -> n + 1 + i);
-                p.mslot <- n);
-            mc.ring.(p.mslot) <- Some p;
-            p.mirror <- Some b;
-            p.mref <- true;
-            mc.used <- mc.used + len;
-            if mc.used > mc.budget then mc_evict_to_budget mc
-          end)
+let with_cache t f =
+  match t.warm with None -> () | Some mc -> Util.Spin_lock.with_lock mc.mc_lock (fun () -> f mc)
 
-let mc_drop mc (p : pblk) = Util.Spin_lock.with_lock mc.mc_lock (fun () -> mc_release mc p)
-
-(* The hit path: return the mirror bytes if resident.  Without a
-   checker this is lock-free — one option read and a ref-bit store.
-   With a checker attached the read is asserted coherent against the
-   store view ([Pcheck.on_mirror_read]); that comparison must not
-   straddle an in-flight in-place store, so checked hits revalidate
-   under [mc_lock]: mutators drop the mirror (under the same lock)
-   *before* touching the region and re-install after, so a mirror
-   observed resident while holding the lock implies its range is
-   quiescent and matches the store view.  Only checked builds pay the
-   serialization. *)
-let mirror_hit t ~stat_tid (p : pblk) =
-  match t.mirror with
-  | None -> None
-  | Some mc -> (
-      match t.chk with
-      | None -> (
-          match p.mirror with
-          | Some _ as hit ->
-              p.mref <- true;
-              Util.Padded.incr mc.hits stat_tid;
-              hit
-          | None -> None)
-      | Some _ ->
-          Util.Spin_lock.with_lock mc.mc_lock (fun () ->
-              match p.mirror with
-              | Some b as hit ->
-                  p.mref <- true;
-                  Util.Padded.incr mc.hits stat_tid;
-                  Nvm.Region.note_mirror_read t.region
-                    ~off:(Payload_hdr.content_off p.off) ~len:(Bytes.length b) ~data:b;
-                  hit
-              | None -> None))
-
-let mirror_fill t ~stat_tid ~gen p b =
-  match t.mirror with
+(* A cold read paid its load: the handle turns warm, unless a racing
+   [pdelete] or copying [pset] retired it meanwhile (both clear [live]
+   before they cool it, under this lock's order). *)
+let warm_after_miss t ~stat_tid (p : pblk) =
+  match t.warm with
   | None -> ()
   | Some mc ->
       Util.Padded.incr mc.misses stat_tid;
-      mc_install ~gen mc p b
+      Util.Spin_lock.with_lock mc.mc_lock (fun () -> if p.live && p.mslot < 0 then mc_install mc p)
 
-(* Refresh after a content mutation ([pnew]/[pset]): the new encoded
-   bytes become the mirror without a miss being charged. *)
-let mirror_refresh t p b = match t.mirror with None -> () | Some mc -> mc_install mc p b
-let mirror_drop t p = match t.mirror with None -> () | Some mc -> mc_drop mc p
+(* A fresh payload ([pnew], the new version of a copying [pset]) is
+   born warm: its content was just written. *)
+let warm_born t p = with_cache t (fun mc -> mc_install mc p)
+
+(* Cool a retired handle ([pdelete], the old version of a copying
+   [pset]). *)
+let cool t p = with_cache t (fun mc -> mc_release mc p)
+
+(* Before a read: a warm handle counts a hit; a cold one pays the
+   charged load of its whole content once and turns warm.  Without a
+   warm set every read is charged. *)
+let warm_up t ~stat_tid (p : pblk) =
+  match t.warm with
+  | Some mc when p.mslot >= 0 ->
+      p.mref <- true;
+      Util.Padded.incr mc.hits stat_tid
+  | _ ->
+      Nvm.Region.charge_read t.region ~off:(Payload_hdr.content_off p.off) ~len:p.size;
+      warm_after_miss t ~stat_tid p
+
+(* ---- the content seqlock ---- *)
+
+(* An even generation: the content is not being stored in place. *)
+let rec stable_gen (p : pblk) =
+  let g = Atomic.get p.gen in
+  if g land 1 = 0 then g
+  else begin
+    Util.Sched.await "esys.seqlock" (fun () -> Atomic.get p.gen land 1 = 0);
+    stable_gen p
+  end
+
+(* Copy content bytes [pos, pos+len) of [p] out of the region, uncharged
+   (the caller ran [warm_up]), retrying until no in-place store overlapped
+   the copy. *)
+let rec copy_content t (p : pblk) ~pos ~dst ~dst_off ~len =
+  let g = stable_gen p in
+  Nvm.Region.read_uncharged t.region ~off:(Payload_hdr.content_off p.off + pos) ~dst ~dst_off ~len;
+  if Atomic.get p.gen <> g then begin
+    Util.Sched.yield "esys.seqlock.retry";
+    copy_content t p ~pos ~dst ~dst_off ~len
+  end
+
+(* The whole content as a fresh buffer; its length is read inside the
+   same seqlock window as its bytes. *)
+let rec snapshot t (p : pblk) =
+  let g = stable_gen p in
+  let len = p.size in
+  let b = Bytes.create len in
+  Nvm.Region.read_uncharged t.region ~off:(Payload_hdr.content_off p.off) ~dst:b ~dst_off:0 ~len;
+  if Atomic.get p.gen = g then b
+  else begin
+    Util.Sched.yield "esys.seqlock.retry";
+    snapshot t p
+  end
+
+(* An in-place store of [len] content bytes into [p] is about to start:
+   the generation turns odd and the memo goes (both under the cache
+   lock, so [memo_store] can never publish across them), and the
+   budget follows the new size.  The store warms the handle, as a
+   fresh payload is born warm.  [store_close] ends the window. *)
+let store_open t (p : pblk) ~len =
+  match t.warm with
+  | None ->
+      Atomic.incr p.gen;
+      p.size <- len
+  | Some mc ->
+      Util.Spin_lock.with_lock mc.mc_lock (fun () ->
+          Atomic.incr p.gen;
+          p.memo <- No_memo;
+          if p.mslot >= 0 then begin
+            mc.used <- mc.used + len - p.size;
+            p.size <- len;
+            p.mref <- true;
+            if len > mc.budget then mc_release mc p
+            else if mc.used > mc.budget then mc_evict_to_budget mc
+          end
+          else begin
+            p.size <- len;
+            mc_install mc p
+          end)
+[@@montage.allow
+  "R2: the seqlock bump is one step of pset, whose Sched point \
+   (esys.pset) precedes it; no Sched point falls inside the window, so \
+   a scheduled reader never observes it odd, and real readers wait \
+   through Sched.await in stable_gen"]
+
+let store_close (p : pblk) = Atomic.incr p.gen
+[@@montage.allow "R2: closes the window store_open opened, within the same pset step"]
 
 type mirror_stats = { hits : int; misses : int; evictions : int; resident_bytes : int }
 
 let mirror_stats t =
-  match t.mirror with
+  match t.warm with
   | None -> { hits = 0; misses = 0; evictions = 0; resident_bytes = 0 }
   | Some mc ->
       {
@@ -338,34 +393,17 @@ let mirror_stats t =
 
 (* ---- decoded-value memos (used by Payload.Make) ---- *)
 
-(* Return the handle's memo if it can be trusted: the mirror must be
-   resident (eviction clears both, so a missing mirror means the memo
-   may be stale) and the usual live/old-sees-new discipline applies.
-   Counted as a hit.  Like [mirror_hit], checked builds revalidate
-   under [mc_lock] so the coherence assertion on the backing bytes
-   cannot race an in-flight in-place store. *)
+(* Return the handle's memo if it can be trusted: the handle must be
+   warm (cooling clears the memo, so a cold handle's memo may be stale)
+   and the usual live/old-sees-new discipline applies.  Counted as a
+   hit. *)
 let memo_probe t ~stat_tid (p : pblk) =
-  match t.mirror with
-  | None -> No_memo
-  | Some mc -> (
-      match t.chk with
-      | None -> (
-          match p.mirror with
-          | Some _ when p.memo != No_memo ->
-              Util.Padded.incr mc.hits stat_tid;
-              p.mref <- true;
-              p.memo
-          | _ -> No_memo)
-      | Some _ ->
-          Util.Spin_lock.with_lock mc.mc_lock (fun () ->
-              match p.mirror with
-              | Some b when p.memo != No_memo ->
-                  Util.Padded.incr mc.hits stat_tid;
-                  p.mref <- true;
-                  Nvm.Region.note_mirror_read t.region
-                    ~off:(Payload_hdr.content_off p.off) ~len:(Bytes.length b) ~data:b;
-                  p.memo
-              | _ -> No_memo))
+  match t.warm with
+  | Some mc when p.mslot >= 0 && p.memo != No_memo ->
+      Util.Padded.incr mc.hits stat_tid;
+      p.mref <- true;
+      p.memo
+  | _ -> No_memo
 
 (* ---- write-back plumbing ----
 
@@ -591,61 +629,79 @@ let rewrite_begin t ~tid ~off ~len =
   | Some c when t.cfg.Config.persist -> Nvm.Pcheck.on_rewrite c ~tid ~off ~len
   | _ -> ()
 
-let write_payload t ~off ~hdr ~content =
+let write_payload t ~off hdr (content : fill) =
   Payload_hdr.write t.region ~off hdr;
-  Nvm.Region.write t.region ~off:(Payload_hdr.content_off off) ~src:content ~src_off:0
-    ~len:(Bytes.length content)
+  Nvm.Region.write_with t.region ~off:(Payload_hdr.content_off off) ~len:content.len content.write
 
-let pnew t ~tid content =
+let fill_bytes b =
+  let len = Bytes.length b in
+  { len; write = (fun dst off -> Bytes.blit b 0 dst off len) }
+
+let fresh_handle ~off ~uid ~epoch ~size =
+  {
+    off;
+    uid;
+    epoch;
+    size;
+    live = true;
+    memo = No_memo;
+    mref = false;
+    mslot = -1;
+    gen = Atomic.make 0;
+  }
+
+let pnew_fill t ~tid (content : fill) =
   Util.Sched.yield "esys.pnew";
   require_op t ~tid;
   let pt = t.threads.(tid) in
-  let size = Bytes.length content in
+  let size = content.len in
   let uid = fresh_uid t in
   let off = Ralloc.alloc t.alloc ~tid ~size:(Payload_hdr.header_size + size) in
   rewrite_begin t ~tid ~off ~len:(Payload_hdr.header_size + size);
-  write_payload t ~off
-    ~hdr:{ Payload_hdr.ptype = Alloc; epoch = pt.op_epoch; uid; size }
-    ~content;
+  write_payload t ~off { Payload_hdr.ptype = Alloc; epoch = pt.op_epoch; uid; size } content;
   record_persist t ~tid ~off ~len:(Payload_hdr.header_size + size);
-  let p = { off; uid; epoch = pt.op_epoch; size; live = true; mirror = None; memo = No_memo; mref = false; mslot = -1; mgen = 0 } in
-  (* a fresh payload is born warm: the encoded content doubles as its
-     mirror (shared — the caller encoded it for this call) *)
-  mirror_refresh t p content;
+  let p = fresh_handle ~off ~uid ~epoch:pt.op_epoch ~size in
+  warm_born t p;
   p
 
-let check_live p = if not p.live then raise Errors.Use_after_free
+let pnew t ~tid content = pnew_fill t ~tid (fill_bytes content)
 
-(* Cold read: pay the charged NVM load, then the buffer just read
-   becomes the mirror (shared with the caller — [pget]'s contract is
-   that returned bytes are never mutated).  The generation captured
-   *before* the region read gates the fill: if a mutation (in-place
-   [pset], [pdelete], eviction) lands anywhere between the capture and
-   the install, [mc_install] rejects the fill rather than publish bytes
-   that no longer describe the payload. *)
-let pget_cold t ~stat_tid p =
-  let gen = p.mgen in
-  let buf = Bytes.create p.size in
-  Nvm.Region.read t.region ~off:(Payload_hdr.content_off p.off) ~dst:buf ~dst_off:0 ~len:p.size;
-  mirror_fill t ~stat_tid ~gen p buf;
-  buf
+let check_live p = if not p.live then raise Errors.Use_after_free
 
 let pget t ~tid p =
   Util.Sched.yield "esys.pget";
   check_live p;
   osn_check t ~tid p;
-  match mirror_hit t ~stat_tid:tid p with Some b -> b | None -> pget_cold t ~stat_tid:tid p
+  warm_up t ~stat_tid:tid p;
+  snapshot t p
 
 let pget_unsafe t p =
   check_live p;
-  let stat_tid = untracked_slot t in
-  match mirror_hit t ~stat_tid p with Some b -> b | None -> pget_cold t ~stat_tid p
+  warm_up t ~stat_tid:(untracked_slot t) p;
+  snapshot t p
+
+(* A reader of the content in place, for a caller that copies what it
+   needs straight to its destination (a reply buffer) instead of taking
+   a whole snapshot.  The load is paid here, once, exactly as [pget]
+   pays it; each copy is then uncharged and seqlock-checked on its
+   own. *)
+let preader t ~tid p =
+  Util.Sched.yield "esys.pget";
+  check_live p;
+  osn_check t ~tid p;
+  warm_up t ~stat_tid:tid p;
+  fun pos dst dst_off len ->
+    if pos < 0 || len < 0 || pos + len > p.size then
+      invalid_arg
+        (Printf.sprintf "Epoch_sys.preader: [%d, %d) outside a %d-byte payload" pos (pos + len)
+           p.size);
+    copy_content t p ~pos ~dst ~dst_off ~len
 
 (* Bounded read of content bytes [pos, pos+len): charged for the lines
    that range covers and nothing else.  It leaves the handle exactly as
-   it found it — no mirror install, no memo — so a recovery rebuild
-   that reads only index fields hands the structure cold handles, and
-   the first real [pget] pays the full load and fills the mirror. *)
+   it found it — cold stays cold, no memo — so a recovery rebuild that
+   reads only index fields hands the structure cold handles, and the
+   first real [pget] pays the full load and warms it. *)
 let pread_unsafe t p ~pos ~len =
   check_live p;
   if pos < 0 || len < 0 || pos + len > p.size then
@@ -660,10 +716,10 @@ let pread_unsafe t p ~pos ~len =
 (* ---- decoded-value memo API (the [Payload.Make] fast path) ---- *)
 
 (* [memo_get] returns the handle's memoized decoded value (as the
-   caller's own [Memo _] exception) when the mirror is warm, or
-   [No_memo]; the caller then decodes via [pget] and calls
-   [memo_store].  Both run the same live/old-sees-new discipline as
-   [pget]. *)
+   caller's own [Memo _] exception) when the handle is warm, or
+   [No_memo]; the caller then takes [generation], decodes via [pget]
+   and calls [memo_store].  Both run the same live/old-sees-new
+   discipline as [pget]. *)
 let memo_get t ~tid p =
   check_live p;
   osn_check t ~tid p;
@@ -673,50 +729,28 @@ let memo_get_unsafe t p =
   check_live p;
   memo_probe t ~stat_tid:(untracked_slot t) p
 
-(* Publish a decoded value on the handle.  [src] is the buffer the
-   value was decoded from (a [pget] result or the encode buffer handed
-   to [pnew]/[pset]); the memo is honored only if [src] is *physically*
-   the resident mirror, checked and stored under [mc_lock] so the test
-   cannot race a concurrent install.  Residency alone is not enough: a
-   lock-free reader can decode the old bytes, lose the race to an
-   in-place [pset] that installs new mirror bytes, and would otherwise
-   publish the stale decode against the fresh mirror — served warm on
-   every later read with the byte mirror fully current (invisible to
-   the checker's byte compare).  Identity with the resident buffer
-   pins the memo to exactly the bytes it describes; a mismatched store
-   is simply dropped (the next reader re-decodes). *)
-let memo_store t (p : pblk) ~src m =
-  match t.mirror with
-  | None -> ()
-  | Some mc ->
-      Util.Spin_lock.with_lock mc.mc_lock (fun () ->
-          match p.mirror with
-          | Some b when b == src -> p.memo <- m
-          | _ -> ())
+(* The content generation a decode starts from: taken before the read,
+   it names the version the memo may be published for. *)
+let generation p = Atomic.get p.gen
+[@@montage.allow
+  "R2: a seqlock read; the decode it opens reads the content through \
+   pget, whose Sched point (esys.pget) follows"]
 
-(* Atomic (memo, backing bytes) snapshot, for memo-upgrade paths
-   ([Payload.Kv.get] promoting a value-only memo to the full pair):
-   taken under [mc_lock], so a memoized fragment can safely be combined
-   with the exact mirror bytes it was decoded from and re-published via
-   [memo_store ~src] without ever pairing it with a newer version's
-   bytes.  Not counted as a hit — callers probe lock-free first and
-   only land here on the rare upgrade. *)
-let memo_src t ~tid p =
-  check_live p;
-  osn_check t ~tid p;
-  match t.mirror with
-  | None -> (No_memo, None)
-  | Some mc ->
-      Util.Spin_lock.with_lock mc.mc_lock (fun () ->
-          match p.mirror with
-          | Some b when p.memo != No_memo ->
-              (match t.chk with
-              | None -> ()
-              | Some _ ->
-                  Nvm.Region.note_mirror_read t.region
-                    ~off:(Payload_hdr.content_off p.off) ~len:(Bytes.length b) ~data:b);
-              (p.memo, Some b)
-          | _ -> (No_memo, None))
+(* Publish a decoded value on the handle, for the content generation
+   [gen] the decode started from.  Checked and stored under [mc_lock],
+   which every in-place store takes to open its window (turning the
+   generation odd and clearing the memo): so a memo is stored only if
+   no store started since [gen] was taken, and then the bytes the
+   decode read were exactly generation [gen]'s.  A reader that lost the
+   race to an in-place [pset] — it decoded the old bytes and publishes
+   after the store — is dropped here rather than served warm forever.
+   The handle must still be warm: a cold handle keeps no memo. *)
+let memo_store t (p : pblk) ~gen m =
+  with_cache t (fun _ ->
+      if p.mslot >= 0 && gen land 1 = 0 && Atomic.get p.gen = gen then p.memo <- m)
+[@@montage.allow
+  "R2: the seqlock check runs under mc_lock, whose acquire is the \
+   Sched-visible point"]
 
 (* Free a payload bypassing the epoch protocol — used by Montage (T)
    and the DirFree reference configuration, which sacrifice crash
@@ -742,34 +776,33 @@ let defer_free ?(anti = false) t ~tid ~epoch off =
 let block_fits t ~off ~content_len =
   Payload_hdr.header_size + content_len <= Ralloc.block_size t.alloc off
 
-let pset t ~tid p content =
+let pset_fill t ~tid p (content : fill) =
   Util.Sched.yield "esys.pset";
   require_op t ~tid;
   check_live p;
   osn_check t ~tid p;
   let pt = t.threads.(tid) in
-  let len = Bytes.length content in
+  let len = content.len in
   let in_place_ok =
     block_fits t ~off:p.off ~content_len:len
     && ((not t.cfg.Config.persist) || p.epoch = pt.op_epoch)
   in
   if in_place_ok then begin
-    (* Coherence ordering for lock-free readers: drop the mirror
-       *before* the stores below, re-install after.  A hit can then
-       never compare pre-store mirror bytes against the already-updated
-       store view (a spurious Mirror_stale under Enforce for a legal
-       racy read); readers in the window fall back to a cold region
-       read, whose fill the generation check rejects if it raced this
-       store ([mirror_drop] and [mirror_refresh] each bump it). *)
-    mirror_drop t p;
-    rewrite_begin t ~tid ~off:p.off ~len:(Payload_hdr.header_size + len);
-    Nvm.Region.set_i32 t.region ~off:(p.off + 24) len;
-    Nvm.Region.write t.region ~off:(Payload_hdr.content_off p.off) ~src:content ~src_off:0 ~len;
-    p.size <- len;
+    (* The stores run inside the seqlock window: a lock-free reader
+       copying across them sees the generation move and retries.  The
+       window closes even if the fill raises, so no reader waits on it
+       forever. *)
+    store_open t p ~len;
+    (match
+       rewrite_begin t ~tid ~off:p.off ~len:(Payload_hdr.header_size + len);
+       Nvm.Region.set_i32 t.region ~off:(p.off + 24) len;
+       Nvm.Region.write_with t.region ~off:(Payload_hdr.content_off p.off) ~len content.write
+     with
+    | () -> store_close p
+    | exception e ->
+        store_close p;
+        raise e);
     record_persist t ~tid ~off:p.off ~len:(Payload_hdr.header_size + len);
-    (* refresh the mirror in place: the new encoded bytes replace the
-       old ones (the stale decoded memo died with the drop above) *)
-    mirror_refresh t p content;
     p
   end
   else begin
@@ -778,22 +811,22 @@ let pset t ~tid p content =
     let off = Ralloc.alloc t.alloc ~tid ~size:(Payload_hdr.header_size + len) in
     rewrite_begin t ~tid ~off ~len:(Payload_hdr.header_size + len);
     write_payload t ~off
-      ~hdr:{ Payload_hdr.ptype = Update; epoch = pt.op_epoch; uid = p.uid; size = len }
-      ~content;
+      { Payload_hdr.ptype = Update; epoch = pt.op_epoch; uid = p.uid; size = len }
+      content;
     record_persist t ~tid ~off ~len:(Payload_hdr.header_size + len);
     let old_off = p.off in
     p.live <- false;
-    mirror_drop t p;
+    cool t p;
     if (not t.cfg.Config.persist) || t.cfg.Config.direct_free then free_immediately t ~tid old_off
     else defer_free t ~tid ~epoch:pt.op_epoch old_off;
-    let fresh =
-      { off; uid = p.uid; epoch = pt.op_epoch; size = len; live = true; mirror = None; memo = No_memo; mref = false; mslot = -1; mgen = 0 }
-    in
     (* the warmth carries across the copying update: the fresh handle's
-       mirror is the content just written *)
-    mirror_refresh t fresh content;
+       content was just written *)
+    let fresh = fresh_handle ~off ~uid:p.uid ~epoch:pt.op_epoch ~size:len in
+    warm_born t fresh;
     fresh
   end
+
+let pset t ~tid p content = pset_fill t ~tid p (fill_bytes content)
 
 let pdelete t ~tid p =
   Util.Sched.yield "esys.pdelete";
@@ -802,7 +835,7 @@ let pdelete t ~tid p =
   osn_check t ~tid p;
   let pt = t.threads.(tid) in
   p.live <- false;
-  mirror_drop t p;
+  cool t p;
   if (not t.cfg.Config.persist) || t.cfg.Config.direct_free then
     free_immediately t ~tid p.off
   else if p.epoch = pt.op_epoch then begin
@@ -1121,21 +1154,6 @@ module Uid_table = struct
     uid > 0 && t.vals.(find_slot t.uids uid) = off lsl 1
 end
 
-(* Filler for the survivor array in [recover]; never handed out. *)
-let no_pblk =
-  {
-    off = -1;
-    uid = 0;
-    epoch = 0;
-    size = 0;
-    live = false;
-    mirror = None;
-    memo = No_memo;
-    mref = false;
-    mslot = -1;
-    mgen = 0;
-  }
-
 (* Rebuild an epoch system from a crashed region and return handles to
    every surviving payload.  A payload survives when it is the newest
    version of its uid with epoch ≤ crash_epoch − 2 and that version is
@@ -1202,9 +1220,8 @@ let recover ?(config = Config.default) ?(threads = 1) region =
   ignore (parallel sweep_slice);
   (* hand surviving payloads back as first-class handles, straight from
      the table: a DELETE winner is known by its flag, never by its
-     swept header.  Recovered handles start cold: no pre-crash mirror
-     can survive into the new run — the first decode repopulates from
-     media. *)
+     swept header.  Recovered handles start cold: nothing is warm in
+     the new run until its first read pays the load from media. *)
   let live_winners = ref 0 in
   Array.iteri (fun i uid -> if uid <> 0 && best.vals.(i) land 1 = 0 then incr live_winners) best.uids;
   (* [caml_make_vect] forces a minor collection when a large array's
@@ -1223,11 +1240,10 @@ let recover ?(config = Config.default) ?(threads = 1) region =
           epoch = Payload_hdr.epoch_at region ~off;
           size = Payload_hdr.size_at region ~off;
           live = true;
-          mirror = None;
           memo = No_memo;
           mref = false;
           mslot = -1;
-          mgen = 0;
+          gen = Atomic.make 0;
         };
       incr next
     end

@@ -16,30 +16,41 @@
 (** The empty decoded-value memo slot (see {!memo_get}). *)
 exception No_memo
 
+(** A payload's content written in place: [write b off] lays out
+    exactly [len] bytes at [b.[off, off + len)].  {!pnew_fill} and
+    {!pset_fill} hand it the region's store view, so the content is
+    written once, straight to the payload. *)
+type fill = { len : int; write : Bytes.t -> int -> unit }
+
+(** The fill that copies a buffer's bytes (taken when it runs). *)
+val fill_bytes : Bytes.t -> fill
+
 (** A transient handle to a persistent payload block.  Handles are
     mutable-by-module only; clients treat them as abstract tokens,
-    except that [uid] and [epoch] are exposed for introspection and
-    tests.
+    except that [uid], [epoch] and [size] are exposed for introspection
+    and tests.
 
-    The [mirror]/[memo]/[mref]/[mslot] fields belong to the volatile
-    payload mirror layer (a DRAM read cache of the content bytes plus a
-    memoized decoded value); they are managed entirely by this module
-    and {!Payload.Make} and must not be written by clients. *)
+    A payload's bytes live only in the region.  A handle is {e warm}
+    while it holds a slot in the warm set ([mslot >= 0]): its reads copy
+    straight out of the region's store view and are not charged, the
+    model of a payload resident in DRAM.  The [memo]/[mref]/[mslot]/[gen]
+    fields belong to that layer (plus a memoized decoded value); they
+    are managed entirely by this module and {!Payload.Make} and must not
+    be written by clients. *)
 type pblk = {
-  mutable off : int;
+  off : int;
   uid : int;  (** logical identity, stable across versions *)
   mutable epoch : int;
   mutable size : int;  (** content bytes *)
   mutable live : bool;
-  mutable mirror : Bytes.t option;  (** DRAM copy of the content bytes; [None] = cold *)
   mutable memo : exn;
       (** decoded-value memo ([No_memo] = empty), valid only while the
-          buffer it was decoded from is the resident mirror *)
+          handle is warm and for the generation it was stored at *)
   mutable mref : bool;  (** clock (second-chance) reference bit *)
-  mutable mslot : int;  (** mirror-cache ring index; [-1] = not resident *)
-  mutable mgen : int;
-      (** mirror generation, bumped on every install/release; gates
-          racing cold fills (see [epoch_sys.ml]) *)
+  mutable mslot : int;  (** warm-set ring index: the warm bit; [-1] = cold *)
+  gen : int Atomic.t;
+      (** content seqlock: odd while an in-place {!pset} stores, bumped
+          before and after it *)
 }
 
 type t
@@ -78,11 +89,11 @@ val op_epoch : t -> tid:int -> int
 (** Number of epoch advances performed so far. *)
 val advance_count : t -> int
 
-(** Volatile-payload-mirror effectiveness: [hits] are payload reads
-    served from DRAM (byte or memo), [misses] are charged NVM loads
-    that populated a mirror, [evictions] counts clock victims,
-    [resident_bytes] is the current budget use.  All zero when
-    mirroring is off. *)
+(** Warm-set effectiveness: [hits] are payload reads of warm handles
+    (uncharged region copies or memos), [misses] are charged cold loads
+    that warmed a handle, [evictions] counts clock victims,
+    [resident_bytes] is the warm content bytes under the budget
+    ([config.mirror_max_bytes]).  All zero when the budget is [0]. *)
 type mirror_stats = { hits : int; misses : int; evictions : int; resident_bytes : int }
 
 val mirror_stats : t -> mirror_stats
@@ -117,24 +128,21 @@ val check_epoch : t -> tid:int -> unit
 
 (** {1 Payload lifecycle} *)
 
-(** PNEW: allocate and fill a payload labeled with the current
-    operation's epoch.  Must be inside [begin_op]/[end_op].
+(** PNEW: allocate a payload labeled with the current operation's
+    epoch and write [content] straight into it.  Must be inside
+    [begin_op]/[end_op].  The new handle is warm (when it fits the
+    budget): its content was just written. *)
+val pnew_fill : t -> tid:int -> fill -> pblk
 
-    Ownership handover: with mirrors on ([config.mirror_max_bytes > 0])
-    the content buffer is adopted {e by reference} as the new handle's
-    DRAM mirror (shared, not copied) and may later be returned verbatim
-    by {!pget}.  Callers must pass a freshly allocated buffer (e.g. an encoder result built
-    for this call) and never mutate it afterwards — reusing or patching
-    the buffer silently corrupts mirror coherence in a way only a
-    Pcheck-checked run can surface. *)
+(** {!pnew_fill} of a buffer's bytes; the buffer is copied, not kept. *)
 val pnew : t -> tid:int -> bytes -> pblk
 
-(** Read a payload's content.  Performs the old-sees-new check when an
-    operation is active.  With mirrors on a warm handle is
-    served from its DRAM mirror — no NVM load is charged and nothing is
-    allocated; a cold miss pays the load and populates the mirror.  The
-    returned bytes may be the mirror itself: callers must not mutate
-    them (every in-tree caller only decodes).
+(** Read a payload's content, as a fresh buffer the caller owns.
+    Performs the old-sees-new check when an operation is active.  A
+    warm handle is read out of the region uncharged; a cold one pays
+    the charged load of its whole content once and turns warm.  The
+    copy is seqlock-checked against in-place stores, so lock-free
+    readers get one consistent version.
     @raise Errors.Old_see_new when the payload is newer than the
     operation's epoch.
     @raise Errors.Use_after_free on a dead handle. *)
@@ -142,14 +150,26 @@ val pget : t -> tid:int -> pblk -> bytes
 
 (** Read without the old-sees-new check (paper's [get_unsafe]); also
     the read path for recovered payloads outside any operation.
-    Mirror-served like {!pget}. *)
+    Warmed and charged like {!pget}. *)
 val pget_unsafe : t -> pblk -> bytes
+
+(** [preader t ~tid p] runs {!pget}'s checks and pays its load (once,
+    if [p] is cold), then returns [r] where [r pos dst dst_off len]
+    copies content bytes [\[pos, pos+len)] into [dst] at [dst_off],
+    uncharged — for callers that copy a value straight to where it goes
+    (a reply buffer) with no intermediate buffer.  Each copy is
+    seqlock-checked on its own; two copies see one version only when the
+    caller excludes in-place writers of [p] (a bucket lock), and a
+    {!fill} storing into [p] must not read it through [r].
+    @raise Invalid_argument (from [r]) when the range is not within
+    [p.size]. *)
+val preader : t -> tid:int -> pblk -> int -> Bytes.t -> int -> int -> unit
 
 (** Content bytes [\[pos, pos+len)] of a payload, without the
     old-sees-new check.  Charged only for the NVM lines those bytes
-    cover; never installs a mirror or a memo, so the handle stays as
-    cold (or warm) as it was.  For recovery rebuilds that need only an
-    index field (a key, a sequence number) of each payload.
+    cover; never warms the handle or stores a memo, so it stays as cold
+    (or warm) as it was.  For recovery rebuilds that need only an index
+    field (a key, a sequence number) of each payload.
     @raise Invalid_argument when the range is not within [p.size].
     @raise Errors.Use_after_free on a dead handle. *)
 val pread_unsafe : t -> pblk -> pos:int -> len:int -> bytes
@@ -160,39 +180,34 @@ val pread_unsafe : t -> pblk -> pos:int -> len:int -> bytes
     stores decoded values on the handle through these; the [exn] slot
     gives a typed one-shot cache without a type parameter on [pblk]. *)
 
-(** The handle's memo when it can be trusted (mirror resident, memo
-    set), else {!No_memo}.  Runs {!pget}'s live/old-sees-new checks and
-    coherence assertion. *)
+(** The handle's memo when it can be trusted (handle warm, memo set),
+    else {!No_memo}.  Runs {!pget}'s live/old-sees-new checks. *)
 val memo_get : t -> tid:int -> pblk -> exn
 
 (** {!memo_get} without the old-sees-new check. *)
 val memo_get_unsafe : t -> pblk -> exn
 
-(** Publish a decoded value on the handle.  [src] is the buffer the
-    value was decoded from (a {!pget} result, or the buffer handed to
-    {!pnew}/{!pset}); the store is honored only if [src] is physically
-    the resident mirror, checked atomically against concurrent
-    refresh/eviction — a decode that lost a race to an in-place {!pset}
-    is silently dropped rather than published stale against the fresh
-    mirror bytes. *)
-val memo_store : t -> pblk -> src:bytes -> exn -> unit
+(** The handle's content generation.  Take it {e before} reading the
+    content a memo is decoded from, and pass it to {!memo_store}. *)
+val generation : pblk -> int
 
-(** Atomic [(memo, mirror bytes)] snapshot: the memo together with the
-    exact buffer it was decoded from, or [(No_memo, None)].  For
-    memo-upgrade paths that combine a memoized fragment with a partial
-    re-decode of the same bytes ({!Payload.Kv.get}); pass the returned
-    buffer back as {!memo_store}'s [src].  Runs {!memo_get}'s checks;
-    takes the cache lock, so probe lock-free first. *)
-val memo_src : t -> tid:int -> pblk -> exn * Bytes.t option
+(** Publish a decoded value on the handle for content generation
+    [gen].  Honored only if the handle is warm and no in-place store
+    started since [gen] was taken (checked atomically against in-place
+    stores), so a decode that lost a race to an in-place {!pset} is
+    silently dropped rather than published stale. *)
+val memo_store : t -> pblk -> gen:int -> exn -> unit
 
-(** Replace a payload's content.  In place when the payload belongs to
-    the current epoch; otherwise a copying update returns a {e fresh}
-    handle with the same uid, and the caller must install it everywhere
-    the old handle appeared (well-formedness constraint 4).
+(** Replace a payload's content with [content], written straight into
+    the payload.  In place when the payload belongs to the current
+    epoch; otherwise a copying update returns a {e fresh} handle with
+    the same uid, and the caller must install it everywhere the old
+    handle appeared (well-formedness constraint 4).  Either way the
+    resulting handle is warm.  An in-place store runs inside [p]'s
+    seqlock window, so [content.write] must not read [p]. *)
+val pset_fill : t -> tid:int -> pblk -> fill -> pblk
 
-    The content buffer is adopted as the (in-place or fresh) handle's
-    DRAM mirror exactly as in {!pnew}: freshly allocated, never mutated
-    by the caller afterwards. *)
+(** {!pset_fill} of a buffer's bytes; the buffer is copied, not kept. *)
 val pset : t -> tid:int -> pblk -> bytes -> pblk
 
 (** PDELETE: logically delete.  Same-epoch ALLOCs die instantly;

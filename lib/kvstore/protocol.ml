@@ -254,8 +254,8 @@ let frames fr buf ~pos ~len f =
 
 (* Replies are written straight into the connection's reply buffer,
    [out.[0, olen)], CRLF included: a get's data is copied once, from
-   the store's item (the payload's mirror bytes) into [out], with the
-   header's numbers written as digits in place. *)
+   the store's item (the payload's bytes in the region) into [out],
+   with the header's numbers written as digits in place. *)
 type conn = {
   store : Store.t;
   tid : int;
@@ -341,28 +341,33 @@ let outcome_reply = function
   | Store.Exists -> "EXISTS"
   | Store.Not_found -> "NOT_FOUND"
 
-(* VALUE <key> <flags> <bytes>[ <cas>]\r\n<data>\r\n per hit, then END. *)
-let exec_get c ~with_cas keys =
-  List.iter
-    (fun key ->
-      match Store.find c.store ~tid:c.tid key with
-      | Some (it : Store.item) ->
-          add_string c "VALUE ";
-          add_string c key;
-          add_char c ' ';
-          add_int c it.flags;
-          add_char c ' ';
-          add_int c it.len;
-          if with_cas then begin
-            add_char c ' ';
-            add_int c it.cas
-          end;
-          add_string c crlf;
-          add_sub c it.data it.pos it.len;
-          add_string c crlf
-      | None -> ())
-    keys;
-  reply c "END"
+(* VALUE <key> <flags> <bytes>[ <cas>]\r\n<data>\r\n for one hit, run
+   under the store's lock: the data is copied once, from where the
+   store keeps it straight into the reply buffer. *)
+let add_value c ~with_cas key (it : Store.item) =
+  let len = Store.View.length it.data in
+  add_string c "VALUE ";
+  add_string c key;
+  add_char c ' ';
+  add_int c it.flags;
+  add_char c ' ';
+  add_int c len;
+  if with_cas then begin
+    add_char c ' ';
+    add_int c it.cas
+  end;
+  add_string c crlf;
+  reserve c len;
+  Store.View.blit it.data ~pos:0 c.out c.olen len;
+  c.olen <- c.olen + len;
+  add_string c crlf
+
+(* One VALUE block per hit, then END. *)
+let rec exec_get c ~with_cas = function
+  | [] -> reply c "END"
+  | key :: keys ->
+      ignore (Store.find c.store ~tid:c.tid key (add_value c ~with_cas key));
+      exec_get c ~with_cas keys
 
 let exec_stats c =
   let hits, misses, sets, deletes, expired = Store.stats c.store in

@@ -13,22 +13,24 @@
 
    One copy per value.  A store lays its item out in place: the header
    and the data (read straight from the caller's buffer — the request
-   framer's input on the wire path) are written once, into the buffer
-   the backend stores (for the Montage hashmap, the payload and its
-   mirror).  A read parses the item where the backend keeps it (the
-   payload's mirror bytes) and hands out an {!item} that points into
-   those bytes; the wire reply copies the data once, into the
-   connection's reply buffer. *)
+   framer's input on the wire path) are written once, straight into the
+   payload (a SET) or into the buffer the backend stores.  A read
+   parses the item where the backend keeps it (the payload's bytes in
+   the region) and hands a consumer an {!item} that views those bytes;
+   the wire reply copies the data once, into the connection's reply
+   buffer, while the backend's lock is held. *)
+
+module View = Montage.Payload.View
 
 type fill = Montage.Payload.fill = { len : int; write : Bytes.t -> int -> unit }
 
 type backend = {
-  get : tid:int -> string -> (Bytes.t * int) option;
-      (* the value in place: [Some (b, off)], the value being
-         [b.[off, Bytes.length b)]; [b] is never mutated afterwards *)
+  get : 'a. tid:int -> string -> (View.t -> 'a) -> 'a option;
+      (* the value in place: [Some (f v)], [f] run on a view of the
+         value under the backend's per-key synchronization *)
   put : tid:int -> string -> fill -> unit;
   remove : tid:int -> string -> string option;
-  update : tid:int -> string -> ((Bytes.t * int) option -> fill option) -> unit;
+  update : tid:int -> string -> (View.t option -> fill option) -> unit;
       (* atomic read-modify-write: [f] runs on the current value under
          the backend's per-key synchronization; its [Some] result is
          stored (inserting if absent), [None] leaves the map unchanged.
@@ -42,19 +44,16 @@ let string_of_fill f =
   f.write b 0;
   Bytes.unsafe_to_string b
 
-(* A string map's value as a view: the string's own bytes, which
-   nothing mutates. *)
-let view_of_string v = (Bytes.unsafe_of_string v, 0)
-
 let of_strings ~get ~put ~remove ~update =
   {
-    get = (fun ~tid k -> Option.map view_of_string (get ~tid k));
+    get = (fun ~tid k f -> Option.map (fun v -> f (View.of_string v)) (get ~tid k));
     put = (fun ~tid k f -> ignore (put ~tid k (string_of_fill f)));
     remove;
     update =
       (fun ~tid k f ->
         ignore
-          (update ~tid k (fun cur -> Option.map string_of_fill (f (Option.map view_of_string cur)))));
+          (update ~tid k (fun cur ->
+               Option.map string_of_fill (f (Option.map View.of_string cur)))));
   }
 
 (* Assemble a backend from bare map operations.  When the map exposes
@@ -111,14 +110,13 @@ let next_cas t = Atomic.fetch_and_add t.cas_counter 1
 
 let item_header = 20
 
-type item = { flags : int; expiry : float; cas : int; data : Bytes.t; pos : int; len : int }
+type item = { flags : int; expiry : float; cas : int; data : View.t }
 
-(* An item whose data is [src.[off, off + len)] followed by
-   [src'.[off', off' + len')] (append/prepend join two pieces; every
-   other store passes an empty second one), written where the backend
-   asks: the one copy of each piece. *)
-let item_fill ~flags ~expiry ~cas ?(rest = (Bytes.empty, 0, 0)) src off len =
-  let src', off', len' = rest in
+(* An item whose data is [data] followed by [rest] (append/prepend join
+   two pieces; every other store passes an empty second one), written
+   where the backend asks: the one copy of each piece. *)
+let item_fill ~flags ~expiry ~cas ?(rest = View.empty) data =
+  let len = View.length data and len' = View.length rest in
   {
     len = item_header + len + len';
     write =
@@ -126,18 +124,18 @@ let item_fill ~flags ~expiry ~cas ?(rest = (Bytes.empty, 0, 0)) src off len =
         Bytes.set_int32_le b at (Int32.of_int flags);
         Bytes.set_int64_le b (at + 4) (Int64.of_float expiry);
         Bytes.set_int64_le b (at + 12) (Int64.of_int cas);
-        Bytes.blit src off b (at + item_header) len;
-        Bytes.blit src' off' b (at + item_header + len) len');
+        View.blit data ~pos:0 b (at + item_header) len;
+        View.blit rest ~pos:0 b (at + item_header + len) len');
   }
 
-let parse (b, off) =
+let parse v =
+  let h = Bytes.create item_header in
+  View.blit v ~pos:0 h 0 item_header;
   {
-    flags = Int32.to_int (Bytes.get_int32_le b off);
-    expiry = Int64.to_float (Bytes.get_int64_le b (off + 4));
-    cas = Int64.to_int (Bytes.get_int64_le b (off + 12));
-    data = b;
-    pos = off + item_header;
-    len = Bytes.length b - off - item_header;
+    flags = Int32.to_int (Bytes.get_int32_le h 0);
+    expiry = Int64.to_float (Bytes.get_int64_le h 4);
+    cas = Int64.to_int (Bytes.get_int64_le h 12);
+    data = View.sub v ~pos:item_header ~len:(View.length v - item_header);
   }
 
 (* ---- expiry ---- *)
@@ -201,30 +199,34 @@ let live t = function
 
 (* ---- reads ---- *)
 
-(* memcached GET, in place. *)
-let find t ~tid key =
-  match t.backend.get ~tid key with
+(* memcached GET, in place: [f] runs on the live item under the
+   backend's lock.  A lapsed item leaves the consumer by [Expired] and
+   is removed after the lock is released, lazily, as memcached does;
+   flushed items expire the same way on first touch. *)
+exception Expired
+
+let find t ~tid key f =
+  match
+    t.backend.get ~tid key (fun v ->
+        let it = parse v in
+        if dead t it then raise_notrace Expired;
+        f it)
+  with
+  | Some _ as r ->
+      bump t stat_hits;
+      r
   | None ->
       bump t stat_misses;
       None
-  | Some v ->
-      let it = parse v in
-      if dead t it then begin
-        (* lazy expiry, as memcached does; flushed items expire the
-           same way on first touch *)
-        ignore (t.backend.remove ~tid key);
-        bump t stat_misses;
-        bump t stat_expired;
-        None
-      end
-      else begin
-        bump t stat_hits;
-        Some it
-      end
+  | exception Expired ->
+      ignore (t.backend.remove ~tid key);
+      bump t stat_misses;
+      bump t stat_expired;
+      None
 
-let copy_data it = Bytes.sub_string it.data it.pos it.len
-let get_full t ~tid key = Option.map (fun it -> (copy_data it, it.flags, it.cas)) (find t ~tid key)
-let get t ~tid key = Option.map copy_data (find t ~tid key)
+let copy_data it = View.to_string it.data
+let get_full t ~tid key = find t ~tid key (fun it -> (copy_data it, it.flags, it.cas))
+let get t ~tid key = find t ~tid key copy_data
 
 let delete t ~tid key =
   match t.backend.remove ~tid key with
@@ -243,13 +245,14 @@ type outcome = Stored | Not_stored | Exists | Not_found
    the check and the store are one atomic step that a racing writer
    cannot slip between. *)
 let store t ~tid mode ?(flags = 0) ~expiry key src off len =
+  let data = View.of_bytes src ~off ~len in
   let outcome =
     match mode with
     | Set ->
-        t.backend.put ~tid key (item_fill ~flags ~expiry ~cas:(next_cas t) src off len);
+        t.backend.put ~tid key (item_fill ~flags ~expiry ~cas:(next_cas t) data);
         Stored
     | Add | Replace | Append | Prepend | Cas _ ->
-        let fresh () = item_fill ~flags ~expiry ~cas:(next_cas t) src off len in
+        let fresh () = item_fill ~flags ~expiry ~cas:(next_cas t) data in
         let outcome = ref Not_stored in
         t.backend.update ~tid key (fun cur ->
             let o, fill =
@@ -261,14 +264,10 @@ let store t ~tid mode ?(flags = 0) ~expiry key src off len =
               | Append, Some it ->
                   (* the item keeps its flags *)
                   ( Stored,
-                    Some
-                      (item_fill ~flags:it.flags ~expiry ~cas:(next_cas t) ~rest:(src, off, len)
-                         it.data it.pos it.len) )
+                    Some (item_fill ~flags:it.flags ~expiry ~cas:(next_cas t) ~rest:data it.data) )
               | Prepend, Some it ->
                   ( Stored,
-                    Some
-                      (item_fill ~flags:it.flags ~expiry ~cas:(next_cas t)
-                         ~rest:(it.data, it.pos, it.len) src off len) )
+                    Some (item_fill ~flags:it.flags ~expiry ~cas:(next_cas t) ~rest:it.data data) )
               | Add, Some _ | (Replace | Append | Prepend), None -> (Not_stored, None)
             in
             outcome := o;
@@ -306,7 +305,7 @@ let touch t ~tid key ~expiry =
       | None -> None
       | Some it ->
           touched := true;
-          Some (item_fill ~flags:it.flags ~expiry ~cas:it.cas it.data it.pos it.len));
+          Some (item_fill ~flags:it.flags ~expiry ~cas:it.cas it.data));
   !touched
 
 (* memcached INCR/DECR on a decimal value; [None] if missing or NaN.
@@ -325,8 +324,7 @@ let incr t ~tid key delta =
               result := Some v';
               let s = string_of_int v' in
               Some
-                (item_fill ~flags:it.flags ~expiry:it.expiry ~cas:(next_cas t)
-                   (Bytes.unsafe_of_string s) 0 (String.length s))));
+                (item_fill ~flags:it.flags ~expiry:it.expiry ~cas:(next_cas t) (View.of_string s))));
   if !result <> None then bump t stat_sets;
   !result
 

@@ -6,29 +6,34 @@
     Items carry memcached metadata (flags, expiry, CAS id); expiry is
     lazy, as in memcached. *)
 
+(** A value read in place (see {!Montage.Payload.View}). *)
+module View = Montage.Payload.View
+
 (** A value written in place (see {!Montage.Payload.fill}). *)
 type fill = Montage.Payload.fill = { len : int; write : Bytes.t -> int -> unit }
 
 (** The map the store persists through: the Montage hashmap for the
     persistent build, a transient map for the DRAM/NVM references.
-    Values cross it in place, so an item's bytes are copied once on
-    the way in and not at all on the way out. *)
+    Values cross it in place: an item's bytes are copied once on the
+    way in (straight into the payload, for the Montage hashmap) and
+    once on the way out (straight to where the reader wants them). *)
 type backend = {
-  get : tid:int -> string -> (Bytes.t * int) option;
-      (** The value in place: [Some (b, off)], the value being
-          [b.[off, Bytes.length b)].  [b] is the backend's own copy (for
-          the Montage hashmap, the payload's mirror bytes) and is never
-          mutated afterwards, so the store may read it after the call
-          returns; nobody may write to it. *)
+  get : 'a. tid:int -> string -> (View.t -> 'a) -> 'a option;
+      (** The value in place: [Some (f v)] where [f] runs on a view of
+          the value under the backend's per-key synchronization (for
+          the Montage hashmap, the bucket lock, and the view reads the
+          payload in the region); [f] copies what it needs before it
+          returns. *)
   put : tid:int -> string -> fill -> unit;
       (** Store the value [fill] writes, without reading the old one. *)
   remove : tid:int -> string -> string option;
-  update : tid:int -> string -> ((Bytes.t * int) option -> fill option) -> unit;
+  update : tid:int -> string -> (View.t option -> fill option) -> unit;
       (** Atomic read-modify-write: [f] runs on a view of the current
           value under the backend's per-key synchronization; its [Some]
           result is stored (inserting if absent), [None] leaves the map
-          unchanged.  Every conditional store op (add/replace/append/
-          prepend/cas/incr/decr/touch) goes through this hook. *)
+          unchanged.  The fill may read the view.  Every conditional
+          store op (add/replace/append/prepend/cas/incr/decr/touch)
+          goes through this hook. *)
 }
 
 (** Assemble a backend from bare string map operations.  Without
@@ -47,16 +52,16 @@ type t
 
 val create : backend -> t
 
-(** A live item read in place: its data is [data.[pos, pos + len)],
-    the backend's own bytes (the payload's mirror for the Montage
-    hashmap), which are never mutated — so the item stays valid after
-    the store call returns and later writes to the key do not show
-    through it.  Callers must not write to [data].  [expiry] is an
-    absolute Unix time, [0.] for never. *)
-type item = { flags : int; expiry : float; cas : int; data : Bytes.t; pos : int; len : int }
+(** A live item read in place: its data is [data], a view of the
+    backend's own bytes (the payload in the region, for the Montage
+    hashmap), valid only inside the consumer it is handed to.
+    [expiry] is an absolute Unix time, [0.] for never. *)
+type item = { flags : int; expiry : float; cas : int; data : View.t }
 
-(** memcached GET in place; [None] on miss or lazy expiry. *)
-val find : t -> tid:int -> string -> item option
+(** memcached GET in place: [Some (f it)] for the live item [it], with
+    [f] run under the backend's lock (a reply copies the data straight
+    into its buffer); [None] on miss or lazy expiry. *)
+val find : t -> tid:int -> string -> (item -> 'a) -> 'a option
 
 (** Returns (data, flags, cas id): {!find}, with the data copied out. *)
 val get_full : t -> tid:int -> string -> (string * int * int) option
@@ -84,8 +89,9 @@ val expiry_of_exptime : t -> int -> float
 
 (** [store t ~tid mode ~expiry key src off len]: every memcached
     storage command, with the data at [src.[off, off + len)].  The item
-    header and the data are written once, straight into the buffer the
-    backend keeps.  [Set] is unconditional and never reads the value it
+    header and the data are written once, straight into where the
+    backend keeps them (the payload, for a [Set] on the Montage
+    hashmap).  [Set] is unconditional and never reads the value it
     replaces; the others decide atomically inside [backend.update].
     [Append]/[Prepend] keep the item's flags and take [expiry].  A
     lapsed or flushed item counts as absent. *)

@@ -71,7 +71,6 @@ type violation =
   | Store_flush_race of { tid : int; off : int; len : int; line : int }
   | Epoch_retired_unflushed of { tid : int; epoch : int; off : int; len : int; clock : int }
   | Linearize_epoch_mismatch of { epoch : int; clock : int }
-  | Mirror_stale of { off : int; len : int; line : int }
   | Epoch_clock_regression of { from_ : int; to_ : int }
   | Contract of { what : string; off : int; len : int; line : int }
 
@@ -95,11 +94,6 @@ let violation_to_string = function
       Printf.sprintf
         "linearize-epoch-mismatch: DCSS decided success for epoch %d while observing clock %d" epoch
         clock
-  | Mirror_stale { off; len; line } ->
-      Printf.sprintf
-        "mirror-stale: volatile mirror of [%d, %d) disagrees with the store view at line %d — a \
-         payload mutation bypassed the mirror refresh"
-        off (off + len) line
   | Epoch_clock_regression { from_; to_ } ->
       Printf.sprintf
         "epoch-clock-regression: the clock was advanced to %d after the checker observed %d — a \
@@ -455,28 +449,6 @@ let on_epoch_advance t ~epoch =
   Mutex.unlock t.lock;
   record_event t (Epoch_advance { epoch });
   List.iter (check_obligation t ~clock:epoch) retired
-
-(* The runtime served a payload read from its volatile mirror instead
-   of the region: the mirror's bytes must equal the store view ([work])
-   of the mirrored range, byte for byte — the coherence rule of the
-   mirror layer.  A mismatch means some mutation path (an in-place
-   pset, a recycled block, a stray store) changed the payload without
-   refreshing or dropping the mirror.
-
-   Compared against [work] rather than media deliberately: mirrors
-   promise the *volatile-store* view (media may legitimately lag inside
-   the buffered-durability window); crash invalidation is a structural
-   property checked separately (mirrors die with the handles). *)
-let on_mirror_read t ~off ~len ~data ~work =
-  if len > 0 then begin
-    let mismatch = ref (-1) in
-    let i = ref 0 in
-    while !mismatch < 0 && !i < len do
-      if Bytes.unsafe_get data !i <> Bytes.unsafe_get work (off + !i) then mismatch := !i;
-      incr i
-    done;
-    if !mismatch >= 0 then violate t (Mirror_stale { off; len; line = (off + !mismatch) lsr line_shift })
-  end
 
 (* A DCSS decided [success] for [epoch] having observed [clock]. *)
 let on_linearize t ~epoch ~clock ~success =

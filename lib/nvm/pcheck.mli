@@ -33,10 +33,6 @@ type violation =
   | Linearize_epoch_mismatch of { epoch : int; clock : int }
       (** an epoch-verified DCSS decided success against the wrong
           clock *)
-  | Mirror_stale of { off : int; len : int; line : int }
-      (** a payload read served from a volatile mirror disagreed with
-          the store view of the mirrored range: some mutation bypassed
-          the mirror refresh (see {!on_mirror_read}) *)
   | Epoch_clock_regression of { from_ : int; to_ : int }
       (** {!on_epoch_advance} reported an epoch lower than one already
           observed in this pre-crash execution — under the nonblocking
@@ -90,13 +86,6 @@ val on_buffer_push : t -> tid:int -> epoch:int -> off:int -> len:int -> unit
 val on_rewrite : t -> tid:int -> off:int -> len:int -> unit
 val on_epoch_advance : t -> epoch:int -> unit
 val on_linearize : t -> epoch:int -> clock:int -> success:bool -> unit
-
-(** A payload read of [\[off, off+len)] was served from a volatile
-    mirror holding [data]: assert [data] equals the store view [work]
-    over that range (raising/recording {!Mirror_stale} otherwise).
-    Mirrors promise the volatile-store view, not media — media may
-    legitimately lag inside the buffered-durability window. *)
-val on_mirror_read : t -> off:int -> len:int -> data:Bytes.t -> work:Bytes.t -> unit
 
 (** The runtime's coalescing layer merged [ranges] buffered records
     covering [lines_in] 64 B lines into [lines_out] flushed lines. *)

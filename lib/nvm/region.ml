@@ -62,7 +62,8 @@ type t = {
       [@montage.guarded_by "load_lock (crash and construction run alone; see load_lines)"];
   (* per-thread write-pending queues of packed (line_off << 15 | lines)
      ranges: payload flushes are contiguous, so committing a range with
-     one blit beats per-line bookkeeping *)
+     one blit beats per-line bookkeeping.  Each starts small and doubles
+     on demand up to [queue_capacity], where it drains early. *)
   queues : int array array;
   queue_len : int array;
   queue_lines : int array; (* total pending lines, for fence costing *)
@@ -98,6 +99,10 @@ let unloaded = '\002'
 
 let queue_capacity = 4096
 
+(* A queue's first allocation: most regions (every model-checked
+   scenario builds one) never queue more than a few ranges per fence. *)
+let queue_initial = 16
+
 let round_capacity capacity = (capacity + line_size - 1) land lnot (line_size - 1)
 
 (* The one constructor: [work] is the caller's, over the full rounded
@@ -115,7 +120,7 @@ let make ~latency ~max_threads ~capacity ~work ~state ~base =
     committed = Bytes.make lines '\000';
     state = Bytes.make lines state;
     unloaded_lines = (if state = unloaded then lines else 0);
-    queues = Array.init max_threads (fun _ -> Array.make queue_capacity 0);
+    queues = Array.init max_threads (fun _ -> Array.make queue_initial 0);
     queue_len = Array.make max_threads 0;
     queue_lines = Array.make max_threads 0;
     latency;
@@ -284,6 +289,19 @@ let write t ~off ~src ~src_off ~len =
     note_store t ~off ~len
   end
 
+(* A store whose bytes [fill] lays out in place: [fill work off] must
+   write exactly [work.[off, off + len)], the region's own store view,
+   and nothing else.  Same touch, dirty marking and checker report as
+   [write], without a staging buffer. *)
+let write_with t ~off ~len fill =
+  check_range t off len;
+  if len > 0 then begin
+    touch t ~off ~len;
+    fill t.work off;
+    mark_dirty t off len;
+    note_store t ~off ~len
+  end
+
 let write_string t ~off s =
   let len = String.length s in
   check_range t off len;
@@ -297,6 +315,7 @@ let write_string t ~off s =
 (* Payload reads pay the device's amortized load latency; scalar
    accessors below model hot metadata and stay uncharged. *)
 let charge_read t ~off ~len =
+  check_range t off len;
   let lines = ((off + len - 1) lsr line_shift) - (off lsr line_shift) + 1 in
   ignore (Atomic.fetch_and_add t.stat_lines_read lines);
   Latency.charge_read t.latency ~lines
@@ -307,6 +326,16 @@ let read t ~off ~dst ~dst_off ~len =
   charge_read t ~off ~len;
   note_read t ~off ~len;
   Bytes.blit t.work off dst dst_off len
+
+(* A payload read whose load was already paid: the runtime charged the
+   payload's lines on its first (cold) read and keeps it warm since. *)
+let read_uncharged t ~off ~dst ~dst_off ~len =
+  check_range t off len;
+  if len > 0 then begin
+    touch t ~off ~len;
+    note_read t ~off ~len;
+    Bytes.blit t.work off dst dst_off len
+  end
 
 let read_string t ~off ~len =
   check_range t off len;
@@ -429,13 +458,17 @@ let drain_queue t ~tid =
   lines
 
 let enqueue_range t ~tid ~first ~lines =
-  let q = t.queues.(tid) in
   let n = t.queue_len.(tid) in
   if n >= queue_capacity then
     (* queue overflow: hardware would stall the store; drain early *)
-    ignore (drain_queue t ~tid);
+    ignore (drain_queue t ~tid)
+  else if n = Array.length t.queues.(tid) then begin
+    let bigger = Array.make (min queue_capacity (2 * n)) 0 in
+    Array.blit t.queues.(tid) 0 bigger 0 n;
+    t.queues.(tid) <- bigger
+  end;
   let n = t.queue_len.(tid) in
-  q.(n) <- (first lsl count_bits) lor lines;
+  t.queues.(tid).(n) <- (first lsl count_bits) lor lines;
   t.queue_len.(tid) <- n + 1;
   t.queue_lines.(tid) <- t.queue_lines.(tid) + lines
 
@@ -501,18 +534,6 @@ let note_coalesced t ~tid ~ranges ~lines_in ~lines_out =
   match t.checker with
   | None -> ()
   | Some c -> Pcheck.on_coalesce c ~ranges ~lines_in ~lines_out
-
-(* A payload read was served from a volatile mirror holding [data]
-   instead of touching this region: hand the coherence assertion to the
-   checker (mirror bytes must equal the store view of the range).
-   One branch when no checker is attached. *)
-let note_mirror_read t ~off ~len ~data =
-  match t.checker with
-  | None -> ()
-  | Some c ->
-      check_range t off len;
-      if len > 0 then touch t ~off ~len;
-      Pcheck.on_mirror_read c ~off ~len ~data ~work:t.work
 
 let note_fence t ~tid =
   match t.checker with

@@ -24,7 +24,9 @@ val line_size : int
 type t
 
 (** [create ~capacity ()] — capacity is rounded up to a line multiple.
-    [max_threads] sizes the per-thread write-pending queues. *)
+    [max_threads] is the number of per-thread write-pending queues; each
+    starts at 16 ranges and doubles on demand up to 4,096, where it
+    drains early. *)
 val create : ?latency:Latency.t -> ?max_threads:int -> capacity:int -> unit -> t
 
 (** Reconstruct a region from a raw media image (e.g. a crash state
@@ -48,8 +50,26 @@ val max_threads : t -> int
 
 val write : t -> off:int -> src:bytes -> src_off:int -> len:int -> unit
 val write_string : t -> off:int -> string -> unit
+
+(** [write_with t ~off ~len fill] stores the [len] bytes that
+    [fill work off] lays out at [work.[off, off + len)], where [work] is
+    the region's store view, with {!write}'s semantics (dirty marking,
+    checker notification) and no staging buffer.  [fill] must write
+    exactly that range and must not call back into this region. *)
+val write_with : t -> off:int -> len:int -> (Bytes.t -> int -> unit) -> unit
+
 val read : t -> off:int -> dst:bytes -> dst_off:int -> len:int -> unit
 val read_string : t -> off:int -> len:int -> string
+
+(** {!read} without the load charge, for payload bytes whose load was
+    already paid (a warm payload, see {!Montage.Epoch_sys}).  Still a
+    read to the attached checker. *)
+val read_uncharged : t -> off:int -> dst:bytes -> dst_off:int -> len:int -> unit
+
+(** Pay, and count in {!stats}[.lines_read], the load of the lines
+    covering [\[off, off+len)] without copying them: a cold payload's
+    first read brings in its whole content. *)
+val charge_read : t -> off:int -> len:int -> unit
 
 (** Scalar accessors for headers and roots (uncharged: hot metadata). *)
 
@@ -96,13 +116,6 @@ val writeback_lines_uncharged : t -> tid:int -> first:int -> lines:int -> unit
     flushed lines.  Feeds {!stats} and the attached checker. *)
 val note_coalesced : t -> tid:int -> ranges:int -> lines_in:int -> lines_out:int -> unit
 
-(** A payload read of [\[off, off+len)] was served from a volatile
-    mirror holding [data] instead of touching this region: assert the
-    mirror-coherence rule against the attached checker
-    ({!Pcheck.on_mirror_read}).  No-op (one branch) without a
-    checker. *)
-val note_mirror_read : t -> off:int -> len:int -> data:Bytes.t -> unit
-
 (** SFENCE analog: commit this thread's queued ranges to media,
     charging the drain wait. *)
 val sfence : t -> tid:int -> unit
@@ -128,7 +141,7 @@ val crash : ?persist_unfenced:float -> ?evict_dirty:float -> ?rng:Util.Xoshiro.t
 
 (** [writebacks] counts queued lines; [fences] counts fence calls;
     [lines_read] counts 64 B lines whose charged load latency was paid
-    (reads served from a volatile mirror never appear here);
+    ({!read_uncharged} never appears here);
     [coalesce_*] aggregate {!note_coalesced} reports (the dedup ratio
     is [coalesce_lines_in / coalesce_lines_out]). *)
 type stats = {

@@ -12,6 +12,8 @@
 
 module E = Montage.Epoch_sys
 module Kv = Montage.Payload.Kv
+module Kv_content = Montage.Payload.Kv_content
+module View = Montage.Payload.View
 
 type node = { key : string; mutable payload : E.pblk; mutable next : node option }
 
@@ -46,25 +48,41 @@ let size t = Atomic.get t.size
 
 let esys t = t.esys
 
+(* The node's value in place: the payload's bytes after the cached
+   key, read straight from the region. *)
+let value_view t ~tid (n : node) =
+  Kv.value_view t.esys ~tid n.payload ~klen:(String.length n.key)
+
+(* The chain node holding [key]; raises [Absent], which no consumer
+   can raise, so [find] needs no option and no closure. *)
+exception Absent
+
+let rec lookup key = function
+  | Some n when String.equal n.key key -> n
+  | Some n -> lookup key n.next
+  | None -> raise_notrace Absent
+
 (* Read-only: no BEGIN_OP needed (paper §3.1); the bucket lock is the
-   transient synchronization.  The value is returned in place (see
-   [Kv.view]): the handle's mirror bytes, or its one charged cold read,
-   and the value's offset in them.  Handing the view out past the lock
-   is safe because mirror bytes are never mutated — a concurrent
-   in-place [pset] installs a fresh buffer and leaves these intact. *)
-let find t ~tid key =
+   transient synchronization.  [f] runs on the value in place under the
+   bucket lock, which excludes every writer of the payload, so what it
+   copies out is one version and nothing is copied on the way. *)
+let find t ~tid key f =
   Util.Sched.yield "mhashmap.get";
   let i = index t key in
-  Util.Spin_lock.with_lock (Util.Spin_lock.stripe t.locks i) (fun () ->
-      let rec find = function
-        | None -> None
-        | Some n when String.equal n.key key -> Some (Kv.view t.esys ~tid n.payload)
-        | Some n -> find n.next
-      in
-      find t.heads.(i))
+  let lock = Util.Spin_lock.stripe t.locks i in
+  Util.Spin_lock.acquire lock;
+  match f (value_view t ~tid (lookup key t.heads.(i))) with
+  | r ->
+      Util.Spin_lock.release lock;
+      Some r
+  | exception Absent ->
+      Util.Spin_lock.release lock;
+      None
+  | exception e ->
+      Util.Spin_lock.release lock;
+      raise e
 
-let string_of_view (b, off) = Bytes.sub_string b off (Bytes.length b - off)
-let get t ~tid key = Option.map string_of_view (find t ~tid key)
+let get t ~tid key = find t ~tid key View.to_string
 
 let contains t ~tid:_ key =
   Util.Sched.yield "mhashmap.contains";
@@ -78,11 +96,13 @@ let contains t ~tid:_ key =
       find t.heads.(i))
 
 (* The one write walk under the bucket lock.  [decide] sees the key's
-   current handle ([None] if absent) and returns the whole encoded
-   payload to store, or [None] to leave the map unchanged; the payload
-   then goes in through one [pset] over the node's handle (installing
-   the handle it returns) or one [pnew] for a new node, inside an
-   operation.  Nothing is read unless [decide] reads it.  [tag] names
+   current node ([None] if absent) and returns the whole payload
+   content to store, or [None] to leave the map unchanged; the content
+   then goes in through one [pset_fill] over the node's handle
+   (installing the handle it returns) or one [pnew_fill] for a new
+   node, inside an operation.  Nothing is read unless [decide] reads
+   it, and [decide] must finish its reads before it returns: an
+   in-place store must not read the payload it replaces.  [tag] names
    the caller's scheduling point. *)
 let write t ~tid ~tag key decide =
   Util.Sched.yield tag;
@@ -93,17 +113,18 @@ let write t ~tid ~tag key decide =
         | None -> ()
         | Some content ->
             E.with_op t.esys ~tid (fun () ->
-                let fresh = { key; payload = E.pnew t.esys ~tid content; next = curr } in
+                let fresh = { key; payload = E.pnew_fill t.esys ~tid content; next = curr } in
                 (match prev with None -> t.heads.(i) <- Some fresh | Some p -> p.next <- Some fresh);
                 Atomic.incr t.size)
       in
       let rec walk prev curr =
         match curr with
         | Some n when String.equal n.key key -> (
-            match decide (Some n.payload) with
+            match decide (Some n) with
             | None -> ()
             | Some content ->
-                E.with_op t.esys ~tid (fun () -> n.payload <- E.pset t.esys ~tid n.payload content))
+                E.with_op t.esys ~tid (fun () ->
+                    n.payload <- E.pset_fill t.esys ~tid n.payload content))
         | Some n when n.key > key -> insert prev curr
         | Some n -> walk (Some n) n.next
         | None -> insert prev None
@@ -111,24 +132,24 @@ let write t ~tid ~tag key decide =
       walk None t.heads.(i))
 
 (* Store a value written in place ([fill]) without reading the one it
-   replaces: the key and the value are laid out once, in the buffer
-   that becomes the payload and its mirror, before the lock is taken. *)
+   replaces: the key and the value are laid out once, straight into
+   the payload. *)
 let set t ~tid key fill =
-  let content = Montage.Payload.Kv_content.encode_with key fill in
+  let content = Kv_content.fill key fill in
   write t ~tid ~tag:"mhashmap.set" key (fun _ -> Some content)
 
 (* Insert, or update if the key exists; returns the previous value. *)
 let put t ~tid key value =
-  let content = Montage.Payload.Kv_content.encode (key, value) in
+  let content = Kv_content.fill key (Montage.Payload.fill_string value) in
   let old = ref None in
-  write t ~tid ~tag:"mhashmap.put" key (fun h ->
-      old := Option.map (fun h -> string_of_view (Kv.view t.esys ~tid h)) h;
+  write t ~tid ~tag:"mhashmap.put" key (fun n ->
+      old := Option.map (fun n -> View.to_string (value_view t ~tid n)) n;
       Some content);
   !old
 
 (* Insert only if absent; true on success. *)
 let put_if_absent t ~tid key value =
-  let content = Montage.Payload.Kv_content.encode (key, value) in
+  let content = Kv_content.fill key (Montage.Payload.fill_string value) in
   let stored = ref false in
   write t ~tid ~tag:"mhashmap.put_if_absent" key (function
     | Some _ -> None
@@ -142,18 +163,20 @@ let put_if_absent t ~tid key value =
    lock, and its [Some] fill is stored — inserting if the key was
    absent — while [None] leaves the map unchanged.  This is the
    primitive the kvstore's conditional ops build on: get-then-put
-   without the lock would lose concurrent updates. *)
+   without the lock would lose concurrent updates.  The fill may read
+   the view (an append copies the old value), so it is laid out in a
+   staging buffer before the store begins. *)
 let modify t ~tid key f =
-  write t ~tid ~tag:"mhashmap.update" key (fun h ->
+  write t ~tid ~tag:"mhashmap.update" key (fun n ->
       Option.map
-        (Montage.Payload.Kv_content.encode_with key)
-        (f (Option.map (Kv.view t.esys ~tid) h)))
+        (fun fill -> E.fill_bytes (Kv_content.encode_with key fill))
+        (f (Option.map (value_view t ~tid) n)))
 
 (* [modify] over strings; returns the previous value. *)
 let update t ~tid key f =
   let old = ref None in
   modify t ~tid key (fun cur ->
-      let cur = Option.map string_of_view cur in
+      let cur = Option.map View.to_string cur in
       old := cur;
       Option.map Montage.Payload.fill_string (f cur));
   !old
@@ -167,7 +190,7 @@ let remove t ~tid key =
         match curr with
         | Some n when String.equal n.key key ->
             E.with_op t.esys ~tid (fun () ->
-                let old = Kv.get_value t.esys ~tid n.payload in
+                let old = View.to_string (value_view t ~tid n) in
                 E.pdelete t.esys ~tid n.payload;
                 (match prev with None -> t.heads.(i) <- n.next | Some p -> p.next <- n.next);
                 Atomic.decr t.size;
@@ -182,7 +205,7 @@ let remove t ~tid key =
 let to_alist t ~tid =
   let rec collect acc = function
     | None -> acc
-    | Some n -> collect (Kv.get t.esys ~tid n.payload :: acc) n.next
+    | Some n -> collect ((n.key, View.to_string (value_view t ~tid n)) :: acc) n.next
   in
   let acc = ref [] in
   for i = 0 to Array.length t.heads - 1 do

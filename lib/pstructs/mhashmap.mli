@@ -23,13 +23,13 @@ val esys : t -> Montage.Epoch_sys.t
 val size : t -> int
 
 (** Read-only lookup in place (no epoch bracketing; the bucket lock is
-    the transient synchronization): [Some (b, off)] with the value at
-    [b.[off, Bytes.length b)], as {!Montage.Payload.Kv.view} returns
-    it — the payload's mirror bytes when warm, else its one charged
-    cold read.  Nothing is copied.  The view stays valid after the call
-    returns because mirror bytes are never mutated (an in-place update
-    installs a fresh buffer); callers must not write to [b]. *)
-val find : t -> tid:int -> string -> (Bytes.t * int) option
+    the transient synchronization): [Some (f v)] where [v] views the
+    key's value straight in the region — the first read of a cold
+    payload pays its charged load, later ones are uncharged.  [f] runs
+    under the bucket lock, so it sees one version, and copies what it
+    needs before it returns; the view is not valid after.  [f] must not
+    call into the same map. *)
+val find : t -> tid:int -> string -> (Montage.Payload.View.t -> 'a) -> 'a option
 
 (** {!find}, copied out. *)
 val get : t -> tid:int -> string -> string option
@@ -37,9 +37,9 @@ val get : t -> tid:int -> string -> string option
 val contains : t -> tid:int -> string -> bool
 
 (** Insert, or update if present, with the value written in place:
-    the key and [fill]'s bytes are laid out once, in the buffer that
-    becomes the payload (and its mirror), stored through one
-    [pnew]/[pset].  The value it replaces is never read. *)
+    the key and [fill]'s bytes are written once, straight into the
+    payload, through one [pnew_fill]/[pset_fill].  The value it replaces
+    is never read, and nothing value-sized is allocated. *)
 val set : t -> tid:int -> string -> Montage.Payload.fill -> unit
 
 (** Insert, or update if present; returns the previous value. *)
@@ -49,14 +49,19 @@ val put : t -> tid:int -> string -> string -> string option
 val put_if_absent : t -> tid:int -> string -> string -> bool
 
 (** Atomic read-modify-write in place: [modify t ~tid key f] runs [f]
-    on a view of the key's current value (as {!find} returns it;
-    [None] if absent) under the bucket lock; [Some fill] stores the
-    value [fill] writes (inserting if absent), [None] leaves the map
-    unchanged.  The primitive behind the kvstore's conditional
-    operations.  [f] must not call into the same map: the lock it runs
-    under also guards every other bucket of its stripe. *)
+    on a view of the key's current value (as {!find} hands it; [None]
+    if absent) under the bucket lock; [Some fill] stores the value
+    [fill] writes (inserting if absent), [None] leaves the map
+    unchanged.  [fill] may read the view: it is laid out in a staging
+    buffer before the store.  The primitive behind the kvstore's
+    conditional operations.  [f] must not call into the same map: the
+    lock it runs under also guards every other bucket of its stripe. *)
 val modify :
-  t -> tid:int -> string -> ((Bytes.t * int) option -> Montage.Payload.fill option) -> unit
+  t ->
+  tid:int ->
+  string ->
+  (Montage.Payload.View.t option -> Montage.Payload.fill option) ->
+  unit
 
 (** {!modify} over strings: [f] sees the current value copied out,
     [Some v'] stores [v'].  Returns the previous value. *)

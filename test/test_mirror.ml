@@ -1,11 +1,12 @@
-(* Volatile payload mirrors: unit coverage of the DRAM read cache
-   (warm hits charge no media, refresh on pset, carry-over across
-   copying updates, drop on pdelete, clock eviction under a byte
-   budget, oversized bypass, off switch), the decoded-value memo layer
-   ([Payload.Str]/[Payload.Kv]), mirror coherence under Pcheck
-   [Enforce] with racing mutators, a QCheck property driving random op
-   mixes against a model, and a [Pcheck.explore] crash matrix asserting
-   recovery never observes pre-crash mirror contents.
+(* Warm handles: unit coverage of the DRAM read-cache model (warm hits
+   charge no media, stay warm across pset, carry over across copying
+   updates, cool on pdelete, clock eviction under a byte budget,
+   oversized bypass, budget 0), the decoded-value memo layer
+   ([Payload.Str]/[Payload.Kv]), coherence under Pcheck [Enforce] with
+   racing mutators and under lock-free readers racing in-place stores
+   (the content seqlock), a QCheck property driving random op mixes
+   against a model, a [Pcheck.explore] crash matrix asserting recovery
+   starts cold, and the allocation the request path keeps on the heap.
 
    Every esys here pins [mirror_max_bytes] explicitly (rather than
    inheriting MONTAGE_MIRROR_BYTES) so the CI matrix legs exercise both
@@ -24,7 +25,7 @@ let make_esys ?(cfg = on_cfg) () =
   let region = R.create ~latency:Nvm.Latency.zero ~max_threads:8 ~capacity:(1 lsl 22) () in
   (region, E.create ~config:cfg region)
 
-(* ---- the byte mirror ---- *)
+(* ---- warm handles ---- *)
 
 let test_warm_reads_charge_no_media () =
   let region, esys = make_esys () in
@@ -156,22 +157,22 @@ let test_kv_value_only_memo () =
   Alcotest.(check string) "value" "value" v;
   Alcotest.(check string) "value-only again" "value" (Payload.Kv.get_value esys ~tid:0 h)
 
-(* Regression: the stale-memo race.  A lock-free reader decodes the old
-   mirror bytes, an in-place pset then installs new bytes, and the
-   reader's trailing publish arrives last — [memo_store]'s physical-
-   identity check ([src] must still be the resident mirror) must drop
-   it, or the old decoded value would be served warm forever against a
-   byte mirror that is fully current (invisible to the checker). *)
+(* Regression: the stale-memo race.  A lock-free reader takes the
+   generation and decodes the old bytes, an in-place pset then stores
+   new bytes, and the reader's trailing publish arrives last —
+   [memo_store]'s generation check (no store may have started since
+   the reader's [gen]) must drop it, or the old decoded value would be
+   served warm forever over current bytes (invisible to the checker). *)
 let test_memo_store_rejects_stale_src () =
   let _, esys = make_esys () in
   E.with_op esys ~tid:0 (fun () ->
       let h = Payload.Str.pnew esys ~tid:0 "old" in
-      (* the reader's decode source: the mirror bytes before the pset *)
-      let src = E.pget esys ~tid:0 h in
+      (* the reader's decode starts from the generation before the pset *)
+      let gen = E.generation h in
       let h' = Payload.Str.set esys ~tid:0 h "new" in
       Alcotest.(check bool) "same-epoch pset is in place" true (h == h');
       (* the reader loses the race and publishes its stale decode *)
-      E.memo_store esys h ~src (Payload.Str.Memo "old");
+      E.memo_store esys h ~gen (Payload.Str.Memo "old");
       Alcotest.(check string) "stale publish dropped, not served" "new"
         (Payload.Str.get esys ~tid:0 h))
 
@@ -204,8 +205,9 @@ let test_memo_dies_with_eviction () =
 (* ---- coherence under Enforce ---- *)
 
 (* Racing mutators over shared keys with the checker in [Enforce] mode:
-   any pget served stale mirror bytes would raise [Pcheck.Violation]
-   (Mirror_stale) inside a domain and fail the join. *)
+   every read, warm or cold, is a region read the checker sees, and any
+   violation raises [Pcheck.Violation] inside a domain and fails the
+   join; every value read must be one some writer stored. *)
 let test_concurrent_coherence_under_enforce () =
   let _, esys = make_esys () in
   let m = Pstructs.Mhashmap.create ~buckets:64 esys in
@@ -236,11 +238,54 @@ let test_concurrent_coherence_under_enforce () =
   | Some c -> Alcotest.(check int) "zero violations under Enforce" 0 (List.length (P.violations c))
   | None -> Alcotest.fail "testing config should attach a checker");
   let st = E.mirror_stats esys in
-  Alcotest.(check bool) "the race actually exercised the mirror" true (st.E.hits > 0)
+  Alcotest.(check bool) "the race actually exercised warm reads" true (st.E.hits > 0)
+
+(* Lock-free readers against in-place stores: one domain keeps
+   rewriting a payload in place (one epoch, so every pset is in place)
+   with uniform contents of changing lengths (4 KiB and up, so a copy
+   takes long enough to overlap a store), while two domains read it
+   without any lock.  Every read must be one whole version: a single
+   repeated letter at one of the stored lengths.  Without the content
+   seqlock a reader copies across a store and sees two letters, or a
+   length that was never stored. *)
+let test_lock_free_readers_see_whole_versions () =
+  let _, esys = make_esys ~cfg:{ on_cfg with Cfg.pcheck = Cfg.Pcheck_off } () in
+  let version i = Bytes.make (4096 + (97 * (i mod 7))) (Char.chr (97 + (i mod 26))) in
+  let h = E.with_op esys ~tid:0 (fun () -> E.pnew esys ~tid:0 (version 6)) in
+  let stop = Atomic.make false in
+  let whole b =
+    let n = Bytes.length b in
+    n >= 4096 && (n - 4096) mod 97 = 0 && Bytes.for_all (fun c -> c = Bytes.get b 0) b
+  in
+  let readers =
+    Array.init 2 (fun i ->
+        let tid = i + 1 in
+        Domain.spawn (fun () ->
+            let torn = ref 0 and reads = ref 0 in
+            while not (Atomic.get stop) do
+              let b = if tid = 1 then E.pget esys ~tid h else E.pget_unsafe esys h in
+              incr reads;
+              if not (whole b) then incr torn
+            done;
+            (!torn, !reads)))
+  in
+  E.with_op esys ~tid:0 (fun () ->
+      for i = 1 to 20_000 do
+        ignore (E.pset esys ~tid:0 h (version i))
+      done);
+  Atomic.set stop true;
+  Array.iter
+    (fun d ->
+      let torn, reads = Domain.join d in
+      Alcotest.(check bool) "readers ran" true (reads > 0);
+      Alcotest.(check int) "no torn read" 0 torn)
+    readers;
+  Alcotest.(check bool) "ended even" true (E.generation h land 1 = 0);
+  Alcotest.(check bool) "final version" true (Bytes.equal (E.pget esys ~tid:0 h) (version 20_000))
 
 (* Random op mixes against a model map, epoch boundaries sprinkled in
    so copying psets and anti-payload paths are on the table; the
-   Enforce checker cross-checks every mirror read byte-for-byte. *)
+   Enforce checker sees every warm and cold read. *)
 let prop_mirrored_map_matches_model =
   QCheck.Test.make ~count:40 ~name:"mirrored mhashmap ≡ model over random op mixes"
     QCheck.(small_list (triple (int_bound 3) (int_bound 15) (int_bound 99)))
@@ -284,9 +329,9 @@ let logged_esys () =
 
 let recover_cfg = { on_cfg with Cfg.pcheck = Cfg.Pcheck_off }
 
-(* Warm every mirror, then overwrite the values so DRAM state and the
+(* Warm every handle, then overwrite the values so DRAM state and the
    (lagging) media disagree; enumerate every fence-respecting crash
-   state.  A recovery that could observe pre-crash mirrors would
+   state.  A recovery that could observe pre-crash DRAM state would
    resurrect b-values in states where only the a-values are durable —
    instead every recovered pair must decode from the image itself, and
    the recovered esys must start with nothing resident. *)
@@ -360,7 +405,7 @@ let rebuild_cold region esys payloads =
   Alcotest.(check int) "nothing resident after the rebuild" 0 (E.mirror_stats esys).E.resident_bytes;
   Array.iter
     (fun (p : E.pblk) ->
-      (match p.mirror with None -> () | Some _ -> Alcotest.failf "uid %d has a mirror" p.uid);
+      if p.mslot >= 0 then Alcotest.failf "uid %d is warm" p.uid;
       match p.memo with E.No_memo -> () | _ -> Alcotest.failf "uid %d has a memo" p.uid)
     payloads;
   (m, lines)
@@ -420,6 +465,81 @@ let test_pread_bounds_and_corrupt_fields () =
   Alcotest.(check bool) "payload shorter than a seq is corruption" true
     (raises_corrupt (fun () -> Payload.Seq.seq_unsafe esys short))
 
+(* A fill that raises inside an in-place store still closes the seqlock
+   window: the generation ends even and the next read returns instead
+   of waiting for a store that will never finish. *)
+let test_raising_fill_closes_window () =
+  let _, esys = make_esys () in
+  let h = E.with_op esys ~tid:0 (fun () -> E.pnew esys ~tid:0 (Bytes.make 64 'a')) in
+  let failing = { E.len = 64; write = (fun _ _ -> raise Exit) } in
+  (match E.with_op esys ~tid:0 (fun () -> E.pset_fill esys ~tid:0 h failing) with
+  | _ -> Alcotest.fail "the fill's exception was swallowed"
+  | exception Exit -> ());
+  Alcotest.(check bool) "generation even" true (E.generation h land 1 = 0);
+  Alcotest.(check int) "readable" 64 (Bytes.length (E.pget esys ~tid:0 h))
+
+(* ---- allocation on the request path ---- *)
+
+(* [n] warm 1 KiB items in a store over the Montage hashmap, one domain
+   (no advancer, no checker), all in one epoch. *)
+let warm_store n =
+  let cfg = { on_cfg with Cfg.pcheck = Cfg.Pcheck_off; mirror_max_bytes = 1 lsl 26 } in
+  let region = R.create ~latency:Nvm.Latency.zero ~max_threads:8 ~capacity:(1 lsl 24) () in
+  let esys = E.create ~config:cfg region in
+  let store =
+    Kvstore.Store.create (Kvstore.Store.of_mhashmap (Pstructs.Mhashmap.create ~buckets:4096 esys))
+  in
+  let keys = Array.init n (Printf.sprintf "key-%06d") in
+  let value = String.make 1024 'v' in
+  Array.iter (fun k -> Kvstore.Store.set store ~tid:0 k value) keys;
+  (esys, store, keys, value)
+
+(* A SET of a warm key in its own epoch stores in place, straight into
+   the payload: nothing value-sized is allocated, let alone kept, so a
+   minor collection after 2,000 of them promotes next to nothing.  A
+   per-write heap copy of the value would promote about 136 words per
+   set. *)
+let test_in_place_sets_promote_nothing () =
+  let n = 2000 in
+  let esys, store, keys, _ = warm_store n in
+  let data = Bytes.make 1024 'w' in
+  let epoch = E.current_epoch esys in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  Array.iter
+    (fun k -> ignore (Kvstore.Store.store store ~tid:0 Kvstore.Store.Set ~expiry:0.0 k data 0 1024))
+    keys;
+  Gc.minor ();
+  let per_set = ((Gc.quick_stat ()).Gc.promoted_words -. before) /. float_of_int n in
+  Alcotest.(check int) "one epoch: every set was in place" epoch (E.current_epoch esys);
+  if per_set > 8.0 then Alcotest.failf "%.1f promoted words per set (at most 8)" per_set;
+  Alcotest.(check (option string)) "the sets landed" (Some (Bytes.to_string data))
+    (Kvstore.Store.get store ~tid:0 keys.(17))
+
+(* A warm GET through the wire protocol copies the value once, from
+   the region straight into the reply buffer: it allocates fewer minor
+   words than the value holds. *)
+let test_warm_get_copies_once () =
+  let _, store, keys, value = warm_store 16 in
+  let conn = Kvstore.Protocol.create store ~tid:0 in
+  let req = Bytes.of_string (Printf.sprintf "get %s\r\n" keys.(3)) in
+  let out = Buffer.create 2048 in
+  let serve sink =
+    ignore (Kvstore.Protocol.serve conn req ~pos:0 ~len:(Bytes.length req));
+    Kvstore.Protocol.flush_replies conn sink
+  in
+  ignore (serve (fun b off len -> Buffer.add_subbytes out b off len));
+  Alcotest.(check string) "the reply"
+    (Printf.sprintf "VALUE %s 0 1024\r\n%s\r\nEND\r\n" keys.(3) value)
+    (Buffer.contents out);
+  let before = Gc.minor_words () in
+  let replies = serve (fun _ _ _ -> ()) in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "one reply" 1 replies;
+  if words >= float_of_int (String.length value / 8) then
+    Alcotest.failf "a warm get allocated %.0f minor words (value: %d)" words
+      (String.length value / 8)
+
 let () =
   Alcotest.run "mirror"
     [
@@ -451,7 +571,17 @@ let () =
         [
           Alcotest.test_case "concurrent mutators under Enforce" `Quick
             test_concurrent_coherence_under_enforce;
+          Alcotest.test_case "lock-free readers see whole versions" `Quick
+            test_lock_free_readers_see_whole_versions;
+          Alcotest.test_case "a raising fill closes the window" `Quick
+            test_raising_fill_closes_window;
           QCheck_alcotest.to_alcotest prop_mirrored_map_matches_model;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "in-place sets promote nothing" `Quick
+            test_in_place_sets_promote_nothing;
+          Alcotest.test_case "warm get copies once" `Quick test_warm_get_copies_once;
         ] );
       ( "crash matrix",
         [ Alcotest.test_case "recovery is cold" `Quick test_crash_matrix_recovery_is_cold ] );

@@ -139,7 +139,7 @@ let test_map_stripe_aliasing_modify () =
     let n =
       match cur with
       | None -> 0
-      | Some (b, off) -> int_of_string (Bytes.sub_string b off (Bytes.length b - off))
+      | Some v -> int_of_string (Montage.Payload.View.to_string v)
     in
     Some (Montage.Payload.fill_string (string_of_int (n + 1)))
   in
