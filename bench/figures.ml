@@ -839,21 +839,17 @@ let netserve () =
 
 (* ---- C10K: connection scaling and open-loop offered load ---- *)
 
-(* Connection-census scaling for the readiness backends.  Each point
-   starts a fresh 2-worker server, parks [census] idle connections in
-   the pollers, runs a closed-loop burst over a small busy subset, and
-   then round-trips a [version] command on every idle connection to
-   prove the census is still being served.  Epoll should hold its 1K
+(* Connection-census scaling on the epoll loop.  Each point starts a
+   fresh 2-worker server, parks [census] idle connections in its epoll
+   sets, runs a closed-loop burst over a small busy subset, and then
+   round-trips a [version] command on every idle connection to prove
+   the census is still being served.  Epoll should hold its 1K
    throughput at 10K+ idle connections (the kernel holds the interest
-   set; waits cost O(ready)); select degrades and cannot track fd
-   numbers past FD_SETSIZE at all.  Both ends of every connection live
-   in this process, so the sweep is clamped to RLIMIT_NOFILE/2. *)
+   set; waits cost O(ready)).  Both ends of every connection live in
+   this process, so the sweep is clamped to RLIMIT_NOFILE/2. *)
 
-(* [ck_report] is [None] when the busy burst itself could not run —
-   the select backend refuses fds past FD_SETSIZE, so at large censuses
-   the burst connections land beyond the limit and get reset.  The
-   point still carries the census/answered counts, which are the
-   figure's real signal on that arm. *)
+(* [ck_report] is [None] when the busy burst itself could not run; the
+   point still carries the census/answered counts. *)
 type c10k_point = {
   ck_requested : int;
   ck_established : int;
@@ -861,13 +857,12 @@ type c10k_point = {
   ck_report : Netserve.Loadgen.report option;
 }
 
-let c10k_census_point ~backend ~poller ~census =
+let c10k_census_point ~backend ~census =
   let config =
     {
       Netserve.default_config with
       port = 0;
       workers = 2;
-      poller = Some poller;
       max_conns = census + 128;
       backlog = 1024;
       idle_timeout_s = 0.0;
@@ -900,77 +895,45 @@ let c10k_census_point ~backend ~poller ~census =
       })
 
 let c10k () =
-  R.heading "C10K: mostly-idle connection census vs readiness backend (2 workers, 16 busy conns)";
+  R.heading "C10K: mostly-idle connection census on epoll (2 workers, 16 busy conns)";
   let soft = Netserve.Poller.raise_fd_limit 45_000 in
   let budget = max 64 ((soft - 512) / 2) in
-  (* 400 sits under FD_SETSIZE even with client and server fds sharing
-     one process, so the select arm gets one census it can fully hold *)
   let requested = [ 400; 1_000; 5_000; 10_000; 20_000 ] in
   let censuses = List.sort_uniq compare (List.map (fun c -> min c budget) requested) in
   if List.exists (fun c -> c > budget) requested then
     Printf.printf
       "note: RLIMIT_NOFILE soft limit %d caps the in-process census at %d connections\n%!" soft
       budget;
-  let series =
-    if Netserve.Poller.epoll_available then
-      [
-        ("Montage/epoll", (`Montage, Netserve.Poller.Epoll));
-        ("Transient/epoll", (`Transient, Netserve.Poller.Epoll));
-        ("Montage/select", (`Montage, Netserve.Poller.Select));
-      ]
-    else [ ("Montage/select", (`Montage, Netserve.Poller.Select)) ]
-  in
+  let series = [ ("Montage/epoll", `Montage); ("Transient/epoll", `Transient) ] in
   let columns = List.map (fun c -> (Printf.sprintf "%dc" c, c)) censuses in
-  let pts =
-    R.sweep ~rows:series ~columns (fun (backend, poller) census ->
-        c10k_census_point ~backend ~poller ~census)
-  in
+  let pts = R.sweep ~rows:series ~columns (fun backend census -> c10k_census_point ~backend ~census) in
   let table unit_label f = R.table ~columns:(List.map fst columns) ~rows:(R.cells f pts) ~unit_label () in
   let report f p = match p.ck_report with Some r -> f r | None -> nan in
   table "busy-subset ops/s" (report (fun r -> r.Netserve.Loadgen.ops_per_sec));
   table "busy-subset p99_us" (report (fun r -> r.Netserve.Loadgen.p99_us));
   table "idle conns still answering (of census)" (fun p -> float_of_int p.ck_answered);
-  (if Netserve.Poller.epoll_available then begin
-     let completed name = List.filter_map Fun.id (List.assoc name pts) in
-     let epoll_pts = completed "Montage/epoll" in
-     R.check ~claim:"epoll serves the full idle census at every size (all connections answer)"
-       (fun () ->
-         epoll_pts <> []
-         && List.for_all
-              (fun p -> p.ck_established = p.ck_requested && p.ck_answered = p.ck_requested)
-              epoll_pts);
-     (* anchored at the 1K census, the paper-style C10K comparison
-        point (the 400-conn point exists for the select arm) *)
-     let anchor = List.find_opt (fun p -> p.ck_requested >= 1_000) epoll_pts in
-     (match (anchor, List.rev epoll_pts) with
-     | Some first, last :: _ when first.ck_requested < last.ck_requested ->
-         R.check
-           ~claim:
-             (Printf.sprintf
-                "epoll throughput at %d idle conns stays within 10%% of the %d-conn figure"
-                last.ck_requested first.ck_requested)
-           (fun () ->
-             match (first.ck_report, last.ck_report) with
-             | Some fr, Some lr ->
-                 lr.Netserve.Loadgen.ops_per_sec >= 0.9 *. fr.Netserve.Loadgen.ops_per_sec
-             | _ -> false)
-     | _ -> R.check ~claim:"epoll census sweep completed" (fun () -> false));
-     let select_pts = completed "Montage/select" in
-     R.check
-       ~claim:"select holds a sub-FD_SETSIZE census but drops idle conns past it; epoll holds both"
-       (fun () ->
-         List.exists
-           (fun p ->
-             p.ck_requested < Netserve.Poller.select_fd_limit && p.ck_answered = p.ck_requested)
-           select_pts
-         && List.exists
-              (fun p ->
-                p.ck_requested >= Netserve.Poller.select_fd_limit
-                && p.ck_answered < p.ck_requested)
-              select_pts)
-   end);
+  let epoll_pts = List.filter_map Fun.id (List.assoc "Montage/epoll" pts) in
+  R.check ~claim:"epoll serves the full idle census at every size (all connections answer)"
+    (fun () ->
+      epoll_pts <> []
+      && List.for_all
+           (fun p -> p.ck_established = p.ck_requested && p.ck_answered = p.ck_requested)
+           epoll_pts);
+  (* anchored at the 1K census, the paper-style C10K comparison point *)
+  let anchor = List.find_opt (fun p -> p.ck_requested >= 1_000) epoll_pts in
+  (match (anchor, List.rev epoll_pts) with
+  | Some first, last :: _ when first.ck_requested < last.ck_requested ->
+      R.check
+        ~claim:
+          (Printf.sprintf "epoll throughput at %d idle conns stays within 10%% of the %d-conn figure"
+             last.ck_requested first.ck_requested)
+        (fun () ->
+          match (first.ck_report, last.ck_report) with
+          | Some fr, Some lr -> lr.Netserve.Loadgen.ops_per_sec >= 0.9 *. fr.Netserve.Loadgen.ops_per_sec
+          | _ -> false)
+  | _ -> R.check ~claim:"epoll census sweep completed" (fun () -> false));
   (* ---- open loop: latency vs offered load ---- *)
-  R.heading "C10K: open-loop latency vs offered load (Montage, epoll when available)";
+  R.heading "C10K: open-loop latency vs offered load (Montage)";
   with_netserve ~backend:`Montage { Netserve.default_config with port = 0; workers = 2; tick_s = 0.01 }
     (fun t ->
       let lg = loadgen ~port:(Netserve.port t) ~conns:16 "ol" in

@@ -55,9 +55,6 @@ let provenance () =
     [
       ("git_rev", R.Str (git_rev ()));
       ("env", R.Obj knobs);
-      (* the readiness backend the socket figures run on, resolved even
-         when MONTAGE_POLLER is unset *)
-      ("poller", R.Str Netserve.Poller.(kind_name (kind_of_env ())));
       ( "scale",
         R.Obj
           [

@@ -259,14 +259,6 @@ let start_server ~config store esys =
         store
   | None -> Netserve.start ~config store
 
-(* "auto" = leave the choice to MONTAGE_POLLER / platform detection. *)
-let parse_poller = function
-  | "auto" -> Ok None
-  | s -> (
-      match Netserve.Poller.kind_of_string s with
-      | Some k -> Ok (Some k)
-      | None -> Error "poller must be auto|select|epoll")
-
 (* Set by SIGINT/SIGTERM once [catch_stop] has run. *)
 let stop = Atomic.make false
 
@@ -290,20 +282,16 @@ let until_signal ~seconds every =
     with Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
-let serve backend host port workers seconds capacity_mib poller_s =
-  match parse_poller poller_s with
-  | Error e -> `Error (false, e)
-  | Ok poller -> (
+let serve backend host port workers seconds capacity_mib =
   if workers < 1 then `Error (false, "workers must be >= 1")
   else
     match make_backend backend workers capacity_mib with
     | None -> `Error (false, "backend must be montage|mhamt|transient")
     | Some (store, esys) ->
-        let config = { Netserve.default_config with host; port; workers; poller } in
+        let config = { Netserve.default_config with host; port; workers } in
         let t = start_server ~config store esys in
-        Printf.printf "netserve: %s backend, %d worker(s) on %s:%d (%s poller)\n%!" backend
-          workers host (Netserve.port t)
-          (Netserve.Poller.kind_name (Netserve.poller_kind t));
+        Printf.printf "netserve: %s backend, %d worker(s) on %s:%d\n%!" backend workers host
+          (Netserve.port t);
         until_signal ~seconds ignore;
         let d = Netserve.shutdown t in
         let accepted, bytes_in, bytes_out, cmds = Netserve.totals t in
@@ -314,7 +302,7 @@ let serve backend host port workers seconds capacity_mib poller_s =
         Printf.printf "totals: %d connection(s), %d command(s), %d bytes in, %d bytes out\n" accepted
           cmds bytes_in bytes_out;
         Option.iter E.stop_background esys;
-        `Ok ())
+        `Ok ()
 
 (* ---- loadgen ---- *)
 
@@ -396,157 +384,150 @@ let loadgen host port conns domains seconds pipeline value_size keyspace get_fra
    idle connection is still served by round-tripping a [version]
    command on each.  Exits nonzero if any connection was refused,
    dropped, or went unanswered. *)
-let c10k backend conns workers seconds active value_size capacity_mib poller_s target_port =
-  match parse_poller poller_s with
-  | Error e -> `Error (false, e)
-  | Ok poller -> (
-      if workers < 1 then `Error (false, "workers must be >= 1")
+let c10k backend conns workers seconds active value_size capacity_mib target_port =
+  if workers < 1 then `Error (false, "workers must be >= 1")
+  else
+    (* [--port] drives an already-running server (started with
+       [serve] in another process) instead of an in-process one:
+       each connection then costs this process one fd, not two, so
+       the census can go past half the RLIMIT_NOFILE cap. *)
+    let be =
+      if target_port > 0 then Some None
       else
-        (* [--port] drives an already-running server (started with
-           [serve] in another process) instead of an in-process one:
-           each connection then costs this process one fd, not two, so
-           the census can go past half the RLIMIT_NOFILE cap. *)
-        let be =
-          if target_port > 0 then Some None
-          else
-            match make_backend backend workers capacity_mib with
-            | None -> None
-            | Some b -> Some (Some b)
+        match make_backend backend workers capacity_mib with
+        | None -> None
+        | Some b -> Some (Some b)
+    in
+    match be with
+    | None -> `Error (false, "backend must be montage|mhamt|transient")
+    | Some be ->
+        let fds_per_conn = if be = None then 1 else 2 in
+        let soft =
+          Netserve.Poller.raise_fd_limit ((fds_per_conn * (conns + active)) + 512)
         in
-        match be with
-        | None -> `Error (false, "backend must be montage|mhamt|transient")
-        | Some be ->
-            let fds_per_conn = if be = None then 1 else 2 in
-            let soft =
-              Netserve.Poller.raise_fd_limit ((fds_per_conn * (conns + active)) + 512)
-            in
-            let budget = max 16 ((soft - 256 - (fds_per_conn * active)) / fds_per_conn) in
-            let conns =
-              if conns > budget then begin
+        let budget = max 16 ((soft - 256 - (fds_per_conn * active)) / fds_per_conn) in
+        let conns =
+          if conns > budget then begin
+            Printf.printf
+              "c10k: RLIMIT_NOFILE soft limit %d: clamping %d -> %d idle connections\n%!"
+              soft conns budget;
+            budget
+          end
+          else conns
+        in
+        let t =
+          Option.map
+            (fun (store, esys) ->
+              let config =
+                {
+                  Netserve.default_config with
+                  host = "127.0.0.1";
+                  port = 0;
+                  workers;
+                  max_conns = conns + active + 64;
+                  backlog = 1024;
+                  idle_timeout_s = 0.0;
+                  tick_s = 0.01;
+                }
+              in
+              start_server ~config store esys)
+            be
+        in
+        let port = match t with Some t -> Netserve.port t | None -> target_port in
+        let t0 = Netserve.Poller.mono_s () in
+        let idle =
+          List.filter_map
+            (fun _ -> try Some (Client.connect port) with Unix.Unix_error _ -> None)
+            (List.init conns Fun.id)
+        in
+        let established = List.length idle in
+        let ramp_s = Netserve.Poller.mono_s () -. t0 in
+        (match t with
+        | Some _ ->
+            Printf.printf "c10k: %d/%d idle connection(s) up in %.2fs (%d worker(s))\n%!"
+              established conns ramp_s workers
+        | None ->
+            Printf.printf
+              "c10k: %d/%d idle connection(s) up in %.2fs (external server :%d)\n%!"
+              established conns ramp_s port);
+        (* throughput burst over a small busy subset while the idle
+           census sits registered in the workers' epoll sets *)
+        let lg =
+          {
+            Netserve.Loadgen.default_config with
+            port;
+            conns = active;
+            domains = min 4 (max 1 (active / 8));
+            duration_s = seconds;
+            value_size;
+            keyspace = 4096;
+            key_prefix = "c10k";
+          }
+        in
+        let burst =
+          try
+            Netserve.Loadgen.preload ~config:lg ();
+            Some (Netserve.Loadgen.run ~config:lg ())
+          with
+          | Netserve.Loadgen.Connection_lost why ->
+              Printf.printf "c10k: busy burst failed: connection lost (%s)\n%!" why;
+              None
+          | Unix.Unix_error (e, fn, _) ->
+              Printf.printf "c10k: busy burst failed: %s in %s\n%!"
+                (Unix.error_message e) fn;
+              None
+        in
+        Option.iter
+          (Netserve.Loadgen.print_report
+             ~label:(Printf.sprintf "%d idle + %d active" established active))
+          burst;
+        (* liveness sweep: every idle connection still answers *)
+        let answered = Client.version_sweep idle in
+        Printf.printf "c10k: %d/%d idle connection(s) answered after the burst\n%!" answered
+          established;
+        List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) idle;
+        (match t with
+        | Some t ->
+            let d = Netserve.shutdown t in
+            let _, _, _, cmds = Netserve.totals t in
+            (match burst with
+            | Some r ->
                 Printf.printf
-                  "c10k: RLIMIT_NOFILE soft limit %d: clamping %d -> %d idle connections\n%!"
-                  soft conns budget;
-                budget
-              end
-              else conns
-            in
-            let t =
-              Option.map
-                (fun (store, esys) ->
-                  let config =
-                    {
-                      Netserve.default_config with
-                      host = "127.0.0.1";
-                      port = 0;
-                      workers;
-                      poller;
-                      max_conns = conns + active + 64;
-                      backlog = 1024;
-                      idle_timeout_s = 0.0;
-                      tick_s = 0.01;
-                    }
-                  in
-                  start_server ~config store esys)
-                be
-            in
-            let port = match t with Some t -> Netserve.port t | None -> target_port in
-            let t0 = Netserve.Poller.mono_s () in
-            let idle =
-              List.filter_map
-                (fun _ -> try Some (Client.connect port) with Unix.Unix_error _ -> None)
-                (List.init conns Fun.id)
-            in
-            let established = List.length idle in
-            let ramp_s = Netserve.Poller.mono_s () -. t0 in
-            (match t with
-            | Some t ->
-                Printf.printf
-                  "c10k: %d/%d idle connection(s) up in %.2fs (%s poller, %d worker(s))\n%!"
-                  established conns ramp_s
-                  (Netserve.Poller.kind_name (Netserve.poller_kind t))
-                  workers
+                  "c10k: throughput %.0f ops/s, p99 %.0f us, %d command(s) total, \
+                   drain %.3fs\n%!"
+                  r.ops_per_sec r.p99_us cmds d.drain_s
             | None ->
-                Printf.printf
-                  "c10k: %d/%d idle connection(s) up in %.2fs (external server :%d)\n%!"
-                  established conns ramp_s port);
-            (* throughput burst over a small busy subset while the idle
-               census sits registered in the pollers *)
-            let lg =
-              {
-                Netserve.Loadgen.default_config with
-                port;
-                conns = active;
-                domains = min 4 (max 1 (active / 8));
-                duration_s = seconds;
-                value_size;
-                keyspace = 4096;
-                key_prefix = "c10k";
-              }
-            in
-            let burst =
-              try
-                Netserve.Loadgen.preload ~config:lg ();
-                Some (Netserve.Loadgen.run ~config:lg ())
-              with
-              | Netserve.Loadgen.Connection_lost why ->
-                  Printf.printf "c10k: busy burst failed: connection lost (%s)\n%!" why;
-                  None
-              | Unix.Unix_error (e, fn, _) ->
-                  Printf.printf "c10k: busy burst failed: %s in %s\n%!"
-                    (Unix.error_message e) fn;
-                  None
-            in
+                Printf.printf "c10k: %d command(s) total, drain %.3fs\n%!" cmds d.drain_s)
+        | None ->
             Option.iter
-              (Netserve.Loadgen.print_report
-                 ~label:(Printf.sprintf "%d idle + %d active" established active))
-              burst;
-            (* liveness sweep: every idle connection still answers *)
-            let answered = Client.version_sweep idle in
-            Printf.printf "c10k: %d/%d idle connection(s) answered after the burst\n%!" answered
-              established;
-            List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) idle;
-            (match t with
-            | Some t ->
-                let d = Netserve.shutdown t in
-                let _, _, _, cmds = Netserve.totals t in
-                (match burst with
-                | Some r ->
-                    Printf.printf
-                      "c10k: throughput %.0f ops/s, p99 %.0f us, %d command(s) total, \
-                       drain %.3fs\n%!"
-                      r.ops_per_sec r.p99_us cmds d.drain_s
-                | None ->
-                    Printf.printf "c10k: %d command(s) total, drain %.3fs\n%!" cmds d.drain_s)
-            | None ->
-                Option.iter
-                  (fun r ->
-                    Printf.printf "c10k: throughput %.0f ops/s, p99 %.0f us\n%!"
-                      r.Netserve.Loadgen.ops_per_sec r.Netserve.Loadgen.p99_us)
-                  burst);
-            Option.iter (fun (_, esys) -> Option.iter E.stop_background esys) be;
-            let problems =
-              (if established < conns then
-                 [ Printf.sprintf "only %d/%d connections established" established conns ]
-               else [])
-              @ (if answered < established then
-                   [ Printf.sprintf "only %d/%d idle connections answered" answered established ]
+              (fun r ->
+                Printf.printf "c10k: throughput %.0f ops/s, p99 %.0f us\n%!"
+                  r.Netserve.Loadgen.ops_per_sec r.Netserve.Loadgen.p99_us)
+              burst);
+        Option.iter (fun (_, esys) -> Option.iter E.stop_background esys) be;
+        let problems =
+          (if established < conns then
+             [ Printf.sprintf "only %d/%d connections established" established conns ]
+           else [])
+          @ (if answered < established then
+               [ Printf.sprintf "only %d/%d idle connections answered" answered established ]
+             else [])
+          @
+          match burst with
+          | None -> [ "busy burst failed" ]
+          | Some r ->
+              (if r.ops = 0 then [ "no operations completed" ] else [])
+              @ (if r.errors > 0 then
+                   [ Printf.sprintf "%d protocol errors" r.errors ]
                  else [])
-              @
-              match burst with
-              | None -> [ "busy burst failed" ]
-              | Some r ->
-                  (if r.ops = 0 then [ "no operations completed" ] else [])
-                  @ (if r.errors > 0 then
-                       [ Printf.sprintf "%d protocol errors" r.errors ]
-                     else [])
-                  @ (match r.disconnects with
-                    | [] -> []
-                    | ds ->
-                        [ Printf.sprintf "%d loadgen disconnect(s): %s" (List.length ds)
-                            (List.hd ds) ])
-            in
-            if problems = [] then `Ok ()
-            else `Error (false, "c10k failed: " ^ String.concat "; " problems))
+              @ (match r.disconnects with
+                | [] -> []
+                | ds ->
+                    [ Printf.sprintf "%d loadgen disconnect(s): %s" (List.length ds)
+                        (List.hd ds) ])
+        in
+        if problems = [] then `Ok ()
+        else `Error (false, "c10k failed: " ^ String.concat "; " problems)
 
 (* ---- netsmoke ---- *)
 
@@ -574,9 +555,8 @@ let netsmoke () =
   in
   let config = { Netserve.default_config with host = "127.0.0.1"; port = 0; workers } in
   let t = start_server ~config store (Some esys) in
-  Printf.printf "netsmoke: %s backend, %s poller\n%!"
-    (match smoke_backend with `Mhamt -> "mhamt" | `Mhashmap -> "montage")
-    (Netserve.Poller.kind_name (Netserve.poller_kind t));
+  Printf.printf "netsmoke: %s backend\n%!"
+    (match smoke_backend with `Mhamt -> "mhamt" | `Mhashmap -> "montage");
   let port = Netserve.port t in
   (* 1. byte-exact pipelined session on one connection *)
   let fd = Client.connect port in
@@ -660,36 +640,32 @@ let netsmoke () =
 
 (* ---- shard ---- *)
 
-let shard backend host port workers capacity_mib heap_file poller_s seconds drain_timeout_s =
-  match parse_poller poller_s with
-  | Error e -> `Error (false, e)
-  | Ok poller -> (
-      match Cluster.Shard.backend_of_string backend with
-      | None -> `Error (false, "backend must be montage|mhamt|transient")
-      | Some backend -> (
-          let cfg =
-            {
-              Cluster.Shard.backend;
-              host;
-              port;
-              workers;
-              capacity_mib;
-              heap_file;
-              poller;
-              seconds;
-              drain_timeout_s;
-            }
-          in
-          match
-            Cluster.Shard.run
-              ~on_ready:(fun ~port ->
-                Printf.printf "shard: %s backend on %s:%d (heap %s)\n%!"
-                  (Cluster.Shard.backend_name backend) host port
-                  (if heap_file = "" then "none" else heap_file))
-              cfg
-          with
-          | Ok () -> `Ok ()
-          | Error e -> `Error (false, e)))
+let shard backend host port workers capacity_mib heap_file seconds drain_timeout_s =
+  match Cluster.Shard.backend_of_string backend with
+  | None -> `Error (false, "backend must be montage|mhamt|transient")
+  | Some backend -> (
+      let cfg =
+        {
+          Cluster.Shard.backend;
+          host;
+          port;
+          workers;
+          capacity_mib;
+          heap_file;
+          seconds;
+          drain_timeout_s;
+        }
+      in
+      match
+        Cluster.Shard.run
+          ~on_ready:(fun ~port ->
+            Printf.printf "shard: %s backend on %s:%d (heap %s)\n%!"
+              (Cluster.Shard.backend_name backend) host port
+              (if heap_file = "" then "none" else heap_file))
+          cfg
+      with
+      | Ok () -> `Ok ()
+      | Error e -> `Error (false, e))
 
 (* ---- cluster ---- *)
 
@@ -703,31 +679,27 @@ let report_exit prog name st =
 
 (* Shard children are fresh execs of this binary, running its [shard]
    subcommand. *)
-let cluster backend host port shards shard_port_base workers capacity_mib heap_dir poller_s
-    seconds =
-  match (parse_poller poller_s, Cluster.Shard.backend_of_string backend) with
-  | Error e, _ -> `Error (false, e)
-  | _, None -> `Error (false, "backend must be montage|mhamt|transient")
-  | Ok poller, Some backend ->
+let cluster backend host port shards shard_port_base workers capacity_mib heap_dir seconds =
+  match Cluster.Shard.backend_of_string backend with
+  | None -> `Error (false, "backend must be montage|mhamt|transient")
+  | Some backend ->
       if shards < 1 then `Error (false, "shards must be >= 1")
       else
         let template =
-          { Cluster.Shard.default_config with backend; host; workers; capacity_mib; poller }
+          { Cluster.Shard.default_config with backend; host; workers; capacity_mib }
         in
         (* caught before the first spawn, so a signal during startup
            still ends through [with_]'s teardown *)
         catch_stop ();
         Cluster.Local.with_ ~exe:Sys.executable_name ~port_base:shard_port_base
           ~heap:(Dir heap_dir)
-          ~router:{ Cluster.Router.default_config with host; port; poller }
+          ~router:{ Cluster.Router.default_config with host; port }
           ~on_exit:(report_exit "cluster") ~shards template
           (fun c ->
             let r = Cluster.Local.router c in
-            Printf.printf
-              "cluster: router on %s:%d fronting %d shard(s) on ports %d-%d (%s poller)\n%!" host
+            Printf.printf "cluster: router on %s:%d fronting %d shard(s) on ports %d-%d\n%!" host
               (Cluster.Router.port r) shards shard_port_base
-              (shard_port_base + shards - 1)
-              (Netserve.Poller.kind_name (Cluster.Router.poller_kind r));
+              (shard_port_base + shards - 1);
             if Cluster.Local.wait_up ~stop:(fun () -> Atomic.get stop) c then
               Printf.printf "cluster: all %d shard(s) up\n%!" shards
             else if not (Atomic.get stop) then
@@ -754,135 +726,130 @@ let cluster backend host port shards shard_port_base workers capacity_mib heap_d
    victim's keyspace while it is away — and (b) every key acked by the
    victim before the kill is served again after its restart recovers
    the heap image and the ring reconverges to 3/3 Up. *)
-let clustersmoke poller_s seconds rate =
-  match parse_poller poller_s with
-  | Error e -> `Error (false, e)
-  | Ok poller -> (
-      let failures = ref [] in
-      let check name ok =
-        Printf.printf "  [%s] %s\n%!" (if ok then "ok" else "FAIL") name;
-        if not ok then failures := name :: !failures
+let clustersmoke seconds rate =
+  let failures = ref [] in
+  let check name ok =
+    Printf.printf "  [%s] %s\n%!" (if ok then "ok" else "FAIL") name;
+    if not ok then failures := name :: !failures
+  in
+  let shards = 3 and victim = 1 in
+  let template =
+    { Cluster.Shard.default_config with workers = 2; drain_timeout_s = 0.5 }
+  in
+  let router =
+    {
+      Cluster.Router.default_config with
+      host = "127.0.0.1";
+      port = 0;
+      tick_s = 0.01;
+      probe_interval_s = 0.05;
+    }
+  in
+  Cluster.Local.with_ ~exe:Sys.executable_name ~heap:Temp_dir ~router
+    ~on_exit:(report_exit "clustersmoke") ~shards template
+    (fun c ->
+      check "initial ring convergence (3/3 up)" (Cluster.Local.wait_up c);
+      let r = Cluster.Local.router c in
+      let rport = Cluster.Router.port r in
+      Printf.printf "clustersmoke: router on :%d\n%!" rport;
+      (* --- phase 1: ack a batch of keys owned by the victim shard --- *)
+      let victim_keys =
+        Cluster.Ring.keys_on (Cluster.Local.ring c) victim ~prefix:"acked-" 40
       in
-      let shards = 3 and victim = 1 in
-      let template =
-        { Cluster.Shard.default_config with workers = 2; poller; drain_timeout_s = 0.5 }
-      in
-      let router =
+      let fd = Client.connect rport in
+      let out = Buffer.create 4096 in
+      List.iter
+        (fun k ->
+          let v = "durable-" ^ k in
+          Buffer.add_string out
+            (Printf.sprintf "set %s 0 0 %d\r\n%s\r\n" k (String.length v) v))
+        victim_keys;
+      Client.send fd (Buffer.contents out);
+      let acks = Client.recv_exact fd (8 * List.length victim_keys) in
+      check "victim-owned keys acked before the kill"
+        (acks = String.concat "" (List.map (fun _ -> "STORED\r\n") victim_keys));
+      (* --- phase 2: open-loop load; SIGTERM the victim mid-run --- *)
+      let lg =
         {
-          Cluster.Router.default_config with
-          host = "127.0.0.1";
-          port = 0;
-          tick_s = 0.01;
-          probe_interval_s = 0.05;
-          poller;
+          Netserve.Loadgen.default_config with
+          port = rport;
+          conns = 12;
+          domains = 2;
+          duration_s = seconds;
+          value_size = 64;
+          keyspace = 3000;
+          get_frac = 0.8;
+          key_prefix = "cs";
         }
       in
-      Cluster.Local.with_ ~exe:Sys.executable_name ~heap:Temp_dir ~router
-        ~on_exit:(report_exit "clustersmoke") ~shards template
-        (fun c ->
-          check "initial ring convergence (3/3 up)" (Cluster.Local.wait_up c);
-          let r = Cluster.Local.router c in
-          let rport = Cluster.Router.port r in
-          Printf.printf "clustersmoke: router on :%d (%s poller)\n%!" rport
-            (Netserve.Poller.kind_name (Cluster.Router.poller_kind r));
-          (* --- phase 1: ack a batch of keys owned by the victim shard --- *)
-          let victim_keys =
-            Cluster.Ring.keys_on (Cluster.Local.ring c) victim ~prefix:"acked-" 40
-          in
-          let fd = Client.connect rport in
-          let out = Buffer.create 4096 in
-          List.iter
-            (fun k ->
-              let v = "durable-" ^ k in
-              Buffer.add_string out
-                (Printf.sprintf "set %s 0 0 %d\r\n%s\r\n" k (String.length v) v))
-            victim_keys;
-          Client.send fd (Buffer.contents out);
-          let acks = Client.recv_exact fd (8 * List.length victim_keys) in
-          check "victim-owned keys acked before the kill"
-            (acks = String.concat "" (List.map (fun _ -> "STORED\r\n") victim_keys));
-          (* --- phase 2: open-loop load; SIGTERM the victim mid-run --- *)
-          let lg =
-            {
-              Netserve.Loadgen.default_config with
-              port = rport;
-              conns = 12;
-              domains = 2;
-              duration_s = seconds;
-              value_size = 64;
-              keyspace = 3000;
-              get_frac = 0.8;
-              key_prefix = "cs";
-            }
-          in
-          Netserve.Loadgen.preload ~config:lg ();
-          let lg_done = Atomic.make false in
-          let lg_dom =
-            Domain.spawn (fun () ->
-                Fun.protect
-                  ~finally:(fun () -> Atomic.set lg_done true)
-                  (fun () -> Netserve.Loadgen.run_open ~config:lg ~grace_s:5.0 ~rate ()))
-          in
-          let kill_at = Netserve.Poller.mono_s () +. (seconds *. 0.25) in
-          let killed = ref false in
-          let pace () =
-            Cluster.Local.tick c;
-            Unix.sleepf 0.02
-            [@montage.allow
-              "R5: smoke-test driver thread pacing supervision ticks around \
-               the kill and the restart; client tooling, not server or structure code"]
-          in
-          while not (Atomic.get lg_done) do
-            if (not !killed) && Netserve.Poller.mono_s () >= kill_at then begin
-              Printf.printf "clustersmoke: SIGTERM shard-%d (graceful drain + heap image)\n%!"
-                victim;
-              Cluster.Local.signal c victim;
-              killed := true
-            end;
-            pace ()
-          done;
-          let rep = Domain.join lg_dom in
-          Netserve.Loadgen.print_open_report ~label:"clustersmoke" rep;
-          (* the availability contract: every request answered; the only
-             errors are shard-down for the victim's keyspace *)
-          check "no request abandoned during the outage" (rep.abandoned = 0);
-          check "no loadgen disconnect (router stayed up)" (rep.o_disconnects = []);
-          check "no errors beyond SERVER_ERROR shard down" (rep.o_errors = 0);
-          check "load made progress" (rep.completed > 0);
-          check "victim was killed mid-run" !killed;
-          (* --- phase 3: restart recovers, ring reconverges, keys live --- *)
-          (* the victim's graceful exit (drain + sync + image write) may
-             outlast the load window; keep ticking until it is reaped *)
-          let restart_deadline = Netserve.Poller.mono_s () +. 30.0 in
-          while
-            Cluster.Local.restarts c victim < 1
-            && Netserve.Poller.mono_s () < restart_deadline
-          do
-            pace ()
-          done;
-          check "supervisor restarted the victim" (Cluster.Local.restarts c victim >= 1);
-          check "ring reconverged (3/3 up)" (Cluster.Local.wait_up c);
-          let s = Cluster.Router.stats r in
-          check "router observed the down" (s.downs >= 1);
-          check "router observed the rejoin" (s.rejoins >= shards + 1);
-          let recovered =
-            List.for_all
-              (fun k ->
-                let v = "durable-" ^ k in
-                Client.send fd (Printf.sprintf "get %s\r\n" k);
-                Client.recv_unit fd
-                = Printf.sprintf "VALUE %s 0 %d\r\n%s\r\nEND\r\n" k (String.length v) v)
-              victim_keys
-          in
-          check "every acked key recovered after the restart" recovered;
-          Client.send fd "quit\r\n";
-          try Unix.close fd with Unix.Unix_error _ -> ());
-      match !failures with
-      | [] ->
-          Printf.printf "clustersmoke: all checks passed\n";
-          `Ok ()
-      | fs ->
-          `Error (false, Printf.sprintf "clustersmoke failed: %s" (String.concat "; " (List.rev fs))))
+      Netserve.Loadgen.preload ~config:lg ();
+      let lg_done = Atomic.make false in
+      let lg_dom =
+        Domain.spawn (fun () ->
+            Fun.protect
+              ~finally:(fun () -> Atomic.set lg_done true)
+              (fun () -> Netserve.Loadgen.run_open ~config:lg ~grace_s:5.0 ~rate ()))
+      in
+      let kill_at = Netserve.Poller.mono_s () +. (seconds *. 0.25) in
+      let killed = ref false in
+      let pace () =
+        Cluster.Local.tick c;
+        Unix.sleepf 0.02
+        [@montage.allow
+          "R5: smoke-test driver thread pacing supervision ticks around \
+           the kill and the restart; client tooling, not server or structure code"]
+      in
+      while not (Atomic.get lg_done) do
+        if (not !killed) && Netserve.Poller.mono_s () >= kill_at then begin
+          Printf.printf "clustersmoke: SIGTERM shard-%d (graceful drain + heap image)\n%!"
+            victim;
+          Cluster.Local.signal c victim;
+          killed := true
+        end;
+        pace ()
+      done;
+      let rep = Domain.join lg_dom in
+      Netserve.Loadgen.print_open_report ~label:"clustersmoke" rep;
+      (* the availability contract: every request answered; the only
+         errors are shard-down for the victim's keyspace *)
+      check "no request abandoned during the outage" (rep.abandoned = 0);
+      check "no loadgen disconnect (router stayed up)" (rep.o_disconnects = []);
+      check "no errors beyond SERVER_ERROR shard down" (rep.o_errors = 0);
+      check "load made progress" (rep.completed > 0);
+      check "victim was killed mid-run" !killed;
+      (* --- phase 3: restart recovers, ring reconverges, keys live --- *)
+      (* the victim's graceful exit (drain + sync + image write) may
+         outlast the load window; keep ticking until it is reaped *)
+      let restart_deadline = Netserve.Poller.mono_s () +. 30.0 in
+      while
+        Cluster.Local.restarts c victim < 1
+        && Netserve.Poller.mono_s () < restart_deadline
+      do
+        pace ()
+      done;
+      check "supervisor restarted the victim" (Cluster.Local.restarts c victim >= 1);
+      check "ring reconverged (3/3 up)" (Cluster.Local.wait_up c);
+      let s = Cluster.Router.stats r in
+      check "router observed the down" (s.downs >= 1);
+      check "router observed the rejoin" (s.rejoins >= shards + 1);
+      let recovered =
+        List.for_all
+          (fun k ->
+            let v = "durable-" ^ k in
+            Client.send fd (Printf.sprintf "get %s\r\n" k);
+            Client.recv_unit fd
+            = Printf.sprintf "VALUE %s 0 %d\r\n%s\r\nEND\r\n" k (String.length v) v)
+          victim_keys
+      in
+      check "every acked key recovered after the restart" recovered;
+      Client.send fd "quit\r\n";
+      try Unix.close fd with Unix.Unix_error _ -> ());
+  match !failures with
+  | [] ->
+      Printf.printf "clustersmoke: all checks passed\n";
+      `Ok ()
+  | fs ->
+      `Error (false, Printf.sprintf "clustersmoke failed: %s" (String.concat "; " (List.rev fs)))
 
 (* ---- command wiring ---- *)
 
@@ -909,11 +876,6 @@ let torture_cmd =
 
 let host_arg = Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~doc:"Bind/connect address.")
 
-let poller_arg =
-  Arg.(
-    value & opt string "auto"
-    & info [ "poller" ] ~doc:"Readiness backend: auto|select|epoll (auto = MONTAGE_POLLER or platform default).")
-
 let serve_cmd =
   let backend =
     Arg.(value & pos 0 string default_backend & info [] ~docv:"BACKEND" ~doc:"montage|mhamt|transient")
@@ -925,7 +887,7 @@ let serve_cmd =
   in
   let capacity = Arg.(value & opt int 256 & info [ "capacity-mib" ] ~doc:"NVM region size (MiB).") in
   Cmd.v (Cmd.info "serve" ~doc:"Serve the memcached text protocol over the KV store.")
-    Term.(ret (const serve $ backend $ host_arg $ port $ workers $ seconds $ capacity $ poller_arg))
+    Term.(ret (const serve $ backend $ host_arg $ port $ workers $ seconds $ capacity))
 
 let loadgen_cmd =
   let port = Arg.(value & opt int 11211 & info [ "port"; "p" ] ~doc:"Server port.") in
@@ -993,7 +955,7 @@ let c10k_cmd =
     Term.(
       ret
         (const c10k $ backend $ conns $ workers $ seconds $ active $ value_size $ capacity
-       $ poller_arg $ target_port))
+       $ target_port))
 
 let stallbench_cmd =
   let stall_ms =
@@ -1044,8 +1006,8 @@ let shard_cmd =
              durability across restarts.")
     Term.(
       ret
-        (const shard $ backend $ host_arg $ port $ workers $ capacity $ heap_file $ poller_arg
-       $ seconds $ drain_timeout))
+        (const shard $ backend $ host_arg $ port $ workers $ capacity $ heap_file $ seconds
+       $ drain_timeout))
 
 let cluster_cmd =
   let backend =
@@ -1075,7 +1037,7 @@ let cluster_cmd =
     Term.(
       ret
         (const cluster $ backend $ host_arg $ port $ shards $ base $ workers $ capacity
-       $ heap_dir $ poller_arg $ seconds))
+       $ heap_dir $ seconds))
 
 let clustersmoke_cmd =
   let seconds =
@@ -1086,7 +1048,7 @@ let clustersmoke_cmd =
     (Cmd.info "clustersmoke"
        ~doc:"Kill/recover/rejoin scenario: 3 shards under open-loop load, SIGTERM one \
              mid-run, assert availability and durability (CI).")
-    Term.(ret (const clustersmoke $ poller_arg $ seconds $ rate))
+    Term.(ret (const clustersmoke $ seconds $ rate))
 
 let () =
   let doc = "Montage buffered-persistence playground" in

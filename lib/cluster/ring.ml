@@ -21,8 +21,6 @@ let fnv1a_64 s =
     s;
   !h
 
-let hash_key = fnv1a_64
-
 let point_of ~id ~vnode = fnv1a_64 (Printf.sprintf "shard-%d-%d" id vnode)
 
 let ucompare (a : int64) (b : int64) =

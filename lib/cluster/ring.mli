@@ -34,6 +34,3 @@ val remove : t -> int -> t
 
 (** Ring with shard [id] added (no-op if present). *)
 val add : t -> int -> t
-
-(** The 64-bit FNV-1a key hash (exposed for tests). *)
-val hash_key : string -> int64

@@ -53,7 +53,6 @@ type config = {
   vnodes : int;
   probe_interval_s : float;
   connect_timeout_s : float;
-  poller : Poller.kind option;
 }
 
 let default_config =
@@ -71,7 +70,6 @@ let default_config =
     vnodes = 128;
     probe_interval_s = 0.2;
     connect_timeout_s = 2.0;
-    poller = None;
   }
 
 let shard_down_reply = "SERVER_ERROR shard down\r\n"
@@ -97,7 +95,6 @@ type stats = {
 
 type t = {
   cfg : config;
-  pkind : Poller.kind;
   ring : Ring.t;
   addrs : shard_addr array;  (* ring order (sorted by sid) *)
   up_flags : bool Atomic.t array;  (* ring order, published by the loop *)
@@ -111,7 +108,6 @@ type t = {
 }
 
 let port t = t.actual_port
-let poller_kind t = t.pkind
 
 let shard_states t =
   Array.to_list (Array.mapi (fun i a -> (a.sid, Atomic.get t.up_flags.(i))) t.addrs)
@@ -456,8 +452,8 @@ let run t =
       (P.frames cl.fr inb.bytes ~pos:inb.pos ~len:(Core.pending inb) (dispatch c cl inb.bytes))
   in
   let core =
-    Core.create ~name:"cluster" ~hint:(min cfg.max_conns 65536) ~read_chunk:cfg.read_chunk
-      ~idle_timeout_s:cfg.idle_timeout_s ~counters:t.io t.pkind
+    Core.create ~name:"cluster" ~read_chunk:cfg.read_chunk ~idle_timeout_s:cfg.idle_timeout_s
+      ~counters:t.io
       {
         input = (fun c -> match Core.data c with Client cl -> client_input c cl | Shard u -> upstream_input c u);
         paused =
@@ -508,7 +504,6 @@ let run t =
 
 let start ?(config = default_config) shard_addrs =
   if shard_addrs = [] then invalid_arg "Router.start: no shards";
-  let pkind = match config.poller with Some k -> k | None -> Poller.kind_of_env () in
   let ring = Ring.create ~vnodes:config.vnodes (List.map (fun a -> a.sid) shard_addrs) in
   let addrs =
     (* ring order: sorted by shard id, matching Ring.shards *)
@@ -528,7 +523,6 @@ let start ?(config = default_config) shard_addrs =
   let t =
     {
       cfg = config;
-      pkind;
       ring;
       addrs;
       up_flags = Array.map (fun _ -> Atomic.make false) addrs;

@@ -3,7 +3,7 @@
     {!Netserve} instance over its own Montage region.
 
     The router is a single domain running one {!Netserve.Conn_core}
-    loop (epoll/select): client connections on one side, one
+    loop (epoll): client connections on one side, one
     pipelined upstream connection per shard on the other.  Requests
     are split by {!Kvstore.Protocol.frames}, the framer the shards
     execute with: requests it settles itself (malformed, oversized,
@@ -46,7 +46,6 @@ type config = {
   vnodes : int;  (** ring points per shard *)
   probe_interval_s : float;  (** Down-shard reconnect cadence *)
   connect_timeout_s : float;  (** nonblocking connect + probe deadline *)
-  poller : Netserve.Poller.kind option;
 }
 
 val default_config : config
@@ -60,7 +59,6 @@ type t
 val start : ?config:config -> shard_addr list -> t
 
 val port : t -> int
-val poller_kind : t -> Netserve.Poller.kind
 
 (** [(shard id, up?)] snapshot, in ring order. *)
 val shard_states : t -> (int * bool) list

@@ -25,7 +25,6 @@ type config = {
   workers : int;
   capacity_mib : int;
   heap_file : string;
-  poller : Netserve.Poller.kind option;
   seconds : float;
   drain_timeout_s : float;
 }
@@ -38,7 +37,6 @@ let default_config =
     workers = 1;
     capacity_mib = 64;
     heap_file = "";
-    poller = None;
     seconds = 0.0;
     drain_timeout_s = 1.0;
   }
@@ -51,7 +49,6 @@ let argv ~exe cfg =
     "--workers"; string_of_int cfg.workers;
     "--capacity-mib"; string_of_int cfg.capacity_mib;
     "--heap-file"; cfg.heap_file;
-    "--poller"; (match cfg.poller with None -> "auto" | Some k -> Netserve.Poller.kind_name k);
     "--seconds"; string_of_float cfg.seconds;
     "--drain-timeout"; string_of_float cfg.drain_timeout_s;
   |]
@@ -109,7 +106,6 @@ let run ?(on_ready = fun ~port:_ -> ()) cfg =
         host = cfg.host;
         port = cfg.port;
         workers = cfg.workers;
-        poller = cfg.poller;
         (* the router's persistent upstream never disconnects on its
            own, so the drain always runs to this deadline *)
         drain_timeout_s = cfg.drain_timeout_s;

@@ -31,7 +31,6 @@ type config = {
   workers : int;
   capacity_mib : int;
   heap_file : string;  (** "" = no durability (transient, or throwaway) *)
-  poller : Netserve.Poller.kind option;
   seconds : float;  (** 0. = until signaled *)
   drain_timeout_s : float;
       (** shutdown drain bound.  A shard is fronted by a router whose

@@ -67,5 +67,4 @@ let read region ~off ~block_size =
 let scrub region ~off = Nvm.Region.set_i32 region ~off 0
 
 let set_type region ~off ptype = Nvm.Region.set_u8 region ~off:(off + 4) (ptype_to_int ptype)
-let set_epoch region ~off epoch = Nvm.Region.set_i64 region ~off:(off + 8) epoch
 let content_off off = off + header_size

@@ -42,7 +42,6 @@ val size_at : Nvm.Region.t -> off:int -> int
 val scrub : Nvm.Region.t -> off:int -> unit
 
 val set_type : Nvm.Region.t -> off:int -> ptype -> unit
-val set_epoch : Nvm.Region.t -> off:int -> int -> unit
 
 (** Offset of the content area within a block starting at [off]. *)
 val content_off : int -> int

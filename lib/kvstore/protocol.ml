@@ -610,10 +610,8 @@ module Client = struct
       (Printf.sprintf "delete %s%s%s" key (if noreply then " noreply" else "") crlf)
 
   let encode_incr out key delta = Buffer.add_string out (Printf.sprintf "incr %s %d%s" key delta crlf)
-  let encode_decr out key delta = Buffer.add_string out (Printf.sprintf "decr %s %d%s" key delta crlf)
   let encode_version out = Buffer.add_string out ("version" ^ crlf)
   let encode_stats out = Buffer.add_string out ("stats" ^ crlf)
-  let encode_quit out = Buffer.add_string out ("quit" ^ crlf)
 
   let encode_flush_all out ?delay () =
     match delay with

@@ -159,9 +159,7 @@ module Client : sig
 
   val encode_delete : Buffer.t -> ?noreply:bool -> string -> unit
   val encode_incr : Buffer.t -> string -> int -> unit
-  val encode_decr : Buffer.t -> string -> int -> unit
   val encode_version : Buffer.t -> unit
   val encode_stats : Buffer.t -> unit
-  val encode_quit : Buffer.t -> unit
   val encode_flush_all : Buffer.t -> ?delay:int -> unit -> unit
 end

@@ -36,9 +36,6 @@ let workload_b ?(records = 100_000) ?(value_size = 100) () =
 let workload_c ?(records = 100_000) ?(value_size = 100) () =
   { records; read_pct = 1.0; update_pct = 0.0; insert_pct = 0.0; rmw_pct = 0.0; value_size; zipfian = true }
 
-let workload_f ?(records = 100_000) ?(value_size = 100) () =
-  { records; read_pct = 0.5; update_pct = 0.0; insert_pct = 0.0; rmw_pct = 0.5; value_size; zipfian = true }
-
 type t = {
   spec : spec;
   zipf : Util.Zipf.t;

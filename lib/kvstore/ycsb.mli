@@ -19,13 +19,12 @@ type spec = {
   zipfian : bool;
 }
 
-(** The named core workloads.  A: 50r/50u; B: 95r/5u; C: 100r;
-    F: 50r/50rmw — all zipfian. *)
+(** The named core workloads.  A: 50r/50u; B: 95r/5u; C: 100r — all
+    zipfian. *)
 
 val workload_a : ?records:int -> ?value_size:int -> unit -> spec
 val workload_b : ?records:int -> ?value_size:int -> unit -> spec
 val workload_c : ?records:int -> ?value_size:int -> unit -> spec
-val workload_f : ?records:int -> ?value_size:int -> unit -> spec
 
 type t
 

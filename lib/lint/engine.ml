@@ -57,11 +57,11 @@ let default_scope file =
     r2 = sched;
     r3 = file <> "lib/core/epoch_sys.ml";
     r4 = has_prefix "lib/";
-    (* the connection core and its readiness backend ARE the blocking
-       point by design — every event loop (netserve workers, the
-       cluster router, the load generator) waits in [Conn_core.step];
-       everything else must justify one *)
-    r5 = file <> "lib/netserve/conn_core.ml" && file <> "lib/netserve/poller.ml";
+    (* the connection core IS the blocking point by design — every
+       event loop (netserve workers, the cluster router, the load
+       generator) waits in [Conn_core.step]; everything else must
+       justify one *)
+    r5 = file <> "lib/netserve/conn_core.ml";
   }
 
 (* ---- attribute helpers ---- *)
@@ -178,8 +178,8 @@ let blocking_calls =
     ([ "Unix"; "sleepf" ], "Unix.sleepf");
     ([ "Unix"; "sleep" ], "Unix.sleep");
     ([ "Mutex"; "lock" ], "Mutex.lock");
-    (* the event-loop readiness wait (select or epoll_wait underneath):
-       the one place a netserve worker is allowed to block *)
+    (* the event-loop readiness wait (epoll_wait underneath): the one
+       place a netserve worker is allowed to block *)
     ([ "Poller"; "wait" ], "Netserve.Poller.wait");
   ]
 

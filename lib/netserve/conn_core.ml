@@ -1,26 +1,27 @@
 (* The connection core: the one readiness loop under the netserve
    workers, the cluster router and the load generator.
 
-   A loop owns a {!Poller} and a table of nonblocking connections, each
-   with a growable [pos, len) input and output buffer.  The owner plugs
-   in per-loop handlers: [input] consumes whatever complete units the
-   input buffer holds and queues replies with [send]; [paused] and
-   [finished] say when to stop reading and when a drained connection
-   should close; [connected]/[closed] report life-cycle edges.  The
-   core does the rest, once:
+   A loop owns an epoll instance ({!Poller}) and a table of nonblocking
+   connections, each with a growable [pos, len) input and output
+   buffer.  The owner plugs in per-loop handlers: [input] consumes
+   whatever complete units the input buffer holds and queues replies
+   with [send]; [paused] and [finished] say when to stop reading and
+   when a drained connection should close; [connected]/[closed] report
+   life-cycle edges.  The core does the rest, once:
 
    - reads drain a ready socket into the input buffer (stopping early
      once the handler pauses, e.g. above an output high-water mark);
    - [send] only buffers and queues the connection in a dirty set,
      flushed with one write per dirty connection per cycle — O(active),
      never O(connections);
-   - poller interest is re-derived after every event and hits the
-     poller only on change, so idle connections cost nothing per tick
-     on epoll;
+   - each connection's [want_r]/[want_w] (and the listener's
+     [lfd_armed]) is the only record of what epoll holds: interest is
+     re-derived after every event and reaches the kernel only on
+     change — ADD from none, MOD between two non-empty sets, DEL to
+     none — so idle connections cost nothing per tick;
    - an optional listener accepts up to [max_conns], backs off on
-     EMFILE/ENFILE, refuses fds the poller cannot track (select past
-     FD_SETSIZE) and goes deaf rather than dead if the listener itself
-     is beyond the poller's reach;
+     EMFILE/ENFILE, refuses fds epoll rejects and goes deaf rather
+     than dead if epoll rejects the listener itself;
    - outbound connects are nonblocking and complete on writability;
    - a periodic sweep on the monotonic clock reaps finished and idle
      accepted connections.
@@ -115,14 +116,13 @@ and 'a handlers = {
   closed : 'a conn -> string -> unit;
 }
 
-let create ?(hint = 1024) ?(read_chunk = 1 lsl 16) ?(idle_timeout_s = 0.0) ?(counters = counters ())
-    ~name kind h =
+let create ?(read_chunk = 1 lsl 16) ?(idle_timeout_s = 0.0) ?(counters = counters ()) ~name h =
   let now = Poller.mono_s () in
   (* the idle/finished sweep runs on a coarse period, not per tick *)
   let sweep_period = if idle_timeout_s > 0.0 then Float.min 1.0 (idle_timeout_s /. 4.0) else 1.0 in
   {
     name;
-    poller = Poller.create ~hint kind;
+    poller = Poller.create ();
     conns = Hashtbl.create 256;
     h;
     ctr = counters;
@@ -145,7 +145,7 @@ let close c reason =
     c.alive <- false;
     let t = c.loop in
     Hashtbl.remove t.conns c.fd;
-    Poller.remove t.poller c.fd;
+    (if c.want_r || c.want_w then try Poller.delete t.poller c.fd with Unix.Unix_error _ -> ());
     if c.accepted then t.ctr.cur <- t.ctr.cur - 1;
     close_quietly c.fd;
     t.h.closed c reason
@@ -162,15 +162,20 @@ let send_sub c src off n =
 
 let send c s = send_sub c (Bytes.unsafe_of_string s) 0 (String.length s)
 
-(* Re-derive the interest pair from connection state; hit the poller
-   only when it changed. *)
+(* Re-derive the interest pair from connection state; reach epoll
+   only when it changed.  A kernel refusal closes the connection. *)
 let update_interest c =
   let r = (not c.connecting) && not (c.loop.h.paused c) in
   let w = c.connecting || pending c.outb > 0 in
   if r <> c.want_r || w <> c.want_w then begin
+    let p = c.loop.poller and registered = c.want_r || c.want_w in
     c.want_r <- r;
     c.want_w <- w;
-    Poller.set c.loop.poller c.fd ~read:r ~write:w
+    try
+      if not (r || w) then Poller.delete p c.fd
+      else if registered then Poller.modify p c.fd ~read:r ~write:w
+      else Poller.add p c.fd ~read:r ~write:w
+    with Unix.Unix_error (e, _, _) -> close c ("epoll_ctl: " ^ Unix.error_message e)
   end
 
 (* After any I/O: a finished connection closes once drained, every
@@ -214,14 +219,14 @@ let read c =
         if (not c.alive) || t.h.paused c then again := false
   done
 
-(* Register a connected fd; the poller refuses fds it cannot track. *)
+(* Register a connected fd; an fd epoll rejects is closed and refused. *)
 let register t fd ~accepted ~connecting data =
   Unix.set_nonblock fd;
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-  match Poller.set t.poller fd ~read:(not connecting) ~write:connecting with
-  | exception Unix.Unix_error (Unix.EINVAL, _, _) ->
+  match Poller.add t.poller fd ~read:(not connecting) ~write:connecting with
+  | exception Unix.Unix_error (e, _, _) ->
       close_quietly fd;
-      Error "poller cannot track fd"
+      Error ("epoll_ctl: " ^ Unix.error_message e)
   | () ->
       let c =
         {
@@ -300,14 +305,17 @@ let arm_listener t =
   | Some (lfd, max_conns, _) ->
       let want = t.accepting && t.ctr.cur < max_conns in
       if want <> t.lfd_armed then begin
-        match Poller.set t.poller lfd ~read:want ~write:false with
+        match
+          if want then Poller.add t.poller lfd ~read:true ~write:false
+          else Poller.delete t.poller lfd
+        with
         | () -> t.lfd_armed <- want
-        | exception Unix.Unix_error (Unix.EINVAL, _, _) ->
-            (* the poller cannot track the listener (select with a
-               listener fd past FD_SETSIZE): keep serving the
-               connections already held.  A deaf loop beats a dead one. *)
+        | exception Unix.Unix_error (e, _, _) ->
+            (* keep serving the connections already held: a deaf loop
+               beats a dead one *)
             t.listener <- None;
-            Printf.eprintf "[%s] listener fd beyond poller reach; not accepting\n%!" t.name
+            Printf.eprintf "[%s] epoll refused the listener (%s); not accepting\n%!" t.name
+              (Unix.error_message e)
       end
 
 let on_event t fd ~readable ~writable =

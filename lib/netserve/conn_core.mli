@@ -1,13 +1,15 @@
 (** The connection core: one nonblocking readiness loop, shared by the
     {!Netserve} workers, the cluster router and the load generator.
 
-    A loop multiplexes connections through a {!Poller}.  Each
-    connection has a growable input and output buffer; the owner's
-    {!handlers} consume input and queue output with {!send}, and the
-    core does the I/O: draining reads, one batched write per dirty
-    connection per cycle, poller interest updated only on change,
-    accepting (EMFILE- and FD_SETSIZE-tolerant), nonblocking connects,
-    and a periodic sweep that reaps finished and idle connections. *)
+    A loop multiplexes connections through one epoll instance
+    ({!Poller}).  Each connection has a growable input and output
+    buffer; the owner's {!handlers} consume input and queue output
+    with {!send}, and the core does the I/O: draining reads, one
+    batched write per dirty connection per cycle, epoll interest
+    updated only on change (the core is the only record of it),
+    accepting (EMFILE-tolerant, refusing fds epoll rejects),
+    nonblocking connects, and a periodic sweep that reaps finished and
+    idle connections. *)
 
 (** A byte buffer whose live bytes are [bytes.[pos, len)]. *)
 type buf = private { mutable bytes : Bytes.t; mutable pos : int; mutable len : int }
@@ -22,7 +24,7 @@ val consume : buf -> int -> unit
     (the loop's domain), readable from others with benign staleness. *)
 type counters = private {
   mutable accepted : int;
-  mutable rejected : int;  (** accepted, but the poller cannot track the fd *)
+  mutable rejected : int;  (** accepted, but epoll refused the fd *)
   mutable cur : int;
   mutable bytes_in : int;
   mutable bytes_out : int;
@@ -48,16 +50,10 @@ type 'a handlers = {
 (** [read_chunk] sizes the loop's one read buffer (default 64 KiB);
     [idle_timeout_s] (default 0 = never) reaps accepted connections
     idle that long; [counters] receives the accepted-connection
-    counts; [name] prefixes log lines. *)
+    counts; [name] prefixes log lines.
+    @raise Failure off Linux (no epoll). *)
 val create :
-  ?hint:int ->
-  ?read_chunk:int ->
-  ?idle_timeout_s:float ->
-  ?counters:counters ->
-  name:string ->
-  Poller.kind ->
-  'a handlers ->
-  'a t
+  ?read_chunk:int -> ?idle_timeout_s:float -> ?counters:counters -> name:string -> 'a handlers -> 'a t
 
 (** Accept from the (nonblocking, shareable) listening socket, at most
     [max_conns] accepted connections at a time; [make] builds each
@@ -67,8 +63,8 @@ val listen : 'a t -> Unix.file_descr -> max_conns:int -> (Unix.file_descr -> 'a)
 (** Stop accepting (graceful drain); served connections stay. *)
 val stop_accepting : 'a t -> unit
 
-(** Adopt a connected socket.  [Error] (fd closed) when the poller
-    cannot track it. *)
+(** Adopt a connected socket.  [Error] (fd closed) when epoll refuses
+    it. *)
 val add : 'a t -> Unix.file_descr -> 'a -> ('a conn, string) result
 
 (** Start a nonblocking connect; {!handlers.connected} fires when it
@@ -84,7 +80,7 @@ val step : 'a t -> timeout_s:float -> unit
 val count : 'a t -> int
 
 (** Close every connection (after one last write of its pending
-    output) without calling [closed], release the poller, and return
+    output) without calling [closed], close the epoll fd, and return
     how many were open.  The listening socket is the caller's. *)
 val shutdown : 'a t -> int
 

@@ -1,9 +1,9 @@
-/* C stubs for the netserve readiness backend.
+/* C stubs for the netserve readiness loop.
  *
  * Three groups:
  *   - Linux epoll (create/ctl/wait), level-triggered, compiled to
- *     "unavailable" reporters on non-Linux hosts so Poller can fall
- *     back to select at runtime instead of failing the build;
+ *     stubs that fail loudly on non-Linux hosts so the library still
+ *     builds there (serving needs Linux);
  *   - a CLOCK_MONOTONIC reader, so event-loop timers (idle reaping,
  *     drain deadlines, load-generator latency) are immune to
  *     wall-clock jumps;
@@ -62,12 +62,6 @@ CAMLprim value montage_rlimit_nofile(value vwant)
 #ifdef __linux__
 
 #include <sys/epoll.h>
-
-CAMLprim value montage_epoll_available(value unit)
-{
-  (void) unit;
-  return Val_true;
-}
 
 CAMLprim value montage_epoll_create(value unit)
 {
@@ -133,12 +127,6 @@ CAMLprim value montage_epoll_wait(value vep, value vtimeout_ms, value vout)
 }
 
 #else /* !__linux__ */
-
-CAMLprim value montage_epoll_available(value unit)
-{
-  (void) unit;
-  return Val_false;
-}
 
 CAMLprim value montage_epoll_create(value unit)
 {

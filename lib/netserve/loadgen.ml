@@ -252,7 +252,7 @@ let drive ~eps ~conn_eps ~pacing ~next ~duration_s ~grace_s =
     tl.lost <- why :: tl.lost
   in
   let core =
-    Conn_core.create ~name:"loadgen" ~hint:(Array.length conn_eps) (Poller.kind_of_env ())
+    Conn_core.create ~name:"loadgen"
       { input; paused = (fun _ -> false); finished = (fun _ -> false); connected = ignore; closed }
   in
   let conns =
@@ -489,8 +489,6 @@ let run_open ?(config = default_config) ?(arrival = Poisson) ?(grace_s = 1.0) ~r
     o_disconnects = List.concat_map (fun r -> List.rev r.lost) (Array.to_list results);
     o_by_endpoint = by_endpoint cfg results;
   }
-
-let arrival_name = function Poisson -> "poisson" | Uniform -> "uniform"
 
 let arrival_of_string = function
   | "poisson" -> Some Poisson

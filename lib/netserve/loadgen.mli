@@ -107,7 +107,6 @@ val print_report : label:string -> report -> unit
     {!Uniform} (evenly spaced). *)
 type arrival = Poisson | Uniform
 
-val arrival_name : arrival -> string
 val arrival_of_string : string -> arrival option
 
 type open_report = {

@@ -5,15 +5,14 @@
     socket (kernel-balanced accept sharding); worker [w] owns Montage
     thread id [w], so epoch hooks and per-thread persist buffers stay
     thread-local.  Each worker runs its connections on the shared
-    connection core ({!Conn_core}, over a pluggable readiness backend
-    {!Poller}: Linux epoll by default, [Unix.select] as the portable
-    fallback): reads are framed and executed in place by
+    connection core ({!Conn_core}, over Linux epoll through {!Poller};
+    serving needs Linux): reads are framed and executed in place by
     {!Kvstore.Protocol.serve}, the replies of a readiness cycle flush
     with one batched write per dirty connection (O(active), not
     O(connections)), pending-output high-water marks pause reads
     (backpressure), and idle/slow clients are reaped by a periodic
-    monotonic-clock sweep.  Poller interest changes only on state
-    transitions, so idle connections cost nothing per tick on epoll.
+    monotonic-clock sweep.  Epoll interest changes only on state
+    transitions, so idle connections cost nothing per tick.
 
     {!shutdown} drains gracefully — stop accepting, serve until the
     clients disconnect or [drain_timeout_s] passes, join the workers —
@@ -33,13 +32,10 @@ type config = {
   tick_s : float;  (** poll timeout: stop/timeout poll granularity *)
   max_line : int;  (** protocol command-line cap *)
   max_value : int;  (** protocol data-block cap *)
-  poller : Poller.kind option;
-      (** [None] = [MONTAGE_POLLER] env var, else epoll when available *)
 }
 
 (** Port 11211 on 127.0.0.1, 2 workers, 16384 conns/worker, 1 MiB
-    output high-water mark, 60 s idle timeout, 5 s drain timeout,
-    auto-detected poller. *)
+    output high-water mark, 60 s idle timeout, 5 s drain timeout. *)
 val default_config : config
 
 type drain_stats = {
@@ -69,9 +65,6 @@ val start :
 (** The bound port (useful with [port = 0]). *)
 val port : t -> int
 
-(** The readiness backend the workers are running on. *)
-val poller_kind : t -> Poller.kind
-
 (** Graceful shutdown: stop accepting, drain, join workers, sync.
     Idempotent — later calls return the first result. *)
 val shutdown : t -> drain_stats
@@ -80,7 +73,7 @@ val shutdown : t -> drain_stats
     [(connections_accepted, bytes_in, bytes_out, commands)]. *)
 val totals : t -> int * int * int * int
 
-(** The readiness backend abstraction (select / epoll). *)
+(** The epoll binding, the event-loop clock and the fd-limit raiser. *)
 module Poller = Poller
 
 (** The connection core the workers, the cluster router and the load

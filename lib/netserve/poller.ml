@@ -1,159 +1,42 @@
-(* Pluggable readiness backend for the netserve event loop.
-
-   Two implementations behind one interest-set API:
-
-   - [Epoll] (Linux, via epoll_stubs.c): the kernel holds the interest
-     set, so a wait costs O(ready) regardless of how many tracked
-     connections are idle.  Level-triggered — an fd the caller could
-     not fully service stays ready — and [set] issues a syscall only
-     when the desired interest actually differs from what the kernel
-     already holds, so steady-state idle connections cost zero
-     bookkeeping per tick.
-   - [Select] (portable fallback): the interest set lives in a
-     hashtable that every [wait] folds into fd lists for
-     [Unix.select].  Inherently O(tracked) per tick and limited to fd
-     numbers below FD_SETSIZE (1024); [set] reports [EINVAL] beyond
-     that so the caller can refuse the connection instead of dying
-     mid-loop.
-
-   The backend is chosen per worker at startup: an explicit
-   [config.poller], else [MONTAGE_POLLER=epoll|select], else epoll
-   when the platform has it.
+(* Binding over the Linux epoll stubs (epoll_stubs.c) for the
+   connection core's readiness loop.  Level-triggered: an fd the caller
+   could not fully service stays ready.  The interest set lives in the
+   kernel and {!Conn_core} records what it registered per connection,
+   so this module keeps no table of its own.
 
    This module also hosts the event loop's clock ([mono_s], immune to
    wall-clock jumps) and the RLIMIT_NOFILE raiser C10K scenarios use. *)
 
-type kind = Select | Epoll
-
-external epoll_available_stub : unit -> bool = "montage_epoll_available"
-external epoll_create_stub : unit -> int = "montage_epoll_create"
-external epoll_ctl_stub : int -> int -> int -> int -> unit = "montage_epoll_ctl"
-external epoll_wait_stub : int -> int -> int array -> int = "montage_epoll_wait"
+external create_stub : unit -> int = "montage_epoll_create"
+external ctl_stub : int -> int -> int -> int -> unit = "montage_epoll_ctl"
+external wait_stub : int -> int -> int array -> int = "montage_epoll_wait"
 external mono_s : unit -> float = "montage_mono_s"
 external raise_fd_limit : int -> int = "montage_rlimit_nofile"
-
-let epoll_available = epoll_available_stub ()
-
-let kind_name = function Select -> "select" | Epoll -> "epoll"
-
-let kind_of_string = function
-  | "select" -> Some Select
-  | "epoll" -> Some Epoll
-  | _ -> None
-
-(* MONTAGE_POLLER if set (an explicit [epoll] on a platform without it
-   fails loudly at [create]); otherwise the best the platform has. *)
-let kind_of_env () =
-  match Option.bind (Sys.getenv_opt "MONTAGE_POLLER") kind_of_string with
-  | Some k -> k
-  | None -> if epoll_available then Epoll else Select
 
 (* [Unix.file_descr] is an int on every Unix OCaml port; epoll events
    travel through int arrays, so convert at this one seam. *)
 let fd_int : Unix.file_descr -> int = Obj.magic
 let int_fd : int -> Unix.file_descr = Obj.magic
 
-let select_fd_limit = 1024
-
-(* Per-wait event batch: (fd, flags) pairs.  Level-triggered pollers
-   re-report anything left ready, so a full batch just spills into the
-   next wait. *)
+(* Per-wait event batch: (fd, flags) pairs.  Level-triggered, so a full
+   batch just spills into the next wait. *)
 let batch = 512
 
-type t =
-  | Sel of (Unix.file_descr, int) Hashtbl.t  (* fd -> interest bits *)
-  | Ep of { epfd : int; interest : (int, int) Hashtbl.t; buf : int array }
+type t = { epfd : int; buf : int array }
 
-let create ?(hint = 1024) kind =
-  match kind with
-  | Select -> Sel (Hashtbl.create (min hint select_fd_limit))
-  | Epoll ->
-      Ep
-        {
-          epfd = epoll_create_stub ();
-          interest = Hashtbl.create hint;
-          buf = Array.make (2 * batch) 0;
-        }
-
-let kind = function Sel _ -> Select | Ep _ -> Epoll
-
-let bits ~read ~write = (if read then 1 else 0) lor (if write then 2 else 0)
-
-let set t fd ~read ~write =
-  let b = bits ~read ~write in
-  match t with
-  | Sel interest ->
-      if fd_int fd >= select_fd_limit then
-        raise (Unix.Unix_error (Unix.EINVAL, "select", "fd beyond FD_SETSIZE"));
-      if b = 0 then Hashtbl.remove interest fd
-      else if Hashtbl.find_opt interest fd <> Some b then Hashtbl.replace interest fd b
-  | Ep { epfd; interest; _ } -> (
-      let i = fd_int fd in
-      match Hashtbl.find_opt interest i with
-      | Some cur when cur = b -> ()
-      | Some _ ->
-          if b = 0 then begin
-            epoll_ctl_stub epfd 2 i 0;
-            Hashtbl.remove interest i
-          end
-          else begin
-            epoll_ctl_stub epfd 1 i b;
-            Hashtbl.replace interest i b
-          end
-      | None ->
-          if b <> 0 then begin
-            epoll_ctl_stub epfd 0 i b;
-            Hashtbl.replace interest i b
-          end)
-
-let remove t fd =
-  match t with
-  | Sel interest -> Hashtbl.remove interest fd
-  | Ep { epfd; interest; _ } ->
-      let i = fd_int fd in
-      if Hashtbl.mem interest i then begin
-        Hashtbl.remove interest i;
-        (* tolerate an fd the kernel already dropped (caller closed it
-           first, or it was never registered) *)
-        try epoll_ctl_stub epfd 2 i 0 with Unix.Unix_error _ | Failure _ -> ()
-      end
-
-let tracked = function
-  | Sel interest -> Hashtbl.length interest
-  | Ep { interest; _ } -> Hashtbl.length interest
+let create () = { epfd = create_stub (); buf = Array.make (2 * batch) 0 }
+let bits ~read ~write = (if read then 1 else 0) lor if write then 2 else 0
+let add t fd ~read ~write = ctl_stub t.epfd 0 (fd_int fd) (bits ~read ~write)
+let modify t fd ~read ~write = ctl_stub t.epfd 1 (fd_int fd) (bits ~read ~write)
+let delete t fd = ctl_stub t.epfd 2 (fd_int fd) 0
 
 let wait t ~timeout_s cb =
-  match t with
-  | Sel interest -> (
-      let rds = ref [] and wrs = ref [] in
-      Hashtbl.iter
-        (fun fd b ->
-          if b land 1 <> 0 then rds := fd :: !rds;
-          if b land 2 <> 0 then wrs := fd :: !wrs)
-        interest;
-      match Unix.select !rds !wrs [] timeout_s with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> 0
-      | readable, writable, _ ->
-          (* writables first: pending output drains before fresh reads
-             pile more on *)
-          List.iter (fun fd -> cb fd ~readable:false ~writable:true) writable;
-          List.iter (fun fd -> cb fd ~readable:true ~writable:false) readable;
-          List.length readable + List.length writable)
-  | Ep { epfd; buf; _ } ->
-      let timeout_ms =
-        if timeout_s < 0.0 then -1
-        else int_of_float (Float.ceil (timeout_s *. 1000.0))
-      in
-      let n = epoll_wait_stub epfd timeout_ms buf in
-      for i = 0 to n - 1 do
-        let ev = buf.((2 * i) + 1) in
-        cb (int_fd buf.(2 * i)) ~readable:(ev land 1 <> 0) ~writable:(ev land 2 <> 0)
-      done;
-      n
+  let timeout_ms = if timeout_s < 0.0 then -1 else int_of_float (Float.ceil (timeout_s *. 1000.0)) in
+  let n = wait_stub t.epfd timeout_ms t.buf in
+  for i = 0 to n - 1 do
+    let ev = t.buf.((2 * i) + 1) in
+    cb (int_fd t.buf.(2 * i)) ~readable:(ev land 1 <> 0) ~writable:(ev land 2 <> 0)
+  done;
+  n
 
-let close t =
-  match t with
-  | Sel interest -> Hashtbl.reset interest
-  | Ep { epfd; interest; _ } ->
-      Hashtbl.reset interest;
-      (try Unix.close (int_fd epfd) with Unix.Unix_error _ -> ())
+let close t = try Unix.close (int_fd t.epfd) with Unix.Unix_error _ -> ()

@@ -1,65 +1,39 @@
-(** Pluggable readiness backend for the {!Netserve} event loop: a
-    Linux [epoll] implementation (level-triggered, kernel-held
-    interest set, O(ready) waits) and a portable [Unix.select]
-    fallback (user-held interest set, O(tracked) waits, fd numbers
-    below FD_SETSIZE only).
-
-    Interest is an upsert per fd ({!set}); implementations skip the
-    syscall when the requested interest matches what is already
-    registered, so callers may re-assert interest every cycle and
-    steady-state (idle) connections still cost nothing per tick. *)
-
-type kind = Select | Epoll
-
-(** Whether the platform has epoll (Linux). *)
-val epoll_available : bool
-
-(** FD_SETSIZE: the select backend cannot track fd numbers at or
-    beyond this. *)
-val select_fd_limit : int
-
-val kind_name : kind -> string
-val kind_of_string : string -> kind option
-
-(** [MONTAGE_POLLER=epoll|select] if set, else {!Epoll} when available,
-    else {!Select}.  An explicit [epoll] on a platform without it is
-    honored and fails at {!create}. *)
-val kind_of_env : unit -> kind
+(** Thin binding over Linux [epoll] (level-triggered, kernel-held
+    interest set, O(ready) waits) for the {!Conn_core} readiness loop.
+    It keeps no interest table: the caller knows what it registered
+    and issues exactly one of {!add}, {!modify} or {!delete} per
+    change.  On other platforms the library builds, but {!create}
+    fails with "epoll is not available on this platform". *)
 
 type t
 
-(** [hint] sizes the interest table. *)
-val create : ?hint:int -> kind -> t
+(** A fresh epoll instance.
+    @raise Failure off Linux. *)
+val create : unit -> t
 
-val kind : t -> kind
+(** [EPOLL_CTL_ADD] with the given interest.
+    @raise Unix.Unix_error when the kernel refuses the fd ([EPERM] for
+    a regular file, [ENOSPC] past [max_user_watches], [ENOMEM], ...). *)
+val add : t -> Unix.file_descr -> read:bool -> write:bool -> unit
 
-(** Upsert the interest for [fd].  [read:false write:false]
-    deregisters it.  No-op when the registered interest already
-    matches.
-    @raise Unix.Unix_error [EINVAL] on the select backend for fd
-    numbers at or beyond FD_SETSIZE (1024) — refuse the connection
-    rather than poisoning the event loop. *)
-val set : t -> Unix.file_descr -> read:bool -> write:bool -> unit
+(** [EPOLL_CTL_MOD]: replace the interest of a registered fd. *)
+val modify : t -> Unix.file_descr -> read:bool -> write:bool -> unit
 
-(** Forget [fd] entirely.  Safe on fds never registered or already
-    closed. *)
-val remove : t -> Unix.file_descr -> unit
-
-(** Number of fds currently registered. *)
-val tracked : t -> int
+(** [EPOLL_CTL_DEL]: forget a registered fd. *)
+val delete : t -> Unix.file_descr -> unit
 
 (** Block up to [timeout_s] (negative = forever) and invoke the
-    callback once per ready fd event; returns the event count.  The
-    select backend may report one fd through two callbacks (readable
-    and writable separately).  EINTR returns 0, like a timeout. *)
+    callback once per ready fd; returns the event count.  Hang-up and
+    error surface as both readable and writable.  EINTR returns 0,
+    like a timeout. *)
 val wait :
   t ->
   timeout_s:float ->
   (Unix.file_descr -> readable:bool -> writable:bool -> unit) ->
   int
 
-(** Release the backend (the epoll fd, the interest table).  The
-    caller owns the registered fds; they are not closed. *)
+(** Close the epoll fd.  The caller owns the registered fds; they are
+    not closed. *)
 val close : t -> unit
 
 (** Monotonic clock in seconds (CLOCK_MONOTONIC) — the event loop's

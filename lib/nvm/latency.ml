@@ -53,11 +53,6 @@ let zero =
     read_per_line_ns = 0;
   }
 
-let charge_writeback t = if t.writeback_ns > 0 then Util.Spin_wait.ns t.writeback_ns
-
-let charge_writeback_batch t ~lines =
-  if t.writeback_batch_ns > 0 && lines > 0 then Util.Spin_wait.ns (lines * t.writeback_batch_ns)
-
 let charge_read t ~lines = if t.read_per_line_ns > 0 then Util.Spin_wait.ns (lines * t.read_per_line_ns)
 
 let charge_fence t ~lines =

@@ -24,10 +24,5 @@ val default : t
 (** All-zero model for unit tests that only care about semantics. *)
 val zero : t
 
-val charge_writeback : t -> unit
-
-(** Issue cost of [lines] pipelined CLWBs in one coalesced batch. *)
-val charge_writeback_batch : t -> lines:int -> unit
-
 val charge_fence : t -> lines:int -> unit
 val charge_read : t -> lines:int -> unit

@@ -39,10 +39,3 @@ let rec pop region t =
     let fresh = pack ~version:(unpack_version old + 1) ~off:next in
     if Atomic.compare_and_set t.head old fresh then Some off else pop region t
   end
-
-(* Number of blocks currently chained (O(n); diagnostics only). *)
-let length region t =
-  let rec count off acc =
-    if off < 0 then acc else count (Nvm.Region.transient_get_i64 region ~off - 1) (acc + 1)
-  in
-  count (unpack_off (Atomic.get t.head)) 0

@@ -190,8 +190,3 @@ let sweep t ~live = sweep_slice t ~slice:0 ~slices:1 ~live
 let recover t ~live =
   rescan t;
   sweep t ~live
-
-(* Diagnostics *)
-let allocated_superblocks t = (Atomic.get t.bump - t.heap_base) / superblock_size
-
-let free_blocks t cls = Free_list.length t.region t.global.(cls)

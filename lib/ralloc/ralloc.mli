@@ -33,9 +33,6 @@ module Free_list : sig
   val is_empty : t -> bool
   val push : Nvm.Region.t -> t -> int -> unit
   val pop : Nvm.Region.t -> t -> int option
-
-  (** O(n); diagnostics only. *)
-  val length : Nvm.Region.t -> t -> int
 end
 
 type t
@@ -84,8 +81,3 @@ val iter_blocks : t -> (off:int -> size:int -> unit) -> unit
     index [slice] — the unit of parallel recovery (disjoint slices
     partition the heap). *)
 val iter_blocks_slice : t -> slice:int -> slices:int -> (off:int -> size:int -> unit) -> unit
-
-(** {1 Diagnostics} *)
-
-val allocated_superblocks : t -> int
-val free_blocks : t -> int -> int

@@ -127,29 +127,6 @@ let set_spec : (string list, set_op, bool) spec =
         | Contains v -> (List.mem v st, st));
   }
 
-(* Vector results mix index, value, and success answers; one result
-   type keeps the event list homogeneous. *)
-type vector_op = Vpush of string | Vpop | Vget of int | Vset of int * string
-type vector_res = VIdx of int | VVal of string option | VOk of bool
-
-let vector_spec : (string list, vector_op, vector_res) spec =
-  {
-    initial = [];
-    apply =
-      (fun st op ->
-        match op with
-        | Vpush v -> (VIdx (List.length st), st @ [ v ])
-        | Vpop -> (
-            match List.rev st with
-            | [] -> (VVal None, [])
-            | x :: rest -> (VVal (Some x), List.rev rest))
-        | Vget i -> (VVal (List.nth_opt st i), st)
-        | Vset (i, v) ->
-            if i >= 0 && i < List.length st then
-              (VOk true, List.mapi (fun j x -> if j = i then v else x) st)
-            else (VOk false, st));
-  }
-
 (* Map-with-snapshot model mirroring Mhamt's semantics: the state is
    the current association plus every snapshot ever taken (id -> the
    association at that instant).  [Msnapshot id] must linearize at one

@@ -86,9 +86,9 @@ let make_shard_store () =
   let m = Baselines.Transient_map.create ~buckets:64 Baselines.Transient_map.Dram in
   Kvstore.Store.create (Kvstore.Store.of_transient_map m)
 
-let start_shard_with ?(port = 0) ?(config = fun c -> c) ?poller () =
+let start_shard_with ?(port = 0) ?(config = fun c -> c) () =
   Netserve.start
-    ~config:(config { Netserve.default_config with port; workers = 1; tick_s = 0.01; poller })
+    ~config:(config { Netserve.default_config with port; workers = 1; tick_s = 0.01 })
     (make_shard_store ())
 
 let start_shard ?port () = start_shard_with ?port ()
@@ -108,16 +108,15 @@ let router_config =
   }
 
 (* an [n]-shard router (1 by default) whose caps match its shards' *)
-let start_routed ?(n = 1) ?(config = fun c -> c) ?poller () =
-  let shards = List.init n (fun _ -> start_shard_with ~config ?poller ()) in
+let start_routed ?(n = 1) ?(config = fun c -> c) () =
+  let shards = List.init n (fun _ -> start_shard_with ~config ()) in
   let caps = config Netserve.default_config in
   let r =
     Router.start
       ~config:
         {
           router_config with
-          Router.poller;
-          max_line = caps.Netserve.max_line;
+          Router.max_line = caps.Netserve.max_line;
           max_value = caps.Netserve.max_value;
         }
       (List.mapi
@@ -512,18 +511,16 @@ let session port (stream, cuts) =
   Unix.close fd;
   Buffer.contents got
 
-let test_differential kind () =
-  let direct = start_shard_with ~config:small_caps ~poller:kind () in
-  let shards, r = start_routed ~config:small_caps ~poller:kind () in
+let test_differential () =
+  let direct = start_shard_with ~config:small_caps () in
+  let shards, r = start_routed ~config:small_caps () in
   Fun.protect
     ~finally:(fun () ->
       Router.stop r;
       List.iter (fun t -> ignore (Netserve.shutdown t)) (direct :: shards))
     (fun () ->
       let prop =
-        QCheck.Test.make ~count:200
-          ~name:(Netserve.Poller.kind_name kind ^ ": router replies = direct shard replies")
-          stream_arb (fun case ->
+        QCheck.Test.make ~count:200 ~name:"router replies = direct shard replies" stream_arb (fun case ->
             let want = session (Netserve.port direct) case in
             let got = session (Router.port r) case in
             if want <> got then QCheck.Test.fail_reportf "direct %S\nrouted %S" want got;
@@ -584,13 +581,8 @@ let () =
         List.map
           (fun (name, script) -> Alcotest.test_case name `Quick (test_divergence script))
           divergences
-        @ List.map
-            (fun (kind, name) ->
-              Alcotest.test_case (name ^ ": random streams byte-identical") `Quick
-                (test_differential kind))
-            ((if Netserve.Poller.epoll_available then [ (Netserve.Poller.Epoll, "epoll") ] else [])
-            @ [ (Netserve.Poller.Select, "select") ])
         @ [
+            Alcotest.test_case "epoll: random streams byte-identical" `Quick test_differential;
             Alcotest.test_case "get split over 2 shards keeps key order" `Quick
               (test_divergence ~n:2 split_get_script);
           ] );

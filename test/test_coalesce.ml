@@ -327,37 +327,6 @@ let test_crash_matrix_mskiplist () =
   Alcotest.(check bool) "states explored" true (report.P.states > 0);
   Alcotest.(check int) "every recovered pair was written" 0 report.P.failures
 
-let test_crash_matrix_mvector () =
-  let _, c, esys = logged_esys () in
-  let v = Pstructs.Mvector.create esys in
-  for i = 0 to 5 do
-    ignore (Pstructs.Mvector.push v ~tid:0 (Printf.sprintf "v%d" i))
-  done;
-  E.sync esys ~tid:0;
-  (* straddle an epoch boundary with an in-place rewrite and a pop *)
-  ignore (Pstructs.Mvector.set v ~tid:0 2 "rewritten");
-  ignore (Pstructs.Mvector.pop v ~tid:0);
-  E.advance_epoch esys ~tid:0;
-  E.advance_epoch esys ~tid:0;
-  (* recovered contents must be dense (indexes 0..n-1) and every slot a
-     value that was written at that index *)
-  let legal = [| [ "v0" ]; [ "v1" ]; [ "v2"; "rewritten" ]; [ "v3" ]; [ "v4" ]; [ "v5" ] |] in
-  let report =
-    P.explore ~max_states:explore_states c (fun image ->
-        match recovered_from image with
-        | exception _ -> false
-        | esys2, payloads ->
-            let v2 = Pstructs.Mvector.recover esys2 payloads in
-            let got = Pstructs.Mvector.to_list v2 ~tid:0 in
-            List.length got <= Array.length legal
-            && List.for_all2
-                 (fun i x -> List.mem x legal.(i))
-                 (List.init (List.length got) Fun.id)
-                 got)
-  in
-  Alcotest.(check bool) "states explored" true (report.P.states > 0);
-  Alcotest.(check int) "recovered vector dense and written" 0 report.P.failures
-
 let test_crash_matrix_mgraph () =
   let _, c, esys = logged_esys () in
   let g = Pstructs.Mgraph.create ~capacity:8 esys in
@@ -502,7 +471,6 @@ let () =
           Alcotest.test_case "mqueue (nb advance)" `Quick test_crash_matrix_mqueue;
           Alcotest.test_case "mhashmap (nb advance)" `Quick test_crash_matrix_mhashmap;
           Alcotest.test_case "mskiplist (nb advance)" `Quick test_crash_matrix_mskiplist;
-          Alcotest.test_case "mvector" `Quick test_crash_matrix_mvector;
           Alcotest.test_case "mgraph" `Quick test_crash_matrix_mgraph;
         ] );
       ( "parallel-recovery",

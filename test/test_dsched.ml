@@ -172,7 +172,8 @@ let test_mode_from_env () =
       | _ -> Alcotest.fail "replay env not parsed");
   with_env [ ("MONTAGE_SCHED", "off") ] (fun () ->
       Alcotest.(check bool) "off is None" true (D.mode_from_env () = None));
-  Alcotest.(check bool) "unset is None" true (D.mode_from_env () = None)
+  with_env [ ("MONTAGE_SCHED", "") ] (fun () ->
+      Alcotest.(check bool) "empty is None" true (D.mode_from_env () = None))
 
 (* ---- Dlin on hand-built histories ---- *)
 

@@ -94,26 +94,6 @@ let test_nb_set_linearizable () =
   let events = run_history ~threads:3 ~per_thread:7 ~driver esys in
   Alcotest.(check bool) "history linearizes as a set" true (L.check L.set_spec events)
 
-let test_mvector_linearizable () =
-  let esys = make_esys () in
-  let v = Pstructs.Mvector.create esys in
-  let driver ~tid ~rng ~i =
-    match Util.Xoshiro.int rng 4 with
-    | 0 ->
-        let s = Printf.sprintf "%d-%d" tid i in
-        L.record (L.Vpush s) (fun () -> L.VIdx (Pstructs.Mvector.push v ~tid s))
-    | 1 -> L.record L.Vpop (fun () -> L.VVal (Pstructs.Mvector.pop v ~tid))
-    | 2 ->
-        let idx = Util.Xoshiro.int rng 6 in
-        L.record (L.Vget idx) (fun () -> L.VVal (Pstructs.Mvector.get v ~tid idx))
-    | _ ->
-        let idx = Util.Xoshiro.int rng 6 in
-        let s = Printf.sprintf "s%d-%d" tid i in
-        L.record (L.Vset (idx, s)) (fun () -> L.VOk (Pstructs.Mvector.set v ~tid idx s))
-  in
-  let events = run_history ~threads:3 ~per_thread:7 ~driver esys in
-  Alcotest.(check bool) "history linearizes as a vector" true (L.check L.vector_spec events)
-
 let test_mgraph_linearizable () =
   let esys = make_esys () in
   let g = Pstructs.Mgraph.create ~capacity:8 esys in
@@ -252,7 +232,6 @@ let () =
           Alcotest.test_case "nb_stack" `Quick test_nb_stack_linearizable;
           Alcotest.test_case "nb_queue" `Quick test_nb_queue_linearizable;
           Alcotest.test_case "nb_list_set" `Quick test_nb_set_linearizable;
-          Alcotest.test_case "mvector" `Quick test_mvector_linearizable;
           Alcotest.test_case "mgraph" `Quick test_mgraph_linearizable;
         ] );
       ( "background-advancer",

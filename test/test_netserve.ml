@@ -14,9 +14,8 @@ let testing_cfg workers = { Cfg.testing with max_threads = workers + 1 }
 let buckets = 256
 
 (* A Montage-backed server on port 0 with a fast poll tick.  Returns
-   the region/esys so tests can crash and recover the image.  [poller]
-   pins the readiness backend; omitted, the env default rules. *)
-let start_montage ?(workers = 4) ?poller ?(config_mod = fun c -> c) () =
+   the region/esys so tests can crash and recover the image. *)
+let start_montage ?(workers = 4) ?(config_mod = fun c -> c) () =
   let ecfg = testing_cfg workers in
   let region =
     Nvm.Region.create ~latency:Nvm.Latency.zero ~max_threads:(workers + 4)
@@ -26,7 +25,7 @@ let start_montage ?(workers = 4) ?poller ?(config_mod = fun c -> c) () =
   let map = Pstructs.Mhashmap.create ~buckets esys in
   let store = Kvstore.Store.create (Kvstore.Store.of_mhashmap map) in
   let config =
-    config_mod { Netserve.default_config with port = 0; workers; tick_s = 0.01; poller }
+    config_mod { Netserve.default_config with port = 0; workers; tick_s = 0.01 }
   in
   let t =
     Netserve.start ~config
@@ -175,19 +174,13 @@ let test_loadgen_throughput () =
   E.stop_background esys;
   ignore region
 
-(* ---- readiness backends: select vs epoll ---- *)
+(* ---- the epoll loop ---- *)
 
-let kinds =
-  (Netserve.Poller.Select, "select")
-  :: (if Netserve.Poller.epoll_available then [ (Netserve.Poller.Epoll, "epoll") ] else [])
-
-(* The same pipelined session, dribbled one byte at a time, must
-   produce byte-identical replies whichever backend drives the loop:
-   dispatch, value framing, multi-get, delete, the error path, version
-   and quit are poller-independent, and so is read-boundary placement. *)
-let parity_session kind =
-  let region, esys, t = start_montage ~workers:2 ~poller:kind () in
-  Alcotest.(check bool) "requested poller in effect" true (Netserve.poller_kind t = kind);
+(* A pipelined session dribbled one byte at a time: dispatch, value
+   framing, multi-get, delete, the error path, version and quit must
+   not depend on where reads split the stream. *)
+let test_dribbled_session () =
+  let region, esys, t = start_montage ~workers:2 () in
   let fd = connect (Netserve.port t) in
   let script =
     "set pk1 0 0 5\r\nhello\r\nset pk2 0 0 3\r\nxyz\r\nget pk1 pk2\r\ndelete pk2\r\n\
@@ -197,30 +190,58 @@ let parity_session kind =
   (* quit closes the connection after the last reply flushes: read to EOF *)
   let replies = recv_all fd in
   (try Unix.close fd with _ -> ());
+  Alcotest.(check string) "replies"
+    "STORED\r\nSTORED\r\nVALUE pk1 0 5\r\nhello\r\nVALUE pk2 0 3\r\nxyz\r\nEND\r\nDELETED\r\n\
+     END\r\nERROR\r\nVERSION montage-ocaml 1.0\r\n"
+    replies;
   let d = Netserve.shutdown t in
-  Alcotest.(check int) (Netserve.Poller.kind_name kind ^ " drained") 0 d.Netserve.forced_closes;
+  Alcotest.(check int) "drained" 0 d.Netserve.forced_closes;
   E.stop_background esys;
-  ignore region;
-  replies
+  ignore region
 
-let test_backend_parity () =
-  match List.map (fun (k, name) -> (name, parity_session k)) kinds with
-  | [] -> ()
-  | (_, first) :: rest ->
-      Alcotest.(check bool) "acks present" true (contains first "STORED");
-      Alcotest.(check bool) "values present" true (contains first "VALUE pk1 0 5");
-      Alcotest.(check bool) "delete acked" true (contains first "DELETED");
-      Alcotest.(check bool) "error path present" true (contains first "ERROR");
-      Alcotest.(check bool) "version answered" true (contains first "VERSION");
-      List.iter
-        (fun (name, r) ->
-          Alcotest.(check string) (name ^ " replies byte-identical to select") first r)
-        rest
+(* An fd epoll rejects (a regular file: EPERM) is refused and closed,
+   and the loop keeps serving sockets. *)
+let test_refused_fd () =
+  let echo c =
+    let b = Netserve.Conn_core.inbuf c in
+    let n = Netserve.Conn_core.pending b in
+    Netserve.Conn_core.send_sub c b.bytes b.pos n;
+    Netserve.Conn_core.consume b n
+  in
+  let core =
+    Netserve.Conn_core.create ~name:"refuse"
+      {
+        input = echo;
+        paused = (fun _ -> false);
+        finished = (fun _ -> false);
+        connected = ignore;
+        closed = (fun _ _ -> ());
+      }
+  in
+  let file = Filename.temp_file "conn_core" ".reg" in
+  let ffd = Unix.openfile file [ Unix.O_RDONLY ] 0 in
+  Sys.remove file;
+  (match Netserve.Conn_core.add core ffd () with
+  | Ok _ -> Alcotest.fail "regular file accepted"
+  | Error _ -> ());
+  Alcotest.(check bool) "refused fd closed" true
+    (match Unix.fstat ffd with _ -> false | exception Unix.Unix_error (Unix.EBADF, _, _) -> true);
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (match Netserve.Conn_core.add core b () with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail ("socket refused: " ^ e));
+  send a "ping";
+  for _ = 1 to 5 do
+    Netserve.Conn_core.step core ~timeout_s:0.05
+  done;
+  Alcotest.(check string) "socket still served" "ping" (recv_exact a 4);
+  Unix.close a;
+  ignore (Netserve.Conn_core.shutdown core)
 
 (* idle connections are reaped by the periodic sweep, not per tick *)
-let test_idle_reap kind () =
+let test_idle_reap () =
   let region, esys, t =
-    start_montage ~workers:2 ~poller:kind
+    start_montage ~workers:2
       ~config_mod:(fun c -> { c with Netserve.idle_timeout_s = 0.2 }) ()
   in
   let fd = connect (Netserve.port t) in
@@ -238,9 +259,9 @@ let test_idle_reap kind () =
 
 (* a burst of pipelined replies far past out_hwm must pause reads, not
    drop or reorder output: every reply arrives byte-exact *)
-let test_out_hwm_backpressure kind () =
+let test_out_hwm_backpressure () =
   let region, esys, t =
-    start_montage ~workers:1 ~poller:kind
+    start_montage ~workers:1
       ~config_mod:(fun c -> { c with Netserve.out_hwm = 2048 }) ()
   in
   let fd = connect (Netserve.port t) in
@@ -266,8 +287,8 @@ let test_out_hwm_backpressure kind () =
 
 (* a shutdown with a connection still open keeps serving it until the
    client quits, and the drain reports no forced closes *)
-let test_drain_serves_inflight kind () =
-  let region, esys, t = start_montage ~workers:2 ~poller:kind () in
+let test_drain_serves_inflight () =
+  let region, esys, t = start_montage ~workers:2 () in
   let fd = connect (Netserve.port t) in
   send fd "set dk 0 0 2\r\nok\r\n";
   Alcotest.(check string) "stored" "STORED\r\n" (recv_exact fd 8);
@@ -284,8 +305,8 @@ let test_drain_serves_inflight kind () =
 
 (* ---- acked STORED keys survive shutdown + crash ---- *)
 
-let test_acked_keys_survive_crash ?poller () =
-  let region, esys, t = start_montage ?poller () in
+let test_acked_keys_survive_crash () =
+  let region, esys, t = start_montage () in
   let port = Netserve.port t in
   let clients = 4 and keys_per_client = 25 in
   let run_client cid =
@@ -350,7 +371,7 @@ let test_mhamt_snapshot_through_sockets () =
   let esys = E.create ~config:ecfg region in
   let map = Pstructs.Mhamt.create esys in
   let store = Kvstore.Store.create (Kvstore.Store.of_mhamt map) in
-  let config = { Netserve.default_config with port = 0; workers; tick_s = 0.01; poller = None } in
+  let config = { Netserve.default_config with port = 0; workers; tick_s = 0.01 } in
   let t =
     Netserve.start ~config
       ~sync:(fun ~tid -> E.sync esys ~tid)
@@ -431,7 +452,7 @@ let test_mhamt_snapshot_through_sockets () =
   let store2 = Kvstore.Store.create (Kvstore.Store.of_mhamt map2) in
   let t2 =
     Netserve.start
-      ~config:{ Netserve.default_config with port = 0; workers; tick_s = 0.01; poller = None }
+      ~config:{ Netserve.default_config with port = 0; workers; tick_s = 0.01 }
       ~sync:(fun ~tid -> E.sync esys2 ~tid)
       ~persisted_epoch:(fun () -> E.persisted_epoch esys2)
       store2
@@ -493,32 +514,22 @@ let () =
           Alcotest.test_case "loadgen closed loop (4 workers)" `Quick test_loadgen_throughput;
         ] );
       ( "backends",
-        Alcotest.test_case "reply parity across pollers (byte-dribbled pipeline)" `Quick
-          test_backend_parity
-        :: List.concat_map
-             (fun (k, name) ->
-               [
-                 Alcotest.test_case (name ^ ": idle connections reaped") `Quick
-                   (test_idle_reap k);
-                 Alcotest.test_case (name ^ ": out_hwm backpressure keeps replies exact") `Quick
-                   (test_out_hwm_backpressure k);
-                 Alcotest.test_case (name ^ ": drain serves in-flight connections") `Quick
-                   (test_drain_serves_inflight k);
-               ])
-             kinds );
+        [
+          Alcotest.test_case "byte-dribbled pipeline replies exact" `Quick test_dribbled_session;
+          Alcotest.test_case "epoll: idle connections reaped" `Quick test_idle_reap;
+          Alcotest.test_case "epoll: out_hwm backpressure keeps replies exact" `Quick
+            test_out_hwm_backpressure;
+          Alcotest.test_case "epoll: drain serves in-flight connections" `Quick
+            test_drain_serves_inflight;
+          Alcotest.test_case "epoll: refuses an fd it rejects, keeps serving" `Quick
+            test_refused_fd;
+        ] );
       ( "durability",
-        List.map
-          (fun (k, name) ->
-            Alcotest.test_case
-              (Printf.sprintf "acked keys survive shutdown + crash (%s poller)" name)
-              `Quick
-              (test_acked_keys_survive_crash ~poller:k))
-          kinds
-        @ [
-            Alcotest.test_case "acked keys survive shutdown + crash (nb advance)" `Quick
-              (test_acked_keys_survive_crash ?poller:None);
-            Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
-          ] );
+        [
+          Alcotest.test_case "acked keys survive shutdown + crash (epoll poller)" `Quick
+            test_acked_keys_survive_crash;
+          Alcotest.test_case "shutdown idempotent" `Quick test_shutdown_idempotent;
+        ] );
       ( "client",
         [ Alcotest.test_case "recv_unit frames by the reply decoder" `Quick test_recv_unit_framing ] );
       ( "mhamt backend",

@@ -458,48 +458,6 @@ let test_nb_queue_crash_recovery () =
   let order = List.init 4 (fun _ -> Option.get (Pstructs.Nb_queue.dequeue q2 ~tid:0)) in
   Alcotest.(check (list string)) "order after crash" [ "2"; "3"; "4"; "5" ] order
 
-(* ---- vector ---- *)
-
-let test_vector_push_pop_get_set () =
-  let _, esys = make_esys () in
-  let v = Pstructs.Mvector.create esys in
-  Alcotest.(check int) "first index" 0 (Pstructs.Mvector.push v ~tid:0 "a");
-  Alcotest.(check int) "second index" 1 (Pstructs.Mvector.push v ~tid:0 "b");
-  Alcotest.(check (option string)) "get 0" (Some "a") (Pstructs.Mvector.get v ~tid:0 0);
-  Alcotest.(check (option string)) "get out of range" None (Pstructs.Mvector.get v ~tid:0 5);
-  Alcotest.(check bool) "set" true (Pstructs.Mvector.set v ~tid:0 0 "A");
-  Alcotest.(check bool) "set out of range" false (Pstructs.Mvector.set v ~tid:0 9 "x");
-  Alcotest.(check (option string)) "pop" (Some "b") (Pstructs.Mvector.pop v ~tid:0);
-  Alcotest.(check (list string)) "contents" [ "A" ] (Pstructs.Mvector.to_list v ~tid:0);
-  Alcotest.(check (option string)) "pop last" (Some "A") (Pstructs.Mvector.pop v ~tid:0);
-  Alcotest.(check (option string)) "pop empty" None (Pstructs.Mvector.pop v ~tid:0)
-
-let test_vector_growth () =
-  let _, esys = make_esys () in
-  let v = Pstructs.Mvector.create ~capacity:2 esys in
-  for i = 0 to 499 do
-    ignore (Pstructs.Mvector.push v ~tid:0 (string_of_int i))
-  done;
-  Alcotest.(check int) "length" 500 (Pstructs.Mvector.length v);
-  Alcotest.(check (option string)) "spot check" (Some "123") (Pstructs.Mvector.get v ~tid:0 123)
-
-let test_vector_crash_recovery () =
-  let region, esys = make_esys () in
-  let v = Pstructs.Mvector.create esys in
-  for i = 0 to 9 do
-    ignore (Pstructs.Mvector.push v ~tid:0 (Printf.sprintf "e%d" i))
-  done;
-  ignore (Pstructs.Mvector.pop v ~tid:0);
-  ignore (Pstructs.Mvector.set v ~tid:0 3 "updated");
-  E.sync esys ~tid:0;
-  ignore (Pstructs.Mvector.push v ~tid:0 "lost");
-  Nvm.Region.crash region;
-  let esys2, payloads = E.recover ~config:testing_cfg region in
-  let v2 = Pstructs.Mvector.recover esys2 payloads in
-  Alcotest.(check int) "nine elements" 9 (Pstructs.Mvector.length v2);
-  Alcotest.(check (option string)) "update durable" (Some "updated") (Pstructs.Mvector.get v2 ~tid:0 3);
-  Alcotest.(check (option string)) "order intact" (Some "e8") (Pstructs.Mvector.get v2 ~tid:0 8)
-
 (* ---- adversarial crash injection on a structure ---- *)
 
 (* The map must recover to the exact synced state even when the crash
@@ -789,36 +747,6 @@ let qcheck_mstack_seq_only =
           let got = drain (fun () -> Pstructs.Mstack.pop s ~tid:0) in
           got = full && got = model))
 
-let qcheck_mvector_seq_only =
-  QCheck.Test.make ~name:"mvector seq-only recovery = full decode" ~count:20 script_arb
-    (fun (seed, ops) ->
-      synced_crash ~seed
-        (fun esys rng ->
-          let vec = Pstructs.Mvector.create esys in
-          let model = ref [||] in
-          for _ = 1 to ops do
-            let v = rand_string rng ~lo:0 ~hi:200 in
-            match Util.Xoshiro.int rng 4 with
-            | 0 ->
-                ignore (Pstructs.Mvector.pop vec ~tid:0);
-                let n = Array.length !model in
-                if n > 0 then model := Array.sub !model 0 (n - 1)
-            | 1 when Array.length !model > 0 ->
-                let i = Util.Xoshiro.int rng (Array.length !model) in
-                ignore (Pstructs.Mvector.set vec ~tid:0 i v);
-                !model.(i) <- v
-            | _ ->
-                ignore (Pstructs.Mvector.push vec ~tid:0 v);
-                model := Array.append !model [| v |]
-          done;
-          Array.to_list !model)
-        (fun model esys payloads ->
-          let vec = Pstructs.Mvector.recover esys payloads in
-          let full = by_seq esys payloads in
-          let got = Pstructs.Mvector.to_list vec ~tid:0 in
-          List.map fst full = List.init (List.length full) Fun.id
-          && got = List.map snd full && got = model))
-
 (* ---- graph ---- *)
 
 let test_graph_vertices_and_edges () =
@@ -974,12 +902,6 @@ let () =
           Alcotest.test_case "per-producer order" `Quick test_nb_queue_per_producer_order;
           Alcotest.test_case "crash recovery" `Quick test_nb_queue_crash_recovery;
         ] );
-      ( "vector",
-        [
-          Alcotest.test_case "push/pop/get/set" `Quick test_vector_push_pop_get_set;
-          Alcotest.test_case "growth" `Quick test_vector_growth;
-          Alcotest.test_case "crash recovery" `Quick test_vector_crash_recovery;
-        ] );
       ( "injection",
         [ QCheck_alcotest.to_alcotest qcheck_map_recovery_under_injection ] );
       ( "reindex",
@@ -995,7 +917,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_mhamt_key_only;
           QCheck_alcotest.to_alcotest qcheck_mqueue_seq_only;
           QCheck_alcotest.to_alcotest qcheck_mstack_seq_only;
-          QCheck_alcotest.to_alcotest qcheck_mvector_seq_only;
         ] );
       ( "graph",
         [
