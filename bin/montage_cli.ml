@@ -225,10 +225,6 @@ let stallbench stall_ms warmup_ops =
 
 (* ---- serve ---- *)
 
-(* MONTAGE_BACKEND picks the default store so CI legs can swap backends
-   without touching the command line. *)
-let default_backend = Option.value (Sys.getenv_opt "MONTAGE_BACKEND") ~default:"montage"
-
 (* Build the store for the requested backend.  The Montage build sizes
    the epoch system for [workers] server tids plus the advancer slot,
    and hands netserve the sync/frontier hooks its shutdown drain uses
@@ -535,17 +531,16 @@ let c10k backend conns workers seconds active value_size capacity_mib target_por
    ephemeral port, run a byte-exact pipelined session and a seeded
    loadgen burst, read stats, shut down gracefully, crash the region,
    and verify every acked STORED key survives recovery.  CI runs this
-   in every matrix leg; MONTAGE_BACKEND=mhamt swaps the persistent map
-   for the snapshot-capable HAMT so the same byte-exact script drives
-   both structures. *)
-let netsmoke () =
+   in every matrix leg; BACKEND mhamt swaps the persistent map for the
+   snapshot-capable HAMT so the same byte-exact script drives both
+   structures. *)
+let netsmoke smoke_backend =
   let failures = ref [] in
   let check name ok =
     Printf.printf "  [%s] %s\n%!" (if ok then "ok" else "FAIL") name;
     if not ok then failures := name :: !failures
   in
   let workers = 4 in
-  let smoke_backend = if default_backend = "mhamt" then `Mhamt else `Mhashmap in
   let region = Nvm.Region.create ~latency:Nvm.Latency.zero ~max_threads:(workers + 4) ~capacity:(64 * mib) () in
   let esys = E.create ~config:{ Cfg.default with max_threads = workers + 1 } region in
   let store =
@@ -878,7 +873,7 @@ let host_arg = Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~doc:"Bind/
 
 let serve_cmd =
   let backend =
-    Arg.(value & pos 0 string default_backend & info [] ~docv:"BACKEND" ~doc:"montage|mhamt|transient")
+    Arg.(value & pos 0 string "montage" & info [] ~docv:"BACKEND" ~doc:"montage|mhamt|transient")
   in
   let port = Arg.(value & opt int 11211 & info [ "port"; "p" ] ~doc:"TCP port (0 = ephemeral).") in
   let workers = Arg.(value & opt int 2 & info [ "workers"; "w" ] ~doc:"Event-loop domains.") in
@@ -932,7 +927,7 @@ let loadgen_cmd =
 
 let c10k_cmd =
   let backend =
-    Arg.(value & pos 0 string default_backend & info [] ~docv:"BACKEND" ~doc:"montage|mhamt|transient")
+    Arg.(value & pos 0 string "montage" & info [] ~docv:"BACKEND" ~doc:"montage|mhamt|transient")
   in
   let conns = Arg.(value & opt int 10_000 & info [ "conns"; "c" ] ~doc:"Idle connection census size.") in
   let workers = Arg.(value & opt int 2 & info [ "workers"; "w" ] ~doc:"Event-loop domains.") in
@@ -970,12 +965,18 @@ let stallbench_cmd =
     Term.(ret (const stallbench $ stall_ms $ warmup))
 
 let netsmoke_cmd =
+  let backend =
+    Arg.(
+      value
+      & pos 0 (enum [ ("montage", `Mhashmap); ("mhamt", `Mhamt) ]) `Mhashmap
+      & info [] ~docv:"BACKEND" ~doc:"montage|mhamt")
+  in
   Cmd.v (Cmd.info "netsmoke" ~doc:"In-process server smoke test (CI).")
-    Term.(ret (const netsmoke $ const ()))
+    Term.(ret (const netsmoke $ backend))
 
 let shard_cmd =
   let backend =
-    Arg.(value & pos 0 string default_backend & info [] ~docv:"BACKEND" ~doc:"montage|mhamt|transient")
+    Arg.(value & pos 0 string "montage" & info [] ~docv:"BACKEND" ~doc:"montage|mhamt|transient")
   in
   let port = Arg.(value & opt int 11411 & info [ "port"; "p" ] ~doc:"TCP port (0 = ephemeral).") in
   let workers = Arg.(value & opt int 2 & info [ "workers"; "w" ] ~doc:"Event-loop domains.") in
@@ -1011,7 +1012,7 @@ let shard_cmd =
 
 let cluster_cmd =
   let backend =
-    Arg.(value & pos 0 string default_backend & info [] ~docv:"BACKEND" ~doc:"montage|mhamt|transient")
+    Arg.(value & pos 0 string "montage" & info [] ~docv:"BACKEND" ~doc:"montage|mhamt|transient")
   in
   let port = Arg.(value & opt int 11311 & info [ "port"; "p" ] ~doc:"Router TCP port.") in
   let shards = Arg.(value & opt int 3 & info [ "shards"; "n" ] ~doc:"Number of shard processes.") in

@@ -35,9 +35,9 @@ type t = {
   pcheck : pcheck_policy;  (** persistency-ordering checker (Pcheck) *)
   mirror_max_bytes : int;
       (** byte budget of the warm set: the content bytes of the
-          payloads modelled as resident in DRAM (plus a decoded-value
-          memo each via {!Payload.Make}), whose reads are uncharged
-          copies out of the region; warmed by [pnew], [pset] and the
+          payloads modelled as resident in DRAM, whose reads (raw
+          copies and typed decodes alike) are uncharged copies out of
+          the region; warmed by [pnew], [pset] and the
           first (charged) read, cooled by [pdelete], all cold after
           recovery.  Clock (second-chance) eviction keeps the warm
           bytes under the budget.  [0] means every read is charged

@@ -16,12 +16,6 @@ let clock_off = 0
 let heap_base = 65536
 let initial_epoch = 3 (* ≥ 3 so that epoch − 2 never collides with 0 = "idle" *)
 
-(* Decoded-value memos ride the handle as an [exn]: each [Payload.Make]
-   instance declares its own [exception Memo of C.t], giving a typed
-   one-slot cache without adding a type parameter to [pblk].  [No_memo]
-   is the empty slot. *)
-exception No_memo
-
 (* A payload's content written in place: [write b off] lays out [len]
    bytes at [b.[off, off + len)].  [pnew_fill]/[pset_fill] hand it the
    region's store view, so content goes to NVM with no staging copy. *)
@@ -44,18 +38,13 @@ type pblk = {
      A payload's bytes live only in the region.  A handle is warm while
      it holds a slot in the warm ring ([mslot >= 0]): its reads copy
      straight out of the region's volatile [work] bytes and are not
-     charged, as reads of a payload resident in DRAM.  [memo] caches
-     the decoded value on top; it is trusted only while the handle is
-     warm, was stored at the current generation ([memo_store]), and is
-     cleared by every in-place store and by eviction.  Warmth and memo
-     change under the cache lock; the hit path only reads them and
-     sets [mref].
+     charged, as reads of a payload resident in DRAM.  Warmth changes
+     under the cache lock; the hit path only reads it and sets [mref].
 
      [gen] is a seqlock over the content: an in-place [pset] makes it
      odd before its first store and even again after its last, so a
      reader that copies without the structure's lock retries until it
      saw one even generation on both sides of its copy. *)
-  mutable memo : exn [@montage.guarded_by "warm_cache.mc_lock"];
   mutable mref : bool
       [@montage.guarded_by "none: lock-free clock ref bit, benign race by design"];
       (* clock (second-chance) reference bit *)
@@ -73,7 +62,6 @@ let no_pblk =
     epoch = 0;
     size = 0;
     live = false;
-    memo = No_memo;
     mref = false;
     mslot = -1;
     gen = Atomic.make 0;
@@ -83,9 +71,7 @@ let no_pblk =
    byte budget on their content sizes.  Warming, cooling and eviction
    are serialized by [mc_lock] (they already sit next to an NVM read or
    write charge, so the spin lock is noise); hits are lock-free — they
-   read [pblk.mslot] and set the ref bit.  Decoded memos are dropped
-   when their handle cools, so their lifetime is bounded by the same
-   clock. *)
+   read [pblk.mslot] and set the ref bit. *)
 type warm_cache = {
   budget : int;
   mc_lock : Util.Spin_lock.t;
@@ -220,10 +206,8 @@ let checker t = t.chk
    are atomic, so sharing it across domains is safe. *)
 let untracked_slot t = t.cfg.Config.max_threads + 1
 
-(* Cool a handle: drop its memo and give back its ring slot.  Caller
-   holds [mc_lock]. *)
+(* Cool a handle: give back its ring slot.  Caller holds [mc_lock]. *)
 let mc_release mc (p : pblk) =
-  p.memo <- No_memo;
   if p.mslot >= 0 then begin
     mc.used <- mc.used - p.size;
     mc.ring.(p.mslot) <- no_pblk;
@@ -319,35 +303,34 @@ let rec stable_gen (p : pblk) =
     stable_gen p
   end
 
-(* Copy content bytes [pos, pos+len) of [p] out of the region, uncharged
-   (the caller ran [warm_up]), retrying until no in-place store overlapped
-   the copy. *)
-let rec copy_content t (p : pblk) ~pos ~dst ~dst_off ~len =
-  let g = stable_gen p in
-  Nvm.Region.read_uncharged t.region ~off:(Payload_hdr.content_off p.off + pos) ~dst ~dst_off ~len;
-  if Atomic.get p.gen <> g then begin
-    Util.Sched.yield "esys.seqlock.retry";
-    copy_content t p ~pos ~dst ~dst_off ~len
-  end
+(* Content bytes [pos, pos+len) of [p] copied out of the region,
+   uncharged (the caller ran [warm_up]). *)
+let read_content t (p : pblk) pos dst dst_off len =
+  Nvm.Region.read_uncharged t.region ~off:(Payload_hdr.content_off p.off + pos) ~dst ~dst_off ~len
 
-(* The whole content as a fresh buffer; its length is read inside the
-   same seqlock window as its bytes. *)
-let rec snapshot t (p : pblk) =
+(* [decode size read pos dst dst_off len] over one version of [p]'s
+   content: [size] and every copy [read] makes fall inside one seqlock
+   window.  If an in-place store overlapped the window the decode runs
+   again, also when the torn bytes made it raise; an exception raised
+   over one whole version is the caller's.  The last four arguments
+   are handed through unchanged, so a ranged copy ([preader]) is a
+   decode of its own and allocates no closure per copy. *)
+let rec in_window (p : pblk) read decode pos dst dst_off len =
   let g = stable_gen p in
-  let len = p.size in
-  let b = Bytes.create len in
-  Nvm.Region.read_uncharged t.region ~off:(Payload_hdr.content_off p.off) ~dst:b ~dst_off:0 ~len;
-  if Atomic.get p.gen = g then b
-  else begin
-    Util.Sched.yield "esys.seqlock.retry";
-    snapshot t p
-  end
+  match decode p.size read pos dst dst_off len with
+  | v when Atomic.get p.gen = g -> v
+  | exception e when Atomic.get p.gen = g -> raise e
+  | _ ->
+      Util.Sched.yield "esys.seqlock.retry";
+      in_window p read decode pos dst dst_off len
+  | exception _ ->
+      Util.Sched.yield "esys.seqlock.retry";
+      in_window p read decode pos dst dst_off len
 
 (* An in-place store of [len] content bytes into [p] is about to start:
-   the generation turns odd and the memo goes (both under the cache
-   lock, so [memo_store] can never publish across them), and the
-   budget follows the new size.  The store warms the handle, as a
-   fresh payload is born warm.  [store_close] ends the window. *)
+   the generation turns odd, and the budget follows the new size.  The
+   store warms the handle, as a fresh payload is born warm.
+   [store_close] ends the window. *)
 let store_open t (p : pblk) ~len =
   match t.warm with
   | None ->
@@ -356,7 +339,6 @@ let store_open t (p : pblk) ~len =
   | Some mc ->
       Util.Spin_lock.with_lock mc.mc_lock (fun () ->
           Atomic.incr p.gen;
-          p.memo <- No_memo;
           if p.mslot >= 0 then begin
             mc.used <- mc.used + len - p.size;
             p.size <- len;
@@ -390,20 +372,6 @@ let mirror_stats t =
         resident_bytes = mc.used;
       }
 [@@montage.allow "R2: read-only statistics observer"]
-
-(* ---- decoded-value memos (used by Payload.Make) ---- *)
-
-(* Return the handle's memo if it can be trusted: the handle must be
-   warm (cooling clears the memo, so a cold handle's memo may be stale)
-   and the usual live/old-sees-new discipline applies.  Counted as a
-   hit. *)
-let memo_probe t ~stat_tid (p : pblk) =
-  match t.warm with
-  | Some mc when p.mslot >= 0 && p.memo != No_memo ->
-      Util.Padded.incr mc.hits stat_tid;
-      p.mref <- true;
-      p.memo
-  | _ -> No_memo
 
 (* ---- write-back plumbing ----
 
@@ -644,7 +612,6 @@ let fresh_handle ~off ~uid ~epoch ~size =
     epoch;
     size;
     live = true;
-    memo = No_memo;
     mref = false;
     mslot = -1;
     gen = Atomic.make 0;
@@ -668,40 +635,54 @@ let pnew t ~tid content = pnew_fill t ~tid (fill_bytes content)
 
 let check_live p = if not p.live then raise Errors.Use_after_free
 
-let pget t ~tid p =
+(* The typed read entry points: the checks and the load of [pget]
+   (paid once, if [p] is cold), then [decode] in one seqlock window. *)
+let decode_whole t p decode =
+  in_window p (read_content t p) (fun size read _ _ _ _ -> decode size read) 0 Bytes.empty 0 0
+
+let pdecode t ~tid p decode =
   Util.Sched.yield "esys.pget";
   check_live p;
   osn_check t ~tid p;
   warm_up t ~stat_tid:tid p;
-  snapshot t p
+  decode_whole t p decode
 
-let pget_unsafe t p =
+let pdecode_unsafe t p decode =
   check_live p;
   warm_up t ~stat_tid:(untracked_slot t) p;
-  snapshot t p
+  decode_whole t p decode
+
+let copy_all size read =
+  let b = Bytes.create size in
+  read 0 b 0 size;
+  b
+
+let pget t ~tid p = pdecode t ~tid p copy_all
+let pget_unsafe t p = pdecode_unsafe t p copy_all
+
+let copy_range size read pos dst dst_off len =
+  if pos < 0 || len < 0 || pos + len > size then
+    invalid_arg
+      (Printf.sprintf "Epoch_sys.preader: [%d, %d) outside a %d-byte payload" pos (pos + len)
+         size);
+  read pos dst dst_off len
 
 (* A reader of the content in place, for a caller that copies what it
    needs straight to its destination (a reply buffer) instead of taking
-   a whole snapshot.  The load is paid here, once, exactly as [pget]
-   pays it; each copy is then uncharged and seqlock-checked on its
-   own. *)
+   a whole copy.  The load is paid here, once, exactly as [pget] pays
+   it; each copy is then uncharged and a window of its own. *)
 let preader t ~tid p =
   Util.Sched.yield "esys.pget";
   check_live p;
   osn_check t ~tid p;
   warm_up t ~stat_tid:tid p;
-  fun pos dst dst_off len ->
-    if pos < 0 || len < 0 || pos + len > p.size then
-      invalid_arg
-        (Printf.sprintf "Epoch_sys.preader: [%d, %d) outside a %d-byte payload" pos (pos + len)
-           p.size);
-    copy_content t p ~pos ~dst ~dst_off ~len
+  in_window p (read_content t p) copy_range
 
 (* Bounded read of content bytes [pos, pos+len): charged for the lines
    that range covers and nothing else.  It leaves the handle exactly as
-   it found it — cold stays cold, no memo — so a recovery rebuild that
-   reads only index fields hands the structure cold handles, and the
-   first real [pget] pays the full load and warms it. *)
+   it found it — cold stays cold — so a recovery rebuild that reads
+   only index fields hands the structure cold handles, and the first
+   real [pget] pays the full load and warms it. *)
 let pread_unsafe t p ~pos ~len =
   check_live p;
   if pos < 0 || len < 0 || pos + len > p.size then
@@ -712,45 +693,6 @@ let pread_unsafe t p ~pos ~len =
   if len > 0 then
     Nvm.Region.read t.region ~off:(Payload_hdr.content_off p.off + pos) ~dst:buf ~dst_off:0 ~len;
   buf
-
-(* ---- decoded-value memo API (the [Payload.Make] fast path) ---- *)
-
-(* [memo_get] returns the handle's memoized decoded value (as the
-   caller's own [Memo _] exception) when the handle is warm, or
-   [No_memo]; the caller then takes [generation], decodes via [pget]
-   and calls [memo_store].  Both run the same live/old-sees-new
-   discipline as [pget]. *)
-let memo_get t ~tid p =
-  check_live p;
-  osn_check t ~tid p;
-  memo_probe t ~stat_tid:tid p
-
-let memo_get_unsafe t p =
-  check_live p;
-  memo_probe t ~stat_tid:(untracked_slot t) p
-
-(* The content generation a decode starts from: taken before the read,
-   it names the version the memo may be published for. *)
-let generation p = Atomic.get p.gen
-[@@montage.allow
-  "R2: a seqlock read; the decode it opens reads the content through \
-   pget, whose Sched point (esys.pget) follows"]
-
-(* Publish a decoded value on the handle, for the content generation
-   [gen] the decode started from.  Checked and stored under [mc_lock],
-   which every in-place store takes to open its window (turning the
-   generation odd and clearing the memo): so a memo is stored only if
-   no store started since [gen] was taken, and then the bytes the
-   decode read were exactly generation [gen]'s.  A reader that lost the
-   race to an in-place [pset] — it decoded the old bytes and publishes
-   after the store — is dropped here rather than served warm forever.
-   The handle must still be warm: a cold handle keeps no memo. *)
-let memo_store t (p : pblk) ~gen m =
-  with_cache t (fun _ ->
-      if p.mslot >= 0 && gen land 1 = 0 && Atomic.get p.gen = gen then p.memo <- m)
-[@@montage.allow
-  "R2: the seqlock check runs under mc_lock, whose acquire is the \
-   Sched-visible point"]
 
 (* Free a payload bypassing the epoch protocol — used by Montage (T)
    and the DirFree reference configuration, which sacrifice crash
@@ -1240,7 +1182,6 @@ let recover ?(config = Config.default) ?(threads = 1) region =
           epoch = Payload_hdr.epoch_at region ~off;
           size = Payload_hdr.size_at region ~off;
           live = true;
-          memo = No_memo;
           mref = false;
           mslot = -1;
           gen = Atomic.make 0;

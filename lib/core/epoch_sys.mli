@@ -13,9 +13,6 @@
     the extra slot [config.max_threads], so the region must be created
     with at least [config.max_threads + 2] thread slots. *)
 
-(** The empty decoded-value memo slot (see {!memo_get}). *)
-exception No_memo
-
 (** A payload's content written in place: [write b off] lays out
     exactly [len] bytes at [b.[off, off + len)].  {!pnew_fill} and
     {!pset_fill} hand it the region's store view, so the content is
@@ -33,19 +30,15 @@ val fill_bytes : Bytes.t -> fill
     A payload's bytes live only in the region.  A handle is {e warm}
     while it holds a slot in the warm set ([mslot >= 0]): its reads copy
     straight out of the region's store view and are not charged, the
-    model of a payload resident in DRAM.  The [memo]/[mref]/[mslot]/[gen]
-    fields belong to that layer (plus a memoized decoded value); they
-    are managed entirely by this module and {!Payload.Make} and must not
-    be written by clients. *)
+    model of a payload resident in DRAM.  The [mref]/[mslot]/[gen]
+    fields belong to that layer; they are managed entirely by this
+    module and must not be written by clients. *)
 type pblk = {
   off : int;
   uid : int;  (** logical identity, stable across versions *)
   mutable epoch : int;
   mutable size : int;  (** content bytes *)
   mutable live : bool;
-  mutable memo : exn;
-      (** decoded-value memo ([No_memo] = empty), valid only while the
-          handle is warm and for the generation it was stored at *)
   mutable mref : bool;  (** clock (second-chance) reference bit *)
   mutable mslot : int;  (** warm-set ring index: the warm bit; [-1] = cold *)
   gen : int Atomic.t;
@@ -90,7 +83,7 @@ val op_epoch : t -> tid:int -> int
 val advance_count : t -> int
 
 (** Warm-set effectiveness: [hits] are payload reads of warm handles
-    (uncharged region copies or memos), [misses] are charged cold loads
+    (uncharged region copies), [misses] are charged cold loads
     that warmed a handle, [evictions] counts clock victims,
     [resident_bytes] is the warm content bytes under the budget
     ([config.mirror_max_bytes]).  All zero when the budget is [0]. *)
@@ -137,28 +130,42 @@ val pnew_fill : t -> tid:int -> fill -> pblk
 (** {!pnew_fill} of a buffer's bytes; the buffer is copied, not kept. *)
 val pnew : t -> tid:int -> bytes -> pblk
 
-(** Read a payload's content, as a fresh buffer the caller owns.
-    Performs the old-sees-new check when an operation is active.  A
-    warm handle is read out of the region uncharged; a cold one pays
-    the charged load of its whole content once and turns warm.  The
-    copy is seqlock-checked against in-place stores, so lock-free
-    readers get one consistent version.
+(** [pdecode t ~tid p decode] reads a payload through [decode size read],
+    where [read pos dst dst_off len] copies content bytes
+    [\[pos, pos+len)] into [dst] at [dst_off], uncharged.  Performs the
+    old-sees-new check when an operation is active.  A warm handle is
+    read out of the region uncharged; a cold one pays the charged load
+    of its whole content once and turns warm.
+
+    The decode runs inside the payload's content seqlock: it starts
+    from an even generation and reads [size] inside the window.  If an
+    in-place {!pset} moved the generation meanwhile, the decode runs
+    again, also when it raised on the torn bytes; so lock-free readers
+    get one whole version.  [read] is valid only inside [decode], must
+    stay within [\[0, size)] (unchecked; {!Payload.View} checks it), and
+    [decode] may run more than once.
     @raise Errors.Old_see_new when the payload is newer than the
     operation's epoch.
     @raise Errors.Use_after_free on a dead handle. *)
+val pdecode :
+  t -> tid:int -> pblk -> (int -> (int -> Bytes.t -> int -> int -> unit) -> 'a) -> 'a
+
+(** {!pdecode} without the old-sees-new check (paper's [get_unsafe]);
+    also the read path for recovered payloads outside any operation. *)
+val pdecode_unsafe : t -> pblk -> (int -> (int -> Bytes.t -> int -> int -> unit) -> 'a) -> 'a
+
+(** {!pdecode} of a whole-content copy: a fresh buffer the caller owns. *)
 val pget : t -> tid:int -> pblk -> bytes
 
-(** Read without the old-sees-new check (paper's [get_unsafe]); also
-    the read path for recovered payloads outside any operation.
-    Warmed and charged like {!pget}. *)
+(** {!pdecode_unsafe} of a whole-content copy. *)
 val pget_unsafe : t -> pblk -> bytes
 
 (** [preader t ~tid p] runs {!pget}'s checks and pays its load (once,
     if [p] is cold), then returns [r] where [r pos dst dst_off len]
     copies content bytes [\[pos, pos+len)] into [dst] at [dst_off],
     uncharged — for callers that copy a value straight to where it goes
-    (a reply buffer) with no intermediate buffer.  Each copy is
-    seqlock-checked on its own; two copies see one version only when the
+    (a reply buffer) with no intermediate buffer.  Each copy is one
+    {!pdecode} window of its own; two copies see one version only when the
     caller excludes in-place writers of [p] (a bucket lock), and a
     {!fill} storing into [p] must not read it through [r].
     @raise Invalid_argument (from [r]) when the range is not within
@@ -167,36 +174,12 @@ val preader : t -> tid:int -> pblk -> int -> Bytes.t -> int -> int -> unit
 
 (** Content bytes [\[pos, pos+len)] of a payload, without the
     old-sees-new check.  Charged only for the NVM lines those bytes
-    cover; never warms the handle or stores a memo, so it stays as cold
+    cover; never warms the handle, so it stays as cold
     (or warm) as it was.  For recovery rebuilds that need only an index
     field (a key, a sequence number) of each payload.
     @raise Invalid_argument when the range is not within [p.size].
     @raise Errors.Use_after_free on a dead handle. *)
 val pread_unsafe : t -> pblk -> pos:int -> len:int -> bytes
-
-(** {1 Decoded-value memos (the {!Payload.Make} fast path)}
-
-    Each [Payload.Make] instance declares [exception Memo of C.t] and
-    stores decoded values on the handle through these; the [exn] slot
-    gives a typed one-shot cache without a type parameter on [pblk]. *)
-
-(** The handle's memo when it can be trusted (handle warm, memo set),
-    else {!No_memo}.  Runs {!pget}'s live/old-sees-new checks. *)
-val memo_get : t -> tid:int -> pblk -> exn
-
-(** {!memo_get} without the old-sees-new check. *)
-val memo_get_unsafe : t -> pblk -> exn
-
-(** The handle's content generation.  Take it {e before} reading the
-    content a memo is decoded from, and pass it to {!memo_store}. *)
-val generation : pblk -> int
-
-(** Publish a decoded value on the handle for content generation
-    [gen].  Honored only if the handle is warm and no in-place store
-    started since [gen] was taken (checked atomically against in-place
-    stores), so a decode that lost a race to an in-place {!pset} is
-    silently dropped rather than published stale. *)
-val memo_store : t -> pblk -> gen:int -> exn -> unit
 
 (** Replace a payload's content with [content], written straight into
     the payload.  In place when the payload belongs to the current

@@ -1,83 +1,19 @@
 (* Typed payload wrapper — the OCaml analog of the paper's
    GENERATE_FIELD macro.  A structure describes its payload content
-   once (encode/decode), and gets type-safe [pnew]/[get]/[set]/
-   [pdelete] whose handles carry the Montage epoch discipline:
+   once (encode to a fill, decode from a view), and gets type-safe
+   [pnew]/[get]/[set]/[pdelete] whose handles carry the Montage epoch
+   discipline:
 
    - [get] performs the old-sees-new check; [get_unsafe] skips it;
    - [set] may return a *different* handle (a copying update across an
      epoch boundary); the caller must install the returned handle
      everywhere the old one appeared (well-formedness constraint 4).
 
-   On top of [Epoch_sys]'s warm handles, each instantiation memoizes
-   the *decoded* value on the handle (via the [Memo] exception, typed
-   per functor application): a warm [get] returns the cached value
-   without touching NVM, decoding, or allocating.  The memo is written
-   by [pnew]/[set]/[get] for the content generation it describes and
-   trusted only while the handle stays warm — [Epoch_sys] clears it on
-   every in-place store and eviction.
-
-   Structures should use the pre-applied instances below ([Str], [Kv],
-   [Seq]) rather than re-applying [Make]: a handle memoized through one
-   instantiation reads as a miss through another (each application gets
-   its own [Memo] constructor), which wastes the cache when two modules
-   share payloads. *)
-
-module type CONTENT = sig
-  type t
-
-  val encode : t -> bytes
-  val decode : bytes -> t
-end
-
-module Make (C : CONTENT) = struct
-  type handle = Epoch_sys.pblk
-
-  exception Memo of C.t
-
-  (* Every [memo_store] names the generation the value describes: a
-     writer's is the one its store left, a reader's the one it took
-     before it read, so a decode that raced a concurrent in-place
-     [pset] is never published against newer bytes. *)
-
-  let pnew esys ~tid v =
-    let h = Epoch_sys.pnew esys ~tid (C.encode v) in
-    Epoch_sys.memo_store esys h ~gen:(Epoch_sys.generation h) (Memo v);
-    h
-
-  let get esys ~tid h =
-    match Epoch_sys.memo_get esys ~tid h with
-    | Memo v -> v
-    | _ ->
-        let gen = Epoch_sys.generation h in
-        let v = C.decode (Epoch_sys.pget esys ~tid h) in
-        Epoch_sys.memo_store esys h ~gen (Memo v);
-        v
-
-  let get_unsafe esys h =
-    match Epoch_sys.memo_get_unsafe esys h with
-    | Memo v -> v
-    | _ ->
-        let gen = Epoch_sys.generation h in
-        let v = C.decode (Epoch_sys.pget_unsafe esys h) in
-        Epoch_sys.memo_store esys h ~gen (Memo v);
-        v
-
-  let set esys ~tid h v =
-    let h' = Epoch_sys.pset esys ~tid h (C.encode v) in
-    Epoch_sys.memo_store esys h' ~gen:(Epoch_sys.generation h') (Memo v);
-    h'
-
-  let pdelete esys ~tid h = Epoch_sys.pdelete esys ~tid h
-end
-
-(* Ready-made codecs for common content shapes. *)
-
-module String_content = struct
-  type t = string
-
-  let encode = Bytes.of_string
-  let decode = Bytes.to_string
-end
+   A payload lives only in the region, as in the paper: [pnew]/[set]
+   write the fill straight into the payload, and [get] decodes straight
+   from the region inside the content seqlock ([Epoch_sys.pdecode]),
+   copying each returned field once.  Nothing decoded stays on the
+   handle. *)
 
 (* A value written in place: [write b off] lays out its [len] bytes at
    [b.[off, off + len)] of the buffer it is handed — the payload itself
@@ -89,6 +25,11 @@ type fill = Epoch_sys.fill = { len : int; write : bytes -> int -> unit }
 let fill_string v =
   let len = String.length v in
   { len; write = (fun b off -> Bytes.blit_string v 0 b off len) }
+
+let bytes_of_fill f =
+  let b = Bytes.create f.len in
+  f.write b 0;
+  b
 
 (* A value read in place: [len] bytes at [base ..] of a source that
    [blit] copies from — a heap buffer, or a payload's content in the
@@ -110,17 +51,63 @@ module View = struct
     check "sub" v ~pos ~len;
     { v with base = v.base + pos; len }
 
-  let to_string v =
-    let b = Bytes.create v.len in
-    blit v ~pos:0 b 0 v.len;
+  (* Checked before the buffer is made: a length read from torn bytes
+     must not allocate. *)
+  let sub_string v ~pos ~len =
+    check "sub_string" v ~pos ~len;
+    let b = Bytes.create len in
+    v.blit (v.base + pos) b 0 len;
     Bytes.unsafe_to_string b
 
+  let to_string v = sub_string v ~pos:0 ~len:v.len
+
+  (* Fixed-width fields, read through a scratch buffer of their width. *)
+  let field v ~pos ~len =
+    let b = Bytes.create len in
+    blit v ~pos b 0 len;
+    b
+
+  let get_char v pos = Bytes.get (field v ~pos ~len:1) 0
+  let get_int32_le v pos = Int32.to_int (Bytes.get_int32_le (field v ~pos ~len:4) 0)
+  let get_int64_le v pos = Int64.to_int (Bytes.get_int64_le (field v ~pos ~len:8) 0)
   let of_bytes b ~off ~len = { len; base = off; blit = Bytes.blit b }
   let of_string s = of_bytes (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
   let empty = of_string ""
 
   let of_payload esys ~tid (p : Epoch_sys.pblk) ~pos =
     { len = p.size - pos; base = pos; blit = Epoch_sys.preader esys ~tid p }
+
+  (* A decoder over a view, as [Epoch_sys.pdecode] runs it. *)
+  let decoding f len blit = f { len; base = 0; blit }
+end
+
+let read esys ~tid h f = Epoch_sys.pdecode esys ~tid h (View.decoding f)
+let read_unsafe esys h f = Epoch_sys.pdecode_unsafe esys h (View.decoding f)
+
+module type CONTENT = sig
+  type t
+
+  val encode : t -> fill
+  val decode : View.t -> t
+end
+
+module Make (C : CONTENT) = struct
+  type handle = Epoch_sys.pblk
+
+  let pnew esys ~tid v = Epoch_sys.pnew_fill esys ~tid (C.encode v)
+  let get esys ~tid h = read esys ~tid h C.decode
+  let get_unsafe esys h = read_unsafe esys h C.decode
+  let set esys ~tid h v = Epoch_sys.pset_fill esys ~tid h (C.encode v)
+  let pdelete esys ~tid h = Epoch_sys.pdelete esys ~tid h
+end
+
+(* Ready-made codecs for common content shapes. *)
+
+module String_content = struct
+  type t = string
+
+  let encode = fill_string
+  let decode = View.to_string
 end
 
 (* (key, value) pairs, the shape used by sets and mappings:
@@ -139,24 +126,18 @@ module Kv_content = struct
           f.write b (at + 4 + klen));
     }
 
-  let encode_with k f =
-    let f = fill k f in
-    let b = Bytes.create f.len in
-    f.write b 0;
-    b
+  let encode (k, v) = fill k (fill_string v)
 
-  let encode (k, v) = encode_with k (fill_string v)
-
-  let decode b =
-    let klen = Int32.to_int (Bytes.get_int32_le b 0) in
-    ( Bytes.sub_string b 4 klen,
-      Bytes.sub_string b (4 + klen) (Bytes.length b - 4 - klen) )
+  let decode v =
+    let klen = View.get_int32_le v 0 in
+    ( View.sub_string v ~pos:4 ~len:klen,
+      View.sub_string v ~pos:(4 + klen) ~len:(View.length v - 4 - klen) )
 
   (* Value-only decode: mapping read paths already cache the key in
      their DRAM nodes, so materializing it again is pure waste. *)
-  let decode_value b =
-    let off = 4 + Int32.to_int (Bytes.get_int32_le b 0) in
-    Bytes.sub_string b off (Bytes.length b - off)
+  let decode_value v =
+    let off = 4 + View.get_int32_le v 0 in
+    View.sub_string v ~pos:off ~len:(View.length v - off)
 end
 
 (* Sequence-numbered items, the shape used by queues: a queue's
@@ -166,14 +147,16 @@ module Seq_content = struct
   type t = int * string
 
   let encode (seq, v) =
-    let b = Bytes.create (8 + String.length v) in
-    Bytes.set_int64_le b 0 (Int64.of_int seq);
-    Bytes.blit_string v 0 b 8 (String.length v);
-    b
+    let n = String.length v in
+    {
+      len = 8 + n;
+      write =
+        (fun b at ->
+          Bytes.set_int64_le b at (Int64.of_int seq);
+          Bytes.blit_string v 0 b (at + 8) n);
+    }
 
-  let decode b =
-    ( Int64.to_int (Bytes.get_int64_le b 0),
-      Bytes.sub_string b 8 (Bytes.length b - 8) )
+  let decode v = (View.get_int64_le v 0, View.sub_string v ~pos:8 ~len:(View.length v - 8))
 end
 
 (* ---- index-field reads for recovery ---- *)
@@ -181,7 +164,7 @@ end
 (* A rebuild needs only each payload's index field (a key, a sequence
    number), and every byte it reads is a charged NVM load.  These read
    that field with [Epoch_sys.pread_unsafe] and nothing more, leaving
-   the handle cold: no warmth and no memo until the first real [get]. *)
+   the handle cold until the first real [get]. *)
 
 (* Content bytes that share the payload's first NVM line. *)
 let first_line_len (p : Epoch_sys.pblk) =
@@ -207,64 +190,14 @@ let key_prefix_unsafe esys (p : Epoch_sys.pblk) ~klen_at ~key_at =
   in
   (b, key)
 
-(* Shared pre-applied instances: one [Memo] constructor per codec for
-   the whole program, so every structure reading a given payload shape
-   hits the same memo. *)
+(* Shared pre-applied instances. *)
 
 module Str = Make (String_content)
 
 module Kv = struct
   include Make (Kv_content)
 
-  (* A value-only memo for lookup paths that never need the key (the
-     key is already in the structure's DRAM node).  Coexists with the
-     full-pair [Memo] in the single slot without ping-ponging: [get]
-     over a [Memo_value] {e upgrades} the slot to the pair (reading just
-     the key out of the warm payload and reusing the memoized value
-     string), and [get_value] is satisfied by either shape — so mixed
-     read paths converge on the pair memo instead of overwriting each
-     other. *)
-  exception Memo_value of string
-
-  let decode_full esys ~tid h =
-    let gen = Epoch_sys.generation h in
-    let kv = Kv_content.decode (Epoch_sys.pget esys ~tid h) in
-    Epoch_sys.memo_store esys h ~gen (Memo kv);
-    kv
-
-  (* Upgrade path: the key is read in place under the generation taken
-     before the memo was probed, so the reused value string is paired
-     with the key of the very version it was decoded from — a [pset]
-     landing in between moves the generation and the pair is decoded
-     afresh. *)
-  let get esys ~tid h =
-    let gen = Epoch_sys.generation h in
-    match Epoch_sys.memo_get esys ~tid h with
-    | Memo kv -> kv
-    | Memo_value v when gen land 1 = 0 ->
-        let r = Epoch_sys.preader esys ~tid h in
-        let klen = Bytes.create 4 in
-        r 0 klen 0 4;
-        let key = Bytes.create (Int32.to_int (Bytes.get_int32_le klen 0)) in
-        r 4 key 0 (Bytes.length key);
-        if Epoch_sys.generation h <> gen then decode_full esys ~tid h
-        else begin
-          let kv = (Bytes.unsafe_to_string key, v) in
-          Epoch_sys.memo_store esys h ~gen (Memo kv);
-          kv
-        end
-    | _ -> decode_full esys ~tid h
-
-  let get_value esys ~tid h =
-    match Epoch_sys.memo_get esys ~tid h with
-    | Memo (_, v) -> v
-    | Memo_value v -> v
-    | _ ->
-        let gen = Epoch_sys.generation h in
-        let v = Kv_content.decode_value (Epoch_sys.pget esys ~tid h) in
-        Epoch_sys.memo_store esys h ~gen (Memo_value v);
-        v
-
+  let get_value esys ~tid h = read esys ~tid h Kv_content.decode_value
   let value_view esys ~tid (h : handle) ~klen = View.of_payload esys ~tid h ~pos:(4 + klen)
   let key_unsafe esys h = snd (key_prefix_unsafe esys h ~klen_at:0 ~key_at:4)
 end

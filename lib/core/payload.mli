@@ -1,43 +1,18 @@
 (** Typed payload wrapper — the OCaml analog of the paper's
     GENERATE_FIELD macro.
 
-    A structure describes its payload content once (encode/decode) and
-    gets type-safe [pnew]/[get]/[set]/[pdelete] whose handles carry the
-    Montage epoch discipline.  [set] may return a {e different} handle
-    (a copying update across an epoch boundary); the caller must
-    install the returned handle everywhere the old one appeared.
+    A structure describes its payload content once (encode to a
+    {!fill}, decode from a {!View.t}) and gets type-safe
+    [pnew]/[get]/[set]/[pdelete] whose handles carry the Montage epoch
+    discipline.  [set] may return a {e different} handle (a copying
+    update across an epoch boundary); the caller must install the
+    returned handle everywhere the old one appeared.
 
-    With a warm-set budget ([Config.mirror_max_bytes > 0]) each
-    instantiation also memoizes the decoded value on warm handles: a
-    warm [get] returns the cached value with no NVM load, no decode, and
-    no allocation.  Use the shared pre-applied instances
-    {!Str}/{!Kv}/{!Seq} where possible — each application of {!Make}
-    owns a distinct memo constructor, so two modules reading the same
-    payloads through separate applications miss each other's memos. *)
-
-module type CONTENT = sig
-  type t
-
-  val encode : t -> bytes
-  val decode : bytes -> t
-end
-
-module Make (C : CONTENT) : sig
-  type handle = Epoch_sys.pblk
-
-  (** The decoded-value memo this instantiation stores on handles (via
-      {!Epoch_sys.memo_store}); exposed for tests. *)
-  exception Memo of C.t
-
-  val pnew : Epoch_sys.t -> tid:int -> C.t -> handle
-  val get : Epoch_sys.t -> tid:int -> handle -> C.t
-  val get_unsafe : Epoch_sys.t -> handle -> C.t
-  val set : Epoch_sys.t -> tid:int -> handle -> C.t -> handle
-  val pdelete : Epoch_sys.t -> tid:int -> handle -> unit
-end
-
-(** Raw string contents. *)
-module String_content : CONTENT with type t = string
+    A payload lives only in the region: [pnew]/[set] write the fill
+    straight into it, and [get] decodes straight from it inside the
+    payload's content seqlock ({!Epoch_sys.pdecode}), so a lock-free
+    reader gets one whole version.  Nothing decoded is kept on the
+    handle; each [get] returns fresh fields, each copied once. *)
 
 (** A value written in place: [write b off] lays out exactly [len]
     bytes at [b.[off, off + len)] of the buffer it is handed, so a value
@@ -49,25 +24,38 @@ type fill = Epoch_sys.fill = { len : int; write : bytes -> int -> unit }
 (** The fill that copies a string. *)
 val fill_string : string -> fill
 
+(** A fill laid out in a fresh buffer. *)
+val bytes_of_fill : fill -> bytes
+
 (** A value read in place: {!View.length} bytes that {!View.blit}
-    copies out.  A view over a payload ({!View.of_payload}) reads the
-    region each time and is valid only inside the consumer it is handed
-    to, under the lock that excludes writers of that payload; views over
-    heap bytes stay valid as long as those bytes are not mutated. *)
+    copies out.  A view over a payload ({!View.of_payload}, or the one
+    a decoder is handed) reads the region each time and is valid only
+    inside the consumer it is handed to; views over heap bytes stay
+    valid as long as those bytes are not mutated.  Every read is
+    checked against the view's length before anything is allocated.
+    @raise Invalid_argument from any read outside the view. *)
 module View : sig
   type t
 
   val length : t -> int
 
   (** [blit v ~pos dst dst_off len] copies bytes [\[pos, pos+len)] of
-      the value into [dst] at [dst_off].
-      @raise Invalid_argument when the range is not within the value. *)
+      the value into [dst] at [dst_off]. *)
   val blit : t -> pos:int -> Bytes.t -> int -> int -> unit
 
   (** The bytes [\[pos, pos+len)] as a view of their own. *)
   val sub : t -> pos:int -> len:int -> t
 
+  (** The bytes [\[pos, pos+len)], copied once into a fresh string. *)
+  val sub_string : t -> pos:int -> len:int -> string
+
   val to_string : t -> string
+  val get_char : t -> int -> char
+
+  (** Little-endian fixed-width integers at a byte position. *)
+  val get_int32_le : t -> int -> int
+
+  val get_int64_le : t -> int -> int
 
   (** The bytes [b.[off, off + len)]; nothing is copied. *)
   val of_bytes : Bytes.t -> off:int -> len:int -> t
@@ -77,9 +65,43 @@ module View : sig
 
   (** Content bytes from [pos] to the end of a payload, read through
       {!Epoch_sys.preader} (which runs its checks and pays a cold
-      handle's load here, once). *)
+      handle's load here, once).  Two reads see one version only under
+      a lock that excludes in-place writers of the payload. *)
   val of_payload : Epoch_sys.t -> tid:int -> Epoch_sys.pblk -> pos:int -> t
 end
+
+(** [read esys ~tid h decode]: [decode] over a view of [h]'s whole
+    content, run by {!Epoch_sys.pdecode} (checked, charged once when
+    cold, rerun if an in-place store tore it).  [decode] may run more
+    than once and must not keep the view. *)
+val read : Epoch_sys.t -> tid:int -> Epoch_sys.pblk -> (View.t -> 'a) -> 'a
+
+(** {!read} without the old-sees-new check. *)
+val read_unsafe : Epoch_sys.t -> Epoch_sys.pblk -> (View.t -> 'a) -> 'a
+
+module type CONTENT = sig
+  type t
+
+  (** The content as a fill, written straight into the payload. *)
+  val encode : t -> fill
+
+  (** The value of one whole version of the content, each field copied
+      out of the view once.  May raise on bytes no [encode] wrote. *)
+  val decode : View.t -> t
+end
+
+module Make (C : CONTENT) : sig
+  type handle = Epoch_sys.pblk
+
+  val pnew : Epoch_sys.t -> tid:int -> C.t -> handle
+  val get : Epoch_sys.t -> tid:int -> handle -> C.t
+  val get_unsafe : Epoch_sys.t -> handle -> C.t
+  val set : Epoch_sys.t -> tid:int -> handle -> C.t -> handle
+  val pdelete : Epoch_sys.t -> tid:int -> handle -> unit
+end
+
+(** Raw string contents. *)
+module String_content : CONTENT with type t = string
 
 (** [(key, value)] pairs — the shape of sets and mappings. *)
 module Kv_content : sig
@@ -87,16 +109,12 @@ module Kv_content : sig
 
   (** [fill key f]: the encoding of [(key, v)] as a fill, where [f]
       writes [v]; storing it writes the key and the value straight into
-      the payload. *)
+      the payload.  [encode (k, v)] is [fill k (fill_string v)]. *)
   val fill : string -> fill -> fill
-
-  (** [encode_with key f]: [fill key f] materialized in a fresh buffer;
-      [encode (k, v)] is [encode_with k (fill_string v)]. *)
-  val encode_with : string -> fill -> bytes
 
   (** Decode only the value, skipping key materialization — for read
       paths whose DRAM node already caches the key. *)
-  val decode_value : bytes -> string
+  val decode_value : View.t -> string
 end
 
 (** Sequence-numbered items — the shape of queues and stacks, whose
@@ -107,8 +125,7 @@ module Seq_content : CONTENT with type t = int * string
 
     A recovery rebuild needs only each payload's index field.  These
     read it through {!Epoch_sys.pread_unsafe}: charged for the lines
-    they touch, and the handle stays cold (no memo) until its first
-    real [get]. *)
+    they touch, and the handle stays cold until its first real [get]. *)
 
 (** [(prefix, key)] for a payload whose content holds a 4-byte
     little-endian key length at [klen_at] and the key at [key_at].
@@ -126,8 +143,6 @@ val key_prefix_unsafe :
 module Str : sig
   type handle = Epoch_sys.pblk
 
-  exception Memo of string
-
   val pnew : Epoch_sys.t -> tid:int -> string -> handle
   val get : Epoch_sys.t -> tid:int -> handle -> string
   val get_unsafe : Epoch_sys.t -> handle -> string
@@ -138,9 +153,6 @@ end
 module Kv : sig
   type handle = Epoch_sys.pblk
 
-  exception Memo of (string * string)
-  exception Memo_value of string
-
   val pnew : Epoch_sys.t -> tid:int -> string * string -> handle
   val get : Epoch_sys.t -> tid:int -> handle -> string * string
   val get_unsafe : Epoch_sys.t -> handle -> string * string
@@ -148,16 +160,12 @@ module Kv : sig
   val pdelete : Epoch_sys.t -> tid:int -> handle -> unit
 
   (** The value of a [(key, value)] payload without materializing the
-      key (value-only memo on warm handles).  The two memo shapes share
-      the handle's single slot without thrashing: [get_value] is
-      satisfied by either, and {!get} upgrades a value-only memo to the
-      full pair in place (reading only the key out of the warm
-      payload). *)
+      key ({!read} of {!Kv_content.decode_value}). *)
   val get_value : Epoch_sys.t -> tid:int -> handle -> string
 
   (** The value in place: a view of the payload's bytes after its
       [klen]-byte key, read straight from the region (see
-      {!View.of_payload}).  Nothing is copied or memoized. *)
+      {!View.of_payload}).  Nothing is copied. *)
   val value_view : Epoch_sys.t -> tid:int -> handle -> klen:int -> View.t
 
   (** The key alone, read with {!key_prefix_unsafe}: one NVM line when
@@ -168,8 +176,6 @@ end
 
 module Seq : sig
   type handle = Epoch_sys.pblk
-
-  exception Memo of (int * string)
 
   val pnew : Epoch_sys.t -> tid:int -> int * string -> handle
   val get : Epoch_sys.t -> tid:int -> handle -> int * string

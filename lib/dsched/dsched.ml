@@ -445,12 +445,24 @@ let explore_replay scenario tr =
     truncated = false;
   }
 
+(* Every attempt builds a fresh region, epoch system and structure,
+   most of which outlives a default-sized minor heap and is promoted
+   only to die at the attempt's end.  An exploration runs with a 32 MiB
+   minor heap (4M words), so an attempt's garbage dies young; the
+   caller's setting comes back on every exit. *)
+let explore_minor_heap_words = 4 * 1024 * 1024
+
 let explore mode scenario =
-  match mode with
-  | Exhaustive { preemptions; max_attempts; crashes } ->
-      explore_exhaustive scenario ~preemptions ~max_attempts ~crashes
-  | Pct { runs; seed; change_points } -> explore_pct scenario ~runs ~seed ~change_points
-  | Replay tr -> explore_replay scenario tr
+  let saved = Gc.get () in
+  Gc.set { saved with minor_heap_size = max saved.minor_heap_size explore_minor_heap_words };
+  Fun.protect
+    ~finally:(fun () -> Gc.set { (Gc.get ()) with minor_heap_size = saved.minor_heap_size })
+    (fun () ->
+      match mode with
+      | Exhaustive { preemptions; max_attempts; crashes } ->
+          explore_exhaustive scenario ~preemptions ~max_attempts ~crashes
+      | Pct { runs; seed; change_points } -> explore_pct scenario ~runs ~seed ~change_points
+      | Replay tr -> explore_replay scenario tr)
 
 (* ---- environment ---- *)
 

@@ -90,7 +90,9 @@ type mode =
           to completion past the end of the trace. *)
 
 (** Explore the scenario's schedule space.  Stops at the first failure
-    (shrinking it before reporting). *)
+    (shrinking it before reporting).  Runs with a minor heap of at
+    least 32 MiB, so an attempt's region and structure die young; the
+    caller's minor heap size is restored on return and on raise. *)
 val explore : mode -> 'a scenario -> report
 
 (** Exploration mode requested by the environment, for the CI legs:

@@ -39,10 +39,7 @@ type backend = {
          [put] loses updates under concurrency. *)
 }
 
-let string_of_fill f =
-  let b = Bytes.create f.len in
-  f.write b 0;
-  Bytes.unsafe_to_string b
+let string_of_fill f = Bytes.unsafe_to_string (Montage.Payload.bytes_of_fill f)
 
 let of_strings ~get ~put ~remove ~update =
   {

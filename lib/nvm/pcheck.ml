@@ -154,12 +154,6 @@ type t = {
   mutable violations : violation list;
   lints : (lint * string, int ref) Hashtbl.t;
   mutable lint_total : int;
-  (* write-back coalescing effectiveness, reported by the runtime's
-     dedup layer: persist-buffer records fed in, lines they covered
-     before the sorted-range merge, and lines actually flushed *)
-  mutable coalesce_ranges : int;
-  mutable coalesce_lines_in : int;
-  mutable coalesce_lines_out : int;
   (* event log *)
   log_events : bool;
   max_log : int;
@@ -193,9 +187,6 @@ let create ?(mode = Record) ?(log_events = false) ?(max_log = 1 lsl 16) ~capacit
     violations = [];
     lints = Hashtbl.create 64;
     lint_total = 0;
-    coalesce_ranges = 0;
-    coalesce_lines_in = 0;
-    coalesce_lines_out = 0;
     log_events;
     max_log;
     log = ref (Array.make (if log_events then 1024 else 0) Crash);
@@ -454,21 +445,6 @@ let on_epoch_advance t ~epoch =
 let on_linearize t ~epoch ~clock ~success =
   if success && clock <> epoch then violate t (Linearize_epoch_mismatch { epoch; clock })
 
-(* The runtime's coalescing layer merged [ranges] buffered records
-   covering [lines_in] lines into [lines_out] flushed lines. *)
-let on_coalesce t ~ranges ~lines_in ~lines_out =
-  Mutex.lock t.lock;
-  t.coalesce_ranges <- t.coalesce_ranges + ranges;
-  t.coalesce_lines_in <- t.coalesce_lines_in + lines_in;
-  t.coalesce_lines_out <- t.coalesce_lines_out + lines_out;
-  Mutex.unlock t.lock
-
-let coalesce_totals t =
-  Mutex.lock t.lock;
-  let r = (t.coalesce_ranges, t.coalesce_lines_in, t.coalesce_lines_out) in
-  Mutex.unlock t.lock;
-  r
-
 (* ---- declared contracts (PMTest-style isPersist assertion) ---- *)
 
 let expect_fenced t ~what ~off ~len =
@@ -514,12 +490,6 @@ let summary t =
   let vs = violations t in
   Buffer.add_string buf
     (Printf.sprintf "pcheck: %d violation(s), %d lint event(s)\n" (List.length vs) t.lint_total);
-  (let ranges, lines_in, lines_out = coalesce_totals t in
-   if ranges > 0 then
-     Buffer.add_string buf
-       (Printf.sprintf "  coalescing: %d ranges, %d lines -> %d flushed (dedup %.2fx)\n" ranges
-          lines_in lines_out
-          (if lines_out > 0 then float_of_int lines_in /. float_of_int lines_out else 1.0)));
   List.iter (fun v -> Buffer.add_string buf ("  VIOLATION " ^ violation_to_string v ^ "\n")) vs;
   List.iter
     (fun (kind, site, n) ->

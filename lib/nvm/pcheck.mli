@@ -87,14 +87,6 @@ val on_rewrite : t -> tid:int -> off:int -> len:int -> unit
 val on_epoch_advance : t -> epoch:int -> unit
 val on_linearize : t -> epoch:int -> clock:int -> success:bool -> unit
 
-(** The runtime's coalescing layer merged [ranges] buffered records
-    covering [lines_in] 64 B lines into [lines_out] flushed lines. *)
-val on_coalesce : t -> ranges:int -> lines_in:int -> lines_out:int -> unit
-
-(** Cumulative [(ranges, lines_in, lines_out)] reported via
-    {!on_coalesce}; the dedup ratio is [lines_in / lines_out]. *)
-val coalesce_totals : t -> int * int * int
-
 (** {1 Declared contracts} *)
 
 (** Assert that every line covering [off, off+len) has reached media

@@ -530,10 +530,7 @@ let writeback_lines_uncharged t ~tid ~first ~lines =
 let note_coalesced t ~tid ~ranges ~lines_in ~lines_out =
   Util.Padded.add t.stat_coalesce_ranges tid ranges;
   Util.Padded.add t.stat_coalesce_lines_in tid lines_in;
-  Util.Padded.add t.stat_coalesce_lines_out tid lines_out;
-  match t.checker with
-  | None -> ()
-  | Some c -> Pcheck.on_coalesce c ~ranges ~lines_in ~lines_out
+  Util.Padded.add t.stat_coalesce_lines_out tid lines_out
 
 let note_fence t ~tid =
   match t.checker with

@@ -17,55 +17,49 @@
 
 module E = Montage.Epoch_sys
 
+module View = Montage.Payload.View
+
+(* The payload codec: values are written straight into the payload and
+   decoded straight from it, each field copied once. *)
 module Codec = struct
-  let encode_vertex ~id ~attrs =
-    let b = Bytes.create (9 + String.length attrs) in
-    Bytes.set b 0 'V';
-    Bytes.set_int64_le b 1 (Int64.of_int id);
-    Bytes.blit_string attrs 0 b 9 (String.length attrs);
-    b
-
-  let encode_edge ~src ~dst ~attrs =
-    let b = Bytes.create (17 + String.length attrs) in
-    Bytes.set b 0 'E';
-    Bytes.set_int64_le b 1 (Int64.of_int src);
-    Bytes.set_int64_le b 9 (Int64.of_int dst);
-    Bytes.blit_string attrs 0 b 17 (String.length attrs);
-    b
-
-  type decoded =
+  type t =
     | Vertex of { id : int; attrs : string }
     | Edge of { src : int; dst : int; attrs : string }
 
-  let decode b =
-    match Bytes.get b 0 with
-    | 'V' ->
-        Vertex
-          {
-            id = Int64.to_int (Bytes.get_int64_le b 1);
-            attrs = Bytes.sub_string b 9 (Bytes.length b - 9);
-          }
+  let encode = function
+    | Vertex { id; attrs } ->
+        let n = String.length attrs in
+        {
+          Montage.Payload.len = 9 + n;
+          write =
+            (fun b at ->
+              Bytes.set b at 'V';
+              Bytes.set_int64_le b (at + 1) (Int64.of_int id);
+              Bytes.blit_string attrs 0 b (at + 9) n);
+        }
+    | Edge { src; dst; attrs } ->
+        let n = String.length attrs in
+        {
+          Montage.Payload.len = 17 + n;
+          write =
+            (fun b at ->
+              Bytes.set b at 'E';
+              Bytes.set_int64_le b (at + 1) (Int64.of_int src);
+              Bytes.set_int64_le b (at + 9) (Int64.of_int dst);
+              Bytes.blit_string attrs 0 b (at + 17) n);
+        }
+
+  let attrs_from v pos = View.sub_string v ~pos ~len:(View.length v - pos)
+
+  let decode v =
+    match View.get_char v 0 with
+    | 'V' -> Vertex { id = View.get_int64_le v 1; attrs = attrs_from v 9 }
     | 'E' ->
-        Edge
-          {
-            src = Int64.to_int (Bytes.get_int64_le b 1);
-            dst = Int64.to_int (Bytes.get_int64_le b 9);
-            attrs = Bytes.sub_string b 17 (Bytes.length b - 17);
-          }
+        Edge { src = View.get_int64_le v 1; dst = View.get_int64_le v 9; attrs = attrs_from v 17 }
     | c -> invalid_arg (Printf.sprintf "Mgraph.decode: bad tag %C" c)
 end
 
-(* Typed payload instance over the tagged codec: warm handles serve
-   attribute reads from their decoded memo without touching NVM. *)
-module Gp = Montage.Payload.Make (struct
-  type t = Codec.decoded
-
-  let encode = function
-    | Codec.Vertex { id; attrs } -> Codec.encode_vertex ~id ~attrs
-    | Codec.Edge { src; dst; attrs } -> Codec.encode_edge ~src ~dst ~attrs
-
-  let decode = Codec.decode
-end)
+module Gp = Montage.Payload.Make (Codec)
 
 type vertex = {
   id : int;

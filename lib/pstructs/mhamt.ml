@@ -21,6 +21,7 @@
 
 module E = Montage.Epoch_sys
 module Errors = Montage.Errors
+module PView = Montage.Payload.View
 
 (* ---- record payloads: (key, seq, value) / (key, seq, tombstone) ---- *)
 
@@ -39,22 +40,29 @@ module Rec_content = struct
   let encode (key, seq, value) =
     let klen = String.length key in
     let vlen = match value with None -> 0 | Some v -> String.length v in
-    let b = Bytes.create (key_at + klen + vlen) in
-    Bytes.set_int64_le b 0 (Int64.of_int seq);
-    Bytes.set b 8 (match value with None -> '\000' | Some _ -> '\001');
-    Bytes.set_int32_le b klen_at (Int32.of_int klen);
-    Bytes.blit_string key 0 b key_at klen;
-    (match value with None -> () | Some v -> Bytes.blit_string v 0 b (key_at + klen) vlen);
-    b
+    {
+      Montage.Payload.len = key_at + klen + vlen;
+      write =
+        (fun b at ->
+          Bytes.set_int64_le b at (Int64.of_int seq);
+          Bytes.set b (at + 8) (match value with None -> '\000' | Some _ -> '\001');
+          Bytes.set_int32_le b (at + klen_at) (Int32.of_int klen);
+          Bytes.blit_string key 0 b (at + key_at) klen;
+          match value with
+          | None -> ()
+          | Some v -> Bytes.blit_string v 0 b (at + key_at + klen) vlen);
+    }
 
-  let decode b =
-    let klen = Int32.to_int (Bytes.get_int32_le b klen_at) in
-    let key = Bytes.sub_string b key_at klen in
-    let value =
-      if is_live b then Some (Bytes.sub_string b (key_at + klen) (Bytes.length b - key_at - klen))
-      else None
-    in
-    (key, seq_of b, value)
+  (* The value alone, for reads whose trie entry already holds the key. *)
+  let value_of v =
+    if PView.get_char v 8 = '\000' then None
+    else
+      let off = key_at + PView.get_int32_le v klen_at in
+      Some (PView.sub_string v ~pos:off ~len:(PView.length v - off))
+
+  let decode v =
+    let klen = PView.get_int32_le v klen_at in
+    (PView.sub_string v ~pos:key_at ~len:klen, PView.get_int64_le v 0, value_of v)
 end
 
 module Rec = Montage.Payload.Make (Rec_content)
@@ -239,9 +247,9 @@ let version t = fst (Atomic.get t.state) [@@montage.allow "R2: read-only statist
 let hkey t key = t.hash key land hash_mask
 
 let value_of t ~tid e =
-  match Rec.get t.esys ~tid e.payload with
-  | _, _, Some v -> v
-  | _, _, None -> Errors.corrupt "Mhamt: tombstone record reached the trie"
+  match Montage.Payload.read t.esys ~tid e.payload Rec_content.value_of with
+  | Some v -> v
+  | None -> Errors.corrupt "Mhamt: tombstone record reached the trie"
 
 (* ---- retirement & reclamation ---- *)
 

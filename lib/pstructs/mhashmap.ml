@@ -169,7 +169,7 @@ let put_if_absent t ~tid key value =
 let modify t ~tid key f =
   write t ~tid ~tag:"mhashmap.update" key (fun n ->
       Option.map
-        (fun fill -> E.fill_bytes (Kv_content.encode_with key fill))
+        (fun fill -> E.fill_bytes (Montage.Payload.bytes_of_fill (Kv_content.fill key fill)))
         (f (Option.map (value_view t ~tid) n)))
 
 (* [modify] over strings; returns the previous value. *)

@@ -91,8 +91,9 @@ let get t ~tid key =
   match !node.forward.(0) with
   | Some next when String.equal next.key key -> (
       match next.payload with
-      (* value-only read: the node caches the key; a warm handle is
-         served from its memo without touching NVM *)
+      (* value-only read: the node caches the key; the value is
+         decoded straight from the region in one seqlock window, so
+         this lock-free read sees one whole version *)
       | Some p -> Some (Kv.get_value t.esys ~tid p)
       | None -> None)
   | _ -> None

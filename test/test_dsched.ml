@@ -64,6 +64,25 @@ let test_zero_preemptions_misses_lost_update () =
   let r = D.explore (exhaustive ~preemptions:0 ()) (racy_scenario 2) in
   Alcotest.(check bool) "no failure at bound 0" true (r.D.failure = None)
 
+(* An exploration sizes the minor heap for itself and gives the
+   caller's size back, also when the scenario raises out of it. *)
+let test_explore_restores_minor_heap () =
+  let before = (Gc.get ()).Gc.minor_heap_size in
+  let seen = ref 0 in
+  let init () =
+    seen := (Gc.get ()).Gc.minor_heap_size;
+    { v = 0 }
+  in
+  let probe = { (atomic_scenario 2) with D.init } in
+  ignore (D.explore (exhaustive ()) probe);
+  Alcotest.(check bool) "explored with a larger minor heap" true (!seen > before);
+  Alcotest.(check int) "restored on return" before (Gc.get ()).Gc.minor_heap_size;
+  let raising = { probe with D.init = (fun () -> raise Exit) } in
+  (match D.explore (exhaustive ()) raising with
+  | _ -> Alcotest.fail "init's raise was lost"
+  | exception Exit -> ());
+  Alcotest.(check int) "restored on raise" before (Gc.get ()).Gc.minor_heap_size
+
 let test_exploration_deterministic () =
   let run () = D.explore (exhaustive ()) (racy_scenario 2) in
   let a = run () and b = run () in
@@ -962,6 +981,8 @@ let () =
           Alcotest.test_case "preemption bound 0 misses it" `Quick
             test_zero_preemptions_misses_lost_update;
           Alcotest.test_case "exploration is deterministic" `Quick test_exploration_deterministic;
+          Alcotest.test_case "explore restores the minor heap" `Quick
+            test_explore_restores_minor_heap;
           Alcotest.test_case "shrunk trace replays" `Quick test_shrunk_trace_replays;
           Alcotest.test_case "deadlock detected" `Quick test_deadlock_detected;
           Alcotest.test_case "fiber exception reported" `Quick test_fiber_exception_is_failure;

@@ -1,10 +1,10 @@
 (* Warm handles: unit coverage of the DRAM read-cache model (warm hits
    charge no media, stay warm across pset, carry over across copying
    updates, cool on pdelete, clock eviction under a byte budget,
-   oversized bypass, budget 0), the decoded-value memo layer
-   ([Payload.Str]/[Payload.Kv]), coherence under Pcheck [Enforce] with
-   racing mutators and under lock-free readers racing in-place stores
-   (the content seqlock), a QCheck property driving random op mixes
+   oversized bypass, budget 0), typed reads after a set, coherence
+   under Pcheck [Enforce] with racing mutators and under lock-free
+   readers, raw and typed, racing in-place stores (the content
+   seqlock), a QCheck property driving random op mixes
    against a model, a [Pcheck.explore] crash matrix asserting recovery
    starts cold, and the allocation the request path keeps on the heap.
 
@@ -130,77 +130,15 @@ let test_mirror_off_is_inert () =
   Alcotest.(check int) "no mirror traffic at all" 0
     (st.E.hits + st.E.misses + st.E.evictions + st.E.resident_bytes)
 
-(* ---- the decoded-value memo ---- *)
+(* ---- typed reads ---- *)
 
-let test_memo_returns_same_boxed_value () =
-  let _, esys = make_esys () in
-  let h = E.with_op esys ~tid:0 (fun () -> Payload.Str.pnew esys ~tid:0 "shared") in
-  let a = Payload.Str.get esys ~tid:0 h in
-  let b = Payload.Str.get esys ~tid:0 h in
-  Alcotest.(check string) "value" "shared" a;
-  Alcotest.(check bool) "warm gets return the same boxed string" true (a == b)
-
-let test_memo_invalidated_by_set () =
+let test_get_after_set () =
   let _, esys = make_esys () in
   E.with_op esys ~tid:0 (fun () ->
       let h = Payload.Str.pnew esys ~tid:0 "old" in
       let h' = Payload.Str.set esys ~tid:0 h "new" in
-      Alcotest.(check string) "memo follows the mutation" "new" (Payload.Str.get esys ~tid:0 h'))
-
-let test_kv_value_only_memo () =
-  let _, esys = make_esys () in
-  let h = E.with_op esys ~tid:0 (fun () -> Payload.Kv.pnew esys ~tid:0 ("key", "value")) in
-  Alcotest.(check string) "value without the key" "value" (Payload.Kv.get_value esys ~tid:0 h);
-  (* full-pair read after a value-only read: both memo shapes coexist *)
-  let k, v = Payload.Kv.get esys ~tid:0 h in
-  Alcotest.(check string) "key" "key" k;
-  Alcotest.(check string) "value" "value" v;
-  Alcotest.(check string) "value-only again" "value" (Payload.Kv.get_value esys ~tid:0 h)
-
-(* Regression: the stale-memo race.  A lock-free reader takes the
-   generation and decodes the old bytes, an in-place pset then stores
-   new bytes, and the reader's trailing publish arrives last —
-   [memo_store]'s generation check (no store may have started since
-   the reader's [gen]) must drop it, or the old decoded value would be
-   served warm forever over current bytes (invisible to the checker). *)
-let test_memo_store_rejects_stale_src () =
-  let _, esys = make_esys () in
-  E.with_op esys ~tid:0 (fun () ->
-      let h = Payload.Str.pnew esys ~tid:0 "old" in
-      (* the reader's decode starts from the generation before the pset *)
-      let gen = E.generation h in
-      let h' = Payload.Str.set esys ~tid:0 h "new" in
-      Alcotest.(check bool) "same-epoch pset is in place" true (h == h');
-      (* the reader loses the race and publishes its stale decode *)
-      E.memo_store esys h ~gen (Payload.Str.Memo "old");
-      Alcotest.(check string) "stale publish dropped, not served" "new"
-        (Payload.Str.get esys ~tid:0 h))
-
-(* A full-pair [Kv.get] over a value-only memo upgrades the slot in
-   place, reusing the memoized value string (physical equality) instead
-   of re-decoding, and later value-only reads hit the upgraded pair. *)
-let test_kv_memo_upgrade_reuses_value () =
-  let _, esys = make_esys () in
-  let h = E.with_op esys ~tid:0 (fun () -> E.pnew esys ~tid:0 (Payload.Kv_content.encode ("key", "value"))) in
-  let v1 = Payload.Kv.get_value esys ~tid:0 h in
-  let k, v2 = Payload.Kv.get esys ~tid:0 h in
-  Alcotest.(check string) "key" "key" k;
-  Alcotest.(check bool) "upgrade reuses the memoized value string" true (v1 == v2);
-  Alcotest.(check bool) "later value-only reads hit the pair" true
-    (Payload.Kv.get_value esys ~tid:0 h == v2)
-
-let test_memo_dies_with_eviction () =
-  let cfg = { on_cfg with Cfg.mirror_max_bytes = 64 } in
-  let _, esys = make_esys ~cfg () in
-  let h = E.with_op esys ~tid:0 (fun () -> Payload.Str.pnew esys ~tid:0 "first") in
-  (* fill past the budget so [h]'s mirror (and with it the memo) is evicted *)
-  for i = 0 to 7 do
-    ignore
-      (E.with_op esys ~tid:0 (fun () ->
-           Payload.Str.pnew esys ~tid:0 (Printf.sprintf "filler-%02d" i)))
-  done;
-  Alcotest.(check string) "evicted handle re-decodes from media" "first"
-    (Payload.Str.get esys ~tid:0 h)
+      Alcotest.(check string) "the read follows the mutation" "new"
+        (Payload.Str.get esys ~tid:0 h'))
 
 (* ---- coherence under Enforce ---- *)
 
@@ -241,47 +179,71 @@ let test_concurrent_coherence_under_enforce () =
   Alcotest.(check bool) "the race actually exercised warm reads" true (st.E.hits > 0)
 
 (* Lock-free readers against in-place stores: one domain keeps
-   rewriting a payload in place (one epoch, so every pset is in place)
-   with uniform contents of changing lengths (4 KiB and up, so a copy
-   takes long enough to overlap a store), while two domains read it
-   without any lock.  Every read must be one whole version: a single
-   repeated letter at one of the stored lengths.  Without the content
-   seqlock a reader copies across a store and sees two letters, or a
-   length that was never stored. *)
+   rewriting a [(key, value)] payload in place (one epoch, so every
+   pset is in place) with uniform contents of changing lengths (values
+   of 4 KiB and up, so a copy takes long enough to overlap a store),
+   while three domains read it without any lock: a raw copy, a raw copy
+   without the old-sees-new check, and a typed [Payload.Kv.get] that
+   decodes straight from the region.  Every read must be one whole
+   version: a single repeated letter in key and value, at lengths that
+   were stored.  Without the content seqlock's recheck a reader copies
+   across a store and sees two letters, or lengths that were never
+   stored. *)
 let test_lock_free_readers_see_whole_versions () =
   let _, esys = make_esys ~cfg:{ on_cfg with Cfg.pcheck = Cfg.Pcheck_off } () in
-  let version i = Bytes.make (4096 + (97 * (i mod 7))) (Char.chr (97 + (i mod 26))) in
-  let h = E.with_op esys ~tid:0 (fun () -> E.pnew esys ~tid:0 (version 6)) in
-  let stop = Atomic.make false in
+  let version i =
+    let c = Char.chr (97 + (i mod 26)) in
+    (String.make (1 + (i mod 5)) c, String.make (4096 + (97 * (i mod 7))) c)
+  in
+  let whole_pair (k, v) =
+    let kn = String.length k and vn = String.length v in
+    kn >= 1 && kn <= 5 && vn >= 4096
+    && (vn - 4096) mod 97 = 0
+    && String.for_all (fun c -> c = v.[0]) v
+    && String.for_all (fun c -> c = v.[0]) k
+  in
   let whole b =
     let n = Bytes.length b in
-    n >= 4096 && (n - 4096) mod 97 = 0 && Bytes.for_all (fun c -> c = Bytes.get b 0) b
+    n >= 4
+    &&
+    let kn = Int32.to_int (Bytes.get_int32_le b 0) in
+    kn >= 0
+    && 4 + kn <= n
+    && whole_pair (Bytes.sub_string b 4 kn, Bytes.sub_string b (4 + kn) (n - 4 - kn))
   in
+  (* version 34 is the longest (i mod 5 = 4, i mod 7 = 6): every later
+     store fits its block, so each one is in place *)
+  let h = E.with_op esys ~tid:0 (fun () -> Payload.Kv.pnew esys ~tid:0 (version 34)) in
+  let stop = Atomic.make false in
   let readers =
-    Array.init 2 (fun i ->
-        let tid = i + 1 in
-        Domain.spawn (fun () ->
-            let torn = ref 0 and reads = ref 0 in
-            while not (Atomic.get stop) do
-              let b = if tid = 1 then E.pget esys ~tid h else E.pget_unsafe esys h in
-              incr reads;
-              if not (whole b) then incr torn
-            done;
-            (!torn, !reads)))
+    [ ("pget", fun tid -> whole (E.pget esys ~tid h));
+      ("pget_unsafe", fun _ -> whole (E.pget_unsafe esys h));
+      ("Kv.get", fun tid -> whole_pair (Payload.Kv.get esys ~tid h)) ]
+    |> List.mapi (fun i (name, read_whole) ->
+           let tid = i + 1 in
+           ( name,
+             Domain.spawn (fun () ->
+                 let torn = ref 0 and reads = ref 0 in
+                 while not (Atomic.get stop) do
+                   incr reads;
+                   if not (read_whole tid) then incr torn
+                 done;
+                 (!torn, !reads)) ))
   in
   E.with_op esys ~tid:0 (fun () ->
       for i = 1 to 20_000 do
-        ignore (E.pset esys ~tid:0 h (version i))
+        ignore (Payload.Kv.set esys ~tid:0 h (version i))
       done);
   Atomic.set stop true;
-  Array.iter
-    (fun d ->
+  List.iter
+    (fun (name, d) ->
       let torn, reads = Domain.join d in
-      Alcotest.(check bool) "readers ran" true (reads > 0);
-      Alcotest.(check int) "no torn read" 0 torn)
+      Alcotest.(check bool) (name ^ " ran") true (reads > 0);
+      Alcotest.(check int) (name ^ ": no torn read") 0 torn)
     readers;
-  Alcotest.(check bool) "ended even" true (E.generation h land 1 = 0);
-  Alcotest.(check bool) "final version" true (Bytes.equal (E.pget esys ~tid:0 h) (version 20_000))
+  Alcotest.(check bool) "ended even" true (Atomic.get h.E.gen land 1 = 0);
+  Alcotest.(check (pair string string)) "final version" (version 20_000)
+    (Payload.Kv.get esys ~tid:0 h)
 
 (* Random op mixes against a model map, epoch boundaries sprinkled in
    so copying psets and anti-payload paths are on the table; the
@@ -404,9 +366,7 @@ let rebuild_cold region esys payloads =
   let lines = (R.stats region).R.lines_read - before in
   Alcotest.(check int) "nothing resident after the rebuild" 0 (E.mirror_stats esys).E.resident_bytes;
   Array.iter
-    (fun (p : E.pblk) ->
-      if p.mslot >= 0 then Alcotest.failf "uid %d is warm" p.uid;
-      match p.memo with E.No_memo -> () | _ -> Alcotest.failf "uid %d has a memo" p.uid)
+    (fun (p : E.pblk) -> if p.mslot >= 0 then Alcotest.failf "uid %d is warm" p.uid)
     payloads;
   (m, lines)
 
@@ -475,7 +435,7 @@ let test_raising_fill_closes_window () =
   (match E.with_op esys ~tid:0 (fun () -> E.pset_fill esys ~tid:0 h failing) with
   | _ -> Alcotest.fail "the fill's exception was swallowed"
   | exception Exit -> ());
-  Alcotest.(check bool) "generation even" true (E.generation h land 1 = 0);
+  Alcotest.(check bool) "generation even" true (Atomic.get h.E.gen land 1 = 0);
   Alcotest.(check int) "readable" 64 (Bytes.length (E.pget esys ~tid:0 h))
 
 (* ---- allocation on the request path ---- *)
@@ -515,6 +475,35 @@ let test_in_place_sets_promote_nothing () =
   if per_set > 8.0 then Alcotest.failf "%.1f promoted words per set (at most 8)" per_set;
   Alcotest.(check (option string)) "the sets landed" (Some (Bytes.to_string data))
     (Kvstore.Store.get store ~tid:0 keys.(17))
+
+(* A typed set of a warm key in its own epoch stores its fill in
+   place, and a typed read copies out of the region into a value the
+   caller owns: nothing the set or the read allocates stays reachable
+   from the handle, so a minor collection after 2,000 [Mskiplist.put]s
+   of fresh 1 KiB values (each also decoding the value it replaces)
+   promotes next to nothing.  A decoded value kept on the handle would
+   promote the whole value, about 130 words, per put. *)
+let test_typed_sets_promote_nothing () =
+  let n = 2000 in
+  let cfg = { on_cfg with Cfg.pcheck = Cfg.Pcheck_off; mirror_max_bytes = 1 lsl 26 } in
+  let region = R.create ~latency:Nvm.Latency.zero ~max_threads:8 ~capacity:(1 lsl 24) () in
+  let esys = E.create ~config:cfg region in
+  let m = Pstructs.Mskiplist.create esys in
+  let keys = Array.init n (Printf.sprintf "key-%06d") in
+  Array.iter (fun k -> ignore (Pstructs.Mskiplist.put m ~tid:0 k (String.make 1024 'v'))) keys;
+  let epoch = E.current_epoch esys in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  Array.iteri
+    (fun i k ->
+      ignore (Pstructs.Mskiplist.put m ~tid:0 k (String.make 1024 (Char.chr (97 + (i mod 26))))))
+    keys;
+  Gc.minor ();
+  let per_put = ((Gc.quick_stat ()).Gc.promoted_words -. before) /. float_of_int n in
+  Alcotest.(check int) "one epoch: every set was in place" epoch (E.current_epoch esys);
+  if per_put > 8.0 then Alcotest.failf "%.1f promoted words per put (at most 8)" per_put;
+  Alcotest.(check (option string)) "the puts landed" (Some (String.make 1024 'r'))
+    (Pstructs.Mskiplist.get m ~tid:0 keys.(17))
 
 (* A warm GET through the wire protocol copies the value once, from
    the region straight into the reply buffer: it allocates fewer minor
@@ -558,14 +547,7 @@ let () =
         ] );
       ( "decoded-value memo",
         [
-          Alcotest.test_case "same boxed value" `Quick test_memo_returns_same_boxed_value;
-          Alcotest.test_case "invalidated by set" `Quick test_memo_invalidated_by_set;
-          Alcotest.test_case "kv value-only memo" `Quick test_kv_value_only_memo;
-          Alcotest.test_case "stale memo publish rejected" `Quick
-            test_memo_store_rejects_stale_src;
-          Alcotest.test_case "kv memo upgrade reuses value" `Quick
-            test_kv_memo_upgrade_reuses_value;
-          Alcotest.test_case "memo dies with eviction" `Quick test_memo_dies_with_eviction;
+          Alcotest.test_case "invalidated by set" `Quick test_get_after_set;
         ] );
       ( "coherence",
         [
@@ -582,6 +564,7 @@ let () =
           Alcotest.test_case "in-place sets promote nothing" `Quick
             test_in_place_sets_promote_nothing;
           Alcotest.test_case "warm get copies once" `Quick test_warm_get_copies_once;
+          Alcotest.test_case "typed sets promote nothing" `Quick test_typed_sets_promote_nothing;
         ] );
       ( "crash matrix",
         [ Alcotest.test_case "recovery is cold" `Quick test_crash_matrix_recovery_is_cold ] );

@@ -677,7 +677,7 @@ let qcheck_mhamt_key_only =
           let best = Hashtbl.create 16 in
           Array.iter
             (fun p ->
-              let k, s, v = Pstructs.Mhamt.Rec_content.decode (E.pget_unsafe esys p) in
+              let k, s, v = Montage.Payload.read_unsafe esys p Pstructs.Mhamt.Rec_content.decode in
               match Hashtbl.find_opt best k with
               | Some (s0, _) when s0 >= s -> ()
               | _ -> Hashtbl.replace best k (s, v))

@@ -212,11 +212,16 @@ let test_hdr_type_mutation () =
 
 (* ---- typed payload codecs ---- *)
 
+(* Encode to a fill, lay it out, decode from a view of the bytes. *)
+let roundtrip (type a) (module C : P.CONTENT with type t = a) (x : a) =
+  let b = P.bytes_of_fill (C.encode x) in
+  C.decode (P.View.of_bytes b ~off:0 ~len:(Bytes.length b))
+
 let test_kv_codec () =
   let cases = [ ("", ""); ("k", "v"); ("key-with-:", String.make 1000 'x'); ("a", "") ] in
   List.iter
     (fun (k, v) ->
-      let k', v' = P.Kv_content.decode (P.Kv_content.encode (k, v)) in
+      let k', v' = roundtrip (module P.Kv_content) (k, v) in
       Alcotest.(check string) "key" k k';
       Alcotest.(check string) "value" v v')
     cases
@@ -224,7 +229,7 @@ let test_kv_codec () =
 let test_seq_codec () =
   List.iter
     (fun (n, s) ->
-      let n', s' = P.Seq_content.decode (P.Seq_content.encode (n, s)) in
+      let n', s' = roundtrip (module P.Seq_content) (n, s) in
       Alcotest.(check int) "seq" n n';
       Alcotest.(check string) "payload" s s')
     [ (0, ""); (1, "x"); (max_int / 2, String.make 100 'q') ]
@@ -232,7 +237,7 @@ let test_seq_codec () =
 let qcheck_kv_codec_roundtrip =
   QCheck.Test.make ~name:"kv codec roundtrips arbitrary strings" ~count:200
     QCheck.(pair string string)
-    (fun (k, v) -> P.Kv_content.decode (P.Kv_content.encode (k, v)) = (k, v))
+    (fun (k, v) -> roundtrip (module P.Kv_content) (k, v) = (k, v))
 
 let () =
   Alcotest.run "runtime"
