@@ -541,7 +541,7 @@ let ablations () =
         fun threads ->
           Systems.montage_map_of ~capacity ~threads (fun esys ->
               let m = Pstructs.Mskiplist.create esys in
-              Pstructs.Mskiplist.(get m, put m, remove m)) );
+              Pstructs.Mskiplist.(get m, set m, remove m)) );
     ]
   in
   ops_table thread_columns

@@ -274,7 +274,7 @@ let montage_t_map ~capacity ~threads ~buckets () =
 let mhamt_map ~capacity ~threads () =
   montage_map_of ~capacity ~threads (fun esys ->
       let m = Pstructs.Mhamt.create esys in
-      Pstructs.Mhamt.(get m, put m, remove m))
+      Pstructs.Mhamt.(get m, set m, remove m))
 
 (* Scan-while-writing instances: [zscan] performs one consistent full
    scan of the structure and returns the number of bindings it saw.
@@ -290,7 +290,7 @@ let mhamt_scan ~capacity ~threads () =
   let esys, r = montage ~capacity ~threads () in
   let m = Pstructs.Mhamt.create esys in
   {
-    zput = (fun ~tid k v -> ignore (Pstructs.Mhamt.put m ~tid k v));
+    zput = Pstructs.Mhamt.set m;
     zscan =
       (fun ~tid ->
         let v = Pstructs.Mhamt.snapshot m in

@@ -553,13 +553,17 @@ let netsmoke smoke_backend =
   Printf.printf "netsmoke: %s backend\n%!"
     (match smoke_backend with `Mhamt -> "mhamt" | `Mhashmap -> "montage");
   let port = Netserve.port t in
-  (* 1. byte-exact pipelined session on one connection *)
+  (* 1. byte-exact pipelined session on one connection; an upper-case
+     verb, a run of spaces and a 0x number take the framer's slow cases
+     over the socket *)
   let fd = Client.connect port in
   Client.send fd
-    "set a 5 0 3\r\nfoo\r\nget a\r\nset n 0 0 1\r\n7\r\nincr n 3\r\nadd a 0 0 1\r\nx\r\ndelete missing\r\nget a n\r\n";
+    "set a 5 0 3\r\nfoo\r\nget a\r\nset n 0 0 1\r\n7\r\nincr n 3\r\nadd a 0 0 1\r\nx\r\ndelete missing\r\nget a n\r\n\
+     GET a\r\nset  d  0  0  2\r\nhi\r\nset h 0x1f 0 2\r\nxy\r\nget d h\r\n";
   let expected =
     "STORED\r\nVALUE a 5 3\r\nfoo\r\nEND\r\nSTORED\r\n10\r\nNOT_STORED\r\nNOT_FOUND\r\n\
-     VALUE a 5 3\r\nfoo\r\nVALUE n 0 2\r\n10\r\nEND\r\n"
+     VALUE a 5 3\r\nfoo\r\nVALUE n 0 2\r\n10\r\nEND\r\nVALUE a 5 3\r\nfoo\r\nEND\r\nSTORED\r\n\
+     STORED\r\nVALUE d 0 2\r\nhi\r\nVALUE h 31 2\r\nxy\r\nEND\r\n"
   in
   let got = Client.recv_exact fd (String.length expected) in
   check "pipelined session byte-exact" (got = expected);

@@ -8,17 +8,16 @@ type t = {
 }
 
 (* FNV-1a, 64-bit.  Unsigned comparison below makes the full circle
-   usable even though OCaml int64 is signed. *)
+   usable even though OCaml int64 is signed.  The accumulator is a
+   local the compiler keeps unboxed: only the result is boxed. *)
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
 let fnv1a_64 s =
   let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) fnv_prime
+  done;
   !h
 
 let point_of ~id ~vnode = fnv1a_64 (Printf.sprintf "shard-%d-%d" id vnode)

@@ -20,6 +20,11 @@ val create : ?vnodes:int -> int list -> t
 val vnodes : t -> int
 val shards : t -> int list
 
+(** The 64-bit FNV-1a hash that places keys and vnode points on the
+    circle.  Shard heap images depend on key placement, so its values
+    never change. *)
+val fnv1a_64 : string -> int64
+
 (** Owning shard id for a key.  Raises [Invalid_argument] on an empty
     ring. *)
 val lookup : t -> string -> int

@@ -150,7 +150,8 @@ and slot = {
   s_conn : peer Core.conn;
   s_client : client;
   s_kind : slot_kind;
-  s_parts : string array;
+  mutable s_reply : string;  (* a [Verbatim] slot's reply *)
+  s_parts : string array;  (* the other kinds' replies, one per part *)
   mutable s_left : int;
   mutable s_failed : bool;  (* a part's shard is Down *)
   mutable s_error : string option;  (* the first error unit a shard answered *)
@@ -276,7 +277,7 @@ let run t =
     end
     else
       match (s.s_kind, s.s_error) with
-      | Verbatim, _ -> s.s_parts.(0)
+      | Verbatim, _ -> s.s_reply
       | _, Some e -> e (* a shard's own error unit passes through *)
       | Multiget order, None ->
           (* each part answers its shard's keys in request order; walk
@@ -298,25 +299,23 @@ let run t =
       | Stats_merge, None -> merge_stats s.s_parts
       | Flushall, None -> "OK\r\n"
   in
-  let release_ready c cl =
-    let rec go () =
-      match Queue.peek_opt cl.pending with
-      | Some s when s.s_left = 0 ->
-          ignore (Queue.pop cl.pending);
-          Core.send c (assemble s);
-          go ()
-      | _ -> ()
-    in
-    go ()
+  let rec release_ready c cl =
+    if (not (Queue.is_empty cl.pending)) && (Queue.peek cl.pending).s_left = 0 then begin
+      Core.send c (assemble (Queue.pop cl.pending));
+      release_ready c cl
+    end
   in
-  let new_slot c cl kind parts =
+  (* a slot awaiting [left] parts; [parts] holds them unless it is
+     [Verbatim] *)
+  let new_slot c cl kind parts left =
     let s =
       {
         s_conn = c;
         s_client = cl;
         s_kind = kind;
+        s_reply = "";
         s_parts = parts;
-        s_left = Array.length parts;
+        s_left = left;
         s_failed = false;
         s_error = None;
       }
@@ -333,8 +332,7 @@ let run t =
     part_done s
   in
   let local_reply c cl reply =
-    let s = new_slot c cl Verbatim [| reply |] in
-    s.s_left <- 0;
+    (new_slot c cl Verbatim [||] 0).s_reply <- reply;
     release_ready c cl
   in
 
@@ -366,69 +364,100 @@ let run t =
     Core.send c "version\r\n";
     Queue.push Probe u.u_inflight
   in
-  let on_unit c u unit_bytes (r : C.unit_result) =
-    match Queue.take_opt u.u_inflight with
-    | None -> Core.close c "unsolicited reply"
-    | Some Probe -> if u.u_state = Probing then mark_up u
-    | Some (Part (s, idx)) ->
-        s.s_parts.(idx) <- unit_bytes;
-        if C.is_err r && s.s_error = None then s.s_error <- Some unit_bytes;
-        part_done s
+  (* A unit answering the one part of a live [Verbatim] slot at the
+     head of its client's queue is the client's next reply as it
+     stands: it goes straight from the shard's input buffer to the
+     client's output buffer.  Any other unit is copied and kept until
+     its slot is released. *)
+  let direct s =
+    match s.s_kind with
+    | Verbatim -> (not s.s_failed) && Queue.peek s.s_client.pending == s
+    | _ -> false
+  in
+  let on_unit c u (inb : Core.buf) n (r : C.unit_result) =
+    if Queue.is_empty u.u_inflight then begin
+      Core.consume inb n;
+      Core.close c "unsolicited reply"
+    end
+    else
+      match Queue.take u.u_inflight with
+      | Probe ->
+          Core.consume inb n;
+          if u.u_state = Probing then mark_up u
+      | Part (s, _) when direct s ->
+          ignore (Queue.pop s.s_client.pending);
+          Core.send_sub s.s_conn inb.bytes inb.pos n;
+          Core.consume inb n;
+          release_ready s.s_conn s.s_client
+      | Part (s, idx) ->
+          let unit_bytes = Bytes.sub_string inb.bytes inb.pos n in
+          Core.consume inb n;
+          (match s.s_kind with
+          | Verbatim -> s.s_reply <- unit_bytes
+          | _ -> s.s_parts.(idx) <- unit_bytes);
+          if C.is_err r && s.s_error = None then s.s_error <- Some unit_bytes;
+          part_done s
   in
   let upstream_input c u =
     let inb = Core.inbuf c in
     let continue = ref true in
     while !continue && Core.alive c do
       match C.next_unit u.u_dec inb.bytes ~pos:inb.pos ~len:(Core.pending inb) with
-      | Some (endp, r) ->
-          let unit_bytes = Bytes.sub_string inb.bytes inb.pos (endp - inb.pos) in
-          Core.consume inb (endp - inb.pos);
-          on_unit c u unit_bytes r
+      | Some (endp, r) -> on_unit c u inb (endp - inb.pos) r
       | None -> continue := false
     done
   in
 
   (* -- request dispatch: the frames come from the shards' own framer -- *)
-  let send_part u buf off len expect =
+  let send u buf off len =
     match (u.u_state, u.u_conn) with
     | Up, Some c ->
         Core.send_sub c buf off len;
-        Option.iter (fun (s, idx) -> Queue.push (Part (s, idx)) u.u_inflight) expect
-    | _ -> Option.iter (fun (s, _) -> fail_part s) expect
+        true
+    | _ -> false
+  in
+  (* part [idx] of slot [s] *)
+  let send_part u buf off len s idx =
+    if send u buf off len then Queue.push (Part (s, idx)) u.u_inflight else fail_part s
   in
   let owner key = Hashtbl.find up_by_id (Ring.lookup t.ring key) in
   let forward c cl key buf (f : P.frame) ~noreply =
-    let expect = if noreply then None else Some (new_slot c cl Verbatim [| "" |], 0) in
-    send_part (owner key) buf f.off f.len expect
+    if noreply then ignore (send (owner key) buf f.off f.len)
+    else send_part (owner key) buf f.off f.len (new_slot c cl Verbatim [||] 1) 0
   in
   let route_get c cl buf (f : P.frame) ~cas keys =
-    let owned = List.map (fun k -> (k, owner k)) keys in
-    (* owning shards in first-appearance order, one part each *)
-    let shards =
-      List.fold_left (fun acc (_, u) -> if List.memq u acc then acc else acc @ [ u ]) [] owned
-      |> Array.of_list
-    in
-    if Array.length shards = 1 then forward c cl (List.hd keys) buf f ~noreply:false
-    else begin
-      let part u = Option.get (Array.find_index (( == ) u) shards) in
-      let order = List.map (fun (k, u) -> (k, part u)) owned in
-      let s = new_slot c cl (Multiget order) (Array.make (Array.length shards) "") in
-      Array.iteri
-        (fun i u ->
-          let ks = List.filter_map (fun (k, j) -> if j = i then Some k else None) order in
-          let b = Buffer.create 64 in
-          (if cas then C.encode_gets else C.encode_get) b ks;
-          send_part u (Buffer.to_bytes b) 0 (Buffer.length b) (Some (s, i)))
-        shards
-    end
+    match keys with
+    | [ key ] -> forward c cl key buf f ~noreply:false
+    | _ ->
+        let owned = List.map (fun k -> (k, owner k)) keys in
+        (* owning shards in first-appearance order, one part each *)
+        let shards =
+          List.fold_left (fun acc (_, u) -> if List.memq u acc then acc else acc @ [ u ]) [] owned
+          |> Array.of_list
+        in
+        if Array.length shards = 1 then forward c cl (List.hd keys) buf f ~noreply:false
+        else begin
+          let part u = Option.get (Array.find_index (( == ) u) shards) in
+          let order = List.map (fun (k, u) -> (k, part u)) owned in
+          let parts = Array.length shards in
+          let s = new_slot c cl (Multiget order) (Array.make parts "") parts in
+          Array.iteri
+            (fun i u ->
+              let ks = List.filter_map (fun (k, j) -> if j = i then Some k else None) order in
+              let b = Buffer.create 64 in
+              (if cas then C.encode_gets else C.encode_get) b ks;
+              send_part u (Buffer.to_bytes b) 0 (Buffer.length b) s i)
+            shards
+        end
   in
   let broadcast c cl buf (f : P.frame) kind ~noreply =
     let targets = List.filter (fun u -> u.u_state = Up) (Array.to_list ups) in
-    if noreply then List.iter (fun u -> send_part u buf f.off f.len None) targets
+    if noreply then List.iter (fun u -> ignore (send u buf f.off f.len)) targets
     else begin
-      let s = new_slot c cl kind (Array.make (List.length targets) "") in
+      let parts = List.length targets in
+      let s = new_slot c cl kind (Array.make parts "") parts in
       if targets = [] then release_ready c cl
-      else List.iteri (fun i u -> send_part u buf f.off f.len (Some (s, i))) targets
+      else List.iteri (fun i u -> send_part u buf f.off f.len s i) targets
     end
   in
   let dispatch c cl buf (f : P.frame) =

@@ -19,6 +19,10 @@
    and the shards behind it agree byte for byte on where requests end,
    which of them are malformed, and which expect a reply.
 
+   Command lines are parsed where they lie in the caller's buffer:
+   words are offsets, verbs and keywords are compared in place, and
+   only keys are copied out.
+
    Framing is amortized O(1) per byte: the framer remembers how far it
    has already looked for \r\n ([scanned], relative to the first
    unconsumed byte so callers may compact their buffers), so a data
@@ -65,190 +69,289 @@ type state =
 type framer = {
   mutable state : state;
   mutable scanned : int; (* no \r\n starts in the first [scanned] unconsumed bytes *)
+  mutable words : int array;
+      (* the line being parsed: word k is [words.(2k), words.(2k+1)) *)
   max_line : int;
   max_value : int;
 }
 
 let framer ?(max_line = 8192) ?(max_value = 1 lsl 20) () =
-  { state = Idle; scanned = 0; max_line; max_value }
+  { state = Idle; scanned = 0; words = Array.make 32 0; max_line; max_value }
 
-let closed fr = fr.state = Closed
+let closed fr = match fr.state with Closed -> true | _ -> false
 
 let crlf = "\r\n"
-let line_too_long = "CLIENT_ERROR line too long"
-let bad_format = "CLIENT_ERROR bad command line format"
 
-(* ---- line parsing (no store access) ---- *)
+(* The framer's own answers, built once. *)
+let error = Answer (Some "ERROR")
+let too_long = Answer (Some "CLIENT_ERROR line too long")
+let malformed = Answer (Some "CLIENT_ERROR bad command line format")
+let bad_delta = Answer (Some "CLIENT_ERROR invalid numeric delta argument")
+let bad_exptime = Answer (Some "CLIENT_ERROR invalid exptime argument")
+let bad_delay = Answer (Some "CLIENT_ERROR invalid delay argument")
+let bad_chunk = Answer (Some "CLIENT_ERROR bad data chunk")
+let too_large = Answer (Some "CLIENT_ERROR object too large for cache")
+let silent = Answer None
 
-let split_words line = String.split_on_char ' ' line |> List.filter (( <> ) "")
-let int_arg s = int_of_string_opt s
+(* ---- bytes in place ----
 
-(* <key> <flags> <exptime> <bytes> [cas] [noreply] *)
-let parse_storage verb args =
-  match args with
-  | key :: flags :: exptime :: bytes :: rest -> (
-      match (int_arg flags, int_arg exptime, int_arg bytes) with
-      | Some flags, Some exptime, Some bytes when bytes >= 0 -> (
-          let op, rest =
-            match (verb, rest) with
-            | "cas", cas :: tail -> (Option.map (fun c -> Cas c) (int_arg cas), tail)
-            | "cas", [] -> (None, [])
-            | "set", _ -> (Some Set, rest)
-            | "add", _ -> (Some Add, rest)
-            | "replace", _ -> (Some Replace, rest)
-            | "append", _ -> (Some Append, rest)
-            | _ -> (Some Prepend, rest)
+   Command lines and reply lines are read where they lie in the
+   caller's buffer: words are offsets, verbs and keywords are compared
+   byte by byte, and numbers are read digit by digit.  Only keys (and
+   the rare number that is not plain digits) are copied out. *)
+
+(* [buf.[s + i, s + n)] equals [lit.[i, n)]; [fold] lowercases the
+   buffer's bytes first. *)
+let rec same_from ~fold buf s lit i n =
+  i = n
+  ||
+  let c = Bytes.unsafe_get buf (s + i) in
+  (if fold then Char.lowercase_ascii c else c) = String.unsafe_get lit i
+  && same_from ~fold buf s lit (i + 1) n
+
+let is_word buf s e lit = e - s = String.length lit && same_from ~fold:false buf s lit 0 (e - s)
+let is_verb buf s e lit = e - s = String.length lit && same_from ~fold:true buf s lit 0 (e - s)
+
+let has_prefix buf s e lit =
+  e - s >= String.length lit && same_from ~fold:false buf s lit 0 (String.length lit)
+
+exception Not_a_number
+
+(* [acc] extended by the decimal digits of [buf.[i, e)]; -1 at the
+   first byte that is not a digit. *)
+let rec digits buf i e acc =
+  if i = e then acc
+  else
+    match Bytes.unsafe_get buf i with
+    | '0' .. '9' as c -> digits buf (i + 1) e ((acc * 10) + Char.code c - 48)
+    | _ -> -1
+
+(* [int_of_string_opt]'s reading of [buf.[s, e)].  Up to 18 plain
+   digits cannot overflow and are read in place; anything else (a
+   sign, a 0x/0o/0b/0u prefix, an underscore, a longer number) goes
+   through [int_of_string_opt] on a copy.
+   @raise Not_a_number where [int_of_string_opt] answers [None]. *)
+let int_at buf s e =
+  let n = if e > s && e - s <= 18 then digits buf s e 0 else -1 in
+  if n >= 0 then n
+  else
+    match int_of_string_opt (Bytes.sub_string buf s (e - s)) with
+    | Some n -> n
+    | None -> raise_notrace Not_a_number
+
+(* ---- command lines (no store access) ---- *)
+
+(* Every verb, each as the one string its frames carry. *)
+let verbs =
+  [|
+    "get"; "set"; "gets"; "delete"; "add"; "replace"; "append"; "prepend"; "cas"; "incr"; "decr";
+    "touch"; "flush_all"; "stats"; "version"; "verbosity"; "quit";
+  |]
+
+let rec known_verb buf s e i =
+  if i = Array.length verbs then
+    (* unknown: answered ERROR, and reported under its lowercased self *)
+    String.init (e - s) (fun j -> Char.lowercase_ascii (Bytes.get buf (s + j)))
+  else if is_verb buf s e verbs.(i) then verbs.(i)
+  else known_verb buf s e (i + 1)
+
+let rec word_end buf j eol =
+  if j < eol && Bytes.unsafe_get buf j <> ' ' then word_end buf (j + 1) eol else j
+
+(* Split [buf.[i, eol)] at runs of spaces into [fr.words] from word
+   [n] on; returns the word count. *)
+let rec split fr buf i eol n =
+  if i >= eol then n
+  else if Bytes.unsafe_get buf i = ' ' then split fr buf (i + 1) eol n
+  else begin
+    let e = word_end buf i eol in
+    if (2 * n) + 1 >= Array.length fr.words then begin
+      let w = Array.make (2 * Array.length fr.words) 0 in
+      Array.blit fr.words 0 w 0 (Array.length fr.words);
+      fr.words <- w
+    end;
+    fr.words.(2 * n) <- i;
+    fr.words.((2 * n) + 1) <- e;
+    split fr buf e eol (n + 1)
+  end
+
+let w_start fr k = Array.unsafe_get fr.words (2 * k)
+let w_end fr k = Array.unsafe_get fr.words ((2 * k) + 1)
+let word fr buf k = Bytes.sub_string buf (w_start fr k) (w_end fr k - w_start fr k)
+let int_word fr buf k = int_at buf (w_start fr k) (w_end fr k)
+let noreply_word fr buf k = is_word buf (w_start fr k) (w_end fr k) "noreply"
+
+(* words [first, k] as a list *)
+let rec words_to fr buf first k acc =
+  if k < first then acc else words_to fr buf first (k - 1) (word fr buf k :: acc)
+
+(* Report the request that is the line [buf.[off, eol)] alone and
+   return where the next one starts. *)
+let emit fr f verb cmd off eol =
+  fr.scanned <- 0;
+  (match cmd with Quit -> fr.state <- Closed | _ -> ());
+  f { verb; cmd; off; len = eol + 2 - off };
+  eol + 2
+
+(* <verb> <key> <flags> <exptime> <bytes> [cas] [noreply], in [n]
+   words.  A well-formed line waits for its block (the request starts
+   at [off] still); an oversized block is refused and drained. *)
+let storage_line fr buf f verb off eol n =
+  let cas = verb = "cas" in
+  let last = if cas then 5 else 4 in
+  if n <= last || n > last + 2 || (n = last + 2 && not (noreply_word fr buf (last + 1))) then
+    emit fr f verb malformed off eol
+  else
+    match
+      ( int_word fr buf 2,
+        int_word fr buf 3,
+        int_word fr buf 4,
+        if cas then int_word fr buf 5 else 0 )
+    with
+    | exception Not_a_number -> emit fr f verb malformed off eol
+    | _, _, bytes, _ when bytes < 0 -> emit fr f verb malformed off eol
+    | flags, exptime, bytes, unique ->
+        let noreply = n = last + 2 in
+        if bytes > fr.max_value then begin
+          (* drain the announced block without buffering it *)
+          fr.state <- Discarding (bytes + 2);
+          emit fr f verb (if noreply then silent else too_large) off eol
+        end
+        else begin
+          let op =
+            match verb with
+            | "set" -> Set
+            | "add" -> Add
+            | "replace" -> Replace
+            | "append" -> Append
+            | "prepend" -> Prepend
+            | _ -> Cas unique
           in
-          let noreply = rest = [ "noreply" ] in
-          match op with
-          | Some op when rest = [] || noreply -> Some { op; key; flags; exptime; bytes; noreply }
-          | _ -> None)
-      | _ -> None)
-  | _ -> None
+          let p = { op; key = word fr buf 1; flags; exptime; bytes; noreply } in
+          fr.state <- Awaiting { verb; p; need = eol + 2 - off + bytes + 2 };
+          off
+        end
 
-type parsed =
-  | Complete of string * command
-  | Needs_block of string * pending
-  | Drop_block of string * string option * int
+(* The request a line of [n] words holds, verb (word 0) aside; storage
+   lines are {!storage_line}'s. *)
+let command fr buf verb n =
+  match verb with
+  | "get" when n >= 2 -> Get { cas = false; keys = words_to fr buf 1 (n - 1) [] }
+  | "gets" when n >= 2 -> Get { cas = true; keys = words_to fr buf 1 (n - 1) [] }
+  | "delete" when n = 2 -> Delete { key = word fr buf 1; noreply = false }
+  | "delete" when n = 3 && noreply_word fr buf 2 -> Delete { key = word fr buf 1; noreply = true }
+  | ("incr" | "decr") when n = 3 -> (
+      match int_word fr buf 2 with
+      | exception Not_a_number -> bad_delta
+      | d -> Arith { key = word fr buf 1; delta = (if verb = "decr" then -d else d) })
+  | "touch" when n = 3 -> (
+      match int_word fr buf 2 with
+      | exception Not_a_number -> bad_exptime
+      | exptime -> Touch { key = word fr buf 1; exptime })
+  | "flush_all" -> (
+      let noreply = n >= 2 && noreply_word fr buf (n - 1) in
+      match n - if noreply then 1 else 0 with
+      | 1 -> Flush_all { delay = None; noreply }
+      | 2 -> (
+          match int_word fr buf 1 with
+          | exception Not_a_number -> bad_delay
+          | d when d >= 0 -> Flush_all { delay = Some d; noreply }
+          | _ -> bad_delay)
+      | _ -> malformed)
+  | "stats" when n = 1 -> Stats
+  | "version" when n = 1 -> Version
+  | "verbosity" -> Verbosity { noreply = n >= 2 && noreply_word fr buf (n - 1) }
+  | "quit" when n = 1 -> Quit
+  | _ -> error
 
-let parse fr line =
-  match split_words line with
-  | [] -> Complete ("", Answer (Some "ERROR"))
-  | verb :: args -> (
-      let verb = String.lowercase_ascii verb in
-      let complete cmd = Complete (verb, cmd) in
-      let answer r = complete (Answer (Some r)) in
-      match (verb, args) with
-      | "get", (_ :: _ as keys) -> complete (Get { cas = false; keys })
-      | "gets", (_ :: _ as keys) -> complete (Get { cas = true; keys })
-      | ("set" | "add" | "replace" | "append" | "prepend" | "cas"), _ -> (
-          match parse_storage verb args with
-          | Some p when p.bytes > fr.max_value ->
-              (* drain the announced block without buffering it *)
-              Drop_block
-                ( verb,
-                  (if p.noreply then None else Some "CLIENT_ERROR object too large for cache"),
-                  p.bytes + 2 )
-          | Some p -> Needs_block (verb, p)
-          | None -> answer bad_format)
-      | "delete", [ key ] -> complete (Delete { key; noreply = false })
-      | "delete", [ key; "noreply" ] -> complete (Delete { key; noreply = true })
-      | ("incr" | "decr"), [ key; amount ] -> (
-          match int_arg amount with
-          | None -> answer "CLIENT_ERROR invalid numeric delta argument"
-          | Some d -> complete (Arith { key; delta = (if verb = "decr" then -d else d) }))
-      | "touch", [ key; exptime ] -> (
-          match int_arg exptime with
-          | None -> answer "CLIENT_ERROR invalid exptime argument"
-          | Some exptime -> complete (Touch { key; exptime }))
-      | "flush_all", args -> (
-          let args, noreply =
-            match List.rev args with
-            | "noreply" :: rest -> (List.rev rest, true)
-            | _ -> (args, false)
-          in
-          match args with
-          | [] -> complete (Flush_all { delay = None; noreply })
-          | [ d ] -> (
-              match int_arg d with
-              | Some d when d >= 0 -> complete (Flush_all { delay = Some d; noreply })
-              | _ -> answer "CLIENT_ERROR invalid delay argument")
-          | _ -> answer bad_format)
-      | "stats", [] -> complete Stats
-      | "version", [] -> complete Version
-      | "verbosity", args ->
-          complete (Verbosity { noreply = (match List.rev args with "noreply" :: _ -> true | _ -> false) })
-      | "quit", [] -> complete Quit
-      | _ -> answer "ERROR")
+(* Frame the command line [buf.[off, eol)] (its \r\n follows) and
+   return where the next request starts. *)
+let command_line fr buf f off eol =
+  let n = split fr buf off eol 0 in
+  if n = 0 then emit fr f "" error off eol
+  else
+    let verb = known_verb buf (w_start fr 0) (w_end fr 0) 0 in
+    match verb with
+    | "set" | "add" | "replace" | "append" | "prepend" | "cas" ->
+        storage_line fr buf f verb off eol n
+    | _ -> emit fr f verb (command fr buf verb n) off eol
 
 (* ---- the framer ---- *)
 
-(* First "\r\n" in [buf.[start + fr.scanned, stop)]; remembers the scan
-   frontier so a line split across calls is scanned once. *)
-let find_crlf fr buf start stop =
-  let i = ref (start + fr.scanned) in
-  let found = ref (-1) in
-  while !found < 0 && !i < stop - 1 do
-    if Bytes.unsafe_get buf !i = '\r' && Bytes.unsafe_get buf (!i + 1) = '\n' then found := !i
-    else incr i
-  done;
-  if !found < 0 then begin
-    (* everything up to the last byte (a possible lone \r) is clean *)
-    fr.scanned <- max 0 (stop - 1 - start);
-    None
-  end
-  else Some !found
+(* First "\r\n" at or after [i] whose \r lies before [last]; -1 if none. *)
+let rec crlf_from buf i last =
+  if i >= last then -1
+  else if Bytes.unsafe_get buf i = '\r' && Bytes.unsafe_get buf (i + 1) = '\n' then i
+  else crlf_from buf (i + 1) last
 
-let frames fr buf ~pos ~len f =
-  let start = ref pos and stop = pos + len in
-  let consume_to e =
-    start := e;
-    fr.scanned <- 0
-  in
-  let progressing = ref true in
-  while !progressing do
-    match fr.state with
-    | Closed -> progressing := false
-    | Idle -> (
-        match find_crlf fr buf !start stop with
-        | None ->
-            (* a line of L <= max_line bytes occupies at most
-               max_line + 1 bytes without its final \n, so anything
-               longer is already oversized *)
-            if stop - !start >= fr.max_line + 2 then begin
-              f { verb = ""; cmd = Answer (Some line_too_long); off = !start; len = 0 };
-              fr.state <- Skipping_line
-            end
-            else progressing := false
-        | Some eol -> (
-            let off = !start and flen = eol + 2 - !start in
-            if eol - off > fr.max_line then begin
-              consume_to (eol + 2);
-              f { verb = ""; cmd = Answer (Some line_too_long); off; len = flen }
-            end
-            else
-              match parse fr (Bytes.sub_string buf off (eol - off)) with
-              | Complete (verb, cmd) ->
-                  consume_to (eol + 2);
-                  (match cmd with Quit -> fr.state <- Closed | _ -> ());
-                  f { verb; cmd; off; len = flen }
-              | Needs_block (verb, p) -> fr.state <- Awaiting { verb; p; need = flen + p.bytes + 2 }
-              | Drop_block (verb, reply, n) ->
-                  consume_to (eol + 2);
-                  fr.state <- Discarding n;
-                  f { verb; cmd = Answer reply; off; len = flen }))
-    | Awaiting { verb; p; need } ->
-        if stop - !start >= need then begin
-          let off = !start in
-          let e = off + need in
-          let cmd =
-            if Bytes.get buf (e - 2) = '\r' && Bytes.get buf (e - 1) = '\n' then Store p
-            else Answer (Some "CLIENT_ERROR bad data chunk")
-          in
-          consume_to e;
-          fr.state <- Idle;
-          f { verb; cmd; off; len = need }
+(* First "\r\n" in [buf.[start + fr.scanned, stop)], or -1; remembers
+   the scan frontier so a line split across calls is scanned once. *)
+let find_crlf fr buf start stop =
+  let eol = crlf_from buf (start + fr.scanned) (stop - 1) in
+  (* everything up to the last byte (a possible lone \r) is clean *)
+  if eol < 0 then fr.scanned <- max 0 (stop - 1 - start);
+  eol
+
+(* Frame requests from [start]; returns where the unconsumed input
+   starts. *)
+let rec frames_from fr buf f start stop =
+  match fr.state with
+  | Closed -> start
+  | Idle ->
+      let eol = find_crlf fr buf start stop in
+      if eol < 0 then
+        (* a line of L <= max_line bytes occupies at most max_line + 1
+           bytes without its final \n, so anything longer is already
+           oversized *)
+        if stop - start >= fr.max_line + 2 then begin
+          f { verb = ""; cmd = too_long; off = start; len = 0 };
+          fr.state <- Skipping_line;
+          frames_from fr buf f start stop
         end
-        else progressing := false
-    | Discarding remaining ->
-        let take = min (stop - !start) remaining in
-        consume_to (!start + take);
-        if take = remaining then fr.state <- Idle
-        else begin
-          fr.state <- Discarding (remaining - take);
-          progressing := false
-        end
-    | Skipping_line -> (
-        (* the error was already answered; drop bytes until \r\n *)
-        match find_crlf fr buf !start stop with
-        | Some eol ->
-            consume_to (eol + 2);
-            fr.state <- Idle
-        | None ->
-            consume_to (max !start (stop - 1));
-            progressing := false)
-  done;
-  !start - pos
+        else start
+      else if eol - start > fr.max_line then begin
+        fr.scanned <- 0;
+        f { verb = ""; cmd = too_long; off = start; len = eol + 2 - start };
+        frames_from fr buf f (eol + 2) stop
+      end
+      else frames_from fr buf f (command_line fr buf f start eol) stop
+  | Awaiting { verb; p; need } ->
+      if stop - start >= need then begin
+        let e = start + need in
+        let cmd =
+          if Bytes.get buf (e - 2) = '\r' && Bytes.get buf (e - 1) = '\n' then Store p else bad_chunk
+        in
+        fr.scanned <- 0;
+        fr.state <- Idle;
+        f { verb; cmd; off = start; len = need };
+        frames_from fr buf f e stop
+      end
+      else start
+  | Discarding remaining ->
+      let take = min (stop - start) remaining in
+      fr.scanned <- 0;
+      if take = remaining then begin
+        fr.state <- Idle;
+        frames_from fr buf f (start + take) stop
+      end
+      else begin
+        fr.state <- Discarding (remaining - take);
+        start + take
+      end
+  | Skipping_line ->
+      (* the error was already answered; drop bytes until \r\n *)
+      let eol = find_crlf fr buf start stop in
+      if eol >= 0 then begin
+        fr.scanned <- 0;
+        fr.state <- Idle;
+        frames_from fr buf f (eol + 2) stop
+      end
+      else begin
+        fr.scanned <- 0;
+        max start (stop - 1)
+      end
+
+let frames fr buf ~pos ~len f = frames_from fr buf f pos (pos + len) - pos
 
 (* ---- execution ---- *)
 
@@ -510,24 +613,44 @@ module Client = struct
     d.skip <- 0;
     d.d_hits <- 0
 
-  let has_prefix p s =
-    String.length s >= String.length p && String.sub s 0 (String.length p) = p
+  (* Position of the [k]-th space at or after [i] in [buf.[i, e)], or
+     [e]. *)
+  let rec nth_space buf i e k =
+    if i >= e then e
+    else if Bytes.unsafe_get buf i <> ' ' then nth_space buf (i + 1) e k
+    else if k = 1 then i
+    else nth_space buf (i + 1) e (k - 1)
 
-  (* VALUE <key> <flags> <bytes> [cas] *)
-  let value_bytes line =
-    match String.split_on_char ' ' line with
-    | _ :: _ :: _ :: b :: _ -> ( match int_of_string_opt b with Some n when n >= 0 -> n | _ -> 0)
-    | _ -> 0
+  (* The <bytes> field of [VALUE <key> <flags> <bytes> [cas]] in
+     [buf.[s, e)]: the fourth of the fields single spaces separate; 0
+     when it is missing or not a count. *)
+  let value_bytes buf s e =
+    let a = nth_space buf s e 3 in
+    if a >= e then 0
+    else
+      match int_at buf (a + 1) (nth_space buf (a + 1) e 1) with
+      | n when n >= 0 -> n
+      | _ | (exception Not_a_number) -> 0
+
+  (* The first \n in [buf.[i, limit)] that a \r inside the line
+     [line_start, ...) precedes, or [limit]: a bare \n is line content,
+     as it is to the server's framer. *)
+  let rec line_end buf i line_start limit =
+    if i >= limit then limit
+    else if Bytes.unsafe_get buf i = '\n' && i > line_start && Bytes.unsafe_get buf (i - 1) = '\r'
+    then i
+    else line_end buf (i + 1) line_start limit
 
   (* Resume scanning the unit starting at [pos]; [pos + len) bounds the
      bytes available.  Returns [Some (end_pos, result)] when the unit
      completes — it occupies [pos, end_pos) — or [None] when more bytes
-     are needed (state is kept; append bytes and call again). *)
+     are needed (state is kept; append bytes and call again).  Lines
+     are classified where they lie. *)
   let next_unit d buf ~pos ~len =
     let limit = pos + len in
     let result = ref None in
     let continue = ref true in
-    while !continue && !result = None do
+    while !continue do
       if d.skip > 0 then begin
         let take = min d.skip (limit - (pos + d.parsed)) in
         d.skip <- d.skip - take;
@@ -535,40 +658,34 @@ module Client = struct
         if d.skip > 0 then continue := false else d.line_start <- d.parsed
       end
       else begin
-        (* scan for the next \r\n from the parse frontier: a bare \n
-           is line content, as it is to the server's framer *)
-        let i = ref (pos + d.parsed) in
-        let line_start = pos + d.line_start in
-        while
-          !i < limit
-          && not (Bytes.get buf !i = '\n' && !i > line_start && Bytes.get buf (!i - 1) = '\r')
-        do
-          incr i
-        done;
-        if !i >= limit then begin
-          d.parsed <- !i - pos;
+        let s = pos + d.line_start in
+        let i = line_end buf (pos + d.parsed) s limit in
+        if i >= limit then begin
+          d.parsed <- i - pos;
           continue := false
         end
         else begin
-          let line = Bytes.sub_string buf line_start (!i - 1 - line_start) in
-          d.parsed <- !i - pos + 1;
+          (* the line is [s, e), its \r\n at e *)
+          let e = i - 1 in
+          d.parsed <- i - pos + 1;
           d.line_start <- d.parsed;
-          if has_prefix "VALUE " line then begin
+          if has_prefix buf s e "VALUE " then begin
             d.d_hits <- d.d_hits + 1;
-            d.skip <- value_bytes line + 2
+            d.skip <- value_bytes buf s e + 2
           end
-          else if has_prefix "STAT " line then ()  (* stats body: continue to END *)
+          else if has_prefix buf s e "STAT " then ()  (* stats body: continue to END *)
           else begin
             let cls =
-              if line = "END" then U_ok
-              else if has_prefix "SERVER_ERROR" line then U_server_error
-              else if has_prefix "ERROR" line || has_prefix "CLIENT_ERROR" line then U_error
+              if is_word buf s e "END" then U_ok
+              else if has_prefix buf s e "SERVER_ERROR" then U_server_error
+              else if has_prefix buf s e "ERROR" || has_prefix buf s e "CLIENT_ERROR" then U_error
               else U_ok
             in
             let r = { cls; hits = d.d_hits } in
             let e = d.parsed in
             reset d;
-            result := Some (pos + e, r)
+            result := Some (pos + e, r);
+            continue := false
           end
         end
       end

@@ -45,7 +45,8 @@ type command =
 
 (** One request: its lowercased verb ([""] for an empty or oversized
     line) and its raw bytes, [buf.[off, off + len)] of the buffer the
-    framer ran over. *)
+    framer ran over.  Every frame of a known verb carries the same
+    string; an unknown verb is a lowercased copy of the word sent. *)
 type frame = { verb : string; cmd : command; off : int; len : int }
 
 (** Framing state of one connection. *)

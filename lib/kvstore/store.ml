@@ -348,7 +348,7 @@ let of_mhashmap (m : Pstructs.Mhashmap.t) =
   }
 
 let of_mhamt (m : Pstructs.Mhamt.t) =
-  of_strings ~get:(Pstructs.Mhamt.get m) ~put:(Pstructs.Mhamt.put m)
+  of_strings ~get:(Pstructs.Mhamt.get m) ~put:(Pstructs.Mhamt.set m)
     ~remove:(Pstructs.Mhamt.remove m) ~update:(Pstructs.Mhamt.update m)
 
 let of_transient_map (m : Baselines.Transient_map.t) =

@@ -10,7 +10,8 @@
    life-cycle edges.  The core does the rest, once:
 
    - reads drain a ready socket into the input buffer (stopping early
-     once the handler pauses, e.g. above an output high-water mark);
+     once the handler pauses, e.g. above an output high-water mark, and
+     after a read shorter than the chunk);
    - [send] only buffers and queues the connection in a dirty set,
      flushed with one write per dirty connection per cycle — O(active),
      never O(connections);
@@ -197,7 +198,10 @@ let flush c =
         consume c.outb k
 
 (* Drain the socket into the input buffer, handing each chunk to the
-   owner; stop once it pauses. *)
+   owner; stop once it pauses, or after a read shorter than the chunk:
+   the socket is empty then, and level-triggered epoll reports it
+   again when more bytes (or the peer's close) arrive, so the drain
+   ends without the read that would fail with EAGAIN. *)
 let read c =
   let t = c.loop in
   let again = ref true in
@@ -216,7 +220,7 @@ let read c =
         c.last_active <- t.now;
         add_subbytes c.inb t.rbuf 0 n;
         t.h.input c;
-        if (not c.alive) || t.h.paused c then again := false
+        if (not c.alive) || t.h.paused c || n < Bytes.length t.rbuf then again := false
   done
 
 (* Register a connected fd; an fd epoll rejects is closed and refused. *)

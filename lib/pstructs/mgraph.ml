@@ -50,13 +50,23 @@ module Codec = struct
         }
 
   let attrs_from v pos = View.sub_string v ~pos ~len:(View.length v - pos)
+  let bad_tag c = invalid_arg (Printf.sprintf "Mgraph.decode: bad tag %C" c)
 
   let decode v =
     match View.get_char v 0 with
     | 'V' -> Vertex { id = View.get_int64_le v 1; attrs = attrs_from v 9 }
     | 'E' ->
         Edge { src = View.get_int64_le v 1; dst = View.get_int64_le v 9; attrs = attrs_from v 17 }
-    | c -> invalid_arg (Printf.sprintf "Mgraph.decode: bad tag %C" c)
+    | c -> bad_tag c
+
+  (* The tag and ids alone, for recovery: no attributes are copied. *)
+  type ids = Vertex_id of int | Edge_ids of int * int
+
+  let ids v =
+    match View.get_char v 0 with
+    | 'V' -> Vertex_id (View.get_int64_le v 1)
+    | 'E' -> Edge_ids (View.get_int64_le v 1, View.get_int64_le v 9)
+    | c -> bad_tag c
 end
 
 module Gp = Montage.Payload.Make (Codec)
@@ -242,7 +252,8 @@ let degree t id =
 
 (* ---- recovery ---- *)
 
-(* Rebuild from recovered payloads: vertices first (slot writes are
+(* Rebuild from recovered payloads, reading each one's tag and ids
+   alone (never its attributes): vertices first (slot writes are
    disjoint by id, so parallel slices need no locks), then edges (the
    endpoint locks serialize adjacency updates).  An edge whose endpoint
    did not survive is impossible under the epoch-consistent cut, but we
@@ -252,19 +263,19 @@ let recover ?(capacity = 1 lsl 20) ?(threads = 1) esys payloads =
   let vertex_phase slice =
     Array.iter
       (fun p ->
-        match Gp.get_unsafe esys p with
-        | Codec.Vertex { id; _ } ->
+        match Montage.Payload.read_unsafe esys p Codec.ids with
+        | Codec.Vertex_id id ->
             t.vertices.(id) <- Some { id; payload = p; adj = Hashtbl.create 8 };
             Atomic.incr t.vertex_count
-        | Codec.Edge _ -> ())
+        | Codec.Edge_ids _ -> ())
       slice
   in
   let edge_phase slice =
     Array.iter
       (fun p ->
-        match Gp.get_unsafe esys p with
-        | Codec.Vertex _ -> ()
-        | Codec.Edge { src; dst; _ } ->
+        match Montage.Payload.read_unsafe esys p Codec.ids with
+        | Codec.Vertex_id _ -> ()
+        | Codec.Edge_ids (src, dst) ->
             lock_pair t src dst (fun () ->
                 match (t.vertices.(src), t.vertices.(dst)) with
                 | Some u, Some v ->

@@ -321,8 +321,10 @@ let contains t ~tid:_ key =
    its version under [slock] first (raising the horizon) or will read
    the new pair — never a root whose blocks this reclamation frees. *)
 
-let put t ~tid key value =
-  Util.Sched.yield "mhamt.put";
+(* Insert or overwrite; [keep] decodes the value it replaces, which
+   the caller returns. *)
+let write t ~tid key value ~keep =
+  Util.Sched.yield (if keep then "mhamt.put" else "mhamt.set");
   Util.Spin_lock.with_lock t.wlock (fun () ->
       let prev =
         E.with_op t.esys ~tid (fun () ->
@@ -330,7 +332,7 @@ let put t ~tid key value =
             let seq = ver + 1 in
             let payload = Rec.pnew t.esys ~tid (key, seq, Some value) in
             let root', old = insert root (hkey t key) 0 { ekey = key; payload } in
-            let prev = Option.map (value_of t ~tid) old in
+            let prev = if keep then Option.map (value_of t ~tid) old else None in
             Atomic.set t.state (seq, root');
             (match old with
             | Some e -> Queue.push { rver = seq; rpayload = e.payload; rtomb = None } t.retired
@@ -339,6 +341,9 @@ let put t ~tid key value =
       in
       reclaim_locked t ~tid;
       prev)
+
+let put t ~tid key value = write t ~tid key value ~keep:true
+let set t ~tid key value = ignore (write t ~tid key value ~keep:false)
 
 let put_if_absent t ~tid key value =
   Util.Sched.yield "mhamt.put_if_absent";

@@ -59,6 +59,9 @@ val contains : t -> tid:int -> string -> bool
 (** Insert, or overwrite if present; returns the previous value. *)
 val put : t -> tid:int -> string -> string -> string option
 
+(** {!put} that does not read the value it replaces. *)
+val set : t -> tid:int -> string -> string -> unit
+
 (** Insert only if absent; [true] on success. *)
 val put_if_absent : t -> tid:int -> string -> string -> bool
 

@@ -98,8 +98,10 @@ let get t ~tid key =
       | None -> None)
   | _ -> None
 
-let put t ~tid key value =
-  Util.Sched.yield "mskiplist.put";
+(* Insert or update; [keep] decodes the value it replaces, which the
+   caller returns. *)
+let write t ~tid key value ~keep =
+  Util.Sched.yield (if keep then "mskiplist.put" else "mskiplist.set");
   Util.Spin_lock.with_lock t.lock (fun () ->
       E.with_op t.esys ~tid (fun () ->
           let preds = find_predecessors t key in
@@ -107,9 +109,9 @@ let put t ~tid key value =
           | Some node when String.equal node.key key ->
               (* update in place (payload may be replaced by pset) *)
               let p = Option.get node.payload in
-              let old = Kv.get_value t.esys ~tid p in
+              let old = if keep then Some (Kv.get_value t.esys ~tid p) else None in
               node.payload <- Some (Kv.set t.esys ~tid p (key, value));
-              Some old
+              old
           | _ ->
               let level = random_level t in
               if level > t.level then begin
@@ -126,6 +128,9 @@ let put t ~tid key value =
               done;
               Atomic.incr t.size;
               None))
+
+let put t ~tid key value = write t ~tid key value ~keep:true
+let set t ~tid key value = ignore (write t ~tid key value ~keep:false)
 
 let remove t ~tid key =
   Util.Sched.yield "mskiplist.remove";

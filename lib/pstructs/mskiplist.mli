@@ -16,6 +16,9 @@ val get : t -> tid:int -> string -> string option
 (** Insert or update; returns the previous value. *)
 val put : t -> tid:int -> string -> string -> string option
 
+(** {!put} that does not read the value it replaces. *)
+val set : t -> tid:int -> string -> string -> unit
+
 val remove : t -> tid:int -> string -> string option
 
 (** Ordered fold over keys in [lo, hi] — what a hash map cannot give. *)

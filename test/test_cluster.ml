@@ -71,6 +71,41 @@ let test_skew_bound () =
           (String.concat "," (Array.to_list (Array.map string_of_int counts))))
     counts
 
+(* The FNV-1a the ring always used, one boxed step per byte: shard heap
+   images depend on key placement, so the in-place loop must hash every
+   key to the same value. *)
+let fnv1a_reference s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001b3L)
+    s;
+  !h
+
+let prop_fnv_reference =
+  QCheck.Test.make ~count:1000 ~name:"fnv1a_64 = String.iter reference"
+    QCheck.(string_gen_of_size Gen.(int_range 0 64) Gen.char)
+    (fun k -> Int64.equal (Ring.fnv1a_64 k) (fnv1a_reference k))
+
+let test_fnv_known () =
+  (* published FNV-1a 64 test vectors *)
+  List.iter
+    (fun (s, h) -> Alcotest.(check int64) (Printf.sprintf "fnv1a_64 %S" s) h (Ring.fnv1a_64 s))
+    [ ("", 0xcbf29ce484222325L); ("a", 0xaf63dc4c8601ec8cL); ("foobar", 0x85944171f73967e8L) ]
+
+let test_lookup_alloc () =
+  let r = Ring.create [ 0; 1 ] in
+  let keys = Array.init 1000 (Printf.sprintf "key:%019d") in
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to Array.length keys - 1 do
+    sum := !sum + Ring.lookup r keys.(i)
+  done;
+  let per = (Gc.minor_words () -. before) /. 1000.0 in
+  Alcotest.(check bool) "both shards own keys" true (!sum > 0 && !sum < 1000);
+  if per > 3.0 then Alcotest.failf "%.1f minor words per lookup, bound 3" per
+
 let test_lookup_deterministic () =
   let r = Ring.create [ 0; 1; 2 ] in
   let r2 = Ring.create [ 2; 0; 1 ] in
@@ -408,6 +443,25 @@ let split_get_script =
       ]
   | _ -> assert false
 
+(* Replies pipelined behind a split get: while the split slot waits for
+   both shards, the single-key replies queued after it arrive first and
+   are held (copied); once a slot reaches the head of its client's queue
+   its shard's reply is forwarded in place.  Both kinds must leave in
+   request order, byte for byte as one shard sends them. *)
+let pipelined_split_script =
+  let ring = Ring.create ~vnodes:router_config.vnodes [ 0; 1 ] in
+  match (keys_on ring 0 1, keys_on ring 1 1) with
+  | [ a ], [ b ] ->
+      let set k v = Printf.sprintf "set %s 0 0 %d\r\n%s\r\n" k (String.length v) v in
+      [
+        (0, set a "alpha" ^ set b "beta");
+        ( 0,
+          Printf.sprintf "get %s %s\r\nget %s\r\nget %s\r\n%sget %s %s\r\ndelete %s\r\nget %s\r\n" a b
+            b a (set a "gamma") b a b b );
+        (0, String.concat "" (List.init 20 (fun i -> if i mod 2 = 0 then "get " ^ a ^ "\r\n" else "get " ^ b ^ "\r\n")));
+      ]
+  | _ -> assert false
+
 (* Random request streams: valid, malformed, oversized, mixed-case and
    bare-LF requests, each complete as the framer sees it, delivered in
    random splits and closed with [quit].  Caps are small so oversized
@@ -560,6 +614,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_add_remove_inverse;
           Alcotest.test_case "skew bound at default vnodes" `Quick test_skew_bound;
           Alcotest.test_case "lookup deterministic" `Quick test_lookup_deterministic;
+          QCheck_alcotest.to_alcotest prop_fnv_reference;
+          Alcotest.test_case "fnv1a_64 test vectors" `Quick test_fnv_known;
+          Alcotest.test_case "lookup allocates at most 3 words" `Quick test_lookup_alloc;
         ] );
       ( "router",
         [
@@ -570,6 +627,8 @@ let () =
           Alcotest.test_case "stats merge" `Quick test_stats_merge;
           Alcotest.test_case "shard down and rejoin" `Quick test_shard_down_and_rejoin;
           Alcotest.test_case "all shards down from birth" `Quick test_down_before_start;
+          Alcotest.test_case "replies pipelined behind a split get" `Quick
+            (test_divergence ~n:2 pipelined_split_script);
         ] );
       ( "child",
         [ Alcotest.test_case "supervisor restarts an exit, shutdown reaps" `Quick

@@ -38,6 +38,32 @@ let test_put_get_remove () =
   Alcotest.(check (option string)) "remove missing" None (M.remove m ~tid:0 "k1");
   Alcotest.(check int) "empty again" 0 (M.size m)
 
+(* [set] stores as [put] does but never reads the value it replaces:
+   after a restart every handle is cold, so reading a replaced 1 KiB
+   value would charge its lines. *)
+let test_set_skips_old_value () =
+  let region, esys = make_esys () in
+  let m = M.create esys in
+  let old = String.make 1024 'o' in
+  ignore (M.put m ~tid:0 "a" old);
+  ignore (M.put m ~tid:0 "b" old);
+  E.sync esys ~tid:0;
+  R.crash region;
+  let esys2, payloads = E.recover ~config:testing_cfg region in
+  let m2 = M.recover esys2 payloads in
+  let charged f =
+    let before = (R.stats region).R.lines_read in
+    f ();
+    (R.stats region).R.lines_read - before
+  in
+  let by_set = charged (fun () -> M.set m2 ~tid:0 "a" "new-a") in
+  let by_put = charged (fun () -> ignore (M.put m2 ~tid:0 "b" "new-b")) in
+  Alcotest.(check int) "set reads no line" 0 by_set;
+  Alcotest.(check bool) "put reads the old value's lines" true (by_put >= 1024 / 64);
+  Alcotest.(check (option string)) "set stored" (Some "new-a") (M.get m2 ~tid:0 "a");
+  Alcotest.(check (option string)) "put stored" (Some "new-b") (M.get m2 ~tid:0 "b");
+  Alcotest.(check int) "overwrites keep the size" 2 (M.size m2)
+
 let test_put_if_absent_and_update () =
   let _, esys = make_esys () in
   let m = M.create esys in
@@ -734,6 +760,7 @@ let () =
         [
           Alcotest.test_case "put/get/remove" `Quick test_put_get_remove;
           Alcotest.test_case "put_if_absent and update" `Quick test_put_if_absent_and_update;
+          Alcotest.test_case "set reads no replaced value" `Quick test_set_skips_old_value;
           Alcotest.test_case "many keys, deep trie" `Quick test_many_keys_deep_trie;
           Alcotest.test_case "collision-heavy hash" `Quick test_collision_heavy;
         ] );

@@ -199,6 +199,38 @@ let test_dribbled_session () =
   E.stop_background esys;
   ignore region
 
+(* With a 16-byte read chunk every request spans several reads, and a
+   read shorter than the chunk ends each drain: the pipelined replies
+   must still come back byte-exact, and the peer's close after its last
+   request must still be seen, closing the connection. *)
+let test_short_reads () =
+  let region, esys, t =
+    start_montage ~workers:1 ~config_mod:(fun c -> { c with Netserve.read_chunk = 16 }) ()
+  in
+  let fd = connect (Netserve.port t) in
+  let v = String.make 40 'v' in
+  let script =
+    Printf.sprintf
+      "set short-read-key-1 0 0 %d\r\n%s\r\nget short-read-key-1\r\nGET  short-read-key-1        missing\r\nset k2 0x10 0 2\r\nab\r\nget k2\r\nincr nope 1\r\nversion\r\n"
+      (String.length v) v
+  in
+  send fd script;
+  let hit = Printf.sprintf "VALUE short-read-key-1 0 %d\r\n%s\r\nEND\r\n" (String.length v) v in
+  let want =
+    "STORED\r\n" ^ hit ^ hit ^ "STORED\r\nVALUE k2 16 2\r\nab\r\nEND\r\nNOT_FOUND\r\n\
+     VERSION montage-ocaml 1.0\r\n"
+  in
+  Alcotest.(check string) "pipelined replies byte-exact" want (recv_exact fd (String.length want));
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  Unix.setsockopt_float fd SO_RCVTIMEO 5.0;
+  let eof = try Unix.read fd (Bytes.create 1) 0 1 = 0 with Unix.Unix_error _ -> false in
+  Alcotest.(check bool) "peer close closes the connection (EOF)" true eof;
+  (try Unix.close fd with _ -> ());
+  let d = Netserve.shutdown t in
+  Alcotest.(check int) "nothing left to force-close" 0 d.Netserve.forced_closes;
+  E.stop_background esys;
+  ignore region
+
 (* An fd epoll rejects (a regular file: EPERM) is refused and closed,
    and the loop keeps serving sockets. *)
 let test_refused_fd () =
@@ -516,6 +548,7 @@ let () =
       ( "backends",
         [
           Alcotest.test_case "byte-dribbled pipeline replies exact" `Quick test_dribbled_session;
+          Alcotest.test_case "16-byte reads: replies exact, close seen" `Quick test_short_reads;
           Alcotest.test_case "epoll: idle connections reaped" `Quick test_idle_reap;
           Alcotest.test_case "epoll: out_hwm backpressure keeps replies exact" `Quick
             test_out_hwm_backpressure;

@@ -24,6 +24,32 @@ let test_skiplist_basic () =
   Alcotest.(check (option string)) "gone" None (Pstructs.Mskiplist.get s ~tid:0 "b");
   Alcotest.(check (option string)) "remove missing" None (Pstructs.Mskiplist.remove s ~tid:0 "b")
 
+(* [set] stores as [put] does but never reads the value it replaces:
+   after a restart every handle is cold, so reading a replaced 1 KiB
+   value would charge its lines. *)
+let test_skiplist_set () =
+  let region, esys = make_esys () in
+  let s = Pstructs.Mskiplist.create esys in
+  let old = String.make 1024 'o' in
+  ignore (Pstructs.Mskiplist.put s ~tid:0 "a" old);
+  ignore (Pstructs.Mskiplist.put s ~tid:0 "b" old);
+  E.sync esys ~tid:0;
+  Nvm.Region.crash region;
+  let esys2, payloads = E.recover ~config:testing_cfg region in
+  let s2 = Pstructs.Mskiplist.recover esys2 payloads in
+  let charged f =
+    let before = (Nvm.Region.stats region).Nvm.Region.lines_read in
+    f ();
+    (Nvm.Region.stats region).Nvm.Region.lines_read - before
+  in
+  let by_set = charged (fun () -> Pstructs.Mskiplist.set s2 ~tid:0 "a" "new-a") in
+  let by_put = charged (fun () -> ignore (Pstructs.Mskiplist.put s2 ~tid:0 "b" "new-b")) in
+  Alcotest.(check bool) "put reads the old value's lines" true (by_put >= 1024 / 64);
+  Alcotest.(check bool) "set reads fewer" true (by_set + (1024 / 64) <= by_put);
+  Alcotest.(check (option string)) "set stored" (Some "new-a") (Pstructs.Mskiplist.get s2 ~tid:0 "a");
+  Alcotest.(check (option string)) "put stored" (Some "new-b") (Pstructs.Mskiplist.get s2 ~tid:0 "b");
+  Alcotest.(check int) "overwrites keep the size" 2 (Pstructs.Mskiplist.size s2)
+
 let test_skiplist_ordered_iteration () =
   let _, esys = make_esys () in
   let s = Pstructs.Mskiplist.create esys in
@@ -338,6 +364,7 @@ let () =
       ( "skiplist",
         [
           Alcotest.test_case "basic" `Quick test_skiplist_basic;
+          Alcotest.test_case "set reads no replaced value" `Quick test_skiplist_set;
           Alcotest.test_case "ordered iteration" `Quick test_skiplist_ordered_iteration;
           Alcotest.test_case "range query" `Quick test_skiplist_range_query;
           Alcotest.test_case "many keys vs model" `Quick test_skiplist_many_keys;

@@ -759,6 +759,468 @@ let prop_client_random_chunking =
       List.map fst got = units
       && List.map fst (decode_stream [ s ]) = units)
 
+(* ---- differential: the framer against the string-splitting parser ----
+
+   [Oracle] is the framer as it was before it parsed in place: each
+   command line is copied out of the buffer, split into words with
+   [String.split_on_char], and its verb lowercased.  Random and
+   adversarial streams must give the same frames ([verb], [cmd], [off],
+   [len]) from both, however they are chunked, and the same [feed]
+   replies when the oracle's frames run against a store of their own. *)
+
+module Oracle = struct
+  type state =
+    | Idle
+    | Awaiting of { verb : string; p : P.pending; need : int }
+    | Discarding of int
+    | Skipping_line
+    | Closed
+
+  type framer = { mutable state : state; mutable scanned : int; max_line : int; max_value : int }
+
+  let framer ?(max_line = 8192) ?(max_value = 1 lsl 20) () =
+    { state = Idle; scanned = 0; max_line; max_value }
+
+  let line_too_long = "CLIENT_ERROR line too long"
+  let bad_format = "CLIENT_ERROR bad command line format"
+  let split_words line = String.split_on_char ' ' line |> List.filter (( <> ) "")
+  let int_arg s = int_of_string_opt s
+
+  let parse_storage verb args =
+    match args with
+    | key :: flags :: exptime :: bytes :: rest -> (
+        match (int_arg flags, int_arg exptime, int_arg bytes) with
+        | Some flags, Some exptime, Some bytes when bytes >= 0 -> (
+            let op, rest =
+              match (verb, rest) with
+              | "cas", cas :: tail -> (Option.map (fun c -> P.Cas c) (int_arg cas), tail)
+              | "cas", [] -> (None, [])
+              | "set", _ -> (Some P.Set, rest)
+              | "add", _ -> (Some P.Add, rest)
+              | "replace", _ -> (Some P.Replace, rest)
+              | "append", _ -> (Some P.Append, rest)
+              | _ -> (Some P.Prepend, rest)
+            in
+            let noreply = rest = [ "noreply" ] in
+            match op with
+            | Some op when rest = [] || noreply ->
+                Some { P.op; key; flags; exptime; bytes; noreply }
+            | _ -> None)
+        | _ -> None)
+    | _ -> None
+
+  type parsed =
+    | Complete of string * P.command
+    | Needs_block of string * P.pending
+    | Drop_block of string * string option * int
+
+  let parse fr line =
+    match split_words line with
+    | [] -> Complete ("", P.Answer (Some "ERROR"))
+    | verb :: args -> (
+        let verb = String.lowercase_ascii verb in
+        let complete cmd = Complete (verb, cmd) in
+        let answer r = complete (P.Answer (Some r)) in
+        match (verb, args) with
+        | "get", (_ :: _ as keys) -> complete (P.Get { cas = false; keys })
+        | "gets", (_ :: _ as keys) -> complete (P.Get { cas = true; keys })
+        | ("set" | "add" | "replace" | "append" | "prepend" | "cas"), _ -> (
+            match parse_storage verb args with
+            | Some p when p.bytes > fr.max_value ->
+                Drop_block
+                  ( verb,
+                    (if p.noreply then None else Some "CLIENT_ERROR object too large for cache"),
+                    p.bytes + 2 )
+            | Some p -> Needs_block (verb, p)
+            | None -> answer bad_format)
+        | "delete", [ key ] -> complete (P.Delete { key; noreply = false })
+        | "delete", [ key; "noreply" ] -> complete (P.Delete { key; noreply = true })
+        | ("incr" | "decr"), [ key; amount ] -> (
+            match int_arg amount with
+            | None -> answer "CLIENT_ERROR invalid numeric delta argument"
+            | Some d -> complete (P.Arith { key; delta = (if verb = "decr" then -d else d) }))
+        | "touch", [ key; exptime ] -> (
+            match int_arg exptime with
+            | None -> answer "CLIENT_ERROR invalid exptime argument"
+            | Some exptime -> complete (P.Touch { key; exptime }))
+        | "flush_all", args -> (
+            let args, noreply =
+              match List.rev args with
+              | "noreply" :: rest -> (List.rev rest, true)
+              | _ -> (args, false)
+            in
+            match args with
+            | [] -> complete (P.Flush_all { delay = None; noreply })
+            | [ d ] -> (
+                match int_arg d with
+                | Some d when d >= 0 -> complete (P.Flush_all { delay = Some d; noreply })
+                | _ -> answer "CLIENT_ERROR invalid delay argument")
+            | _ -> answer bad_format)
+        | "stats", [] -> complete P.Stats
+        | "version", [] -> complete P.Version
+        | "verbosity", args ->
+            complete
+              (P.Verbosity { noreply = (match List.rev args with "noreply" :: _ -> true | _ -> false) })
+        | "quit", [] -> complete P.Quit
+        | _ -> answer "ERROR")
+
+  let find_crlf fr buf start stop =
+    let i = ref (start + fr.scanned) in
+    let found = ref (-1) in
+    while !found < 0 && !i < stop - 1 do
+      if Bytes.get buf !i = '\r' && Bytes.get buf (!i + 1) = '\n' then found := !i else incr i
+    done;
+    if !found < 0 then begin
+      fr.scanned <- max 0 (stop - 1 - start);
+      None
+    end
+    else Some !found
+
+  let frames fr buf ~pos ~len f =
+    let start = ref pos and stop = pos + len in
+    let consume_to e =
+      start := e;
+      fr.scanned <- 0
+    in
+    let progressing = ref true in
+    while !progressing do
+      match fr.state with
+      | Closed -> progressing := false
+      | Idle -> (
+          match find_crlf fr buf !start stop with
+          | None ->
+              if stop - !start >= fr.max_line + 2 then begin
+                f { P.verb = ""; cmd = P.Answer (Some line_too_long); off = !start; len = 0 };
+                fr.state <- Skipping_line
+              end
+              else progressing := false
+          | Some eol -> (
+              let off = !start and flen = eol + 2 - !start in
+              if eol - off > fr.max_line then begin
+                consume_to (eol + 2);
+                f { P.verb = ""; cmd = P.Answer (Some line_too_long); off; len = flen }
+              end
+              else
+                match parse fr (Bytes.sub_string buf off (eol - off)) with
+                | Complete (verb, cmd) ->
+                    consume_to (eol + 2);
+                    (match cmd with P.Quit -> fr.state <- Closed | _ -> ());
+                    f { P.verb; cmd; off; len = flen }
+                | Needs_block (verb, p) -> fr.state <- Awaiting { verb; p; need = flen + p.bytes + 2 }
+                | Drop_block (verb, reply, n) ->
+                    consume_to (eol + 2);
+                    fr.state <- Discarding n;
+                    f { P.verb; cmd = P.Answer reply; off; len = flen }))
+      | Awaiting { verb; p; need } ->
+          if stop - !start >= need then begin
+            let off = !start in
+            let e = off + need in
+            let cmd =
+              if Bytes.get buf (e - 2) = '\r' && Bytes.get buf (e - 1) = '\n' then P.Store p
+              else P.Answer (Some "CLIENT_ERROR bad data chunk")
+            in
+            consume_to e;
+            fr.state <- Idle;
+            f { P.verb; cmd; off; len = need }
+          end
+          else progressing := false
+      | Discarding remaining ->
+          let take = min (stop - !start) remaining in
+          consume_to (!start + take);
+          if take = remaining then fr.state <- Idle
+          else begin
+            fr.state <- Discarding (remaining - take);
+            progressing := false
+          end
+      | Skipping_line -> (
+          match find_crlf fr buf !start stop with
+          | Some eol ->
+              consume_to (eol + 2);
+              fr.state <- Idle
+          | None ->
+              consume_to (max !start (stop - 1));
+              progressing := false)
+    done;
+    !start - pos
+
+  (* The reply a server sends for one frame, from a store of its own. *)
+  let execute store buf (fr : P.frame) =
+    let b = Buffer.create 64 in
+    let line s = Buffer.add_string b (s ^ "\r\n") in
+    let unless noreply s = if not noreply then line s in
+    let outcome = function
+      | Store.Stored -> "STORED"
+      | Store.Not_stored -> "NOT_STORED"
+      | Store.Exists -> "EXISTS"
+      | Store.Not_found -> "NOT_FOUND"
+    in
+    (match fr.cmd with
+    | P.Answer r -> Option.iter line r
+    | P.Get { cas; keys } ->
+        List.iter
+          (fun key ->
+            ignore
+              (Store.find store ~tid:0 key (fun (it : Store.item) ->
+                   let data = Store.View.to_string it.data in
+                   line
+                     (Printf.sprintf "VALUE %s %d %d%s" key it.flags (String.length data)
+                        (if cas then Printf.sprintf " %d" it.cas else ""));
+                   line data)))
+          keys;
+        line "END"
+    | P.Store p ->
+        let expiry = Store.expiry_of_exptime store p.exptime in
+        Store.store store ~tid:0 p.op ~flags:p.flags ~expiry p.key buf
+          (fr.off + fr.len - 2 - p.bytes)
+          p.bytes
+        |> outcome |> unless p.noreply
+    | P.Delete { key; noreply } ->
+        unless noreply (if Store.delete store ~tid:0 key then "DELETED" else "NOT_FOUND")
+    | P.Arith { key; delta } -> (
+        match Store.incr store ~tid:0 key delta with
+        | Some v -> line (string_of_int v)
+        | None -> line "NOT_FOUND")
+    | P.Touch { key; exptime } ->
+        let expiry = Store.expiry_of_exptime store exptime in
+        line (if Store.touch store ~tid:0 key ~expiry then "TOUCHED" else "NOT_FOUND")
+    | P.Flush_all { delay; noreply } ->
+        Store.flush_all store ?delay_s:(Option.map float_of_int delay) ();
+        unless noreply "OK"
+    | P.Stats ->
+        let hits, misses, sets, deletes, expired = Store.stats store in
+        List.iter line
+          [
+            Printf.sprintf "STAT get_hits %d" hits;
+            Printf.sprintf "STAT get_misses %d" misses;
+            Printf.sprintf "STAT cmd_set %d" sets;
+            Printf.sprintf "STAT delete_hits %d" deletes;
+            Printf.sprintf "STAT expired_unfetched %d" expired;
+            "END";
+          ]
+    | P.Version -> line "VERSION montage-ocaml 1.0"
+    | P.Verbosity { noreply } -> unless noreply "OK"
+    | P.Quit -> ());
+    Buffer.contents b
+
+  (* [P.feed]'s contract: the replies of every request that replied. *)
+  type conn = { store : Store.t; ofr : framer; mutable rest : string }
+
+  let create ?max_line ?max_value store = { store; ofr = framer ?max_line ?max_value (); rest = "" }
+
+  let feed c input =
+    if c.ofr.state = Closed then []
+    else begin
+      let buf = Bytes.of_string (c.rest ^ input) in
+      let replies = ref [] in
+      let used =
+        frames c.ofr buf ~pos:0 ~len:(Bytes.length buf) (fun fr ->
+            let r = execute c.store buf fr in
+            if r <> "" then replies := r :: !replies)
+      in
+      c.rest <- Bytes.sub_string buf used (Bytes.length buf - used);
+      List.rev !replies
+    end
+end
+
+(* Words for adversarial command lines: verbs in every case, numbers
+   in every syntax [int_of_string_opt] reads or refuses, keywords out
+   of place. *)
+let diff_verbs =
+  [
+    "get"; "GET"; "Get"; "gEt"; "gets"; "GETS"; "set"; "SET"; "sEt"; "add"; "ADD"; "replace";
+    "Replace"; "append"; "APPEND"; "prepend"; "cas"; "CAS"; "delete"; "DELETE"; "incr"; "INCR";
+    "decr"; "Decr"; "touch"; "TOUCH"; "flush_all"; "FLUSH_ALL"; "stats"; "STATS"; "version";
+    "Version"; "verbosity"; "quit"; "QUIT"; "fetch"; "GETX"; "sets"; "noreply"; "5";
+  ]
+
+let diff_numbers =
+  [
+    "0"; "1"; "5"; "07"; "+5"; "-1"; "-0"; "0x1f"; "0X1F"; "0o17"; "0b101"; "0u7"; "1_0"; "_1";
+    "1_"; "5x"; "x"; "0x"; "-"; "+"; "123456789012345678"; "999999999999999999";
+    "1234567890123456789"; "4611686018427387903"; "4611686018427387904"; "-4611686018427387904";
+    "99999999999999999999"; "0000000000000000000007"; "noreply"; "NOREPLY"; "k";
+  ]
+
+let diff_keys = [ "a"; "k1"; "K"; "noreply"; "GET"; "x\ry"; "12"; String.make 30 'z' ]
+
+(* A line of 0-7 words, each joined by a run of 1-3 spaces, sometimes
+   with leading or trailing spaces.  A storage line whose <bytes>
+   parses is followed by a block of that many bytes (or one short, so
+   the chunk check fails). *)
+let diff_request_gen =
+  let open QCheck.Gen in
+  let word = frequency [ (3, oneofl diff_numbers); (2, oneofl diff_keys); (2, oneofl diff_verbs) ] in
+  let sep = map (fun n -> String.make n ' ') (int_range 1 3) in
+  let* verb = frequency [ (6, oneofl diff_verbs); (1, return "") ] in
+  let* args = list_size (int_range 0 6) word in
+  let* seps = list_repeat (List.length args + 2) sep in
+  let* lead = frequency [ (4, return ""); (1, sep) ] in
+  let* trail = frequency [ (4, return ""); (1, sep) ] in
+  let line =
+    lead ^ verb
+    ^ String.concat "" (List.mapi (fun i a -> List.nth seps (i + 1) ^ a) args)
+    ^ trail
+  in
+  let block =
+    match (String.lowercase_ascii verb, args) with
+    | ("set" | "add" | "replace" | "append" | "prepend" | "cas"), _ :: _ :: _ :: n :: _ -> (
+        match int_of_string_opt n with Some n when n >= 0 && n <= 200 -> Some n | _ -> None)
+    | _ -> None
+  in
+  match block with
+  | None -> return (line ^ "\r\n")
+  | Some n ->
+      let* short = frequency [ (5, return false); (1, return true) ] in
+      let data = String.init n (fun i -> "ab\r\n".[i mod 4]) in
+      return (line ^ "\r\n" ^ (if short && n > 0 then String.sub data 0 (n - 1) else data) ^ "\r\n")
+
+(* Every frame both framers report over [s] presented in [cuts]-sized
+   growing prefixes, and what each consumed. *)
+let frames_of ~max_line ~max_value s cuts =
+  let buf = Bytes.of_string s and n = String.length s in
+  let run frames fr =
+    let got = ref [] and used = ref 0 in
+    List.iter
+      (fun c -> used := !used + frames fr buf ~pos:!used ~len:(c - !used) (fun f -> got := f :: !got))
+      (List.filter (fun c -> c > 0 && c < n) cuts @ [ n ]);
+    (List.rev !got, !used)
+  in
+  ( run (fun fr -> P.frames fr) (P.framer ~max_line ~max_value ()),
+    run (fun fr -> Oracle.frames fr) (Oracle.framer ~max_line ~max_value ()) )
+
+let diff_stream_arb =
+  let open QCheck in
+  make
+    Gen.(
+      let* reqs = list_size (int_range 1 12) diff_request_gen in
+      let s = String.concat "" reqs in
+      let* cuts = list_size (int_range 0 6) (int_bound (String.length s)) in
+      let* max_line = oneofl [ 8192; 16; 24; 40 ] in
+      let* max_value = oneofl [ 1 lsl 20; 8; 64 ] in
+      return (s, List.sort_uniq compare cuts, max_line, max_value))
+    ~print:(fun (s, cuts, ml, mv) ->
+      Printf.sprintf "stream=%S cuts=[%s] max_line=%d max_value=%d" s
+        (String.concat ";" (List.map string_of_int cuts))
+        ml mv)
+
+let prop_frames_match_oracle =
+  QCheck.Test.make ~count:2000 ~name:"frames = string-splitting oracle" diff_stream_arb
+    (fun (s, cuts, max_line, max_value) ->
+      let got, want = frames_of ~max_line ~max_value s cuts in
+      got = want)
+
+let prop_feed_matches_oracle =
+  QCheck.Test.make ~count:500 ~name:"feed replies = oracle's" diff_stream_arb
+    (fun (s, cuts, max_line, max_value) ->
+      let fixed st =
+        Store.set_clock st (fun () -> 1_000_000_000.0);
+        st
+      in
+      let c = P.create ~max_line ~max_value (fixed (make_store ())) ~tid:0 in
+      let o = Oracle.create ~max_line ~max_value (fixed (make_store ())) in
+      let n = String.length s in
+      let rec chunks prev = function
+        | [] -> [ String.sub s prev (n - prev) ]
+        | k :: rest when k > prev && k < n -> String.sub s prev (k - prev) :: chunks k rest
+        | _ :: rest -> chunks prev rest
+      in
+      List.for_all (fun ch -> P.feed c ch = Oracle.feed o ch) (chunks 0 cuts))
+
+(* Hand-picked lines: each must frame as the oracle frames it, whole
+   and one byte at a time. *)
+let adversarial_lines =
+  [
+    ""; " "; "   "; "GET a"; "Get  a   b"; "gEt"; "get"; "  get a"; "get a  "; "SET k 0 0 1";
+    "set  k  0  0  1"; "set k +5 0 1"; "set k -1 0 1"; "set k 0x1f 0 1"; "set k 1_0 0 1";
+    "set k 0 0 -1"; "set k 0 0 0x2"; "set k 0 0 1 noreply"; "set k 0 0 1 NOREPLY";
+    "set k 0 0 1 noreply x"; "set k 0 0 1 x"; "set noreply 0 0 1"; "set k 0 0";
+    "set k 12345678901234567890 0 1"; "set k 4611686018427387903 0 1";
+    "set k 4611686018427387904 0 1"; "set k 0 0 0000000000000000000001"; "cas k 0 0 1";
+    "cas k 0 0 1 7"; "cas k 0 0 1 0x7 noreply"; "cas k 0 0 1 noreply"; "CAS k 0 0 1 -3";
+    "delete k"; "delete k noreply"; "delete noreply"; "delete k NOREPLY"; "delete k 0";
+    "incr k 1"; "INCR k +1"; "decr k -1"; "decr k 0x10"; "incr k x"; "incr k"; "incr k 1 2";
+    "incr k 99999999999999999999"; "touch k 10"; "touch k -1"; "touch k 1_000"; "touch k y";
+    "flush_all"; "flush_all noreply"; "flush_all 0"; "flush_all -1"; "flush_all 0x5 noreply";
+    "flush_all noreply noreply"; "flush_all 1 2"; "flush_all x"; "stats"; "STATS"; "stats x";
+    "version"; "version x"; "verbosity"; "verbosity 1"; "verbosity noreply"; "verbosity 1 noreply";
+    "verbosity noreply 1"; "quit"; "QUIT"; "quit now"; "bogus"; "BOGUS x"; "noreply";
+    "get a\rb"; "set k\r 0 0 1"; String.make 16 'g'; "get " ^ String.make 12 'k';
+    "get " ^ String.make 13 'k';
+  ]
+
+let test_adversarial_lines () =
+  List.iter
+    (fun line ->
+      let s = line ^ "\r\nx\r\nget a\r\n" in
+      List.iter
+        (fun (label, cuts) ->
+          let got, want = frames_of ~max_line:16 ~max_value:64 s cuts in
+          if got <> want then Alcotest.failf "%S (%s): frames differ from the oracle's" line label)
+        [ ("whole", []); ("dripped", List.init (String.length s) Fun.id) ])
+    adversarial_lines
+
+(* Every frame of a verb carries the same string. *)
+let test_verb_is_shared () =
+  let verbs = ref [] in
+  let s = Bytes.of_string "get a\r\nGET b\r\nGet c\r\nset k 0 0 1\r\nx\r\nSET k 0 0 1\r\nx\r\n" in
+  ignore (P.frames (P.framer ()) s ~pos:0 ~len:(Bytes.length s) (fun f -> verbs := f.P.verb :: !verbs));
+  match List.rev !verbs with
+  | [ g1; g2; g3; s1; s2 ] ->
+      Alcotest.(check (list string)) "lowercased" [ "get"; "get"; "get"; "set"; "set" ]
+        [ g1; g2; g3; s1; s2 ];
+      Alcotest.(check bool) "one string per verb" true (g1 == g2 && g2 == g3 && s1 == s2)
+  | l -> Alcotest.failf "%d frames" (List.length l)
+
+(* ---- allocation bounds on the request path ---- *)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let key23 i = Printf.sprintf "key:%019d" i
+
+let words_per_frame label lines ~bound =
+  let s = Bytes.of_string (String.concat "" lines) in
+  let fr = P.framer () and n = ref 0 in
+  let f (_ : P.frame) = incr n in
+  let used = ref 0 in
+  let w = minor_words (fun () -> used := P.frames fr s ~pos:0 ~len:(Bytes.length s) f) in
+  Alcotest.(check int) (label ^ ": every line framed") (List.length lines) !n;
+  Alcotest.(check int) (label ^ ": every byte consumed") (Bytes.length s) !used;
+  let per = w /. float_of_int !n in
+  if per > bound then Alcotest.failf "%s: %.1f minor words per line, bound %.0f" label per bound
+
+let test_frames_alloc () =
+  words_per_frame "get" (List.init 1000 (fun i -> Printf.sprintf "get %s\r\n" (key23 i))) ~bound:24.0;
+  words_per_frame "set"
+    (List.init 1000 (fun i -> Printf.sprintf "set %s 0 0 10\r\n0123456789\r\n" (key23 i)))
+    ~bound:32.0
+
+let test_next_unit_alloc () =
+  let units =
+    List.init 1000 (fun i ->
+        match i mod 3 with
+        | 0 -> "STORED\r\n"
+        | 1 -> Printf.sprintf "VALUE %s 0 10\r\n0123456789\r\nEND\r\n" (key23 i)
+        | _ -> "END\r\n")
+  in
+  let s = Bytes.of_string (String.concat "" units) in
+  let d = C.decoder () and pos = ref 0 and n = ref 0 in
+  let w =
+    minor_words (fun () ->
+        while !pos < Bytes.length s do
+          match C.next_unit d s ~pos:!pos ~len:(Bytes.length s - !pos) with
+          | Some (e, _) ->
+              pos := e;
+              incr n
+          | None -> pos := Bytes.length s
+        done)
+  in
+  Alcotest.(check int) "every unit decoded" 1000 !n;
+  let per = w /. 1000.0 in
+  if per > 8.0 then Alcotest.failf "%.1f minor words per unit, bound 8" per
+
 let () =
   Alcotest.run "protocol"
     [
@@ -810,6 +1272,18 @@ let () =
           Alcotest.test_case "encoders round-trip the codec" `Quick
             test_client_encoders_roundtrip;
           QCheck_alcotest.to_alcotest prop_client_random_chunking;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "adversarial lines frame as the oracle" `Quick test_adversarial_lines;
+          Alcotest.test_case "one string per verb" `Quick test_verb_is_shared;
+          QCheck_alcotest.to_alcotest prop_frames_match_oracle;
+          QCheck_alcotest.to_alcotest prop_feed_matches_oracle;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "frames: get/set lines within bounds" `Quick test_frames_alloc;
+          Alcotest.test_case "next_unit: at most 8 words a unit" `Quick test_next_unit_alloc;
         ] );
       ("exptime", List.concat_map exptime_tests backends);
       ("reply bytes", List.map (fun b -> QCheck_alcotest.to_alcotest (prop_reply_bytes b)) backends);
