@@ -749,34 +749,24 @@ let coalesce () =
    the widest sharding.  Each point builds a fresh server on an
    ephemeral port, preloads the keyspace, and shuts down gracefully
    (drain + epoch sync), feeding [Systems.report_netserve]. *)
-(* A server over a fresh [backend] store (Montage's epoch sync is the
-   shutdown drain's durability barrier) for the length of [f]; then
-   the graceful shutdown, whose stats feed [Systems.report_netserve]. *)
-let with_netserve ~backend (config : Netserve.config) f =
-  let workers = config.workers in
-  let store, esys =
-    match backend with
-    | `Montage ->
-        let esys, r = Systems.montage ~capacity:(1 lsl 26) ~threads:workers () in
-        let map = Pstructs.Mhashmap.create ~buckets:(1 lsl 12) esys in
-        (Kvstore.Store.create (Kvstore.Store.of_mhashmap map), Some (esys, r))
-    | `Transient ->
-        let m = Baselines.Transient_map.create ~buckets:(1 lsl 12) Baselines.Transient_map.Dram in
-        (Kvstore.Store.create (Kvstore.Store.of_transient_map m), None)
-  in
+(* A shard over a fresh [backend] store for the length of [f]; then
+   its stop (drain, epoch sync, advancer stop), whose drain stats and
+   write-back and warm-set counters feed the end-of-run reports. *)
+let with_netserve ~backend server f =
   let t =
-    match esys with
-    | Some (esys, _) ->
-        Netserve.start ~config
-          ~sync:(fun ~tid -> E.sync esys ~tid)
-          ~persisted_epoch:(fun () -> E.persisted_epoch esys)
-          store
-    | None -> Netserve.start ~config store
+    Cluster.Shard.start ~server
+      { Cluster.Shard.default_config with backend; workers = server.Netserve.workers }
   in
   let result = f t in
-  let d = Netserve.shutdown t in
-  Systems.note_netserve t d;
-  Option.iter (fun (esys, r) -> Systems.montage_stop esys r ()) esys;
+  let d = Cluster.Shard.stop t in
+  Systems.note_netserve (Cluster.Shard.totals t) d;
+  Option.iter
+    (fun esys ->
+      let r = E.region esys in
+      Systems.note_checked r;
+      Systems.note_mirror_stats esys r;
+      Systems.note_region_stats r)
+    (Cluster.Shard.esys t);
   result
 
 (* The front-end figures' load: 2 loadgen domains over 2000 keys of
@@ -800,15 +790,15 @@ let closed_loop lg =
   Netserve.Loadgen.run ~config:lg ()
 
 let netserve_point ~backend ~workers =
-  with_netserve ~backend { Netserve.default_config with port = 0; workers; tick_s = 0.01 } (fun t ->
-      closed_loop (loadgen ~port:(Netserve.port t) ~conns:(max 4 (2 * workers)) "ns"))
+  with_netserve ~backend { Netserve.default_config with workers; tick_s = 0.01 } (fun t ->
+      closed_loop (loadgen ~port:(Cluster.Shard.port t) ~conns:(max 4 (2 * workers)) "ns"))
 
 let netserve () =
   R.heading "Netserve: memcached TCP front end, closed-loop loadgen (90% get, 64 B values)";
   let columns = List.map (fun w -> (Printf.sprintf "%dw" w, w)) Env.threads in
   let pts =
     R.sweep
-      ~rows:[ ("Montage", `Montage); ("Transient (DRAM)", `Transient) ]
+      ~rows:[ ("Montage", Cluster.Shard.Bk_montage); ("Transient (DRAM)", Bk_transient) ]
       ~columns
       (fun backend workers -> netserve_point ~backend ~workers)
   in
@@ -861,7 +851,6 @@ let c10k_census_point ~backend ~census =
   let config =
     {
       Netserve.default_config with
-      port = 0;
       workers = 2;
       max_conns = census + 128;
       backlog = 1024;
@@ -870,7 +859,7 @@ let c10k_census_point ~backend ~census =
     }
   in
   with_netserve ~backend config (fun t ->
-      let port = Netserve.port t in
+      let port = Cluster.Shard.port t in
       let idle =
         List.filter_map
           (fun _ -> try Some (Netserve.Client.connect port) with Unix.Unix_error _ -> None)
@@ -904,7 +893,7 @@ let c10k () =
     Printf.printf
       "note: RLIMIT_NOFILE soft limit %d caps the in-process census at %d connections\n%!" soft
       budget;
-  let series = [ ("Montage/epoll", `Montage); ("Transient/epoll", `Transient) ] in
+  let series = [ ("Montage/epoll", Cluster.Shard.Bk_montage); ("Transient/epoll", Bk_transient) ] in
   let columns = List.map (fun c -> (Printf.sprintf "%dc" c, c)) censuses in
   let pts = R.sweep ~rows:series ~columns (fun backend census -> c10k_census_point ~backend ~census) in
   let table unit_label f = R.table ~columns:(List.map fst columns) ~rows:(R.cells f pts) ~unit_label () in
@@ -934,9 +923,9 @@ let c10k () =
   | _ -> R.check ~claim:"epoll census sweep completed" (fun () -> false));
   (* ---- open loop: latency vs offered load ---- *)
   R.heading "C10K: open-loop latency vs offered load (Montage)";
-  with_netserve ~backend:`Montage { Netserve.default_config with port = 0; workers = 2; tick_s = 0.01 }
+  with_netserve ~backend:Bk_montage { Netserve.default_config with workers = 2; tick_s = 0.01 }
     (fun t ->
-      let lg = loadgen ~port:(Netserve.port t) ~conns:16 "ol" in
+      let lg = loadgen ~port:(Cluster.Shard.port t) ~conns:16 "ol" in
       (* the closed-loop row runs first: its capacity, with its
          (coordinated-omission-blind) p99, sets the open-loop rates *)
       let closed = ref None in

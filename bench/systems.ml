@@ -41,6 +41,11 @@ let region ~capacity ~threads =
       checked_regions := (None, r) :: !checked_regions);
   r
 
+(* A region built elsewhere (a [Cluster.Shard]'s, whose epoch system
+   attached the checker the environment asks for) joins the report. *)
+let note_checked r =
+  if Nvm.Region.checker r <> None then checked_regions := (None, r) :: !checked_regions
+
 (* Print the persistency report of every checked region that actually
    found something, plus an aggregate line.  Quiet when the checker is
    off (the default fast path). *)
@@ -157,8 +162,7 @@ let net_totals =
     n_sync_s = 0.0;
   }
 
-let note_netserve t (d : Netserve.drain_stats) =
-  let conns, bytes_in, bytes_out, cmds = Netserve.totals t in
+let note_netserve (conns, bytes_in, bytes_out, cmds) (d : Netserve.drain_stats) =
   net_totals.n_servers <- net_totals.n_servers + 1;
   net_totals.n_conns <- net_totals.n_conns + conns;
   net_totals.n_cmds <- net_totals.n_cmds + cmds;

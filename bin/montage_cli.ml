@@ -225,35 +225,21 @@ let stallbench stall_ms warmup_ops =
 
 (* ---- serve ---- *)
 
-(* Build the store for the requested backend.  The Montage build sizes
-   the epoch system for [workers] server tids plus the advancer slot,
-   and hands netserve the sync/frontier hooks its shutdown drain uses
-   as the durability barrier. *)
-let make_backend backend workers capacity_mib =
-  match backend with
-  | "montage" ->
-      let region = Nvm.Region.create ~max_threads:(workers + 4) ~capacity:(capacity_mib * mib) () in
-      let esys = E.create ~config:{ Cfg.default with max_threads = workers + 1 } region in
-      let map = Pstructs.Mhashmap.create esys in
-      Some (Kvstore.Store.create (Kvstore.Store.of_mhashmap map), Some esys)
-  | "mhamt" ->
-      let region = Nvm.Region.create ~max_threads:(workers + 4) ~capacity:(capacity_mib * mib) () in
-      let esys = E.create ~config:{ Cfg.default with max_threads = workers + 1 } region in
-      let map = Pstructs.Mhamt.create esys in
-      Some (Kvstore.Store.create (Kvstore.Store.of_mhamt map), Some esys)
-  | "transient" ->
-      let m = Baselines.Transient_map.create Baselines.Transient_map.Dram in
-      Some (Kvstore.Store.create (Kvstore.Store.of_transient_map m), None)
-  | _ -> None
+(* Every store-backed server here is a [Cluster.Shard]; [backend] is
+   parsed by its one parser. *)
+let with_backend backend f =
+  match Cluster.Shard.backend_of_string backend with
+  | None -> `Error (false, "backend must be montage|mhamt|transient")
+  | Some b -> f b
 
-let start_server ~config store esys =
-  match esys with
-  | Some esys ->
-      Netserve.start ~config
-        ~sync:(fun ~tid -> E.sync esys ~tid)
-        ~persisted_epoch:(fun () -> E.persisted_epoch esys)
-        store
-  | None -> Netserve.start ~config store
+(* A standalone server: a shard with netserve's drain bound instead of
+   the short one a router-fronted shard uses. *)
+let server_config backend =
+  {
+    Cluster.Shard.default_config with
+    backend;
+    drain_timeout_s = Netserve.default_config.drain_timeout_s;
+  }
 
 (* Set by SIGINT/SIGTERM once [catch_stop] has run. *)
 let stop = Atomic.make false
@@ -278,27 +264,26 @@ let until_signal ~seconds every =
     with Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
+(* [shard] without a heap file. *)
 let serve backend host port workers seconds capacity_mib =
-  if workers < 1 then `Error (false, "workers must be >= 1")
-  else
-    match make_backend backend workers capacity_mib with
-    | None -> `Error (false, "backend must be montage|mhamt|transient")
-    | Some (store, esys) ->
-        let config = { Netserve.default_config with host; port; workers } in
-        let t = start_server ~config store esys in
-        Printf.printf "netserve: %s backend, %d worker(s) on %s:%d\n%!" backend workers host
-          (Netserve.port t);
-        until_signal ~seconds ignore;
-        let d = Netserve.shutdown t in
-        let accepted, bytes_in, bytes_out, cmds = Netserve.totals t in
-        Printf.printf "shutdown: drained %d conn(s), %d forced, %.3fs drain + %.3fs sync" d.drained_conns
-          d.forced_closes d.drain_s d.sync_s;
-        if d.persisted_epoch >= 0 then Printf.printf ", persisted epoch %d" d.persisted_epoch;
-        print_newline ();
-        Printf.printf "totals: %d connection(s), %d command(s), %d bytes in, %d bytes out\n" accepted
-          cmds bytes_in bytes_out;
-        Option.iter E.stop_background esys;
-        `Ok ()
+  with_backend backend @@ fun b ->
+  let on_ready s =
+    Printf.printf "netserve: %s backend, %d worker(s) on %s:%d\n%!" backend workers host
+      (Cluster.Shard.port s)
+  in
+  match
+    Cluster.Shard.run ~on_ready { (server_config b) with host; port; workers; capacity_mib; seconds }
+  with
+  | Error e -> `Error (false, e)
+  | Ok (s, d) ->
+      let accepted, bytes_in, bytes_out, cmds = Cluster.Shard.totals s in
+      Printf.printf "shutdown: drained %d conn(s), %d forced, %.3fs drain + %.3fs sync" d.drained_conns
+        d.forced_closes d.drain_s d.sync_s;
+      if d.persisted_epoch >= 0 then Printf.printf ", persisted epoch %d" d.persisted_epoch;
+      print_newline ();
+      Printf.printf "totals: %d connection(s), %d command(s), %d bytes in, %d bytes out\n" accepted
+        cmds bytes_in bytes_out;
+      `Ok ()
 
 (* ---- loadgen ---- *)
 
@@ -381,290 +366,254 @@ let loadgen host port conns domains seconds pipeline value_size keyspace get_fra
    command on each.  Exits nonzero if any connection was refused,
    dropped, or went unanswered. *)
 let c10k backend conns workers seconds active value_size capacity_mib target_port =
+  with_backend backend @@ fun b ->
   if workers < 1 then `Error (false, "workers must be >= 1")
   else
     (* [--port] drives an already-running server (started with
        [serve] in another process) instead of an in-process one:
        each connection then costs this process one fd, not two, so
        the census can go past half the RLIMIT_NOFILE cap. *)
-    let be =
-      if target_port > 0 then Some None
-      else
-        match make_backend backend workers capacity_mib with
-        | None -> None
-        | Some b -> Some (Some b)
+    let fds_per_conn = if target_port > 0 then 1 else 2 in
+    let soft =
+      Netserve.Poller.raise_fd_limit ((fds_per_conn * (conns + active)) + 512)
     in
-    match be with
-    | None -> `Error (false, "backend must be montage|mhamt|transient")
-    | Some be ->
-        let fds_per_conn = if be = None then 1 else 2 in
-        let soft =
-          Netserve.Poller.raise_fd_limit ((fds_per_conn * (conns + active)) + 512)
-        in
-        let budget = max 16 ((soft - 256 - (fds_per_conn * active)) / fds_per_conn) in
-        let conns =
-          if conns > budget then begin
-            Printf.printf
-              "c10k: RLIMIT_NOFILE soft limit %d: clamping %d -> %d idle connections\n%!"
-              soft conns budget;
-            budget
-          end
-          else conns
-        in
-        let t =
-          Option.map
-            (fun (store, esys) ->
-              let config =
-                {
-                  Netserve.default_config with
-                  host = "127.0.0.1";
-                  port = 0;
-                  workers;
-                  max_conns = conns + active + 64;
-                  backlog = 1024;
-                  idle_timeout_s = 0.0;
-                  tick_s = 0.01;
-                }
-              in
-              start_server ~config store esys)
-            be
-        in
-        let port = match t with Some t -> Netserve.port t | None -> target_port in
-        let t0 = Netserve.Poller.mono_s () in
-        let idle =
-          List.filter_map
-            (fun _ -> try Some (Client.connect port) with Unix.Unix_error _ -> None)
-            (List.init conns Fun.id)
-        in
-        let established = List.length idle in
-        let ramp_s = Netserve.Poller.mono_s () -. t0 in
-        (match t with
-        | Some _ ->
-            Printf.printf "c10k: %d/%d idle connection(s) up in %.2fs (%d worker(s))\n%!"
-              established conns ramp_s workers
-        | None ->
-            Printf.printf
-              "c10k: %d/%d idle connection(s) up in %.2fs (external server :%d)\n%!"
-              established conns ramp_s port);
-        (* throughput burst over a small busy subset while the idle
-           census sits registered in the workers' epoll sets *)
-        let lg =
+    let budget = max 16 ((soft - 256 - (fds_per_conn * active)) / fds_per_conn) in
+    let conns =
+      if conns > budget then begin
+        Printf.printf
+          "c10k: RLIMIT_NOFILE soft limit %d: clamping %d -> %d idle connections\n%!"
+          soft conns budget;
+        budget
+      end
+      else conns
+    in
+    let t =
+      if target_port > 0 then None
+      else
+        let server =
           {
-            Netserve.Loadgen.default_config with
-            port;
-            conns = active;
-            domains = min 4 (max 1 (active / 8));
-            duration_s = seconds;
-            value_size;
-            keyspace = 4096;
-            key_prefix = "c10k";
+            Netserve.default_config with
+            max_conns = conns + active + 64;
+            backlog = 1024;
+            idle_timeout_s = 0.0;
+            tick_s = 0.01;
           }
         in
-        let burst =
-          try
-            Netserve.Loadgen.preload ~config:lg ();
-            Some (Netserve.Loadgen.run ~config:lg ())
-          with
-          | Netserve.Loadgen.Connection_lost why ->
-              Printf.printf "c10k: busy burst failed: connection lost (%s)\n%!" why;
-              None
-          | Unix.Unix_error (e, fn, _) ->
-              Printf.printf "c10k: busy burst failed: %s in %s\n%!"
-                (Unix.error_message e) fn;
-              None
-        in
-        Option.iter
-          (Netserve.Loadgen.print_report
-             ~label:(Printf.sprintf "%d idle + %d active" established active))
-          burst;
-        (* liveness sweep: every idle connection still answers *)
-        let answered = Client.version_sweep idle in
-        Printf.printf "c10k: %d/%d idle connection(s) answered after the burst\n%!" answered
-          established;
-        List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) idle;
-        (match t with
-        | Some t ->
-            let d = Netserve.shutdown t in
-            let _, _, _, cmds = Netserve.totals t in
-            (match burst with
-            | Some r ->
-                Printf.printf
-                  "c10k: throughput %.0f ops/s, p99 %.0f us, %d command(s) total, \
-                   drain %.3fs\n%!"
-                  r.ops_per_sec r.p99_us cmds d.drain_s
-            | None ->
-                Printf.printf "c10k: %d command(s) total, drain %.3fs\n%!" cmds d.drain_s)
+        Some (Cluster.Shard.start ~server { (server_config b) with workers; capacity_mib })
+    in
+    let port = match t with Some t -> Cluster.Shard.port t | None -> target_port in
+    let t0 = Netserve.Poller.mono_s () in
+    let idle =
+      List.filter_map
+        (fun _ -> try Some (Client.connect port) with Unix.Unix_error _ -> None)
+        (List.init conns Fun.id)
+    in
+    let established = List.length idle in
+    let ramp_s = Netserve.Poller.mono_s () -. t0 in
+    (match t with
+    | Some _ ->
+        Printf.printf "c10k: %d/%d idle connection(s) up in %.2fs (%d worker(s))\n%!"
+          established conns ramp_s workers
+    | None ->
+        Printf.printf
+          "c10k: %d/%d idle connection(s) up in %.2fs (external server :%d)\n%!"
+          established conns ramp_s port);
+    (* throughput burst over a small busy subset while the idle
+       census sits registered in the workers' epoll sets *)
+    let lg =
+      {
+        Netserve.Loadgen.default_config with
+        port;
+        conns = active;
+        domains = min 4 (max 1 (active / 8));
+        duration_s = seconds;
+        value_size;
+        keyspace = 4096;
+        key_prefix = "c10k";
+      }
+    in
+    let burst =
+      try
+        Netserve.Loadgen.preload ~config:lg ();
+        Some (Netserve.Loadgen.run ~config:lg ())
+      with
+      | Netserve.Loadgen.Connection_lost why ->
+          Printf.printf "c10k: busy burst failed: connection lost (%s)\n%!" why;
+          None
+      | Unix.Unix_error (e, fn, _) ->
+          Printf.printf "c10k: busy burst failed: %s in %s\n%!"
+            (Unix.error_message e) fn;
+          None
+    in
+    Option.iter
+      (Netserve.Loadgen.print_report
+         ~label:(Printf.sprintf "%d idle + %d active" established active))
+      burst;
+    (* liveness sweep: every idle connection still answers *)
+    let answered = Client.version_sweep idle in
+    Printf.printf "c10k: %d/%d idle connection(s) answered after the burst\n%!" answered
+      established;
+    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) idle;
+    (match t with
+    | Some t ->
+        let d = Cluster.Shard.stop t in
+        let _, _, _, cmds = Cluster.Shard.totals t in
+        (match burst with
+        | Some r ->
+            Printf.printf
+              "c10k: throughput %.0f ops/s, p99 %.0f us, %d command(s) total, \
+               drain %.3fs\n%!"
+              r.ops_per_sec r.p99_us cmds d.drain_s
         | None ->
-            Option.iter
-              (fun r ->
-                Printf.printf "c10k: throughput %.0f ops/s, p99 %.0f us\n%!"
-                  r.Netserve.Loadgen.ops_per_sec r.Netserve.Loadgen.p99_us)
-              burst);
-        Option.iter (fun (_, esys) -> Option.iter E.stop_background esys) be;
-        let problems =
-          (if established < conns then
-             [ Printf.sprintf "only %d/%d connections established" established conns ]
-           else [])
-          @ (if answered < established then
-               [ Printf.sprintf "only %d/%d idle connections answered" answered established ]
+            Printf.printf "c10k: %d command(s) total, drain %.3fs\n%!" cmds d.drain_s)
+    | None ->
+        Option.iter
+          (fun r ->
+            Printf.printf "c10k: throughput %.0f ops/s, p99 %.0f us\n%!"
+              r.Netserve.Loadgen.ops_per_sec r.Netserve.Loadgen.p99_us)
+          burst);
+    let problems =
+      (if established < conns then
+         [ Printf.sprintf "only %d/%d connections established" established conns ]
+       else [])
+      @ (if answered < established then
+           [ Printf.sprintf "only %d/%d idle connections answered" answered established ]
+         else [])
+      @
+      match burst with
+      | None -> [ "busy burst failed" ]
+      | Some r ->
+          (if r.ops = 0 then [ "no operations completed" ] else [])
+          @ (if r.errors > 0 then
+               [ Printf.sprintf "%d protocol errors" r.errors ]
              else [])
-          @
-          match burst with
-          | None -> [ "busy burst failed" ]
-          | Some r ->
-              (if r.ops = 0 then [ "no operations completed" ] else [])
-              @ (if r.errors > 0 then
-                   [ Printf.sprintf "%d protocol errors" r.errors ]
-                 else [])
-              @ (match r.disconnects with
-                | [] -> []
-                | ds ->
-                    [ Printf.sprintf "%d loadgen disconnect(s): %s" (List.length ds)
-                        (List.hd ds) ])
-        in
-        if problems = [] then `Ok ()
-        else `Error (false, "c10k failed: " ^ String.concat "; " problems)
+          @ (match r.disconnects with
+            | [] -> []
+            | ds ->
+                [ Printf.sprintf "%d loadgen disconnect(s): %s" (List.length ds)
+                    (List.hd ds) ])
+    in
+    if problems = [] then `Ok ()
+    else `Error (false, "c10k failed: " ^ String.concat "; " problems)
 
 (* ---- netsmoke ---- *)
 
-(* In-process end-to-end smoke: start a Montage-backed server on an
-   ephemeral port, run a byte-exact pipelined session and a seeded
-   loadgen burst, read stats, shut down gracefully, crash the region,
-   and verify every acked STORED key survives recovery.  CI runs this
-   in every matrix leg; BACKEND mhamt swaps the persistent map for the
-   snapshot-capable HAMT so the same byte-exact script drives both
-   structures. *)
-let netsmoke smoke_backend =
-  let failures = ref [] in
-  let check name ok =
-    Printf.printf "  [%s] %s\n%!" (if ok then "ok" else "FAIL") name;
-    if not ok then failures := name :: !failures
-  in
-  let workers = 4 in
-  let region = Nvm.Region.create ~latency:Nvm.Latency.zero ~max_threads:(workers + 4) ~capacity:(64 * mib) () in
-  let esys = E.create ~config:{ Cfg.default with max_threads = workers + 1 } region in
-  let store =
-    match smoke_backend with
-    | `Mhamt -> Kvstore.Store.create (Kvstore.Store.of_mhamt (Pstructs.Mhamt.create esys))
-    | `Mhashmap -> Kvstore.Store.create (Kvstore.Store.of_mhashmap (Pstructs.Mhashmap.create esys))
-  in
-  let config = { Netserve.default_config with host = "127.0.0.1"; port = 0; workers } in
-  let t = start_server ~config store (Some esys) in
-  Printf.printf "netsmoke: %s backend\n%!"
-    (match smoke_backend with `Mhamt -> "mhamt" | `Mhashmap -> "montage");
-  let port = Netserve.port t in
-  (* 1. byte-exact pipelined session on one connection; an upper-case
-     verb, a run of spaces and a 0x number take the framer's slow cases
-     over the socket *)
-  let fd = Client.connect port in
-  Client.send fd
-    "set a 5 0 3\r\nfoo\r\nget a\r\nset n 0 0 1\r\n7\r\nincr n 3\r\nadd a 0 0 1\r\nx\r\ndelete missing\r\nget a n\r\n\
-     GET a\r\nset  d  0  0  2\r\nhi\r\nset h 0x1f 0 2\r\nxy\r\nget d h\r\n";
-  let expected =
-    "STORED\r\nVALUE a 5 3\r\nfoo\r\nEND\r\nSTORED\r\n10\r\nNOT_STORED\r\nNOT_FOUND\r\n\
-     VALUE a 5 3\r\nfoo\r\nVALUE n 0 2\r\n10\r\nEND\r\nVALUE a 5 3\r\nfoo\r\nEND\r\nSTORED\r\n\
-     STORED\r\nVALUE d 0 2\r\nhi\r\nVALUE h 31 2\r\nxy\r\nEND\r\n"
-  in
-  let got = Client.recv_exact fd (String.length expected) in
-  check "pipelined session byte-exact" (got = expected);
-  if got <> expected then Printf.printf "    got: %S\n" got;
-  (* 2. flush_all wipes, later sets survive *)
-  Client.send fd "flush_all\r\nget a\r\nset b 0 0 2\r\nhi\r\nget b\r\n";
-  let expected2 = "OK\r\nEND\r\nSTORED\r\nVALUE b 0 2\r\nhi\r\nEND\r\n" in
-  let got2 = Client.recv_exact fd (String.length expected2) in
-  check "flush_all epoch-style invalidation" (got2 = expected2);
-  (* 3. seeded loadgen burst through benchlib reporting *)
-  let lg =
-    {
-      Netserve.Loadgen.default_config with
-      port;
-      conns = 8;
-      domains = 2;
-      duration_s = 0.5;
-      keyspace = 500;
-      key_prefix = "sm";
-    }
-  in
-  Netserve.Loadgen.preload ~config:lg ();
-  let r = Netserve.Loadgen.run ~config:lg () in
-  Netserve.Loadgen.print_report ~label:"netsmoke" r;
-  check "loadgen completed ops" (r.ops > 0);
-  check "loadgen error-free" (r.errors = 0);
-  check "loadgen hit path exercised" (r.hits > 0);
-  check "loadgen percentiles ordered" (r.p50_us <= r.p95_us && r.p95_us <= r.p99_us);
-  (* 4. stats over the wire: server section present and plausible *)
-  Client.send fd "stats\r\n";
-  let stats = String.split_on_char '\n' (Client.recv_until fd "END\r\n") in
-  let stat prefix = List.exists (String.starts_with ~prefix) stats in
-  check "stats: worker threads reported" (stat "STAT threads 4");
-  check "stats: get counter present" (stat "STAT cmd_get ");
-  check "stats: connection counter present" (stat "STAT total_connections ");
-  check "stats: pipeline depth tracked" (stat "STAT max_pipeline_depth ");
-  (* 5. acked STORED keys survive graceful shutdown + crash *)
-  let dur = 20 in
-  let buf = Buffer.create 512 in
-  for i = 0 to dur - 1 do
-    Buffer.add_string buf (Printf.sprintf "set dur%02d 0 0 4\r\nv%03d\r\n" i i)
-  done;
-  Client.send fd (Buffer.contents buf);
-  let acks = Client.recv_exact fd (dur * 8) in
-  check "durability keys acked" (acks = String.concat "" (List.init dur (fun _ -> "STORED\r\n")));
-  Client.send fd "quit\r\n";
-  Unix.close fd;
-  let d = Netserve.shutdown t in
-  check "graceful drain (no forced closes)" (d.forced_closes = 0);
-  check "shutdown advanced the durable frontier" (d.persisted_epoch >= 1);
-  E.stop_background esys;
-  Nvm.Region.crash region;
-  let esys2, payloads = E.recover ~config:{ Cfg.default with max_threads = workers + 1 } region in
-  let store2 =
-    match smoke_backend with
-    | `Mhamt -> Kvstore.Store.create (Kvstore.Store.of_mhamt (Pstructs.Mhamt.recover esys2 payloads))
-    | `Mhashmap ->
-        Kvstore.Store.create (Kvstore.Store.of_mhashmap (Pstructs.Mhashmap.recover esys2 payloads))
-  in
-  let missing = ref 0 in
-  for i = 0 to dur - 1 do
-    match Kvstore.Store.get store2 ~tid:0 (Printf.sprintf "dur%02d" i) with
-    | Some v when v = Printf.sprintf "v%03d" i -> ()
-    | _ -> incr missing
-  done;
-  check "every acked key recovered after crash" (!missing = 0);
-  E.stop_background esys2;
-  match !failures with
-  | [] ->
-      Printf.printf "netsmoke: all checks passed\n";
-      `Ok ()
-  | fs -> `Error (false, Printf.sprintf "netsmoke failed: %s" (String.concat "; " (List.rev fs)))
+(* In-process end-to-end smoke: start a Montage-backed shard with a
+   heap file in a fresh temporary directory on an ephemeral port, run a
+   byte-exact pipelined session and a seeded loadgen burst, read stats,
+   stop it (drain, sync, stop the advancer, write the image), restart
+   it from the image, and verify every acked STORED key is served
+   again.  CI runs this in every matrix leg; BACKEND mhamt swaps the
+   persistent map for the snapshot-capable HAMT so the same byte-exact
+   script drives both structures. *)
+let netsmoke backend =
+  with_backend backend @@ fun b ->
+  if b = Cluster.Shard.Bk_transient then `Error (false, "netsmoke needs montage|mhamt")
+  else
+    let failures = ref [] in
+    let check name ok =
+      Printf.printf "  [%s] %s\n%!" (if ok then "ok" else "FAIL") name;
+      if not ok then failures := name :: !failures
+    in
+    let dir = Filename.temp_dir "montage-netsmoke-" "" in
+    let heap_file = Filename.concat dir "shard.heap" in
+    let cfg = { (server_config b) with workers = 4; heap_file } in
+    let t = Cluster.Shard.start cfg in
+    Printf.printf "netsmoke: %s backend\n%!" backend;
+    let port = Cluster.Shard.port t in
+    (* 1. byte-exact pipelined session on one connection; an upper-case
+       verb, a run of spaces and a 0x number take the framer's slow cases
+       over the socket *)
+    let fd = Client.connect port in
+    Client.send fd
+      "set a 5 0 3\r\nfoo\r\nget a\r\nset n 0 0 1\r\n7\r\nincr n 3\r\nadd a 0 0 1\r\nx\r\ndelete missing\r\nget a n\r\n\
+       GET a\r\nset  d  0  0  2\r\nhi\r\nset h 0x1f 0 2\r\nxy\r\nget d h\r\n";
+    let expected =
+      "STORED\r\nVALUE a 5 3\r\nfoo\r\nEND\r\nSTORED\r\n10\r\nNOT_STORED\r\nNOT_FOUND\r\n\
+       VALUE a 5 3\r\nfoo\r\nVALUE n 0 2\r\n10\r\nEND\r\nVALUE a 5 3\r\nfoo\r\nEND\r\nSTORED\r\n\
+       STORED\r\nVALUE d 0 2\r\nhi\r\nVALUE h 31 2\r\nxy\r\nEND\r\n"
+    in
+    let got = Client.recv_exact fd (String.length expected) in
+    check "pipelined session byte-exact" (got = expected);
+    if got <> expected then Printf.printf "    got: %S\n" got;
+    (* 2. flush_all wipes, later sets survive *)
+    Client.send fd "flush_all\r\nget a\r\nset b 0 0 2\r\nhi\r\nget b\r\n";
+    let expected2 = "OK\r\nEND\r\nSTORED\r\nVALUE b 0 2\r\nhi\r\nEND\r\n" in
+    let got2 = Client.recv_exact fd (String.length expected2) in
+    check "flush_all epoch-style invalidation" (got2 = expected2);
+    (* 3. seeded loadgen burst through benchlib reporting *)
+    let lg =
+      {
+        Netserve.Loadgen.default_config with
+        port;
+        conns = 8;
+        domains = 2;
+        duration_s = 0.5;
+        keyspace = 500;
+        key_prefix = "sm";
+      }
+    in
+    Netserve.Loadgen.preload ~config:lg ();
+    let r = Netserve.Loadgen.run ~config:lg () in
+    Netserve.Loadgen.print_report ~label:"netsmoke" r;
+    check "loadgen completed ops" (r.ops > 0);
+    check "loadgen error-free" (r.errors = 0);
+    check "loadgen hit path exercised" (r.hits > 0);
+    check "loadgen percentiles ordered" (r.p50_us <= r.p95_us && r.p95_us <= r.p99_us);
+    (* 4. stats over the wire: server section present and plausible *)
+    Client.send fd "stats\r\n";
+    let stats = String.split_on_char '\n' (Client.recv_until fd "END\r\n") in
+    let stat prefix = List.exists (String.starts_with ~prefix) stats in
+    check "stats: worker threads reported" (stat "STAT threads 4");
+    check "stats: get counter present" (stat "STAT cmd_get ");
+    check "stats: connection counter present" (stat "STAT total_connections ");
+    check "stats: pipeline depth tracked" (stat "STAT max_pipeline_depth ");
+    (* 5. acked STORED keys survive a stop and a restart from the image *)
+    let dur = 20 in
+    let key i = Printf.sprintf "dur%02d" i and value i = Printf.sprintf "v%03d" i in
+    let buf = Buffer.create 512 in
+    for i = 0 to dur - 1 do
+      Buffer.add_string buf (Printf.sprintf "set %s 0 0 4\r\n%s\r\n" (key i) (value i))
+    done;
+    Client.send fd (Buffer.contents buf);
+    let acks = Client.recv_exact fd (dur * 8) in
+    check "durability keys acked" (acks = String.concat "" (List.init dur (fun _ -> "STORED\r\n")));
+    Client.send fd "quit\r\n";
+    Unix.close fd;
+    let d = Cluster.Shard.stop t in
+    check "graceful drain (no forced closes)" (d.forced_closes = 0);
+    check "shutdown advanced the durable frontier" (d.persisted_epoch >= 1);
+    let t2 = Cluster.Shard.start cfg in
+    let fd = Client.connect (Cluster.Shard.port t2) in
+    Client.send fd (Printf.sprintf "get %s\r\n" (String.concat " " (List.init dur key)));
+    let want =
+      String.concat ""
+        (List.init dur (fun i -> Printf.sprintf "VALUE %s 0 4\r\n%s\r\n" (key i) (value i)))
+      ^ "END\r\n"
+    in
+    check "every acked key served after a restart from the image" (Client.recv_unit fd = want);
+    Unix.close fd;
+    ignore (Cluster.Shard.stop t2);
+    Sys.remove heap_file;
+    Sys.rmdir dir;
+    match !failures with
+    | [] ->
+        Printf.printf "netsmoke: all checks passed\n";
+        `Ok ()
+    | fs -> `Error (false, Printf.sprintf "netsmoke failed: %s" (String.concat "; " (List.rev fs)))
 
 (* ---- shard ---- *)
 
 let shard backend host port workers capacity_mib heap_file seconds drain_timeout_s =
-  match Cluster.Shard.backend_of_string backend with
-  | None -> `Error (false, "backend must be montage|mhamt|transient")
-  | Some backend -> (
-      let cfg =
-        {
-          Cluster.Shard.backend;
-          host;
-          port;
-          workers;
-          capacity_mib;
-          heap_file;
-          seconds;
-          drain_timeout_s;
-        }
-      in
-      match
-        Cluster.Shard.run
-          ~on_ready:(fun ~port ->
-            Printf.printf "shard: %s backend on %s:%d (heap %s)\n%!"
-              (Cluster.Shard.backend_name backend) host port
-              (if heap_file = "" then "none" else heap_file))
-          cfg
-      with
-      | Ok () -> `Ok ()
-      | Error e -> `Error (false, e))
+  with_backend backend @@ fun b ->
+  let cfg =
+    { Cluster.Shard.backend = b; host; port; workers; capacity_mib; heap_file; seconds; drain_timeout_s }
+  in
+  let on_ready s =
+    Printf.printf "shard: %s backend on %s:%d (heap %s)\n%!" backend host (Cluster.Shard.port s)
+      (if heap_file = "" then "none" else heap_file)
+  in
+  match Cluster.Shard.run ~on_ready cfg with Ok _ -> `Ok () | Error e -> `Error (false, e)
 
 (* ---- cluster ---- *)
 
@@ -679,41 +628,39 @@ let report_exit prog name st =
 (* Shard children are fresh execs of this binary, running its [shard]
    subcommand. *)
 let cluster backend host port shards shard_port_base workers capacity_mib heap_dir seconds =
-  match Cluster.Shard.backend_of_string backend with
-  | None -> `Error (false, "backend must be montage|mhamt|transient")
-  | Some backend ->
-      if shards < 1 then `Error (false, "shards must be >= 1")
-      else
-        let template =
-          { Cluster.Shard.default_config with backend; host; workers; capacity_mib }
-        in
-        (* caught before the first spawn, so a signal during startup
-           still ends through [with_]'s teardown *)
-        catch_stop ();
-        Cluster.Local.with_ ~exe:Sys.executable_name ~port_base:shard_port_base
-          ~heap:(Dir heap_dir)
-          ~router:{ Cluster.Router.default_config with host; port }
-          ~on_exit:(report_exit "cluster") ~shards template
-          (fun c ->
-            let r = Cluster.Local.router c in
-            Printf.printf "cluster: router on %s:%d fronting %d shard(s) on ports %d-%d\n%!" host
-              (Cluster.Router.port r) shards shard_port_base
-              (shard_port_base + shards - 1);
-            if Cluster.Local.wait_up ~stop:(fun () -> Atomic.get stop) c then
-              Printf.printf "cluster: all %d shard(s) up\n%!" shards
-            else if not (Atomic.get stop) then
-              Printf.printf "cluster: WARNING: not all shards up after 30s: %s\n%!"
-                (String.concat ", "
-                   (List.map
-                      (fun (sid, up) -> Printf.sprintf "%d:%s" sid (if up then "up" else "down"))
-                      (Cluster.Router.shard_states r)));
-            until_signal ~seconds (fun () -> Cluster.Local.tick c);
-            let s = Cluster.Router.stats r in
-            Printf.printf
-              "cluster: %d client(s), %d request(s), %d shard-down error(s), %d down(s), %d \
-               rejoin(s)\n"
-              s.clients_accepted s.requests s.shard_down_errors s.downs s.rejoins;
-            `Ok ())
+  with_backend backend @@ fun backend ->
+  if shards < 1 then `Error (false, "shards must be >= 1")
+  else
+    let template =
+      { Cluster.Shard.default_config with backend; host; workers; capacity_mib }
+    in
+    (* caught before the first spawn, so a signal during startup
+       still ends through [with_]'s teardown *)
+    catch_stop ();
+    Cluster.Local.with_ ~exe:Sys.executable_name ~port_base:shard_port_base
+      ~heap:(Dir heap_dir)
+      ~router:{ Cluster.Router.default_config with host; port }
+      ~on_exit:(report_exit "cluster") ~shards template
+      (fun c ->
+        let r = Cluster.Local.router c in
+        Printf.printf "cluster: router on %s:%d fronting %d shard(s) on ports %d-%d\n%!" host
+          (Cluster.Router.port r) shards shard_port_base
+          (shard_port_base + shards - 1);
+        if Cluster.Local.wait_up ~stop:(fun () -> Atomic.get stop) c then
+          Printf.printf "cluster: all %d shard(s) up\n%!" shards
+        else if not (Atomic.get stop) then
+          Printf.printf "cluster: WARNING: not all shards up after 30s: %s\n%!"
+            (String.concat ", "
+               (List.map
+                  (fun (sid, up) -> Printf.sprintf "%d:%s" sid (if up then "up" else "down"))
+                  (Cluster.Router.shard_states r)));
+        until_signal ~seconds (fun () -> Cluster.Local.tick c);
+        let s = Cluster.Router.stats r in
+        Printf.printf
+          "cluster: %d client(s), %d request(s), %d shard-down error(s), %d down(s), %d \
+           rejoin(s)\n"
+          s.clients_accepted s.requests s.shard_down_errors s.downs s.rejoins;
+        `Ok ())
 
 (* ---- clustersmoke ---- *)
 
@@ -875,18 +822,20 @@ let torture_cmd =
 
 let host_arg = Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~doc:"Bind/connect address.")
 
+(* Shared by the subcommands that run shards. *)
+let backend_arg =
+  Arg.(value & pos 0 string "montage" & info [] ~docv:"BACKEND" ~doc:"montage|mhamt|transient")
+
+let workers_arg = Arg.(value & opt int 2 & info [ "workers"; "w" ] ~doc:"Event-loop domains.")
+let capacity_arg = Arg.(value & opt int 256 & info [ "capacity-mib" ] ~doc:"NVM region size (MiB).")
+
+let run_seconds_arg =
+  Arg.(value & opt float 0.0 & info [ "seconds"; "d" ] ~doc:"Run time; 0 = until SIGINT/SIGTERM.")
+
 let serve_cmd =
-  let backend =
-    Arg.(value & pos 0 string "montage" & info [] ~docv:"BACKEND" ~doc:"montage|mhamt|transient")
-  in
   let port = Arg.(value & opt int 11211 & info [ "port"; "p" ] ~doc:"TCP port (0 = ephemeral).") in
-  let workers = Arg.(value & opt int 2 & info [ "workers"; "w" ] ~doc:"Event-loop domains.") in
-  let seconds =
-    Arg.(value & opt float 0.0 & info [ "seconds"; "d" ] ~doc:"Run time; 0 = until SIGINT/SIGTERM.")
-  in
-  let capacity = Arg.(value & opt int 256 & info [ "capacity-mib" ] ~doc:"NVM region size (MiB).") in
   Cmd.v (Cmd.info "serve" ~doc:"Serve the memcached text protocol over the KV store.")
-    Term.(ret (const serve $ backend $ host_arg $ port $ workers $ seconds $ capacity))
+    Term.(ret (const serve $ backend_arg $ host_arg $ port $ workers_arg $ run_seconds_arg $ capacity_arg))
 
 let loadgen_cmd =
   let port = Arg.(value & opt int 11211 & info [ "port"; "p" ] ~doc:"Server port.") in
@@ -930,15 +879,10 @@ let loadgen_cmd =
        $ keyspace $ get_frac $ seed $ no_preload $ rate $ arrival $ grace $ endpoints))
 
 let c10k_cmd =
-  let backend =
-    Arg.(value & pos 0 string "montage" & info [] ~docv:"BACKEND" ~doc:"montage|mhamt|transient")
-  in
   let conns = Arg.(value & opt int 10_000 & info [ "conns"; "c" ] ~doc:"Idle connection census size.") in
-  let workers = Arg.(value & opt int 2 & info [ "workers"; "w" ] ~doc:"Event-loop domains.") in
   let seconds = Arg.(value & opt float 2.0 & info [ "seconds"; "d" ] ~doc:"Busy-burst duration.") in
   let active = Arg.(value & opt int 32 & info [ "active" ] ~doc:"Busy connections for the burst.") in
   let value_size = Arg.(value & opt int 64 & info [ "value-size" ] ~doc:"Value size in bytes.") in
-  let capacity = Arg.(value & opt int 256 & info [ "capacity-mib" ] ~doc:"NVM region size (MiB).") in
   let target_port =
     Arg.(
       value & opt int 0
@@ -953,7 +897,7 @@ let c10k_cmd =
              connection is still served.")
     Term.(
       ret
-        (const c10k $ backend $ conns $ workers $ seconds $ active $ value_size $ capacity
+        (const c10k $ backend_arg $ conns $ workers_arg $ seconds $ active $ value_size $ capacity_arg
        $ target_port))
 
 let stallbench_cmd =
@@ -970,21 +914,13 @@ let stallbench_cmd =
 
 let netsmoke_cmd =
   let backend =
-    Arg.(
-      value
-      & pos 0 (enum [ ("montage", `Mhashmap); ("mhamt", `Mhamt) ]) `Mhashmap
-      & info [] ~docv:"BACKEND" ~doc:"montage|mhamt")
+    Arg.(value & pos 0 string "montage" & info [] ~docv:"BACKEND" ~doc:"montage|mhamt")
   in
   Cmd.v (Cmd.info "netsmoke" ~doc:"In-process server smoke test (CI).")
     Term.(ret (const netsmoke $ backend))
 
 let shard_cmd =
-  let backend =
-    Arg.(value & pos 0 string "montage" & info [] ~docv:"BACKEND" ~doc:"montage|mhamt|transient")
-  in
   let port = Arg.(value & opt int 11411 & info [ "port"; "p" ] ~doc:"TCP port (0 = ephemeral).") in
-  let workers = Arg.(value & opt int 2 & info [ "workers"; "w" ] ~doc:"Event-loop domains.") in
-  let capacity = Arg.(value & opt int 256 & info [ "capacity-mib" ] ~doc:"NVM region size (MiB).") in
   let heap_file =
     Arg.(
       value & opt string ""
@@ -992,9 +928,6 @@ let shard_cmd =
           ~doc:
             "Heap image path: loaded (and recovered from) at startup if present, written \
              atomically at graceful shutdown.  Empty = no durability across restarts.")
-  in
-  let seconds =
-    Arg.(value & opt float 0.0 & info [ "seconds"; "d" ] ~doc:"Run time; 0 = until SIGINT/SIGTERM.")
   in
   let drain_timeout =
     Arg.(
@@ -1011,13 +944,10 @@ let shard_cmd =
              durability across restarts.")
     Term.(
       ret
-        (const shard $ backend $ host_arg $ port $ workers $ capacity $ heap_file $ seconds
+        (const shard $ backend_arg $ host_arg $ port $ workers_arg $ capacity_arg $ heap_file $ run_seconds_arg
        $ drain_timeout))
 
 let cluster_cmd =
-  let backend =
-    Arg.(value & pos 0 string "montage" & info [] ~docv:"BACKEND" ~doc:"montage|mhamt|transient")
-  in
   let port = Arg.(value & opt int 11311 & info [ "port"; "p" ] ~doc:"Router TCP port.") in
   let shards = Arg.(value & opt int 3 & info [ "shards"; "n" ] ~doc:"Number of shard processes.") in
   let base =
@@ -1032,17 +962,14 @@ let cluster_cmd =
       value & opt string "cluster-data"
       & info [ "heap-dir" ] ~doc:"Directory for per-shard heap images (created if missing).")
   in
-  let seconds =
-    Arg.(value & opt float 0.0 & info [ "seconds"; "d" ] ~doc:"Run time; 0 = until SIGINT/SIGTERM.")
-  in
   Cmd.v
     (Cmd.info "cluster"
        ~doc:"Run a consistent-hashing router fronting N supervised shard processes \
              (restart-on-exit).")
     Term.(
       ret
-        (const cluster $ backend $ host_arg $ port $ shards $ base $ workers $ capacity
-       $ heap_dir $ seconds))
+        (const cluster $ backend_arg $ host_arg $ port $ shards $ base $ workers $ capacity
+       $ heap_dir $ run_seconds_arg))
 
 let clustersmoke_cmd =
   let seconds =

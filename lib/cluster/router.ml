@@ -490,11 +490,13 @@ let run t =
             match Core.data c with
             | Client cl -> P.closed cl.fr || Core.out_pending c > cfg.out_hwm
             | Shard _ -> false);
+        (* a client that quit or half-closed still gets every reply it
+           is owed; a shard at EOF will answer nothing more *)
         finished =
           (fun c ->
             match Core.data c with
-            | Client cl -> P.closed cl.fr && Queue.is_empty cl.pending
-            | Shard _ -> false);
+            | Client cl -> (P.closed cl.fr || Core.at_eof c) && Queue.is_empty cl.pending
+            | Shard _ -> Core.at_eof c);
         connected = (fun c -> match Core.data c with Shard u -> probe c u | Client _ -> ());
         closed = (fun c why -> match Core.data c with Shard u -> mark_down u why | Client _ -> ());
       }

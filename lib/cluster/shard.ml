@@ -1,6 +1,7 @@
-(* Shard process body: region (fresh or from the heap file) → store →
-   Netserve; on SIGTERM, drain + sync, then persist the media image.
-   See shard.mli for the crash model. *)
+(* The one store-backed server lifecycle: region (fresh or from the
+   heap file) → epoch system → store → Netserve; on stop, drain + sync,
+   stop the advancer, then persist the media image.  See shard.mli for
+   the crash model. *)
 
 module E = Montage.Epoch_sys
 module Cfg = Montage.Config
@@ -57,78 +58,92 @@ let mib = 1024 * 1024
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* tmp + rename: the heap file is either the old image or the new one,
-   never a torn mix — the file-system analog of a failure-atomic
-   checkpoint *)
+(* tmp + fsync + rename + directory fsync: the heap file is either the
+   old image or the new one, never a torn mix — the file-system analog
+   of a failure-atomic checkpoint — and the new one is on disk before
+   [stop] returns *)
 let write_file_atomic path image =
   let tmp = path ^ ".tmp" in
-  Out_channel.with_open_bin tmp (fun oc -> output_string oc image);
-  Sys.rename tmp path
+  Out_channel.with_open_bin tmp (fun oc ->
+      output_string oc image;
+      Out_channel.flush oc;
+      Unix.fsync (Unix.descr_of_out_channel oc));
+  Sys.rename tmp path;
+  let dir = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close dir) (fun () -> Unix.fsync dir)
 
-let run ?(on_ready = fun ~port:_ -> ()) cfg =
+type t = { cfg : config; server : Netserve.t; esys : E.t option }
+
+let port t = Netserve.port t.server
+let esys t = t.esys
+let totals t = Netserve.totals t.server
+
+let start ?(server = Netserve.default_config) cfg =
+  if cfg.workers < 1 then invalid_arg "Shard.start: workers must be >= 1";
+  (* worker tids [0, workers) plus the advancer's slot; the region
+     keeps spare slots for the advancer's drain domains *)
+  let max_threads = cfg.workers + 4 in
+  let ecfg = { Cfg.default with max_threads = cfg.workers + 1 } in
+  let montage of_struct create recover =
+    let esys, structure =
+      if cfg.heap_file <> "" && Sys.file_exists cfg.heap_file then
+        let region = Nvm.Region.of_image ~max_threads (read_file cfg.heap_file) in
+        let esys, payloads = E.recover ~config:ecfg region in
+        (esys, recover esys payloads)
+      else
+        let region = Nvm.Region.create ~max_threads ~capacity:(cfg.capacity_mib * mib) () in
+        let esys = E.create ~config:ecfg region in
+        (esys, create esys)
+    in
+    (Kvstore.Store.create (of_struct structure), Some esys)
+  in
+  let store, esys =
+    match cfg.backend with
+    | Bk_montage -> montage Kvstore.Store.of_mhashmap Pstructs.Mhashmap.create Pstructs.Mhashmap.recover
+    | Bk_mhamt -> montage Kvstore.Store.of_mhamt Pstructs.Mhamt.create Pstructs.Mhamt.recover
+    | Bk_transient ->
+        let m = Baselines.Transient_map.create Baselines.Transient_map.Dram in
+        (Kvstore.Store.create (Kvstore.Store.of_transient_map m), None)
+  in
+  (* recovery is done before the socket opens, so a router's
+     successful probe implies the store is whole *)
+  let config =
+    {
+      server with
+      host = cfg.host;
+      port = cfg.port;
+      workers = cfg.workers;
+      drain_timeout_s = cfg.drain_timeout_s;
+    }
+  in
+  let sync = Option.map (fun esys ~tid -> E.sync esys ~tid) esys in
+  let persisted_epoch = Option.map (fun esys () -> E.persisted_epoch esys) esys in
+  { cfg; server = Netserve.start ~config ?sync ?persisted_epoch store; esys }
+
+let stop t =
+  (* drain + join + epoch sync: everything acked is now durable *)
+  let d = Netserve.shutdown t.server in
+  Option.iter E.stop_background t.esys;
+  (* only then is the media image the full acked state *)
+  (match t.esys with
+  | Some esys when t.cfg.heap_file <> "" ->
+      write_file_atomic t.cfg.heap_file (Nvm.Region.media_image (E.region esys))
+  | _ -> ());
+  d
+
+let run ?(on_ready = ignore) cfg =
   if cfg.workers < 1 then Error "workers must be >= 1"
   else begin
-    let image =
-      if cfg.heap_file <> "" && Sys.file_exists cfg.heap_file then
-        Some (read_file cfg.heap_file)
-      else None
-    in
-    let max_threads = cfg.workers + 4 in
-    let ecfg = { Cfg.default with max_threads = cfg.workers + 1 } in
-    let build_montage of_struct create recover =
-      match image with
-      | Some img ->
-          let region = Nvm.Region.of_image ~max_threads img in
-          let esys, payloads = E.recover ~config:ecfg region in
-          (Kvstore.Store.create (of_struct (recover esys payloads)), Some esys, Some region)
-      | None ->
-          let region =
-            Nvm.Region.create ~max_threads ~capacity:(cfg.capacity_mib * mib) ()
-          in
-          let esys = E.create ~config:ecfg region in
-          (Kvstore.Store.create (of_struct (create esys)), Some esys, Some region)
-    in
-    let store, esys, region =
-      match cfg.backend with
-      | Bk_montage ->
-          build_montage Kvstore.Store.of_mhashmap Pstructs.Mhashmap.create
-            (fun esys payloads -> Pstructs.Mhashmap.recover esys payloads)
-      | Bk_mhamt ->
-          build_montage Kvstore.Store.of_mhamt Pstructs.Mhamt.create (fun esys payloads ->
-              Pstructs.Mhamt.recover esys payloads)
-      | Bk_transient ->
-          let m = Baselines.Transient_map.create Baselines.Transient_map.Dram in
-          (Kvstore.Store.create (Kvstore.Store.of_transient_map m), None, None)
-    in
-    let nconfig =
-      {
-        Netserve.default_config with
-        host = cfg.host;
-        port = cfg.port;
-        workers = cfg.workers;
-        (* the router's persistent upstream never disconnects on its
-           own, so the drain always runs to this deadline *)
-        drain_timeout_s = cfg.drain_timeout_s;
-      }
-    in
-    let t =
-      match esys with
-      | Some esys ->
-          Netserve.start ~config:nconfig
-            ~sync:(fun ~tid -> E.sync esys ~tid)
-            ~persisted_epoch:(fun () -> E.persisted_epoch esys)
-            store
-      | None -> Netserve.start ~config:nconfig store
-    in
-    on_ready ~port:(Netserve.port t);
-    let stop = Atomic.make false in
-    let handler = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
+    let t = start cfg in
+    on_ready t;
+    let stop_requested = Atomic.make false in
+    let handler = Sys.Signal_handle (fun _ -> Atomic.set stop_requested true) in
     Sys.set_signal Sys.sigterm handler;
     Sys.set_signal Sys.sigint handler;
     let deadline =
       if cfg.seconds <= 0.0 then infinity else Unix.gettimeofday () +. cfg.seconds
     in
-    while (not (Atomic.get stop)) && Unix.gettimeofday () < deadline do
+    while (not (Atomic.get stop_requested)) && Unix.gettimeofday () < deadline do
       try
         Unix.sleepf 0.05
         [@montage.allow
@@ -137,14 +152,5 @@ let run ?(on_ready = fun ~port:_ -> ()) cfg =
            domains"]
       with Unix.Unix_error (Unix.EINTR, _, _) -> ()
     done;
-    (* drain + join + epoch sync: everything acked is now durable *)
-    let d = Netserve.shutdown t in
-    Option.iter E.stop_background esys;
-    (* only then is the media image the full acked state *)
-    (match region with
-    | Some region when cfg.heap_file <> "" ->
-        write_file_atomic cfg.heap_file (Nvm.Region.media_image region)
-    | _ -> ());
-    ignore d;
-    Ok ()
+    Ok (t, stop t)
   end

@@ -213,8 +213,9 @@ let storage_line fr buf f verb off eol n =
     | flags, exptime, bytes, unique ->
         let noreply = n = last + 2 in
         if bytes > fr.max_value then begin
-          (* drain the announced block without buffering it *)
-          fr.state <- Discarding (bytes + 2);
+          (* drain the announced block without buffering it; a count
+             within 2 of max_int saturates instead of wrapping negative *)
+          fr.state <- Discarding (if bytes > max_int - 2 then max_int else bytes + 2);
           emit fr f verb (if noreply then silent else too_large) off eol
         end
         else begin

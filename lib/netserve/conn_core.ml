@@ -12,6 +12,10 @@
    - reads drain a ready socket into the input buffer (stopping early
      once the handler pauses, e.g. above an output high-water mark, and
      after a read shorter than the chunk);
+   - a read of 0 bytes (the peer's EOF, a half-close included) only
+     marks the connection: reading stops, the replies already queued
+     are still written, and the owner's [finished] (which counts
+     [at_eof]) decides when the drained connection closes;
    - [send] only buffers and queues the connection in a dirty set,
      flushed with one write per dirty connection per cycle — O(active),
      never O(connections);
@@ -107,6 +111,7 @@ and 'a conn = {
   mutable want_w : bool; [@montage.thread_local]
   mutable dirty : bool; [@montage.thread_local]
   mutable alive : bool; [@montage.thread_local]
+  mutable eof : bool; [@montage.thread_local]  (** the peer sent its last byte *)
 }
 
 and 'a handlers = {
@@ -166,7 +171,7 @@ let send c s = send_sub c (Bytes.unsafe_of_string s) 0 (String.length s)
 (* Re-derive the interest pair from connection state; reach epoll
    only when it changed.  A kernel refusal closes the connection. *)
 let update_interest c =
-  let r = (not c.connecting) && not (c.loop.h.paused c) in
+  let r = (not c.connecting) && (not c.eof) && not (c.loop.h.paused c) in
   let w = c.connecting || pending c.outb > 0 in
   if r <> c.want_r || w <> c.want_w then begin
     let p = c.loop.poller and registered = c.want_r || c.want_w in
@@ -179,11 +184,14 @@ let update_interest c =
     with Unix.Unix_error (e, _, _) -> close c ("epoll_ctl: " ^ Unix.error_message e)
   end
 
+let close_reason c = if c.eof then "peer closed the connection" else "finished"
+
 (* After any I/O: a finished connection closes once drained, every
    other one re-derives its interest. *)
 let settle c =
   if c.alive then
-    if c.loop.h.finished c && pending c.outb = 0 then close c "finished" else update_interest c
+    if c.loop.h.finished c && pending c.outb = 0 then close c (close_reason c)
+    else update_interest c
 
 (* One write of the pending output; a dead peer closes the connection. *)
 let flush c =
@@ -214,7 +222,7 @@ let read c =
         close c (Unix.error_message e)
     | 0 ->
         again := false;
-        close c "peer closed the connection"
+        c.eof <- true
     | n ->
         if c.accepted then t.ctr.bytes_in <- t.ctr.bytes_in + n;
         c.last_active <- t.now;
@@ -246,6 +254,7 @@ let register t fd ~accepted ~connecting data =
           want_w = connecting;
           dirty = false;
           alive = true;
+          eof = false;
         }
       in
       Hashtbl.replace t.conns fd c;
@@ -332,7 +341,7 @@ let on_event t fd ~readable ~writable =
           if c.connecting then finish_connect c
           else begin
             if writable then flush c;
-            if readable && c.alive then read c
+            if readable && c.alive && not c.eof then read c
           end;
           settle c)
 
@@ -354,7 +363,7 @@ let sweep t =
   let reap = ref [] in
   Hashtbl.iter
     (fun _ c ->
-      if t.h.finished c && pending c.outb = 0 then reap := (c, "finished") :: !reap
+      if t.h.finished c && pending c.outb = 0 then reap := (c, close_reason c) :: !reap
       else if c.accepted && t.idle_timeout_s > 0.0 && t.now -. c.last_active > t.idle_timeout_s
       then reap := (c, "idle timeout") :: !reap)
     t.conns;
@@ -392,4 +401,5 @@ let shutdown t =
 let data c = c.data
 let inbuf c = c.inb
 let alive c = c.alive
+let at_eof c = c.eof
 let out_pending c = pending c.outb

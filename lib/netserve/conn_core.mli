@@ -40,7 +40,12 @@ type 'a handlers = {
   input : 'a conn -> unit;
       (** bytes were appended to {!inbuf}: consume what is complete *)
   paused : 'a conn -> bool;  (** stop reading (backpressure, after quit) *)
-  finished : 'a conn -> bool;  (** close once the output has drained *)
+  finished : 'a conn -> bool;
+      (** close once the output has drained.  Reading stops at the
+          peer's EOF ({!at_eof}) but the connection stays until this
+          holds, so an owner counts EOF here once it owes the peer
+          nothing more; until then the drain deadline or the idle reap
+          ends it *)
   connected : 'a conn -> unit;  (** a {!connect} completed *)
   closed : 'a conn -> string -> unit;
       (** the connection is gone (peer, error, {!close}, reap); not
@@ -87,6 +92,10 @@ val shutdown : 'a t -> int
 val data : 'a conn -> 'a
 val inbuf : 'a conn -> buf
 val alive : 'a conn -> bool
+
+(** The peer has closed its sending side (a read returned 0): nothing
+    more will be read, and input cut off mid-request stays unserved. *)
+val at_eof : 'a conn -> bool
 
 (** Output bytes queued and not yet written. *)
 val out_pending : 'a conn -> int

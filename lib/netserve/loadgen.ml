@@ -253,7 +253,7 @@ let drive ~eps ~conn_eps ~pacing ~next ~duration_s ~grace_s =
   in
   let core =
     Conn_core.create ~name:"loadgen"
-      { input; paused = (fun _ -> false); finished = (fun _ -> false); connected = ignore; closed }
+      { input; paused = (fun _ -> false); finished = Conn_core.at_eof; connected = ignore; closed }
   in
   let conns =
     Array.map

@@ -181,7 +181,9 @@ let worker t wid =
         input;
         (* reads pause above the output high-water mark and after quit *)
         paused = (fun c -> P.is_closed (Conn_core.data c) || Conn_core.out_pending c > cfg.out_hwm);
-        finished = (fun c -> P.is_closed (Conn_core.data c));
+        (* after quit, or at EOF: every complete request is answered
+           by then, and a cut-off one never will be *)
+        finished = (fun c -> P.is_closed (Conn_core.data c) || Conn_core.at_eof c);
         connected = ignore;
         closed = (fun _ _ -> ());
       }

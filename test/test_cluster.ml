@@ -355,6 +355,78 @@ let test_down_before_start () =
           Alcotest.(check bool) "storage shard down" true
             (contains (recv_until fd "\r\n") "SERVER_ERROR shard down")))
 
+(* A client that half-closes right after pipelining a get split over
+   two shards and a single-key get still gets every reply: the router
+   stops reading at its EOF but keeps the connection until the split
+   reply is reassembled and everything owed has been written. *)
+let test_half_close_split_get () =
+  let shards, r = start_routed ~n:2 () in
+  let ring = Ring.create ~vnodes:router_config.vnodes [ 0; 1 ] in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop r;
+      List.iter (fun t -> ignore (Netserve.shutdown t)) shards)
+    (fun () ->
+      match (keys_on ring 0 1, keys_on ring 1 1) with
+      | [ a ], [ b ] ->
+          let fd = connect (Router.port r) in
+          send fd (Printf.sprintf "set %s 0 0 1\r\nA\r\nset %s 0 0 1\r\nB\r\n" a b);
+          Alcotest.(check string) "stored" "STORED\r\nSTORED\r\n" (recv_exact fd 16);
+          send fd (Printf.sprintf "get %s %s\r\nget %s\r\n" a b b);
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          let want =
+            Printf.sprintf "VALUE %s 0 1\r\nA\r\nVALUE %s 0 1\r\nB\r\nEND\r\nVALUE %s 0 1\r\nB\r\nEND\r\n"
+              a b b
+          in
+          Alcotest.(check string) "every reply after the half-close" want (recv_all fd);
+          Unix.close fd
+      | _ -> assert false)
+
+(* ---- Shard: the store-backed server's whole lifecycle ---- *)
+
+(* Start a shard with a heap file in a fresh directory, ack sets over a
+   socket, stop it (drain, sync, advancer, image), start it again from
+   the image: every acked key is served, and the atomic image write
+   leaves no temporary file behind. *)
+let test_shard_restart backend () =
+  let dir = Filename.temp_dir "montage-shard-" "" in
+  let heap_file = Filename.concat dir "shard.heap" in
+  let cfg = { Cluster.Shard.default_config with backend; heap_file } in
+  let keys = List.init 40 (Printf.sprintf "shard-key-%02d") in
+  let only_image () =
+    Alcotest.(check (list string)) "only the image" [ "shard.heap" ] (Array.to_list (Sys.readdir dir))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let s = Cluster.Shard.start cfg in
+      let fd = connect (Cluster.Shard.port s) in
+      send fd
+        (String.concat ""
+           (List.map (fun k -> Printf.sprintf "set %s 0 0 %d\r\n%s\r\n" k (String.length k) k) keys));
+      let acks = String.concat "" (List.map (fun _ -> "STORED\r\n") keys) in
+      Alcotest.(check string) "every set acked" acks (recv_exact fd (String.length acks));
+      Unix.close fd;
+      let d = Cluster.Shard.stop s in
+      Alcotest.(check bool) "the stop synced" true (d.Netserve.persisted_epoch >= 1);
+      only_image ();
+      let s2 = Cluster.Shard.start cfg in
+      Fun.protect
+        ~finally:(fun () -> ignore (Cluster.Shard.stop s2))
+        (fun () ->
+          let fd = connect (Cluster.Shard.port s2) in
+          List.iter
+            (fun k ->
+              send fd (Printf.sprintf "get %s\r\n" k);
+              Alcotest.(check string) ("served after restart: " ^ k)
+                (Printf.sprintf "VALUE %s 0 %d\r\n%s\r\nEND\r\n" k (String.length k) k)
+                (recv_unit fd))
+            keys;
+          Unix.close fd);
+      only_image ())
+
 (* ---- router vs direct shard: byte-identical replies ----
 
    The router frames requests with the shards' own framer, so apart
@@ -629,6 +701,15 @@ let () =
           Alcotest.test_case "all shards down from birth" `Quick test_down_before_start;
           Alcotest.test_case "replies pipelined behind a split get" `Quick
             (test_divergence ~n:2 pipelined_split_script);
+          Alcotest.test_case "half-close after a split get gets every reply" `Quick
+            test_half_close_split_get;
+        ] );
+      ( "shard",
+        [
+          Alcotest.test_case "montage: acked keys served after a restart" `Quick
+            (test_shard_restart Cluster.Shard.Bk_montage);
+          Alcotest.test_case "mhamt: acked keys served after a restart" `Quick
+            (test_shard_restart Cluster.Shard.Bk_mhamt);
         ] );
       ( "child",
         [ Alcotest.test_case "supervisor restarts an exit, shutdown reaps" `Quick

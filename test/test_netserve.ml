@@ -231,6 +231,52 @@ let test_short_reads () =
   E.stop_background esys;
   ignore region
 
+(* A client that sends its last request and half-closes
+   ([shutdown SHUTDOWN_SEND]) still gets the reply: at EOF the server
+   stops reading, writes what it has queued, and closes once that has
+   drained.  With 16-byte reads a 16-byte set is one full chunk, so the
+   EOF is read in the same drain that queued its STORED; 17 and 20
+   bytes end on a short read instead.  A request cut off mid-line or
+   mid-data-block at EOF gets no reply and stores nothing. *)
+let test_half_close () =
+  let region, esys, t =
+    start_montage ~workers:1 ~config_mod:(fun c -> { c with Netserve.read_chunk = 16 }) ()
+  in
+  let port = Netserve.port t in
+  let half_closed req =
+    let fd = connect port in
+    send fd req;
+    Unix.shutdown fd Unix.SHUTDOWN_SEND;
+    let got = recv_all fd in
+    Unix.close fd;
+    got
+  in
+  List.iter
+    (fun size ->
+      let lost = ref 0 in
+      for i = 0 to 19 do
+        (* "set " + key + " 0 0 1\r\nx\r\n" is 15 bytes plus the key *)
+        let key = String.make 1 (Char.chr (Char.code 'a' + i)) ^ String.make (size - 16) 'k' in
+        let req = Printf.sprintf "set %s 0 0 1\r\nx\r\n" key in
+        assert (String.length req = size);
+        if half_closed req <> "STORED\r\n" then incr lost
+      done;
+      Alcotest.(check int) (Printf.sprintf "%d-byte sets: replies lost (of 20)" size) 0 !lost)
+    [ 16; 17; 20 ];
+  Alcotest.(check string) "cut mid-data-block: only the whole request answered" "STORED\r\n"
+    (half_closed "set whole 0 0 1\r\nx\r\nset cut 0 0 5\r\nab");
+  Alcotest.(check string) "cut mid-line: no reply" "" (half_closed "set cut 0 0 5");
+  Alcotest.(check string) "cut get line: no reply" "" (half_closed "get whole");
+  let fd = connect port in
+  send fd "get cut whole\r\n";
+  Alcotest.(check string) "the cut set stored nothing" "VALUE whole 0 1\r\nx\r\nEND\r\n"
+    (recv_unit fd);
+  quit_close fd;
+  let d = Netserve.shutdown t in
+  Alcotest.(check int) "nothing left to force-close" 0 d.Netserve.forced_closes;
+  E.stop_background esys;
+  ignore region
+
 (* An fd epoll rejects (a regular file: EPERM) is refused and closed,
    and the loop keeps serving sockets. *)
 let test_refused_fd () =
@@ -556,6 +602,7 @@ let () =
             test_drain_serves_inflight;
           Alcotest.test_case "epoll: refuses an fd it rejects, keeps serving" `Quick
             test_refused_fd;
+          Alcotest.test_case "half-close keeps every reply" `Quick test_half_close;
         ] );
       ( "durability",
         [

@@ -460,7 +460,15 @@ let test_value_cap () =
     "CLIENT_ERROR object too large for cache\r\n"
     (feed_all c (Printf.sprintf "set big 0 0 64\r\n%s\r\n" (String.make 64 'v')));
   Alcotest.(check string) "block drained, stream intact" "END\r\n" (feed_all c "get big\r\n");
-  Alcotest.(check string) "small values still fine" "STORED\r\n" (feed_all c "set s 0 0 4\r\nokay\r\n")
+  Alcotest.(check string) "small values still fine" "STORED\r\n" (feed_all c "set s 0 0 4\r\nokay\r\n");
+  (* the bytes left to drop (block plus \r\n) saturate at max_int
+     instead of wrapping negative and moving the frame backwards *)
+  List.iter
+    (fun bytes ->
+      Alcotest.(check string) (Printf.sprintf "%d-byte block refused, the rest dropped" bytes)
+        "CLIENT_ERROR object too large for cache\r\n"
+        (feed_all (make_conn ~max_value:16 ()) (Printf.sprintf "set k 0 0 %d\r\nab\r\nget s\r\n" bytes)))
+    [ max_int; max_int - 1 ]
 
 let test_value_cap_streaming_noreply () =
   (* noreply + oversized: no error reply, and the announced block is
@@ -830,7 +838,7 @@ module Oracle = struct
                 Drop_block
                   ( verb,
                     (if p.noreply then None else Some "CLIENT_ERROR object too large for cache"),
-                    p.bytes + 2 )
+                    if p.bytes > max_int - 2 then max_int else p.bytes + 2 )
             | Some p -> Needs_block (verb, p)
             | None -> answer bad_format)
         | "delete", [ key ] -> complete (P.Delete { key; noreply = false })
@@ -1132,7 +1140,8 @@ let adversarial_lines =
   [
     ""; " "; "   "; "GET a"; "Get  a   b"; "gEt"; "get"; "  get a"; "get a  "; "SET k 0 0 1";
     "set  k  0  0  1"; "set k +5 0 1"; "set k -1 0 1"; "set k 0x1f 0 1"; "set k 1_0 0 1";
-    "set k 0 0 -1"; "set k 0 0 0x2"; "set k 0 0 1 noreply"; "set k 0 0 1 NOREPLY";
+    "set k 0 0 -1"; "set k 0 0 0x2"; "set k 0 0 4611686018427387903";
+    "set k 0 0 4611686018427387902"; "set k 0 0 1 noreply"; "set k 0 0 1 NOREPLY";
     "set k 0 0 1 noreply x"; "set k 0 0 1 x"; "set noreply 0 0 1"; "set k 0 0";
     "set k 12345678901234567890 0 1"; "set k 4611686018427387903 0 1";
     "set k 4611686018427387904 0 1"; "set k 0 0 0000000000000000000001"; "cas k 0 0 1";
